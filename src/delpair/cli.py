@@ -20,7 +20,13 @@ from .projgeo import (
     span_with_ell,
 )
 from .projgeo.linalg import QQ, prime_field
-from .projgeo.plucker import ell_generators
+from .projgeo.linalg import rank as mat_rank
+from .projgeo.plucker import (
+    CertificationError,
+    ell_generators,
+    plane_spanned_by,
+    q_orbit_membership,
+)
 from .report import (
     FAIL,
     INDETERMINATE,
@@ -299,7 +305,6 @@ def property_suite(seed: int) -> list[CheckReport]:
             if all(c == 0 for c in coords):
                 coords[0] = 1
             omega = BiVector.make(coords, field)
-            from .projgeo.linalg import rank as mat_rank
             decomposable = grassmannian_membership(omega)
             low_rank = mat_rank(omega.matrix(), field) <= 2
             if decomposable != low_rank:
@@ -324,12 +329,11 @@ def _qorbit_invariance(seed: int) -> CheckReport:
     while tried < 20:
         rows = [[QQ.of(rng.randrange(-3, 4)) if c in cols else QQ.zero
                  for c in range(5)] for cols in shape]
-        from .projgeo.linalg import rank as mat_rank
         if mat_rank([r[:] for r in rows], QQ) != 5:
             continue
         tried += 1
         for omega in points:
-            u, v = _bivector_span(omega)
+            u, v = plane_spanned_by(omega)
             gu = [sum(x * r for x, r in zip(u, [rows[i][c] for i in range(5)]))
                   for c in range(5)]
             gv = [sum(x * r for x, r in zip(v, [rows[i][c] for i in range(5)]))
@@ -338,22 +342,12 @@ def _qorbit_invariance(seed: int) -> CheckReport:
             if not grassmannian_membership(image):
                 bad += 1
                 continue
-            if q_orbit_membership_safe(image) != q_orbit_membership_safe(omega):
+            if q_orbit_membership(image) != q_orbit_membership(omega):
                 bad += 1
     return CheckReport("projgeo.qorbit_invariance", "Q on G(2,5)",
                        PASS if bad == 0 else FAIL,
                        witnesses=[{"group_elements": tried, "points": len(points),
                                    "violations": bad}])
-
-
-def _bivector_span(omega: BiVector):
-    from .projgeo.plucker import plane_spanned_by
-    return plane_spanned_by(omega)
-
-
-def q_orbit_membership_safe(omega: BiVector) -> bool:
-    from .projgeo.plucker import q_orbit_membership
-    return q_orbit_membership(omega)
 
 
 def run_all(config: RunConfig) -> tuple[int, dict]:
@@ -400,11 +394,17 @@ def _add_common(sp) -> None:
 
 
 def _config(args, plucker_default=(5, 7), segre_default=(2, 3)) -> RunConfig:
+    """The run configuration; its echo in the bundle names the primes that ran."""
     primes_p = plucker_default
-    if args.primes:
+    primes_s = segre_default
+    if args.command == "segre":
+        if args.primes:
+            raise ValueError("segre fitting takes its prime from --q, not --primes")
+        primes_s = (args.q,)
+    elif args.primes:
         primes_p = tuple(int(x) for x in args.primes.split(","))
     return RunConfig(max_rank=args.max_rank, primes_plucker=primes_p,
-                     primes_segre=segre_default, fmt=args.fmt, seed=args.seed)
+                     primes_segre=primes_s, fmt=args.fmt, seed=args.seed)
 
 
 def main(argv: "list[str] | None" = None) -> int:
@@ -449,6 +449,9 @@ def main(argv: "list[str] | None" = None) -> int:
     except (DiagramError, MarkError, ChainError, CorrespondenceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except CertificationError as exc:     # a failed certification, not bad input
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def _dispatch(args, config: RunConfig) -> int:
@@ -500,7 +503,7 @@ def _dispatch(args, config: RunConfig) -> int:
                 "common_vector": [str(c) for c in wit.common_vector]}}])
         return _single(config, [rep], args)
     if cmd == "segre":
-        return _single(config, segre_suite((args.q,)), args)
+        return _single(config, segre_suite(config.primes_segre), args)
     raise ValueError(f"unknown command {cmd!r}")
 
 

@@ -472,42 +472,30 @@ class CollinearityWitness:
     common_vector: tuple
 
 
-def _maximal_minors(rows: list[list], field) -> list:
-    """The five 4x4 minors of a 4x5 matrix, by dropped column."""
-    out = []
-    for drop in range(5):
-        cols = [c for c in range(5) if c != drop]
-        out.append(_det4([[rows[r][c] for c in cols] for r in range(4)], field))
-    return out
+def _pencil_minors(u, v, field) -> tuple[tuple, tuple]:
+    """The maximal minors of [u; v; e1; e2] and [u; v; e1; e3], by dropped column.
 
-
-def _det4(m: list[list], field) -> object:
-    total = field.zero
-    for j in range(4):
-        sub = [[m[r][c] for c in range(4) if c != j] for r in range(1, 4)]
-        d3 = _det3(sub, field)
-        term = field.mul(m[0][j], d3)
-        total = field.add(total, term) if j % 2 == 0 else field.sub(total, term)
-    return total
-
-
-def _det3(m: list[list], field) -> object:
+    Laplace expansion along the two unit rows leaves the signed Plücker
+    coordinates of u ^ v: (0, 0, x45, x35, x34) and (0, x45, 0, -x25, -x24).
+    """
     f = field
-    pos = f.add(f.add(f.mul(m[0][0], f.mul(m[1][1], m[2][2])),
-                      f.mul(m[0][1], f.mul(m[1][2], m[2][0]))),
-                f.mul(m[0][2], f.mul(m[1][0], m[2][1])))
-    neg = f.add(f.add(f.mul(m[0][2], f.mul(m[1][1], m[2][0])),
-                      f.mul(m[0][0], f.mul(m[1][2], m[2][1]))),
-                f.mul(m[0][1], f.mul(m[1][0], m[2][2])))
-    return f.sub(pos, neg)
+
+    def x(i, j):
+        return f.sub(f.mul(u[i - 1], v[j - 1]), f.mul(u[j - 1], v[i - 1]))
+
+    x45 = x(4, 5)
+    return ((f.zero, f.zero, x45, x(3, 5), x(3, 4)),
+            (f.zero, x45, f.zero, f.neg(x(2, 5)), f.neg(x(2, 4))))
 
 
 def collinearity_scan(b: "ProjPoint | BiVector",
                       span_vectors: "tuple | None" = None) -> "CollinearityWitness | None":
     """Find [t:s] with W_b meeting <e1, t e2 + s e3>, as exact linear algebra.
 
-    The five maximal minors of the 4x5 matrix stacking W_b, e1 and the pencil
-    vector are linear forms in (t, s); a witness exists iff they have a common
+    The five maximal minors of the 4x5 matrix stacking W_b = <u, v>, e1 and
+    the pencil vector t e2 + s e3 are the linear forms t m2 + s m3, where
+    m2 = (0, 0, x45, x35, x34) and m3 = (0, x45, 0, -x25, -x24) are signed
+    Plücker coordinates of u ^ v; a witness exists iff they have a common
     projective zero.
     """
     omega = b if isinstance(b, BiVector) else BiVector.make(b.coords, b.field)
@@ -516,8 +504,7 @@ def collinearity_scan(b: "ProjPoint | BiVector",
     e1 = [field.one] + [field.zero] * 4
     e2 = [field.zero, field.one] + [field.zero] * 3
     e3 = [field.zero] * 2 + [field.one] + [field.zero] * 2
-    m2 = _maximal_minors([list(u), list(v), e1, e2], field)
-    m3 = _maximal_minors([list(u), list(v), e1, e3], field)
+    m2, m3 = _pencil_minors(u, v, field)
     nz = [(a, c) for a, c in zip(m2, m3) if a != field.zero or c != field.zero]
     if not nz:
         param = "all"
@@ -545,28 +532,77 @@ def collinearity_scan(b: "ProjPoint | BiVector",
 # Exhaustive survey of the boundary divisor
 # ---------------------------------------------------------------------------
 
-def enumerate_grassmannian(field: PrimeField):
-    """All F_p-points of the variety, as (plucker coords, row pair).
+def _echelon_cells(p: int):
+    """Coordinate value ranges of the reduced-echelon bases (u, v) of every
+    Schubert cell of 2-subspaces of a 5-space over F_p.
 
-    Subspaces are enumerated through their unique reduced-echelon bases, so
-    the count is the Gaussian binomial coefficient for 2-subspaces of a
-    5-space.
+    Pivots sit at u[i] = v[j] = 1 (i < j); u vanishes before i and at j, v
+    before j.  Every 2-subspace has exactly one such basis, so the product
+    of the ranges, summed over the cells, runs over G(2,5)(F_p) once.
     """
-    p = field.p
+    full, zero, one = range(p), (0,), (1,)
     for i, j in itertools.combinations(range(5), 2):
-        free_positions = [c for c in range(i + 1, 5) if c != j]
-        free2 = list(range(j + 1, 5))
-        for fv in itertools.product(range(p), repeat=len(free_positions) + len(free2)):
-            u = [0] * 5
-            v = [0] * 5
-            u[i] = 1
-            v[j] = 1
-            for c, val in zip(free_positions, fv):
-                u[c] = val
-            for c, val in zip(free2, fv[len(free_positions):]):
-                v[c] = val
-            omega = BiVector.wedge(u, v, field)
-            yield omega, (tuple(u), tuple(v))
+        us = [zero if c < i or c == j else one if c == i else full for c in range(5)]
+        vs = [zero if c < j else one if c == j else full for c in range(5)]
+        yield us, vs
+
+
+def _wedge_mod(u, v, p: int) -> tuple:
+    """The Plücker coordinates of u ^ v as plain ints mod p, in PAIRS order."""
+    return tuple((u[i - 1] * v[j - 1] - u[j - 1] * v[i - 1]) % p for i, j in PAIRS)
+
+
+def _on_ell(x: tuple) -> bool:
+    """b lies on ell = {[e1 ^ (t e2 + s e3)]} iff only x12 and x13 are nonzero."""
+    return not any(x[2:])
+
+
+def _polarization_rank(x: tuple, p: int) -> int:
+    """Rank of the rows (B_S(b, e1^e2), B_S(b, e1^e3)) over the five quadrics S.
+
+    Halved, the rows are (0, 0), (0, x45), (x45, 0), (x35, -x25) and
+    (x34, -x24); the survey calls this only on x45 = 0, where the last two
+    rows carry the rank.
+    """
+    x24, x25, x34, x35, x45 = x[5:]
+    if x45 or (x25 * x34 - x24 * x35) % p:
+        return 2
+    return 1 if x24 or x25 or x34 or x35 else 0
+
+
+def _pencil_parameter(x: tuple, p: int) -> "tuple | None":
+    """[t:s] annihilating the signed minors of [u; v; e1; e2] and [u; v; e1; e3].
+
+    Those minors are m2 = (0, 0, x45, x35, x34) and m3 = (0, x45, 0, -x25,
+    -x24); every nonzero pair (a, c) of (m2, m3) asks a t + c s = 0.  Returns
+    None when two of those conditions are independent, and (1, 0) when there
+    is none at all.
+    """
+    x24, x25, x34, x35, x45 = x[5:]
+    rows = [(a, c) for a, c in ((0, x45), (x45, 0), (x35, -x25 % p), (x34, -x24 % p))
+            if a or c]
+    if not rows:
+        return (1, 0)
+    a, c = rows[0]
+    if any((a * c2 - c * a2) % p for a2, c2 in rows[1:]):
+        return None
+    return (-c % p, a)
+
+
+def _common_vector(u, v, t: int, s: int, p: int) -> tuple:
+    """A nonzero alpha u + beta v in <e1, t e2 + s e3>, solved from u and v alone.
+
+    The vector w lies in that plane iff w4 = w5 = 0 and (w2, w3) is
+    proportional to (t, s); each condition is one linear form in
+    (alpha, beta), and the first nonzero one fixes [alpha : beta].
+    """
+    conds = ((u[3], v[3]), (u[4], v[4]),
+             ((u[1] * s - u[2] * t) % p, (v[1] * s - v[2] * t) % p))
+    alpha, beta = next(((c2, -c1 % p) for c1, c2 in conds if c1 or c2), (1, 0))
+    w = tuple((alpha * a + beta * b) % p for a, b in zip(u, v))
+    if not any(w) or w[3] or w[4] or (w[1] * s - w[2] * t) % p:
+        raise AssertionError(f"witness parameter [{t}:{s}] without a common vector")
+    return w
 
 
 @dataclass(frozen=True)
@@ -611,57 +647,59 @@ class SurveyReport:
 def dee_exhaustive_survey(p: int) -> SurveyReport:
     """Classify the plane section span<b, ell> for every boundary point b.
 
-    For each b on the divisor {x_45 = 0} away from ell the restricted
-    quadrics are computed by polarization and the extra locus on u != 0 is
-    read off the rank of the resulting coefficient matrix; the collinearity
-    scan runs independently and the implication "witness => extra component"
-    is asserted pointwise.
+    G(2,5)(F_p) is enumerated through the reduced-echelon cells in plain ints
+    mod p; x45 is computed first, so affine points are counted and skipped.
+    For each b = u ^ v on the divisor {x45 = 0} away from ell the restricted
+    quadrics come from polarization: halved, the rows (B_S(b, e1^e2),
+    B_S(b, e1^e3)) that can be nonzero are (x35, -x25) and (x34, -x24), and
+    the extra locus on u != 0 is read off their rank.  The collinearity
+    parameter [t:s] is read from the signed Plücker minors (0, 0, x45, x35,
+    x34) of [u; v; e1; e2] and (0, x45, 0, -x25, -x24) of [u; v; e1; e3]; a
+    common vector of W_b and <e1, t e2 + s e3> is then solved from u and v
+    alone and checked, and the implication "witness => extra component" is
+    asserted pointwise.
     """
     if p == 2:
         raise ValueError("characteristic 2 degenerates the Plücker quadrics")
-    field = prime_field(p)
-    g1, g2 = ell_generators(field)
-    ell_pts = line_ell_points(field)
+    prime_field(p)     # rejects a p that is not prime
 
     total = affine = dee = surveyed = 0
     exact = extra = fullplane = nowitness = 0
     witness_without_extra = 0
     excl_meeting = excl_axis = 0
-    x45 = PAIR_INDEX[(4, 5)]
-    axis_coords = [PAIR_INDEX[pq] for pq in PAIRS if 1 not in pq]
 
-    for omega, (u, v) in enumerate_grassmannian(field):
-        total += 1
-        if omega.coords[x45] != 0:
-            affine += 1
-            continue
-        dee += 1
-        key = normalize_projective(omega.coords, field)
-        if key in ell_pts:
-            continue
-        surveyed += 1
+    for us, vs in _echelon_cells(p):
+        for u in itertools.product(*us):
+            for v in itertools.product(*vs):
+                total += 1
+                if (u[3] * v[4] - u[4] * v[3]) % p:
+                    affine += 1
+                    continue
+                dee += 1
+                x = _wedge_mod(u, v, p)
+                if _on_ell(x):
+                    continue
+                surveyed += 1
 
-        c1 = quadric_polarization(omega.coords, g1.coords, field)
-        c2 = quadric_polarization(omega.coords, g2.coords, field)
-        rows = [[a, b] for a, b in zip(c1, c2) if a or b]
-        r = rank(rows, field) if rows else 0
-        if r == 2:
-            exact += 1
-        elif r == 1:
-            extra += 1
-        else:
-            extra += 1
-            fullplane += 1
+                r = _polarization_rank(x, p)
+                if r == 2:
+                    exact += 1
+                elif r == 1:
+                    extra += 1
+                else:
+                    extra += 1
+                    fullplane += 1
 
-        witness = collinearity_scan(omega, span_vectors=(u, v))
-        if witness is None:
-            nowitness += 1
-        else:
-            excl_meeting += 1
-            if r == 2:
-                witness_without_extra += 1
-        if all(omega.coords[k] == 0 for k in axis_coords):
-            excl_axis += 1
+                param = _pencil_parameter(x, p)
+                if param is None:
+                    nowitness += 1
+                else:
+                    _common_vector(u, v, *param, p)
+                    excl_meeting += 1
+                    if r == 2:
+                        witness_without_extra += 1
+                if not any(x[4:]):         # only x1j: the axis vector e1 lies in W_b
+                    excl_axis += 1
 
     if witness_without_extra:
         raise AssertionError(

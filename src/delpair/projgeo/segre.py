@@ -12,13 +12,12 @@ import itertools
 
 from ..report import FAIL, PASS, CheckReport
 from .linalg import (
-    LinearSubspace,
     PrimeField,
-    kernel_basis,
     normalize_projective,
     prime_field,
     projective_points,
     rank,
+    rref,
 )
 
 _MINORS = (((0, 4), (1, 3)), ((0, 5), (2, 3)), ((1, 5), (2, 4)))
@@ -47,8 +46,14 @@ def segre_polarization(x: tuple, y: tuple, field) -> tuple:
 
 
 def segre_point(a: tuple, b: tuple, field) -> tuple:
-    """Canonical image of (a, b) in the ambient projective 5-space."""
-    coords = tuple(field.mul(field.of(ai), field.of(bj)) for ai in a for bj in b)
+    """Canonical image of (a, b) in the ambient projective 5-space.
+
+    Over a prime field the integer coordinates are multiplied and scaled as
+    plain ints mod p.
+    """
+    coords = tuple(ai * bj for ai in a for bj in b)
+    if isinstance(field, PrimeField):
+        return _canonical_mod(coords, field.p)
     return normalize_projective(coords, field)
 
 
@@ -56,29 +61,45 @@ def on_segre(coords: tuple, field) -> bool:
     return all(q == field.zero for q in segre_quadrics(coords, field))
 
 
-def _plane_lines(field: PrimeField) -> list[tuple]:
-    """Lines of the projective plane as canonical covectors."""
-    return list(projective_points(field, 3))
+def _canonical_mod(coords, q: int) -> tuple:
+    """Scale an integer vector mod q so that its first nonzero coordinate is 1."""
+    coords = [c % q for c in coords]
+    lead = next((c for c in coords if c), 0)
+    if not lead:
+        raise ValueError("projective point needs a nonzero coordinate")
+    if lead != 1:
+        inv = pow(lead, -1, q)
+        coords = [c * inv % q for c in coords]
+    return tuple(coords)
 
 
-def _line_points(cov: tuple, field: PrimeField) -> list[tuple]:
-    out = []
-    for pt in projective_points(field, 3):
-        if sum(c * x for c, x in zip(cov, pt)) % field.p == 0:
-            out.append(pt)
-    return out
+def _line_points(cov: tuple, plane_pts: list[tuple], q: int) -> list[tuple]:
+    """The points of plane_pts on the line with covector cov."""
+    return [pt for pt in plane_pts if sum(c * x for c, x in zip(cov, pt)) % q == 0]
 
 
-def _span_section(points3: list[tuple], field: PrimeField) -> "tuple[set, LinearSubspace]":
-    plane = LinearSubspace.span(points3, field)
-    if plane.projective_dim != 2:
-        raise ValueError("span is not a plane")
+def _join_points(y: tuple, b: tuple, plane_pts: list[tuple], q: int) -> list[tuple]:
+    """Points of the plane line through two distinct plane points."""
+    cov = (y[1] * b[2] - y[2] * b[1], y[2] * b[0] - y[0] * b[2], y[0] * b[1] - y[1] * b[0])
+    return _line_points(_canonical_mod(cov, q), plane_pts, q)
+
+
+def _span_section(points3: list[tuple], plane_pts: list[tuple], q: int) -> set:
+    """The Segre points, canonical mod q, on the plane spanned by three points.
+
+    The combinations c0 P0 + c1 P1 + c2 P2 over the points [c0:c1:c2] of the
+    coordinate plane meet every point of the span once; one of them is zero
+    exactly when the three points are dependent.
+    """
+    P0, P1, P2 = points3
     section = set()
-    for coeffs in projective_points(field, 3):
-        coords = plane.combination(coeffs)
-        if any(x != 0 for x in coords) and on_segre(coords, field):
-            section.add(normalize_projective(coords, field))
-    return section, plane
+    for c0, c1, c2 in plane_pts:
+        z = [(c0 * x + c1 * y + c2 * w) % q for x, y, w in zip(P0, P1, P2)]
+        if not any(z):
+            raise ValueError("span is not a plane")
+        if not any((z[a] * z[b] - z[c] * z[d]) % q for (a, b), (c, d) in _MINORS):
+            section.add(_canonical_mod(z, q))
+    return section
 
 
 # -- configuration orbit under the product of the two linear groups ----------
@@ -102,37 +123,28 @@ def _gl_generators(n: int, field: PrimeField) -> list[tuple]:
     return gens
 
 
-def _mat_vec(m: tuple, v: tuple, field: PrimeField) -> tuple:
-    return tuple(sum(m[i][j] * v[j] for j in range(len(v))) % field.p
-                 for i in range(len(m)))
+def _mat_vec(m: tuple, v: tuple) -> tuple:
+    return tuple(sum(m[i][j] * v[j] for j in range(len(v))) for i in range(len(m)))
 
 
 def _mat_inv(m: tuple, field: PrimeField) -> tuple:
     n = len(m)
     aug = [[m[i][j] % field.p for j in range(n)] + [1 if i == j else 0 for j in range(n)]
            for i in range(n)]
-    red, pivots = _rref_rows(aug, field)
+    red, pivots = rref(aug, field)
     if pivots != list(range(n)):
         raise ValueError("singular matrix")
     return tuple(tuple(row[n:]) for row in red)
 
 
-def _rref_rows(rows: list[list], field: PrimeField):
-    from .linalg import rref
-    red, piv = rref([[field.of(x) for x in r] for r in rows], field)
-    return red, piv
-
-
-def _transform_config(config, g2, g3, g3inv, field: PrimeField):
-    """Push a (x, L, a, b) configuration through (g2, g3)."""
-    x, L, a, b = config
-    x2 = normalize_projective(_mat_vec(g2, x, field), field)
-    a2 = normalize_projective(_mat_vec(g2, a, field), field)
-    b2 = normalize_projective(_mat_vec(g3, b, field), field)
+def _move_tables(g2, g3, g3inv, p1: list, p2: list, q: int) -> tuple[dict, dict, dict]:
+    """The move (g2, g3) as permutations of the line, the plane and its lines."""
+    on1 = {x: _canonical_mod(_mat_vec(g2, x), q) for x in p1}
+    on2 = {b: _canonical_mod(_mat_vec(g3, b), q) for b in p2}
     # covectors transform by the inverse on the right: L' = L . g3^{-1}
-    L2 = tuple(sum(L[i] * g3inv[i][j] for i in range(3)) % field.p for j in range(3))
-    L2 = normalize_projective(L2, field)
-    return (x2, L2, a2, b2)
+    on_lines = {L: _canonical_mod([sum(L[i] * g3inv[i][j] for i in range(3))
+                                   for j in range(3)], q) for L in p2}
+    return on1, on2, on_lines
 
 
 # -- the fitting report -------------------------------------------------------
@@ -147,11 +159,14 @@ def segre_fitting_report(q: int) -> CheckReport:
         meets the variety in exactly the line and the point;
     (c) the valid configurations of (b) form a single orbit under the product
         of the projective linear groups of the two factors.
+
+    Points, sections and the orbit search use plain ints mod q; each
+    generator of the group acts through permutation tables built once.
     """
     field = prime_field(q)
     p1 = list(projective_points(field, 2))
     p2 = list(projective_points(field, 3))
-    lines2 = _plane_lines(field)
+    lines2 = p2          # lines of the plane, as canonical covectors
     subject = f"F{q}"
     failures: list[dict] = []
 
@@ -165,14 +180,14 @@ def segre_fitting_report(q: int) -> CheckReport:
     a_configs = 0
     for y in p2:
         line_pts = [segre_point(x, y, field) for x in p1]
+        joins = {b: _join_points(y, b, p2, q) for b in p2 if b != y}
         for (a, b) in itertools.product(p1, p2):
             if b == y:
                 continue
             a_configs += 1
             pt = segre_point(a, b, field)
-            section, plane = _span_section([line_pts[0], line_pts[1], pt], field)
-            join = _join_points(y, b, field)
-            witness_curve = {segre_point(a, m, field) for m in join}
+            section = _span_section([line_pts[0], line_pts[1], pt], p2, q)
+            witness_curve = {segre_point(a, m, field) for m in joins[b]}
             if not witness_curve <= section:
                 failures.append({"check": "a-witness", "y": y, "point": (a, b)})
             if section == set(line_pts) | {pt}:
@@ -181,7 +196,7 @@ def segre_fitting_report(q: int) -> CheckReport:
     b_configs = 0
     for x in p1:
         for L in lines2:
-            Lpts = _line_points(L, field)
+            Lpts = _line_points(L, p2, q)
             line_img = [segre_point(x, m, field) for m in Lpts]
             for a in p1:
                 if a == x:
@@ -191,7 +206,7 @@ def segre_fitting_report(q: int) -> CheckReport:
                         continue
                     b_configs += 1
                     pt = segre_point(a, b, field)
-                    section, _ = _span_section([line_img[0], line_img[1], pt], field)
+                    section = _span_section([line_img[0], line_img[1], pt], p2, q)
                     if section != set(line_img) | {pt}:
                         failures.append({"check": "b-section", "x": x, "L": L,
                                          "point": (a, b)})
@@ -200,7 +215,7 @@ def segre_fitting_report(q: int) -> CheckReport:
     valid = set()
     for x in p1:
         for L in lines2:
-            Lpts = set(_line_points(L, field))
+            Lpts = set(_line_points(L, p2, q))
             for a in p1:
                 if a == x:
                     continue
@@ -211,14 +226,16 @@ def segre_fitting_report(q: int) -> CheckReport:
     gens3 = [g for g in _gl_generators(3, field) if _invertible([list(r) for r in g], field)]
     id2 = ((1, 0), (0, 1))
     id3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    moves = [(g, id3) for g in gens2] + [(id2, g) for g in gens3]
+    moves = [_move_tables(g, id3, id3, p1, p2, q) for g in gens2] + [
+        _move_tables(id2, g, _mat_inv(g, field), p1, p2, q) for g in gens3]
     seed = next(iter(sorted(valid)))
     orbit = {seed}
     frontier = [seed]
     while frontier:
         cfg = frontier.pop()
-        for g2, g3 in moves:
-            nxt = _transform_config(cfg, g2, g3, _mat_inv(g3, field), field)
+        x, L, a, b = cfg
+        for on1, on2, on_lines in moves:
+            nxt = (on1[x], on_lines[L], on1[a], on2[b])
             if nxt not in orbit:
                 orbit.add(nxt)
                 frontier.append(nxt)
@@ -238,8 +255,3 @@ def segre_fitting_report(q: int) -> CheckReport:
     return CheckReport("segre.fitting", subject, status,
                        witnesses=witnesses + failures)
 
-
-def _join_points(y: tuple, b: tuple, field: PrimeField) -> list[tuple]:
-    """Points of the plane line through two distinct plane points."""
-    cov = kernel_basis([[field.of(c) for c in y], [field.of(c) for c in b]], field, 3)[0]
-    return _line_points(tuple(int(c) for c in cov), field)

@@ -2,10 +2,15 @@
 
 Root systems are regenerated here by reflection closure instead of root
 strings; kernels are recomputed by raw root-sum arithmetic instead of
-Chevalley brackets; counts come from closed formulas.
+Chevalley brackets; counts come from closed formulas; the Grassmannian is
+enumerated through field-object bivectors, and the maximal minors of the
+collinearity scan are expanded as generic determinants.
 """
 from __future__ import annotations
 
+import itertools
+
+from delpair.projgeo.plucker import BiVector
 from delpair.rootsys import DynkinDiagram, Root, RootSystem
 
 COUNT_FORMULAS = {
@@ -71,3 +76,57 @@ def brute_kernel(psi, sub_tangent, gamma, noncompact, rs, quotient=frozenset()):
 def gaussian_binomial_2_of_5(p: int) -> int:
     """Number of 2-subspaces of a 5-space over the field with p elements."""
     return (p**5 - 1) * (p**4 - 1) // ((p**2 - 1) * (p - 1))
+
+
+def enumerate_grassmannian(field):
+    """All F_p-points of G(2,5), as (BiVector u ^ v, (u, v)).
+
+    Subspaces are enumerated through their unique reduced-echelon bases, so
+    the count is the Gaussian binomial coefficient for 2-subspaces of a
+    5-space.
+    """
+    p = field.p
+    for i, j in itertools.combinations(range(5), 2):
+        free_positions = [c for c in range(i + 1, 5) if c != j]
+        free2 = list(range(j + 1, 5))
+        for fv in itertools.product(range(p), repeat=len(free_positions) + len(free2)):
+            u = [0] * 5
+            v = [0] * 5
+            u[i] = 1
+            v[j] = 1
+            for c, val in zip(free_positions, fv):
+                u[c] = val
+            for c, val in zip(free2, fv[len(free_positions):]):
+                v[c] = val
+            yield BiVector.wedge(u, v, field), (tuple(u), tuple(v))
+
+
+def maximal_minors(rows: list[list], field) -> list:
+    """The five 4x4 minors of a 4x5 matrix, by dropped column."""
+    out = []
+    for drop in range(5):
+        cols = [c for c in range(5) if c != drop]
+        out.append(det4([[rows[r][c] for c in cols] for r in range(4)], field))
+    return out
+
+
+def det4(m: list[list], field):
+    """Laplace expansion along the first row."""
+    total = field.zero
+    for j in range(4):
+        sub = [[m[r][c] for c in range(4) if c != j] for r in range(1, 4)]
+        term = field.mul(m[0][j], det3(sub, field))
+        total = field.add(total, term) if j % 2 == 0 else field.sub(total, term)
+    return total
+
+
+def det3(m: list[list], field):
+    """Rule of Sarrus."""
+    f = field
+    pos = f.add(f.add(f.mul(m[0][0], f.mul(m[1][1], m[2][2])),
+                      f.mul(m[0][1], f.mul(m[1][2], m[2][0]))),
+                f.mul(m[0][2], f.mul(m[1][0], m[2][1])))
+    neg = f.add(f.add(f.mul(m[0][2], f.mul(m[1][1], m[2][0])),
+                      f.mul(m[0][0], f.mul(m[1][2], m[2][1]))),
+                f.mul(m[0][1], f.mul(m[1][0], m[2][2])))
+    return f.sub(pos, neg)

@@ -110,11 +110,28 @@ def test_cli_pluecker_commands(tmp_path):
     assert doc["reports"][0]["witnesses"][0]["witness"] is None
 
 
-def test_cli_segre_command(tmp_path):
+def test_cli_segre_command(tmp_path, capsys):
     out = tmp_path / "s.json"
     assert main(["segre", "fitting", "--q", "2", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["reports"][0]["status"] == "pass"
+    assert doc["reports"][0]["subject"] == "F2"
+    assert doc["config"]["primes_segre"] == [2]       # the echo names what ran
+    capsys.readouterr()
+    assert main(["segre", "fitting", "--q", "2", "--primes", "5", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+def test_cli_section_certification_failure_is_one_line_exit_1(tmp_path, capsys):
+    # 5 divides a coefficient of b = (e1 + 5 e2) ^ e4, so the F5 reduction of
+    # the rational plane disagrees with its F5 enumeration
+    out = tmp_path / "c.json"
+    assert main(["pluecker", "section", "--point", "e1^e4 + 5 e2^e4",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: rational locus and F_5")
+    assert not out.exists()
 
 
 def test_cli_bad_config_exit_2(tmp_path):

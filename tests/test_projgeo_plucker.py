@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from delpair.projgeo.linalg import (
     QQ,
     LinearSubspace,
     ProjPoint,
+    normalize_projective,
     prime_field,
     projective_points,
     rank,
@@ -15,19 +17,26 @@ from delpair.projgeo.plucker import (
     BiVector,
     CertificationError,
     SectionUnsupportedError,
+    _common_vector,
+    _echelon_cells,
+    _on_ell,
+    _pencil_minors,
+    _pencil_parameter,
+    _polarization_rank,
+    _wedge_mod,
     collinearity_scan,
     dee_exhaustive_survey,
     ell_generators,
-    enumerate_grassmannian,
     grassmannian_membership,
     line_ell_points,
     parse_bivector,
     plane_section,
     plucker_quadrics,
     q_orbit_membership,
+    quadric_polarization,
     span_with_ell,
 )
-from oracles import gaussian_binomial_2_of_5
+from oracles import enumerate_grassmannian, gaussian_binomial_2_of_5, maximal_minors
 
 
 def test_quadrics_vanish_on_decomposable():
@@ -165,6 +174,66 @@ def test_grassmannian_enumeration_count_oracle():
     assert len(seen) == len(points)
 
 
+# -- closed forms against the generic oracles, on every point of G(2,5)(F5) ----
+
+@pytest.fixture(scope="module")
+def f5_points():
+    return list(enumerate_grassmannian(prime_field(5)))
+
+
+def test_echelon_cells_run_over_the_oracle_enumeration(f5_points):
+    cells = {(u, v) for us, vs in _echelon_cells(5)
+             for u in itertools.product(*us) for v in itertools.product(*vs)}
+    assert cells == {uv for _, uv in f5_points}
+    for omega, (u, v) in f5_points:
+        assert _wedge_mod(u, v, 5) == omega.coords
+
+
+def test_closed_form_minors_match_generic_minors(f5_points):
+    field = prime_field(5)
+    e1, e2, e3 = ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0))
+    for omega, (u, v) in f5_points:
+        m2 = maximal_minors([u, v, e1, e2], field)
+        m3 = maximal_minors([u, v, e1, e3], field)
+        assert _pencil_minors(u, v, field) == (tuple(m2), tuple(m3))
+        rows = [[a, c] for a, c in zip(m2, m3) if a or c]
+        param = _pencil_parameter(omega.coords, 5)
+        if rows and rank(rows, field) == 2:
+            assert param is None
+        else:
+            t, s = param
+            assert (t, s) != (0, 0)
+            assert all((a * t + c * s) % 5 == 0 for a, c in rows)
+
+
+def test_closed_form_rank_matches_polarization_rows(f5_points):
+    field = prime_field(5)
+    g1, g2 = ell_generators(field)
+    for omega, _ in f5_points:
+        c1 = quadric_polarization(omega.coords, g1.coords, field)
+        c2 = quadric_polarization(omega.coords, g2.coords, field)
+        rows = [[a, b] for a, b in zip(c1, c2) if a or b]
+        expected = rank(rows, field) if rows else 0
+        assert _polarization_rank(omega.coords, 5) == expected
+
+
+def test_boundary_points_on_ell_match_line_ell_points(f5_points):
+    field = prime_field(5)
+    ell_pts = line_ell_points(field)
+    boundary = [omega for omega, _ in f5_points if omega.coord(4, 5) == 0]
+    on_ell = [omega for omega in boundary if _on_ell(omega.coords)]
+    assert len(on_ell) == len(ell_pts)
+    for omega in boundary:
+        assert _on_ell(omega.coords) == (normalize_projective(omega.coords, field) in ell_pts)
+
+
+def test_common_vector_rejects_a_wrong_parameter():
+    u, v = (0, 1, 0, 0, 0), (0, 0, 0, 1, 0)           # b = e2 ^ e4, witness [1:0]
+    assert _common_vector(u, v, 1, 0, 5) == (0, 1, 0, 0, 0)
+    with pytest.raises(AssertionError, match="without a common vector"):
+        _common_vector(u, v, 0, 1, 5)
+
+
 # -- collinearity --------------------------------------------------------------
 
 def test_collinearity_examples():
@@ -224,6 +293,30 @@ def test_survey_computed_truth_every_boundary_point_obstructed(surveys):
         assert rep.excluded_line_meeting == rep.surveyed
         assert not rep.exists_exact_b
         assert rep.excluded_axis_point < rep.excluded_line_meeting
+
+
+# SurveyReport witnesses recorded from the field-object survey that computed
+# every count through BiVector, PrimeField and generic 4x4 minors.
+PINNED_SURVEYS = {
+    3: dict(grassmannian_points=1210, affine_cell_points=729, dee_points=481,
+            surveyed=477, exact_section_count=0, extra_component_count=477,
+            full_plane_count=45, no_witness_count=0, witness_without_extra=0,
+            excluded_line_meeting=477, excluded_axis_point=36, exists_exact_b=False),
+    5: dict(grassmannian_points=20306, affine_cell_points=15625, dee_points=4681,
+            surveyed=4675, exact_section_count=0, extra_component_count=4675,
+            full_plane_count=175, no_witness_count=0, witness_without_extra=0,
+            excluded_line_meeting=4675, excluded_axis_point=150, exists_exact_b=False),
+    7: dict(grassmannian_points=140050, affine_cell_points=117649, dee_points=22401,
+            surveyed=22393, exact_section_count=0, extra_component_count=22393,
+            full_plane_count=441, no_witness_count=0, witness_without_extra=0,
+            excluded_line_meeting=22393, excluded_axis_point=392, exists_exact_b=False),
+}
+
+
+@pytest.mark.parametrize("p", sorted(PINNED_SURVEYS))
+def test_survey_report_pinned(p, surveys):
+    rep = surveys[p] if p in surveys else dee_exhaustive_survey(p)
+    assert rep.to_witness() == {"prime": p, **PINNED_SURVEYS[p]}
 
 
 def test_survey_rejects_characteristic_two():
