@@ -4,7 +4,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-import time
+from dataclasses import replace
 
 from . import hss, normalbundle, pairs, report, sff
 from .chevalley import LieElement, bracket, build_table
@@ -65,12 +65,6 @@ def parse_pair_id(text: str, max_rank: int = 7) -> DeletionPair:
     return by_id[pair.pair_id]
 
 
-def _timed(fn, *args):
-    t0 = time.perf_counter()
-    out = fn(*args)
-    return out, (time.perf_counter() - t0) * 1000.0
-
-
 # ---------------------------------------------------------------------------
 # Suites
 # ---------------------------------------------------------------------------
@@ -97,80 +91,83 @@ def root_count_check() -> CheckReport:
                        notes="" if not bad else "count mismatch")
 
 
-def catalog_suite(cat: list[DeletionPair]) -> list[CheckReport]:
-    out = []
-    for pair in cat:
-        t0 = time.perf_counter()
-        try:
-            pairs.root_correspondence(pair)
-            nc0 = len(hss.noncompact_positive_roots(pair.sub))
-            nc = len(hss.noncompact_positive_roots(pair.ambient))
-            nw = len(normalbundle.normal_weights(pair))
-            if nc0 + nw != nc:
-                raise CorrespondenceError(
-                    f"dimension bookkeeping fails: {nc0} + {nw} != {nc}")
-            verdict = pairs.is_maximal(pair)
-            rep = CheckReport(
-                "pairs.correspondence", pair.pair_id, PASS,
-                witnesses=[{
-                    "name": pair.name,
-                    "Gamma": root_witness(pair.big_gamma),
-                    "dim_sub": nc0, "dim_ambient": nc,
-                    "maximal": verdict.maximal,
-                    "decompositions_via": list(verdict.witness_ids()),
-                }])
-        except CorrespondenceError as exc:
-            rep = CheckReport("pairs.correspondence", pair.pair_id, FAIL, notes=str(exc))
-        rep.duration_ms = (time.perf_counter() - t0) * 1000.0
-        out.append(rep)
-    return out
+def correspondence_checks(pair: DeletionPair) -> list[CheckReport]:
+    try:
+        pair.correspondence         # builds Phi and checks its invariants
+        nc0 = len(hss.noncompact_positive_roots(pair.sub))
+        nc = len(hss.noncompact_positive_roots(pair.ambient))
+        nw = len(normalbundle.normal_weights(pair))
+        if nc0 + nw != nc:
+            raise CorrespondenceError(
+                f"dimension bookkeeping fails: {nc0} + {nw} != {nc}")
+        verdict = pairs.is_maximal(pair)
+    except CorrespondenceError as exc:
+        return [CheckReport("pairs.correspondence", pair.pair_id, FAIL, notes=str(exc))]
+    return [CheckReport(
+        "pairs.correspondence", pair.pair_id, PASS,
+        witnesses=[{
+            "name": pair.name,
+            "Gamma": root_witness(pair.big_gamma),
+            "dim_sub": nc0, "dim_ambient": nc,
+            "maximal": verdict.maximal,
+            "decompositions_via": list(verdict.witness_ids()),
+        }])]
 
 
-def _is_hyperquadric(pair: DeletionPair) -> bool:
-    return is_hyperquadric(pair.ambient)
+def degeneracy_checks(pair: DeletionPair) -> list[CheckReport]:
+    ctx = sff.SFFContext.for_pair(pair)
+    table = build_table(ctx.rs)
+    ks = sff.kernel_sigma(ctx, table)
+    ars = pair.ambient_rs()
+    gamma = ars.simple_root(pair.gamma)
+    adjacent = [gamma + ars.simple_root(b)
+                for b in pair.ambient.diagram.neighbors(pair.gamma)]
+    missing = [root_witness(a) for a in adjacent if a not in ks.kernel_weights]
+    kt = sff.kernel_tau(ctx, table)
+    contains = ctx.sub_tangent <= kt.kernel_weights
+    return [
+        CheckReport("sff.kernel_sigma", pair.pair_id,
+                    PASS if ks.strict and not missing else FAIL,
+                    witnesses=[{"strict": ks.strict,
+                                "kernel": [root_witness(w) for w in ks.witnesses],
+                                "missing_adjacent_witnesses": missing}]),
+        CheckReport("sff.kernel_tau", pair.pair_id,
+                    PASS if kt.strict and contains else FAIL,
+                    witnesses=[{"strict": kt.strict, "contains_sub_tangent": contains,
+                                "kernel_size": len(kt.kernel_weights)}]),
+    ]
 
 
-def degeneracy_suite(cat: list[DeletionPair]) -> list[CheckReport]:
-    out = []
-    for pair in cat:
-        ctx = sff.SFFContext.for_pair(pair)
-        table = build_table(ctx.rs)
-        ks, ms = _timed(sff.kernel_sigma, ctx, table)
-        ars = pair.ambient_rs()
-        gamma = ars.simple_root(pair.gamma)
-        adjacent = [gamma + ars.simple_root(b)
-                    for b in pair.ambient.diagram.neighbors(pair.gamma)]
-        missing = [root_witness(a) for a in adjacent if a not in ks.kernel_weights]
-        status = PASS if ks.strict and not missing else FAIL
-        out.append(CheckReport(
-            "sff.kernel_sigma", pair.pair_id, status,
-            witnesses=[{"strict": ks.strict,
-                        "kernel": [root_witness(w) for w in ks.witnesses],
-                        "missing_adjacent_witnesses": missing}],
-            duration_ms=ms))
-        kt, ms = _timed(sff.kernel_tau, ctx, table)
-        contains = ctx.sub_tangent <= kt.kernel_weights
-        status = PASS if kt.strict and contains else FAIL
-        out.append(CheckReport(
-            "sff.kernel_tau", pair.pair_id, status,
-            witnesses=[{"strict": kt.strict, "contains_sub_tangent": contains,
-                        "kernel_size": len(kt.kernel_weights)}],
-            duration_ms=ms))
-    return out
+def infinity_checks(pair: DeletionPair) -> list[CheckReport]:
+    if not pairs.is_maximal(pair).maximal:
+        return [CheckReport("sff.infinity_locus", pair.pair_id, SKIPPED,
+                            notes="lemma applies to maximal deletion pairs only")]
+    return [sff.verify_infinity_locus(pair)]
 
 
-def infinity_suite(cat: list[DeletionPair]) -> list[CheckReport]:
-    out = []
-    for pair in cat:
-        if not pairs.is_maximal(pair).maximal:
-            out.append(CheckReport(
-                "sff.infinity_locus", pair.pair_id, SKIPPED,
-                notes="lemma applies to maximal deletion pairs only"))
-            continue
-        rep, ms = _timed(sff.verify_infinity_locus, pair)
-        rep.duration_ms = ms
-        out.append(rep)
-    return out
+def normal_bundle_checks(pair: DeletionPair) -> list[CheckReport]:
+    rep = normalbundle.summands_distinct(pair)
+    if is_hyperquadric(pair.ambient):
+        rep = CheckReport(
+            rep.check_id, rep.subject, INDETERMINATE, witnesses=rep.witnesses,
+            notes="hyperquadric ambient: excluded by the distinctness argument; "
+                  f"raw verdict {rep.status}")
+    elif not pairs.is_maximal(pair).maximal:
+        rep = CheckReport(
+            rep.check_id, rep.subject, SKIPPED, witnesses=rep.witnesses,
+            notes=f"decomposition asserted for maximal pairs only; raw verdict "
+                  f"{rep.status}")
+    return [rep]
+
+
+# The pair subcommands and what each checks on one deletion pair.  run-all runs
+# every entry on every catalog pair, so a subcommand and run-all cannot disagree.
+PAIR_CHECKS = {
+    "verify-pair": correspondence_checks,
+    "degeneracy": degeneracy_checks,
+    "infinity-locus": infinity_checks,
+    "normal-bundle": normal_bundle_checks,
+}
 
 
 def vmrt_chain_check(max_rank: int) -> CheckReport:
@@ -189,26 +186,6 @@ def vmrt_chain_check(max_rank: int) -> CheckReport:
                        witnesses=[{"chain": names}])
 
 
-def normal_bundle_suite(cat: list[DeletionPair]) -> list[CheckReport]:
-    out = []
-    for pair in cat:
-        rep, ms = _timed(normalbundle.summands_distinct, pair)
-        rep.duration_ms = ms
-        maximal = pairs.is_maximal(pair).maximal
-        if _is_hyperquadric(pair):
-            rep = CheckReport(
-                rep.check_id, rep.subject, INDETERMINATE, witnesses=rep.witnesses,
-                notes="hyperquadric ambient: excluded by the distinctness argument; "
-                      f"raw verdict {rep.status}", duration_ms=ms)
-        elif not maximal:
-            rep = CheckReport(
-                rep.check_id, rep.subject, SKIPPED, witnesses=rep.witnesses,
-                notes=f"decomposition asserted for maximal pairs only; raw verdict "
-                      f"{rep.status}", duration_ms=ms)
-        out.append(rep)
-    return out
-
-
 def plucker_suite(primes: tuple[int, ...]) -> list[CheckReport]:
     out = []
     g1, g2 = ell_generators()
@@ -221,8 +198,8 @@ def plucker_suite(primes: tuple[int, ...]) -> list[CheckReport]:
                            notes="degree-2 forms vanishing at 3 points of a line vanish on it"))
 
     for literal, expected in (("e4^e5", (1, 1)), ("e2^e4", (2, 0))):
-        sec, ms = _timed(plane_section, span_with_ell(parse_bivector(literal)),
-                         "grassmannian", primes)
+        sec = plane_section(span_with_ell(parse_bivector(literal)), "grassmannian",
+                            primes)
         status = PASS if sec.shape() == expected else FAIL
         out.append(CheckReport(
             "plucker.section", f"span(<{literal}>, ell)", status,
@@ -231,18 +208,18 @@ def plucker_suite(primes: tuple[int, ...]) -> list[CheckReport]:
                 "certified_over": list(sec.certified_over),
                 "locus_lines": [ln.plane_form for ln in sec.lines],
                 "locus_points": [pt.to_witness() for pt in sec.isolated_points],
-            }], duration_ms=ms))
+            }]))
 
     reports = []
     for p in primes:
-        rep, ms = _timed(dee_exhaustive_survey, p)
+        rep = dee_exhaustive_survey(p)
         reports.append(rep)
         internal_ok = (rep.witness_without_extra == 0
                        and rep.affine_cell_points == p ** 6
                        and rep.grassmannian_points == _gaussian_binomial(p))
         out.append(CheckReport(
             "plucker.survey", f"F{p}", PASS if internal_ok else FAIL,
-            witnesses=[rep.to_witness()], duration_ms=ms,
+            witnesses=[rep.to_witness()],
             notes="tabulates section shapes over the boundary divisor; the "
                   "point-plus-line claim is reported, not assumed"))
     agree = len({r.exists_exact_b for r in reports}) <= 1
@@ -258,12 +235,7 @@ def _gaussian_binomial(p: int) -> int:
 
 
 def segre_suite(primes: tuple[int, ...]) -> list[CheckReport]:
-    out = []
-    for q in primes:
-        rep, ms = _timed(segre_fitting_report, q)
-        rep.duration_ms = ms
-        out.append(rep)
-    return out
+    return [segre_fitting_report(q) for q in primes]
 
 
 def property_suite(seed: int) -> list[CheckReport]:
@@ -275,7 +247,6 @@ def property_suite(seed: int) -> list[CheckReport]:
         basis = [LieElement.root_vector(r) for r in roots] + [
             LieElement.coroot(i) for i in range(rs.diagram.rank)]
         rng = random.Random((seed, lit).__repr__())
-        t0 = time.perf_counter()
         bad = 0
         for _ in range(1000):
             x, y, z = (rng.choice(basis) for _ in range(3))
@@ -293,12 +264,10 @@ def property_suite(seed: int) -> list[CheckReport]:
         out.append(CheckReport(
             "chevalley.properties", lit, status,
             witnesses=[{"jacobi_failures": bad, "reflection_failures": refl_bad,
-                        "triples": 1000}],
-            duration_ms=(time.perf_counter() - t0) * 1000.0))
+                        "triples": 1000}]))
 
     for field_name, field in (("QQ", QQ), ("F5", prime_field(5))):
         rng = random.Random((seed, field_name).__repr__())
-        t0 = time.perf_counter()
         bad = 0
         for _ in range(500):
             coords = [rng.randrange(-4, 5) for _ in range(10)]
@@ -311,8 +280,7 @@ def property_suite(seed: int) -> list[CheckReport]:
                 bad += 1
         out.append(CheckReport(
             "projgeo.decomposability", field_name, PASS if bad == 0 else FAIL,
-            witnesses=[{"samples": 500, "mismatches": bad}],
-            duration_ms=(time.perf_counter() - t0) * 1000.0))
+            witnesses=[{"samples": 500, "mismatches": bad}]))
 
     out.append(_qorbit_invariance(seed))
     return out
@@ -351,24 +319,57 @@ def _qorbit_invariance(seed: int) -> CheckReport:
 
 
 def run_all(config: RunConfig) -> tuple[int, dict]:
-    cat = pairs.catalog(config.max_rank)
-    reports = [root_count_check()]
-    reports += catalog_suite(cat)
-    reports += degeneracy_suite(cat)
-    reports += infinity_suite(cat)
-    reports.append(vmrt_chain_check(config.max_rank))
-    reports += normal_bundle_suite(cat)
+    reports = [root_count_check(), vmrt_chain_check(config.max_rank)]
+    for pair in pairs.catalog(config.max_rank):
+        for check in PAIR_CHECKS.values():
+            reports += check(pair)
     reports += plucker_suite(config.primes_plucker)
     reports += segre_suite(config.primes_segre)
     reports += property_suite(config.seed)
-    b = bundle(config, reports)
-    code = 0 if b["summary"][FAIL] == 0 else 1
-    return code, b
+    return _verdict(config, reports)
+
+
+def _verdict(config: RunConfig, reports: list[CheckReport]) -> tuple[int, dict]:
+    """The bundle and its exit code: 0 iff no report says fail."""
+    doc = bundle(config, reports)
+    return (0 if doc["summary"][FAIL] == 0 else 1), doc
 
 
 # ---------------------------------------------------------------------------
 # Command-line interface
 # ---------------------------------------------------------------------------
+
+def _catalog_reports(args, config: RunConfig) -> list[CheckReport]:
+    return [rep for pair in pairs.catalog(config.max_rank)
+            for rep in correspondence_checks(pair)]
+
+
+def _pair_reports(args, config: RunConfig) -> list[CheckReport]:
+    reports = args.check(parse_pair_id(args.pair, config.max_rank))
+    mode = getattr(args, "mode", "both")
+    return [r for r in reports if mode == "both" or r.check_id.endswith(mode)]
+
+
+def _section_reports(args, config: RunConfig) -> list[CheckReport]:
+    sec = plane_section(span_with_ell(parse_bivector(args.point)), "grassmannian",
+                        config.primes_plucker)
+    return [CheckReport(
+        "plucker.section", f"span(<{args.point}>, ell)", PASS,
+        witnesses=[{
+            "lines": [ln.plane_form for ln in sec.lines],
+            "isolated_points": [pt.to_witness() for pt in sec.isolated_points],
+            "full_plane": sec.full_plane,
+            "certified_over": list(sec.certified_over)}])]
+
+
+def _collinear_reports(args, config: RunConfig) -> list[CheckReport]:
+    wit = collinearity_scan(parse_bivector(args.point))
+    return [CheckReport(
+        "plucker.collinear", args.point, PASS,
+        witnesses=[{"witness": None if wit is None else {
+            "param": "all" if wit.param == "all" else [str(c) for c in wit.param],
+            "common_vector": [str(c) for c in wit.common_vector]}}])]
+
 
 def _emit(doc: dict, fmt: str, out_path: "str | None") -> None:
     text = bundle_json(doc) if fmt == "json" else bundle_markdown(doc)
@@ -379,32 +380,28 @@ def _emit(doc: dict, fmt: str, out_path: "str | None") -> None:
         sys.stdout.write(text)
 
 
-def _single(config: RunConfig, reports: list[CheckReport], args) -> int:
-    doc = bundle(config, reports)
-    _emit(doc, config.fmt, args.out)
-    return 0 if doc["summary"][FAIL] == 0 else 1
-
-
-def _add_common(sp) -> None:
+def _subcommand(parent, name: str, reports) -> argparse.ArgumentParser:
+    """A subcommand with the common options; ``reports(args, config)`` lists its reports."""
+    sp = parent.add_parser(name)
     sp.add_argument("--max-rank", type=int, default=7)
     sp.add_argument("--primes", type=str, default=None)
     sp.add_argument("--format", dest="fmt", choices=("json", "markdown"), default="json")
     sp.add_argument("--seed", type=int, default=report.DEFAULT_SEED)
     sp.add_argument("--out", type=str, default=None)
+    sp.set_defaults(reports=reports)
+    return sp
 
 
-def _config(args, plucker_default=(5, 7), segre_default=(2, 3)) -> RunConfig:
+def _config(args) -> RunConfig:
     """The run configuration; its echo in the bundle names the primes that ran."""
-    primes_p = plucker_default
-    primes_s = segre_default
+    config = RunConfig(max_rank=args.max_rank, fmt=args.fmt, seed=args.seed)
     if args.command == "segre":
         if args.primes:
             raise ValueError("segre fitting takes its prime from --q, not --primes")
-        primes_s = (args.q,)
-    elif args.primes:
-        primes_p = tuple(int(x) for x in args.primes.split(","))
-    return RunConfig(max_rank=args.max_rank, primes_plucker=primes_p,
-                     primes_segre=primes_s, fmt=args.fmt, seed=args.seed)
+        return replace(config, primes_segre=(args.q,))
+    if args.primes:
+        return replace(config, primes_plucker=tuple(int(x) for x in args.primes.split(",")))
+    return config
 
 
 def main(argv: "list[str] | None" = None) -> int:
@@ -414,28 +411,25 @@ def main(argv: "list[str] | None" = None) -> int:
                     "Hermitian symmetric spaces")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name in ("catalog", "verify-pair", "degeneracy", "infinity-locus",
-                 "vmrt-chain", "normal-bundle", "run-all"):
-        sp = sub.add_parser(name)
-        _add_common(sp)
-        if name in ("verify-pair", "degeneracy", "infinity-locus", "normal-bundle"):
-            sp.add_argument("--pair", required=True)
-        if name == "degeneracy":
+    _subcommand(sub, "catalog", _catalog_reports)
+    for name, check in PAIR_CHECKS.items():
+        sp = _subcommand(sub, name, _pair_reports)
+        sp.set_defaults(check=check)
+        sp.add_argument("--pair", required=True)
+        if check is degeneracy_checks:
             sp.add_argument("--mode", choices=("sigma", "tau", "both"), default="both")
+    _subcommand(sub, "vmrt-chain", lambda args, config: [vmrt_chain_check(config.max_rank)])
+    _subcommand(sub, "run-all", None)
 
-    pl = sub.add_parser("pluecker")
-    plsub = pl.add_subparsers(dest="plucker_command", required=True)
-    for name in ("survey", "section", "collinear"):
-        sp = plsub.add_parser(name)
-        _add_common(sp)
-        if name in ("section", "collinear"):
-            sp.add_argument("--point", required=True)
+    plsub = sub.add_parser("pluecker").add_subparsers(dest="plucker_command", required=True)
+    _subcommand(plsub, "survey", lambda args, config: plucker_suite(config.primes_plucker))
+    _subcommand(plsub, "section", _section_reports).add_argument("--point", required=True)
+    _subcommand(plsub, "collinear", _collinear_reports).add_argument("--point", required=True)
 
-    sg = sub.add_parser("segre")
-    sgsub = sg.add_subparsers(dest="segre_command", required=True)
-    sp = sgsub.add_parser("fitting")
-    _add_common(sp)
-    sp.add_argument("--q", type=int, default=3)
+    sgsub = sub.add_parser("segre").add_subparsers(dest="segre_command", required=True)
+    fitting = _subcommand(sgsub, "fitting",
+                          lambda args, config: segre_suite(config.primes_segre))
+    fitting.add_argument("--q", type=int, default=3)
 
     try:
         args = parser.parse_args(argv)
@@ -445,66 +439,18 @@ def main(argv: "list[str] | None" = None) -> int:
         return 2
 
     try:
-        return _dispatch(args, config)
+        if args.command == "run-all":
+            code, doc = run_all(config)
+        else:
+            code, doc = _verdict(config, args.reports(args, config))
+        _emit(doc, config.fmt, args.out)
+        return code
     except (DiagramError, MarkError, ChainError, CorrespondenceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CertificationError as exc:     # a failed certification, not bad input
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def _dispatch(args, config: RunConfig) -> int:
-    cmd = args.command
-    if cmd == "run-all":
-        code, doc = run_all(config)
-        _emit(doc, config.fmt, args.out)
-        return code
-    if cmd == "catalog":
-        cat = pairs.catalog(config.max_rank)
-        return _single(config, catalog_suite(cat), args)
-    if cmd == "verify-pair":
-        pair = parse_pair_id(args.pair, config.max_rank)
-        return _single(config, catalog_suite([pair]), args)
-    if cmd == "degeneracy":
-        pair = parse_pair_id(args.pair, config.max_rank)
-        reps = degeneracy_suite([pair])
-        if args.mode != "both":
-            reps = [r for r in reps if r.check_id.endswith(args.mode)]
-        return _single(config, reps, args)
-    if cmd == "infinity-locus":
-        pair = parse_pair_id(args.pair, config.max_rank)
-        return _single(config, [sff.verify_infinity_locus(pair)], args)
-    if cmd == "vmrt-chain":
-        return _single(config, [vmrt_chain_check(config.max_rank)], args)
-    if cmd == "normal-bundle":
-        pair = parse_pair_id(args.pair, config.max_rank)
-        return _single(config, normal_bundle_suite([pair]), args)
-    if cmd == "pluecker":
-        if args.plucker_command == "survey":
-            return _single(config, plucker_suite(config.primes_plucker), args)
-        omega = parse_bivector(args.point)
-        if args.plucker_command == "section":
-            sec = plane_section(span_with_ell(omega), "grassmannian",
-                                config.primes_plucker)
-            rep = CheckReport(
-                "plucker.section", f"span(<{args.point}>, ell)", PASS,
-                witnesses=[{
-                    "lines": [ln.plane_form for ln in sec.lines],
-                    "isolated_points": [pt.to_witness() for pt in sec.isolated_points],
-                    "full_plane": sec.full_plane,
-                    "certified_over": list(sec.certified_over)}])
-            return _single(config, [rep], args)
-        wit = collinearity_scan(omega)
-        rep = CheckReport(
-            "plucker.collinear", args.point, PASS,
-            witnesses=[{"witness": None if wit is None else {
-                "param": "all" if wit.param == "all" else [str(c) for c in wit.param],
-                "common_vector": [str(c) for c in wit.common_vector]}}])
-        return _single(config, [rep], args)
-    if cmd == "segre":
-        return _single(config, segre_suite(config.primes_segre), args)
-    raise ValueError(f"unknown command {cmd!r}")
 
 
 if __name__ == "__main__":

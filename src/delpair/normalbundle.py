@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import hss
 from .hss import WeightSet
-from .pairs import DeletionPair, root_correspondence
+from .pairs import DeletionPair
 from .report import FAIL, INDETERMINATE, PASS, CheckReport, root_witness
 from .rootsys import Root
 
@@ -24,7 +24,7 @@ PROXY_NOTE = ("irreducibility certified only at the level of Levi-root "
 
 def normal_weights(pair: DeletionPair) -> WeightSet:
     """Ambient noncompact roots minus the Phi-image of the sub ones."""
-    corr = root_correspondence(pair)
+    corr = pair.correspondence
     nc = hss.noncompact_positive_roots(pair.ambient)
     return WeightSet(nc.rs, nc.weights - corr.noncompact_image)
 
@@ -39,7 +39,7 @@ class NormalDecomposition:
 
 def levi_components(pair: DeletionPair) -> NormalDecomposition:
     """Partition the normal weights into Levi-action graph components."""
-    corr = root_correspondence(pair)
+    corr = pair.correspondence
     weights = normal_weights(pair)
     steps = [corr.apply(pair.sub_rs().simple_root(label))
              for label in pair.sub.diagram.nodes if label != pair.gamma0]

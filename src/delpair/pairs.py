@@ -10,7 +10,7 @@ additively to all noncompact positive roots of the sub-diagram.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from . import hss
 from .rootsys import (
@@ -57,6 +57,15 @@ class DeletionPair:
         for label in self.chain[1:]:
             total = total + rs.simple_root(label)
         return total
+
+    @cached_property
+    def correspondence(self) -> RootCorrespondence:
+        """Phi, built and verified once per pair object.
+
+        Cached on the object rather than by pair equality: Phi depends on
+        ``big_gamma``, which equality does not see.
+        """
+        return root_correspondence(self)
 
     @property
     def pair_id(self) -> str:
@@ -188,7 +197,8 @@ class MaximalityVerdict:
         return tuple(w.pair_id for w in self.witnesses)
 
 
-def _single_deletions(md: MarkedDiagram) -> list[DeletionPair]:
+@lru_cache(maxsize=None)
+def _single_deletions(md: MarkedDiagram) -> tuple[DeletionPair, ...]:
     """All valid one-step deletions from a marked diagram to a connected result."""
     gamma = md.single_mark
     out = []
@@ -202,11 +212,16 @@ def _single_deletions(md: MarkedDiagram) -> list[DeletionPair]:
         if len(sub.diagram.components) != 1:
             continue
         out.append(make_pair(md, node))
-    return out
+    return tuple(out)
 
 
-def is_maximal(pair: DeletionPair, max_rank: int = 0) -> MaximalityVerdict:
-    """Exhaustive search for an intermediate deletion step X0 in X1 in X."""
+@lru_cache(maxsize=None)
+def is_maximal(pair: DeletionPair) -> MaximalityVerdict:
+    """Exhaustive search for an intermediate deletion step X0 in X1 in X.
+
+    Cached by pair equality, which is safe: the verdict reads only the
+    pair's fields.
+    """
     witnesses = []
     for step in _single_deletions(pair.ambient):
         mid = step.sub

@@ -16,18 +16,13 @@ DEFAULT_SEED = 20230915
 
 @dataclass
 class CheckReport:
-    """Verdict of one verification with structured witnesses.
-
-    ``duration_ms`` is informational only and never serialized: bundles must
-    be byte-identical across runs with the same config and seed.
-    """
+    """Verdict of one verification with structured witnesses."""
 
     check_id: str
     subject: str
     status: str
     witnesses: list = field(default_factory=list)
     notes: str = ""
-    duration_ms: float = 0.0
 
     def __post_init__(self) -> None:
         if self.status not in _STATUSES:

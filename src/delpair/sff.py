@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import hss
 from .chevalley import ChevalleyTable, LieElement, bracket, build_table
-from .pairs import DeletionPair, RootCorrespondence, root_correspondence
+from .pairs import DeletionPair
 from .report import FAIL, PASS, SKIPPED, CheckReport, root_witness
 from .rootsys import MarkedDiagram, Root, RootSystem
 
@@ -53,10 +53,9 @@ class SFFContext:
                           frozenset(psi.weights.weights), None, None)
 
     @staticmethod
-    def for_pair(pair: DeletionPair,
-                 corr: "RootCorrespondence | None" = None) -> "SFFContext":
+    def for_pair(pair: DeletionPair) -> "SFFContext":
         base = SFFContext.for_ambient(pair.ambient)
-        corr = corr or root_correspondence(pair)
+        corr = pair.correspondence
         srs = pair.sub_rs()
         gamma0 = srs.simple_root(pair.gamma0)
         psi0 = hss.psi_gamma(pair.sub)
@@ -178,7 +177,7 @@ def verify_infinity_locus(pair: DeletionPair) -> CheckReport:
                            notes="ambient of type A or C: lemma hypothesis not met")
     ars = pair.ambient_rs()
     srs = pair.sub_rs()
-    corr = root_correspondence(pair)
+    corr = pair.correspondence
     gamma = ars.simple_root(pair.gamma)
     gamma0_sub = srs.simple_root(pair.gamma0)
     gamma0_amb = ars.simple_root(pair.gamma0)

@@ -1,10 +1,21 @@
+import hashlib
 import json
 
 import pytest
 
-from delpair.cli import main, parse_pair_id, run_all
-from delpair.report import FAIL, RunConfig, bundle_markdown
+from delpair.cli import PAIR_CHECKS, main, parse_pair_id, run_all
+from delpair.report import FAIL, RunConfig, bundle_json, bundle_markdown
 from delpair.rootsys import ChainError, DiagramError, MarkError
+
+
+DEFAULT_BUNDLE_SHA256 = "5740a2e1470a40513d10aac19e2fa7121f8c14d777e31119684ac7f61315b033"
+
+
+@pytest.fixture(scope="module")
+def default_bundle():
+    code, doc = run_all(RunConfig())
+    assert code == 0
+    return doc
 
 
 def small_config(**kw):
@@ -144,3 +155,28 @@ def test_config_validation():
         RunConfig(primes_plucker=(4,))
     with pytest.raises(ValueError):
         RunConfig(fmt="yaml")
+
+
+def test_default_bundle_golden_hash(default_bundle):
+    digest = hashlib.sha256(bundle_json(default_bundle).encode("utf-8")).hexdigest()
+    assert digest == DEFAULT_BUNDLE_SHA256
+    assert default_bundle["summary"] == {
+        "pass": 140, "fail": 0, "indeterminate": 26, "skipped": 22}
+
+
+def test_pair_commands_agree_with_run_all(default_bundle, catalog7, tmp_path):
+    rows = {(r["check_id"], r["subject"]): r for r in default_bundle["reports"]}
+    # a non-maximal pair: the infinity-locus lemma does not apply, so skipped, exit 0
+    assert rows[("sff.infinity_locus", "B4:a1/a3")]["status"] == "skipped"
+    out = tmp_path / "pair.json"
+    seen = set()
+    for pair_id in catalog7:
+        for command in PAIR_CHECKS:
+            code = main([command, "--pair", pair_id, "--out", str(out)])
+            reports = json.loads(out.read_text())["reports"]
+            for rep in reports:
+                key = (rep["check_id"], rep["subject"])
+                assert rep == rows[key], (command, pair_id)
+                seen.add(key)
+            assert code == (1 if any(r["status"] == FAIL for r in reports) else 0)
+    assert seen == {key for key in rows if key[1] in catalog7}
