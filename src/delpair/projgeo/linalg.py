@@ -17,7 +17,6 @@ class Rationals:
     """Field object for exact rational arithmetic."""
 
     name = "QQ"
-    finite = False
 
     def of(self, x) -> Fraction:
         return Fraction(x)
@@ -58,8 +57,6 @@ class PrimeField:
     def name(self) -> str:
         return f"F{self.p}"
 
-    finite = True
-
     def of(self, x) -> int:
         if isinstance(x, Fraction):
             den = x.denominator % self.p
@@ -92,9 +89,6 @@ class PrimeField:
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.p)
-
-    def elements(self) -> range:
-        return range(self.p)
 
     def __repr__(self) -> str:
         return self.name
@@ -179,19 +173,7 @@ class ProjPoint:
         """Integer coprime representative (rational points only)."""
         if self.field is not QQ:
             return tuple(int(c) for c in self.coords)
-        fracs = [Fraction(c) for c in self.coords]
-        mult = 1
-        for f in fracs:
-            mult = mult * f.denominator // gcd(mult, f.denominator)
-        ints = [int(f * mult) for f in fracs]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        return tuple(v // g for v in ints)
-
-    def reduce_mod(self, field: PrimeField) -> "ProjPoint":
-        ints = self.primitive_int_coords()
-        return ProjPoint.make(ints, field)
+        return primitive_int_covector(self.coords)
 
     def to_witness(self) -> list:
         ints = self.primitive_int_coords()

@@ -12,8 +12,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-
-import sympy
+from math import isqrt
 
 from .linalg import (
     QQ,
@@ -238,26 +237,55 @@ def _restricted_forms(plane: LinearSubspace, variety: str):
     return forms
 
 
-def _form_to_sympy(form: dict, symbols) -> sympy.Poly:
-    u, v, w = symbols
-    expr = sum(sympy.Rational(c) * u**a * v**b * w**d
-               for (a, b, d), c in form.items() if c)
-    return sympy.Poly(expr, u, v, w, domain="QQ")
+def _form_text(form: dict) -> str:
+    """A restricted form as a polynomial in u, v, w."""
+    terms = []
+    for exps, c in sorted(form.items(), reverse=True):
+        if c:
+            mono = "*".join(x if e == 1 else f"{x}^{e}" for x, e in zip("uvw", exps) if e)
+            terms.append(f"{c}*{mono}")
+    return " + ".join(terms).replace("+ -", "- ")
 
 
-def _linear_factors(poly: sympy.Poly, symbols) -> list[tuple[int, int, int]]:
-    """Linear factors of a homogeneous polynomial, as primitive covectors."""
-    out = []
-    _, factors = sympy.factor_list(poly.as_expr(), *symbols)
-    for fac, mult in factors:
-        p = sympy.Poly(fac, *symbols)
-        if p.total_degree() == 1:
-            coeffs = [p.coeff_monomial(s) for s in symbols]
-            out += [primitive_int_covector([Fraction(str(c)) for c in coeffs])] * mult
-        elif p.total_degree() >= 2:
-            raise SectionUnsupportedError(
-                f"irreducible factor of degree {p.total_degree()}: {fac}")
-    return out
+def _rational_sqrt(x: Fraction) -> "Fraction | None":
+    if x < 0:
+        return None
+    n, d = isqrt(x.numerator), isqrt(x.denominator)
+    return Fraction(n, d) if (n * n, d * d) == (x.numerator, x.denominator) else None
+
+
+def _linear_factors(form: dict) -> set[tuple[int, int, int]]:
+    """The linear factors of a nonzero ternary quadratic form over Q.
+
+    Let M be the symmetric matrix of the form (cross terms halved).  At rank 1
+    the form is a multiple of L^2 for any nonzero row L.  At rank 2 the form
+    is L1 L2 over Q iff -m_i, for m_i = adj(M)_ii the principal 2x2 minor at
+    an index i with k_i != 0 (k spanning ker M), is a square s^2; then
+    n = (2s / k_i) k is +-(L1 x L2), and M - [n]_x / 2 is the rank-1 matrix
+    L1 L2^T, whose nonzero columns are multiples of L1 and nonzero rows of L2.
+    """
+    h = {e: Fraction(c) / (1 if 2 in e else 2) for e, c in form.items()}
+    M = [[h[2, 0, 0], h[1, 1, 0], h[1, 0, 1]],
+         [h[1, 1, 0], h[0, 2, 0], h[0, 1, 1]],
+         [h[1, 0, 1], h[0, 1, 1], h[0, 0, 2]]]
+    red, _ = rref(M, QQ)
+    if len(red) == 1:
+        return {primitive_int_covector(red[0])}
+    if len(red) == 2:
+        k = kernel_basis(red, QQ, 3)[0]
+        i = next(i for i in range(3) if k[i])
+        j, l = (x for x in range(3) if x != i)
+        s = _rational_sqrt(M[j][l] ** 2 - M[j][j] * M[l][l])
+        if s is not None:
+            half_n = [s / k[i] * x for x in k]
+            a, b, c = half_n
+            cross = [[0, -c, b], [c, 0, -a], [-b, a, 0]]
+            R = [[M[r][c] - cross[r][c] for c in range(3)] for r in range(3)]
+            row = next(r for r in R if any(r))
+            col = next(c for c in zip(*R) if any(c))
+            return {primitive_int_covector(row), primitive_int_covector(col)}
+    raise SectionUnsupportedError(
+        f"restricted form {_form_text(form)} is not a product of rational lines")
 
 
 def _solve_linear_locus(covectors: list[tuple], field):
@@ -286,44 +314,29 @@ def plane_section(plane: LinearSubspace, variety: str,
                   primes: tuple[int, ...] = (5, 7)) -> SectionDescription:
     """Exact common zero locus of the variety's quadrics on a plane.
 
-    Over the rationals the locus is found by extracting common linear factors
-    of the restricted ternary forms and solving the linear residue;
-    completeness is certified by exhaustive enumeration over the given prime
-    fields, and any disagreement is a hard failure.
+    Over the rationals each nonzero restricted ternary form is split into
+    rational lines, and the locus is the union, over every choice of one line
+    per form, of the common zeros of the chosen lines: the lines among them,
+    and the points on none of those lines.  Completeness is certified by
+    exhaustive enumeration over the given prime fields, and any disagreement
+    is a hard failure.
     """
     field = plane.field
     if isinstance(field, PrimeField):
         return _finite_plane_section(plane, variety)
-    forms = _restricted_forms(plane, variety)
-    symbols = sympy.symbols("u v w")
-    polys = [_form_to_sympy(f, symbols) for f in forms]
-    nonzero = [p for p in polys if not p.is_zero]
-
-    lines: list[tuple[int, int, int]] = []
-    points: list[tuple] = []
-    full_plane = False
-    if not nonzero:
-        full_plane = True
-    else:
-        g = nonzero[0]
-        for p in nonzero[1:]:
-            g = sympy.gcd(g, p)
-        g = sympy.Poly(g, *symbols)
-        if g.total_degree() == 0:
-            _coprime_section(nonzero, symbols, lines, points)
-        else:
-            lines += _linear_factors(g, symbols)
-            if g.total_degree() == 1:
-                residues = [sympy.Poly(sympy.div(p.as_expr(), g.as_expr(), *symbols)[0],
-                                       *symbols) for p in nonzero]
-                covs = [_linear_factors(r, symbols)[0] for r in residues]
-                kind, payload = _solve_linear_locus(covs, QQ)
-                if kind == "line":
-                    lines.append(payload)
-                elif kind == "point":
-                    points.append(payload)
-    lines = sorted(set(lines))
-    points = [pt for pt in points if not any(_on_line(pt, c, QQ) for c in lines)]
+    forms = [f for f in _restricted_forms(plane, variety) if any(f.values())]
+    full_plane = not forms
+    lines: set[tuple[int, int, int]] = set()
+    points: set[tuple] = set()
+    if forms:
+        for choice in itertools.product(*map(_linear_factors, forms)):
+            kind, payload = _solve_linear_locus(list(choice), QQ)
+            if kind == "line":
+                lines.add(payload)
+            elif kind == "point":
+                points.add(payload)
+    lines = sorted(lines)
+    points = sorted(pt for pt in points if not any(_on_line(pt, c, QQ) for c in lines))
 
     desc = _describe(plane, lines, points, full_plane)
     _validate_by_substitution(plane, variety, desc)
@@ -336,19 +349,6 @@ def plane_section(plane: LinearSubspace, variety: str,
     return SectionDescription(desc.lines, desc.isolated_points,
                               desc.isolated_plane_coords,
                               tuple(["QQ"] + certified), desc.full_plane)
-
-
-def _coprime_section(polys, symbols, lines, points) -> None:
-    """No common factor: intersect the line components of every form."""
-    all_factors = [_linear_factors(p, symbols) for p in polys]
-    seen_pts = set()
-    for choice in itertools.product(*all_factors):
-        kind, payload = _solve_linear_locus(list(choice), QQ)
-        if kind == "line":
-            lines.append(payload)
-        elif kind == "point" and payload not in seen_pts:
-            seen_pts.add(payload)
-            points.append(payload)
 
 
 def _describe(plane: LinearSubspace, lines, points, full_plane) -> SectionDescription:

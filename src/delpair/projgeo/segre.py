@@ -16,7 +16,6 @@ from .linalg import (
     normalize_projective,
     prime_field,
     projective_points,
-    rank,
     rref,
 )
 
@@ -104,9 +103,6 @@ def _span_section(points3: list[tuple], plane_pts: list[tuple], q: int) -> set:
 
 # -- configuration orbit under the product of the two linear groups ----------
 
-def _invertible(mat: list[list], field: PrimeField) -> bool:
-    return rank([row[:] for row in mat], field) == len(mat)
-
 def _gl_generators(n: int, field: PrimeField) -> list[tuple]:
     gens = []
     for i in range(n):
@@ -115,11 +111,10 @@ def _gl_generators(n: int, field: PrimeField) -> list[tuple]:
                 m = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
                 m[i][j] = 1
                 gens.append(tuple(tuple(r) for r in m))
-    for g in range(2, field.p):
+    if field.p > 2:
         m = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
-        m[0][0] = g
+        m[0][0] = 2
         gens.append(tuple(tuple(r) for r in m))
-        break
     return gens
 
 
@@ -222,8 +217,8 @@ def segre_fitting_report(q: int) -> CheckReport:
                 for b in p2:
                     if b not in Lpts:
                         valid.add((x, L, a, b))
-    gens2 = [g for g in _gl_generators(2, field) if _invertible([list(r) for r in g], field)]
-    gens3 = [g for g in _gl_generators(3, field) if _invertible([list(r) for r in g], field)]
+    gens2 = _gl_generators(2, field)
+    gens3 = _gl_generators(3, field)
     id2 = ((1, 0), (0, 1))
     id3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     moves = [_move_tables(g, id3, id3, p1, p2, q) for g in gens2] + [

@@ -56,13 +56,6 @@ class Root:
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coeffs)
 
-    @property
-    def sign_consistent(self) -> bool:
-        """True iff all coefficients share a sign (and the vector is nonzero)."""
-        return (not self.is_zero) and (
-            all(a >= 0 for a in self.coeffs) or all(a <= 0 for a in self.coeffs)
-        )
-
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, a in enumerate(self.coeffs) if a != 0)
 

@@ -3,14 +3,25 @@
 Root systems are regenerated here by reflection closure instead of root
 strings; kernels are recomputed by raw root-sum arithmetic instead of
 Chevalley brackets; counts come from closed formulas; the Grassmannian is
-enumerated through field-object bivectors, and the maximal minors of the
-collinearity scan are expanded as generic determinants.
+enumerated through field-object bivectors, the maximal minors of the
+collinearity scan are expanded as generic determinants, and rational plane
+sections are found with sympy's polynomial gcd, factorization and division.
 """
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
-from delpair.projgeo.plucker import BiVector
+import sympy
+
+from delpair.projgeo.linalg import QQ, primitive_int_covector
+from delpair.projgeo.plucker import (
+    BiVector,
+    SectionUnsupportedError,
+    _on_line,
+    _restricted_forms,
+    _solve_linear_locus,
+)
 from delpair.rootsys import DynkinDiagram, Root, RootSystem
 
 COUNT_FORMULAS = {
@@ -130,3 +141,71 @@ def det3(m: list[list], field):
                       f.mul(m[0][0], f.mul(m[1][2], m[2][1]))),
                 f.mul(m[0][1], f.mul(m[1][0], m[2][2])))
     return f.sub(pos, neg)
+
+
+# -- rational plane sections through sympy ------------------------------------
+
+SYMBOLS = sympy.symbols("u v w")
+
+
+def form_to_sympy(form: dict) -> sympy.Poly:
+    u, v, w = SYMBOLS
+    expr = sum(sympy.Rational(c) * u**a * v**b * w**d
+               for (a, b, d), c in form.items() if c)
+    return sympy.Poly(expr, *SYMBOLS, domain="QQ")
+
+
+def sympy_linear_factors(poly: sympy.Poly) -> list[tuple[int, int, int]]:
+    """Linear factors of a homogeneous polynomial with multiplicity, as
+    primitive covectors; an irreducible factor of degree >= 2 raises."""
+    out = []
+    _, factors = sympy.factor_list(poly.as_expr(), *SYMBOLS)
+    for fac, mult in factors:
+        p = sympy.Poly(fac, *SYMBOLS)
+        if p.total_degree() == 1:
+            coeffs = [p.coeff_monomial(s) for s in SYMBOLS]
+            out += [primitive_int_covector([Fraction(str(c)) for c in coeffs])] * mult
+        elif p.total_degree() >= 2:
+            raise SectionUnsupportedError(
+                f"irreducible factor of degree {p.total_degree()}: {fac}")
+    return out
+
+
+def sympy_section_locus(plane, variety: str):
+    """(lines, isolated points, full_plane) of a rational plane section.
+
+    The gcd g of the nonzero restricted forms gives the common lines; when g
+    is linear the residues of the forms by g cut out the rest, and when g is
+    constant the line components of every form are intersected.
+    """
+    polys = [form_to_sympy(f) for f in _restricted_forms(plane, variety)]
+    nonzero = [p for p in polys if not p.is_zero]
+    lines, points = [], []
+    if not nonzero:
+        return [], [], True
+    g = nonzero[0]
+    for p in nonzero[1:]:
+        g = sympy.gcd(g, p)
+    g = sympy.Poly(g, *SYMBOLS)
+    if g.total_degree() == 0:
+        all_factors = [sympy_linear_factors(p) for p in nonzero]
+        for choice in itertools.product(*all_factors):
+            kind, payload = _solve_linear_locus(list(choice), QQ)
+            if kind == "line":
+                lines.append(payload)
+            elif kind == "point" and payload not in points:
+                points.append(payload)
+    else:
+        lines += sympy_linear_factors(g)
+        if g.total_degree() == 1:
+            residues = [sympy.Poly(sympy.div(p.as_expr(), g.as_expr(), *SYMBOLS)[0],
+                                   *SYMBOLS) for p in nonzero]
+            covs = [sympy_linear_factors(r)[0] for r in residues]
+            kind, payload = _solve_linear_locus(covs, QQ)
+            if kind == "line":
+                lines.append(payload)
+            elif kind == "point":
+                points.append(payload)
+    lines = sorted(set(lines))
+    points = [pt for pt in points if not any(_on_line(pt, c, QQ) for c in lines)]
+    return lines, points, False

@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import delpair
 from delpair.cli import PAIR_CHECKS, main, parse_pair_id, run_all
 from delpair.report import FAIL, RunConfig, bundle_json, bundle_markdown
 from delpair.rootsys import ChainError, DiagramError, MarkError
@@ -143,6 +148,12 @@ def test_cli_section_certification_failure_is_one_line_exit_1(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: rational locus and F_5")
     assert not out.exists()
+
+
+def test_cli_import_leaves_sympy_out():
+    env = {**os.environ, "PYTHONPATH": str(Path(delpair.__file__).resolve().parents[1])}
+    probe = "import sys, delpair.cli; sys.exit('sympy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
 
 
 def test_cli_bad_config_exit_2(tmp_path):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from delpair.projgeo.linalg import (
     ProjPoint,
     normalize_projective,
     prime_field,
+    primitive_int_covector,
     projective_points,
     rank,
 )
@@ -19,6 +21,7 @@ from delpair.projgeo.plucker import (
     SectionUnsupportedError,
     _common_vector,
     _echelon_cells,
+    _linear_factors,
     _on_ell,
     _pencil_minors,
     _pencil_parameter,
@@ -36,7 +39,14 @@ from delpair.projgeo.plucker import (
     quadric_polarization,
     span_with_ell,
 )
-from oracles import enumerate_grassmannian, gaussian_binomial_2_of_5, maximal_minors
+from oracles import (
+    enumerate_grassmannian,
+    form_to_sympy,
+    gaussian_binomial_2_of_5,
+    maximal_minors,
+    sympy_linear_factors,
+    sympy_section_locus,
+)
 
 
 def test_quadrics_vanish_on_decomposable():
@@ -162,8 +172,145 @@ def test_certification_failure_is_hard():
     v2[1], v2[4] = Fraction(1), Fraction(2, 5)   # e1^e3 + (2/5) e2^e3
     v3[9] = Fraction(1)                          # e4^e5
     plane = LinearSubspace.span([v1, v2, v3], QQ)
-    with pytest.raises((CertificationError, SectionUnsupportedError)):
+    with pytest.raises(CertificationError, match="degenerates modulo 5"):
         plane_section(plane, "grassmannian", primes=(5,))
+
+
+def test_isolated_points_sorted_by_plane_coordinates():
+    plane = LinearSubspace.span([parse_bivector(t).coords
+                                 for t in ("e1^e3 + e1^e5", "e2^e5", "e3^e4")], QQ)
+    section = plane_section(plane, "grassmannian")
+    assert section.shape() == (0, 3)
+    assert section.isolated_plane_coords == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
+
+
+def test_non_split_restricted_form_is_unsupported():
+    # the third restricted form is 2uv - 2uw - 2v^2, irreducible over Q
+    plane = LinearSubspace.span([parse_bivector(t).coords for t in
+                                 ("e1^e2 + e1^e4", "e1^e4 + e2^e5", "e3^e5 - e4^e5")], QQ)
+    with pytest.raises(SectionUnsupportedError,
+                       match=r"form 2\*u\*v - 2\*u\*w - 2\*v\^2 is not a product"):
+        plane_section(plane, "grassmannian")
+
+
+# -- the closed-form section path against the sympy oracle ---------------------
+
+MONOMIALS = ((2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1))
+
+
+def _product_form(a, b) -> dict:
+    """The ternary form (a . x)(b . x) as a monomial -> coefficient dict."""
+    form = dict.fromkeys(MONOMIALS, 0)
+    for i, j in itertools.product(range(3), repeat=2):
+        form[tuple(int(i == k) + int(j == k) for k in range(3))] += a[i] * b[j]
+    return form
+
+
+def _symmetric_matrix(form) -> list[list]:
+    h = {m: x / (1 if 2 in m else 2) for m, x in form.items()}
+    return [[h[2, 0, 0], h[1, 1, 0], h[1, 0, 1]],
+            [h[1, 1, 0], h[0, 2, 0], h[0, 1, 1]],
+            [h[1, 0, 1], h[0, 1, 1], h[0, 0, 2]]]
+
+
+def _random_covector(rng):
+    while True:
+        c = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(3)]
+        if any(c):
+            return c
+
+
+def _independent_pair(rng):
+    while True:
+        a, b = _random_covector(rng), _random_covector(rng)
+        if rank([a, b], QQ) == 2:
+            return a, b
+
+
+def _seeded_forms(rng, n):
+    """n forms of each kind: rank 1, rank 2 split, rank 2 non-split, rank 3."""
+    for _ in range(n):
+        c, a = Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 3)), _random_covector(rng)
+        yield "rank 1", {m: c * x for m, x in _product_form(a, a).items()}
+        yield "split", _product_form(*_independent_pair(rng))
+        a, b = _independent_pair(rng)
+        square = Fraction(rng.randint(1, 4), rng.randint(1, 4)) ** 2
+        d = rng.choice([-3, -2, -1, 2, 3, 5, 6, 7]) * square      # never a square
+        fa, fb = _product_form(a, a), _product_form(b, b)
+        yield "non-split", {m: fa[m] - d * fb[m] for m in MONOMIALS}
+        while True:
+            form = {m: Fraction(rng.randint(-4, 4)) for m in MONOMIALS}
+            if rank(_symmetric_matrix(form), QQ) == 3:
+                yield "rank 3", form
+                break
+
+
+def test_closed_form_factors_match_sympy_oracle():
+    for kind, form in _seeded_forms(random.Random(4), 60):
+        assert rank(_symmetric_matrix(form), QQ) == (1 if kind == "rank 1" else
+                                                     3 if kind == "rank 3" else 2)
+        try:
+            expected = set(sympy_linear_factors(form_to_sympy(form)))
+        except SectionUnsupportedError:
+            expected = None
+        if kind in ("rank 1", "split"):
+            assert expected is not None and len(expected) == (1 if kind == "rank 1" else 2)
+            assert _linear_factors(form) == expected, (kind, form)
+        else:
+            assert expected is None
+            with pytest.raises(SectionUnsupportedError, match=r"form .*[uvw].* is not a product"):
+                _linear_factors(form)
+
+
+def _sparse(rng, n, k):
+    x = [0] * n
+    for i in rng.sample(range(n), k):
+        x[i] = rng.choice([-2, -1, 1, 2])
+    return x
+
+
+def _seeded_planes(rng, n):
+    """n rational planes: spans of ell with a decomposable or a sparse bivector,
+    sparse planes of bivectors, and sparse planes of the Segre ambient space."""
+    e12, e13 = [1] + [0] * 9, [0, 1] + [0] * 8
+    made = 0
+    while made < n:
+        kind = made % 4
+        if kind == 0:
+            u, v = ([rng.randint(-2, 2) for _ in range(5)] for _ in range(2))
+            vecs, variety = [BiVector.wedge(u, v).coords, e12, e13], "grassmannian"
+        elif kind == 1:
+            vecs, variety = [_sparse(rng, 10, rng.randint(1, 4)), e12, e13], "grassmannian"
+        elif kind == 2:
+            vecs, variety = [_sparse(rng, 10, rng.randint(1, 3)) for _ in range(3)], "grassmannian"
+        else:
+            vecs, variety = [_sparse(rng, 6, rng.randint(1, 3)) for _ in range(3)], "segre"
+        if rank([[Fraction(x) for x in v] for v in vecs], QQ) == 3:
+            made += 1
+            yield LinearSubspace.span(vecs, QQ), variety
+
+
+def test_plane_sections_match_sympy_oracle():
+    outcomes = Counter()
+    for plane, variety in _seeded_planes(random.Random(1), 1000):
+        try:
+            section = plane_section(plane, variety, primes=())
+        except SectionUnsupportedError:
+            section = None
+        try:
+            lines, points, full_plane = sympy_section_locus(plane, variety)
+        except SectionUnsupportedError:
+            assert section is None, plane
+            outcomes["unsupported"] += 1
+            continue
+        assert section is not None, plane
+        assert {ln.plane_form for ln in section.lines} == set(lines), plane
+        assert set(section.isolated_plane_coords) == {primitive_int_covector(p)
+                                                     for p in points}, plane
+        assert section.full_plane == full_plane, plane
+        outcomes["full plane" if full_plane else section.shape()] += 1
+    # the seeded mix reaches every kind of answer
+    assert {"unsupported", "full plane", (1, 1), (2, 0), (1, 0), (0, 3)} <= set(outcomes)
 
 
 def test_grassmannian_enumeration_count_oracle():
