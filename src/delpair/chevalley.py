@@ -9,6 +9,12 @@ Every other constant is forced by antisymmetry, N_{-a,-b} = -N_{a,b}, the
 cyclic length-ratio identity for triples summing to zero, and the Jacobi
 identity.  The resulting table satisfies |N_{a,b}| = p + 1 with p the largest
 integer such that b - p a is a root.
+
+Constants are computed on demand and memoized, never swept over all pairs.
+The Jacobi step for a positive pair summing to rho reads only pairs whose
+sum has lower height, plus rho's own extraspecial pair, whose constant is
+p + 1 outright; so every request bottoms out at extraspecial pairs and the
+recursion terminates.  Each value is the one the height-ordered sweep gives.
 """
 from __future__ import annotations
 
@@ -70,16 +76,22 @@ class LieElement:
 
 
 class ChevalleyTable:
-    """Structure constants N_{a,b} for all ordered root pairs with a+b a root."""
+    """Structure constants N_{a,b} for ordered root pairs with a + b a root.
+
+    Nothing is computed up front: each constant, extraspecial pair and
+    squared norm is derived the first time a bracket asks for it and then
+    memoized, so a table costs only the constants its callers read.  The
+    recursion behind a constant terminates because every Jacobi step moves
+    to pairs whose sum has lower height, or to an extraspecial pair.
+    """
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
-        roots = sorted(rs.positive_roots)
-        self._norm = {r: rs.bilinear(r, r) for r in roots}
+        self._sorted_positives = sorted(rs.positive_roots)
+        self._constants: dict[tuple[Root, Root], int] = {}
         self._pos: dict[tuple[Root, Root], int] = {}
-        self._build_positive(roots)
-        self.constants: dict[tuple[Root, Root], int] = {}
-        self._extend_all_signs(roots)
+        self._extra: dict[Root, tuple[Root, Root]] = {}
+        self._norms: dict[Root, Fraction] = {}
 
     # -- construction --------------------------------------------------------
 
@@ -90,28 +102,44 @@ class ChevalleyTable:
             p += 1
         return p
 
-    def _build_positive(self, positives: list[Root]) -> None:
-        by_height: dict[int, list[Root]] = {}
-        for r in positives:
-            by_height.setdefault(r.height, []).append(r)
-        pos_set = set(positives)
-        for h in sorted(by_height):
-            if h == 1:
-                continue
-            for rho in by_height[h]:
-                pairs = sorted(
-                    (a, rho - a) for a in positives
-                    if a < rho - a and (rho - a) in pos_set
-                )
-                if not pairs:
-                    raise AssertionError(f"no decomposition of {rho} into positives")
-                extra = pairs[0]   # minimal first element: the extraspecial pair
-                self._pos[extra] = self._p(*extra) + 1
-                self._pos[(extra[1], extra[0])] = -self._pos[extra]
-                for xi, eta in pairs[1:]:
+    def _norm(self, r: Root) -> Fraction:
+        """(r, r), memoized."""
+        n = self._norms.get(r)
+        if n is None:
+            n = self._norms[r] = self.rs.bilinear(r, r)
+        return n
+
+    def _extraspecial(self, rho: Root) -> tuple[Root, Root]:
+        """The pair (alpha, rho - alpha) of positive roots with alpha minimal.
+
+        The first positive alpha in sorted order with rho - alpha positive is
+        that minimum; alpha < rho - alpha holds for it, since rho - alpha is
+        itself such a root and 2 alpha is never one.
+        """
+        extra = self._extra.get(rho)
+        if extra is None:
+            pos = self.rs.positive_roots
+            alpha = next((a for a in self._sorted_positives if rho - a in pos), None)
+            if alpha is None:
+                raise AssertionError(f"no decomposition of {rho} into positives")
+            extra = self._extra[rho] = (alpha, rho - alpha)
+        return extra
+
+    def _positive(self, xi: Root, eta: Root) -> int:
+        """N_{xi,eta} for positive xi, eta whose sum is a root, memoized."""
+        key = (xi, eta)
+        n = self._pos.get(key)
+        if n is None:
+            if eta < xi:
+                n = -self._positive(eta, xi)
+            else:
+                extra = self._extraspecial(xi + eta)
+                if key == extra:
+                    n = self._p(xi, eta) + 1
+                else:
                     n = self._special_from_jacobi(xi, eta, extra)
-                    self._pos[(xi, eta)] = n
-                    self._pos[(eta, xi)] = -n
+            self._pos[key] = n
+        return n
 
     def _special_from_jacobi(self, xi: Root, eta: Root,
                              extra: tuple[Root, Root]) -> int:
@@ -133,9 +161,9 @@ class ChevalleyTable:
         """Constant for a pair whose members may have either sign."""
         apos, bpos = a in self.rs.positive_roots, b in self.rs.positive_roots
         if apos and bpos:
-            return self._pos[(a, b)]
+            return self._positive(a, b)
         if not apos and not bpos:
-            return -self._pos[(-a, -b)]
+            return -self._positive(-a, -b)
         if apos:
             return self._mixed(a, b)
         return -self._mixed(b, a)
@@ -146,33 +174,31 @@ class ChevalleyTable:
         nu = -negnu
         rho = mu - nu
         if rho in self.rs.positive_roots:
-            value = -Fraction(self._norm[rho], self._norm[mu]) * self._pos[(nu, rho)]
+            value = -Fraction(self._norm(rho), self._norm(mu)) * self._positive(nu, rho)
         else:
-            value = Fraction(self._norm[-rho], self._norm[nu]) * self._pos[(-rho, mu)]
+            value = Fraction(self._norm(-rho), self._norm(nu)) * self._positive(-rho, mu)
         if value.denominator != 1:
             raise AssertionError(f"non-integral mixed constant for ({mu}, {negnu})")
         return int(value)
 
-    def _extend_all_signs(self, positives: list[Root]) -> None:
-        allroots = positives + [-r for r in positives]
-        rootset = set(allroots)
-        for a in allroots:
-            for b in allroots:
-                if a + b in rootset:
-                    self.constants[(a, b)] = self._signed_pair(a, b)
-
     # -- queries --------------------------------------------------------------
 
     def constant(self, a: Root, b: Root) -> int:
-        """N_{a,b}; only defined when a + b is a root."""
-        try:
-            return self.constants[(a, b)]
-        except KeyError:
-            raise ValueError(f"{a} + {b} is not a root") from None
+        """N_{a,b}; only defined when a, b and a + b are all roots."""
+        key = (a, b)
+        n = self._constants.get(key)
+        if n is None:
+            is_root = self.rs.is_root
+            if not is_root(a + b):
+                raise ValueError(f"{a} + {b} is not a root")
+            if not (is_root(a) and is_root(b)):
+                raise ValueError(f"{a} or {b} is not a root")
+            n = self._constants[key] = self._signed_pair(a, b)
+        return n
 
     def coroot_coefficients(self, alpha: Root) -> tuple[int, ...]:
         """Coefficients of the coroot of alpha over the simple coroots."""
-        norm = self.rs.bilinear(alpha, alpha)
+        norm = self._norm(alpha)
         out = []
         for i, k in enumerate(alpha.coeffs):
             c = Fraction(k) * self.rs.sym[i][i] / norm

@@ -59,10 +59,10 @@ def parse_pair_id(text: str, max_rank: int = 7) -> DeletionPair:
     head, _, gamma0 = text.partition("/")
     md = parse_marked(head)
     pair = pairs.make_pair(md, gamma0.strip())
-    by_id = pairs.catalog_by_id(max(max_rank, md.diagram.rank))
-    if pair.pair_id not in by_id:
+    specs = pairs.catalog_specs(max(max_rank, md.diagram.rank))
+    if pair.pair_id not in {f"{ambient}/{g0}" for ambient, g0 in specs}:
         raise ChainError(f"{pair.pair_id} is not a catalog deletion pair")
-    return by_id[pair.pair_id]
+    return pair
 
 
 # ---------------------------------------------------------------------------

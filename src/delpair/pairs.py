@@ -92,30 +92,35 @@ def make_pair(ambient: MarkedDiagram, gamma0: str) -> DeletionPair:
     return DeletionPair(ambient, sub, path)
 
 
-def catalog(max_rank: int) -> list[DeletionPair]:
-    """All instantiations of the deletion-type families with rank <= max_rank.
+def catalog_specs(max_rank: int) -> list[tuple[str, str]]:
+    """(marked ambient literal, gamma0) of every catalog pair, in catalog order.
 
     Families: B_n (gamma=a1, gamma0=a_m, 2 <= m <= n-1), D_n spinor
     (gamma=a_n, gamma0=a_{n-2}), D_n quadric (gamma=a1, gamma0=a_m,
     2 <= m <= n-2), E6 (gamma0 in {a4, a5}) and E7 (gamma0 in {a4, a5, a6}).
+    The pair id of a spec is ``f"{ambient}/{gamma0}"``.
     """
     if max_rank < 4:
         raise ValueError("max_rank must be at least 4")
-    out: list[DeletionPair] = []
+    out: list[tuple[str, str]] = []
     for n in range(3, max_rank + 1):
         for m in range(2, n):
-            out.append(make_pair(parse_marked(f"B{n}:a1"), f"a{m}"))
+            out.append((f"B{n}:a1", f"a{m}"))
     for n in range(4, max_rank + 1):
-        out.append(make_pair(parse_marked(f"D{n}:a{n}"), f"a{n - 2}"))
+        out.append((f"D{n}:a{n}", f"a{n - 2}"))
         for m in range(2, n - 1):
-            out.append(make_pair(parse_marked(f"D{n}:a1"), f"a{m}"))
+            out.append((f"D{n}:a1", f"a{m}"))
     if max_rank >= 6:
-        for g0 in ("a4", "a5"):
-            out.append(make_pair(parse_marked("E6:a6"), g0))
+        out.extend(("E6:a6", g0) for g0 in ("a4", "a5"))
     if max_rank >= 7:
-        for g0 in ("a4", "a5", "a6"):
-            out.append(make_pair(parse_marked("E7:a7"), g0))
+        out.extend(("E7:a7", g0) for g0 in ("a4", "a5", "a6"))
     return out
+
+
+def catalog(max_rank: int) -> list[DeletionPair]:
+    """All instantiations of the deletion-type families with rank <= max_rank."""
+    return [make_pair(parse_marked(ambient), gamma0)
+            for ambient, gamma0 in catalog_specs(max_rank)]
 
 
 def catalog_by_id(max_rank: int) -> dict[str, DeletionPair]:

@@ -1,11 +1,13 @@
 """Independent oracles, kept deliberately apart from the library paths.
 
 Root systems are regenerated here by reflection closure instead of root
-strings; kernels are recomputed by raw root-sum arithmetic instead of
-Chevalley brackets; counts come from closed formulas; the Grassmannian is
-enumerated through field-object bivectors, the maximal minors of the
-collinearity scan are expanded as generic determinants, and rational plane
-sections are found with sympy's polynomial gcd, factorization and division.
+strings; Chevalley structure constants come from one eager height-ordered
+sweep instead of on-demand recursion; kernels are recomputed by raw root-sum
+arithmetic instead of Chevalley brackets; counts come from closed formulas;
+the Grassmannian is enumerated through field-object bivectors, the maximal
+minors of the collinearity scan are expanded as generic determinants, and
+rational plane sections are found with sympy's polynomial gcd, factorization
+and division.
 """
 from __future__ import annotations
 
@@ -69,6 +71,60 @@ def string_p(rs: RootSystem, a: Root, b: Root) -> int:
     while rs.is_root(b - a.scaled(p + 1)):
         p += 1
     return p
+
+
+def eager_structure_constants(rs: RootSystem) -> dict[tuple[Root, Root], int]:
+    """N_{a,b} on every ordered root pair with a + b a root, all up front.
+
+    The height-ordered sweep: each positive root's extraspecial pair gets
+    p + 1, every other positive pair is solved from the Jacobi identity
+    once all lower heights are known, and the signs are then extended to
+    all |Phi|^2 ordered pairs.
+    """
+    positives = sorted(rs.positive_roots)
+    pos_set = set(positives)
+    norm = {r: rs.bilinear(r, r) for r in positives}
+    pos: dict[tuple[Root, Root], int] = {}
+
+    def mixed(mu: Root, negnu: Root) -> int:
+        nu = -negnu
+        rho = mu - nu
+        if rho in pos_set:
+            value = -Fraction(norm[rho], norm[mu]) * pos[(nu, rho)]
+        else:
+            value = Fraction(norm[-rho], norm[nu]) * pos[(-rho, mu)]
+        assert value.denominator == 1
+        return int(value)
+
+    def signed_pair(a: Root, b: Root) -> int:
+        apos, bpos = a in pos_set, b in pos_set
+        if apos and bpos:
+            return pos[(a, b)]
+        if not apos and not bpos:
+            return -pos[(-a, -b)]
+        return mixed(a, b) if apos else -mixed(b, a)
+
+    def from_jacobi(xi: Root, eta: Root, alpha: Root) -> int:
+        t = 0
+        if rs.is_root(eta - alpha):
+            t += mixed(eta, -alpha) * signed_pair(eta - alpha, xi)
+        if rs.is_root(xi - alpha):
+            t -= mixed(xi, -alpha) * signed_pair(xi - alpha, eta)
+        value = Fraction(-t, mixed(xi + eta, -alpha))
+        assert value.denominator == 1 and value != 0
+        return int(value)
+
+    for rho in sorted(positives, key=lambda r: r.height):
+        pairs = sorted((a, rho - a) for a in positives
+                       if a < rho - a and rho - a in pos_set)
+        if not pairs:
+            continue
+        alpha, beta = pairs[0]
+        for xi, eta in pairs:
+            n = string_p(rs, alpha, beta) + 1 if xi == alpha else from_jacobi(xi, eta, alpha)
+            pos[(xi, eta)], pos[(eta, xi)] = n, -n
+    roots = positives + [-r for r in positives]
+    return {(a, b): signed_pair(a, b) for a in roots for b in roots if rs.is_root(a + b)}
 
 
 def brute_kernel(psi, sub_tangent, gamma, noncompact, rs, quotient=frozenset()):

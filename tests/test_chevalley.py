@@ -2,30 +2,68 @@ import random
 
 import pytest
 
-from delpair.chevalley import LieElement, bracket, build_table
+from delpair.chevalley import ChevalleyTable, LieElement, bracket, build_table
 from delpair.rootsys import Root, build_root_system, parse_diagram
-from oracles import string_p
+from oracles import eager_structure_constants, string_p
 
-SYSTEMS = ["A2", "A4", "B2", "B4", "D5", "E6", "E7"]
+SYSTEMS = ["A2", "A4", "B2", "B4", "C3", "D5", "E6", "E7", "F4", "G2", "B12", "D12"]
 
 
 def table(literal):
     return build_table(build_root_system(parse_diagram(literal)))
 
 
+def summing_pairs(rs):
+    """Every ordered pair of roots whose sum is a root, in sorted order."""
+    positives = sorted(rs.positive_roots)
+    roots = positives + [-r for r in positives]
+    return [(a, b) for a in roots for b in roots if rs.is_root(a + b)]
+
+
 @pytest.mark.parametrize("literal", SYSTEMS)
 def test_constants_satisfy_p_plus_one(literal):
     tab = table(literal)
-    for (a, b), n in tab.constants.items():
-        assert abs(n) == string_p(tab.rs, a, b) + 1
+    for a, b in summing_pairs(tab.rs):
+        assert abs(tab.constant(a, b)) == string_p(tab.rs, a, b) + 1
 
 
 @pytest.mark.parametrize("literal", SYSTEMS)
 def test_antisymmetry_and_negation_rule(literal):
     tab = table(literal)
-    for (a, b), n in tab.constants.items():
-        assert tab.constants[(b, a)] == -n
-        assert tab.constants[(-a, -b)] == -n
+    for a, b in summing_pairs(tab.rs):
+        n = tab.constant(a, b)
+        assert tab.constant(b, a) == -n
+        assert tab.constant(-a, -b) == -n
+
+
+@pytest.mark.parametrize("literal", SYSTEMS + ["A1+A2", "B3+G2"])
+def test_constants_match_the_eager_sweep(literal):
+    tab = table(literal)
+    eager = eager_structure_constants(tab.rs)
+    assert list(eager) == summing_pairs(tab.rs)
+    assert all(tab.constant(a, b) == n for (a, b), n in eager.items())
+
+
+@pytest.mark.parametrize("literal", ["B4", "F4", "G2", "E7"])
+def test_query_order_does_not_change_constants(literal):
+    rs = build_root_system(parse_diagram(literal))
+    pairs = summing_pairs(rs)
+    shuffled = pairs[:]
+    random.Random(f"order-{literal}").shuffle(shuffled)
+    first, second = ChevalleyTable(rs), ChevalleyTable(rs)
+    by_shuffled = {(a, b): first.constant(a, b) for a, b in shuffled}
+    assert by_shuffled == {(a, b): second.constant(a, b) for a, b in pairs}
+
+
+def test_constant_refuses_pairs_outside_the_table():
+    tab = table("B2")
+    a1 = Root((1, 0))
+    with pytest.raises(ValueError, match="not a root"):
+        tab.constant(a1, -a1)                    # a + b = 0
+    with pytest.raises(ValueError, match="not a root"):
+        tab.constant(a1, a1)                     # a + b = 2 a1 is not a root
+    with pytest.raises(ValueError, match="not a root"):
+        tab.constant(a1.scaled(2), -a1)          # a is not a root, a + b = a1 is
 
 
 def test_a2_constant_is_unit():
@@ -45,7 +83,7 @@ def test_b2_constant_is_two():
 @pytest.mark.parametrize("literal", ["A4", "D5", "E6", "E7"])
 def test_simply_laced_constants_are_units(literal):
     tab = table(literal)
-    assert all(abs(n) == 1 for n in tab.constants.values())
+    assert all(abs(tab.constant(a, b)) == 1 for a, b in summing_pairs(tab.rs))
 
 
 def test_e7_triple_bracket_lands_on_the_sum():

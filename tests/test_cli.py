@@ -8,12 +8,14 @@ from pathlib import Path
 import pytest
 
 import delpair
+from delpair import pairs
 from delpair.cli import PAIR_CHECKS, main, parse_pair_id, run_all
 from delpair.report import FAIL, RunConfig, bundle_json, bundle_markdown
 from delpair.rootsys import ChainError, DiagramError, MarkError
 
 
 DEFAULT_BUNDLE_SHA256 = "5740a2e1470a40513d10aac19e2fa7121f8c14d777e31119684ac7f61315b033"
+RANK_SWEEP_SHA256 = "30c972b23383eb6ab05448fb439a2c2dde9e0b74ff6ae191d8270bac59fe4c6d"
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +45,16 @@ def test_parse_pair_id_distinct_errors():
         parse_pair_id("B4:a1/a4")
     with pytest.raises(ChainError, match="catalog"):
         parse_pair_id("E6:a1/a3")    # valid deletion but disconnected survivor
+
+
+def test_parse_pair_id_does_not_build_the_catalog(monkeypatch):
+    def refuse(max_rank):
+        raise AssertionError("parse_pair_id built the catalog")
+
+    monkeypatch.setattr(pairs, "catalog", refuse)
+    assert parse_pair_id("B4:a1/a3").pair_id == "B4:a1/a3"
+    with pytest.raises(ChainError, match="catalog"):
+        parse_pair_id("E6:a1/a3")
 
 
 def test_run_all_small_config_is_green():
@@ -173,6 +185,15 @@ def test_default_bundle_golden_hash(default_bundle):
     assert digest == DEFAULT_BUNDLE_SHA256
     assert default_bundle["summary"] == {
         "pass": 140, "fail": 0, "indeterminate": 26, "skipped": 22}
+
+
+def test_rank_sweep_bundle_golden_hash():
+    # B5-B12 and D6-D12: the largest Chevalley tables any bundle reads
+    code, doc = run_all(RunConfig(max_rank=12, primes_plucker=(3,), primes_segre=(2,)))
+    assert code == 0
+    digest = hashlib.sha256(bundle_json(doc).encode("utf-8")).hexdigest()
+    assert digest == RANK_SWEEP_SHA256
+    assert doc["summary"] == {"pass": 398, "fail": 0, "indeterminate": 101, "skipped": 87}
 
 
 def test_pair_commands_agree_with_run_all(default_bundle, catalog7, tmp_path):

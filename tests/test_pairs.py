@@ -6,6 +6,7 @@ from delpair.pairs import (
     DeletionPair,
     catalog,
     catalog_by_id,
+    catalog_specs,
     is_maximal,
     make_pair,
     root_correspondence,
@@ -32,6 +33,12 @@ def test_catalog_max_rank_filters():
     assert not any(pid.startswith(("E7", "B6", "B7", "D6", "D7")) for pid in ids)
     with pytest.raises(ValueError):
         catalog(3)
+
+
+def test_catalog_specs_name_the_catalog_pairs():
+    assert [p.pair_id for p in catalog(12)] == [f"{a}/{g0}" for a, g0 in catalog_specs(12)]
+    with pytest.raises(ValueError):
+        catalog_specs(3)
 
 
 def test_gamma_is_chain_sum(catalog7):
