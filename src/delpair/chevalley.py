@@ -10,6 +10,10 @@ cyclic length-ratio identity for triples summing to zero, and the Jacobi
 identity.  The resulting table satisfies |N_{a,b}| = p + 1 with p the largest
 integer such that b - p a is a root.
 
+Squared norms are the integers B(r, r) = L (r, r) of the root system's
+integer form, so every length ratio below is an exact integer division; a
+nonzero remainder is an integrality failure and raises AssertionError.
+
 Constants are computed on demand and memoized, never swept over all pairs.
 The Jacobi step for a positive pair summing to rho reads only pairs whose
 sum has lower height, plus rho's own extraspecial pair, whose constant is
@@ -19,7 +23,6 @@ recursion terminates.  Each value is the one the height-ordered sweep gives.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .rootsys import Root, RootSystem
@@ -35,7 +38,10 @@ class LieElement:
 
     @staticmethod
     def from_dict(d: dict[BasisKey, int]) -> "LieElement":
-        return LieElement(tuple(sorted((k, c) for k, c in d.items() if c != 0)))
+        terms = [(k, c) for k, c in d.items() if c != 0]
+        if len(terms) > 1:
+            terms.sort()
+        return LieElement(tuple(terms))
 
     @staticmethod
     def root_vector(alpha: Root, coeff: int = 1) -> "LieElement":
@@ -44,10 +50,6 @@ class LieElement:
     @staticmethod
     def coroot(i: int, coeff: int = 1) -> "LieElement":
         return LieElement.from_dict({("h", i): coeff})
-
-    @staticmethod
-    def zero() -> "LieElement":
-        return LieElement()
 
     @property
     def is_zero(self) -> bool:
@@ -79,10 +81,11 @@ class ChevalleyTable:
     """Structure constants N_{a,b} for ordered root pairs with a + b a root.
 
     Nothing is computed up front: each constant, extraspecial pair and
-    squared norm is derived the first time a bracket asks for it and then
-    memoized, so a table costs only the constants its callers read.  The
-    recursion behind a constant terminates because every Jacobi step moves
-    to pairs whose sum has lower height, or to an extraspecial pair.
+    integer squared norm B(r, r) is derived the first time a bracket asks
+    for it and then memoized, so a table costs only the constants its
+    callers read.  The recursion behind a constant terminates because every
+    Jacobi step moves to pairs whose sum has lower height, or to an
+    extraspecial pair.
     """
 
     def __init__(self, rs: RootSystem):
@@ -91,7 +94,7 @@ class ChevalleyTable:
         self._constants: dict[tuple[Root, Root], int] = {}
         self._pos: dict[tuple[Root, Root], int] = {}
         self._extra: dict[Root, tuple[Root, Root]] = {}
-        self._norms: dict[Root, Fraction] = {}
+        self._norms: dict[Root, int] = {}
 
     # -- construction --------------------------------------------------------
 
@@ -102,11 +105,11 @@ class ChevalleyTable:
             p += 1
         return p
 
-    def _norm(self, r: Root) -> Fraction:
-        """(r, r), memoized."""
+    def _norm(self, r: Root) -> int:
+        """B(r, r) = L (r, r) under the integer form, memoized."""
         n = self._norms.get(r)
         if n is None:
-            n = self._norms[r] = self.rs.bilinear(r, r)
+            n = self._norms[r] = self.rs.scaled_norm(r)
         return n
 
     def _extraspecial(self, rho: Root) -> tuple[Root, Root]:
@@ -151,11 +154,10 @@ class ChevalleyTable:
             t += self._mixed(eta, -alpha) * self._signed_pair(eta - alpha, xi)
         if self.rs.is_root(xi - alpha):
             t += -self._mixed(xi, -alpha) * self._signed_pair(xi - alpha, eta)
-        denom = self._mixed(rho, -alpha)
-        value = Fraction(-t, denom)
-        if value.denominator != 1 or value == 0:
+        value, rem = divmod(-t, self._mixed(rho, -alpha))
+        if rem or value == 0:
             raise AssertionError(f"Jacobi reduction failed on ({xi}, {eta})")
-        return int(value)
+        return value
 
     def _signed_pair(self, a: Root, b: Root) -> int:
         """Constant for a pair whose members may have either sign."""
@@ -174,12 +176,12 @@ class ChevalleyTable:
         nu = -negnu
         rho = mu - nu
         if rho in self.rs.positive_roots:
-            value = -Fraction(self._norm(rho), self._norm(mu)) * self._positive(nu, rho)
+            value, rem = divmod(-self._norm(rho) * self._positive(nu, rho), self._norm(mu))
         else:
-            value = Fraction(self._norm(-rho), self._norm(nu)) * self._positive(-rho, mu)
-        if value.denominator != 1:
+            value, rem = divmod(self._norm(-rho) * self._positive(-rho, mu), self._norm(nu))
+        if rem:
             raise AssertionError(f"non-integral mixed constant for ({mu}, {negnu})")
-        return int(value)
+        return value
 
     # -- queries --------------------------------------------------------------
 
@@ -197,14 +199,18 @@ class ChevalleyTable:
         return n
 
     def coroot_coefficients(self, alpha: Root) -> tuple[int, ...]:
-        """Coefficients of the coroot of alpha over the simple coroots."""
+        """Coefficients of the coroot of alpha over the simple coroots.
+
+        The coefficient at i is k_i B(alpha_i, alpha_i) / B(alpha, alpha).
+        """
         norm = self._norm(alpha)
+        form = self.rs.form
         out = []
         for i, k in enumerate(alpha.coeffs):
-            c = Fraction(k) * self.rs.sym[i][i] / norm
-            if c.denominator != 1:
+            c, rem = divmod(k * form[i][i], norm)
+            if rem:
                 raise AssertionError(f"non-integral coroot for {alpha}")
-            out.append(int(c))
+            out.append(c)
         return tuple(out)
 
 
@@ -234,9 +240,9 @@ def bracket(x: LieElement, y: LieElement, table: ChevalleyTable) -> LieElement:
             else:
                 a, b = kx[1], ky[1]
                 s = a + b
-                if s.is_zero:
+                if rs.is_root(s):
+                    acc(("e", s), c * table.constant(a, b))
+                elif s.is_zero:
                     for i, hc in enumerate(table.coroot_coefficients(a)):
                         acc(("h", i), c * hc)
-                elif rs.is_root(s):
-                    acc(("e", s), c * table.constant(a, b))
     return LieElement.from_dict(out)

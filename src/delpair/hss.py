@@ -9,6 +9,7 @@ noncompact roots mu for which mu - gamma is again a root.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .rootsys import (
     DynkinDiagram,
@@ -54,8 +55,13 @@ class TangentWeights:
         return len(self.weights) + (1 if self.radial is not None else 0)
 
 
+@lru_cache(maxsize=None)
 def noncompact_positive_roots(md: MarkedDiagram) -> WeightSet:
-    """Positive roots with coefficient 1 at the mark of their component."""
+    """Positive roots with coefficient 1 at the mark of their component.
+
+    Cached per marked diagram: the result reads only the diagram and the
+    marks, and marked-diagram equality compares both.
+    """
     rs = md.root_system()
     marks = {}
     for comp in md.diagram.components:

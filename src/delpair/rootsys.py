@@ -1,16 +1,21 @@
 """Dynkin diagrams, exact root systems, Weyl reflections, chain deletion.
 
 Roots are integer coefficient vectors over the simple-root basis of a fixed
-diagram, indexed by the diagram's node order.  All inner products use the
-symmetrized Cartan matrix with exact rationals; long roots are normalized to
-squared length 2.  Node labels follow Bourbaki numbering ("a1", "a2", ...),
-global across the components of a product diagram.
+diagram, indexed by the diagram's node order.  The symmetrized Cartan matrix
+normalizes long roots to squared length 2.  All root arithmetic uses the
+integer Gram matrix B = L * (symmetrized form), with L the least common
+denominator of its entries, so inner products and squared norms are plain
+ints scaled by L; only a non-integral pairing returns a Fraction.  Node
+labels follow Bourbaki numbering ("a1", "a2", ...), global across the
+components of a product diagram.
 
 The Cartan pairing convention is <b, g> = 2(b, g)/(g, g), i.e. the second
-slot carries the normalization.
+slot carries the normalization; L cancels in that ratio.
 """
 from __future__ import annotations
 
+import math
+import operator
 import re
 from collections import deque
 from dataclasses import dataclass
@@ -37,13 +42,13 @@ class Root:
     coeffs: tuple[int, ...]
 
     def __add__(self, other: "Root") -> "Root":
-        return Root(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return Root(tuple(map(operator.add, self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "Root") -> "Root":
-        return Root(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return Root(tuple(map(operator.sub, self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "Root":
-        return Root(tuple(-a for a in self.coeffs))
+        return Root(tuple(map(operator.neg, self.coeffs)))
 
     def scaled(self, k: int) -> "Root":
         return Root(tuple(k * a for a in self.coeffs))
@@ -211,6 +216,21 @@ class DynkinDiagram:
             for i in idxs:
                 d[i] /= top
         return tuple(tuple(d[i] * C[i][j] for j in range(n)) for i in range(n))
+
+    @cached_property
+    def form_scale(self) -> int:
+        """L, the least common denominator of every symmetrized-form entry.
+
+        Off-diagonal entries count: C_n and F4 have -1/2 between two short
+        roots of squared length 1.
+        """
+        return math.lcm(1, *(x.denominator for row in self.symmetrized_form for x in row))
+
+    @cached_property
+    def integer_form(self) -> tuple[tuple[int, ...], ...]:
+        """The integer Gram matrix B = L * symmetrized_form."""
+        L = self.form_scale
+        return tuple(tuple(int(L * x) for x in row) for row in self.symmetrized_form)
 
     def literal(self) -> str:
         return "+".join(comp.name for comp in self.components)
@@ -426,65 +446,64 @@ def parse_marked(text: str) -> "MarkedDiagram":
 # ---------------------------------------------------------------------------
 
 class RootSystem:
-    """The full positive system over a diagram, with exact pairings."""
+    """The full positive system over a diagram, with exact integer pairings."""
 
     def __init__(self, diagram: DynkinDiagram):
         self.diagram = diagram
         self.cartan = diagram.cartan_matrix
-        self.sym = diagram.symmetrized_form
+        self.form = diagram.integer_form
         self.positive_roots = frozenset(self._generate())
         self._all = self.positive_roots | {-r for r in self.positive_roots}
 
-    def _generate(self) -> set[Root]:
+    def _generate(self) -> list[Root]:
+        """Root strings through the simple roots, on plain int tuples."""
         n = self.diagram.rank
-        roots: set[Root] = {Root.simple(i, n) for i in range(n)}
-        layer = set(roots)
+        cartan = self.cartan
+        layer = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+        roots = dict.fromkeys(layer)        # insertion-ordered set
         while layer:
-            nxt: set[Root] = set()
+            nxt: list[tuple[int, ...]] = []
             for beta in layer:
                 for i in range(n):
-                    alpha = Root.simple(i, n)
                     p = 0
-                    while beta - alpha.scaled(p + 1) in roots:
+                    while beta[:i] + (beta[i] - p - 1,) + beta[i + 1:] in roots:
                         p += 1
-                    if p - self.pairing_simple(beta, i) > 0:
-                        cand = beta + alpha
-                        if cand not in roots:
-                            nxt.add(cand)
-            roots |= nxt
+                    if p - sum(map(operator.mul, beta, cartan[i])) > 0:
+                        up = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
+                        if up not in roots:
+                            roots[up] = None
+                            nxt.append(up)
             layer = nxt
-        return roots
+        return [Root(c) for c in roots]
 
     # -- pairings ----------------------------------------------------------
 
     def pairing_simple(self, beta: Root, i: int) -> int:
         """<beta, alpha_i>, always an integer."""
-        return sum(b * self.cartan[i][j] for j, b in enumerate(beta.coeffs) if b)
+        return sum(map(operator.mul, beta.coeffs, self.cartan[i]))
 
-    def bilinear(self, beta: Root, gamma: Root) -> Fraction:
-        """(beta, gamma) under the symmetrized form."""
-        total = Fraction(0)
-        for i, b in enumerate(beta.coeffs):
-            if not b:
-                continue
-            row = self.sym[i]
-            total += b * sum(row[j] * g for j, g in enumerate(gamma.coeffs) if g)
-        return total
+    def _form_column(self, gamma: tuple[int, ...]) -> list[int]:
+        """B gamma, so that B(beta, gamma) is a dot product with beta."""
+        return [sum(map(operator.mul, row, gamma)) for row in self.form]
+
+    def scaled_norm(self, r: Root) -> int:
+        """B(r, r) = L (r, r), an integer."""
+        return sum(map(operator.mul, r.coeffs, self._form_column(r.coeffs)))
 
     def pairing(self, beta: Root, gamma: Root) -> "int | Fraction":
         """Cartan pairing <beta, gamma> = 2(beta, gamma)/(gamma, gamma)."""
         if gamma.is_zero:
             raise ValueError("pairing against the zero vector")
-        value = 2 * self.bilinear(beta, gamma) / self.bilinear(gamma, gamma)
-        return int(value) if value.denominator == 1 else value
+        column = self._form_column(gamma.coeffs)
+        num = 2 * sum(map(operator.mul, beta.coeffs, column))
+        den = sum(map(operator.mul, gamma.coeffs, column))
+        q, rem = divmod(num, den)
+        return Fraction(num, den) if rem else q
 
     # -- membership and reflections -----------------------------------------
 
     def is_root(self, r: Root) -> bool:
         return r in self._all
-
-    def is_positive_root(self, r: Root) -> bool:
-        return r in self.positive_roots
 
     def simple_root(self, label: str) -> Root:
         return Root.simple(self.diagram.index[label], self.diagram.rank)
@@ -493,16 +512,6 @@ class RootSystem:
         """Simple reflection s_{alpha_i}(beta) = beta - <beta, alpha_i> alpha_i."""
         i = self.diagram.index[node] if isinstance(node, str) else node
         return beta - Root.simple(i, self.diagram.rank).scaled(self.pairing_simple(beta, i))
-
-    def reflect_root(self, rho: Root, beta: Root) -> Root:
-        """Reflection in an arbitrary root rho."""
-        k = self.pairing(beta, rho)
-        if isinstance(k, Fraction):
-            raise ValueError(f"non-integral pairing while reflecting in {rho}")
-        return beta - rho.scaled(k)
-
-    def height(self, r: Root) -> int:
-        return r.height
 
     def component_roots(self, comp: Component) -> frozenset[Root]:
         idxs = {self.diagram.index[a] for a in comp.labels}
@@ -526,14 +535,6 @@ class RootSystem:
 def build_root_system(diagram: DynkinDiagram) -> RootSystem:
     """Construct (and cache) the positive root system of a diagram."""
     return RootSystem(diagram)
-
-
-def cartan_pairing(beta: Root, gamma: Root, rs: RootSystem) -> "int | Fraction":
-    return rs.pairing(beta, gamma)
-
-
-def reflect(node: "int | str", beta: Root, rs: RootSystem) -> Root:
-    return rs.reflect(node, beta)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Independent oracles, kept deliberately apart from the library paths.
 
 Root systems are regenerated here by reflection closure instead of root
-strings; Chevalley structure constants come from one eager height-ordered
+strings, and by the generic Fraction kernel (root strings on Root objects,
+inner products from the rational symmetrized form) instead of the integer
+form; Chevalley structure constants come from one eager height-ordered
 sweep instead of on-demand recursion; kernels are recomputed by raw root-sum
 arithmetic instead of Chevalley brackets; counts come from closed formulas;
 the Grassmannian is enumerated through field-object bivectors, the maximal
@@ -65,6 +67,74 @@ def reflection_closure_positive_roots(diagram: DynkinDiagram) -> frozenset[Root]
     return frozenset(r for r in roots if all(c >= 0 for c in r.coeffs))
 
 
+class FractionRootSystem:
+    """Positive roots, inner products and pairings in exact rationals.
+
+    Reads only the diagram's Cartan matrix and rational symmetrized form S,
+    never its integer form: (beta, gamma) is beta dotted with the Fraction
+    vector S gamma.
+    """
+
+    def __init__(self, diagram: DynkinDiagram):
+        self.cartan = diagram.cartan_matrix
+        self.sym = diagram.symmetrized_form
+        self._columns: dict[Root, tuple[Fraction, ...]] = {}
+        self.positive_roots = frozenset(self._generate(diagram.rank))
+
+    def _generate(self, n: int) -> set[Root]:
+        roots: set[Root] = {Root.simple(i, n) for i in range(n)}
+        layer = set(roots)
+        while layer:
+            nxt: set[Root] = set()
+            for beta in layer:
+                for i in range(n):
+                    alpha = Root.simple(i, n)
+                    p = 0
+                    while beta - alpha.scaled(p + 1) in roots:
+                        p += 1
+                    if p - self.pairing_simple(beta, i) > 0:
+                        cand = beta + alpha
+                        if cand not in roots:
+                            nxt.add(cand)
+            roots |= nxt
+            layer = nxt
+        return roots
+
+    def pairing_simple(self, beta: Root, i: int) -> int:
+        return sum(b * self.cartan[i][j] for j, b in enumerate(beta.coeffs) if b)
+
+    def _column(self, gamma: Root) -> tuple[Fraction, ...]:
+        """The Fraction vector S gamma, memoized per gamma."""
+        col = self._columns.get(gamma)
+        if col is None:
+            col = self._columns[gamma] = tuple(
+                sum((row[j] * g for j, g in enumerate(gamma.coeffs) if g), Fraction(0))
+                for row in self.sym)
+        return col
+
+    def bilinear(self, beta: Root, gamma: Root) -> Fraction:
+        """(beta, gamma) under the symmetrized form."""
+        col = self._column(gamma)
+        return sum((b * col[i] for i, b in enumerate(beta.coeffs) if b), Fraction(0))
+
+    def pairing(self, beta: Root, gamma: Root) -> "int | Fraction":
+        """<beta, gamma> = 2(beta, gamma)/(gamma, gamma)."""
+        if gamma.is_zero:
+            raise ValueError("pairing against the zero vector")
+        value = 2 * self.bilinear(beta, gamma) / self.bilinear(gamma, gamma)
+        return int(value) if value.denominator == 1 else value
+
+    def coroot_coefficients(self, alpha: Root) -> tuple[int, ...]:
+        """alpha^vee = sum_i k_i (alpha_i, alpha_i)/(alpha, alpha) alpha_i^vee."""
+        norm = self.bilinear(alpha, alpha)
+        out = []
+        for i, k in enumerate(alpha.coeffs):
+            c = k * self.sym[i][i] / norm
+            assert c.denominator == 1, f"non-integral coroot for {alpha}"
+            out.append(int(c))
+        return tuple(out)
+
+
 def string_p(rs: RootSystem, a: Root, b: Root) -> int:
     """Largest p with b - p a a root, by direct membership."""
     p = 0
@@ -83,7 +153,8 @@ def eager_structure_constants(rs: RootSystem) -> dict[tuple[Root, Root], int]:
     """
     positives = sorted(rs.positive_roots)
     pos_set = set(positives)
-    norm = {r: rs.bilinear(r, r) for r in positives}
+    fraction_rs = FractionRootSystem(rs.diagram)
+    norm = {r: fraction_rs.bilinear(r, r) for r in positives}
     pos: dict[tuple[Root, Root], int] = {}
 
     def mixed(mu: Root, negnu: Root) -> int:

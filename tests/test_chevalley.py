@@ -92,7 +92,7 @@ def test_e7_triple_bracket_lands_on_the_sum():
     e5, e6, e7 = (LieElement.root_vector(rs.simple_root(l)) for l in ("a5", "a6", "a7"))
     value = bracket(e5, bracket(e6, e7, tab), tab)
     target = Root((0, 0, 0, 0, 1, 1, 1))
-    assert rs.is_positive_root(target)
+    assert target in rs.positive_roots
     assert value.root_support() == {target}
     assert abs(value.coefficient(("e", target))) == 1
 

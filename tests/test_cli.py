@@ -16,6 +16,7 @@ from delpair.rootsys import ChainError, DiagramError, MarkError
 
 DEFAULT_BUNDLE_SHA256 = "5740a2e1470a40513d10aac19e2fa7121f8c14d777e31119684ac7f61315b033"
 RANK_SWEEP_SHA256 = "30c972b23383eb6ab05448fb439a2c2dde9e0b74ff6ae191d8270bac59fe4c6d"
+RANK16_SHA256 = "316213e25bee6dc914b1e51466cd4d2481540c71157c5323ddffb17b0ef109ec"
 
 
 @pytest.fixture(scope="module")
@@ -194,6 +195,15 @@ def test_rank_sweep_bundle_golden_hash():
     digest = hashlib.sha256(bundle_json(doc).encode("utf-8")).hexdigest()
     assert digest == RANK_SWEEP_SHA256
     assert doc["summary"] == {"pass": 398, "fail": 0, "indeterminate": 101, "skipped": 87}
+
+
+def test_rank16_bundle_golden_hash():
+    # B13-B16 and D13-D16: tables no smaller bundle reaches
+    code, doc = run_all(RunConfig(max_rank=16, primes_plucker=(3,), primes_segre=(2,)))
+    assert code == 0
+    digest = hashlib.sha256(bundle_json(doc).encode("utf-8")).hexdigest()
+    assert digest == RANK16_SHA256
+    assert doc["summary"] == {"pass": 714, "fail": 0, "indeterminate": 197, "skipped": 175}
 
 
 def test_pair_commands_agree_with_run_all(default_bundle, catalog7, tmp_path):

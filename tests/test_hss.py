@@ -32,6 +32,16 @@ def test_noncompact_filter_oracle_a4():
     assert noncompact_positive_roots(md).weights == direct
 
 
+def test_noncompact_roots_are_cached_per_marked_diagram():
+    noncompact_positive_roots.cache_clear()
+    literals = ["E7:a7", "A1+A2:a1,a3", "E7:a7", "A1+A2:a1", "A1+A2:a1,a3", "B4:a1"]
+    results = [noncompact_positive_roots(parse_marked(literal)) for literal in literals]
+    assert results[2] is results[0]
+    assert results[4] is results[1]
+    assert results[3] is not results[1]     # same diagram, other marks
+    assert noncompact_positive_roots.cache_info().misses == len(set(literals))
+
+
 @pytest.mark.parametrize("literal, affine", [
     ("E7:a7", 17),   # VMRT E6/P6, dimension 16
     ("A4:a2", 4),    # VMRT P^1 x P^2, dimension 3

@@ -12,19 +12,23 @@ from delpair.rootsys import (
     Root,
     build_root_system,
     canonical_mark_position,
-    cartan_pairing,
     delete_chain,
     descriptor,
     is_hyperquadric,
     parse_diagram,
     parse_marked,
-    reflect,
     space_name,
 )
-from oracles import closed_form_positive_count, reflection_closure_positive_roots
+from delpair.chevalley import build_table
+from oracles import (
+    FractionRootSystem,
+    closed_form_positive_count,
+    reflection_closure_positive_roots,
+)
 
 ORACLE_LITERALS = [f"A{n}" for n in range(1, 7)] + [f"B{n}" for n in range(2, 6)] + [
-    f"D{n}" for n in range(4, 7)] + ["E6", "E7"]
+    f"D{n}" for n in range(4, 7)] + ["E6", "E7", "E8", "C3", "C4", "F4", "G2"]
+KERNEL_LITERALS = ORACLE_LITERALS + ["B12", "D12", "A1+A2", "B3+G2"]
 
 
 def test_a2_positive_roots_by_hand():
@@ -78,12 +82,13 @@ def test_pairing_normalization():
     for literal in ("A3", "B3", "G2"):
         rs = build_root_system(parse_diagram(literal))
         for alpha in rs.positive_roots:
-            assert cartan_pairing(alpha, alpha, rs) == 2
+            assert rs.pairing(alpha, alpha) == 2
 
 
 def test_pairing_adjacent_simply_laced():
     rs = build_root_system(parse_diagram("A2"))
-    assert cartan_pairing(Root((1, 0)), Root((0, 1)), rs) == -1
+    assert rs.pairing(Root((1, 0)), Root((0, 1))) == -1
+    assert rs.pairing(Root((1, 0)), Root((0, 2))) == Fraction(-1, 2)   # not a root
 
 
 def test_pairing_composite_root_value_in_e7():
@@ -91,13 +96,13 @@ def test_pairing_composite_root_value_in_e7():
     rs = build_root_system(parse_diagram("E7"))
     composite = Root((0, 0, 0, 0, 1, 1, 1))
     assert rs.is_root(composite)
-    assert cartan_pairing(rs.simple_root("a6"), composite, rs) == 0
+    assert rs.pairing(rs.simple_root("a6"), composite) == 0
 
 
 def test_pairing_rejects_zero():
     rs = build_root_system(parse_diagram("A2"))
     with pytest.raises(ValueError):
-        cartan_pairing(Root((1, 0)), Root((0, 0)), rs)
+        rs.pairing(Root((1, 0)), Root((0, 0)))
 
 
 def test_pairing_additive_in_first_argument():
@@ -106,15 +111,14 @@ def test_pairing_additive_in_first_argument():
     roots = sorted(rs.positive_roots)
     for _ in range(200):
         a, b, g = rng.choice(roots), rng.choice(roots), rng.choice(roots)
-        assert (cartan_pairing(a + b, g, rs)
-                == cartan_pairing(a, g, rs) + cartan_pairing(b, g, rs))
+        assert rs.pairing(a + b, g) == rs.pairing(a, g) + rs.pairing(b, g)
 
 
 def test_reflection_negates_own_root():
     rs = build_root_system(parse_diagram("D5"))
     for i in range(5):
         alpha = Root.simple(i, 5)
-        assert reflect(i, alpha, rs) == -alpha
+        assert rs.reflect(i, alpha) == -alpha
 
 
 def test_reflection_involution_and_closure_all_systems():
@@ -122,21 +126,21 @@ def test_reflection_involution_and_closure_all_systems():
         rs = build_root_system(parse_diagram(literal))
         for r in rs.positive_roots:
             for i in range(rs.diagram.rank):
-                image = reflect(i, r, rs)
+                image = rs.reflect(i, r)
                 assert rs.is_root(image)
-                assert reflect(i, image, rs) == r
+                assert rs.reflect(i, image) == r
 
 
 def test_reflection_known_values_in_e7():
     rs = build_root_system(parse_diagram("E7"))
     a7 = rs.simple_root("a7")
-    assert reflect("a6", a7, rs) == Root((0, 0, 0, 0, 0, 1, 1))
+    assert rs.reflect("a6", a7) == Root((0, 0, 0, 0, 0, 1, 1))
     # s_{a6}(a7 + 2 a6 + 2 a5 + Sigma) = a7 + a6 + 2 a5 + Sigma for every root
     # of that shape (gamma = a7, gamma0 = a6, theta = a5, Sigma over a1..a4)
     found = 0
     for v in rs.positive_roots:
         if v.coeffs[4] == 2 and v.coeffs[5] == 2 and v.coeffs[6] == 1:
-            assert reflect("a6", v, rs) == v - rs.simple_root("a6")
+            assert rs.reflect("a6", v) == v - rs.simple_root("a6")
             found += 1
     assert found > 0
 
@@ -148,7 +152,41 @@ def test_roots_reachable_by_simple_steps():
         for r in rs.positive_roots:
             if r.height > 1:
                 assert any(
-                    rs.is_positive_root(r - Root.simple(i, n)) for i in range(n))
+                    r - Root.simple(i, n) in rs.positive_roots for i in range(n))
+
+
+# -- the integer kernel against the Fraction oracle ---------------------------
+
+@pytest.mark.parametrize("literal, scale", [
+    ("B3", 1), ("C3", 2), ("F4", 2), ("G2", 3), ("B3+G2", 3)])
+def test_integer_form_is_minimal_multiple_of_symmetrized_form(literal, scale):
+    diagram = parse_diagram(literal)
+    S, B = diagram.symmetrized_form, diagram.integer_form
+    n = diagram.rank
+    assert diagram.form_scale == scale
+    assert all(type(B[i][j]) is int and B[i][j] == scale * S[i][j]
+               for i in range(n) for j in range(n))
+    for smaller in range(1, scale):
+        assert any((smaller * x).denominator != 1 for row in S for x in row)
+
+
+@pytest.mark.parametrize("literal", KERNEL_LITERALS)
+def test_integer_kernel_matches_fraction_oracle(literal):
+    diagram = parse_diagram(literal)
+    rs = build_root_system(diagram)
+    oracle = FractionRootSystem(diagram)
+    assert rs.positive_roots == oracle.positive_roots
+    roots = sorted(rs.positive_roots)
+    for gamma in roots:
+        assert Fraction(rs.scaled_norm(gamma), diagram.form_scale) == oracle.bilinear(gamma, gamma)
+        for beta in roots:
+            value = rs.pairing(beta, gamma)
+            assert value == oracle.pairing(beta, gamma)
+            assert type(value) is int or value.denominator != 1
+    table = build_table(rs)
+    for alpha in roots:
+        assert table.coroot_coefficients(alpha) == oracle.coroot_coefficients(alpha)
+        assert table.coroot_coefficients(-alpha) == oracle.coroot_coefficients(-alpha)
 
 
 # -- marked diagrams and deletion ---------------------------------------------
