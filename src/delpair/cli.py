@@ -116,14 +116,13 @@ def correspondence_checks(pair: DeletionPair) -> list[CheckReport]:
 
 def degeneracy_checks(pair: DeletionPair) -> list[CheckReport]:
     ctx = sff.SFFContext.for_pair(pair)
-    table = build_table(ctx.rs)
-    ks = sff.kernel_sigma(ctx, table)
+    ks = sff.kernel_sigma(ctx)
     ars = pair.ambient_rs()
     gamma = ars.simple_root(pair.gamma)
     adjacent = [gamma + ars.simple_root(b)
                 for b in pair.ambient.diagram.neighbors(pair.gamma)]
     missing = [root_witness(a) for a in adjacent if a not in ks.kernel_weights]
-    kt = sff.kernel_tau(ctx, table)
+    kt = sff.kernel_tau(ctx)
     contains = ctx.sub_tangent <= kt.kernel_weights
     return [
         CheckReport("sff.kernel_sigma", pair.pair_id,

@@ -123,10 +123,6 @@ def catalog(max_rank: int) -> list[DeletionPair]:
             for ambient, gamma0 in catalog_specs(max_rank)]
 
 
-def catalog_by_id(max_rank: int) -> dict[str, DeletionPair]:
-    return {p.pair_id: p for p in catalog(max_rank)}
-
-
 @dataclass(frozen=True)
 class RootCorrespondence:
     """The embedding Phi of the sub root data into the ambient system."""

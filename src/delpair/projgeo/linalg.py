@@ -12,6 +12,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
+from ..report import is_prime
+
 
 class Rationals:
     """Field object for exact rational arithmetic."""
@@ -50,7 +52,7 @@ class PrimeField:
     p: int
 
     def __post_init__(self) -> None:
-        if self.p < 2 or any(self.p % d == 0 for d in range(2, int(self.p ** 0.5) + 1)):
+        if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
 
     @property

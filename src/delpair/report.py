@@ -56,7 +56,7 @@ class RunConfig:
         if self.max_rank < 4:
             raise ValueError("max_rank must be at least 4")
         for p in tuple(self.primes_plucker) + tuple(self.primes_segre):
-            if not _is_prime(p):
+            if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
         if self.fmt not in ("json", "markdown"):
             raise ValueError(f"unknown output format {self.fmt!r}")
@@ -71,7 +71,8 @@ class RunConfig:
         }
 
 
-def _is_prime(p: int) -> bool:
+def is_prime(p: int) -> bool:
+    """Trial division; the one primality test behind RunConfig and PrimeField."""
     if p < 2:
         return False
     d = 2

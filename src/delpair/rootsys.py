@@ -454,6 +454,7 @@ class RootSystem:
         self.form = diagram.integer_form
         self.positive_roots = frozenset(self._generate())
         self._all = self.positive_roots | {-r for r in self.positive_roots}
+        self._highest: dict[Component, Root] = {}
 
     def _generate(self) -> list[Root]:
         """Root strings through the simple roots, on plain int tuples."""
@@ -518,10 +519,14 @@ class RootSystem:
         return frozenset(r for r in self.positive_roots if set(r.support()) <= idxs)
 
     def highest_root(self, comp: Component) -> Root:
-        croots = self.component_roots(comp)
-        top = max(croots, key=lambda r: (r.height, r.coeffs))
-        if sum(1 for r in croots if r.height == top.height) != 1:
-            raise DiagramError(f"component {comp.name}: highest root not unique")
+        """The highest root of a component, memoized per component."""
+        top = self._highest.get(comp)
+        if top is None:
+            croots = self.component_roots(comp)
+            top = max(croots, key=lambda r: (r.height, r.coeffs))
+            if sum(1 for r in croots if r.height == top.height) != 1:
+                raise DiagramError(f"component {comp.name}: highest root not unique")
+            self._highest[comp] = top
         return top
 
     def coefficient(self, r: Root, label: str) -> int:

@@ -6,16 +6,17 @@ tangent space and the parabolic: the value survives exactly when
 nu + nu' - gamma is a noncompact positive root outside Psi_gamma u {gamma}.
 Radial arguments short-circuit to zero (the cone annihilates its ruling).
 
-Degeneracy verdicts depend only on this zero/nonzero pattern and are
-therefore independent of the Chevalley sign convention; the signed values
-are still produced through the bracket machinery.
+That weight rule alone decides the sigma/tau kernels, so degeneracy
+verdicts are independent of the Chevalley sign convention and build no
+Lie elements.  A surviving value is read in closed form from two memoized
+structure constants, N_{nu'-gamma,gamma} N_{nu-gamma,nu'}.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from . import hss
-from .chevalley import ChevalleyTable, LieElement, bracket, build_table
+from .chevalley import ChevalleyTable
 from .pairs import DeletionPair
 from .report import FAIL, PASS, SKIPPED, CheckReport, root_witness
 from .rootsys import MarkedDiagram, Root, RootSystem
@@ -78,11 +79,22 @@ class SFFContext:
             raise ValueError("this operation needs a full deletion-pair context")
 
 
+def _survives(weight: Root, ctx: SFFContext) -> bool:
+    """Whether nu + nu' - gamma survives the reduction modulo P_alpha + p.
+
+    It survives when it is a noncompact root outside Psi_gamma and is not
+    gamma itself; otherwise the value of the form on (nu, nu') is zero.
+    """
+    return weight in ctx.noncompact and weight not in ctx.psi and weight != ctx.gamma
+
+
 def sff_value(nu, nu2, ctx: SFFContext,
               table: ChevalleyTable) -> "tuple[int, Root] | None":
     """Second fundamental form on a pair of tangent weights.
 
-    Returns (coefficient, weight) for a nonzero value, None for zero.
+    Returns (coefficient, weight) for a nonzero value, None for zero.  The
+    coefficient is that of [E_{nu-gamma}, [E_{nu'-gamma}, E_gamma]], namely
+    N_{nu'-gamma,gamma} N_{nu-gamma,nu'}.
     """
     if nu is RADIAL or nu2 is RADIAL:
         if nu is not RADIAL and nu not in ctx.psi:
@@ -92,18 +104,12 @@ def sff_value(nu, nu2, ctx: SFFContext,
         return None
     if nu not in ctx.psi or nu2 not in ctx.psi:
         raise ValueError(f"arguments must lie in Psi_gamma: {nu}, {nu2}")
-    inner = bracket(LieElement.root_vector(nu2 - ctx.gamma),
-                    LieElement.root_vector(ctx.gamma), table)
-    value = bracket(LieElement.root_vector(nu - ctx.gamma), inner, table)
-    if value.is_zero:
+    gamma = ctx.gamma
+    weight = nu + nu2 - gamma
+    if not _survives(weight, ctx):
         return None
-    support = value.root_support()
-    if support != {nu + nu2 - ctx.gamma}:
-        raise AssertionError(f"unexpected bracket support {support}")
-    weight = nu + nu2 - ctx.gamma
-    if weight not in ctx.noncompact or weight in ctx.psi or weight == ctx.gamma:
-        return None          # reduced modulo P_alpha + p
-    return (value.coefficient(("e", weight)), weight)
+    coeff = table.constant(nu2 - gamma, gamma) * table.constant(nu - gamma, nu2)
+    return (coeff, weight)
 
 
 @dataclass(frozen=True)
@@ -117,18 +123,16 @@ class KernelReport:
     witnesses: tuple[Root, ...]
 
 
-def _kernel(ctx: SFFContext, table: ChevalleyTable, mode: str) -> KernelReport:
+def _kernel(ctx: SFFContext, mode: str) -> KernelReport:
     ctx.require_pair()
     extra_quotient = ctx.x0_tangent if mode == "tau" else frozenset()
     kernel = set()
     for nu in ctx.psi:
-        dead = True
         for nu2 in ctx.sub_tangent:
-            value = sff_value(nu, nu2, ctx, table)
-            if value is not None and value[1] not in extra_quotient:
-                dead = False
+            weight = nu + nu2 - ctx.gamma
+            if _survives(weight, ctx) and weight not in extra_quotient:
                 break
-        if dead:
+        else:
             kernel.add(nu)
     if mode == "sigma":
         strict = bool(kernel)
@@ -138,18 +142,18 @@ def _kernel(ctx: SFFContext, table: ChevalleyTable, mode: str) -> KernelReport:
                         tuple(sorted(kernel)))
 
 
-def kernel_sigma(ctx: SFFContext, table: "ChevalleyTable | None" = None) -> KernelReport:
+def kernel_sigma(ctx: SFFContext) -> KernelReport:
     """Weights killed by sigma against the whole sub-VMRT tangent space.
 
     Weight-injectivity of nu -> nu + nu' - gamma for fixed nu' makes the
     reported kernel exact: it is spanned by the listed root directions.
     """
-    return _kernel(ctx, table or build_table(ctx.rs), "sigma")
+    return _kernel(ctx, "sigma")
 
 
-def kernel_tau(ctx: SFFContext, table: "ChevalleyTable | None" = None) -> KernelReport:
+def kernel_tau(ctx: SFFContext) -> KernelReport:
     """Same kernel for the quotient by P_alpha + T_0(X_0) (D_0 = T_0(X))."""
-    return _kernel(ctx, table or build_table(ctx.rs), "tau")
+    return _kernel(ctx, "tau")
 
 
 # ---------------------------------------------------------------------------

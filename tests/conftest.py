@@ -10,7 +10,13 @@ from delpair import pairs
 
 @pytest.fixture(scope="session")
 def catalog7():
-    return pairs.catalog_by_id(7)
+    return {p.pair_id: p for p in pairs.catalog(7)}
+
+
+@pytest.fixture(scope="session")
+def catalog12():
+    """The 114 deletion pairs of rank at most 12, in catalog order."""
+    return pairs.catalog(12)
 
 
 @pytest.fixture(scope="session")

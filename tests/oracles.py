@@ -5,11 +5,12 @@ strings, and by the generic Fraction kernel (root strings on Root objects,
 inner products from the rational symmetrized form) instead of the integer
 form; Chevalley structure constants come from one eager height-ordered
 sweep instead of on-demand recursion; kernels are recomputed by raw root-sum
-arithmetic instead of Chevalley brackets; counts come from closed formulas;
-the Grassmannian is enumerated through field-object bivectors, the maximal
-minors of the collinearity scan are expanded as generic determinants, and
-rational plane sections are found with sympy's polynomial gcd, factorization
-and division.
+arithmetic, and second fundamental form values by two Lie brackets instead
+of the closed-form product of structure constants; counts come from closed
+formulas; the Grassmannian is enumerated through field-object bivectors,
+the maximal minors of the collinearity scan are expanded as generic
+determinants, and rational plane sections are found with sympy's polynomial
+gcd, factorization and division.
 """
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ from fractions import Fraction
 
 import sympy
 
+from delpair.chevalley import ChevalleyTable, LieElement, bracket
 from delpair.projgeo.linalg import QQ, primitive_int_covector
 from delpair.projgeo.plucker import (
     BiVector,
@@ -209,6 +211,27 @@ def brute_kernel(psi, sub_tangent, gamma, noncompact, rs, quotient=frozenset()):
         ):
             dead.add(nu)
     return frozenset(dead)
+
+
+def bracket_sff_value(nu: Root, nu2: Root, ctx, table: ChevalleyTable):
+    """Second fundamental form through [E_{nu-gamma}, [E_{nu'-gamma}, E_gamma]].
+
+    Both brackets are evaluated on Lie elements, and the value is then
+    reduced modulo the affinized tangent space and the parabolic.  Returns
+    (coefficient, weight) or None, like ``sff.sff_value``.
+    """
+    inner = bracket(LieElement.root_vector(nu2 - ctx.gamma),
+                    LieElement.root_vector(ctx.gamma), table)
+    value = bracket(LieElement.root_vector(nu - ctx.gamma), inner, table)
+    if value.is_zero:
+        return None
+    support = value.root_support()
+    if support != {nu + nu2 - ctx.gamma}:
+        raise AssertionError(f"unexpected bracket support {support}")
+    weight = nu + nu2 - ctx.gamma
+    if weight not in ctx.noncompact or weight in ctx.psi or weight == ctx.gamma:
+        return None
+    return (value.coefficient(("e", weight)), weight)
 
 
 def gaussian_binomial_2_of_5(p: int) -> int:

@@ -10,6 +10,7 @@ import pytest
 import delpair
 from delpair import pairs
 from delpair.cli import PAIR_CHECKS, main, parse_pair_id, run_all
+from delpair.projgeo.linalg import prime_field
 from delpair.report import FAIL, RunConfig, bundle_json, bundle_markdown
 from delpair.rootsys import ChainError, DiagramError, MarkError
 
@@ -179,6 +180,28 @@ def test_config_validation():
         RunConfig(primes_plucker=(4,))
     with pytest.raises(ValueError):
         RunConfig(fmt="yaml")
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, 9, 25, 2, 7])
+def test_one_primality_check_for_config_and_fields(p):
+    if p in (2, 7):
+        assert RunConfig(primes_plucker=(p,), primes_segre=(p,)).primes_segre == (p,)
+        assert prime_field(p).name == f"F{p}"
+        return
+    message = f"^{p} is not prime$"
+    with pytest.raises(ValueError, match=message):
+        RunConfig(primes_plucker=(p,))
+    with pytest.raises(ValueError, match=message):
+        RunConfig(primes_segre=(p,))
+    with pytest.raises(ValueError, match=message):
+        prime_field(p)
+
+
+def test_non_prime_arguments_exit_2(capsys):
+    assert main(["run-all", "--primes", "4"]) == 2
+    assert capsys.readouterr().err == "error: 4 is not prime\n"
+    assert main(["segre", "fitting", "--q", "1"]) == 2
+    assert capsys.readouterr().err == "error: 1 is not prime\n"
 
 
 def test_default_bundle_golden_hash(default_bundle):

@@ -5,7 +5,6 @@ from delpair.pairs import (
     CorrespondenceError,
     DeletionPair,
     catalog,
-    catalog_by_id,
     catalog_specs,
     is_maximal,
     make_pair,

@@ -10,6 +10,7 @@ from delpair.rootsys import (
     MarkError,
     MarkedDiagram,
     Root,
+    RootSystem,
     build_root_system,
     canonical_mark_position,
     delete_chain,
@@ -187,6 +188,38 @@ def test_integer_kernel_matches_fraction_oracle(literal):
     for alpha in roots:
         assert table.coroot_coefficients(alpha) == oracle.coroot_coefficients(alpha)
         assert table.coroot_coefficients(-alpha) == oracle.coroot_coefficients(-alpha)
+
+
+def maximal_component_roots(rs, comp):
+    """Roots of a component that no simple root of the component raises."""
+    croots = rs.component_roots(comp)
+    raises = [Root.simple(rs.diagram.index[a], rs.diagram.rank) for a in comp.labels]
+    return [r for r in croots if all(r + s not in croots for s in raises)]
+
+
+def test_highest_root_matches_uncached_scan(catalog12):
+    diagrams = {parse_diagram(literal) for literal in ORACLE_LITERALS}
+    diagrams |= {md.diagram for pair in catalog12 for md in (pair.ambient, pair.sub)}
+    for diagram in diagrams:
+        rs = build_root_system(diagram)
+        for comp in diagram.components:
+            top = rs.highest_root(comp)
+            assert maximal_component_roots(rs, comp) == [top]
+            assert rs.highest_root(comp) is top
+
+
+def test_highest_root_is_memoized_per_component():
+    rs = RootSystem(parse_diagram("E8+B3"))
+    tops = [rs.highest_root(comp) for comp in rs.diagram.components]
+
+    def rescan(comp):
+        raise AssertionError("highest_root rescanned the positive roots")
+
+    rs.component_roots = rescan
+    assert [rs.highest_root(comp) for comp in rs.diagram.components] == tops
+    for _ in range(2):
+        with pytest.raises(MarkError, match="not cominuscule"):
+            parse_marked("B3:a2")
 
 
 # -- marked diagrams and deletion ---------------------------------------------

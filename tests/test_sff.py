@@ -5,6 +5,7 @@ from delpair.hss import noncompact_positive_roots
 from delpair.sff import (
     RADIAL,
     SFFContext,
+    _survives,
     kernel_sigma,
     kernel_tau,
     sff_value,
@@ -12,7 +13,7 @@ from delpair.sff import (
 )
 from delpair.pairs import make_pair
 from delpair.rootsys import parse_marked
-from oracles import brute_kernel
+from oracles import bracket_sff_value, brute_kernel
 
 
 def ctx_for(catalog7, pid):
@@ -89,6 +90,49 @@ def test_zero_nonzero_pattern_symmetric_and_injective(catalog7):
                 assert (a is None) == (b is None)
 
 
+def test_weight_rule_keeps_noncompact_roots_off_the_tangent_space(catalog7):
+    # the reduction modulo P_alpha + p kills Psi_gamma, the radial weight
+    # gamma and everything that is not a noncompact root
+    ctx = ctx_for(catalog7, "E7:a7/a6")
+    candidates = set(ctx.rs.positive_roots) | {-r for r in ctx.rs.positive_roots}
+    survivors = {w for w in candidates if _survives(w, ctx)}
+    assert survivors == ctx.noncompact - ctx.psi - {ctx.gamma}
+    assert not _survives(ctx.gamma, ctx)
+    assert survivors
+
+
+def test_sff_value_matches_bracket_oracle_rank12(catalog12):
+    # every ordered (nu, nu') in Psi_gamma x Psi_gamma of every rank-12 ambient
+    ambients = {pair.ambient for pair in catalog12}
+    evaluated = nonzero = 0
+    for md in ambients:
+        ctx = SFFContext.for_ambient(md)
+        table = build_table(ctx.rs)
+        for nu in ctx.psi:
+            for nu2 in ctx.psi:
+                value = sff_value(nu, nu2, ctx, table)
+                assert value == bracket_sff_value(nu, nu2, ctx, table)
+                evaluated += 1
+                nonzero += value is not None
+    assert (len(ambients), evaluated, nonzero) == (30, 5198, 998)
+
+
+def test_kernels_match_bracket_oracle_rank12(catalog12):
+    assert len(catalog12) == 114
+    for pair in catalog12:
+        ctx = SFFContext.for_pair(pair)
+        table = build_table(ctx.rs)
+
+        def bracket_kernel(quotient):
+            return frozenset(nu for nu in ctx.psi if all(
+                value is None or value[1] in quotient
+                for value in (bracket_sff_value(nu, nu2, ctx, table)
+                              for nu2 in ctx.sub_tangent)))
+
+        assert kernel_sigma(ctx).kernel_weights == bracket_kernel(frozenset())
+        assert kernel_tau(ctx).kernel_weights == bracket_kernel(ctx.x0_tangent)
+
+
 def test_kernel_sigma_matches_brute_oracle(catalog7):
     for pid in ("D5:a5/a3", "E6:a6/a5", "E7:a7/a6", "B4:a1/a3", "E7:a7/a4"):
         ctx = ctx_for(catalog7, pid)
@@ -111,9 +155,8 @@ def test_kernel_tau_matches_brute_oracle(catalog7):
 def test_degeneracy_for_all_catalog_pairs(catalog7):
     for pair in catalog7.values():
         ctx = SFFContext.for_pair(pair)
-        table = build_table(ctx.rs)
-        sigma = kernel_sigma(ctx, table)
-        tau = kernel_tau(ctx, table)
+        sigma = kernel_sigma(ctx)
+        tau = kernel_tau(ctx)
         assert sigma.strict
         ars = pair.ambient_rs()
         gamma = ars.simple_root(pair.gamma)
