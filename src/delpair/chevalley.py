@@ -1,4 +1,5 @@
-"""Chevalley basis structure constants and exact bracket evaluation.
+"""Chevalley basis structure constants, the basis-pair bracket and a Jacobi
+counter.
 
 Signs follow the classical extraspecial-pair construction: positive roots are
 totally ordered lexicographically in the simple-root basis (an order in which
@@ -19,69 +20,27 @@ The Jacobi step for a positive pair summing to rho reads only pairs whose
 sum has lower height, plus rho's own extraspecial pair, whose constant is
 p + 1 outright; so every request bottoms out at extraspecial pairs and the
 recursion terminates.  Each value is the one the height-ordered sweep gives.
+
+The Lie algebra itself is seen through an indexed basis: the root vectors of
+the sorted positive roots, then of their negatives, then the simple coroots.
+The bracket of two basis elements is a tuple of (index, integer coefficient)
+terms, so the Jacobi identity on basis triples is checked with int-keyed
+sums and no element objects.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .rootsys import Root, RootSystem
 
-BasisKey = tuple[str, "Root | int"]   # ("e", root) or ("h", simple index)
-
-
-@dataclass(frozen=True)
-class LieElement:
-    """Finitely supported integer combination of root vectors and coroots."""
-
-    terms: tuple[tuple[BasisKey, int], ...] = ()
-
-    @staticmethod
-    def from_dict(d: dict[BasisKey, int]) -> "LieElement":
-        terms = [(k, c) for k, c in d.items() if c != 0]
-        if len(terms) > 1:
-            terms.sort()
-        return LieElement(tuple(terms))
-
-    @staticmethod
-    def root_vector(alpha: Root, coeff: int = 1) -> "LieElement":
-        return LieElement.from_dict({("e", alpha): coeff})
-
-    @staticmethod
-    def coroot(i: int, coeff: int = 1) -> "LieElement":
-        return LieElement.from_dict({("h", i): coeff})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def as_dict(self) -> dict[BasisKey, int]:
-        return dict(self.terms)
-
-    def __add__(self, other: "LieElement") -> "LieElement":
-        d = self.as_dict()
-        for k, c in other.terms:
-            d[k] = d.get(k, 0) + c
-        return LieElement.from_dict(d)
-
-    def __sub__(self, other: "LieElement") -> "LieElement":
-        return self + other.scaled(-1)
-
-    def scaled(self, k: int) -> "LieElement":
-        return LieElement.from_dict({key: k * c for key, c in self.terms})
-
-    def coefficient(self, key: BasisKey) -> int:
-        return self.as_dict().get(key, 0)
-
-    def root_support(self) -> set[Root]:
-        return {k[1] for k, _ in self.terms if k[0] == "e"}
+BasisTerms = tuple[tuple[int, int], ...]   # ((basis index, coefficient), ...)
 
 
 class ChevalleyTable:
     """Structure constants N_{a,b} for ordered root pairs with a + b a root.
 
     Nothing is computed up front: each constant, extraspecial pair and
-    integer squared norm B(r, r) is derived the first time a bracket asks
+    integer squared norm B(r, r) is derived the first time a caller asks
     for it and then memoized, so a table costs only the constants its
     callers read.  The recursion behind a constant terminates because every
     Jacobi step moves to pairs whose sum has lower height, or to an
@@ -213,36 +172,73 @@ class ChevalleyTable:
             out.append(c)
         return tuple(out)
 
+    # -- the indexed basis ----------------------------------------------------
+
+    @cached_property
+    def basis_roots(self) -> tuple[Root, ...]:
+        """Roots of the basis root vectors: sorted positives, then negatives.
+
+        Index len(basis_roots) + i is the simple coroot h_i.
+        """
+        return tuple(self._sorted_positives) + tuple(-r for r in self._sorted_positives)
+
+    @cached_property
+    def _basis_index(self) -> dict[Root, int]:
+        return {r: k for k, r in enumerate(self.basis_roots)}
+
+    @property
+    def dimension(self) -> int:
+        return len(self.basis_roots) + self.rs.diagram.rank
+
+    def basis_bracket(self, i: int, j: int) -> BasisTerms:
+        """[X_i, X_j] over the indexed basis as ((k, c), ...), nonzero c only."""
+        roots = self.basis_roots
+        m = len(roots)
+        if i >= m:                      # [h, h'] = 0 and [h_i, e_b] = <b, alpha_i> e_b
+            c = 0 if j >= m else self.rs.pairing_simple(roots[j], i - m)
+            return ((j, c),) if c else ()
+        a = roots[i]
+        if j >= m:                      # [e_a, h_k] = -<a, alpha_k> e_a
+            c = self.rs.pairing_simple(a, j - m)
+            return ((i, -c),) if c else ()
+        b = roots[j]
+        s = a + b
+        k = self._basis_index.get(s)
+        if k is not None:
+            return ((k, self.constant(a, b)),)
+        if s.is_zero:                   # [e_a, e_-a] = h_a over the simple coroots
+            return tuple((m + t, c) for t, c in enumerate(self.coroot_coefficients(a)) if c)
+        return ()
+
 
 @lru_cache(maxsize=None)
 def build_table(rs: RootSystem) -> ChevalleyTable:
     return ChevalleyTable(rs)
 
 
-def bracket(x: LieElement, y: LieElement, table: ChevalleyTable) -> LieElement:
-    """Lie bracket of two elements in the Chevalley basis."""
-    rs = table.rs
-    out: dict[BasisKey, int] = {}
+def jacobi_failures(table: ChevalleyTable, triples) -> int:
+    """How many basis index triples (x, y, z) have a nonzero Jacobiator
+    [[X_x, X_y], X_z] + [[X_y, X_z], X_x] + [[X_z, X_x], X_y].
 
-    def acc(key: BasisKey, c: int) -> None:
-        if c:
-            out[key] = out.get(key, 0) + c
+    Basis-pair brackets are memoized for this call only, in a flat list
+    indexed by i * dimension + j, so the cached table does not grow.
+    """
+    dim = table.dimension
+    memo: list = [None] * (dim * dim)
 
-    for (kx, cx) in x.terms:
-        for (ky, cy) in y.terms:
-            c = cx * cy
-            if kx[0] == "h" and ky[0] == "h":
-                continue
-            if kx[0] == "h" and ky[0] == "e":
-                acc(ky, c * rs.pairing_simple(ky[1], kx[1]))
-            elif kx[0] == "e" and ky[0] == "h":
-                acc(kx, -c * rs.pairing_simple(kx[1], ky[1]))
-            else:
-                a, b = kx[1], ky[1]
-                s = a + b
-                if rs.is_root(s):
-                    acc(("e", s), c * table.constant(a, b))
-                elif s.is_zero:
-                    for i, hc in enumerate(table.coroot_coefficients(a)):
-                        acc(("h", i), c * hc)
-    return LieElement.from_dict(out)
+    def br(i: int, j: int) -> BasisTerms:
+        terms = memo[i * dim + j]
+        if terms is None:
+            terms = memo[i * dim + j] = table.basis_bracket(i, j)
+        return terms
+
+    bad = 0
+    for x, y, z in triples:
+        total: dict[int, int] = {}
+        for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+            for k, ck in br(a, b):
+                for t, ct in br(k, c):
+                    total[t] = total.get(t, 0) + ck * ct
+        if any(total.values()):
+            bad += 1
+    return bad

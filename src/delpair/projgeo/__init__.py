@@ -1,19 +1,12 @@
 """Exact projective geometry over the rationals and prime fields."""
 
-from .linalg import QQ, PrimeField, ProjPoint, LinearSubspace   # noqa: F401
 from .plucker import (                                          # noqa: F401
     BiVector,
-    CollinearityWitness,
-    SectionDescription,
-    SurveyReport,
     collinearity_scan,
     dee_exhaustive_survey,
     grassmannian_membership,
-    line_ell_points,
     parse_bivector,
     plane_section,
-    plucker_quadrics,
-    q_orbit_membership,
     span_with_ell,
 )
-from .segre import segre_fitting_report, segre_point            # noqa: F401
+from .segre import segre_fitting_report                         # noqa: F401

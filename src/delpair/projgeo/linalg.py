@@ -132,6 +132,32 @@ def rank(rows: list[list], field) -> int:
     return len(rref(rows, field)[0])
 
 
+def integer_rank(rows: list[list[int]]) -> int:
+    """Rank over the rationals of an integer matrix, fraction-free (Bareiss).
+
+    After each pivot step the entries below it are minors of the matrix, so
+    the division by the previous pivot is exact and entries stay ints.
+    """
+    mat = [list(r) for r in rows]
+    nrows = len(mat)
+    r, prev = 0, 1
+    for c in range(len(mat[0]) if mat else 0):
+        pivot = next((i for i in range(r, nrows) if mat[i][c]), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        top = mat[r]
+        p = top[c]
+        for i in range(r + 1, nrows):
+            f = mat[i][c]
+            mat[i] = [(p * x - f * y) // prev for x, y in zip(mat[i], top)]
+        prev = p
+        r += 1
+        if r == nrows:
+            break
+    return r
+
+
 def kernel_basis(rows: list[list], field, ncols: int) -> list[list]:
     """Basis of the right kernel of the matrix."""
     red, pivots = rref(rows, field)

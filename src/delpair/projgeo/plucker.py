@@ -78,16 +78,17 @@ class BiVector:
         return self.coords[PAIR_INDEX[(i, j)]]
 
     def matrix(self) -> list[list]:
-        """The associated alternating 5x5 matrix."""
+        """The associated alternating 5x5 matrix.
+
+        The diagonal is the int 0, which equals the zero of every field here,
+        so a bivector with int coordinates gives an int matrix.
+        """
         f = self.field
-        A = [[f.zero] * 5 for _ in range(5)]
+        A = [[0] * 5 for _ in range(5)]
         for (i, j), k in PAIR_INDEX.items():
             A[i - 1][j - 1] = self.coords[k]
             A[j - 1][i - 1] = f.neg(self.coords[k])
         return A
-
-    def to_point(self) -> ProjPoint:
-        return ProjPoint.make(self.coords, self.field)
 
 
 def plucker_quadrics(omega: BiVector) -> tuple:
@@ -124,8 +125,7 @@ def quadric_polarization(x: tuple, y: tuple, field) -> tuple:
 
 def grassmannian_membership(p: "ProjPoint | BiVector") -> bool:
     omega = p if isinstance(p, BiVector) else BiVector.make(p.coords, p.field)
-    zero = omega.field.zero
-    return all(q == zero for q in plucker_quadrics(omega))
+    return not any(plucker_quadrics(omega))
 
 
 def q_orbit_membership(p: "ProjPoint | BiVector") -> bool:
@@ -133,7 +133,7 @@ def q_orbit_membership(p: "ProjPoint | BiVector") -> bool:
     omega = p if isinstance(p, BiVector) else BiVector.make(p.coords, p.field)
     if not grassmannian_membership(omega):
         raise ValueError("point is not on the Grassmannian")
-    return omega.coord(4, 5) != omega.field.zero
+    return bool(omega.coord(4, 5))
 
 
 def plane_spanned_by(omega: BiVector) -> tuple[tuple, tuple]:

@@ -5,21 +5,23 @@ strings, and by the generic Fraction kernel (root strings on Root objects,
 inner products from the rational symmetrized form) instead of the integer
 form; Chevalley structure constants come from one eager height-ordered
 sweep instead of on-demand recursion; kernels are recomputed by raw root-sum
-arithmetic, and second fundamental form values by two Lie brackets instead
-of the closed-form product of structure constants; counts come from closed
-formulas; the Grassmannian is enumerated through field-object bivectors,
-the maximal minors of the collinearity scan are expanded as generic
-determinants, and rational plane sections are found with sympy's polynomial
-gcd, factorization and division.
+arithmetic; the Lie bracket acts on dict-built elements keyed by roots and
+coroots instead of basis indices, and second fundamental form values come
+from two such brackets instead of the closed-form product of structure
+constants; counts come from closed formulas; the Grassmannian is
+enumerated through field-object bivectors, the maximal minors of the
+collinearity scan are expanded as generic determinants, and rational plane
+sections are found with sympy's polynomial gcd, factorization and division.
 """
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 
 import sympy
 
-from delpair.chevalley import ChevalleyTable, LieElement, bracket
+from delpair.chevalley import ChevalleyTable
 from delpair.projgeo.linalg import QQ, primitive_int_covector
 from delpair.projgeo.plucker import (
     BiVector,
@@ -211,6 +213,85 @@ def brute_kernel(psi, sub_tangent, gamma, noncompact, rs, quotient=frozenset()):
         ):
             dead.add(nu)
     return frozenset(dead)
+
+
+BasisKey = tuple[str, "Root | int"]   # ("e", root) or ("h", simple index)
+
+
+@dataclass(frozen=True)
+class LieElement:
+    """Finitely supported integer combination of root vectors and coroots."""
+
+    terms: tuple[tuple[BasisKey, int], ...] = ()
+
+    @staticmethod
+    def from_dict(d: dict[BasisKey, int]) -> "LieElement":
+        terms = [(k, c) for k, c in d.items() if c != 0]
+        if len(terms) > 1:
+            terms.sort()
+        return LieElement(tuple(terms))
+
+    @staticmethod
+    def root_vector(alpha: Root, coeff: int = 1) -> "LieElement":
+        return LieElement.from_dict({("e", alpha): coeff})
+
+    @staticmethod
+    def coroot(i: int, coeff: int = 1) -> "LieElement":
+        return LieElement.from_dict({("h", i): coeff})
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def as_dict(self) -> dict[BasisKey, int]:
+        return dict(self.terms)
+
+    def __add__(self, other: "LieElement") -> "LieElement":
+        d = self.as_dict()
+        for k, c in other.terms:
+            d[k] = d.get(k, 0) + c
+        return LieElement.from_dict(d)
+
+    def __sub__(self, other: "LieElement") -> "LieElement":
+        return self + other.scaled(-1)
+
+    def scaled(self, k: int) -> "LieElement":
+        return LieElement.from_dict({key: k * c for key, c in self.terms})
+
+    def coefficient(self, key: BasisKey) -> int:
+        return self.as_dict().get(key, 0)
+
+    def root_support(self) -> set[Root]:
+        return {k[1] for k, _ in self.terms if k[0] == "e"}
+
+
+def bracket(x: LieElement, y: LieElement, table: ChevalleyTable) -> LieElement:
+    """Lie bracket of two elements in the Chevalley basis, term by term."""
+    rs = table.rs
+    out: dict[BasisKey, int] = {}
+
+    def acc(key: BasisKey, c: int) -> None:
+        if c:
+            out[key] = out.get(key, 0) + c
+
+    for (kx, cx) in x.terms:
+        for (ky, cy) in y.terms:
+            c = cx * cy
+            if kx[0] == "h" and ky[0] == "h":
+                continue
+            if kx[0] == "h" and ky[0] == "e":
+                acc(ky, c * rs.pairing_simple(ky[1], kx[1]))
+            elif kx[0] == "e" and ky[0] == "h":
+                acc(kx, -c * rs.pairing_simple(kx[1], ky[1]))
+            else:
+                a, b = kx[1], ky[1]
+                s = a + b
+                if rs.is_root(s):
+                    acc(("e", s), c * table.constant(a, b))
+                elif s.is_zero:
+                    for i, hc in enumerate(table.coroot_coefficients(a)):
+                        acc(("h", i), c * hc)
+    return LieElement.from_dict(out)
 
 
 def bracket_sff_value(nu: Root, nu2: Root, ctx, table: ChevalleyTable):

@@ -7,7 +7,7 @@ import time
 from contextlib import contextmanager
 
 from delpair import hss, normalbundle, pairs, sff
-from delpair.chevalley import LieElement, bracket, build_table
+from delpair.chevalley import build_table
 from delpair.cli import run_all
 from delpair.projgeo.linalg import QQ, prime_field, rank
 from delpair.projgeo.plucker import (
@@ -22,7 +22,7 @@ from delpair.projgeo.plucker import (
 from delpair.projgeo.segre import segre_fitting_report
 from delpair.report import RunConfig, bundle_json
 from delpair.rootsys import build_root_system, descriptor, parse_diagram, parse_marked
-from oracles import reflection_closure_positive_roots
+from oracles import LieElement, bracket, reflection_closure_positive_roots
 
 import random
 

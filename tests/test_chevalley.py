@@ -1,10 +1,11 @@
+import itertools
 import random
 
 import pytest
 
-from delpair.chevalley import ChevalleyTable, LieElement, bracket, build_table
+from delpair.chevalley import ChevalleyTable, build_table, jacobi_failures
 from delpair.rootsys import Root, build_root_system, parse_diagram
-from oracles import eager_structure_constants, string_p
+from oracles import LieElement, bracket, eager_structure_constants, string_p
 
 SYSTEMS = ["A2", "A4", "B2", "B4", "C3", "D5", "E6", "E7", "F4", "G2", "B12", "D12"]
 
@@ -131,21 +132,61 @@ def test_cartan_brackets():
         assert back == x + x
 
 
+def _oracle_basis(rs):
+    """Root vectors of the sorted positive roots, of their negatives, then the
+    simple coroots, as oracle Lie elements: the order basis_bracket indexes."""
+    roots = sorted(rs.positive_roots)
+    return ([LieElement.root_vector(r) for r in roots]
+            + [LieElement.root_vector(-r) for r in roots]
+            + [LieElement.coroot(i) for i in range(rs.diagram.rank)])
+
+
 @pytest.mark.parametrize("literal", SYSTEMS)
 def test_jacobi_on_seeded_triples(literal):
     tab = table(literal)
-    rs = tab.rs
-    roots = sorted(rs.positive_roots)
-    basis = [LieElement.root_vector(r) for r in roots]
-    basis += [LieElement.root_vector(-r) for r in roots]
-    basis += [LieElement.coroot(i) for i in range(rs.diagram.rank)]
+    basis = _oracle_basis(tab.rs)
     rng = random.Random(f"jacobi-{literal}")
-    for _ in range(1000):
-        x, y, z = (rng.choice(basis) for _ in range(3))
+    triples = [tuple(rng.choice(range(len(basis))) for _ in range(3)) for _ in range(1000)]
+    for i, j, k in triples:
+        x, y, z = basis[i], basis[j], basis[k]
         total = (bracket(bracket(x, y, tab), z, tab)
                  + bracket(bracket(y, z, tab), x, tab)
                  + bracket(bracket(z, x, tab), y, tab))
         assert total.is_zero
+    assert jacobi_failures(tab, triples) == 0
+
+
+@pytest.mark.parametrize("literal", ["A4", "B4", "D5", "E6", "E7", "C3", "F4", "G2",
+                                     "B3+G2"])
+def test_basis_bracket_matches_oracle_bracket(literal):
+    tab = table(literal)
+    basis = _oracle_basis(tab.rs)
+    assert tab.dimension == len(basis)
+    key_index = {x.terms[0][0]: k for k, x in enumerate(basis)}
+    for i, x in enumerate(basis):
+        for j, y in enumerate(basis):
+            expected = {key_index[key]: c for key, c in bracket(x, y, tab).terms}
+            got = tab.basis_bracket(i, j)
+            assert dict(got) == expected, (literal, i, j)
+            assert len(got) == len(expected)
+            assert all(c != 0 for _, c in got)
+
+
+def test_jacobi_failures_sees_one_flipped_constant():
+    rs = build_root_system(parse_diagram("A4"))
+    every = list(itertools.product(range(24), repeat=3))
+    assert ChevalleyTable(rs).dimension == 24
+    assert jacobi_failures(ChevalleyTable(rs), every) == 0
+    tab = ChevalleyTable(rs)
+    a, b = Root((1, 0, 0, 0)), Root((0, 1, 0, 0))
+    true_constant = tab.constant
+
+    def flipped(x, y):
+        n = true_constant(x, y)
+        return -n if (x, y) == (a, b) else n
+
+    tab.constant = flipped
+    assert jacobi_failures(tab, every) > 0
 
 
 def test_extraspecial_seed_signs_are_positive():

@@ -9,6 +9,7 @@ from delpair.projgeo.linalg import (
     QQ,
     LinearSubspace,
     ProjPoint,
+    integer_rank,
     normalize_projective,
     prime_field,
     primitive_int_covector,
@@ -100,6 +101,61 @@ def test_decomposability_iff_rank_two_seeded():
         assert decomposable == (rank(omega.matrix(), field) <= 2)
 
 
+def test_integer_bivectors_decide_like_rational_ones():
+    # the property suite's QQ branch keeps int coordinates; the verdicts and
+    # the alternating matrix's rank are those of the Fraction bivector
+    rng = random.Random(8)
+    for _ in range(300):
+        coords = [rng.randrange(-4, 5) for _ in range(10)]
+        ints, fracs = BiVector(QQ, tuple(coords)), BiVector.make(coords)
+        assert all(type(x) is int for row in ints.matrix() for x in row)
+        assert grassmannian_membership(ints) == grassmannian_membership(fracs)
+        assert integer_rank(ints.matrix()) == rank(fracs.matrix(), QQ)
+        if any(coords) and grassmannian_membership(ints):
+            assert q_orbit_membership(ints) == q_orbit_membership(fracs)
+
+
+def _low_rank_matrix(rng, nrows, ncols, r, bound):
+    """A nrows x ncols integer product of two random factors of inner size r."""
+    left = [[rng.randint(-bound, bound) for _ in range(r)] for _ in range(nrows)]
+    right = [[rng.randint(-bound, bound) for _ in range(ncols)] for _ in range(r)]
+    return [[sum(row[k] * right[k][c] for k in range(r)) for c in range(ncols)]
+            for row in left]
+
+
+def _seeded_integer_matrices():
+    rng = random.Random(1729)
+    for bound in (3, 10**6):
+        for _ in range(40):
+            upper = {(i, j): rng.randint(-bound, bound)
+                     for i in range(5) for j in range(i + 1, 5)}
+            yield [[upper.get((i, j), -upper.get((j, i), 0)) for j in range(5)]
+                   for i in range(5)]                                # alternating
+            yield [[rng.randint(-bound, bound) for _ in range(7)] for _ in range(3)]
+            yield [[rng.randint(-bound, bound) for _ in range(3)] for _ in range(7)]
+        for nrows, ncols in ((5, 5), (3, 7), (7, 3), (6, 6)):
+            for r in range(min(nrows, ncols) + 1):
+                m = _low_rank_matrix(rng, nrows, ncols, r, min(bound, 1000))
+                yield m                                                  # rank <= r
+                zeroed = [row[:] for row in m]
+                zeroed[rng.randrange(nrows)] = [0] * ncols               # a zero row
+                c = rng.randrange(ncols)
+                for row in zeroed:                                       # a zero column
+                    row[c] = 0
+                yield zeroed
+    yield [[0] * 4 for _ in range(3)]
+    yield []
+
+
+def test_integer_rank_matches_fraction_rref():
+    seen = set()
+    for m in _seeded_integer_matrices():
+        expected = rank([[QQ.of(x) for x in row] for row in m], QQ)
+        assert integer_rank(m) == expected, m
+        seen.add(expected)
+    assert seen == {0, 1, 2, 3, 4, 5, 6}
+
+
 def test_bivector_literal_parsing():
     omega = parse_bivector("e2^e4 - 3 e1^e5")
     assert omega.coord(2, 4) == 1
@@ -119,7 +175,8 @@ def test_section_span_e45_is_line_plus_point():
     assert section.certified_over == ("QQ", "F5", "F7")
     assert not section.full_plane
     point = section.isolated_points[0]
-    assert point == parse_bivector("e4^e5").to_point()
+    e45 = parse_bivector("e4^e5")
+    assert point == ProjPoint.make(e45.coords, e45.field)
 
 
 def test_section_span_e24_is_two_lines():
@@ -129,7 +186,8 @@ def test_section_span_e24_is_two_lines():
     extra_pts = set()
     for line in section.lines:
         extra_pts |= {line.span[0], line.span[1]}
-    b = parse_bivector("e2^e4").to_point()
+    e24 = parse_bivector("e2^e4")
+    b = ProjPoint.make(e24.coords, e24.field)
     spanned = LinearSubspace.span(
         [p.coords for line in section.lines for p in line.span], QQ)
     assert any(b == p or spanned.contains(b) for p in extra_pts)
@@ -401,7 +459,8 @@ def test_collinearity_examples():
 def test_no_witness_means_no_extra_line_through_b():
     # e4^e5 has no witness; its section carries no line through b
     section = plane_section(span_with_ell(parse_bivector("e4^e5")), "grassmannian")
-    b = parse_bivector("e4^e5").to_point()
+    e45 = parse_bivector("e4^e5")
+    b = ProjPoint.make(e45.coords, e45.field)
     for line in section.lines:
         spanned = LinearSubspace.span([p.coords for p in line.span], QQ)
         assert not spanned.contains(b)
