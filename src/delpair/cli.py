@@ -198,8 +198,7 @@ def plucker_suite(primes: tuple[int, ...]) -> list[CheckReport]:
                            notes="degree-2 forms vanishing at 3 points of a line vanish on it"))
 
     for literal, expected in (("e4^e5", (1, 1)), ("e2^e4", (2, 0))):
-        sec = plane_section(span_with_ell(parse_bivector(literal)), "grassmannian",
-                            primes)
+        sec = plane_section(span_with_ell(parse_bivector(literal)), primes)
         status = PASS if sec.shape() == expected else FAIL
         out.append(CheckReport(
             "plucker.section", f"span(<{literal}>, ell)", status,
@@ -354,8 +353,7 @@ def _pair_reports(args, config: RunConfig) -> list[CheckReport]:
 
 
 def _section_reports(args, config: RunConfig) -> list[CheckReport]:
-    sec = plane_section(span_with_ell(parse_bivector(args.point)), "grassmannian",
-                        config.primes_plucker)
+    sec = plane_section(span_with_ell(parse_bivector(args.point)), config.primes_plucker)
     return [CheckReport(
         "plucker.section", f"span(<{args.point}>, ell)", PASS,
         witnesses=[{
@@ -446,14 +444,18 @@ def main(argv: "list[str] | None" = None) -> int:
             code, doc = run_all(config)
         else:
             code, doc = _verdict(config, args.reports(args, config))
-        _emit(doc, config.fmt, args.out)
-        return code
     except (DiagramError, MarkError, ChainError, CorrespondenceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CertificationError as exc:     # a failed certification, not bad input
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    try:
+        _emit(doc, config.fmt, args.out)
+    except OSError as exc:                # e.g. --out in a missing directory
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -8,55 +8,13 @@ noncompact roots mu for which mu - gamma is again a root.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .rootsys import (
-    DynkinDiagram,
-    MarkedDiagram,
-    MarkError,
-    Root,
-    RootSystem,
-    build_root_system,
-)
-
-
-@dataclass(frozen=True)
-class WeightSet:
-    """A set of roots of a fixed root system."""
-
-    rs: RootSystem
-    weights: frozenset[Root]
-
-    def __post_init__(self) -> None:
-        for w in self.weights:
-            if not self.rs.is_root(w):
-                raise ValueError(f"{w} is not a root of {self.rs}")
-
-    def __len__(self) -> int:
-        return len(self.weights)
-
-    def __iter__(self):
-        return iter(sorted(self.weights))
-
-    def __contains__(self, w: Root) -> bool:
-        return w in self.weights
-
-
-@dataclass(frozen=True)
-class TangentWeights:
-    """A weight set together with the radial flag of an affinized cone."""
-
-    weights: WeightSet
-    radial: "Root | None"
-
-    @property
-    def affine_size(self) -> int:
-        return len(self.weights) + (1 if self.radial is not None else 0)
+from .rootsys import DynkinDiagram, MarkedDiagram, MarkError, Root
 
 
 @lru_cache(maxsize=None)
-def noncompact_positive_roots(md: MarkedDiagram) -> WeightSet:
+def noncompact_positive_roots(md: MarkedDiagram) -> frozenset[Root]:
     """Positive roots with coefficient 1 at the mark of their component.
 
     Cached per marked diagram: the result reads only the diagram and the
@@ -77,25 +35,15 @@ def noncompact_positive_roots(md: MarkedDiagram) -> WeightSet:
                 if md.diagram.nodes[j] not in comp.labels
             ):
                 out.add(r)
-    return WeightSet(rs, frozenset(out))
+    return frozenset(out)
 
 
-def dimension(md: MarkedDiagram) -> int:
-    """Dimension of the Hermitian symmetric space of a marked diagram."""
-    if md.is_empty:
-        return 0
-    return len(noncompact_positive_roots(md))
-
-
-def psi_gamma(md: MarkedDiagram) -> TangentWeights:
-    """Affinized VMRT tangent weights at the mark: noncompact mu with mu - gamma
-    a root, plus the radial direction gamma itself."""
-    gamma_label = md.single_mark
+def psi_gamma(md: MarkedDiagram) -> frozenset[Root]:
+    """VMRT tangent weights at the mark gamma: the noncompact mu with mu - gamma
+    a root.  The radial direction gamma itself is not among them."""
     rs = md.root_system()
-    gamma = rs.simple_root(gamma_label)
-    nc = noncompact_positive_roots(md)
-    weights = frozenset(m for m in nc.weights if rs.is_root(m - gamma))
-    return TangentWeights(WeightSet(rs, weights), gamma)
+    gamma = rs.simple_root(md.single_mark)
+    return frozenset(m for m in noncompact_positive_roots(md) if rs.is_root(m - gamma))
 
 
 def vmrt_diagram(md: MarkedDiagram) -> MarkedDiagram:

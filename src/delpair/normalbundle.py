@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import hss
-from .hss import WeightSet
 from .pairs import DeletionPair
 from .report import FAIL, INDETERMINATE, PASS, CheckReport, root_witness
 from .rootsys import Root
@@ -22,16 +21,14 @@ PROXY_NOTE = ("irreducibility certified only at the level of Levi-root "
               "connectivity of the weight set")
 
 
-def normal_weights(pair: DeletionPair) -> WeightSet:
+def normal_weights(pair: DeletionPair) -> frozenset[Root]:
     """Ambient noncompact roots minus the Phi-image of the sub ones."""
-    corr = pair.correspondence
-    nc = hss.noncompact_positive_roots(pair.ambient)
-    return WeightSet(nc.rs, nc.weights - corr.noncompact_image)
+    return hss.noncompact_positive_roots(pair.ambient) - pair.correspondence.noncompact_image
 
 
 @dataclass(frozen=True)
 class NormalDecomposition:
-    normal_weights: WeightSet
+    normal_weights: frozenset[Root]
     components: tuple[frozenset[Root], ...]
     singleton_component: "Root | None"
     highest_weights: tuple[Root, ...]      # parallel to components
@@ -43,7 +40,7 @@ def levi_components(pair: DeletionPair) -> NormalDecomposition:
     weights = normal_weights(pair)
     steps = [corr.apply(pair.sub_rs().simple_root(label))
              for label in pair.sub.diagram.nodes if label != pair.gamma0]
-    remaining = set(weights.weights)
+    remaining = set(weights)
     components: list[frozenset[Root]] = []
     while remaining:
         seed = min(remaining)

@@ -146,7 +146,7 @@ class RootCorrespondence:
     @cached_property
     def noncompact_image(self) -> frozenset[Root]:
         nc0 = hss.noncompact_positive_roots(self.pair.sub)
-        return frozenset(self.apply(b) for b in nc0.weights)
+        return frozenset(self.apply(b) for b in nc0)
 
 
 def root_correspondence(pair: DeletionPair) -> RootCorrespondence:
@@ -180,10 +180,10 @@ def root_correspondence(pair: DeletionPair) -> RootCorrespondence:
                 )
     nc0 = hss.noncompact_positive_roots(pair.sub)
     nc = hss.noncompact_positive_roots(pair.ambient)
-    image = [corr.apply(b) for b in nc0.weights]
+    image = [corr.apply(b) for b in nc0]
     if len(set(image)) != len(nc0):
         raise CorrespondenceError("Phi is not injective on noncompact roots")
-    stray = [b for b in image if b not in nc.weights]
+    stray = [b for b in image if b not in nc]
     if stray:
         raise CorrespondenceError(f"Phi image leaves the noncompact cone: {stray[:3]}")
     return corr

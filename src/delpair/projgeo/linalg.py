@@ -199,13 +199,10 @@ class ProjPoint:
 
     def primitive_int_coords(self) -> tuple[int, ...]:
         """Integer coprime representative (rational points only)."""
-        if self.field is not QQ:
-            return tuple(int(c) for c in self.coords)
         return primitive_int_covector(self.coords)
 
     def to_witness(self) -> list:
-        ints = self.primitive_int_coords()
-        return [int(v) for v in ints]
+        return list(self.primitive_int_coords())
 
     def __repr__(self) -> str:
         return f"ProjPoint({self.field.name}, {self.coords})"

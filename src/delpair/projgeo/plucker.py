@@ -123,14 +123,12 @@ def quadric_polarization(x: tuple, y: tuple, field) -> tuple:
     return tuple(out)
 
 
-def grassmannian_membership(p: "ProjPoint | BiVector") -> bool:
-    omega = p if isinstance(p, BiVector) else BiVector.make(p.coords, p.field)
+def grassmannian_membership(omega: BiVector) -> bool:
     return not any(plucker_quadrics(omega))
 
 
-def q_orbit_membership(p: "ProjPoint | BiVector") -> bool:
+def q_orbit_membership(omega: BiVector) -> bool:
     """True on the affine cell {x_45 != 0}; requires a point of the variety."""
-    omega = p if isinstance(p, BiVector) else BiVector.make(p.coords, p.field)
     if not grassmannian_membership(omega):
         raise ValueError("point is not on the Grassmannian")
     return bool(omega.coord(4, 5))
@@ -155,16 +153,6 @@ def plane_spanned_by(omega: BiVector) -> tuple[tuple, tuple]:
 def ell_generators(field=QQ) -> tuple[BiVector, BiVector]:
     """e1 ^ e2 and e1 ^ e3, spanning the line ell on the variety."""
     return BiVector.basis(1, 2, field), BiVector.basis(1, 3, field)
-
-
-def line_ell_points(field: PrimeField) -> set[tuple]:
-    g1, g2 = ell_generators(field)
-    pts = set()
-    for (t, s) in projective_points(field, 2):
-        coords = tuple(field.add(field.mul(t, a), field.mul(s, b))
-                       for a, b in zip(g1.coords, g2.coords))
-        pts.add(normalize_projective(coords, field))
-    return pts
 
 
 def span_with_ell(b: BiVector) -> LinearSubspace:
@@ -196,39 +184,22 @@ class SectionDescription:
         return (len(self.lines), len(self.isolated_points))
 
 
-_VARIETIES = ("grassmannian", "segre")
-
-
-def _variety_quadrics(variety: str):
-    if variety == "grassmannian":
-        return plucker_quadrics, quadric_polarization, 10
-    if variety == "segre":
-        from .segre import segre_polarization, segre_quadrics
-        return segre_quadrics, segre_polarization, 6
-    raise ValueError(f"unknown variety {variety!r}; expected one of {_VARIETIES}")
-
-
-def _restricted_forms(plane: LinearSubspace, variety: str):
-    """The defining quadrics restricted to plane coordinates (u, v, w)."""
-    quadrics, polarization, dim = _variety_quadrics(variety)
-    if plane.ambient_dim != dim:
-        raise ValueError(f"plane lives in dimension {plane.ambient_dim}, expected {dim}")
+def _restricted_forms(plane: LinearSubspace) -> list[dict]:
+    """The Plücker quadrics restricted to plane coordinates (u, v, w)."""
+    if plane.ambient_dim != 10:
+        raise ValueError(f"plane lives in dimension {plane.ambient_dim}, expected 10")
     if plane.projective_dim != 2:
         raise ValueError("plane must have projective dimension exactly 2")
     f = plane.field
     b0, b1, b2 = plane.basis
-    if variety == "grassmannian":
-        diag = [quadrics(BiVector.make(b, f)) for b in (b0, b1, b2)]
-    else:
-        diag = [quadrics(b, f) for b in (b0, b1, b2)]
+    diag = [plucker_quadrics(BiVector.make(b, f)) for b in (b0, b1, b2)]
     cross = {
-        (0, 1): polarization(b0, b1, f),
-        (0, 2): polarization(b0, b2, f),
-        (1, 2): polarization(b1, b2, f),
+        (0, 1): quadric_polarization(b0, b1, f),
+        (0, 2): quadric_polarization(b0, b2, f),
+        (1, 2): quadric_polarization(b1, b2, f),
     }
     forms = []
-    nper = len(diag[0])
-    for k in range(nper):
+    for k in range(len(QUAD_SETS)):
         forms.append({
             (2, 0, 0): diag[0][k], (0, 2, 0): diag[1][k], (0, 0, 2): diag[2][k],
             (1, 1, 0): cross[(0, 1)][k], (1, 0, 1): cross[(0, 2)][k],
@@ -288,18 +259,17 @@ def _linear_factors(form: dict) -> set[tuple[int, int, int]]:
         f"restricted form {_form_text(form)} is not a product of rational lines")
 
 
-def _solve_linear_locus(covectors: list[tuple], field):
-    """Common zero locus of linear forms on the projective plane.
+def _solve_linear_locus(covectors: list[tuple]):
+    """Common zero locus of rational linear forms on the projective plane.
 
     Returns ("line", covector), ("point", coords) or ("empty", None).
     """
-    rows = [list(c) for c in covectors]
-    red, _ = rref([[field.of(x) for x in r] for r in rows], field)
+    red, _ = rref([[QQ.of(x) for x in c] for c in covectors], QQ)
     if len(red) == 1:
-        return ("line", primitive_int_covector(red[0]) if field is QQ else tuple(red[0]))
+        return ("line", primitive_int_covector(red[0]))
     if len(red) == 2:
-        vec = kernel_basis(red, field, 3)[0]
-        return ("point", normalize_projective(tuple(vec), field))
+        vec = kernel_basis(red, QQ, 3)[0]
+        return ("point", normalize_projective(tuple(vec), QQ))
     return ("empty", None)
 
 
@@ -310,27 +280,26 @@ def _on_line(point: tuple, cov: tuple, field) -> bool:
     return total == field.zero
 
 
-def plane_section(plane: LinearSubspace, variety: str,
+def plane_section(plane: LinearSubspace,
                   primes: tuple[int, ...] = (5, 7)) -> SectionDescription:
-    """Exact common zero locus of the variety's quadrics on a plane.
+    """Exact common zero locus of the Plücker quadrics on a rational plane.
 
-    Over the rationals each nonzero restricted ternary form is split into
-    rational lines, and the locus is the union, over every choice of one line
-    per form, of the common zeros of the chosen lines: the lines among them,
-    and the points on none of those lines.  Completeness is certified by
-    exhaustive enumeration over the given prime fields, and any disagreement
-    is a hard failure.
+    Each nonzero restricted ternary form is split into rational lines, and
+    the locus is the union, over every choice of one line per form, of the
+    common zeros of the chosen lines: the lines among them, and the points
+    on none of those lines.  Completeness is certified by exhaustive
+    enumeration over the given prime fields, and any disagreement is a hard
+    failure.
     """
-    field = plane.field
-    if isinstance(field, PrimeField):
-        return _finite_plane_section(plane, variety)
-    forms = [f for f in _restricted_forms(plane, variety) if any(f.values())]
+    if plane.field is not QQ:
+        raise ValueError(f"plane_section takes a rational plane, not one over {plane.field}")
+    forms = [f for f in _restricted_forms(plane) if any(f.values())]
     full_plane = not forms
     lines: set[tuple[int, int, int]] = set()
     points: set[tuple] = set()
     if forms:
         for choice in itertools.product(*map(_linear_factors, forms)):
-            kind, payload = _solve_linear_locus(list(choice), QQ)
+            kind, payload = _solve_linear_locus(list(choice))
             if kind == "line":
                 lines.add(payload)
             elif kind == "point":
@@ -339,12 +308,12 @@ def plane_section(plane: LinearSubspace, variety: str,
     points = sorted(pt for pt in points if not any(_on_line(pt, c, QQ) for c in lines))
 
     desc = _describe(plane, lines, points, full_plane)
-    _validate_by_substitution(plane, variety, desc)
+    _validate_by_substitution(plane, desc)
     certified = []
     for p in primes:
-        if variety == "grassmannian" and p == 2:
+        if p == 2:
             raise ValueError("characteristic 2 degenerates the Plücker quadrics")
-        _certify(plane, variety, desc, prime_field(p))
+        _certify(plane, desc, prime_field(p))
         certified.append(prime_field(p).name)
     return SectionDescription(desc.lines, desc.isolated_points,
                               desc.isolated_plane_coords,
@@ -363,83 +332,41 @@ def _describe(plane: LinearSubspace, lines, points, full_plane) -> SectionDescri
     return SectionDescription(tuple(line_objs), pts, plane_coords, (), full_plane)
 
 
-def _validate_by_substitution(plane: LinearSubspace, variety: str,
-                              desc: SectionDescription) -> None:
+def _validate_by_substitution(plane: LinearSubspace, desc: SectionDescription) -> None:
     """Re-check every reported component on the variety and in the plane.
 
     A quadric vanishing at three distinct points of a line vanishes on it.
     """
-    quadrics, _, _ = _variety_quadrics(variety)
     f = plane.field
-
-    def on_variety(coords) -> bool:
-        if variety == "grassmannian":
-            return grassmannian_membership(BiVector.make(coords, f))
-        return all(q == f.zero for q in quadrics(tuple(f.of(c) for c in coords), f))
-
     for line in desc.lines:
         k = kernel_basis([[f.of(c) for c in line.plane_form]], f, 3)
         for coeffs in (k[0], k[1], [f.add(a, b) for a, b in zip(k[0], k[1])]):
-            if not on_variety(plane.combination(coeffs)):
+            if not grassmannian_membership(BiVector.make(plane.combination(coeffs), f)):
                 raise AssertionError(f"reported line {line.plane_form} leaves the variety")
     for pt in desc.isolated_points:
-        if not on_variety(pt.coords):
+        if not grassmannian_membership(BiVector.make(pt.coords, f)):
             raise AssertionError(f"reported point {pt} is off the variety")
         if not plane.contains(pt):
             raise AssertionError(f"reported point {pt} is off the plane")
 
 
-def _finite_locus(plane: LinearSubspace, variety: str, field: PrimeField) -> set[tuple]:
-    quadrics, _, _ = _variety_quadrics(variety)
+def _finite_locus(plane: LinearSubspace, field: PrimeField) -> set[tuple]:
     locus = set()
     for coeffs in projective_points(field, 3):
         coords = plane.combination(coeffs)
-        if all(x == 0 for x in coords):
-            continue
-        if variety == "grassmannian":
-            ok = grassmannian_membership(BiVector.make(coords, field))
-        else:
-            ok = all(q == 0 for q in quadrics(tuple(field.of(c) for c in coords), field))
-        if ok:
+        if any(coords) and grassmannian_membership(BiVector.make(coords, field)):
             locus.add(coeffs)
     return locus
 
 
-def _finite_plane_section(plane: LinearSubspace, variety: str) -> SectionDescription:
-    """Exhaustive section over a prime field, regrouped into lines and points."""
-    field: PrimeField = plane.field
-    locus = _finite_locus(plane, variety, field)
-    all_pts = list(projective_points(field, 3))
-    full_plane = len(locus) == len(all_pts)
-    lines = []
-    if not full_plane:
-        for cov in all_pts:     # covectors of lines in the coordinate plane
-            if all(q in locus for q in all_pts if _on_line(q, cov, field)):
-                lines.append(tuple(int(c) for c in cov))
-    covered = set()
-    for cov in lines:
-        covered |= {q for q in locus if _on_line(q, cov, field)}
-    points = sorted(q for q in locus - covered)
-    line_objs = []
-    for cov in lines:
-        k = kernel_basis([[field.of(c) for c in cov]], field, 3)
-        p0 = ProjPoint.make(plane.combination(k[0]), field)
-        p1 = ProjPoint.make(plane.combination(k[1]), field)
-        line_objs.append(SectionLine(cov, (p0, p1)))
-    pts = tuple(ProjPoint.make(plane.combination(p), field) for p in points)
-    return SectionDescription(tuple(line_objs), pts, tuple(points),
-                              (field.name,), full_plane)
-
-
-def _certify(plane: LinearSubspace, variety: str, desc: SectionDescription,
-             field: PrimeField) -> None:
+def _certify(plane: LinearSubspace, desc: SectionDescription, field: PrimeField) -> None:
     """Compare the rational description with an exhaustive mod-p enumeration."""
     rows = [ProjPoint.make(b, QQ).primitive_int_coords() for b in plane.basis]
     red = [[field.of(x) for x in r] for r in rows]
     if rank(red, field) != 3:
         raise CertificationError(f"plane degenerates modulo {field.p}")
     mod_plane = LinearSubspace.span(red, field)
-    computed = _finite_locus(mod_plane, variety, field)
+    computed = _finite_locus(mod_plane, field)
     described = set()
     for coeffs in projective_points(field, 3):
         if desc.full_plane:
@@ -488,8 +415,7 @@ def _pencil_minors(u, v, field) -> tuple[tuple, tuple]:
             (f.zero, x45, f.zero, f.neg(x(2, 5)), f.neg(x(2, 4))))
 
 
-def collinearity_scan(b: "ProjPoint | BiVector",
-                      span_vectors: "tuple | None" = None) -> "CollinearityWitness | None":
+def collinearity_scan(b: BiVector) -> "CollinearityWitness | None":
     """Find [t:s] with W_b meeting <e1, t e2 + s e3>, as exact linear algebra.
 
     The five maximal minors of the 4x5 matrix stacking W_b = <u, v>, e1 and
@@ -498,9 +424,8 @@ def collinearity_scan(b: "ProjPoint | BiVector",
     Plücker coordinates of u ^ v; a witness exists iff they have a common
     projective zero.
     """
-    omega = b if isinstance(b, BiVector) else BiVector.make(b.coords, b.field)
-    field = omega.field
-    u, v = span_vectors if span_vectors is not None else plane_spanned_by(omega)
+    field = b.field
+    u, v = plane_spanned_by(b)
     e1 = [field.one] + [field.zero] * 4
     e2 = [field.zero, field.one] + [field.zero] * 3
     e3 = [field.zero] * 2 + [field.one] + [field.zero] * 2

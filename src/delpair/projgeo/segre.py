@@ -11,53 +11,18 @@ from __future__ import annotations
 import itertools
 
 from ..report import FAIL, PASS, CheckReport
-from .linalg import (
-    PrimeField,
-    normalize_projective,
-    prime_field,
-    projective_points,
-    rref,
-)
+from .linalg import PrimeField, prime_field, projective_points, rref
 
+# The minors z_a z_b - z_c z_d, as ((a, b), (c, d)), that cut out the image.
 _MINORS = (((0, 4), (1, 3)), ((0, 5), (2, 3)), ((1, 5), (2, 4)))
 
 
-def segre_quadrics(coords: tuple, field) -> tuple:
-    """The three 2x2 minors cutting out the variety."""
-    z = [field.of(c) for c in coords]
-    return tuple(
-        field.sub(field.mul(z[a], z[b]), field.mul(z[c], z[d]))
-        for ((a, b), (c, d)) in _MINORS
-    )
-
-
-def segre_polarization(x: tuple, y: tuple, field) -> tuple:
-    """Polar bilinear forms B(x, y) = Q(x + y) - Q(x) - Q(y) of the minors."""
-    xs = [field.of(c) for c in x]
-    ys = [field.of(c) for c in y]
-    out = []
-    for ((a, b), (c, d)) in _MINORS:
-        v = field.add(field.mul(xs[a], ys[b]), field.mul(ys[a], xs[b]))
-        v = field.sub(v, field.mul(xs[c], ys[d]))
-        v = field.sub(v, field.mul(ys[c], xs[d]))
-        out.append(v)
-    return tuple(out)
-
-
-def segre_point(a: tuple, b: tuple, field) -> tuple:
+def segre_point(a: tuple, b: tuple, field: PrimeField) -> tuple:
     """Canonical image of (a, b) in the ambient projective 5-space.
 
-    Over a prime field the integer coordinates are multiplied and scaled as
-    plain ints mod p.
+    The integer coordinates are multiplied and scaled as plain ints mod p.
     """
-    coords = tuple(ai * bj for ai in a for bj in b)
-    if isinstance(field, PrimeField):
-        return _canonical_mod(coords, field.p)
-    return normalize_projective(coords, field)
-
-
-def on_segre(coords: tuple, field) -> bool:
-    return all(q == field.zero for q in segre_quadrics(coords, field))
+    return _canonical_mod(tuple(ai * bj for ai in a for bj in b), field.p)
 
 
 def _canonical_mod(coords, q: int) -> tuple:

@@ -30,10 +30,6 @@ class CheckReport:
         if self.status in (FAIL, INDETERMINATE) and not (self.witnesses or self.notes):
             raise ValueError(f"{self.status} report needs witnesses or notes")
 
-    @property
-    def ok(self) -> bool:
-        return self.status != FAIL
-
     def to_dict(self) -> dict:
         return {
             "check_id": self.check_id,

@@ -36,7 +36,6 @@ RADIAL = _Radial()
 class SFFContext:
     """Weight data of an ambient VMRT and (optionally) an embedded sub-VMRT."""
 
-    pair: "DeletionPair | None"
     rs: RootSystem
     gamma: Root
     noncompact: frozenset[Root]
@@ -48,10 +47,9 @@ class SFFContext:
     def for_ambient(md: MarkedDiagram) -> "SFFContext":
         """Ambient-only context: enough for sff_value, not for kernels."""
         rs = md.root_system()
-        psi = hss.psi_gamma(md)
-        nc = hss.noncompact_positive_roots(md)
-        return SFFContext(None, rs, psi.radial, frozenset(nc.weights),
-                          frozenset(psi.weights.weights), None, None)
+        return SFFContext(rs, rs.simple_root(md.single_mark),
+                          hss.noncompact_positive_roots(md), hss.psi_gamma(md),
+                          None, None)
 
     @staticmethod
     def for_pair(pair: DeletionPair) -> "SFFContext":
@@ -59,10 +57,9 @@ class SFFContext:
         corr = pair.correspondence
         srs = pair.sub_rs()
         gamma0 = srs.simple_root(pair.gamma0)
-        psi0 = hss.psi_gamma(pair.sub)
         amb = pair.ambient.diagram
         sub_tangent = set()
-        for mu0 in psi0.weights.weights:
+        for mu0 in hss.psi_gamma(pair.sub):
             kappa0 = mu0 - gamma0           # compact sub root, nonzero
             coeffs = [0] * amb.rank
             for label, c in zip(pair.sub.diagram.nodes, kappa0.coeffs):
@@ -71,7 +68,7 @@ class SFFContext:
         bad = sub_tangent - base.psi
         if bad:
             raise AssertionError(f"sub-VMRT tangent leaves Psi_gamma: {sorted(bad)[:3]}")
-        return SFFContext(pair, base.rs, base.gamma, base.noncompact, base.psi,
+        return SFFContext(base.rs, base.gamma, base.noncompact, base.psi,
                           frozenset(sub_tangent), corr.noncompact_image)
 
     def require_pair(self) -> None:
@@ -118,7 +115,6 @@ class KernelReport:
 
     mode: str                        # "sigma" or "tau"
     kernel_weights: frozenset[Root]  # non-radial kernel directions
-    radial: bool                     # the radial line always lies in the kernel
     strict: bool
     witnesses: tuple[Root, ...]
 
@@ -138,7 +134,7 @@ def _kernel(ctx: SFFContext, mode: str) -> KernelReport:
         strict = bool(kernel)
     else:
         strict = ctx.sub_tangent <= kernel and kernel != ctx.sub_tangent
-    return KernelReport(mode, frozenset(kernel), True, strict,
+    return KernelReport(mode, frozenset(kernel), strict,
                         tuple(sorted(kernel)))
 
 
@@ -198,7 +194,7 @@ def verify_infinity_locus(pair: DeletionPair) -> CheckReport:
         return sum(beta.coeffs[i] for i in theta_idx) == expected_theta_total
 
     nc0 = hss.noncompact_positive_roots(pair.sub)
-    for beta in sorted(nc0.weights):
+    for beta in sorted(nc0):
         pr = srs.pairing(beta, gamma0_sub)
         image = corr.apply(beta)
         reflected = ars.reflect(pair.gamma0, image)
@@ -222,9 +218,9 @@ def verify_infinity_locus(pair: DeletionPair) -> CheckReport:
     if ars.reflect(pair.gamma0, gamma) != gamma + gamma0_amb:
         failures.append({"check": "c"})
 
-    lhs = frozenset(ars.reflect(pair.gamma0, corr.apply(b)) for b in nc0.weights)
+    lhs = frozenset(ars.reflect(pair.gamma0, corr.apply(b)) for b in nc0)
     nc = hss.noncompact_positive_roots(pair.ambient)
-    rhs = frozenset(b for b in nc.weights if ars.pairing(b, gamma) == 1)
+    rhs = frozenset(b for b in nc if ars.pairing(b, gamma) == 1)
     if lhs != rhs:
         failures.append({
             "check": "d",

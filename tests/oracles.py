@@ -9,9 +9,14 @@ arithmetic; the Lie bracket acts on dict-built elements keyed by roots and
 coroots instead of basis indices, and second fundamental form values come
 from two such brackets instead of the closed-form product of structure
 constants; counts come from closed formulas; the Grassmannian is
-enumerated through field-object bivectors, the maximal minors of the
-collinearity scan are expanded as generic determinants, and rational plane
-sections are found with sympy's polynomial gcd, factorization and division.
+enumerated through field-object bivectors, and the maximal minors of the
+collinearity scan are expanded as generic determinants.  Plane sections
+come from two oracles that share none of the quadric or solver code of
+``plane_section``: over a
+prime field, every point of the plane is tested and the locus is regrouped
+into the lines it contains and the points left over; over the rationals,
+the plane is substituted into quadrics written out here and the locus is
+found with sympy's polynomial gcd, factorization, division and nullspace.
 """
 from __future__ import annotations
 
@@ -22,14 +27,8 @@ from fractions import Fraction
 import sympy
 
 from delpair.chevalley import ChevalleyTable
-from delpair.projgeo.linalg import QQ, primitive_int_covector
-from delpair.projgeo.plucker import (
-    BiVector,
-    SectionUnsupportedError,
-    _on_line,
-    _restricted_forms,
-    _solve_linear_locus,
-)
+from delpair.projgeo.linalg import primitive_int_covector, projective_points
+from delpair.projgeo.plucker import BiVector, SectionUnsupportedError
 from delpair.rootsys import DynkinDiagram, Root, RootSystem
 
 COUNT_FORMULAS = {
@@ -374,7 +373,40 @@ def det3(m: list[list], field):
     return f.sub(pos, neg)
 
 
-# -- rational plane sections through sympy ------------------------------------
+# -- plane sections ----------------------------------------------------------
+
+def plucker_quadric_values(x) -> list:
+    """The quadrics 2 (x_ab x_cd - x_ac x_bd + x_ad x_bc) over the 4-subsets
+    {a < b < c < d} of {1..5}, on coordinates x_ij (i < j) in lexicographic
+    order.  The entries only need to multiply: ints, Fractions or sympy terms.
+    """
+    x = dict(zip(itertools.combinations(range(1, 6), 2), x))
+    return [2 * (x[a, b] * x[c, d] - x[a, c] * x[b, d] + x[a, d] * x[b, c])
+            for a, b, c, d in itertools.combinations(range(1, 6), 4)]
+
+
+def finite_plane_section(plane):
+    """(lines, isolated points, full_plane) of a plane over F_p, exhaustively.
+
+    Every point of the plane is tested on the Plücker quadrics; a line of the
+    coordinate plane is a component when all its points lie in the locus, and
+    the isolated points are the locus points on no such line.  Lines are
+    canonical covectors and points canonical plane coordinates, mod p.
+    """
+    p = plane.field.p
+    all_pts = list(projective_points(plane.field, 3))
+    locus = {c for c in all_pts
+             if not any(q % p for q in plucker_quadric_values(plane.combination(c)))}
+
+    def on(point, cov):
+        return sum(a * b for a, b in zip(cov, point)) % p == 0
+
+    if len(locus) == len(all_pts):
+        return [], [], True
+    lines = [cov for cov in all_pts if all(q in locus for q in all_pts if on(q, cov))]
+    points = sorted(q for q in locus if not any(on(q, cov) for cov in lines))
+    return lines, points, False
+
 
 SYMBOLS = sympy.symbols("u v w")
 
@@ -386,6 +418,10 @@ def form_to_sympy(form: dict) -> sympy.Poly:
     return sympy.Poly(expr, *SYMBOLS, domain="QQ")
 
 
+def _sympy_covector(values) -> tuple[int, ...]:
+    return primitive_int_covector([Fraction(str(c)) for c in values])
+
+
 def sympy_linear_factors(poly: sympy.Poly) -> list[tuple[int, int, int]]:
     """Linear factors of a homogeneous polynomial with multiplicity, as
     primitive covectors; an irreducible factor of degree >= 2 raises."""
@@ -394,22 +430,39 @@ def sympy_linear_factors(poly: sympy.Poly) -> list[tuple[int, int, int]]:
     for fac, mult in factors:
         p = sympy.Poly(fac, *SYMBOLS)
         if p.total_degree() == 1:
-            coeffs = [p.coeff_monomial(s) for s in SYMBOLS]
-            out += [primitive_int_covector([Fraction(str(c)) for c in coeffs])] * mult
+            out += [_sympy_covector(p.coeff_monomial(s) for s in SYMBOLS)] * mult
         elif p.total_degree() >= 2:
             raise SectionUnsupportedError(
                 f"irreducible factor of degree {p.total_degree()}: {fac}")
     return out
 
 
-def sympy_section_locus(plane, variety: str):
+def _sympy_linear_locus(covectors):
+    """("line", covector), ("point", coords) or ("empty", None), by rank."""
+    m = sympy.Matrix(covectors)
+    rank = m.rank()
+    if rank == 1:
+        return "line", _sympy_covector(next(r for r in m.tolist() if any(r)))
+    if rank == 2:
+        return "point", _sympy_covector(m.nullspace()[0])
+    return "empty", None
+
+
+def sympy_section_locus(plane, quadrics=plucker_quadric_values):
     """(lines, isolated points, full_plane) of a rational plane section.
 
-    The gcd g of the nonzero restricted forms gives the common lines; when g
-    is linear the residues of the forms by g cut out the rest, and when g is
-    constant the line components of every form are intersected.
+    The point u b0 + v b1 + w b2 of the plane is substituted into the
+    quadrics (the Plücker quadrics by default) with sympy.  The gcd g of the
+    nonzero restricted forms gives the common lines; when g is linear the
+    residues of the forms by g cut out the rest, and when g is constant the
+    line components of every form are intersected.
     """
-    polys = [form_to_sympy(f) for f in _restricted_forms(plane, variety)]
+    u, v, w = SYMBOLS
+    point = [u * sympy.Rational(a.numerator, a.denominator)
+             + v * sympy.Rational(b.numerator, b.denominator)
+             + w * sympy.Rational(c.numerator, c.denominator)
+             for a, b, c in zip(*plane.basis)]
+    polys = [sympy.Poly(q, *SYMBOLS, domain="QQ") for q in quadrics(point)]
     nonzero = [p for p in polys if not p.is_zero]
     lines, points = [], []
     if not nonzero:
@@ -421,7 +474,7 @@ def sympy_section_locus(plane, variety: str):
     if g.total_degree() == 0:
         all_factors = [sympy_linear_factors(p) for p in nonzero]
         for choice in itertools.product(*all_factors):
-            kind, payload = _solve_linear_locus(list(choice), QQ)
+            kind, payload = _sympy_linear_locus(list(choice))
             if kind == "line":
                 lines.append(payload)
             elif kind == "point" and payload not in points:
@@ -432,11 +485,12 @@ def sympy_section_locus(plane, variety: str):
             residues = [sympy.Poly(sympy.div(p.as_expr(), g.as_expr(), *SYMBOLS)[0],
                                    *SYMBOLS) for p in nonzero]
             covs = [sympy_linear_factors(r)[0] for r in residues]
-            kind, payload = _solve_linear_locus(covs, QQ)
+            kind, payload = _sympy_linear_locus(covs)
             if kind == "line":
                 lines.append(payload)
             elif kind == "point":
                 points.append(payload)
     lines = sorted(set(lines))
-    points = [pt for pt in points if not any(_on_line(pt, c, QQ) for c in lines)]
+    points = [pt for pt in points
+              if not any(sum(a * b for a, b in zip(c, pt)) == 0 for c in lines)]
     return lines, points, False

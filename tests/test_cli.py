@@ -170,9 +170,15 @@ def test_cli_import_leaves_sympy_out():
     assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
 
 
-def test_cli_bad_config_exit_2(tmp_path):
+def test_cli_bad_config_exit_2(tmp_path, capsys):
     assert main(["run-all", "--max-rank", "3"]) == 2
     assert main(["pluecker", "section", "--point", "garbage"]) == 2
+    capsys.readouterr()
+    missing = tmp_path / "missing" / "x.json"
+    for argv in (["vmrt-chain"], ["run-all", "--max-rank", "4", "--primes", "3"]):
+        assert main(argv + ["--out", str(missing)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and str(missing) in err[0]
 
 
 def test_config_validation():

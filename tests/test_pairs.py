@@ -1,6 +1,7 @@
 import pytest
 
 from delpair import hss
+from delpair.normalbundle import normal_weights
 from delpair.pairs import (
     CorrespondenceError,
     DeletionPair,
@@ -78,7 +79,14 @@ def test_every_catalog_pair_verifies(catalog7):
         nc = hss.noncompact_positive_roots(pair.ambient)
         image = corr.noncompact_image
         assert len(image) == len(nc0)
-        assert image <= nc.weights
+        assert image <= nc
+        # every weight set is a set of roots of its own system
+        for md, weights in ((pair.ambient, nc), (pair.sub, nc0),
+                            (pair.ambient, hss.psi_gamma(pair.ambient)),
+                            (pair.sub, hss.psi_gamma(pair.sub)),
+                            (pair.ambient, normal_weights(pair))):
+            rs = md.root_system()
+            assert weights and all(rs.is_root(w) for w in weights), (pair, md)
 
 
 def test_corrupted_gamma_fails_with_named_invariant(catalog7):
@@ -118,7 +126,6 @@ def test_decomposition_composes_to_direct_phi(catalog7):
 
 
 def test_dimension_bookkeeping(catalog7):
-    from delpair.normalbundle import normal_weights
     for pair in catalog7.values():
         nc0 = len(hss.noncompact_positive_roots(pair.sub))
         nc = len(hss.noncompact_positive_roots(pair.ambient))

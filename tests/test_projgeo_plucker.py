@@ -32,7 +32,6 @@ from delpair.projgeo.plucker import (
     dee_exhaustive_survey,
     ell_generators,
     grassmannian_membership,
-    line_ell_points,
     parse_bivector,
     plane_section,
     plucker_quadrics,
@@ -42,6 +41,7 @@ from delpair.projgeo.plucker import (
 )
 from oracles import (
     enumerate_grassmannian,
+    finite_plane_section,
     form_to_sympy,
     gaussian_binomial_2_of_5,
     maximal_minors,
@@ -170,7 +170,7 @@ def test_bivector_literal_parsing():
 # -- plane sections -----------------------------------------------------------
 
 def test_section_span_e45_is_line_plus_point():
-    section = plane_section(span_with_ell(parse_bivector("e4^e5")), "grassmannian")
+    section = plane_section(span_with_ell(parse_bivector("e4^e5")))
     assert section.shape() == (1, 1)
     assert section.certified_over == ("QQ", "F5", "F7")
     assert not section.full_plane
@@ -180,7 +180,7 @@ def test_section_span_e45_is_line_plus_point():
 
 
 def test_section_span_e24_is_two_lines():
-    section = plane_section(span_with_ell(parse_bivector("e2^e4")), "grassmannian")
+    section = plane_section(span_with_ell(parse_bivector("e2^e4")))
     assert section.shape() == (2, 0)
     # the extra line passes through e2^e4 and e1^e2
     extra_pts = set()
@@ -195,29 +195,19 @@ def test_section_span_e24_is_two_lines():
 
 def test_section_of_plane_inside_variety_is_full_plane():
     # span(e2^e3, ell) is the plane of lines inside a fixed 3-space
-    section = plane_section(span_with_ell(parse_bivector("e2^e3")), "grassmannian")
+    section = plane_section(span_with_ell(parse_bivector("e2^e3")))
     assert section.full_plane
     assert section.shape() == (0, 0)
 
 
 def test_section_lines_substitute_back():
-    section = plane_section(span_with_ell(parse_bivector("e4^e5")), "grassmannian")
+    section = plane_section(span_with_ell(parse_bivector("e4^e5")))
     for line in section.lines:
         p, q = line.span
         for t, s in ((1, 0), (0, 1), (1, 1), (2, -3)):
             coords = tuple(QQ.add(QQ.mul(QQ.of(t), a), QQ.mul(QQ.of(s), b))
                            for a, b in zip(p.coords, q.coords))
             assert grassmannian_membership(BiVector.make(coords))
-
-
-def test_finite_field_section_matches_rational_description():
-    field = prime_field(5)
-    b = parse_bivector("e4^e5", field)
-    g1, g2 = ell_generators(field)
-    plane = LinearSubspace.span([b.coords, g1.coords, g2.coords], field)
-    section = plane_section(plane, "grassmannian")
-    assert section.shape() == (1, 1)
-    assert section.certified_over == ("F5",)
 
 
 def test_certification_failure_is_hard():
@@ -231,13 +221,13 @@ def test_certification_failure_is_hard():
     v3[9] = Fraction(1)                          # e4^e5
     plane = LinearSubspace.span([v1, v2, v3], QQ)
     with pytest.raises(CertificationError, match="degenerates modulo 5"):
-        plane_section(plane, "grassmannian", primes=(5,))
+        plane_section(plane, primes=(5,))
 
 
 def test_isolated_points_sorted_by_plane_coordinates():
     plane = LinearSubspace.span([parse_bivector(t).coords
                                  for t in ("e1^e3 + e1^e5", "e2^e5", "e3^e4")], QQ)
-    section = plane_section(plane, "grassmannian")
+    section = plane_section(plane)
     assert section.shape() == (0, 3)
     assert section.isolated_plane_coords == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
 
@@ -248,7 +238,7 @@ def test_non_split_restricted_form_is_unsupported():
                                  ("e1^e2 + e1^e4", "e1^e4 + e2^e5", "e3^e5 - e4^e5")], QQ)
     with pytest.raises(SectionUnsupportedError,
                        match=r"form 2\*u\*v - 2\*u\*w - 2\*v\^2 is not a product"):
-        plane_section(plane, "grassmannian")
+        plane_section(plane)
 
 
 # -- the closed-form section path against the sympy oracle ---------------------
@@ -328,35 +318,33 @@ def _sparse(rng, n, k):
 
 
 def _seeded_planes(rng, n):
-    """n rational planes: spans of ell with a decomposable or a sparse bivector,
-    sparse planes of bivectors, and sparse planes of the Segre ambient space."""
+    """n rational planes of bivectors: spans of ell with a decomposable or a
+    sparse bivector, and sparse planes."""
     e12, e13 = [1] + [0] * 9, [0, 1] + [0] * 8
     made = 0
     while made < n:
-        kind = made % 4
+        kind = made % 3
         if kind == 0:
             u, v = ([rng.randint(-2, 2) for _ in range(5)] for _ in range(2))
-            vecs, variety = [BiVector.wedge(u, v).coords, e12, e13], "grassmannian"
+            vecs = [BiVector.wedge(u, v).coords, e12, e13]
         elif kind == 1:
-            vecs, variety = [_sparse(rng, 10, rng.randint(1, 4)), e12, e13], "grassmannian"
-        elif kind == 2:
-            vecs, variety = [_sparse(rng, 10, rng.randint(1, 3)) for _ in range(3)], "grassmannian"
+            vecs = [_sparse(rng, 10, rng.randint(1, 4)), e12, e13]
         else:
-            vecs, variety = [_sparse(rng, 6, rng.randint(1, 3)) for _ in range(3)], "segre"
+            vecs = [_sparse(rng, 10, rng.randint(1, 3)) for _ in range(3)]
         if rank([[Fraction(x) for x in v] for v in vecs], QQ) == 3:
             made += 1
-            yield LinearSubspace.span(vecs, QQ), variety
+            yield LinearSubspace.span(vecs, QQ)
 
 
 def test_plane_sections_match_sympy_oracle():
     outcomes = Counter()
-    for plane, variety in _seeded_planes(random.Random(1), 1000):
+    for plane in _seeded_planes(random.Random(1), 1000):
         try:
-            section = plane_section(plane, variety, primes=())
+            section = plane_section(plane, primes=())
         except SectionUnsupportedError:
             section = None
         try:
-            lines, points, full_plane = sympy_section_locus(plane, variety)
+            lines, points, full_plane = sympy_section_locus(plane)
         except SectionUnsupportedError:
             assert section is None, plane
             outcomes["unsupported"] += 1
@@ -371,6 +359,31 @@ def test_plane_sections_match_sympy_oracle():
     assert {"unsupported", "full plane", (1, 1), (2, 0), (1, 0), (0, 3)} <= set(outcomes)
 
 
+def test_finite_section_oracle_matches_reduced_rational_section():
+    # the rational description, reduced mod p, against the regrouped F_p
+    # enumeration of the plane that certification at p reduces to
+    certified = Counter()
+    e45 = span_with_ell(parse_bivector("e4^e5"))
+    for plane in itertools.chain([e45], _seeded_planes(random.Random(2), 150)):
+        for p in (5, 7):
+            try:
+                section = plane_section(plane, primes=(p,))
+            except (CertificationError, SectionUnsupportedError):
+                continue
+            field = prime_field(p)
+            mod_plane = LinearSubspace.span(
+                [primitive_int_covector(b) for b in plane.basis], field)
+            lines, points, full_plane = finite_plane_section(mod_plane)
+            reduced = {normalize_projective(ln.plane_form, field) for ln in section.lines}
+            isolated = {normalize_projective(pt, field) for pt in section.isolated_plane_coords}
+            assert full_plane == section.full_plane, plane
+            assert set(lines) == reduced, plane
+            assert set(points) == {pt for pt in isolated if not any(
+                sum(c * x for c, x in zip(cov, pt)) % p == 0 for cov in reduced)}, plane
+            certified[p] += 1
+    assert certified[5] >= 100 and certified[7] >= 100, certified
+
+
 def test_grassmannian_enumeration_count_oracle():
     field = prime_field(5)
     points = list(enumerate_grassmannian(field))
@@ -380,6 +393,17 @@ def test_grassmannian_enumeration_count_oracle():
 
 
 # -- closed forms against the generic oracles, on every point of G(2,5)(F5) ----
+
+def line_ell_points(field) -> set[tuple]:
+    """The canonical points t e1^e2 + s e1^e3 of ell over a prime field."""
+    g1, g2 = ell_generators(field)
+    pts = set()
+    for (t, s) in projective_points(field, 2):
+        coords = tuple(field.add(field.mul(t, a), field.mul(s, b))
+                       for a, b in zip(g1.coords, g2.coords))
+        pts.add(normalize_projective(coords, field))
+    return pts
+
 
 @pytest.fixture(scope="module")
 def f5_points():
@@ -458,7 +482,7 @@ def test_collinearity_examples():
 
 def test_no_witness_means_no_extra_line_through_b():
     # e4^e5 has no witness; its section carries no line through b
-    section = plane_section(span_with_ell(parse_bivector("e4^e5")), "grassmannian")
+    section = plane_section(span_with_ell(parse_bivector("e4^e5")))
     e45 = parse_bivector("e4^e5")
     b = ProjPoint.make(e45.coords, e45.field)
     for line in section.lines:

@@ -1,11 +1,15 @@
-from delpair.projgeo.linalg import LinearSubspace, prime_field, projective_points
-from delpair.projgeo.plucker import plane_section
-from delpair.projgeo.segre import (
-    on_segre,
-    segre_fitting_report,
-    segre_point,
-    segre_quadrics,
-)
+from delpair.projgeo.linalg import QQ, LinearSubspace, ProjPoint, prime_field, projective_points
+from delpair.projgeo.segre import _MINORS, segre_fitting_report, segre_point
+from oracles import sympy_section_locus
+
+
+def segre_minors(z) -> list:
+    """The 2x2 minors of the coordinate matrix [[z0, z1, z2], [z3, z4, z5]]."""
+    return [z[0] * z[4] - z[1] * z[3], z[0] * z[5] - z[2] * z[3], z[1] * z[5] - z[2] * z[4]]
+
+
+def rational_segre_point(a: tuple, b: tuple) -> tuple:
+    return tuple(ai * bj for ai in a for bj in b)
 
 
 def test_segre_point_counts():
@@ -19,12 +23,14 @@ def test_segre_point_counts():
 
 
 def test_quadrics_cut_out_the_image():
+    # the minors that _span_section tests, against the image itself
     field = prime_field(3)
     image = {segre_point(a, b, field)
              for a in projective_points(field, 2)
              for b in projective_points(field, 3)}
     for z in projective_points(field, 6):
-        assert (z in image) == on_segre(z, field)
+        on_segre = not any((z[a] * z[b] - z[c] * z[d]) % 3 for (a, b), (c, d) in _MINORS)
+        assert (z in image) == on_segre
 
 
 def test_fitting_report_passes_f2_and_f3():
@@ -57,27 +63,24 @@ def test_f3_config_count_by_direct_double_loop():
 
 
 def test_zero_one_line_plus_point_section_over_rationals():
-    # plane spanned by the line {x} x L and an off-line point, over QQ,
-    # certified over F2 and F3: exactly one line plus one isolated point
-    from delpair.projgeo.linalg import QQ
+    # plane spanned by the line {x} x L and an off-line point, over QQ:
+    # exactly one line plus one isolated point
     x = (1, 0)
-    m0 = segre_point(x, (1, 0, 0), QQ)
-    m1 = segre_point(x, (0, 1, 0), QQ)     # L = the line {b2 = 0}
-    pt = segre_point((0, 1), (0, 0, 1), QQ)
+    m0 = rational_segre_point(x, (1, 0, 0))
+    m1 = rational_segre_point(x, (0, 1, 0))     # L = the line {b2 = 0}
+    pt = rational_segre_point((0, 1), (0, 0, 1))
     plane = LinearSubspace.span([m0, m1, pt], QQ)
-    section = plane_section(plane, "segre", primes=(2, 3))
-    assert section.shape() == (1, 1)
-    assert section.certified_over == ("QQ", "F2", "F3")
-    assert section.isolated_points[0].coords == pt
+    lines, points, full_plane = sympy_section_locus(plane, segre_minors)
+    assert (len(lines), len(points), full_plane) == (1, 1, False)
+    assert ProjPoint.make(plane.combination(points[0])) == ProjPoint.make(pt)
 
 
 def test_one_zero_line_plus_point_has_witness_curve():
     # the same span built on a (1,0)-line picks up the joining curve
-    from delpair.projgeo.linalg import QQ
     y = (1, 0, 0)
-    m0 = segre_point((1, 0), y, QQ)
-    m1 = segre_point((0, 1), y, QQ)
-    pt = segre_point((1, 0), (0, 1, 0), QQ)
+    m0 = rational_segre_point((1, 0), y)
+    m1 = rational_segre_point((0, 1), y)
+    pt = rational_segre_point((1, 0), (0, 1, 0))
     plane = LinearSubspace.span([m0, m1, pt], QQ)
-    section = plane_section(plane, "segre", primes=(2, 3))
-    assert len(section.lines) >= 2            # never just line plus point
+    lines, _, full_plane = sympy_section_locus(plane, segre_minors)
+    assert len(lines) >= 2 and not full_plane      # never just line plus point
