@@ -397,11 +397,16 @@ def _config(args) -> RunConfig:
     """The run configuration; its echo in the bundle names the primes that ran."""
     config = RunConfig(max_rank=args.max_rank, fmt=args.fmt, seed=args.seed)
     if args.command == "segre":
-        if args.primes:
+        if args.primes is not None:
             raise ValueError("segre fitting takes its prime from --q, not --primes")
         return replace(config, primes_segre=(args.q,))
-    if args.primes:
-        return replace(config, primes_plucker=tuple(int(x) for x in args.primes.split(",")))
+    if args.primes is not None:
+        try:
+            primes = tuple(int(x) for x in args.primes.split(","))
+        except ValueError:
+            raise ValueError(
+                f"--primes takes comma-separated integers, not {args.primes!r}") from None
+        return replace(config, primes_plucker=primes)
     return config
 
 

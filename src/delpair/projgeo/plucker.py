@@ -472,16 +472,6 @@ def _echelon_cells(p: int):
         yield us, vs
 
 
-def _wedge_mod(u, v, p: int) -> tuple:
-    """The Plücker coordinates of u ^ v as plain ints mod p, in PAIRS order."""
-    return tuple((u[i - 1] * v[j - 1] - u[j - 1] * v[i - 1]) % p for i, j in PAIRS)
-
-
-def _on_ell(x: tuple) -> bool:
-    """b lies on ell = {[e1 ^ (t e2 + s e3)]} iff only x12 and x13 are nonzero."""
-    return not any(x[2:])
-
-
 def _polarization_rank(x: tuple, p: int) -> int:
     """Rank of the rows (B_S(b, e1^e2), B_S(b, e1^e3)) over the five quadrics S.
 
@@ -512,22 +502,6 @@ def _pencil_parameter(x: tuple, p: int) -> "tuple | None":
     if any((a * c2 - c * a2) % p for a2, c2 in rows[1:]):
         return None
     return (-c % p, a)
-
-
-def _common_vector(u, v, t: int, s: int, p: int) -> tuple:
-    """A nonzero alpha u + beta v in <e1, t e2 + s e3>, solved from u and v alone.
-
-    The vector w lies in that plane iff w4 = w5 = 0 and (w2, w3) is
-    proportional to (t, s); each condition is one linear form in
-    (alpha, beta), and the first nonzero one fixes [alpha : beta].
-    """
-    conds = ((u[3], v[3]), (u[4], v[4]),
-             ((u[1] * s - u[2] * t) % p, (v[1] * s - v[2] * t) % p))
-    alpha, beta = next(((c2, -c1 % p) for c1, c2 in conds if c1 or c2), (1, 0))
-    w = tuple((alpha * a + beta * b) % p for a, b in zip(u, v))
-    if not any(w) or w[3] or w[4] or (w[1] * s - w[2] * t) % p:
-        raise AssertionError(f"witness parameter [{t}:{s}] without a common vector")
-    return w
 
 
 @dataclass(frozen=True)
@@ -573,13 +547,19 @@ def dee_exhaustive_survey(p: int) -> SurveyReport:
     """Classify the plane section span<b, ell> for every boundary point b.
 
     G(2,5)(F_p) is enumerated through the reduced-echelon cells in plain ints
-    mod p; x45 is computed first, so affine points are counted and skipped.
-    For each b = u ^ v on the divisor {x45 = 0} away from ell the restricted
+    mod p.  Within a cell, u and (v4, v5) fix x45 = u4 v5 - u5 v4 for the
+    whole block of free (v1, v2, v3) values, so an affine block is counted
+    by its size without visiting its points; the point counts are summed
+    over these blocks, never taken from p^6 or the Gaussian binomial.  Each
+    b = u ^ v on the divisor {x45 = 0} away from ell is read through the
+    seven coordinates x14, x15, x23, x24, x25, x34, x35.  Its restricted
     quadrics come from polarization: halved, the rows (B_S(b, e1^e2),
     B_S(b, e1^e3)) that can be nonzero are (x35, -x25) and (x34, -x24), and
     the extra locus on u != 0 is read off their rank.  The collinearity
     parameter [t:s] is read from the signed Plücker minors (0, 0, x45, x35,
-    x34) of [u; v; e1; e2] and (0, x45, 0, -x25, -x24) of [u; v; e1; e3]; a
+    x34) of [u; v; e1; e2] and (0, x45, 0, -x25, -x24) of [u; v; e1; e3].
+    Both depend only on the class (x24, x25, x34, x35), so they come from a
+    table of at most p^4 entries filled on first use.  For every point a
     common vector of W_b and <e1, t e2 + s e3> is then solved from u and v
     alone and checked, and the implication "witness => extra component" is
     asserted pointwise.
@@ -592,39 +572,75 @@ def dee_exhaustive_survey(p: int) -> SurveyReport:
     exact = extra = fullplane = nowitness = 0
     witness_without_extra = 0
     excl_meeting = excl_axis = 0
+    classes: dict[tuple, tuple] = {}    # (x24, x25, x34, x35) -> (rank, [t:s])
 
     for us, vs in _echelon_cells(p):
-        for u in itertools.product(*us):
-            for v in itertools.product(*vs):
-                total += 1
-                if (u[3] * v[4] - u[4] * v[3]) % p:
-                    affine += 1
+        r1, r2, r3, r4, r5 = vs
+        block = len(r1) * len(r2) * len(r3)
+        for u1, u2, u3, u4, u5 in itertools.product(*us):
+            for v4, v5 in itertools.product(r4, r5):
+                total += block
+                if (u4 * v5 - u5 * v4) % p:
+                    affine += block
                     continue
-                dee += 1
-                x = _wedge_mod(u, v, p)
-                if _on_ell(x):
-                    continue
-                surveyed += 1
+                dee += block
+                for v1 in r1:
+                    x14 = (u1 * v4 - u4 * v1) % p
+                    x15 = (u1 * v5 - u5 * v1) % p
+                    for v2 in r2:
+                        x24 = (u2 * v4 - u4 * v2) % p
+                        x25 = (u2 * v5 - u5 * v2) % p
+                        for v3 in r3:
+                            x23 = (u2 * v3 - u3 * v2) % p
+                            x34 = (u3 * v4 - u4 * v3) % p
+                            x35 = (u3 * v5 - u5 * v3) % p
+                            if not (x14 or x15 or x23 or x24 or x25 or x34 or x35):
+                                continue           # b lies on ell
+                            surveyed += 1
 
-                r = _polarization_rank(x, p)
-                if r == 2:
-                    exact += 1
-                elif r == 1:
-                    extra += 1
-                else:
-                    extra += 1
-                    fullplane += 1
+                            key = (x24, x25, x34, x35)
+                            cls = classes.get(key)
+                            if cls is None:
+                                x = (0, 0, 0, 0, 0, x24, x25, x34, x35, 0)
+                                cls = classes[key] = (_polarization_rank(x, p),
+                                                      _pencil_parameter(x, p))
+                            r, param = cls
+                            if r == 2:
+                                exact += 1
+                            elif r == 1:
+                                extra += 1
+                            else:
+                                extra += 1
+                                fullplane += 1
 
-                param = _pencil_parameter(x, p)
-                if param is None:
-                    nowitness += 1
-                else:
-                    _common_vector(u, v, *param, p)
-                    excl_meeting += 1
-                    if r == 2:
-                        witness_without_extra += 1
-                if not any(x[4:]):         # only x1j: the axis vector e1 lies in W_b
-                    excl_axis += 1
+                            if param is None:
+                                nowitness += 1
+                            else:
+                                # alpha u + beta v lies in <e1, t e2 + s e3> iff
+                                # w4 = w5 = 0 and (w2, w3) ~ (t, s); the first
+                                # nonzero condition fixes [alpha : beta]
+                                t, s = param
+                                if u4 or v4:
+                                    alpha, beta = v4, -u4
+                                elif u5 or v5:
+                                    alpha, beta = v5, -u5
+                                else:
+                                    c1 = (u2 * s - u3 * t) % p
+                                    c2 = (v2 * s - v3 * t) % p
+                                    alpha, beta = (c2, -c1) if c1 or c2 else (1, 0)
+                                w2 = (alpha * u2 + beta * v2) % p
+                                w3 = (alpha * u3 + beta * v3) % p
+                                w4 = (alpha * u4 + beta * v4) % p
+                                w5 = (alpha * u5 + beta * v5) % p
+                                if (not ((alpha * u1 + beta * v1) % p or w2 or w3 or w4 or w5)
+                                        or w4 or w5 or (w2 * s - w3 * t) % p):
+                                    raise AssertionError(
+                                        f"witness parameter [{t}:{s}] without a common vector")
+                                excl_meeting += 1
+                                if r == 2:
+                                    witness_without_extra += 1
+                            if not (x23 or x24 or x25 or x34 or x35):
+                                excl_axis += 1     # only x1j: e1 lies in W_b
 
     if witness_without_extra:
         raise AssertionError(

@@ -54,6 +54,11 @@ class RunConfig:
         for p in tuple(self.primes_plucker) + tuple(self.primes_segre):
             if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
+        for name in ("primes_plucker", "primes_segre"):
+            primes = getattr(self, name)
+            repeated = sorted({p for p in primes if primes.count(p) > 1})
+            if repeated:
+                raise ValueError(f"{name} repeats {', '.join(map(str, repeated))}")
         if self.fmt not in ("json", "markdown"):
             raise ValueError(f"unknown output format {self.fmt!r}")
 

@@ -9,8 +9,10 @@ arithmetic; the Lie bracket acts on dict-built elements keyed by roots and
 coroots instead of basis indices, and second fundamental form values come
 from two such brackets instead of the closed-form product of structure
 constants; counts come from closed formulas; the Grassmannian is
-enumerated through field-object bivectors, and the maximal minors of the
-collinearity scan are expanded as generic determinants.  Plane sections
+enumerated through field-object bivectors, the maximal minors of the
+collinearity scan are expanded as generic determinants, and the boundary
+survey visits every point of G(2,5)(F_p) with its full Plücker tuple instead
+of counting affine blocks and reading a per-class table.  Plane sections
 come from two oracles that share none of the quadric or solver code of
 ``plane_section``: over a
 prime field, every point of the plane is tested and the locus is regrouped
@@ -28,7 +30,15 @@ import sympy
 
 from delpair.chevalley import ChevalleyTable
 from delpair.projgeo.linalg import primitive_int_covector, projective_points
-from delpair.projgeo.plucker import BiVector, SectionUnsupportedError
+from delpair.projgeo.plucker import (
+    PAIRS,
+    BiVector,
+    SectionUnsupportedError,
+    SurveyReport,
+    _echelon_cells,
+    _pencil_parameter,
+    _polarization_rank,
+)
 from delpair.rootsys import DynkinDiagram, Root, RootSystem
 
 COUNT_FORMULAS = {
@@ -340,6 +350,78 @@ def enumerate_grassmannian(field):
             for c, val in zip(free2, fv[len(free_positions):]):
                 v[c] = val
             yield BiVector.wedge(u, v, field), (tuple(u), tuple(v))
+
+
+def _wedge_mod(u, v, p: int) -> tuple:
+    """The Plücker coordinates of u ^ v as plain ints mod p, in PAIRS order."""
+    return tuple((u[i - 1] * v[j - 1] - u[j - 1] * v[i - 1]) % p for i, j in PAIRS)
+
+
+def _on_ell(x: tuple) -> bool:
+    """b lies on ell = {[e1 ^ (t e2 + s e3)]} iff only x12 and x13 are nonzero."""
+    return not any(x[2:])
+
+
+def _common_vector(u, v, t: int, s: int, p: int) -> tuple:
+    """A nonzero alpha u + beta v in <e1, t e2 + s e3>, solved from u and v alone.
+
+    The vector w lies in that plane iff w4 = w5 = 0 and (w2, w3) is
+    proportional to (t, s); each condition is one linear form in
+    (alpha, beta), and the first nonzero one fixes [alpha : beta].
+    """
+    conds = ((u[3], v[3]), (u[4], v[4]),
+             ((u[1] * s - u[2] * t) % p, (v[1] * s - v[2] * t) % p))
+    alpha, beta = next(((c2, -c1 % p) for c1, c2 in conds if c1 or c2), (1, 0))
+    w = tuple((alpha * a + beta * b) % p for a, b in zip(u, v))
+    if not any(w) or w[3] or w[4] or (w[1] * s - w[2] * t) % p:
+        raise AssertionError(f"witness parameter [{t}:{s}] without a common vector")
+    return w
+
+
+def pointwise_dee_survey(p: int) -> SurveyReport:
+    """``dee_exhaustive_survey`` one point at a time, on full Plücker tuples.
+
+    Every point of every echelon cell is visited and counted on its own, and
+    each divisor point gets its 10-tuple of coordinates, its own rank and
+    pencil parameter, and its own common vector; nothing is counted by block
+    or read from a per-class table.
+    """
+    total = affine = dee = surveyed = 0
+    exact = extra = fullplane = nowitness = 0
+    witness_without_extra = 0
+    excl_meeting = excl_axis = 0
+    for us, vs in _echelon_cells(p):
+        for u in itertools.product(*us):
+            for v in itertools.product(*vs):
+                total += 1
+                if (u[3] * v[4] - u[4] * v[3]) % p:
+                    affine += 1
+                    continue
+                dee += 1
+                x = _wedge_mod(u, v, p)
+                if _on_ell(x):
+                    continue
+                surveyed += 1
+                r = _polarization_rank(x, p)
+                if r == 2:
+                    exact += 1
+                elif r == 1:
+                    extra += 1
+                else:
+                    extra += 1
+                    fullplane += 1
+                param = _pencil_parameter(x, p)
+                if param is None:
+                    nowitness += 1
+                else:
+                    _common_vector(u, v, *param, p)
+                    excl_meeting += 1
+                    if r == 2:
+                        witness_without_extra += 1
+                if not any(x[4:]):         # only x1j: the axis vector e1 lies in W_b
+                    excl_axis += 1
+    return SurveyReport(p, total, affine, dee, surveyed, exact, extra, fullplane,
+                        nowitness, witness_without_extra, excl_meeting, excl_axis)
 
 
 def maximal_minors(rows: list[list], field) -> list:

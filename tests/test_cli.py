@@ -186,6 +186,10 @@ def test_config_validation():
         RunConfig(primes_plucker=(4,))
     with pytest.raises(ValueError):
         RunConfig(fmt="yaml")
+    with pytest.raises(ValueError, match="^primes_plucker repeats 5$"):
+        RunConfig(primes_plucker=(5, 7, 5))
+    with pytest.raises(ValueError, match="^primes_segre repeats 2$"):
+        RunConfig(primes_segre=(2, 2))
 
 
 @pytest.mark.parametrize("p", [0, 1, 4, 9, 25, 2, 7])
@@ -208,6 +212,24 @@ def test_non_prime_arguments_exit_2(capsys):
     assert capsys.readouterr().err == "error: 4 is not prime\n"
     assert main(["segre", "fitting", "--q", "1"]) == 2
     assert capsys.readouterr().err == "error: 1 is not prime\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run-all", "--primes", "5,5"], "primes_plucker repeats 5"),
+    (["pluecker", "survey", "--primes", "3,3"], "primes_plucker repeats 3"),
+    (["pluecker", "survey", "--primes", "5,"], "--primes"),
+    (["pluecker", "survey", "--primes", ","], "--primes"),
+    (["run-all", "--primes", "5,,7"], "--primes"),
+    (["run-all", "--primes", ""], "--primes"),
+    (["pluecker", "section", "--point", "e2^e4", "--primes", "x"], "--primes"),
+])
+def test_bad_primes_list_exits_2_with_one_line(argv, message, tmp_path, capsys):
+    out = tmp_path / "b.json"
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
+    assert captured.out == "" and not out.exists()
 
 
 def test_default_bundle_golden_hash(default_bundle):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from delpair.projgeo import plucker
 from delpair.projgeo.linalg import (
     QQ,
     LinearSubspace,
@@ -20,14 +21,11 @@ from delpair.projgeo.plucker import (
     BiVector,
     CertificationError,
     SectionUnsupportedError,
-    _common_vector,
     _echelon_cells,
     _linear_factors,
-    _on_ell,
     _pencil_minors,
     _pencil_parameter,
     _polarization_rank,
-    _wedge_mod,
     collinearity_scan,
     dee_exhaustive_survey,
     ell_generators,
@@ -40,11 +38,15 @@ from delpair.projgeo.plucker import (
     span_with_ell,
 )
 from oracles import (
+    _common_vector,
+    _on_ell,
+    _wedge_mod,
     enumerate_grassmannian,
     finite_plane_section,
     form_to_sympy,
     gaussian_binomial_2_of_5,
     maximal_minors,
+    pointwise_dee_survey,
     sympy_linear_factors,
     sympy_section_locus,
 )
@@ -526,7 +528,8 @@ def test_survey_computed_truth_every_boundary_point_obstructed(surveys):
 
 
 # SurveyReport witnesses recorded from the field-object survey that computed
-# every count through BiVector, PrimeField and generic 4x4 minors.
+# every count through BiVector, PrimeField and generic 4x4 minors; F11 was
+# recorded from the point-by-point survey that is now `pointwise_dee_survey`.
 PINNED_SURVEYS = {
     3: dict(grassmannian_points=1210, affine_cell_points=729, dee_points=481,
             surveyed=477, exact_section_count=0, extra_component_count=477,
@@ -540,6 +543,11 @@ PINNED_SURVEYS = {
             surveyed=22393, exact_section_count=0, extra_component_count=22393,
             full_plane_count=441, no_witness_count=0, witness_without_extra=0,
             excluded_line_meeting=22393, excluded_axis_point=392, exists_exact_b=False),
+    11: dict(grassmannian_points=1964810, affine_cell_points=1771561, dee_points=193249,
+             surveyed=193237, exact_section_count=0, extra_component_count=193237,
+             full_plane_count=1573, no_witness_count=0, witness_without_extra=0,
+             excluded_line_meeting=193237, excluded_axis_point=1452,
+             exists_exact_b=False),
 }
 
 
@@ -547,6 +555,26 @@ PINNED_SURVEYS = {
 def test_survey_report_pinned(p, surveys):
     rep = surveys[p] if p in surveys else dee_exhaustive_survey(p)
     assert rep.to_witness() == {"prime": p, **PINNED_SURVEYS[p]}
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_block_survey_matches_pointwise_oracle(p, surveys):
+    rep = surveys[p] if p in surveys else dee_exhaustive_survey(p)
+    assert rep.to_witness() == pointwise_dee_survey(p).to_witness()
+
+
+def test_survey_checks_each_common_vector_against_the_class_table(monkeypatch):
+    # [s:t] for [t:s] is wrong at b = e2 ^ e4, whose witness is [1:0]; the
+    # class table passes it on, and only the per-point check can catch it
+    real = plucker._pencil_parameter
+
+    def swapped(x, p):
+        param = real(x, p)
+        return None if param is None else param[::-1]
+
+    monkeypatch.setattr(plucker, "_pencil_parameter", swapped)
+    with pytest.raises(AssertionError, match="without a common vector"):
+        dee_exhaustive_survey(5)
 
 
 def test_survey_rejects_characteristic_two():
