@@ -19,13 +19,12 @@ from .projgeo import (
     segre_fitting_report,
     span_with_ell,
 )
-from .projgeo.linalg import QQ, integer_rank, prime_field, primitive_int_covector
-from .projgeo.linalg import rank as mat_rank
+from .projgeo.linalg import integer_rank, primitive_int_covector, rref_mod
 from .projgeo.plucker import (
-    PAIRS,
     CertificationError,
     ell_generators,
     plane_spanned_by,
+    plucker_quadrics,
     q_orbit_membership,
 )
 from .report import (
@@ -190,9 +189,9 @@ def plucker_suite(primes: tuple[int, ...]) -> list[CheckReport]:
     out = []
     g1, g2 = ell_generators()
     samples = [g1.coords, g2.coords,
-               tuple(QQ.add(a, b) for a, b in zip(g1.coords, g2.coords)),
-               tuple(QQ.add(a, QQ.mul(QQ.of(7), b)) for a, b in zip(g1.coords, g2.coords))]
-    on = all(grassmannian_membership(BiVector.make(s)) for s in samples)
+               tuple(a + b for a, b in zip(g1.coords, g2.coords)),
+               tuple(a + 7 * b for a, b in zip(g1.coords, g2.coords))]
+    on = all(grassmannian_membership(BiVector(s)) for s in samples)
     out.append(CheckReport("plucker.line_on_variety", "ell", PASS if on else FAIL,
                            witnesses=[{"sampled_points": len(samples)}],
                            notes="degree-2 forms vanishing at 3 points of a line vanish on it"))
@@ -206,7 +205,7 @@ def plucker_suite(primes: tuple[int, ...]) -> list[CheckReport]:
                 "lines": len(sec.lines), "isolated_points": len(sec.isolated_points),
                 "certified_over": list(sec.certified_over),
                 "locus_lines": [ln.plane_form for ln in sec.lines],
-                "locus_points": [pt.to_witness() for pt in sec.isolated_points],
+                "locus_points": [list(pt) for pt in sec.isolated_points],
             }]))
 
     reports = []
@@ -257,20 +256,21 @@ def property_suite(seed: int) -> list[CheckReport]:
             witnesses=[{"jacobi_failures": bad, "reflection_failures": refl_bad,
                         "triples": 1000}]))
 
-    for field_name, field in (("QQ", QQ), ("F5", prime_field(5))):
+    for field_name in ("QQ", "F5"):
         rng = random.Random((seed, field_name).__repr__())
         bad = 0
         for _ in range(500):
             coords = [rng.randrange(-4, 5) for _ in range(10)]
             if all(c == 0 for c in coords):
                 coords[0] = 1
-            if field is QQ:             # integer coordinates: no Fractions needed
-                omega = BiVector(QQ, tuple(coords))
+            omega = BiVector(tuple(coords))
+            if field_name == "QQ":
+                decomposable = grassmannian_membership(omega)
                 low_rank = integer_rank(omega.matrix()) <= 2
-            else:
-                omega = BiVector.make(coords, field)
-                low_rank = mat_rank(omega.matrix(), field) <= 2
-            if grassmannian_membership(omega) != low_rank:
+            else:                       # the same integer coordinates mod 5
+                decomposable = not any(q % 5 for q in plucker_quadrics(omega))
+                low_rank = len(rref_mod(omega.matrix(), 5)) <= 2
+            if decomposable != low_rank:
                 bad += 1
         out.append(CheckReport(
             "projgeo.decomposability", field_name, PASS if bad == 0 else FAIL,
@@ -307,8 +307,7 @@ def _qorbit_invariance(seed: int) -> CheckReport:
         for u, v, verdict in frames:
             gu = [sum(x * row[c] for x, row in zip(u, rows)) for c in range(5)]
             gv = [sum(x * row[c] for x, row in zip(v, rows)) for c in range(5)]
-            image = BiVector(QQ, tuple(gu[i - 1] * gv[j - 1] - gu[j - 1] * gv[i - 1]
-                                       for i, j in PAIRS))
+            image = BiVector.wedge(gu, gv)
             if not grassmannian_membership(image):
                 bad += 1
                 continue
@@ -358,7 +357,7 @@ def _section_reports(args, config: RunConfig) -> list[CheckReport]:
         "plucker.section", f"span(<{args.point}>, ell)", PASS,
         witnesses=[{
             "lines": [ln.plane_form for ln in sec.lines],
-            "isolated_points": [pt.to_witness() for pt in sec.isolated_points],
+            "isolated_points": [list(pt) for pt in sec.isolated_points],
             "full_plane": sec.full_plane,
             "certified_over": list(sec.certified_over)}])]
 

@@ -1,4 +1,8 @@
-"""Exact projective geometry over the rationals and prime fields."""
+"""Exact projective geometry: Plücker and Segre labs over Q and F_p.
+
+Rational computations run on Fractions and ints, finite-field ones on plain
+ints mod p; ``linalg`` holds the shared row reduction helpers.
+"""
 
 from .plucker import (                                          # noqa: F401
     BiVector,

@@ -1,126 +1,32 @@
-"""Exact fields (rationals and prime fields) and small linear algebra.
+"""Small exact linear algebra: rational matrices as Fractions, F_p ones as ints.
 
-Projective points are canonicalized with first nonzero coordinate 1; linear
-subspaces keep their reduced row echelon basis as the canonical
-representative.  Everything is exact: Fractions over the rationals, plain
-Python ints modulo p over prime fields.
+Rational witnesses are primitive integer vectors with a positive leading
+entry; points of projective space over F_p are tuples of ints in [0, p)
+whose first nonzero coordinate is 1.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 
-from ..report import is_prime
 
-
-class Rationals:
-    """Field object for exact rational arithmetic."""
-
-    name = "QQ"
-
-    def of(self, x) -> Fraction:
-        return Fraction(x)
-
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def inv(self, a):
-        return 1 / Fraction(a)
-
-    def __repr__(self) -> str:
-        return "QQ"
-
-
-@dataclass(frozen=True)
-class PrimeField:
-    """The field with p elements, p prime; elements are ints in [0, p)."""
-
-    p: int
-
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-
-    @property
-    def name(self) -> str:
-        return f"F{self.p}"
-
-    def of(self, x) -> int:
-        if isinstance(x, Fraction):
-            den = x.denominator % self.p
-            if den == 0:
-                raise ZeroDivisionError(f"denominator divisible by {self.p}")
-            return (x.numerator % self.p) * pow(den, -1, self.p) % self.p
-        return int(x) % self.p
-
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def inv(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(a, -1, self.p)
-
-    def __repr__(self) -> str:
-        return self.name
-
-
-QQ = Rationals()
-
-
-@lru_cache(maxsize=None)
-def prime_field(p: int) -> PrimeField:
-    return PrimeField(p)
-
-
-def rref(rows: list[list], field) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    mat = [list(r) for r in rows]
+def rref(rows: list[list]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over the rationals; returns (nonzero rows, pivot columns)."""
+    mat = [[Fraction(x) for x in r] for r in rows]
     nrows, pivots = len(mat), []
     r = 0
     ncols = len(mat[0]) if mat else 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if mat[i][c] != field.zero), None)
+        pivot = next((i for i in range(r, nrows) if mat[i][c]), None)
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = field.inv(mat[r][c])
-        mat[r] = [field.mul(inv, x) for x in mat[r]]
+        inv = 1 / mat[r][c]
+        mat[r] = [inv * x for x in mat[r]]
         for i in range(nrows):
-            if i != r and mat[i][c] != field.zero:
+            if i != r and mat[i][c]:
                 f = mat[i][c]
-                mat[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(mat[i], mat[r])]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -128,8 +34,42 @@ def rref(rows: list[list], field) -> tuple[list[list], list[int]]:
     return mat[:r], pivots
 
 
-def rank(rows: list[list], field) -> int:
-    return len(rref(rows, field)[0])
+def kernel_basis(rows: list[list], ncols: int) -> list[list[Fraction]]:
+    """Basis of the right kernel of a rational matrix, one vector per free column."""
+    red, pivots = rref(rows)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for r, c in zip(red, pivots):
+            vec[c] = -r[f]
+        basis.append(vec)
+    return basis
+
+
+def rref_mod(rows: list[list[int]], p: int) -> list[list[int]]:
+    """The nonzero rows of the reduced row echelon form of an integer matrix mod p.
+
+    Their number is the rank mod p.
+    """
+    mat = [[x % p for x in r] for r in rows]
+    nrows = len(mat)
+    r = 0
+    for c in range(len(mat[0]) if mat else 0):
+        pivot = next((i for i in range(r, nrows) if mat[i][c]), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = pow(mat[r][c], -1, p)
+        mat[r] = [inv * x % p for x in mat[r]]
+        for i in range(nrows):
+            f = mat[i][c]
+            if i != r and f:
+                mat[i] = [(x - f * y) % p for x, y in zip(mat[i], mat[r])]
+        r += 1
+        if r == nrows:
+            break
+    return mat[:r]
 
 
 def integer_rank(rows: list[list[int]]) -> int:
@@ -158,99 +98,20 @@ def integer_rank(rows: list[list[int]]) -> int:
     return r
 
 
-def kernel_basis(rows: list[list], field, ncols: int) -> list[list]:
-    """Basis of the right kernel of the matrix."""
-    red, pivots = rref(rows, field)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [field.zero] * ncols
-        vec[f] = field.one
-        for r, c in zip(red, pivots):
-            vec[c] = field.neg(r[f])
-        basis.append(vec)
-    return basis
-
-
-def normalize_projective(coords: tuple, field) -> tuple:
-    """Scale so the first nonzero coordinate is 1."""
-    vals = tuple(field.of(x) for x in coords)
-    lead = next((x for x in vals if x != field.zero), None)
-    if lead is None:
+def canonical_mod(coords, p: int) -> tuple[int, ...]:
+    """Scale an integer vector mod p so that its first nonzero coordinate is 1."""
+    coords = [c % p for c in coords]
+    lead = next((c for c in coords if c), 0)
+    if not lead:
         raise ValueError("projective point needs a nonzero coordinate")
-    inv = field.inv(lead)
-    return tuple(field.mul(inv, x) for x in vals)
+    if lead != 1:
+        inv = pow(lead, -1, p)
+        coords = [c * inv % p for c in coords]
+    return tuple(coords)
 
 
-@dataclass(frozen=True)
-class ProjPoint:
-    """A point of projective space over an exact field, canonicalized."""
-
-    field: object
-    coords: tuple
-
-    @staticmethod
-    def make(coords, field=QQ) -> "ProjPoint":
-        return ProjPoint(field, normalize_projective(tuple(coords), field))
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
-
-    def primitive_int_coords(self) -> tuple[int, ...]:
-        """Integer coprime representative (rational points only)."""
-        return primitive_int_covector(self.coords)
-
-    def to_witness(self) -> list:
-        return list(self.primitive_int_coords())
-
-    def __repr__(self) -> str:
-        return f"ProjPoint({self.field.name}, {self.coords})"
-
-
-@dataclass(frozen=True)
-class LinearSubspace:
-    """Row span of a reduced full-rank matrix over an exact field."""
-
-    field: object
-    basis: tuple[tuple, ...]
-
-    @staticmethod
-    def span(vectors, field=QQ) -> "LinearSubspace":
-        rows = [[field.of(x) for x in v] for v in vectors]
-        red, _ = rref(rows, field)
-        if not red:
-            raise ValueError("span of zero vectors")
-        return LinearSubspace(field, tuple(tuple(r) for r in red))
-
-    @property
-    def rank(self) -> int:
-        return len(self.basis)
-
-    @property
-    def ambient_dim(self) -> int:
-        return len(self.basis[0])
-
-    @property
-    def projective_dim(self) -> int:
-        return self.rank - 1
-
-    def contains(self, point: ProjPoint) -> bool:
-        rows = [list(b) for b in self.basis] + [list(point.coords)]
-        return rank(rows, self.field) == self.rank
-
-    def combination(self, coeffs) -> tuple:
-        out = [self.field.zero] * self.ambient_dim
-        for c, row in zip(coeffs, self.basis):
-            c = self.field.of(c)
-            if c != self.field.zero:
-                out = [self.field.add(o, self.field.mul(c, x)) for o, x in zip(out, row)]
-        return tuple(out)
-
-
-def projective_points(field: PrimeField, dim: int):
+def projective_points(p: int, dim: int):
     """All points of P^{dim-1}(F_p) as canonical coordinate tuples."""
-    p = field.p
     for lead in range(dim):
         prefix = (0,) * lead + (1,)
         tail = dim - lead - 1
@@ -264,7 +125,6 @@ def projective_points(field: PrimeField, dim: int):
                 idx[k] = 0
             else:
                 break
-            continue
 
 
 def primitive_int_covector(fracs) -> tuple[int, ...]:

@@ -14,18 +14,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
+from ..report import require_prime
 from .linalg import (
-    QQ,
-    LinearSubspace,
-    PrimeField,
-    ProjPoint,
+    canonical_mod,
     kernel_basis,
-    normalize_projective,
-    prime_field,
     primitive_int_covector,
     projective_points,
-    rank,
     rref,
+    rref_mod,
 )
 
 PAIRS: tuple[tuple[int, int], ...] = tuple(itertools.combinations(range(1, 6), 2))
@@ -45,82 +41,53 @@ class SectionUnsupportedError(RuntimeError):
 
 @dataclass(frozen=True)
 class BiVector:
-    """Element of the second exterior power of the rank-5 module."""
+    """Element of the second exterior power of the rank-5 module.
 
-    field: object
+    Coordinates are ints or Fractions in PAIRS order; code that works mod p
+    reduces what it computes from them.
+    """
+
     coords: tuple
 
     @staticmethod
-    def make(coords, field=QQ) -> "BiVector":
-        coords = tuple(field.of(x) for x in coords)
-        if len(coords) != 10:
-            raise ValueError("a bivector has 10 coordinates")
-        return BiVector(field, coords)
+    def basis(i: int, j: int) -> "BiVector":
+        coords = [0] * 10
+        coords[PAIR_INDEX[(i, j)]] = 1
+        return BiVector(tuple(coords))
 
     @staticmethod
-    def basis(i: int, j: int, field=QQ) -> "BiVector":
-        coords = [field.zero] * 10
-        coords[PAIR_INDEX[(i, j)]] = field.one
-        return BiVector(field, tuple(coords))
-
-    @staticmethod
-    def wedge(u, v, field=QQ) -> "BiVector":
+    def wedge(u, v) -> "BiVector":
         """u ^ v for 5-vectors u, v."""
-        u = [field.of(x) for x in u]
-        v = [field.of(x) for x in v]
-        coords = tuple(
-            field.sub(field.mul(u[i - 1], v[j - 1]), field.mul(u[j - 1], v[i - 1]))
-            for (i, j) in PAIRS
-        )
-        return BiVector(field, coords)
+        return BiVector(tuple(u[i - 1] * v[j - 1] - u[j - 1] * v[i - 1] for i, j in PAIRS))
 
     def coord(self, i: int, j: int):
         return self.coords[PAIR_INDEX[(i, j)]]
 
     def matrix(self) -> list[list]:
-        """The associated alternating 5x5 matrix.
-
-        The diagonal is the int 0, which equals the zero of every field here,
-        so a bivector with int coordinates gives an int matrix.
-        """
-        f = self.field
+        """The associated alternating 5x5 matrix."""
         A = [[0] * 5 for _ in range(5)]
         for (i, j), k in PAIR_INDEX.items():
             A[i - 1][j - 1] = self.coords[k]
-            A[j - 1][i - 1] = f.neg(self.coords[k])
+            A[j - 1][i - 1] = -self.coords[k]
         return A
 
 
 def plucker_quadrics(omega: BiVector) -> tuple:
     """The five coordinates of omega ^ omega; all zero iff decomposable."""
-    f = omega.field
-
-    def x(i, j):
-        return omega.coord(i, j)
-
-    out = []
-    for (a, b, c, d) in QUAD_SETS:
-        v = f.sub(f.mul(x(a, b), x(c, d)), f.mul(x(a, c), x(b, d)))
-        v = f.add(v, f.mul(x(a, d), x(b, c)))
-        out.append(f.add(v, v))
-    return tuple(out)
+    x = omega.coord
+    return tuple(2 * (x(a, b) * x(c, d) - x(a, c) * x(b, d) + x(a, d) * x(b, c))
+                 for a, b, c, d in QUAD_SETS)
 
 
-def quadric_polarization(x: tuple, y: tuple, field) -> tuple:
+def quadric_polarization(x: tuple, y: tuple) -> tuple:
     """B_S(x, y) = Q_S(x + y) - Q_S(x) - Q_S(y), computed directly."""
 
     def term(u, v, i, j, k, l):
-        return field.mul(u[PAIR_INDEX[(i, j)]], v[PAIR_INDEX[(k, l)]])
+        return u[PAIR_INDEX[(i, j)]] * v[PAIR_INDEX[(k, l)]]
 
-    out = []
-    for (a, b, c, d) in QUAD_SETS:
-        v = field.zero
-        for (u, w) in ((x, y), (y, x)):
-            v = field.add(v, term(u, w, a, b, c, d))
-            v = field.sub(v, term(u, w, a, c, b, d))
-            v = field.add(v, term(u, w, a, d, b, c))
-        out.append(field.add(v, v))
-    return tuple(out)
+    return tuple(2 * sum(term(u, w, a, b, c, d) - term(u, w, a, c, b, d) + term(u, w, a, d, b, c)
+                         for u, w in ((x, y), (y, x)))
+                 for a, b, c, d in QUAD_SETS)
 
 
 def grassmannian_membership(omega: BiVector) -> bool:
@@ -140,7 +107,7 @@ def plane_spanned_by(omega: BiVector) -> tuple[tuple, tuple]:
         raise ValueError("bivector is not decomposable")
     A = omega.matrix()
     cols = [[A[i][j] for i in range(5)] for j in range(5)]
-    red, _ = rref(cols, omega.field)
+    red, _ = rref(cols)
     if len(red) != 2:
         raise ValueError("decomposable bivector of unexpected rank")
     return tuple(red[0]), tuple(red[1])
@@ -150,14 +117,14 @@ def plane_spanned_by(omega: BiVector) -> tuple[tuple, tuple]:
 # The fixed line ell and its spans
 # ---------------------------------------------------------------------------
 
-def ell_generators(field=QQ) -> tuple[BiVector, BiVector]:
+def ell_generators() -> tuple[BiVector, BiVector]:
     """e1 ^ e2 and e1 ^ e3, spanning the line ell on the variety."""
-    return BiVector.basis(1, 2, field), BiVector.basis(1, 3, field)
+    return BiVector.basis(1, 2), BiVector.basis(1, 3)
 
 
-def span_with_ell(b: BiVector) -> LinearSubspace:
-    g1, g2 = ell_generators(b.field)
-    return LinearSubspace.span([b.coords, g1.coords, g2.coords], b.field)
+def span_with_ell(b: BiVector) -> list[tuple]:
+    """Spanning rows of the plane through b and ell."""
+    return [b.coords] + [g.coords for g in ell_generators()]
 
 
 # ---------------------------------------------------------------------------
@@ -169,13 +136,16 @@ class SectionLine:
     """A line of the section: its plane-coordinate form and an ambient span."""
 
     plane_form: tuple[int, int, int]
-    span: tuple[ProjPoint, ProjPoint]
+    span: tuple[tuple[int, ...], tuple[int, ...]]
 
 
 @dataclass(frozen=True)
 class SectionDescription:
+    """Lines and isolated points, in plane coordinates relative to the
+    reduced row echelon basis of the plane and as primitive integer points."""
+
     lines: tuple[SectionLine, ...]
-    isolated_points: tuple[ProjPoint, ...]
+    isolated_points: tuple[tuple[int, ...], ...]
     isolated_plane_coords: tuple[tuple[int, ...], ...]
     certified_over: tuple[str, ...]
     full_plane: bool = False
@@ -184,19 +154,23 @@ class SectionDescription:
         return (len(self.lines), len(self.isolated_points))
 
 
-def _restricted_forms(plane: LinearSubspace) -> list[dict]:
+def _combination(coeffs, basis) -> list:
+    """sum_k coeffs[k] basis[k], skipping zero coefficients."""
+    out = [0] * len(basis[0])
+    for c, row in zip(coeffs, basis):
+        if c:
+            out = [o + c * x for o, x in zip(out, row)]
+    return out
+
+
+def _restricted_forms(basis) -> list[dict]:
     """The Plücker quadrics restricted to plane coordinates (u, v, w)."""
-    if plane.ambient_dim != 10:
-        raise ValueError(f"plane lives in dimension {plane.ambient_dim}, expected 10")
-    if plane.projective_dim != 2:
-        raise ValueError("plane must have projective dimension exactly 2")
-    f = plane.field
-    b0, b1, b2 = plane.basis
-    diag = [plucker_quadrics(BiVector.make(b, f)) for b in (b0, b1, b2)]
+    b0, b1, b2 = basis
+    diag = [plucker_quadrics(BiVector(b)) for b in basis]
     cross = {
-        (0, 1): quadric_polarization(b0, b1, f),
-        (0, 2): quadric_polarization(b0, b2, f),
-        (1, 2): quadric_polarization(b1, b2, f),
+        (0, 1): quadric_polarization(b0, b1),
+        (0, 2): quadric_polarization(b0, b2),
+        (1, 2): quadric_polarization(b1, b2),
     }
     forms = []
     for k in range(len(QUAD_SETS)):
@@ -239,11 +213,11 @@ def _linear_factors(form: dict) -> set[tuple[int, int, int]]:
     M = [[h[2, 0, 0], h[1, 1, 0], h[1, 0, 1]],
          [h[1, 1, 0], h[0, 2, 0], h[0, 1, 1]],
          [h[1, 0, 1], h[0, 1, 1], h[0, 0, 2]]]
-    red, _ = rref(M, QQ)
+    red, _ = rref(M)
     if len(red) == 1:
         return {primitive_int_covector(red[0])}
     if len(red) == 2:
-        k = kernel_basis(red, QQ, 3)[0]
+        k = kernel_basis(red, 3)[0]
         i = next(i for i in range(3) if k[i])
         j, l = (x for x in range(3) if x != i)
         s = _rational_sqrt(M[j][l] ** 2 - M[j][j] * M[l][l])
@@ -262,28 +236,29 @@ def _linear_factors(form: dict) -> set[tuple[int, int, int]]:
 def _solve_linear_locus(covectors: list[tuple]):
     """Common zero locus of rational linear forms on the projective plane.
 
-    Returns ("line", covector), ("point", coords) or ("empty", None).
+    Returns ("line", covector), ("point", coords with leading 1) or
+    ("empty", None).
     """
-    red, _ = rref([[QQ.of(x) for x in c] for c in covectors], QQ)
+    red, _ = rref(covectors)
     if len(red) == 1:
         return ("line", primitive_int_covector(red[0]))
     if len(red) == 2:
-        vec = kernel_basis(red, QQ, 3)[0]
-        return ("point", normalize_projective(tuple(vec), QQ))
+        vec = kernel_basis(red, 3)[0]
+        lead = next(x for x in vec if x)
+        return ("point", tuple(x / lead for x in vec))
     return ("empty", None)
 
 
-def _on_line(point: tuple, cov: tuple, field) -> bool:
-    total = field.zero
-    for c, x in zip(cov, point):
-        total = field.add(total, field.mul(field.of(c), x))
-    return total == field.zero
+def _line_value(cov, point):
+    """The linear form cov at point: zero iff the point lies on the line."""
+    return sum(c * x for c, x in zip(cov, point))
 
 
-def plane_section(plane: LinearSubspace,
-                  primes: tuple[int, ...] = (5, 7)) -> SectionDescription:
+def plane_section(rows, primes: tuple[int, ...] = (5, 7)) -> SectionDescription:
     """Exact common zero locus of the Plücker quadrics on a rational plane.
 
+    The plane is the row span of ``rows``, rational Plücker vectors of rank
+    3; plane coordinates (u, v, w) refer to its reduced row echelon basis.
     Each nonzero restricted ternary form is split into rational lines, and
     the locus is the union, over every choice of one line per form, of the
     common zeros of the chosen lines: the lines among them, and the points
@@ -291,9 +266,12 @@ def plane_section(plane: LinearSubspace,
     enumeration over the given prime fields, and any disagreement is a hard
     failure.
     """
-    if plane.field is not QQ:
-        raise ValueError(f"plane_section takes a rational plane, not one over {plane.field}")
-    forms = [f for f in _restricted_forms(plane) if any(f.values())]
+    basis, _ = rref(rows)
+    if len(basis) != 3:
+        raise ValueError("plane must have projective dimension exactly 2")
+    if len(basis[0]) != 10:
+        raise ValueError(f"plane lives in dimension {len(basis[0])}, expected 10")
+    forms = [f for f in _restricted_forms(basis) if any(f.values())]
     full_plane = not forms
     lines: set[tuple[int, int, int]] = set()
     points: set[tuple] = set()
@@ -305,84 +283,72 @@ def plane_section(plane: LinearSubspace,
             elif kind == "point":
                 points.add(payload)
     lines = sorted(lines)
-    points = sorted(pt for pt in points if not any(_on_line(pt, c, QQ) for c in lines))
+    points = sorted(pt for pt in points if all(_line_value(c, pt) for c in lines))
 
-    desc = _describe(plane, lines, points, full_plane)
-    _validate_by_substitution(plane, desc)
-    certified = []
+    desc = _describe(basis, lines, points, full_plane)
+    _validate_by_substitution(basis, desc)
     for p in primes:
         if p == 2:
             raise ValueError("characteristic 2 degenerates the Plücker quadrics")
-        _certify(plane, desc, prime_field(p))
-        certified.append(prime_field(p).name)
+        require_prime(p)
+        _certify(basis, desc, p)
     return SectionDescription(desc.lines, desc.isolated_points,
                               desc.isolated_plane_coords,
-                              tuple(["QQ"] + certified), desc.full_plane)
+                              ("QQ",) + tuple(f"F{p}" for p in primes), desc.full_plane)
 
 
-def _describe(plane: LinearSubspace, lines, points, full_plane) -> SectionDescription:
+def _describe(basis, lines, points, full_plane) -> SectionDescription:
     line_objs = []
     for cov in lines:
-        k = kernel_basis([[QQ.of(c) for c in cov]], QQ, 3)
-        p0 = ProjPoint.make(plane.combination(k[0]), plane.field)
-        p1 = ProjPoint.make(plane.combination(k[1]), plane.field)
-        line_objs.append(SectionLine(cov, (p0, p1)))
-    pts = tuple(ProjPoint.make(plane.combination(p), plane.field) for p in points)
+        k0, k1 = kernel_basis([cov], 3)
+        span = (primitive_int_covector(_combination(k0, basis)),
+                primitive_int_covector(_combination(k1, basis)))
+        line_objs.append(SectionLine(cov, span))
+    pts = tuple(primitive_int_covector(_combination(p, basis)) for p in points)
     plane_coords = tuple(primitive_int_covector(p) for p in points)
     return SectionDescription(tuple(line_objs), pts, plane_coords, (), full_plane)
 
 
-def _validate_by_substitution(plane: LinearSubspace, desc: SectionDescription) -> None:
+def _validate_by_substitution(basis, desc: SectionDescription) -> None:
     """Re-check every reported component on the variety and in the plane.
 
     A quadric vanishing at three distinct points of a line vanishes on it.
     """
-    f = plane.field
     for line in desc.lines:
-        k = kernel_basis([[f.of(c) for c in line.plane_form]], f, 3)
-        for coeffs in (k[0], k[1], [f.add(a, b) for a, b in zip(k[0], k[1])]):
-            if not grassmannian_membership(BiVector.make(plane.combination(coeffs), f)):
+        k0, k1 = kernel_basis([line.plane_form], 3)
+        for coeffs in (k0, k1, [a + b for a, b in zip(k0, k1)]):
+            if not grassmannian_membership(BiVector(tuple(_combination(coeffs, basis)))):
                 raise AssertionError(f"reported line {line.plane_form} leaves the variety")
     for pt in desc.isolated_points:
-        if not grassmannian_membership(BiVector.make(pt.coords, f)):
+        if not grassmannian_membership(BiVector(pt)):
             raise AssertionError(f"reported point {pt} is off the variety")
-        if not plane.contains(pt):
+        if len(rref([*basis, pt])[0]) != 3:
             raise AssertionError(f"reported point {pt} is off the plane")
 
 
-def _finite_locus(plane: LinearSubspace, field: PrimeField) -> set[tuple]:
+def _finite_locus(basis: list[list[int]], p: int) -> set[tuple]:
+    """The points [u:v:w] of P^2(F_p) where u b0 + v b1 + w b2 is on the variety."""
     locus = set()
-    for coeffs in projective_points(field, 3):
-        coords = plane.combination(coeffs)
-        if any(coords) and grassmannian_membership(BiVector.make(coords, field)):
+    for coeffs in projective_points(p, 3):
+        omega = BiVector(tuple(_combination(coeffs, basis)))
+        if not any(q % p for q in plucker_quadrics(omega)):
             locus.add(coeffs)
     return locus
 
 
-def _certify(plane: LinearSubspace, desc: SectionDescription, field: PrimeField) -> None:
+def _certify(basis, desc: SectionDescription, p: int) -> None:
     """Compare the rational description with an exhaustive mod-p enumeration."""
-    rows = [ProjPoint.make(b, QQ).primitive_int_coords() for b in plane.basis]
-    red = [[field.of(x) for x in r] for r in rows]
-    if rank(red, field) != 3:
-        raise CertificationError(f"plane degenerates modulo {field.p}")
-    mod_plane = LinearSubspace.span(red, field)
-    computed = _finite_locus(mod_plane, field)
-    described = set()
-    for coeffs in projective_points(field, 3):
-        if desc.full_plane:
-            described.add(coeffs)
-            continue
-        on = any(_on_line(coeffs, line.plane_form, field) for line in desc.lines)
-        if not on:
-            for pt in desc.isolated_plane_coords:
-                if normalize_projective(pt, field) == coeffs:
-                    on = True
-                    break
-        if on:
-            described.add(coeffs)
+    mod_basis = rref_mod([primitive_int_covector(b) for b in basis], p)
+    if len(mod_basis) != 3:
+        raise CertificationError(f"plane degenerates modulo {p}")
+    computed = _finite_locus(mod_basis, p)
+    isolated = {canonical_mod(pt, p) for pt in desc.isolated_plane_coords}
+    described = {coeffs for coeffs in projective_points(p, 3)
+                 if desc.full_plane or coeffs in isolated
+                 or any(_line_value(line.plane_form, coeffs) % p == 0 for line in desc.lines)}
     if computed != described:
         raise CertificationError(
-            f"rational locus and F_{field.p} enumeration disagree: "
+            f"rational locus and F_{p} enumeration disagree: "
             f"{sorted(computed - described)[:3]} vs {sorted(described - computed)[:3]}"
         )
 
@@ -399,20 +365,18 @@ class CollinearityWitness:
     common_vector: tuple
 
 
-def _pencil_minors(u, v, field) -> tuple[tuple, tuple]:
+def _pencil_minors(u, v) -> tuple[tuple, tuple]:
     """The maximal minors of [u; v; e1; e2] and [u; v; e1; e3], by dropped column.
 
     Laplace expansion along the two unit rows leaves the signed Plücker
     coordinates of u ^ v: (0, 0, x45, x35, x34) and (0, x45, 0, -x25, -x24).
     """
-    f = field
 
     def x(i, j):
-        return f.sub(f.mul(u[i - 1], v[j - 1]), f.mul(u[j - 1], v[i - 1]))
+        return u[i - 1] * v[j - 1] - u[j - 1] * v[i - 1]
 
     x45 = x(4, 5)
-    return ((f.zero, f.zero, x45, x(3, 5), x(3, 4)),
-            (f.zero, x45, f.zero, f.neg(x(2, 5)), f.neg(x(2, 4))))
+    return ((0, 0, x45, x(3, 5), x(3, 4)), (0, x45, 0, -x(2, 5), -x(2, 4)))
 
 
 def collinearity_scan(b: BiVector) -> "CollinearityWitness | None":
@@ -422,34 +386,24 @@ def collinearity_scan(b: BiVector) -> "CollinearityWitness | None":
     the pencil vector t e2 + s e3 are the linear forms t m2 + s m3, where
     m2 = (0, 0, x45, x35, x34) and m3 = (0, x45, 0, -x25, -x24) are signed
     Plücker coordinates of u ^ v; a witness exists iff they have a common
-    projective zero.
+    projective zero.  Everything is rational, with u and v the reduced row
+    echelon basis of W_b.
     """
-    field = b.field
     u, v = plane_spanned_by(b)
-    e1 = [field.one] + [field.zero] * 4
-    e2 = [field.zero, field.one] + [field.zero] * 3
-    e3 = [field.zero] * 2 + [field.one] + [field.zero] * 2
-    m2, m3 = _pencil_minors(u, v, field)
-    nz = [(a, c) for a, c in zip(m2, m3) if a != field.zero or c != field.zero]
+    nz = [(a, c) for a, c in zip(*_pencil_minors(u, v)) if a or c]
     if not nz:
-        param = "all"
-        ts = (field.one, field.zero)
+        param, (t, s) = "all", (1, 0)
     else:
-        if rank([list(r) for r in nz], field) == 2:
-            return None
         a, c = nz[0]
-        ts = (field.neg(c), a)     # a t + c s = 0
-        param = ts
-    w = [field.add(field.mul(ts[0], x2), field.mul(ts[1], x3))
-         for x2, x3 in zip(e2, e3)]
-    cols = [list(u), list(v), e1, w]
-    matrix = [[cols[c][r] for c in range(4)] for r in range(5)]
-    ker = kernel_basis(matrix, field, 4)
+        if any(a * c2 - c * a2 for a2, c2 in nz[1:]):
+            return None            # two independent conditions a t + c s = 0
+        param = (t, s) = (-c, a)
+    cols = [u, v, (1, 0, 0, 0, 0), (0, t, s, 0, 0)]
+    ker = kernel_basis([[col[r] for col in cols] for r in range(5)], 4)
     if not ker:
         raise AssertionError("witness parameter without a common vector")
     a0, b0 = ker[0][0], ker[0][1]
-    common = tuple(field.add(field.mul(a0, x), field.mul(b0, y))
-                   for x, y in zip(u, v))
+    common = tuple(a0 * x + b0 * y for x, y in zip(u, v))
     return CollinearityWitness(param, common)
 
 
@@ -566,7 +520,7 @@ def dee_exhaustive_survey(p: int) -> SurveyReport:
     """
     if p == 2:
         raise ValueError("characteristic 2 degenerates the Plücker quadrics")
-    prime_field(p)     # rejects a p that is not prime
+    require_prime(p)
 
     total = affine = dee = surveyed = 0
     exact = extra = fullplane = nowitness = 0
@@ -672,9 +626,13 @@ _TERM_RE = re.compile(
 )
 
 
-def parse_bivector(text: str, field=QQ) -> BiVector:
-    """Parse integer combinations of basis bivectors, e.g. "e2^e4 - 3 e1^e5"."""
-    coords = [field.zero] * 10
+def parse_bivector(text: str) -> BiVector:
+    """Parse integer combinations of basis bivectors, e.g. "e2^e4 - 3 e1^e5".
+
+    Every term after the first needs its own + or - sign, and a literal
+    whose terms cancel is refused.
+    """
+    coords = [0] * 10
     pos = 0
     seen = False
     while pos < len(text):
@@ -683,6 +641,8 @@ def parse_bivector(text: str, field=QQ) -> BiVector:
             if text[pos:].strip():
                 raise ValueError(f"cannot parse bivector literal at {text[pos:]!r}")
             break
+        if seen and not m.group("sign"):
+            raise ValueError(f"bivector literal needs + or - before {text[pos:].strip()!r}")
         sign = -1 if m.group("sign") == "-" else 1
         coef = int(m.group("coef") or 1) * sign
         i, j = int(m.group("i")), int(m.group("j"))
@@ -691,10 +651,11 @@ def parse_bivector(text: str, field=QQ) -> BiVector:
         if i > j:
             i, j = j, i
             coef = -coef
-        k = PAIR_INDEX[(i, j)]
-        coords[k] = field.add(coords[k], field.of(coef))
+        coords[PAIR_INDEX[(i, j)]] += coef
         seen = True
         pos = m.end()
     if not seen:
         raise ValueError(f"empty bivector literal {text!r}")
-    return BiVector(field, tuple(coords))
+    if not any(coords):
+        raise ValueError(f"bivector literal {text!r} is zero")
+    return BiVector(tuple(coords))

@@ -10,31 +10,16 @@ from __future__ import annotations
 
 import itertools
 
-from ..report import FAIL, PASS, CheckReport
-from .linalg import PrimeField, prime_field, projective_points, rref
+from ..report import FAIL, PASS, CheckReport, require_prime
+from .linalg import canonical_mod, projective_points
 
 # The minors z_a z_b - z_c z_d, as ((a, b), (c, d)), that cut out the image.
 _MINORS = (((0, 4), (1, 3)), ((0, 5), (2, 3)), ((1, 5), (2, 4)))
 
 
-def segre_point(a: tuple, b: tuple, field: PrimeField) -> tuple:
-    """Canonical image of (a, b) in the ambient projective 5-space.
-
-    The integer coordinates are multiplied and scaled as plain ints mod p.
-    """
-    return _canonical_mod(tuple(ai * bj for ai in a for bj in b), field.p)
-
-
-def _canonical_mod(coords, q: int) -> tuple:
-    """Scale an integer vector mod q so that its first nonzero coordinate is 1."""
-    coords = [c % q for c in coords]
-    lead = next((c for c in coords if c), 0)
-    if not lead:
-        raise ValueError("projective point needs a nonzero coordinate")
-    if lead != 1:
-        inv = pow(lead, -1, q)
-        coords = [c * inv % q for c in coords]
-    return tuple(coords)
+def segre_point(a: tuple, b: tuple, q: int) -> tuple:
+    """Canonical image mod q of (a, b) in the ambient projective 5-space."""
+    return canonical_mod([ai * bj for ai in a for bj in b], q)
 
 
 def _line_points(cov: tuple, plane_pts: list[tuple], q: int) -> list[tuple]:
@@ -45,7 +30,7 @@ def _line_points(cov: tuple, plane_pts: list[tuple], q: int) -> list[tuple]:
 def _join_points(y: tuple, b: tuple, plane_pts: list[tuple], q: int) -> list[tuple]:
     """Points of the plane line through two distinct plane points."""
     cov = (y[1] * b[2] - y[2] * b[1], y[2] * b[0] - y[0] * b[2], y[0] * b[1] - y[1] * b[0])
-    return _line_points(_canonical_mod(cov, q), plane_pts, q)
+    return _line_points(canonical_mod(cov, q), plane_pts, q)
 
 
 def _span_section(points3: list[tuple], plane_pts: list[tuple], q: int) -> set:
@@ -62,48 +47,43 @@ def _span_section(points3: list[tuple], plane_pts: list[tuple], q: int) -> set:
         if not any(z):
             raise ValueError("span is not a plane")
         if not any((z[a] * z[b] - z[c] * z[d]) % q for (a, b), (c, d) in _MINORS):
-            section.add(_canonical_mod(z, q))
+            section.add(canonical_mod(z, q))
     return section
 
 
 # -- configuration orbit under the product of the two linear groups ----------
 
-def _gl_generators(n: int, field: PrimeField) -> list[tuple]:
-    gens = []
+def _gl_generators(n: int, q: int):
+    """Generators g of GL_n(F_q), each with its inverse, as (g, g^-1).
+
+    I + E_ij (i != j) has inverse I - E_ij; for q > 2, diag(2, 1, ..., 1)
+    has inverse diag((q + 1) / 2, 1, ..., 1).
+    """
+
+    def unit_plus(i: int, j: int, c: int) -> tuple:
+        """The identity matrix with c added at (i, j)."""
+        return tuple(tuple(int(a == b) + (c if (a, b) == (i, j) else 0) for b in range(n))
+                     for a in range(n))
+
     for i in range(n):
         for j in range(n):
             if i != j:
-                m = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
-                m[i][j] = 1
-                gens.append(tuple(tuple(r) for r in m))
-    if field.p > 2:
-        m = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
-        m[0][0] = 2
-        gens.append(tuple(tuple(r) for r in m))
-    return gens
+                yield unit_plus(i, j, 1), unit_plus(i, j, -1)
+    if q > 2:
+        yield unit_plus(0, 0, 1), unit_plus(0, 0, (q - 1) // 2)
 
 
 def _mat_vec(m: tuple, v: tuple) -> tuple:
     return tuple(sum(m[i][j] * v[j] for j in range(len(v))) for i in range(len(m)))
 
 
-def _mat_inv(m: tuple, field: PrimeField) -> tuple:
-    n = len(m)
-    aug = [[m[i][j] % field.p for j in range(n)] + [1 if i == j else 0 for j in range(n)]
-           for i in range(n)]
-    red, pivots = rref(aug, field)
-    if pivots != list(range(n)):
-        raise ValueError("singular matrix")
-    return tuple(tuple(row[n:]) for row in red)
-
-
 def _move_tables(g2, g3, g3inv, p1: list, p2: list, q: int) -> tuple[dict, dict, dict]:
     """The move (g2, g3) as permutations of the line, the plane and its lines."""
-    on1 = {x: _canonical_mod(_mat_vec(g2, x), q) for x in p1}
-    on2 = {b: _canonical_mod(_mat_vec(g3, b), q) for b in p2}
+    on1 = {x: canonical_mod(_mat_vec(g2, x), q) for x in p1}
+    on2 = {b: canonical_mod(_mat_vec(g3, b), q) for b in p2}
     # covectors transform by the inverse on the right: L' = L . g3^{-1}
-    on_lines = {L: _canonical_mod([sum(L[i] * g3inv[i][j] for i in range(3))
-                                   for j in range(3)], q) for L in p2}
+    on_lines = {L: canonical_mod([sum(L[i] * g3inv[i][j] for i in range(3))
+                                  for j in range(3)], q) for L in p2}
     return on1, on2, on_lines
 
 
@@ -123,14 +103,14 @@ def segre_fitting_report(q: int) -> CheckReport:
     Points, sections and the orbit search use plain ints mod q; each
     generator of the group acts through permutation tables built once.
     """
-    field = prime_field(q)
-    p1 = list(projective_points(field, 2))
-    p2 = list(projective_points(field, 3))
+    require_prime(q)
+    p1 = list(projective_points(q, 2))
+    p2 = list(projective_points(q, 3))
     lines2 = p2          # lines of the plane, as canonical covectors
     subject = f"F{q}"
     failures: list[dict] = []
 
-    segre_pts = {segre_point(a, b, field) for a in p1 for b in p2}
+    segre_pts = {segre_point(a, b, q) for a in p1 for b in p2}
     expected_count = (q + 1) * (q * q + q + 1)
     if len(segre_pts) != expected_count:
         failures.append({"check": "point-count", "got": len(segre_pts),
@@ -139,15 +119,15 @@ def segre_fitting_report(q: int) -> CheckReport:
     # (a) bidegree-(1,0) lines never fit with an extra point
     a_configs = 0
     for y in p2:
-        line_pts = [segre_point(x, y, field) for x in p1]
+        line_pts = [segre_point(x, y, q) for x in p1]
         joins = {b: _join_points(y, b, p2, q) for b in p2 if b != y}
         for (a, b) in itertools.product(p1, p2):
             if b == y:
                 continue
             a_configs += 1
-            pt = segre_point(a, b, field)
+            pt = segre_point(a, b, q)
             section = _span_section([line_pts[0], line_pts[1], pt], p2, q)
-            witness_curve = {segre_point(a, m, field) for m in joins[b]}
+            witness_curve = {segre_point(a, m, q) for m in joins[b]}
             if not witness_curve <= section:
                 failures.append({"check": "a-witness", "y": y, "point": (a, b)})
             if section == set(line_pts) | {pt}:
@@ -157,7 +137,7 @@ def segre_fitting_report(q: int) -> CheckReport:
     for x in p1:
         for L in lines2:
             Lpts = _line_points(L, p2, q)
-            line_img = [segre_point(x, m, field) for m in Lpts]
+            line_img = [segre_point(x, m, q) for m in Lpts]
             for a in p1:
                 if a == x:
                     continue
@@ -165,7 +145,7 @@ def segre_fitting_report(q: int) -> CheckReport:
                     if b in Lpts:
                         continue
                     b_configs += 1
-                    pt = segre_point(a, b, field)
+                    pt = segre_point(a, b, q)
                     section = _span_section([line_img[0], line_img[1], pt], p2, q)
                     if section != set(line_img) | {pt}:
                         failures.append({"check": "b-section", "x": x, "L": L,
@@ -182,12 +162,10 @@ def segre_fitting_report(q: int) -> CheckReport:
                 for b in p2:
                     if b not in Lpts:
                         valid.add((x, L, a, b))
-    gens2 = _gl_generators(2, field)
-    gens3 = _gl_generators(3, field)
     id2 = ((1, 0), (0, 1))
     id3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    moves = [_move_tables(g, id3, id3, p1, p2, q) for g in gens2] + [
-        _move_tables(id2, g, _mat_inv(g, field), p1, p2, q) for g in gens3]
+    moves = [_move_tables(g, id3, id3, p1, p2, q) for g, _ in _gl_generators(2, q)] + [
+        _move_tables(id2, g, g_inv, p1, p2, q) for g, g_inv in _gl_generators(3, q)]
     seed = next(iter(sorted(valid)))
     orbit = {seed}
     frontier = [seed]

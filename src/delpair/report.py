@@ -52,8 +52,7 @@ class RunConfig:
         if self.max_rank < 4:
             raise ValueError("max_rank must be at least 4")
         for p in tuple(self.primes_plucker) + tuple(self.primes_segre):
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
+            require_prime(p)
         for name in ("primes_plucker", "primes_segre"):
             primes = getattr(self, name)
             repeated = sorted({p for p in primes if primes.count(p) > 1})
@@ -73,7 +72,7 @@ class RunConfig:
 
 
 def is_prime(p: int) -> bool:
-    """Trial division; the one primality test behind RunConfig and PrimeField."""
+    """Trial division; the one primality test behind RunConfig and the finite-field labs."""
     if p < 2:
         return False
     d = 2
@@ -82,6 +81,12 @@ def is_prime(p: int) -> bool:
             return False
         d += 1
     return True
+
+
+def require_prime(p: int) -> None:
+    """Raise the one error message every prime argument gets."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
 
 
 def root_witness(r) -> list[int]:

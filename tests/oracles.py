@@ -9,8 +9,8 @@ arithmetic; the Lie bracket acts on dict-built elements keyed by roots and
 coroots instead of basis indices, and second fundamental form values come
 from two such brackets instead of the closed-form product of structure
 constants; counts come from closed formulas; the Grassmannian is
-enumerated through field-object bivectors, the maximal minors of the
-collinearity scan are expanded as generic determinants, and the boundary
+enumerated through wedge products of echelon bases, the maximal minors of
+the collinearity scan are expanded as generic determinants, and the boundary
 survey visits every point of G(2,5)(F_p) with its full Plücker tuple instead
 of counting affine blocks and reading a per-class table.  Plane sections
 come from two oracles that share none of the quadric or solver code of
@@ -22,6 +22,7 @@ found with sympy's polynomial gcd, factorization, division and nullspace.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -329,14 +330,13 @@ def gaussian_binomial_2_of_5(p: int) -> int:
     return (p**5 - 1) * (p**4 - 1) // ((p**2 - 1) * (p - 1))
 
 
-def enumerate_grassmannian(field):
-    """All F_p-points of G(2,5), as (BiVector u ^ v, (u, v)).
+def enumerate_grassmannian(p: int):
+    """All F_p-points of G(2,5), as (BiVector u ^ v mod p, (u, v)).
 
     Subspaces are enumerated through their unique reduced-echelon bases, so
     the count is the Gaussian binomial coefficient for 2-subspaces of a
     5-space.
     """
-    p = field.p
     for i, j in itertools.combinations(range(5), 2):
         free_positions = [c for c in range(i + 1, 5) if c != j]
         free2 = list(range(j + 1, 5))
@@ -349,7 +349,7 @@ def enumerate_grassmannian(field):
                 u[c] = val
             for c, val in zip(free2, fv[len(free_positions):]):
                 v[c] = val
-            yield BiVector.wedge(u, v, field), (tuple(u), tuple(v))
+            yield BiVector(tuple(x % p for x in BiVector.wedge(u, v).coords)), (tuple(u), tuple(v))
 
 
 def _wedge_mod(u, v, p: int) -> tuple:
@@ -424,35 +424,29 @@ def pointwise_dee_survey(p: int) -> SurveyReport:
                         nowitness, witness_without_extra, excl_meeting, excl_axis)
 
 
-def maximal_minors(rows: list[list], field) -> list:
-    """The five 4x4 minors of a 4x5 matrix, by dropped column."""
+def maximal_minors(rows: list[list], p: int) -> list:
+    """The five 4x4 minors of a 4x5 integer matrix mod p, by dropped column."""
     out = []
     for drop in range(5):
         cols = [c for c in range(5) if c != drop]
-        out.append(det4([[rows[r][c] for c in cols] for r in range(4)], field))
+        out.append(det4([[rows[r][c] for c in cols] for r in range(4)], p))
     return out
 
 
-def det4(m: list[list], field):
-    """Laplace expansion along the first row."""
-    total = field.zero
+def det4(m: list[list], p: int) -> int:
+    """Laplace expansion along the first row, mod p."""
+    total = 0
     for j in range(4):
         sub = [[m[r][c] for c in range(4) if c != j] for r in range(1, 4)]
-        term = field.mul(m[0][j], det3(sub, field))
-        total = field.add(total, term) if j % 2 == 0 else field.sub(total, term)
-    return total
+        total += (-1) ** j * m[0][j] * det3(sub, p)
+    return total % p
 
 
-def det3(m: list[list], field):
-    """Rule of Sarrus."""
-    f = field
-    pos = f.add(f.add(f.mul(m[0][0], f.mul(m[1][1], m[2][2])),
-                      f.mul(m[0][1], f.mul(m[1][2], m[2][0]))),
-                f.mul(m[0][2], f.mul(m[1][0], m[2][1])))
-    neg = f.add(f.add(f.mul(m[0][2], f.mul(m[1][1], m[2][0])),
-                      f.mul(m[0][0], f.mul(m[1][2], m[2][1]))),
-                f.mul(m[0][1], f.mul(m[1][0], m[2][2])))
-    return f.sub(pos, neg)
+def det3(m: list[list], p: int) -> int:
+    """Rule of Sarrus, mod p."""
+    pos = m[0][0] * m[1][1] * m[2][2] + m[0][1] * m[1][2] * m[2][0] + m[0][2] * m[1][0] * m[2][1]
+    neg = m[0][2] * m[1][1] * m[2][0] + m[0][0] * m[1][2] * m[2][1] + m[0][1] * m[1][0] * m[2][2]
+    return (pos - neg) % p
 
 
 # -- plane sections ----------------------------------------------------------
@@ -467,18 +461,22 @@ def plucker_quadric_values(x) -> list:
             for a, b, c, d in itertools.combinations(range(1, 6), 4)]
 
 
-def finite_plane_section(plane):
-    """(lines, isolated points, full_plane) of a plane over F_p, exhaustively.
+def finite_plane_section(basis, p: int):
+    """(lines, isolated points, full_plane) of the plane over F_p spanned by
+    the three integer rows of ``basis``, exhaustively.
 
-    Every point of the plane is tested on the Plücker quadrics; a line of the
-    coordinate plane is a component when all its points lie in the locus, and
-    the isolated points are the locus points on no such line.  Lines are
-    canonical covectors and points canonical plane coordinates, mod p.
+    Every point u b0 + v b1 + w b2 of the plane is tested on the Plücker
+    quadrics; a line of the coordinate plane is a component when all its
+    points lie in the locus, and the isolated points are the locus points on
+    no such line.  Lines are canonical covectors and points canonical plane
+    coordinates [u:v:w], mod p.
     """
-    p = plane.field.p
-    all_pts = list(projective_points(plane.field, 3))
-    locus = {c for c in all_pts
-             if not any(q % p for q in plucker_quadric_values(plane.combination(c)))}
+    all_pts = list(projective_points(p, 3))
+
+    def point(c):
+        return [sum(a * x for a, x in zip(c, col)) for col in zip(*basis)]
+
+    locus = {c for c in all_pts if not any(q % p for q in plucker_quadric_values(point(c)))}
 
     def on(point, cov):
         return sum(a * b for a, b in zip(cov, point)) % p == 0
@@ -508,15 +506,25 @@ def sympy_linear_factors(poly: sympy.Poly) -> list[tuple[int, int, int]]:
     """Linear factors of a homogeneous polynomial with multiplicity, as
     primitive covectors; an irreducible factor of degree >= 2 raises."""
     out = []
-    _, factors = sympy.factor_list(poly.as_expr(), *SYMBOLS)
-    for fac, mult in factors:
-        p = sympy.Poly(fac, *SYMBOLS)
+    for p, mult in _factor_list(poly.as_expr()):
         if p.total_degree() == 1:
             out += [_sympy_covector(p.coeff_monomial(s) for s in SYMBOLS)] * mult
         elif p.total_degree() >= 2:
             raise SectionUnsupportedError(
-                f"irreducible factor of degree {p.total_degree()}: {fac}")
+                f"irreducible factor of degree {p.total_degree()}: {p.as_expr()}")
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _factor_list(expr) -> tuple:
+    """sympy's irreducible factors of expr as Polys, with multiplicity.
+
+    Memoized by the polynomial: the section oracle meets most restricted
+    forms more than once (997 distinct ones in 3 139 calls on its 1 000
+    seeded planes).
+    """
+    return tuple((sympy.Poly(fac, *SYMBOLS), mult)
+                 for fac, mult in sympy.factor_list(expr, *SYMBOLS)[1])
 
 
 def _sympy_linear_locus(covectors):
@@ -530,10 +538,11 @@ def _sympy_linear_locus(covectors):
     return "empty", None
 
 
-def sympy_section_locus(plane, quadrics=plucker_quadric_values):
+def sympy_section_locus(basis, quadrics=plucker_quadric_values):
     """(lines, isolated points, full_plane) of a rational plane section.
 
-    The point u b0 + v b1 + w b2 of the plane is substituted into the
+    ``basis`` holds three rows b0, b1, b2 of Fractions spanning the plane.  The
+    point u b0 + v b1 + w b2 of the plane is substituted into the
     quadrics (the Plücker quadrics by default) with sympy.  The gcd g of the
     nonzero restricted forms gives the common lines; when g is linear the
     residues of the forms by g cut out the rest, and when g is constant the
@@ -543,7 +552,7 @@ def sympy_section_locus(plane, quadrics=plucker_quadric_values):
     point = [u * sympy.Rational(a.numerator, a.denominator)
              + v * sympy.Rational(b.numerator, b.denominator)
              + w * sympy.Rational(c.numerator, c.denominator)
-             for a, b, c in zip(*plane.basis)]
+             for a, b, c in zip(*basis)]
     polys = [sympy.Poly(q, *SYMBOLS, domain="QQ") for q in quadrics(point)]
     nonzero = [p for p in polys if not p.is_zero]
     lines, points = [], []

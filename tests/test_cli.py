@@ -10,8 +10,9 @@ import pytest
 import delpair
 from delpair import pairs
 from delpair.cli import PAIR_CHECKS, main, parse_pair_id, run_all
-from delpair.projgeo.linalg import prime_field
-from delpair.report import FAIL, RunConfig, bundle_json, bundle_markdown
+from delpair.projgeo.plucker import dee_exhaustive_survey
+from delpair.projgeo.segre import segre_fitting_report
+from delpair.report import FAIL, RunConfig, bundle_json, bundle_markdown, require_prime
 from delpair.rootsys import ChainError, DiagramError, MarkError
 
 
@@ -196,15 +197,16 @@ def test_config_validation():
 def test_one_primality_check_for_config_and_fields(p):
     if p in (2, 7):
         assert RunConfig(primes_plucker=(p,), primes_segre=(p,)).primes_segre == (p,)
-        assert prime_field(p).name == f"F{p}"
+        require_prime(p)
         return
     message = f"^{p} is not prime$"
     with pytest.raises(ValueError, match=message):
         RunConfig(primes_plucker=(p,))
     with pytest.raises(ValueError, match=message):
         RunConfig(primes_segre=(p,))
-    with pytest.raises(ValueError, match=message):
-        prime_field(p)
+    for check in (require_prime, dee_exhaustive_survey, segre_fitting_report):
+        with pytest.raises(ValueError, match=message):
+            check(p)
 
 
 def test_non_prime_arguments_exit_2(capsys):
@@ -222,6 +224,11 @@ def test_non_prime_arguments_exit_2(capsys):
     (["run-all", "--primes", "5,,7"], "--primes"),
     (["run-all", "--primes", ""], "--primes"),
     (["pluecker", "section", "--point", "e2^e4", "--primes", "x"], "--primes"),
+    (["pluecker", "section", "--point", "e1^e2 e3^e4"], "needs + or - before 'e3^e4'"),
+    (["pluecker", "collinear", "--point", "e1^e2 e3^e4"], "needs + or - before 'e3^e4'"),
+    (["pluecker", "section", "--point", "e1^e2 - e1^e2"], "'e1^e2 - e1^e2' is zero"),
+    (["pluecker", "collinear", "--point", "e1^e2 - e1^e2"], "'e1^e2 - e1^e2' is zero"),
+    (["pluecker", "collinear", "--point", "0 e1^e2"], "'0 e1^e2' is zero"),
 ])
 def test_bad_primes_list_exits_2_with_one_line(argv, message, tmp_path, capsys):
     out = tmp_path / "b.json"
@@ -230,6 +237,51 @@ def test_bad_primes_list_exits_2_with_one_line(argv, message, tmp_path, capsys):
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
     assert captured.out == "" and not out.exists()
+
+
+# Witnesses of `pluecker section` and `pluecker collinear` at the default
+# primes, recorded before plane sections moved off field objects.  run-all
+# never calls the collinearity scan, so the bundle shas do not cover it.
+PINNED_POINTS = {
+    "e2^e4": (
+        {"lines": [[0, 0, 1], [0, 1, 0]], "isolated_points": [], "full_plane": False},
+        {"common_vector": ["0", "-1", "0", "0", "0"], "param": ["1", "0"]}),
+    "e1^e4": (
+        {"lines": [], "isolated_points": [], "full_plane": True},
+        {"common_vector": ["-1", "0", "0", "0", "0"], "param": "all"}),
+    "e4^e5": (
+        {"lines": [[0, 0, 1]], "isolated_points": [[0, 0, 0, 0, 0, 0, 0, 0, 0, 1]],
+         "full_plane": False},
+        None),
+    "e2^e3": (
+        {"lines": [], "isolated_points": [], "full_plane": True},
+        {"common_vector": ["0", "-1", "0", "0", "0"], "param": "all"}),
+    "e3^e5 - e4^e5": (
+        {"lines": [[0, 0, 1]], "isolated_points": [[0, 0, 0, 0, 0, 0, 0, 0, 1, -1]],
+         "full_plane": False},
+        None),
+    "- 2 e1^e2 + 6 e1^e3 - e1^e5 - 6 e2^e3 + 3 e3^e5": (
+        {"lines": [[0, 0, 1], [1, 0, -2]], "isolated_points": [], "full_plane": False},
+        {"common_vector": ["-1/2", "0", "3/2", "0", "0"], "param": ["0", "-3/2"]}),
+    "2 e1^e2 + 5 e1^e3 + 3 e1^e4 + e1^e5 + 3 e2^e3 + 3 e2^e4 + e2^e5 + 3 e3^e4 + e3^e5": (
+        {"lines": [[0, 0, 1], [1, -1, 1]], "isolated_points": [], "full_plane": False},
+        {"common_vector": ["-1/2", "-1/2", "-1/2", "0", "0"], "param": ["1/2", "1/2"]}),
+    "18 e1^e2 - 6 e1^e3 + 12 e1^e5 + 6 e2^e3 + 6 e2^e4 - 6 e2^e5 - 2 e3^e4 - 2 e3^e5"
+    " - 4 e4^e5": (
+        {"lines": [[0, 0, 1]], "isolated_points": [[9, -3, 0, 6, 3, 3, -3, -1, -1, -2]],
+         "full_plane": False},
+        None),
+}
+
+
+def test_pluecker_section_and_collinear_witnesses_pinned(tmp_path):
+    out = tmp_path / "w.json"
+    for point, (section, witness) in PINNED_POINTS.items():
+        for command, expected in (("section", {**section, "certified_over": ["QQ", "F5", "F7"]}),
+                                  ("collinear", {"witness": witness})):
+            assert main(["pluecker", command, "--point", point, "--out", str(out)]) == 0
+            (report,) = json.loads(out.read_text())["reports"]
+            assert report["witnesses"] == [expected], (command, point)
 
 
 def test_default_bundle_golden_hash(default_bundle):

@@ -7,15 +7,12 @@ import pytest
 
 from delpair.projgeo import plucker
 from delpair.projgeo.linalg import (
-    QQ,
-    LinearSubspace,
-    ProjPoint,
+    canonical_mod,
     integer_rank,
-    normalize_projective,
-    prime_field,
     primitive_int_covector,
     projective_points,
-    rank,
+    rref,
+    rref_mod,
 )
 from delpair.projgeo.plucker import (
     BiVector,
@@ -52,6 +49,15 @@ from oracles import (
 )
 
 
+def rank(rows) -> int:
+    """Rank over the rationals."""
+    return len(rref(rows)[0])
+
+
+def on_grassmannian_mod(coords, p: int) -> bool:
+    return not any(q % p for q in plucker_quadrics(BiVector(tuple(coords))))
+
+
 def test_quadrics_vanish_on_decomposable():
     assert plucker_quadrics(parse_bivector("e2^e4")) == (Fraction(0),) * 5
 
@@ -77,9 +83,8 @@ def test_membership_examples():
     assert not grassmannian_membership(parse_bivector("e1^e2 + e3^e4"))
     g1, g2 = ell_generators()
     for t, s in ((1, 0), (0, 1), (1, 1), (3, -2), (7, 5)):
-        coords = tuple(QQ.add(QQ.mul(QQ.of(t), a), QQ.mul(QQ.of(s), b))
-                       for a, b in zip(g1.coords, g2.coords))
-        assert grassmannian_membership(BiVector.make(coords))
+        coords = tuple(t * a + s * b for a, b in zip(g1.coords, g2.coords))
+        assert grassmannian_membership(BiVector(coords))
 
 
 def test_q_orbit_membership():
@@ -92,15 +97,17 @@ def test_q_orbit_membership():
 
 def test_decomposability_iff_rank_two_seeded():
     rng = random.Random(20230915)
-    fields = [QQ, prime_field(5)]
     for k in range(1000):
-        field = fields[k % 2]
         coords = [rng.randrange(-4, 5) for _ in range(10)]
         if all(c == 0 for c in coords):
             coords[0] = 1
-        omega = BiVector.make(coords, field)
-        decomposable = grassmannian_membership(omega)
-        assert decomposable == (rank(omega.matrix(), field) <= 2)
+        omega = BiVector(tuple(coords))
+        if k % 2 == 0:
+            decomposable = grassmannian_membership(omega)
+            assert decomposable == (rank(omega.matrix()) <= 2)
+        else:                                               # over F5
+            decomposable = on_grassmannian_mod(coords, 5)
+            assert decomposable == (len(rref_mod(omega.matrix(), 5)) <= 2)
 
 
 def test_integer_bivectors_decide_like_rational_ones():
@@ -109,10 +116,10 @@ def test_integer_bivectors_decide_like_rational_ones():
     rng = random.Random(8)
     for _ in range(300):
         coords = [rng.randrange(-4, 5) for _ in range(10)]
-        ints, fracs = BiVector(QQ, tuple(coords)), BiVector.make(coords)
+        ints, fracs = BiVector(tuple(coords)), BiVector(tuple(map(Fraction, coords)))
         assert all(type(x) is int for row in ints.matrix() for x in row)
         assert grassmannian_membership(ints) == grassmannian_membership(fracs)
-        assert integer_rank(ints.matrix()) == rank(fracs.matrix(), QQ)
+        assert integer_rank(ints.matrix()) == rank(fracs.matrix())
         if any(coords) and grassmannian_membership(ints):
             assert q_orbit_membership(ints) == q_orbit_membership(fracs)
 
@@ -152,10 +159,30 @@ def _seeded_integer_matrices():
 def test_integer_rank_matches_fraction_rref():
     seen = set()
     for m in _seeded_integer_matrices():
-        expected = rank([[QQ.of(x) for x in row] for row in m], QQ)
+        expected = rank(m)
         assert integer_rank(m) == expected, m
         seen.add(expected)
     assert seen == {0, 1, 2, 3, 4, 5, 6}
+
+
+def test_rank_mod_p_matches_brute_force_kernel_count():
+    # |ker| = p^(ncols - rank) for the kernel counted over all of F_p^ncols
+    rng = random.Random(31)
+    seen = {}
+    for p in (2, 3, 5):
+        for _ in range(30):
+            nrows, ncols = rng.randint(1, 6), rng.randint(1, 5)
+            r = rng.randint(0, min(nrows, ncols))
+            m = [[x % p for x in row] for row in _low_rank_matrix(rng, nrows, ncols, r, 2 * p)]
+            for matrix in (m, [[rng.randrange(p) for _ in range(ncols)] for _ in range(nrows)]):
+                red = rref_mod(matrix, p)
+                kernel = sum(1 for x in itertools.product(range(p), repeat=ncols)
+                             if not any(sum(a * b for a, b in zip(row, x)) % p for row in matrix))
+                assert kernel == p ** (ncols - len(red)), (p, matrix)
+                assert all(next(x for x in row if x) == 1 and all(0 <= x < p for x in row)
+                           for row in red)
+                seen.setdefault(p, set()).add(len(red))
+    assert all(ranks >= {0, 1, 2, 3, 4} for ranks in seen.values()), seen
 
 
 def test_bivector_literal_parsing():
@@ -167,6 +194,15 @@ def test_bivector_literal_parsing():
         parse_bivector("e1^e1")
     with pytest.raises(ValueError):
         parse_bivector("nonsense")
+    # every term after the first carries its own sign
+    assert parse_bivector("e1^e2 + e3^e4 - 2 e1^e5").coords == (1, 0, 0, -2, 0, 0, 0, 1, 0, 0)
+    for text in ("e1^e2 e3^e4", "e1^e2e3^e4", "e1^e2 + e1^e3 2 e4^e5"):
+        with pytest.raises(ValueError, match="needs \\+ or - before"):
+            parse_bivector(text)
+    # a literal whose terms cancel is refused with its own message
+    for text in ("e1^e2 - e1^e2", "0 e1^e2", "e2^e4 + e4^e2"):
+        with pytest.raises(ValueError, match="is zero$"):
+            parse_bivector(text)
 
 
 # -- plane sections -----------------------------------------------------------
@@ -178,7 +214,7 @@ def test_section_span_e45_is_line_plus_point():
     assert not section.full_plane
     point = section.isolated_points[0]
     e45 = parse_bivector("e4^e5")
-    assert point == ProjPoint.make(e45.coords, e45.field)
+    assert point == primitive_int_covector(e45.coords)
 
 
 def test_section_span_e24_is_two_lines():
@@ -188,11 +224,9 @@ def test_section_span_e24_is_two_lines():
     extra_pts = set()
     for line in section.lines:
         extra_pts |= {line.span[0], line.span[1]}
-    e24 = parse_bivector("e2^e4")
-    b = ProjPoint.make(e24.coords, e24.field)
-    spanned = LinearSubspace.span(
-        [p.coords for line in section.lines for p in line.span], QQ)
-    assert any(b == p or spanned.contains(b) for p in extra_pts)
+    b = primitive_int_covector(parse_bivector("e2^e4").coords)
+    spans = [p for line in section.lines for p in line.span]
+    assert any(b == p or rank(spans + [b]) == rank(spans) for p in extra_pts)
 
 
 def test_section_of_plane_inside_variety_is_full_plane():
@@ -207,9 +241,8 @@ def test_section_lines_substitute_back():
     for line in section.lines:
         p, q = line.span
         for t, s in ((1, 0), (0, 1), (1, 1), (2, -3)):
-            coords = tuple(QQ.add(QQ.mul(QQ.of(t), a), QQ.mul(QQ.of(s), b))
-                           for a, b in zip(p.coords, q.coords))
-            assert grassmannian_membership(BiVector.make(coords))
+            coords = tuple(t * a + s * b for a, b in zip(p, q))
+            assert grassmannian_membership(BiVector(coords))
 
 
 def test_certification_failure_is_hard():
@@ -221,14 +254,12 @@ def test_certification_failure_is_hard():
     v1[0], v1[4] = Fraction(1), Fraction(1, 5)   # e1^e2 + (1/5) e2^e3
     v2[1], v2[4] = Fraction(1), Fraction(2, 5)   # e1^e3 + (2/5) e2^e3
     v3[9] = Fraction(1)                          # e4^e5
-    plane = LinearSubspace.span([v1, v2, v3], QQ)
     with pytest.raises(CertificationError, match="degenerates modulo 5"):
-        plane_section(plane, primes=(5,))
+        plane_section([v1, v2, v3], primes=(5,))
 
 
 def test_isolated_points_sorted_by_plane_coordinates():
-    plane = LinearSubspace.span([parse_bivector(t).coords
-                                 for t in ("e1^e3 + e1^e5", "e2^e5", "e3^e4")], QQ)
+    plane = [parse_bivector(t).coords for t in ("e1^e3 + e1^e5", "e2^e5", "e3^e4")]
     section = plane_section(plane)
     assert section.shape() == (0, 3)
     assert section.isolated_plane_coords == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
@@ -236,8 +267,8 @@ def test_isolated_points_sorted_by_plane_coordinates():
 
 def test_non_split_restricted_form_is_unsupported():
     # the third restricted form is 2uv - 2uw - 2v^2, irreducible over Q
-    plane = LinearSubspace.span([parse_bivector(t).coords for t in
-                                 ("e1^e2 + e1^e4", "e1^e4 + e2^e5", "e3^e5 - e4^e5")], QQ)
+    plane = [parse_bivector(t).coords for t in
+             ("e1^e2 + e1^e4", "e1^e4 + e2^e5", "e3^e5 - e4^e5")]
     with pytest.raises(SectionUnsupportedError,
                        match=r"form 2\*u\*v - 2\*u\*w - 2\*v\^2 is not a product"):
         plane_section(plane)
@@ -273,7 +304,7 @@ def _random_covector(rng):
 def _independent_pair(rng):
     while True:
         a, b = _random_covector(rng), _random_covector(rng)
-        if rank([a, b], QQ) == 2:
+        if rank([a, b]) == 2:
             return a, b
 
 
@@ -290,15 +321,15 @@ def _seeded_forms(rng, n):
         yield "non-split", {m: fa[m] - d * fb[m] for m in MONOMIALS}
         while True:
             form = {m: Fraction(rng.randint(-4, 4)) for m in MONOMIALS}
-            if rank(_symmetric_matrix(form), QQ) == 3:
+            if rank(_symmetric_matrix(form)) == 3:
                 yield "rank 3", form
                 break
 
 
 def test_closed_form_factors_match_sympy_oracle():
     for kind, form in _seeded_forms(random.Random(4), 60):
-        assert rank(_symmetric_matrix(form), QQ) == (1 if kind == "rank 1" else
-                                                     3 if kind == "rank 3" else 2)
+        assert rank(_symmetric_matrix(form)) == (1 if kind == "rank 1" else
+                                                 3 if kind == "rank 3" else 2)
         try:
             expected = set(sympy_linear_factors(form_to_sympy(form)))
         except SectionUnsupportedError:
@@ -320,8 +351,8 @@ def _sparse(rng, n, k):
 
 
 def _seeded_planes(rng, n):
-    """n rational planes of bivectors: spans of ell with a decomposable or a
-    sparse bivector, and sparse planes."""
+    """n rational planes of bivectors, as spanning rows: spans of ell with a
+    decomposable or a sparse bivector, and sparse planes."""
     e12, e13 = [1] + [0] * 9, [0, 1] + [0] * 8
     made = 0
     while made < n:
@@ -333,9 +364,9 @@ def _seeded_planes(rng, n):
             vecs = [_sparse(rng, 10, rng.randint(1, 4)), e12, e13]
         else:
             vecs = [_sparse(rng, 10, rng.randint(1, 3)) for _ in range(3)]
-        if rank([[Fraction(x) for x in v] for v in vecs], QQ) == 3:
+        if rank(vecs) == 3:
             made += 1
-            yield LinearSubspace.span(vecs, QQ)
+            yield vecs
 
 
 def test_plane_sections_match_sympy_oracle():
@@ -346,7 +377,7 @@ def test_plane_sections_match_sympy_oracle():
         except SectionUnsupportedError:
             section = None
         try:
-            lines, points, full_plane = sympy_section_locus(plane)
+            lines, points, full_plane = sympy_section_locus(rref(plane)[0])
         except SectionUnsupportedError:
             assert section is None, plane
             outcomes["unsupported"] += 1
@@ -372,12 +403,10 @@ def test_finite_section_oracle_matches_reduced_rational_section():
                 section = plane_section(plane, primes=(p,))
             except (CertificationError, SectionUnsupportedError):
                 continue
-            field = prime_field(p)
-            mod_plane = LinearSubspace.span(
-                [primitive_int_covector(b) for b in plane.basis], field)
-            lines, points, full_plane = finite_plane_section(mod_plane)
-            reduced = {normalize_projective(ln.plane_form, field) for ln in section.lines}
-            isolated = {normalize_projective(pt, field) for pt in section.isolated_plane_coords}
+            mod_plane = rref_mod([primitive_int_covector(b) for b in rref(plane)[0]], p)
+            lines, points, full_plane = finite_plane_section(mod_plane, p)
+            reduced = {canonical_mod(ln.plane_form, p) for ln in section.lines}
+            isolated = {canonical_mod(pt, p) for pt in section.isolated_plane_coords}
             assert full_plane == section.full_plane, plane
             assert set(lines) == reduced, plane
             assert set(points) == {pt for pt in isolated if not any(
@@ -387,8 +416,7 @@ def test_finite_section_oracle_matches_reduced_rational_section():
 
 
 def test_grassmannian_enumeration_count_oracle():
-    field = prime_field(5)
-    points = list(enumerate_grassmannian(field))
+    points = list(enumerate_grassmannian(5))
     assert len(points) == gaussian_binomial_2_of_5(5)
     seen = {p.coords for p, _ in points}
     assert len(seen) == len(points)
@@ -396,20 +424,16 @@ def test_grassmannian_enumeration_count_oracle():
 
 # -- closed forms against the generic oracles, on every point of G(2,5)(F5) ----
 
-def line_ell_points(field) -> set[tuple]:
-    """The canonical points t e1^e2 + s e1^e3 of ell over a prime field."""
-    g1, g2 = ell_generators(field)
-    pts = set()
-    for (t, s) in projective_points(field, 2):
-        coords = tuple(field.add(field.mul(t, a), field.mul(s, b))
-                       for a, b in zip(g1.coords, g2.coords))
-        pts.add(normalize_projective(coords, field))
-    return pts
+def line_ell_points(p: int) -> set[tuple]:
+    """The canonical points t e1^e2 + s e1^e3 of ell over F_p."""
+    g1, g2 = ell_generators()
+    return {canonical_mod([t * a + s * b for a, b in zip(g1.coords, g2.coords)], p)
+            for t, s in projective_points(p, 2)}
 
 
 @pytest.fixture(scope="module")
 def f5_points():
-    return list(enumerate_grassmannian(prime_field(5)))
+    return list(enumerate_grassmannian(5))
 
 
 def test_echelon_cells_run_over_the_oracle_enumeration(f5_points):
@@ -421,15 +445,15 @@ def test_echelon_cells_run_over_the_oracle_enumeration(f5_points):
 
 
 def test_closed_form_minors_match_generic_minors(f5_points):
-    field = prime_field(5)
     e1, e2, e3 = ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0))
     for omega, (u, v) in f5_points:
-        m2 = maximal_minors([u, v, e1, e2], field)
-        m3 = maximal_minors([u, v, e1, e3], field)
-        assert _pencil_minors(u, v, field) == (tuple(m2), tuple(m3))
+        m2 = maximal_minors([u, v, e1, e2], 5)
+        m3 = maximal_minors([u, v, e1, e3], 5)
+        closed = tuple(tuple(x % 5 for x in m) for m in _pencil_minors(u, v))
+        assert closed == (tuple(m2), tuple(m3))
         rows = [[a, c] for a, c in zip(m2, m3) if a or c]
         param = _pencil_parameter(omega.coords, 5)
-        if rows and rank(rows, field) == 2:
+        if rows and len(rref_mod(rows, 5)) == 2:
             assert param is None
         else:
             t, s = param
@@ -438,24 +462,22 @@ def test_closed_form_minors_match_generic_minors(f5_points):
 
 
 def test_closed_form_rank_matches_polarization_rows(f5_points):
-    field = prime_field(5)
-    g1, g2 = ell_generators(field)
+    g1, g2 = ell_generators()
     for omega, _ in f5_points:
-        c1 = quadric_polarization(omega.coords, g1.coords, field)
-        c2 = quadric_polarization(omega.coords, g2.coords, field)
+        c1 = [x % 5 for x in quadric_polarization(omega.coords, g1.coords)]
+        c2 = [x % 5 for x in quadric_polarization(omega.coords, g2.coords)]
         rows = [[a, b] for a, b in zip(c1, c2) if a or b]
-        expected = rank(rows, field) if rows else 0
+        expected = len(rref_mod(rows, 5)) if rows else 0
         assert _polarization_rank(omega.coords, 5) == expected
 
 
 def test_boundary_points_on_ell_match_line_ell_points(f5_points):
-    field = prime_field(5)
-    ell_pts = line_ell_points(field)
+    ell_pts = line_ell_points(5)
     boundary = [omega for omega, _ in f5_points if omega.coord(4, 5) == 0]
     on_ell = [omega for omega in boundary if _on_ell(omega.coords)]
     assert len(on_ell) == len(ell_pts)
     for omega in boundary:
-        assert _on_ell(omega.coords) == (normalize_projective(omega.coords, field) in ell_pts)
+        assert _on_ell(omega.coords) == (canonical_mod(omega.coords, 5) in ell_pts)
 
 
 def test_common_vector_rejects_a_wrong_parameter():
@@ -472,24 +494,22 @@ def test_collinearity_examples():
     assert w is not None
     t, s = w.param
     assert s == 0 and t != 0                      # [t:s] = [1:0]
-    common = ProjPoint.make(w.common_vector)
-    assert common == ProjPoint.make((0, 1, 0, 0, 0))
+    common = primitive_int_covector(w.common_vector)
+    assert common == (0, 1, 0, 0, 0)
 
     assert collinearity_scan(parse_bivector("e4^e5")) is None
 
     w = collinearity_scan(parse_bivector("e1^e4"))
     assert w is not None and w.param == "all"
-    assert ProjPoint.make(w.common_vector) == ProjPoint.make((1, 0, 0, 0, 0))
+    assert primitive_int_covector(w.common_vector) == (1, 0, 0, 0, 0)
 
 
 def test_no_witness_means_no_extra_line_through_b():
     # e4^e5 has no witness; its section carries no line through b
     section = plane_section(span_with_ell(parse_bivector("e4^e5")))
-    e45 = parse_bivector("e4^e5")
-    b = ProjPoint.make(e45.coords, e45.field)
+    b = primitive_int_covector(parse_bivector("e4^e5").coords)
     for line in section.lines:
-        spanned = LinearSubspace.span([p.coords for p in line.span], QQ)
-        assert not spanned.contains(b)
+        assert rank([*line.span, b]) == rank(line.span) + 1
 
 
 # -- the survey ----------------------------------------------------------------
@@ -591,7 +611,7 @@ def test_qorbit_invariance_under_seeded_group_elements():
     while done < 20:
         rows = [[Fraction(rng.randrange(-3, 4)) if c in cols else Fraction(0)
                  for c in range(5)] for cols in shape]
-        if rank([r[:] for r in rows], QQ) != 5:
+        if rank(rows) != 5:
             continue
         done += 1
         for omega in samples:
@@ -606,6 +626,5 @@ def test_qorbit_invariance_under_seeded_group_elements():
 
 def test_ell_points_on_variety_finite_fields():
     for p in (5, 7):
-        field = prime_field(p)
-        for coords in line_ell_points(field):
-            assert grassmannian_membership(BiVector.make(coords, field))
+        for coords in line_ell_points(p):
+            assert on_grassmannian_mod(coords, p)

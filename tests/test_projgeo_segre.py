@@ -1,5 +1,7 @@
-from delpair.projgeo.linalg import QQ, LinearSubspace, ProjPoint, prime_field, projective_points
-from delpair.projgeo.segre import _MINORS, segre_fitting_report, segre_point
+import pytest
+
+from delpair.projgeo.linalg import primitive_int_covector, projective_points, rref
+from delpair.projgeo.segre import _MINORS, _gl_generators, segre_fitting_report, segre_point
 from oracles import sympy_section_locus
 
 
@@ -14,21 +16,19 @@ def rational_segre_point(a: tuple, b: tuple) -> tuple:
 
 def test_segre_point_counts():
     for q, expected in ((2, 21), (3, 52)):
-        field = prime_field(q)
-        pts = {segre_point(a, b, field)
-               for a in projective_points(field, 2)
-               for b in projective_points(field, 3)}
+        pts = {segre_point(a, b, q)
+               for a in projective_points(q, 2)
+               for b in projective_points(q, 3)}
         assert len(pts) == expected
         assert expected == (q + 1) * (q * q + q + 1)
 
 
 def test_quadrics_cut_out_the_image():
     # the minors that _span_section tests, against the image itself
-    field = prime_field(3)
-    image = {segre_point(a, b, field)
-             for a in projective_points(field, 2)
-             for b in projective_points(field, 3)}
-    for z in projective_points(field, 6):
+    image = {segre_point(a, b, 3)
+             for a in projective_points(3, 2)
+             for b in projective_points(3, 3)}
+    for z in projective_points(3, 6):
         on_segre = not any((z[a] * z[b] - z[c] * z[d]) % 3 for (a, b), (c, d) in _MINORS)
         assert (z in image) == on_segre
 
@@ -45,10 +45,9 @@ def test_fitting_report_passes_f2_and_f3():
 def test_f3_config_count_by_direct_double_loop():
     report = segre_fitting_report(3)
     data = report.witnesses[0]
-    field = prime_field(3)
-    p1 = list(projective_points(field, 2))
-    p2 = list(projective_points(field, 3))
-    lines = list(projective_points(field, 3))      # covectors
+    p1 = list(projective_points(3, 2))
+    p2 = list(projective_points(3, 3))
+    lines = list(projective_points(3, 3))          # covectors
     count = 0
     for x in p1:
         for L in lines:
@@ -69,10 +68,11 @@ def test_zero_one_line_plus_point_section_over_rationals():
     m0 = rational_segre_point(x, (1, 0, 0))
     m1 = rational_segre_point(x, (0, 1, 0))     # L = the line {b2 = 0}
     pt = rational_segre_point((0, 1), (0, 0, 1))
-    plane = LinearSubspace.span([m0, m1, pt], QQ)
-    lines, points, full_plane = sympy_section_locus(plane, segre_minors)
+    basis, _ = rref([m0, m1, pt])
+    lines, points, full_plane = sympy_section_locus(basis, segre_minors)
     assert (len(lines), len(points), full_plane) == (1, 1, False)
-    assert ProjPoint.make(plane.combination(points[0])) == ProjPoint.make(pt)
+    found = [sum(c * x for c, x in zip(points[0], col)) for col in zip(*basis)]
+    assert primitive_int_covector(found) == primitive_int_covector(pt)
 
 
 def test_one_zero_line_plus_point_has_witness_curve():
@@ -81,6 +81,20 @@ def test_one_zero_line_plus_point_has_witness_curve():
     m0 = rational_segre_point((1, 0), y)
     m1 = rational_segre_point((0, 1), y)
     pt = rational_segre_point((1, 0), (0, 1, 0))
-    plane = LinearSubspace.span([m0, m1, pt], QQ)
-    lines, _, full_plane = sympy_section_locus(plane, segre_minors)
+    lines, _, full_plane = sympy_section_locus(rref([m0, m1, pt])[0], segre_minors)
     assert len(lines) >= 2 and not full_plane      # never just line plus point
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("n", [2, 3])
+def test_generator_inverses_are_inverse_mod_p(n, p):
+    gens = list(_gl_generators(n, p))
+    assert len(gens) == n * (n - 1) + (p > 2)
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    for g, g_inv in gens:
+        for left, right in ((g, g_inv), (g_inv, g)):
+            product = [[sum(left[i][k] * right[k][j] for k in range(n)) % p for j in range(n)]
+                       for i in range(n)]
+            assert product == identity, (g, g_inv)
+        assert g != tuple(map(tuple, identity))
+    assert len({g for g, _ in gens}) == len(gens)
