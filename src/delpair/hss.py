@@ -17,25 +17,14 @@ from .rootsys import DynkinDiagram, MarkedDiagram, MarkError, Root
 def noncompact_positive_roots(md: MarkedDiagram) -> frozenset[Root]:
     """Positive roots with coefficient 1 at the mark of their component.
 
-    Cached per marked diagram: the result reads only the diagram and the
-    marks, and marked-diagram equality compares both.
+    A positive root's support lies in one component, so a coefficient 1 at
+    a mark places the root in that mark's component.  Cached per marked
+    diagram: the result reads only the diagram and the marks, and
+    marked-diagram equality compares both.
     """
-    rs = md.root_system()
-    marks = {}
-    for comp in md.diagram.components:
-        here = md.marked & set(comp.labels)
-        if here:
-            marks[comp] = md.diagram.index[next(iter(here))]
-    out = set()
-    for r in rs.positive_roots:
-        for comp, mi in marks.items():
-            if r.coeffs[mi] == 1 and all(
-                r.coeffs[j] == 0
-                for j in range(md.diagram.rank)
-                if md.diagram.nodes[j] not in comp.labels
-            ):
-                out.add(r)
-    return frozenset(out)
+    marks = [md.diagram.index[m] for m in md.marked]
+    return frozenset(r for r in md.root_system().positive_roots
+                     if any(r.coeffs[i] == 1 for i in marks))
 
 
 def psi_gamma(md: MarkedDiagram) -> frozenset[Root]:

@@ -10,6 +10,7 @@ computable proxy; reports state this limitation.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from . import hss
@@ -35,13 +36,16 @@ class NormalDecomposition:
 
 
 def levi_components(pair: DeletionPair) -> NormalDecomposition:
-    """Partition the normal weights into Levi-action graph components."""
+    """Partition the normal weights into Levi-action graph components.
+
+    The search runs on coefficient tuples, which order as their roots do.
+    """
     corr = pair.correspondence
     weights = normal_weights(pair)
-    steps = [corr.apply(pair.sub_rs().simple_root(label))
+    steps = [corr.apply(pair.sub_rs().simple_root(label)).coeffs
              for label in pair.sub.diagram.nodes if label != pair.gamma0]
-    remaining = set(weights)
-    components: list[frozenset[Root]] = []
+    remaining = {w.coeffs for w in weights}
+    blocks: list[set[tuple[int, ...]]] = []
     while remaining:
         seed = min(remaining)
         block = {seed}
@@ -49,20 +53,22 @@ def levi_components(pair: DeletionPair) -> NormalDecomposition:
         while frontier:
             w = frontier.pop()
             for s in steps:
-                for cand in (w + s, w - s):
+                for cand in (tuple(map(operator.add, w, s)), tuple(map(operator.sub, w, s))):
                     if cand in remaining and cand not in block:
                         block.add(cand)
                         frontier.append(cand)
         remaining -= block
-        components.append(frozenset(block))
-    components.sort(key=lambda c: (len(c), min(c)))
+        blocks.append(block)
+    blocks.sort(key=lambda c: (len(c), min(c)))
     highest = []
-    for block in components:
-        maximal = [w for w in block if all(w + s not in block for s in steps)]
-        highest.append(max(maximal, key=lambda r: (r.height, r.coeffs)))
+    for block in blocks:
+        maximal = [w for w in block
+                   if all(tuple(map(operator.add, w, s)) not in block for s in steps)]
+        highest.append(Root(max(maximal, key=lambda c: (sum(c), c))))
+    components = tuple(frozenset(map(Root, block)) for block in blocks)
     singletons = [next(iter(c)) for c in components if len(c) == 1]
     singleton = singletons[0] if len(singletons) == 1 else None
-    return NormalDecomposition(weights, tuple(components), singleton, tuple(highest))
+    return NormalDecomposition(weights, components, singleton, tuple(highest))
 
 
 def summands_distinct(pair: DeletionPair) -> CheckReport:

@@ -9,6 +9,7 @@ additively to all noncompact positive roots of the sub-diagram.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -131,17 +132,17 @@ class RootCorrespondence:
     on_simple: tuple[tuple[str, Root], ...]   # sub node label -> ambient root
 
     @cached_property
-    def _map(self) -> dict[str, Root]:
-        return dict(self.on_simple)
+    def _rows(self) -> tuple[tuple[int, ...], ...]:
+        """Phi as an integer matrix, ambient rank x sub rank, by rows.
+
+        Column j is Phi of the sub diagram's j-th simple root.
+        """
+        images = dict(self.on_simple)
+        return tuple(zip(*(images[label].coeffs for label in self.pair.sub.diagram.nodes)))
 
     def apply(self, beta: Root) -> Root:
-        """Additive extension of Phi to any sub-coordinate root."""
-        sub_nodes = self.pair.sub.diagram.nodes
-        total = Root(tuple(0 for _ in range(self.pair.ambient.diagram.rank)))
-        for label, c in zip(sub_nodes, beta.coeffs):
-            if c:
-                total = total + self._map[label].scaled(c)
-        return total
+        """Phi on any sub-coordinate root: the matrix times its coefficients."""
+        return Root(tuple(sum(map(operator.mul, row, beta.coeffs)) for row in self._rows))
 
     @cached_property
     def noncompact_image(self) -> frozenset[Root]:
@@ -152,7 +153,6 @@ class RootCorrespondence:
 def root_correspondence(pair: DeletionPair) -> RootCorrespondence:
     """Build Phi and verify the three embedding invariants exactly."""
     ars = pair.ambient_rs()
-    srs = pair.sub_rs()
     sub_diag = pair.sub.diagram
     neighbors0 = set(sub_diag.neighbors(pair.gamma0))
     gamma_root = ars.simple_root(pair.gamma)
@@ -170,9 +170,10 @@ def root_correspondence(pair: DeletionPair) -> RootCorrespondence:
     for label, image in table.items():
         if not ars.is_root(image):
             raise CorrespondenceError(f"Phi({label}) = {image} is not an ambient root")
-    for la in sub_diag.nodes:
-        for lb in sub_diag.nodes:
-            want = srs.pairing(srs.simple_root(la), srs.simple_root(lb))
+    cartan = sub_diag.cartan_matrix           # cartan[j][i] = <alpha_i, alpha_j>
+    for i, la in enumerate(sub_diag.nodes):
+        for j, lb in enumerate(sub_diag.nodes):
+            want = cartan[j][i]
             got = ars.pairing(table[la], table[lb])
             if want != got:
                 raise CorrespondenceError(
@@ -180,10 +181,9 @@ def root_correspondence(pair: DeletionPair) -> RootCorrespondence:
                 )
     nc0 = hss.noncompact_positive_roots(pair.sub)
     nc = hss.noncompact_positive_roots(pair.ambient)
-    image = [corr.apply(b) for b in nc0]
-    if len(set(image)) != len(nc0):
+    if len(corr.noncompact_image) != len(nc0):
         raise CorrespondenceError("Phi is not injective on noncompact roots")
-    stray = [b for b in image if b not in nc]
+    stray = sorted(corr.noncompact_image - nc)
     if stray:
         raise CorrespondenceError(f"Phi image leaves the noncompact cone: {stray[:3]}")
     return corr

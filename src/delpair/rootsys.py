@@ -1,13 +1,23 @@
 """Dynkin diagrams, exact root systems, Weyl reflections, chain deletion.
 
 Roots are integer coefficient vectors over the simple-root basis of a fixed
-diagram, indexed by the diagram's node order.  The symmetrized Cartan matrix
-normalizes long roots to squared length 2.  All root arithmetic uses the
+diagram, indexed by the diagram's node order.  All root arithmetic uses the
 integer Gram matrix B = L * (symmetrized form), with L the least common
 denominator of its entries, so inner products and squared norms are plain
 ints scaled by L; only a non-integral pairing returns a Fraction.  Node
 labels follow Bourbaki numbering ("a1", "a2", ...), global across the
 components of a product diagram.
+
+Everything that depends only on a component's Bourbaki type is read per
+type, not per diagram.  Positive roots are generated once per (letter,
+rank) by root strings on the type's own Cartan matrix and embedded through
+``Component.labels``.  The form comes from a table of simple-root lengths
+(long roots squared length 2), and a mark is cominuscule when the Bourbaki
+table of highest-root coefficients gives it coefficient 1, so checking
+marks builds no root system.  The per-diagram paths these replace (root
+strings over the whole diagram's Cartan matrix, the breadth-first
+symmetrizer and the highest-root scan) are independent oracles in the
+tests.
 
 The Cartan pairing convention is <b, g> = 2(b, g)/(g, g), i.e. the second
 slot carries the normalization; L cancels in that ratio.
@@ -59,7 +69,7 @@ class Root:
 
     @property
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coeffs)
+        return not any(self.coeffs)
 
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, a in enumerate(self.coeffs) if a != 0)
@@ -195,42 +205,41 @@ class DynkinDiagram:
         return tuple(tuple(row) for row in C)
 
     @cached_property
-    def symmetrized_form(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Gram matrix (alpha_i, alpha_j), with long roots of squared length 2."""
-        n = self.rank
-        C = self.cartan_matrix
-        d: list[Fraction | None] = [None] * n
+    def _half_lengths(self) -> dict[str, Fraction]:
+        """d_a = (alpha_a, alpha_a)/2 per node, 1 on long roots."""
+        d: dict[str, Fraction] = {}
         for comp in self.components:
-            idxs = [self.index[a] for a in comp.labels]
-            d[idxs[0]] = Fraction(1)
-            queue = deque([comp.labels[0]])
-            while queue:
-                a = queue.popleft()
-                i = self.index[a]
-                for b in self.adjacency[a]:
-                    j = self.index[b]
-                    if d[j] is None:
-                        d[j] = d[i] * Fraction(C[i][j], C[j][i])
-                        queue.append(b)
-            top = max(d[i] for i in idxs)
-            for i in idxs:
-                d[i] /= top
-        return tuple(tuple(d[i] * C[i][j] for j in range(n)) for i in range(n))
+            lengths = _relative_lengths(comp.letter, comp.rank)
+            top = max(lengths)
+            d.update((a, Fraction(r, top)) for a, r in zip(comp.labels, lengths))
+        return d
 
     @cached_property
     def form_scale(self) -> int:
         """L, the least common denominator of every symmetrized-form entry.
 
-        Off-diagonal entries count: C_n and F4 have -1/2 between two short
-        roots of squared length 1.
+        Row a of the symmetrized form is d_a times row a of the Cartan
+        matrix, so its entries are 2 d_a on the diagonal and -d of the
+        longer end on each bond.  Bonds count: C_n and F4 have -1/2 between
+        two short roots of squared length 1.
         """
-        return math.lcm(1, *(x.denominator for row in self.symmetrized_form for x in row))
+        d = self._half_lengths
+        return math.lcm(1, *((2 * x).denominator for x in d.values()),
+                        *(max(d[u], d[v]).denominator for u, v, _, _ in self.edges))
 
     @cached_property
     def integer_form(self) -> tuple[tuple[int, ...], ...]:
-        """The integer Gram matrix B = L * symmetrized_form."""
+        """The integer Gram matrix B = L * symmetrized form.
+
+        With l_i = B(alpha_i, alpha_i) = 2 L d_i, row i is l_i / 2 times row
+        i of the Cartan matrix; every product l_i C_ij is even because L
+        clears the denominators of the symmetrized form.
+        """
         L = self.form_scale
-        return tuple(tuple(int(L * x) for x in row) for row in self.symmetrized_form)
+        d = self._half_lengths
+        lengths = [int(2 * L * d[a]) for a in self.nodes]
+        return tuple(tuple(l * c // 2 for c in row)
+                     for l, row in zip(lengths, self.cartan_matrix))
 
     def literal(self) -> str:
         return "+".join(comp.name for comp in self.components)
@@ -442,6 +451,84 @@ def parse_marked(text: str) -> "MarkedDiagram":
 
 
 # ---------------------------------------------------------------------------
+# Per-type Bourbaki data, indexed by Bourbaki node number - 1
+# ---------------------------------------------------------------------------
+
+def _relative_lengths(letter: str, n: int) -> tuple[int, ...]:
+    """Squared lengths of the simple roots up to a common factor."""
+    if letter == "B":
+        return (2,) * (n - 1) + (1,)
+    if letter == "C":
+        return (1,) * (n - 1) + (2,)
+    if letter == "F":
+        return (2, 2, 1, 1)
+    if letter == "G":
+        return (1, 3)
+    return (1,) * n
+
+
+def _highest_root_coefficients(letter: str, n: int) -> tuple[int, ...]:
+    """Coefficients of the highest root (Bourbaki, Lie Groups ch. VI, plates)."""
+    if letter == "A":
+        return (1,) * n
+    if letter == "B":
+        return (1,) + (2,) * (n - 1)
+    if letter == "C":
+        return (2,) * (n - 1) + (1,)
+    if letter == "D":
+        return (1,) + (2,) * (n - 3) + (1, 1)
+    return {"E6": (1, 2, 2, 3, 2, 1), "E7": (2, 2, 3, 4, 3, 2, 1),
+            "E8": (2, 3, 4, 6, 5, 4, 3, 2), "F4": (2, 3, 4, 2),
+            "G2": (3, 2)}[f"{letter}{n}"]
+
+
+def _generate(cartan: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
+    """Positive roots by root strings through the simple roots, as int tuples."""
+    n = len(cartan)
+    layer = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    roots = dict.fromkeys(layer)        # insertion-ordered set
+    while layer:
+        nxt: list[tuple[int, ...]] = []
+        for beta in layer:
+            for i in range(n):
+                p = 0
+                while beta[:i] + (beta[i] - p - 1,) + beta[i + 1:] in roots:
+                    p += 1
+                if p - sum(map(operator.mul, beta, cartan[i])) > 0:
+                    up = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
+                    if up not in roots:
+                        roots[up] = None
+                        nxt.append(up)
+        layer = nxt
+    return list(roots)
+
+
+@lru_cache(maxsize=None)
+def _type_roots(letter: str, n: int) -> tuple[tuple[int, ...], ...]:
+    """Positive roots of one Bourbaki type in Bourbaki coordinates, generated once."""
+    return tuple(_generate(parse_diagram(f"{letter}{n}").cartan_matrix))
+
+
+@lru_cache(maxsize=None)
+def _embedded_roots(n: int, shape: tuple[tuple[str, int, tuple[int, ...]], ...]
+                    ) -> tuple[frozenset[Root], frozenset[Root]]:
+    """Positive roots and all roots of a rank-n diagram of the given shape.
+
+    ``shape`` lists (letter, rank, node positions) per component; each
+    component's per-type roots are placed at its positions.  Diagrams that
+    differ only in node labels share one shape and so one pair of sets.
+    """
+    positives = set()
+    for letter, rank, where in shape:
+        for coeffs in _type_roots(letter, rank):
+            full = [0] * n
+            for i, c in zip(where, coeffs):
+                full[i] = c
+            positives.add(Root(tuple(full)))
+    return frozenset(positives), frozenset(positives | {-r for r in positives})
+
+
+# ---------------------------------------------------------------------------
 # Root systems
 # ---------------------------------------------------------------------------
 
@@ -452,30 +539,10 @@ class RootSystem:
         self.diagram = diagram
         self.cartan = diagram.cartan_matrix
         self.form = diagram.integer_form
-        self.positive_roots = frozenset(self._generate())
-        self._all = self.positive_roots | {-r for r in self.positive_roots}
-        self._highest: dict[Component, Root] = {}
-
-    def _generate(self) -> list[Root]:
-        """Root strings through the simple roots, on plain int tuples."""
-        n = self.diagram.rank
-        cartan = self.cartan
-        layer = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-        roots = dict.fromkeys(layer)        # insertion-ordered set
-        while layer:
-            nxt: list[tuple[int, ...]] = []
-            for beta in layer:
-                for i in range(n):
-                    p = 0
-                    while beta[:i] + (beta[i] - p - 1,) + beta[i + 1:] in roots:
-                        p += 1
-                    if p - sum(map(operator.mul, beta, cartan[i])) > 0:
-                        up = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
-                        if up not in roots:
-                            roots[up] = None
-                            nxt.append(up)
-            layer = nxt
-        return [Root(c) for c in roots]
+        shape = tuple((c.letter, c.rank, tuple(map(diagram.index.__getitem__, c.labels)))
+                      for c in diagram.components)
+        self.positive_roots, self._all = _embedded_roots(diagram.rank, shape)
+        self._columns: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     # -- pairings ----------------------------------------------------------
 
@@ -483,9 +550,13 @@ class RootSystem:
         """<beta, alpha_i>, always an integer."""
         return sum(map(operator.mul, beta.coeffs, self.cartan[i]))
 
-    def _form_column(self, gamma: tuple[int, ...]) -> list[int]:
-        """B gamma, so that B(beta, gamma) is a dot product with beta."""
-        return [sum(map(operator.mul, row, gamma)) for row in self.form]
+    def _form_column(self, gamma: tuple[int, ...]) -> tuple[int, ...]:
+        """B gamma, so that B(beta, gamma) is a dot product with beta; memoized."""
+        column = self._columns.get(gamma)
+        if column is None:
+            column = self._columns[gamma] = tuple(
+                sum(map(operator.mul, row, gamma)) for row in self.form)
+        return column
 
     def scaled_norm(self, r: Root) -> int:
         """B(r, r) = L (r, r), an integer."""
@@ -513,24 +584,6 @@ class RootSystem:
         """Simple reflection s_{alpha_i}(beta) = beta - <beta, alpha_i> alpha_i."""
         i = self.diagram.index[node] if isinstance(node, str) else node
         return beta - Root.simple(i, self.diagram.rank).scaled(self.pairing_simple(beta, i))
-
-    def component_roots(self, comp: Component) -> frozenset[Root]:
-        idxs = {self.diagram.index[a] for a in comp.labels}
-        return frozenset(r for r in self.positive_roots if set(r.support()) <= idxs)
-
-    def highest_root(self, comp: Component) -> Root:
-        """The highest root of a component, memoized per component."""
-        top = self._highest.get(comp)
-        if top is None:
-            croots = self.component_roots(comp)
-            top = max(croots, key=lambda r: (r.height, r.coeffs))
-            if sum(1 for r in croots if r.height == top.height) != 1:
-                raise DiagramError(f"component {comp.name}: highest root not unique")
-            self._highest[comp] = top
-        return top
-
-    def coefficient(self, r: Root, label: str) -> int:
-        return r.coeffs[self.diagram.index[label]]
 
     def __repr__(self) -> str:
         return f"RootSystem({self.diagram.literal()}, {len(self.positive_roots)} positive roots)"
@@ -563,18 +616,16 @@ class MarkedDiagram:
         unknown = self.marked - set(self.diagram.nodes)
         if unknown:
             raise MarkError(f"unknown marked nodes {sorted(unknown)}")
-        rs = build_root_system(self.diagram)
         for comp in self.diagram.components:
             marks_here = self.marked & set(comp.labels)
             if len(marks_here) > 1:
                 raise MarkError(f"component {comp.name} carries several marks")
             for mark in marks_here:
-                theta = rs.highest_root(comp)
-                if rs.coefficient(theta, mark) != 1:
-                    raise MarkError(
-                        f"{mark} is not cominuscule in {comp.name}: highest root "
-                        f"coefficient is {rs.coefficient(theta, mark)}"
-                    )
+                top = _highest_root_coefficients(comp.letter, comp.rank)
+                k = top[comp.bourbaki_index(mark) - 1]
+                if k != 1:
+                    raise MarkError(f"{mark} is not cominuscule in {comp.name}: "
+                                    f"highest root coefficient is {k}")
 
     @property
     def is_empty(self) -> bool:
@@ -616,10 +667,14 @@ def tree_path(diagram: DynkinDiagram, a: str, b: str) -> list[str]:
     raise ChainError(f"{a} and {b} lie in different components")
 
 
+@lru_cache(maxsize=None)
 def delete_chain(ambient: MarkedDiagram, gamma0: str) -> MarkedDiagram:
     """Delete the type-A chain running from the mark to (but excluding) gamma0.
 
-    The surviving sub-diagram is returned marked at gamma0.
+    The surviving sub-diagram is returned marked at gamma0.  Memoized by
+    marked-diagram equality, so a ``DeletionPair`` that checks its
+    sub-diagram against the deletion reads the result its catalog entry
+    already derived.
     """
     gamma = ambient.single_mark
     if gamma0 == gamma:

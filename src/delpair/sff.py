@@ -13,6 +13,7 @@ structure constants, N_{nu'-gamma,gamma} N_{nu-gamma,nu'}.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from . import hss
@@ -121,15 +122,16 @@ class KernelReport:
 
 def _kernel(ctx: SFFContext, mode: str) -> KernelReport:
     ctx.require_pair()
-    extra_quotient = ctx.x0_tangent if mode == "tau" else frozenset()
-    kernel = set()
-    for nu in ctx.psi:
-        for nu2 in ctx.sub_tangent:
-            weight = nu + nu2 - ctx.gamma
-            if _survives(weight, ctx) and weight not in extra_quotient:
-                break
-        else:
-            kernel.add(nu)
+    # nu leaves the kernel when some shift nu' - gamma moves it onto a live
+    # weight w (one that passes _survives and the tau quotient), i.e. when
+    # nu = w - (nu' - gamma); there are far fewer live weights than nu
+    live = ctx.noncompact - ctx.psi - {ctx.gamma}
+    if mode == "tau":
+        live -= ctx.x0_tangent
+    gamma = ctx.gamma.coeffs
+    shifts = [tuple(map(operator.sub, nu2.coeffs, gamma)) for nu2 in ctx.sub_tangent]
+    hit = {tuple(map(operator.sub, w.coeffs, s)) for w in live for s in shifts}
+    kernel = {nu for nu in ctx.psi if nu.coeffs not in hit}
     if mode == "sigma":
         strict = bool(kernel)
     else:

@@ -3,10 +3,15 @@
 Root systems are regenerated here by reflection closure instead of root
 strings, and by the generic Fraction kernel (root strings on Root objects,
 inner products from the rational symmetrized form) instead of the integer
-form; Chevalley structure constants come from one eager height-ordered
-sweep instead of on-demand recursion; kernels are recomputed by raw root-sum
-arithmetic; the Lie bracket acts on dict-built elements keyed by roots and
-coroots instead of basis indices, and second fundamental form values come
+form; the symmetrized form comes from a breadth-first walk of Cartan-entry
+ratios instead of the table of simple-root lengths, highest roots from a
+scan of each component's roots instead of the Bourbaki coefficient table,
+and the root correspondence from additive extension instead of its integer
+matrix; Chevalley structure constants come from one eager height-ordered
+sweep instead of on-demand recursion; kernels are recomputed by testing
+every (nu, nu') pair with raw root-sum arithmetic; the Lie bracket acts on
+dict-built elements keyed by roots and coroots instead of basis indices,
+and second fundamental form values come
 from two such brackets instead of the closed-form product of structure
 constants; counts come from closed formulas; the Grassmannian is
 enumerated through wedge products of echelon bases, the maximal minors of
@@ -24,6 +29,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -40,7 +47,7 @@ from delpair.projgeo.plucker import (
     _pencil_parameter,
     _polarization_rank,
 )
-from delpair.rootsys import DynkinDiagram, Root, RootSystem
+from delpair.rootsys import Component, DiagramError, DynkinDiagram, Root, RootSystem
 
 COUNT_FORMULAS = {
     "A": lambda n: n * (n + 1) // 2,
@@ -55,6 +62,63 @@ COUNT_FORMULAS = {
 
 def closed_form_positive_count(diagram: DynkinDiagram) -> int:
     return sum(COUNT_FORMULAS[c.letter](c.rank) for c in diagram.components)
+
+
+def symmetrized_form(diagram: DynkinDiagram) -> tuple[tuple[Fraction, ...], ...]:
+    """Gram matrix (alpha_i, alpha_j), with long roots of squared length 2.
+
+    The squared lengths spread from the first node of each component by the
+    ratio C_ij / C_ji across each bond, then are scaled so the longest is 2.
+    """
+    n = diagram.rank
+    C = diagram.cartan_matrix
+    d: list[Fraction | None] = [None] * n
+    for comp in diagram.components:
+        idxs = [diagram.index[a] for a in comp.labels]
+        d[idxs[0]] = Fraction(1)
+        queue = deque([comp.labels[0]])
+        while queue:
+            a = queue.popleft()
+            i = diagram.index[a]
+            for b in diagram.adjacency[a]:
+                j = diagram.index[b]
+                if d[j] is None:
+                    d[j] = d[i] * Fraction(C[i][j], C[j][i])
+                    queue.append(b)
+        top = max(d[i] for i in idxs)
+        for i in idxs:
+            d[i] /= top
+    return tuple(tuple(d[i] * C[i][j] for j in range(n)) for i in range(n))
+
+
+def symmetrized_form_scale(diagram: DynkinDiagram) -> int:
+    """The least common denominator of every symmetrized-form entry."""
+    return math.lcm(1, *(x.denominator for row in symmetrized_form(diagram) for x in row))
+
+
+def component_roots(rs: RootSystem, comp: Component) -> frozenset[Root]:
+    """Positive roots supported on one component, by scanning their supports."""
+    idxs = {rs.diagram.index[a] for a in comp.labels}
+    return frozenset(r for r in rs.positive_roots if set(r.support()) <= idxs)
+
+
+def highest_root(rs: RootSystem, comp: Component) -> Root:
+    """The unique root of greatest height among a component's roots."""
+    croots = component_roots(rs, comp)
+    top = max(croots, key=lambda r: (r.height, r.coeffs))
+    if sum(1 for r in croots if r.height == top.height) != 1:
+        raise DiagramError(f"component {comp.name}: highest root not unique")
+    return top
+
+
+def additive_apply(corr, beta: Root) -> Root:
+    """Phi(beta) as the sum of c_j Phi(alpha_j), one Root at a time."""
+    images = dict(corr.on_simple)
+    total = Root(tuple(0 for _ in range(corr.pair.ambient.diagram.rank)))
+    for label, c in zip(corr.pair.sub.diagram.nodes, beta.coeffs):
+        if c:
+            total = total + images[label].scaled(c)
+    return total
 
 
 def reflection_closure_positive_roots(diagram: DynkinDiagram) -> frozenset[Root]:
@@ -91,8 +155,9 @@ class FractionRootSystem:
 
     def __init__(self, diagram: DynkinDiagram):
         self.cartan = diagram.cartan_matrix
-        self.sym = diagram.symmetrized_form
+        self.sym = symmetrized_form(diagram)
         self._columns: dict[Root, tuple[Fraction, ...]] = {}
+        self._norms: dict[Root, Fraction] = {}
         self.positive_roots = frozenset(self._generate(diagram.rank))
 
     def _generate(self, n: int) -> set[Root]:
@@ -131,11 +196,18 @@ class FractionRootSystem:
         col = self._column(gamma)
         return sum((b * col[i] for i, b in enumerate(beta.coeffs) if b), Fraction(0))
 
+    def _norm(self, gamma: Root) -> Fraction:
+        """(gamma, gamma), memoized per gamma."""
+        norm = self._norms.get(gamma)
+        if norm is None:
+            norm = self._norms[gamma] = self.bilinear(gamma, gamma)
+        return norm
+
     def pairing(self, beta: Root, gamma: Root) -> "int | Fraction":
         """<beta, gamma> = 2(beta, gamma)/(gamma, gamma)."""
         if gamma.is_zero:
             raise ValueError("pairing against the zero vector")
-        value = 2 * self.bilinear(beta, gamma) / self.bilinear(gamma, gamma)
+        value = 2 * self.bilinear(beta, gamma) / self._norm(gamma)
         return int(value) if value.denominator == 1 else value
 
     def coroot_coefficients(self, alpha: Root) -> tuple[int, ...]:

@@ -19,6 +19,7 @@ from delpair.rootsys import ChainError, DiagramError, MarkError
 DEFAULT_BUNDLE_SHA256 = "5740a2e1470a40513d10aac19e2fa7121f8c14d777e31119684ac7f61315b033"
 RANK_SWEEP_SHA256 = "30c972b23383eb6ab05448fb439a2c2dde9e0b74ff6ae191d8270bac59fe4c6d"
 RANK16_SHA256 = "316213e25bee6dc914b1e51466cd4d2481540c71157c5323ddffb17b0ef109ec"
+RANK20_SHA256 = "6029212b69043848f8ba8bbb4b0640cab7f7c3ac350f6da57ae3db5588632081"
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +112,28 @@ def test_cli_verify_pair_and_exit_codes(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["reports"][0]["status"] == "pass"
     assert main(["verify-pair", "--pair", "E7:a6/a5", "--out", str(out)]) == 2
+
+
+@pytest.mark.parametrize("pair_id, message", [
+    ("E8:a8/a7", "a8 is not cominuscule in E8: highest root coefficient is 2"),
+    ("E8:a4/a3", "a4 is not cominuscule in E8: highest root coefficient is 6"),
+    ("E7:a4/a3", "a4 is not cominuscule in E7: highest root coefficient is 4"),
+    ("E6:a4/a3", "a4 is not cominuscule in E6: highest root coefficient is 3"),
+    ("G2:a2/a1", "a2 is not cominuscule in G2: highest root coefficient is 2"),
+    ("G2:a1/a2", "a1 is not cominuscule in G2: highest root coefficient is 3"),
+    ("F4:a4/a1", "a4 is not cominuscule in F4: highest root coefficient is 2"),
+    ("F4:a3/a2", "a3 is not cominuscule in F4: highest root coefficient is 4"),
+    ("B4:a2/a1", "a2 is not cominuscule in B4: highest root coefficient is 2"),
+    ("C4:a1/a4", "a1 is not cominuscule in C4: highest root coefficient is 2"),
+    ("D5:a2/a1", "a2 is not cominuscule in D5: highest root coefficient is 2"),
+    ("B3:a1,a2/a3", "component B3 carries several marks"),
+])
+def test_cli_refuses_non_cominuscule_marks(pair_id, message, tmp_path, capsys):
+    out = tmp_path / "pair.json"
+    assert main(["verify-pair", "--pair", pair_id, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == "" and not out.exists()
 
 
 def test_cli_degeneracy_modes(tmp_path):
@@ -307,6 +330,15 @@ def test_rank16_bundle_golden_hash():
     digest = hashlib.sha256(bundle_json(doc).encode("utf-8")).hexdigest()
     assert digest == RANK16_SHA256
     assert doc["summary"] == {"pass": 714, "fail": 0, "indeterminate": 197, "skipped": 175}
+
+
+def test_rank20_bundle_golden_hash():
+    # B17-B20 and D17-D20: 346 pairs, the largest catalog any test builds
+    code, doc = run_all(RunConfig(max_rank=20, primes_plucker=(3,), primes_segre=(2,)))
+    assert code == 0
+    digest = hashlib.sha256(bundle_json(doc).encode("utf-8")).hexdigest()
+    assert digest == RANK20_SHA256
+    assert doc["summary"] == {"pass": 1126, "fail": 0, "indeterminate": 325, "skipped": 295}
 
 
 def test_pair_commands_agree_with_run_all(default_bundle, catalog7, tmp_path):

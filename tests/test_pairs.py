@@ -12,6 +12,7 @@ from delpair.pairs import (
     root_correspondence,
 )
 from delpair.rootsys import Root
+from oracles import additive_apply
 
 
 def test_catalog_contains_the_table_rows(catalog7):
@@ -87,6 +88,13 @@ def test_every_catalog_pair_verifies(catalog7):
                             (pair.ambient, normal_weights(pair))):
             rs = md.root_system()
             assert weights and all(rs.is_root(w) for w in weights), (pair, md)
+
+
+def test_matrix_apply_matches_additive_oracle(catalog12):
+    for pair in catalog12:
+        corr = pair.correspondence
+        for beta in pair.sub_rs().positive_roots:
+            assert corr.apply(beta) == additive_apply(corr, beta), (pair, beta)
 
 
 def test_corrupted_gamma_fails_with_named_invariant(catalog7):

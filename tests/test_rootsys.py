@@ -19,17 +19,50 @@ from delpair.rootsys import (
     parse_diagram,
     parse_marked,
     space_name,
+    _generate,
+    _highest_root_coefficients,
 )
 from delpair.chevalley import build_table
 from oracles import (
     FractionRootSystem,
     closed_form_positive_count,
+    component_roots,
+    highest_root,
     reflection_closure_positive_roots,
+    symmetrized_form,
+    symmetrized_form_scale,
 )
 
 ORACLE_LITERALS = [f"A{n}" for n in range(1, 7)] + [f"B{n}" for n in range(2, 6)] + [
     f"D{n}" for n in range(4, 7)] + ["E6", "E7", "E8", "C3", "C4", "F4", "G2"]
 KERNEL_LITERALS = ORACLE_LITERALS + ["B12", "D12", "A1+A2", "B3+G2"]
+CONNECTED_LITERALS = [f"A{n}" for n in range(1, 21)] + [f"B{n}" for n in range(2, 21)] + [
+    f"C{n}" for n in range(3, 21)] + [f"D{n}" for n in range(4, 21)] + [
+    "E6", "E7", "E8", "F4", "G2"]
+PRODUCT_LITERALS = ["C3+G2+B4", "B3+G2", "A1+A2", "F4+C5+D4", "G2+G2+E6"]
+
+
+def shuffled(literal: str, seed: int) -> DynkinDiagram:
+    """The diagram of a literal with its nodes listed in a seeded random order,
+    so that Bourbaki labels and node positions disagree."""
+    diagram = parse_diagram(literal)
+    order = list(diagram.nodes)
+    random.Random(seed).shuffle(order)
+    pos = {a: i for i, a in enumerate(order)}
+    edges = frozenset((u, v, m, arrow) if pos[u] < pos[v] else (v, u, m, arrow)
+                      for u, v, m, arrow in diagram.edges)
+    return DynkinDiagram(tuple(order), edges)
+
+
+@pytest.fixture(scope="module")
+def typed_diagrams(catalog12):
+    """Every connected type up to rank 20 in shuffled node order, products of
+    types, and every ambient and sub-diagram of the rank-12 catalog."""
+    diagrams = {shuffled(lit, k) for k, lit in enumerate(CONNECTED_LITERALS)}
+    diagrams |= {parse_diagram(lit) for lit in PRODUCT_LITERALS}
+    diagrams |= {shuffled(lit, 99) for lit in PRODUCT_LITERALS}
+    diagrams |= {md.diagram for pair in catalog12 for md in (pair.ambient, pair.sub)}
+    return sorted(diagrams, key=lambda d: (d.rank, d.nodes))
 
 
 def test_a2_positive_roots_by_hand():
@@ -162,7 +195,7 @@ def test_roots_reachable_by_simple_steps():
     ("B3", 1), ("C3", 2), ("F4", 2), ("G2", 3), ("B3+G2", 3)])
 def test_integer_form_is_minimal_multiple_of_symmetrized_form(literal, scale):
     diagram = parse_diagram(literal)
-    S, B = diagram.symmetrized_form, diagram.integer_form
+    S, B = symmetrized_form(diagram), diagram.integer_form
     n = diagram.rank
     assert diagram.form_scale == scale
     assert all(type(B[i][j]) is int and B[i][j] == scale * S[i][j]
@@ -190,33 +223,44 @@ def test_integer_kernel_matches_fraction_oracle(literal):
         assert table.coroot_coefficients(-alpha) == oracle.coroot_coefficients(-alpha)
 
 
+def test_embedded_type_roots_match_root_strings_on_own_cartan(typed_diagrams):
+    for diagram in typed_diagrams:
+        generated = {Root(c) for c in _generate(diagram.cartan_matrix)}
+        assert build_root_system(diagram).positive_roots == generated, diagram.literal()
+
+
+def test_integer_form_matches_fraction_symmetrizer(typed_diagrams):
+    for diagram in typed_diagrams:
+        S, B, L = symmetrized_form(diagram), diagram.integer_form, diagram.form_scale
+        assert L == symmetrized_form_scale(diagram), diagram.literal()
+        assert all(type(b) is int and b == L * x
+                   for row_b, row_s in zip(B, S) for b, x in zip(row_b, row_s)), diagram.literal()
+
+
 def maximal_component_roots(rs, comp):
     """Roots of a component that no simple root of the component raises."""
-    croots = rs.component_roots(comp)
+    croots = component_roots(rs, comp)
     raises = [Root.simple(rs.diagram.index[a], rs.diagram.rank) for a in comp.labels]
     return [r for r in croots if all(r + s not in croots for s in raises)]
 
 
-def test_highest_root_matches_uncached_scan(catalog12):
-    diagrams = {parse_diagram(literal) for literal in ORACLE_LITERALS}
-    diagrams |= {md.diagram for pair in catalog12 for md in (pair.ambient, pair.sub)}
-    for diagram in diagrams:
+def test_highest_root_matches_uncached_scan(typed_diagrams):
+    for diagram in typed_diagrams:
         rs = build_root_system(diagram)
         for comp in diagram.components:
-            top = rs.highest_root(comp)
+            top = highest_root(rs, comp)
             assert maximal_component_roots(rs, comp) == [top]
-            assert rs.highest_root(comp) is top
+            at_labels = tuple(top.coeffs[diagram.index[a]] for a in comp.labels)
+            assert _highest_root_coefficients(comp.letter, comp.rank) == at_labels, comp
 
 
-def test_highest_root_is_memoized_per_component():
-    rs = RootSystem(parse_diagram("E8+B3"))
-    tops = [rs.highest_root(comp) for comp in rs.diagram.components]
+def test_marks_are_checked_without_building_root_systems(monkeypatch):
+    def refuse(self, diagram):
+        raise AssertionError("a mark check built a root system")
 
-    def rescan(comp):
-        raise AssertionError("highest_root rescanned the positive roots")
-
-    rs.component_roots = rescan
-    assert [rs.highest_root(comp) for comp in rs.diagram.components] == tops
+    monkeypatch.setattr(RootSystem, "__init__", refuse)
+    assert parse_marked("E7+B3:a7,a8").literal() == "E7+B3:a7,a8"
+    assert delete_chain(parse_marked("D9:a1"), "a4").literal() == "D6:a4"
     for _ in range(2):
         with pytest.raises(MarkError, match="not cominuscule"):
             parse_marked("B3:a2")
@@ -295,7 +339,7 @@ def test_hyperquadric_recognition():
 def test_symmetrized_form_is_symmetric_and_fixes_lengths():
     for literal in ("B3", "C3", "F4", "G2"):
         diagram = parse_diagram(literal)
-        S = diagram.symmetrized_form
+        S = symmetrized_form(diagram)
         n = diagram.rank
         assert all(S[i][j] == S[j][i] for i in range(n) for j in range(n))
         assert max(S[i][i] for i in range(n)) == Fraction(2)

@@ -133,22 +133,22 @@ def test_kernels_match_bracket_oracle_rank12(catalog12):
         assert kernel_tau(ctx).kernel_weights == bracket_kernel(ctx.x0_tangent)
 
 
-def test_kernel_sigma_matches_brute_oracle(catalog7):
-    for pid in ("D5:a5/a3", "E6:a6/a5", "E7:a7/a6", "B4:a1/a3", "E7:a7/a4"):
-        ctx = ctx_for(catalog7, pid)
+def test_kernel_sigma_matches_brute_oracle(catalog12):
+    for pair in catalog12:
+        ctx = SFFContext.for_pair(pair)
         report = kernel_sigma(ctx)
         oracle = brute_kernel(ctx.psi, ctx.sub_tangent, ctx.gamma,
                               ctx.noncompact, ctx.rs)
-        assert report.kernel_weights == oracle
+        assert report.kernel_weights == oracle, pair
 
 
-def test_kernel_tau_matches_brute_oracle(catalog7):
-    for pid in ("D5:a5/a3", "E6:a6/a5", "E7:a7/a6"):
-        ctx = ctx_for(catalog7, pid)
+def test_kernel_tau_matches_brute_oracle(catalog12):
+    for pair in catalog12:
+        ctx = SFFContext.for_pair(pair)
         report = kernel_tau(ctx)
         oracle = brute_kernel(ctx.psi, ctx.sub_tangent, ctx.gamma,
                               ctx.noncompact, ctx.rs, quotient=ctx.x0_tangent)
-        assert report.kernel_weights == oracle
+        assert report.kernel_weights == oracle, pair
 
 
 def test_degeneracy_for_all_catalog_pairs(catalog7):
