@@ -380,6 +380,13 @@ def _emit(doc: dict, fmt: str, out_path: "str | None") -> None:
         sys.stdout.write(text)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises on a usage error, so ``main`` reports it in one line, not usage text."""
+
+    def error(self, message: str):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def _subcommand(parent, name: str, reports) -> argparse.ArgumentParser:
     """A subcommand with the common options; ``reports(args, config)`` lists its reports."""
     sp = parent.add_parser(name)
@@ -410,7 +417,7 @@ def _config(args) -> RunConfig:
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="delpair",
         description="verification toolkit for deletion-type pairs of "
                     "Hermitian symmetric spaces")

@@ -52,12 +52,12 @@ class DeletionPair:
 
     @cached_property
     def big_gamma(self) -> Root:
-        """Sum of the chain's simple roots, gamma excluded, gamma0 included."""
-        rs = self.ambient.root_system()
-        total = Root(tuple(0 for _ in range(self.ambient.diagram.rank)))
-        for label in self.chain[1:]:
-            total = total + rs.simple_root(label)
-        return total
+        """Sum of the chain's simple roots, gamma excluded, gamma0 included.
+
+        In simple-root coordinates this is the indicator vector of chain[1:].
+        """
+        summed = set(self.chain[1:])
+        return Root(tuple(int(label in summed) for label in self.ambient.diagram.nodes))
 
     @cached_property
     def correspondence(self) -> RootCorrespondence:
@@ -120,8 +120,9 @@ def catalog_specs(max_rank: int) -> list[tuple[str, str]]:
 
 def catalog(max_rank: int) -> list[DeletionPair]:
     """All instantiations of the deletion-type families with rank <= max_rank."""
-    return [make_pair(parse_marked(ambient), gamma0)
-            for ambient, gamma0 in catalog_specs(max_rank)]
+    specs = catalog_specs(max_rank)
+    ambients = {literal: parse_marked(literal) for literal in {lit for lit, _ in specs}}
+    return [make_pair(ambients[literal], gamma0) for literal, gamma0 in specs]
 
 
 @dataclass(frozen=True)
@@ -199,42 +200,21 @@ class MaximalityVerdict:
 
 
 @lru_cache(maxsize=None)
-def _single_deletions(md: MarkedDiagram) -> tuple[DeletionPair, ...]:
-    """All valid one-step deletions from a marked diagram to a connected result."""
-    gamma = md.single_mark
-    out = []
-    for node in md.diagram.nodes:
-        if node == gamma:
-            continue
-        try:
-            sub = delete_chain(md, node)
-        except (ChainError, ValueError):
-            continue
-        if len(sub.diagram.components) != 1:
-            continue
-        out.append(make_pair(md, node))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def is_maximal(pair: DeletionPair) -> MaximalityVerdict:
-    """Exhaustive search for an intermediate deletion step X0 in X1 in X.
+    """The first steps X1 in X of every decomposition X0 in X1 in X.
+
+    X1 = delete(X, g1) is such a step exactly when g1 lies strictly inside
+    the chain and X1 is connected.  Off the chain, the tree path from g1 to
+    gamma0 runs through a deleted node (the branch point, or gamma0 itself),
+    so gamma0 is gone or lies in another component than g1; g1 = gamma0
+    gives X1 = X0.  On the chain, deleting from g1 on removes the rest of the
+    chain, so the two steps together remove the chain minus gamma0.  The
+    exhaustive search over every node stays as a test oracle.
 
     Cached by pair equality, which is safe: the verdict reads only the
     pair's fields.
     """
-    witnesses = []
-    for step in _single_deletions(pair.ambient):
-        mid = step.sub
-        if mid == pair.sub or mid == pair.ambient:
-            continue
-        if pair.gamma0 not in mid.diagram.nodes:
-            continue
-        try:
-            second = delete_chain(mid, pair.gamma0)
-        except (ChainError, ValueError):
-            continue
-        if second == pair.sub:
-            witnesses.append(step)
-    witnesses.sort(key=lambda p: p.pair_id)
+    steps = (make_pair(pair.ambient, g1) for g1 in pair.chain[1:-1])
+    witnesses = sorted((step for step in steps if len(step.sub.diagram.components) == 1),
+                       key=lambda p: p.pair_id)
     return MaximalityVerdict(not witnesses, tuple(witnesses))

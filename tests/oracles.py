@@ -6,9 +6,12 @@ inner products from the rational symmetrized form) instead of the integer
 form; the symmetrized form comes from a breadth-first walk of Cartan-entry
 ratios instead of the table of simple-root lengths, highest roots from a
 scan of each component's roots instead of the Bourbaki coefficient table,
-and the root correspondence from additive extension instead of its integer
-matrix; Chevalley structure constants come from one eager height-ordered
-sweep instead of on-demand recursion; kernels are recomputed by testing
+the root correspondence from additive extension instead of its integer
+matrix, the chain-sum root Gamma from Root additions instead of the chain's
+indicator vector, and maximality from an exhaustive two-step deletion
+search over every node instead of the chain-interior closed form; Chevalley
+structure constants come from one eager height-ordered sweep instead of
+on-demand recursion; kernels are recomputed by testing
 every (nu, nu') pair with raw root-sum arithmetic; the Lie bracket acts on
 dict-built elements keyed by roots and coroots instead of basis indices,
 and second fundamental form values come
@@ -37,6 +40,7 @@ from fractions import Fraction
 import sympy
 
 from delpair.chevalley import ChevalleyTable
+from delpair.pairs import MaximalityVerdict, make_pair
 from delpair.projgeo.linalg import primitive_int_covector, projective_points
 from delpair.projgeo.plucker import (
     PAIRS,
@@ -47,7 +51,16 @@ from delpair.projgeo.plucker import (
     _pencil_parameter,
     _polarization_rank,
 )
-from delpair.rootsys import Component, DiagramError, DynkinDiagram, Root, RootSystem
+from delpair.rootsys import (
+    ChainError,
+    Component,
+    DiagramError,
+    DynkinDiagram,
+    MarkedDiagram,
+    Root,
+    RootSystem,
+    delete_chain,
+)
 
 COUNT_FORMULAS = {
     "A": lambda n: n * (n + 1) // 2,
@@ -119,6 +132,52 @@ def additive_apply(corr, beta: Root) -> Root:
         if c:
             total = total + images[label].scaled(c)
     return total
+
+
+def chain_sum(pair) -> Root:
+    """Gamma as a sum of simple roots of the ambient system, one Root at a time."""
+    rs = pair.ambient.root_system()
+    total = Root(tuple(0 for _ in range(pair.ambient.diagram.rank)))
+    for label in pair.chain[1:]:
+        total = total + rs.simple_root(label)
+    return total
+
+
+@functools.lru_cache(maxsize=None)
+def _single_deletions(md: MarkedDiagram) -> tuple:
+    """All valid one-step deletions from a marked diagram to a connected result."""
+    gamma = md.single_mark
+    out = []
+    for node in md.diagram.nodes:
+        if node == gamma:
+            continue
+        try:
+            sub = delete_chain(md, node)
+        except (ChainError, ValueError):
+            continue
+        if len(sub.diagram.components) != 1:
+            continue
+        out.append(make_pair(md, node))
+    return tuple(out)
+
+
+def exhaustive_maximality(pair) -> MaximalityVerdict:
+    """Search every one-step deletion X1 of the ambient for a second step to X0."""
+    witnesses = []
+    for step in _single_deletions(pair.ambient):
+        mid = step.sub
+        if mid == pair.sub or mid == pair.ambient:
+            continue
+        if pair.gamma0 not in mid.diagram.nodes:
+            continue
+        try:
+            second = delete_chain(mid, pair.gamma0)
+        except (ChainError, ValueError):
+            continue
+        if second == pair.sub:
+            witnesses.append(step)
+    witnesses.sort(key=lambda p: p.pair_id)
+    return MaximalityVerdict(not witnesses, tuple(witnesses))
 
 
 def reflection_closure_positive_roots(diagram: DynkinDiagram) -> frozenset[Root]:

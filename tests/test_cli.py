@@ -262,6 +262,27 @@ def test_bad_primes_list_exits_2_with_one_line(argv, message, tmp_path, capsys):
     assert captured.out == "" and not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["run-all", "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+    (["run-all", "--format", "yaml"], "argument --format: invalid choice: 'yaml'"),
+    (["verify-pair"], "the following arguments are required: --pair"),
+    (["frob"], "argument command: invalid choice: 'frob'"),
+])
+def test_usage_errors_exit_2_with_one_line(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: delpair") and message in err[0]
+    assert captured.out == ""
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run-all", "--help"])
+    assert exc.value.code == 0
+    assert "usage: delpair run-all" in capsys.readouterr().out
+
+
 # Witnesses of `pluecker section` and `pluecker collinear` at the default
 # primes, recorded before plane sections moved off field objects.  run-all
 # never calls the collinearity scan, so the bundle shas do not cover it.

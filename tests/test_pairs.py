@@ -1,6 +1,6 @@
 import pytest
 
-from delpair import hss
+from delpair import hss, pairs
 from delpair.normalbundle import normal_weights
 from delpair.pairs import (
     CorrespondenceError,
@@ -11,8 +11,33 @@ from delpair.pairs import (
     make_pair,
     root_correspondence,
 )
-from delpair.rootsys import Root
-from oracles import additive_apply
+from delpair.rootsys import ChainError, MarkError, Root, parse_diagram, parse_marked
+from oracles import additive_apply, chain_sum, exhaustive_maximality
+
+SWEEP_DIAGRAMS = (
+    [f"A{n}" for n in range(1, 13)] + [f"B{n}" for n in range(2, 13)]
+    + [f"C{n}" for n in range(2, 13)] + [f"D{n}" for n in range(3, 13)]
+    + ["E6", "E7", "E8", "F4", "G2", "A2+B3", "D4+A3", "E6+A2"])
+
+
+def single_mark_pairs(literals):
+    """Every pair (a cominuscule mark gamma, a node gamma0) that make_pair accepts."""
+    out = []
+    for literal in literals:
+        nodes = parse_diagram(literal).nodes
+        for gamma in nodes:
+            try:
+                ambient = parse_marked(f"{literal}:{gamma}")
+            except MarkError:
+                continue
+            for gamma0 in nodes:
+                if gamma0 == gamma:
+                    continue
+                try:
+                    out.append(make_pair(ambient, gamma0))
+                except (ChainError, MarkError):
+                    continue
+    return out
 
 
 def test_catalog_contains_the_table_rows(catalog7):
@@ -47,6 +72,17 @@ def test_gamma_is_chain_sum(catalog7):
     assert pair.big_gamma == Root((0, 1, 1, 0))
     pair = catalog7["E7:a7/a6"]
     assert pair.big_gamma == Root((0, 0, 0, 0, 0, 1, 0))
+
+
+def test_gamma_matches_root_sum_oracle(catalog12):
+    for pair in catalog12:
+        assert pair.big_gamma == chain_sum(pair), pair
+
+
+def test_hand_built_pair_with_wrong_sub_is_refused(catalog7):
+    good = catalog7["B4:a1/a3"]
+    with pytest.raises(ChainError, match="^sub-diagram does not match the chain deletion$"):
+        DeletionPair(good.ambient, catalog7["B4:a1/a2"].sub, good.chain)
 
 
 def test_phi_on_simple_roots_e7(catalog7):
@@ -138,3 +174,39 @@ def test_dimension_bookkeeping(catalog7):
         nc0 = len(hss.noncompact_positive_roots(pair.sub))
         nc = len(hss.noncompact_positive_roots(pair.ambient))
         assert nc0 + len(normal_weights(pair)) == nc
+
+
+def test_maximality_matches_exhaustive_oracle_on_catalog20():
+    catalog20 = catalog(20)
+    assert len(catalog20) == 346
+    assert sum(not is_maximal(p).maximal for p in catalog20) == 292
+    for pair in catalog20:
+        assert is_maximal(pair).witness_ids() == exhaustive_maximality(pair).witness_ids(), pair
+
+
+def test_maximality_matches_exhaustive_oracle_on_single_mark_pairs():
+    swept = single_mark_pairs(SWEEP_DIAGRAMS)
+    assert len(swept) == 868
+    assert sum(not is_maximal(p).maximal for p in swept) == 332
+    for pair in swept:
+        assert is_maximal(pair).witness_ids() == exhaustive_maximality(pair).witness_ids(), pair
+
+
+@pytest.mark.parametrize("pair_id", ["B12:a1/a11", "E7:a7/a4"])
+def test_maximality_deletes_only_at_chain_interior_nodes(pair_id, monkeypatch):
+    ambient, gamma0 = pair_id.rsplit("/", 1)
+    pair = make_pair(parse_marked(ambient), gamma0)
+    calls = []
+
+    def recording(fn):
+        def wrapper(md, node):
+            calls.append((md, node))
+            return fn(md, node)
+        return wrapper
+
+    monkeypatch.setattr(pairs, "make_pair", recording(pairs.make_pair))
+    monkeypatch.setattr(pairs, "delete_chain", recording(pairs.delete_chain))
+    verdict = is_maximal.__wrapped__(pair)
+    assert not verdict.maximal and calls
+    for md, node in calls:
+        assert md == pair.ambient and node in pair.chain[1:-1], (md, node)
