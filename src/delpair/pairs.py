@@ -1,28 +1,27 @@
 """Deletion-type admissible pairs: catalog, root correspondence, maximality.
 
-A deletion pair carries the ambient marked diagram (mark gamma), the marked
-sub-diagram obtained by deleting the chain from gamma up to (but excluding)
-gamma0, and the chain-sum root Gamma (the path nodes, gamma excluded, gamma0
-included).  The root correspondence sends gamma0 to gamma, fixes simple roots
-away from gamma0 and adds Gamma to the neighbors of gamma0; it extends
-additively to all noncompact positive roots of the sub-diagram.
+A deletion pair is the ambient marked diagram (mark gamma) and a node gamma0.
+It derives the marked sub-diagram obtained by deleting the chain from gamma
+up to (but excluding) gamma0, and the chain-sum root Gamma (the path nodes,
+gamma excluded, gamma0 included).  The root correspondence sends gamma0 to
+gamma, fixes simple roots away from gamma0 and adds Gamma to the neighbors
+of gamma0; it extends additively to all noncompact positive roots of the
+sub-diagram.
 """
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from . import hss
 from .rootsys import (
-    ChainError,
     MarkedDiagram,
     Root,
     RootSystem,
     delete_chain,
     parse_marked,
     space_name,
-    tree_path,
 )
 
 
@@ -32,23 +31,26 @@ class CorrespondenceError(ValueError):
 
 @dataclass(frozen=True)
 class DeletionPair:
-    """An admissible pair of deletion type, with its connecting chain."""
+    """An admissible pair of deletion type: the ambient and the node gamma0.
+
+    The chain and the sub-diagram are derived at construction, so a gamma0
+    that admits no chain deletion raises ``ChainError`` here.  Equality and
+    hashing see only (ambient, gamma0), which determine the rest.
+    """
 
     ambient: MarkedDiagram
-    sub: MarkedDiagram
-    chain: tuple[str, ...]          # path from gamma to gamma0, inclusive
+    gamma0: str
+    chain: tuple[str, ...] = field(init=False, compare=False)   # gamma .. gamma0
+    sub: MarkedDiagram = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        if delete_chain(self.ambient, self.gamma0) != self.sub:
-            raise ChainError("sub-diagram does not match the chain deletion")
+        chain, sub = delete_chain(self.ambient, self.gamma0)
+        object.__setattr__(self, "chain", chain)
+        object.__setattr__(self, "sub", sub)
 
     @property
     def gamma(self) -> str:
         return self.chain[0]
-
-    @property
-    def gamma0(self) -> str:
-        return self.chain[-1]
 
     @cached_property
     def big_gamma(self) -> Root:
@@ -86,13 +88,6 @@ class DeletionPair:
         return f"DeletionPair({self.pair_id})"
 
 
-def make_pair(ambient: MarkedDiagram, gamma0: str) -> DeletionPair:
-    gamma = ambient.single_mark
-    sub = delete_chain(ambient, gamma0)
-    path = tuple(tree_path(ambient.diagram, gamma, gamma0))
-    return DeletionPair(ambient, sub, path)
-
-
 def catalog_specs(max_rank: int) -> list[tuple[str, str]]:
     """(marked ambient literal, gamma0) of every catalog pair, in catalog order.
 
@@ -122,7 +117,7 @@ def catalog(max_rank: int) -> list[DeletionPair]:
     """All instantiations of the deletion-type families with rank <= max_rank."""
     specs = catalog_specs(max_rank)
     ambients = {literal: parse_marked(literal) for literal in {lit for lit, _ in specs}}
-    return [make_pair(ambients[literal], gamma0) for literal, gamma0 in specs]
+    return [DeletionPair(ambients[literal], gamma0) for literal, gamma0 in specs]
 
 
 @dataclass(frozen=True)
@@ -212,9 +207,9 @@ def is_maximal(pair: DeletionPair) -> MaximalityVerdict:
     exhaustive search over every node stays as a test oracle.
 
     Cached by pair equality, which is safe: the verdict reads only the
-    pair's fields.
+    ambient and the chain, and (ambient, gamma0) determine both.
     """
-    steps = (make_pair(pair.ambient, g1) for g1 in pair.chain[1:-1])
+    steps = (DeletionPair(pair.ambient, g1) for g1 in pair.chain[1:-1])
     witnesses = sorted((step for step in steps if len(step.sub.diagram.components) == 1),
                        key=lambda p: p.pair_id)
     return MaximalityVerdict(not witnesses, tuple(witnesses))

@@ -668,13 +668,14 @@ def tree_path(diagram: DynkinDiagram, a: str, b: str) -> list[str]:
 
 
 @lru_cache(maxsize=None)
-def delete_chain(ambient: MarkedDiagram, gamma0: str) -> MarkedDiagram:
+def delete_chain(ambient: MarkedDiagram,
+                 gamma0: str) -> tuple[tuple[str, ...], MarkedDiagram]:
     """Delete the type-A chain running from the mark to (but excluding) gamma0.
 
-    The surviving sub-diagram is returned marked at gamma0.  Memoized by
-    marked-diagram equality, so a ``DeletionPair`` that checks its
-    sub-diagram against the deletion reads the result its catalog entry
-    already derived.
+    Returns the chain (the path from the mark to gamma0, both included) and
+    the surviving sub-diagram marked at gamma0.  Memoized by marked-diagram
+    equality, so the deletion steps that maximality tries read the result
+    a catalog pair already derived.
     """
     gamma = ambient.single_mark
     if gamma0 == gamma:
@@ -690,7 +691,7 @@ def delete_chain(ambient: MarkedDiagram, gamma0: str) -> MarkedDiagram:
             )
     removed = set(path[:-1])
     sub = ambient.diagram.induced(set(ambient.diagram.nodes) - removed)
-    return MarkedDiagram(sub, frozenset({gamma0}))
+    return tuple(path), MarkedDiagram(sub, frozenset({gamma0}))
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,12 @@ The form is evaluated on root vectors by the double bracket
 [E_{nu-gamma}, [E_{nu'-gamma}, E_gamma]] and reduced modulo the affinized
 tangent space and the parabolic: the value survives exactly when
 nu + nu' - gamma is a noncompact positive root outside Psi_gamma u {gamma}.
-Radial arguments short-circuit to zero (the cone annihilates its ruling).
 
 That weight rule alone decides the sigma/tau kernels, so degeneracy
 verdicts are independent of the Chevalley sign convention and build no
-Lie elements.  A surviving value is read in closed form from two memoized
-structure constants, N_{nu'-gamma,gamma} N_{nu-gamma,nu'}.
+Lie elements.  The sub-VMRT tangent weights are Phi(Psi_gamma0(X0)), read
+through the pair's root correspondence.  The bracket evaluation stays as a
+test oracle.
 """
 from __future__ import annotations
 
@@ -17,141 +17,70 @@ import operator
 from dataclasses import dataclass
 
 from . import hss
-from .chevalley import ChevalleyTable
 from .pairs import DeletionPair
 from .report import FAIL, PASS, SKIPPED, CheckReport, root_witness
-from .rootsys import MarkedDiagram, Root, RootSystem
-
-
-class _Radial:
-    """Sentinel for the radial (cone) direction of an affinized tangent space."""
-
-    def __repr__(self) -> str:
-        return "RADIAL"
-
-
-RADIAL = _Radial()
+from .rootsys import Root, RootSystem
 
 
 @dataclass(frozen=True)
 class SFFContext:
-    """Weight data of an ambient VMRT and (optionally) an embedded sub-VMRT."""
+    """Weight data of an ambient VMRT and the sub-VMRT of a deletion pair."""
 
     rs: RootSystem
     gamma: Root
     noncompact: frozenset[Root]
-    psi: frozenset[Root]                       # Psi_gamma, radial excluded
-    sub_tangent: "frozenset[Root] | None"      # gamma + Gamma + kappa weights
-    x0_tangent: "frozenset[Root] | None"       # Phi image of the sub noncompact roots
-
-    @staticmethod
-    def for_ambient(md: MarkedDiagram) -> "SFFContext":
-        """Ambient-only context: enough for sff_value, not for kernels."""
-        rs = md.root_system()
-        return SFFContext(rs, rs.simple_root(md.single_mark),
-                          hss.noncompact_positive_roots(md), hss.psi_gamma(md),
-                          None, None)
+    psi: frozenset[Root]              # Psi_gamma, radial excluded
+    sub_tangent: frozenset[Root]      # Phi(Psi_gamma0(X0))
+    x0_tangent: frozenset[Root]       # Phi image of the sub noncompact roots
 
     @staticmethod
     def for_pair(pair: DeletionPair) -> "SFFContext":
-        base = SFFContext.for_ambient(pair.ambient)
+        rs = pair.ambient_rs()
+        psi = hss.psi_gamma(pair.ambient)
         corr = pair.correspondence
-        srs = pair.sub_rs()
-        gamma0 = srs.simple_root(pair.gamma0)
-        amb = pair.ambient.diagram
-        sub_tangent = set()
-        for mu0 in hss.psi_gamma(pair.sub):
-            kappa0 = mu0 - gamma0           # compact sub root, nonzero
-            coeffs = [0] * amb.rank
-            for label, c in zip(pair.sub.diagram.nodes, kappa0.coeffs):
-                coeffs[amb.index[label]] = c
-            sub_tangent.add(base.gamma + pair.big_gamma + Root(tuple(coeffs)))
-        bad = sub_tangent - base.psi
+        sub_tangent = frozenset(corr.apply(mu0) for mu0 in hss.psi_gamma(pair.sub))
+        bad = sub_tangent - psi
         if bad:
             raise AssertionError(f"sub-VMRT tangent leaves Psi_gamma: {sorted(bad)[:3]}")
-        return SFFContext(base.rs, base.gamma, base.noncompact, base.psi,
-                          frozenset(sub_tangent), corr.noncompact_image)
-
-    def require_pair(self) -> None:
-        if self.sub_tangent is None or self.x0_tangent is None:
-            raise ValueError("this operation needs a full deletion-pair context")
-
-
-def _survives(weight: Root, ctx: SFFContext) -> bool:
-    """Whether nu + nu' - gamma survives the reduction modulo P_alpha + p.
-
-    It survives when it is a noncompact root outside Psi_gamma and is not
-    gamma itself; otherwise the value of the form on (nu, nu') is zero.
-    """
-    return weight in ctx.noncompact and weight not in ctx.psi and weight != ctx.gamma
-
-
-def sff_value(nu, nu2, ctx: SFFContext,
-              table: ChevalleyTable) -> "tuple[int, Root] | None":
-    """Second fundamental form on a pair of tangent weights.
-
-    Returns (coefficient, weight) for a nonzero value, None for zero.  The
-    coefficient is that of [E_{nu-gamma}, [E_{nu'-gamma}, E_gamma]], namely
-    N_{nu'-gamma,gamma} N_{nu-gamma,nu'}.
-    """
-    if nu is RADIAL or nu2 is RADIAL:
-        if nu is not RADIAL and nu not in ctx.psi:
-            raise ValueError(f"{nu} is not a tangent weight")
-        if nu2 is not RADIAL and nu2 not in ctx.psi:
-            raise ValueError(f"{nu2} is not a tangent weight")
-        return None
-    if nu not in ctx.psi or nu2 not in ctx.psi:
-        raise ValueError(f"arguments must lie in Psi_gamma: {nu}, {nu2}")
-    gamma = ctx.gamma
-    weight = nu + nu2 - gamma
-    if not _survives(weight, ctx):
-        return None
-    coeff = table.constant(nu2 - gamma, gamma) * table.constant(nu - gamma, nu2)
-    return (coeff, weight)
+        return SFFContext(rs, rs.simple_root(pair.gamma),
+                          hss.noncompact_positive_roots(pair.ambient), psi,
+                          sub_tangent, corr.noncompact_image)
 
 
 @dataclass(frozen=True)
 class KernelReport:
     """Kernel of the (quotiented) form against the sub-VMRT tangent space."""
 
-    mode: str                        # "sigma" or "tau"
     kernel_weights: frozenset[Root]  # non-radial kernel directions
     strict: bool
-    witnesses: tuple[Root, ...]
 
 
-def _kernel(ctx: SFFContext, mode: str) -> KernelReport:
-    ctx.require_pair()
-    # nu leaves the kernel when some shift nu' - gamma moves it onto a live
-    # weight w (one that passes _survives and the tau quotient), i.e. when
-    # nu = w - (nu' - gamma); there are far fewer live weights than nu
-    live = ctx.noncompact - ctx.psi - {ctx.gamma}
-    if mode == "tau":
-        live -= ctx.x0_tangent
+def kernels(ctx: SFFContext) -> tuple[KernelReport, KernelReport]:
+    """The sigma and tau kernels against the whole sub-VMRT tangent space.
+
+    sigma is the form itself; tau is its quotient by P_alpha + T_0(X_0)
+    (D_0 = T_0(X)), so tau's live weights are sigma's minus
+    Phi(noncompact sub roots).  Weight-injectivity of nu -> nu + nu' - gamma
+    for fixed nu' makes each reported kernel exact: it is spanned by the
+    listed root directions.
+    """
+    # nu leaves a kernel when some shift nu' - gamma moves it onto a live
+    # weight w (where the form survives: a noncompact root outside Psi_gamma
+    # and not gamma), i.e. when nu = w - (nu' - gamma); there are far fewer
+    # live weights than nu
     gamma = ctx.gamma.coeffs
     shifts = [tuple(map(operator.sub, nu2.coeffs, gamma)) for nu2 in ctx.sub_tangent]
-    hit = {tuple(map(operator.sub, w.coeffs, s)) for w in live for s in shifts}
-    kernel = {nu for nu in ctx.psi if nu.coeffs not in hit}
-    if mode == "sigma":
-        strict = bool(kernel)
-    else:
-        strict = ctx.sub_tangent <= kernel and kernel != ctx.sub_tangent
-    return KernelReport(mode, frozenset(kernel), strict,
-                        tuple(sorted(kernel)))
-
-
-def kernel_sigma(ctx: SFFContext) -> KernelReport:
-    """Weights killed by sigma against the whole sub-VMRT tangent space.
-
-    Weight-injectivity of nu -> nu + nu' - gamma for fixed nu' makes the
-    reported kernel exact: it is spanned by the listed root directions.
-    """
-    return _kernel(ctx, "sigma")
-
-
-def kernel_tau(ctx: SFFContext) -> KernelReport:
-    """Same kernel for the quotient by P_alpha + T_0(X_0) (D_0 = T_0(X))."""
-    return _kernel(ctx, "tau")
+    hit_sigma: set[tuple[int, ...]] = set()
+    hit_tau: set[tuple[int, ...]] = set()
+    for w in ctx.noncompact - ctx.psi - {ctx.gamma}:
+        hit = {tuple(map(operator.sub, w.coeffs, s)) for s in shifts}
+        hit_sigma |= hit
+        if w not in ctx.x0_tangent:
+            hit_tau |= hit
+    sigma = frozenset(nu for nu in ctx.psi if nu.coeffs not in hit_sigma)
+    tau = frozenset(nu for nu in ctx.psi if nu.coeffs not in hit_tau)
+    return (KernelReport(sigma, bool(sigma)),
+            KernelReport(tau, ctx.sub_tangent <= tau and tau != ctx.sub_tangent))
 
 
 # ---------------------------------------------------------------------------

@@ -8,15 +8,16 @@ ratios instead of the table of simple-root lengths, highest roots from a
 scan of each component's roots instead of the Bourbaki coefficient table,
 the root correspondence from additive extension instead of its integer
 matrix, the chain-sum root Gamma from Root additions instead of the chain's
-indicator vector, and maximality from an exhaustive two-step deletion
+indicator vector, the sub-VMRT tangent weights gamma + Gamma + kappa0
+from compact sub roots embedded by node label instead of through the root
+correspondence, and maximality from an exhaustive two-step deletion
 search over every node instead of the chain-interior closed form; Chevalley
 structure constants come from one eager height-ordered sweep instead of
 on-demand recursion; kernels are recomputed by testing
 every (nu, nu') pair with raw root-sum arithmetic; the Lie bracket acts on
 dict-built elements keyed by roots and coroots instead of basis indices,
-and second fundamental form values come
-from two such brackets instead of the closed-form product of structure
-constants; counts come from closed formulas; the Grassmannian is
+and second fundamental form values come from two such brackets instead of
+the weight rule alone; counts come from closed formulas; the Grassmannian is
 enumerated through wedge products of echelon bases, the maximal minors of
 the collinearity scan are expanded as generic determinants, and the boundary
 survey visits every point of G(2,5)(F_p) with its full Plücker tuple instead
@@ -40,7 +41,8 @@ from fractions import Fraction
 import sympy
 
 from delpair.chevalley import ChevalleyTable
-from delpair.pairs import MaximalityVerdict, make_pair
+from delpair import hss
+from delpair.pairs import DeletionPair, MaximalityVerdict
 from delpair.projgeo.linalg import primitive_int_covector, projective_points
 from delpair.projgeo.plucker import (
     PAIRS,
@@ -134,6 +136,26 @@ def additive_apply(corr, beta: Root) -> Root:
     return total
 
 
+def label_embedded_sub_tangent(pair) -> frozenset[Root]:
+    """Sub-VMRT tangent weights as gamma + Gamma + kappa0, kappa0 embedded by labels.
+
+    kappa0 = mu0 - gamma0 runs over the compact sub roots of mu0 in
+    Psi_gamma0(X0); its coefficients move to the ambient by node label,
+    without the root correspondence.
+    """
+    rs = pair.ambient.root_system()
+    base = rs.simple_root(pair.gamma) + pair.big_gamma
+    gamma0 = pair.sub.root_system().simple_root(pair.gamma0)
+    index = pair.ambient.diagram.index
+    out = set()
+    for mu0 in hss.psi_gamma(pair.sub):
+        coeffs = [0] * pair.ambient.diagram.rank
+        for label, c in zip(pair.sub.diagram.nodes, (mu0 - gamma0).coeffs):
+            coeffs[index[label]] = c
+        out.add(base + Root(tuple(coeffs)))
+    return frozenset(out)
+
+
 def chain_sum(pair) -> Root:
     """Gamma as a sum of simple roots of the ambient system, one Root at a time."""
     rs = pair.ambient.root_system()
@@ -152,12 +174,12 @@ def _single_deletions(md: MarkedDiagram) -> tuple:
         if node == gamma:
             continue
         try:
-            sub = delete_chain(md, node)
+            pair = DeletionPair(md, node)
         except (ChainError, ValueError):
             continue
-        if len(sub.diagram.components) != 1:
+        if len(pair.sub.diagram.components) != 1:
             continue
-        out.append(make_pair(md, node))
+        out.append(pair)
     return tuple(out)
 
 
@@ -171,7 +193,7 @@ def exhaustive_maximality(pair) -> MaximalityVerdict:
         if pair.gamma0 not in mid.diagram.nodes:
             continue
         try:
-            second = delete_chain(mid, pair.gamma0)
+            _, second = delete_chain(mid, pair.gamma0)
         except (ChainError, ValueError):
             continue
         if second == pair.sub:
@@ -440,7 +462,8 @@ def bracket_sff_value(nu: Root, nu2: Root, ctx, table: ChevalleyTable):
 
     Both brackets are evaluated on Lie elements, and the value is then
     reduced modulo the affinized tangent space and the parabolic.  Returns
-    (coefficient, weight) or None, like ``sff.sff_value``.
+    (coefficient, weight) for a surviving value, None for zero; the
+    coefficient is N_{nu'-gamma,gamma} N_{nu-gamma,nu'}.
     """
     inner = bracket(LieElement.root_vector(nu2 - ctx.gamma),
                     LieElement.root_vector(ctx.gamma), table)

@@ -65,13 +65,12 @@ def test_criterion_3_degeneracy_suite(maximal_triple):
     with criterion(3, "degeneracy of the three maximal pairs"):
         for pair in maximal_triple:
             ctx = sff.SFFContext.for_pair(pair)
-            sigma = sff.kernel_sigma(ctx)
+            sigma, tau = sff.kernels(ctx)
             assert sigma.strict
             ars = pair.ambient_rs()
             gamma = ars.simple_root(pair.gamma)
             for nb in pair.ambient.diagram.neighbors(pair.gamma):
                 assert gamma + ars.simple_root(nb) in sigma.kernel_weights
-            tau = sff.kernel_tau(ctx)
             assert ctx.sub_tangent <= tau.kernel_weights
             assert tau.strict
 

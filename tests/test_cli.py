@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 import delpair
-from delpair import pairs
+from delpair import cli, pairs
 from delpair.cli import PAIR_CHECKS, main, parse_pair_id, run_all
+from delpair.pairs import CorrespondenceError
 from delpair.projgeo.plucker import dee_exhaustive_survey
 from delpair.projgeo.segre import segre_fitting_report
 from delpair.report import FAIL, RunConfig, bundle_json, bundle_markdown, require_prime
@@ -136,6 +137,15 @@ def test_cli_refuses_non_cominuscule_marks(pair_id, message, tmp_path, capsys):
     assert captured.out == "" and not out.exists()
 
 
+@pytest.mark.parametrize("pair_id", ["E7:a7/", "E7:a7/a6/a5"])
+def test_pair_id_with_empty_or_extra_part_exits_2(pair_id, tmp_path, capsys):
+    out = tmp_path / "pair.json"
+    assert main(["verify-pair", "--pair", pair_id, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: pair id {pair_id!r} is not of the form D:g/g0\n"
+    assert captured.out == "" and not out.exists()
+
+
 def test_cli_degeneracy_modes(tmp_path):
     out = tmp_path / "deg.json"
     assert main(["degeneracy", "--pair", "D5:a5/a3", "--mode", "sigma",
@@ -203,6 +213,24 @@ def test_cli_bad_config_exit_2(tmp_path, capsys):
         assert main(argv + ["--out", str(missing)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and str(missing) in err[0]
+
+
+def test_root_count_check_names_a_wrong_closed_form(monkeypatch):
+    closed_form = cli._closed_form_count
+    monkeypatch.setattr(cli, "_closed_form_count",
+                        lambda letter, n: closed_form(letter, n) + (letter == "D"))
+    rep = cli.root_count_check()
+    assert rep.status == FAIL and rep.subject == "A4,B4,D5,E6,E7"
+    assert rep.witnesses == [{"system": "D5", "generated": 20, "formula": 21}]
+
+
+def test_every_input_error_is_a_value_error():
+    # main reports a ValueError in one line with exit 2; an error class that
+    # stopped subclassing it would escape as a traceback
+    for cls in (DiagramError, MarkError, ChainError, CorrespondenceError):
+        assert issubclass(cls, ValueError)
+    with pytest.raises(ValueError, match="^delpair: bad usage$"):
+        cli._Parser(prog="delpair").error("bad usage")
 
 
 def test_config_validation():

@@ -8,7 +8,6 @@ from delpair.pairs import (
     catalog,
     catalog_specs,
     is_maximal,
-    make_pair,
     root_correspondence,
 )
 from delpair.rootsys import ChainError, MarkError, Root, parse_diagram, parse_marked
@@ -21,7 +20,7 @@ SWEEP_DIAGRAMS = (
 
 
 def single_mark_pairs(literals):
-    """Every pair (a cominuscule mark gamma, a node gamma0) that make_pair accepts."""
+    """Every pair (a cominuscule mark gamma, a node gamma0) that DeletionPair accepts."""
     out = []
     for literal in literals:
         nodes = parse_diagram(literal).nodes
@@ -34,7 +33,7 @@ def single_mark_pairs(literals):
                 if gamma0 == gamma:
                     continue
                 try:
-                    out.append(make_pair(ambient, gamma0))
+                    out.append(DeletionPair(ambient, gamma0))
                 except (ChainError, MarkError):
                     continue
     return out
@@ -77,12 +76,6 @@ def test_gamma_is_chain_sum(catalog7):
 def test_gamma_matches_root_sum_oracle(catalog12):
     for pair in catalog12:
         assert pair.big_gamma == chain_sum(pair), pair
-
-
-def test_hand_built_pair_with_wrong_sub_is_refused(catalog7):
-    good = catalog7["B4:a1/a3"]
-    with pytest.raises(ChainError, match="^sub-diagram does not match the chain deletion$"):
-        DeletionPair(good.ambient, catalog7["B4:a1/a2"].sub, good.chain)
 
 
 def test_phi_on_simple_roots_e7(catalog7):
@@ -135,7 +128,7 @@ def test_matrix_apply_matches_additive_oracle(catalog12):
 
 def test_corrupted_gamma_fails_with_named_invariant(catalog7):
     good = catalog7["B4:a1/a2"]
-    bad = DeletionPair(good.ambient, good.sub, good.chain)
+    bad = DeletionPair(good.ambient, good.gamma0)
     object.__setattr__(bad, "big_gamma", Root((0, 1, 1, 0)))   # wrong chain sum
     with pytest.raises(CorrespondenceError, match="a3"):
         root_correspondence(bad)
@@ -161,7 +154,7 @@ def test_decomposition_composes_to_direct_phi(catalog7):
         direct = root_correspondence(pair)
         srs = pair.sub_rs()
         for step in verdict.witnesses:
-            second = make_pair(step.sub, pair.gamma0)
+            second = DeletionPair(step.sub, pair.gamma0)
             phi1 = root_correspondence(step)
             phi2 = root_correspondence(second)
             for label in pair.sub.diagram.nodes:
@@ -195,7 +188,7 @@ def test_maximality_matches_exhaustive_oracle_on_single_mark_pairs():
 @pytest.mark.parametrize("pair_id", ["B12:a1/a11", "E7:a7/a4"])
 def test_maximality_deletes_only_at_chain_interior_nodes(pair_id, monkeypatch):
     ambient, gamma0 = pair_id.rsplit("/", 1)
-    pair = make_pair(parse_marked(ambient), gamma0)
+    pair = DeletionPair(parse_marked(ambient), gamma0)
     calls = []
 
     def recording(fn):
@@ -204,7 +197,6 @@ def test_maximality_deletes_only_at_chain_interior_nodes(pair_id, monkeypatch):
             return fn(md, node)
         return wrapper
 
-    monkeypatch.setattr(pairs, "make_pair", recording(pairs.make_pair))
     monkeypatch.setattr(pairs, "delete_chain", recording(pairs.delete_chain))
     verdict = is_maximal.__wrapped__(pair)
     assert not verdict.maximal and calls

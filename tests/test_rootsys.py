@@ -260,7 +260,7 @@ def test_marks_are_checked_without_building_root_systems(monkeypatch):
 
     monkeypatch.setattr(RootSystem, "__init__", refuse)
     assert parse_marked("E7+B3:a7,a8").literal() == "E7+B3:a7,a8"
-    assert delete_chain(parse_marked("D9:a1"), "a4").literal() == "D6:a4"
+    assert delete_chain(parse_marked("D9:a1"), "a4")[1].literal() == "D6:a4"
     for _ in range(2):
         with pytest.raises(MarkError, match="not cominuscule"):
             parse_marked("B3:a2")
@@ -286,15 +286,18 @@ def test_one_mark_per_component():
 
 
 def test_delete_chain_table_rows():
-    sub = delete_chain(parse_marked("B4:a1"), "a2")
+    chain, sub = delete_chain(parse_marked("B4:a1"), "a2")
+    assert chain == ("a1", "a2")
     assert sub.literal() == "B3:a2"
     assert space_name(sub) == "Q^5"
 
-    sub = delete_chain(parse_marked("E7:a7"), "a6")
+    chain, sub = delete_chain(parse_marked("E7:a7"), "a6")
+    assert chain == ("a7", "a6")
     assert sub.literal() == "E6:a6"
     assert space_name(sub) == "E6/P6"
 
-    sub = delete_chain(parse_marked("D5:a1"), "a2")
+    chain, sub = delete_chain(parse_marked("D5:a1"), "a2")
+    assert chain == ("a1", "a2")
     assert sub.literal() == "D4:a2"
     assert space_name(sub) == "Q^6"
 
@@ -311,7 +314,8 @@ def test_delete_chain_rejects_cross_component():
 
 def test_delete_chain_preserves_surviving_labels():
     ambient = parse_marked("E7:a7")
-    sub = delete_chain(ambient, "a4")
+    chain, sub = delete_chain(ambient, "a4")
+    assert chain == ("a7", "a6", "a5", "a4")
     assert set(sub.diagram.nodes) <= set(ambient.diagram.nodes)
     induced = ambient.diagram.induced(set(sub.diagram.nodes))
     assert induced == sub.diagram
