@@ -39,21 +39,21 @@ BasisTerms = tuple[tuple[int, int], ...]   # ((basis index, coefficient), ...)
 class ChevalleyTable:
     """Structure constants N_{a,b} for ordered root pairs with a + b a root.
 
-    Nothing is computed up front: each constant, extraspecial pair and
-    integer squared norm B(r, r) is derived the first time a caller asks
+    Nothing is computed up front: each constant on a pair of positive roots
+    and each extraspecial pair is derived the first time the recursion asks
     for it and then memoized, so a table costs only the constants its
-    callers read.  The recursion behind a constant terminates because every
-    Jacobi step moves to pairs whose sum has lower height, or to an
-    extraspecial pair.
+    callers read.  ``constant`` itself keeps no memo (``jacobi_failures``
+    memoizes the basis brackets it reads), and squared norms B(r, r) come
+    from the root system, which memoizes B r.  The recursion behind a
+    constant terminates because every Jacobi step moves to pairs whose sum
+    has lower height, or to an extraspecial pair.
     """
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
         self._sorted_positives = sorted(rs.positive_roots)
-        self._constants: dict[tuple[Root, Root], int] = {}
         self._pos: dict[tuple[Root, Root], int] = {}
         self._extra: dict[Root, tuple[Root, Root]] = {}
-        self._norms: dict[Root, int] = {}
 
     # -- construction --------------------------------------------------------
 
@@ -63,13 +63,6 @@ class ChevalleyTable:
         while self.rs.is_root(b - a.scaled(p + 1)):
             p += 1
         return p
-
-    def _norm(self, r: Root) -> int:
-        """B(r, r) = L (r, r) under the integer form, memoized."""
-        n = self._norms.get(r)
-        if n is None:
-            n = self._norms[r] = self.rs.scaled_norm(r)
-        return n
 
     def _extraspecial(self, rho: Root) -> tuple[Root, Root]:
         """The pair (alpha, rho - alpha) of positive roots with alpha minimal.
@@ -134,10 +127,11 @@ class ChevalleyTable:
         via the cyclic identity N_{a,b}/|c|^2 = N_{b,c}/|a|^2 for a+b+c = 0."""
         nu = -negnu
         rho = mu - nu
+        norm = self.rs.scaled_norm
         if rho in self.rs.positive_roots:
-            value, rem = divmod(-self._norm(rho) * self._positive(nu, rho), self._norm(mu))
+            value, rem = divmod(-norm(rho) * self._positive(nu, rho), norm(mu))
         else:
-            value, rem = divmod(self._norm(-rho) * self._positive(-rho, mu), self._norm(nu))
+            value, rem = divmod(norm(-rho) * self._positive(-rho, mu), norm(nu))
         if rem:
             raise AssertionError(f"non-integral mixed constant for ({mu}, {negnu})")
         return value
@@ -146,23 +140,19 @@ class ChevalleyTable:
 
     def constant(self, a: Root, b: Root) -> int:
         """N_{a,b}; only defined when a, b and a + b are all roots."""
-        key = (a, b)
-        n = self._constants.get(key)
-        if n is None:
-            is_root = self.rs.is_root
-            if not is_root(a + b):
-                raise ValueError(f"{a} + {b} is not a root")
-            if not (is_root(a) and is_root(b)):
-                raise ValueError(f"{a} or {b} is not a root")
-            n = self._constants[key] = self._signed_pair(a, b)
-        return n
+        is_root = self.rs.is_root
+        if not is_root(a + b):
+            raise ValueError(f"{a} + {b} is not a root")
+        if not (is_root(a) and is_root(b)):
+            raise ValueError(f"{a} or {b} is not a root")
+        return self._signed_pair(a, b)
 
     def coroot_coefficients(self, alpha: Root) -> tuple[int, ...]:
         """Coefficients of the coroot of alpha over the simple coroots.
 
         The coefficient at i is k_i B(alpha_i, alpha_i) / B(alpha, alpha).
         """
-        norm = self._norm(alpha)
+        norm = self.rs.scaled_norm(alpha)
         form = self.rs.form
         out = []
         for i, k in enumerate(alpha.coeffs):

@@ -201,7 +201,7 @@ def plucker_suite(primes: tuple[int, ...]) -> list[CheckReport]:
             witnesses=[{
                 "lines": len(sec.lines), "isolated_points": len(sec.isolated_points),
                 "certified_over": list(sec.certified_over),
-                "locus_lines": [ln.plane_form for ln in sec.lines],
+                "locus_lines": list(sec.lines),
                 "locus_points": [list(pt) for pt in sec.isolated_points],
             }]))
 
@@ -353,7 +353,7 @@ def _section_reports(args, config: RunConfig) -> list[CheckReport]:
     return [CheckReport(
         "plucker.section", f"span(<{args.point}>, ell)", PASS,
         witnesses=[{
-            "lines": [ln.plane_form for ln in sec.lines],
+            "lines": list(sec.lines),
             "isolated_points": [list(pt) for pt in sec.isolated_points],
             "full_plane": sec.full_plane,
             "certified_over": list(sec.certified_over)}])]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import isqrt
 
@@ -132,19 +132,12 @@ def span_with_ell(b: BiVector) -> list[tuple]:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SectionLine:
-    """A line of the section: its plane-coordinate form and an ambient span."""
-
-    plane_form: tuple[int, int, int]
-    span: tuple[tuple[int, ...], tuple[int, ...]]
-
-
-@dataclass(frozen=True)
 class SectionDescription:
-    """Lines and isolated points, in plane coordinates relative to the
-    reduced row echelon basis of the plane and as primitive integer points."""
+    """Lines, as covectors in plane coordinates relative to the reduced row
+    echelon basis of the plane, and isolated points, in those coordinates
+    and as primitive integer points."""
 
-    lines: tuple[SectionLine, ...]
+    lines: tuple[tuple[int, int, int], ...]
     isolated_points: tuple[tuple[int, ...], ...]
     isolated_plane_coords: tuple[tuple[int, ...], ...]
     certified_over: tuple[str, ...]
@@ -163,32 +156,22 @@ def _combination(coeffs, basis) -> list:
     return out
 
 
-def _restricted_forms(basis) -> list[dict]:
-    """The Plücker quadrics restricted to plane coordinates (u, v, w)."""
-    b0, b1, b2 = basis
-    diag = [plucker_quadrics(BiVector(b)) for b in basis]
-    cross = {
-        (0, 1): quadric_polarization(b0, b1),
-        (0, 2): quadric_polarization(b0, b2),
-        (1, 2): quadric_polarization(b1, b2),
-    }
-    forms = []
-    for k in range(len(QUAD_SETS)):
-        forms.append({
-            (2, 0, 0): diag[0][k], (0, 2, 0): diag[1][k], (0, 0, 2): diag[2][k],
-            (1, 1, 0): cross[(0, 1)][k], (1, 0, 1): cross[(0, 2)][k],
-            (0, 1, 1): cross[(1, 2)][k],
-        })
-    return forms
+def _gram_matrices(basis) -> list[list[list[Fraction]]]:
+    """The Plücker quadrics on plane coordinates x = (u, v, w), as symmetric
+    Gram matrices M_ij = B_S(b_i, b_j) / 2: Q_S(x . basis) = x M x^T."""
+    half = {(i, j): [x / 2 for x in quadric_polarization(basis[i], basis[j])]
+            for i, j in itertools.combinations_with_replacement(range(3), 2)}
+    return [[[half[min(i, j), max(i, j)][k] for j in range(3)] for i in range(3)]
+            for k in range(len(QUAD_SETS))]
 
 
-def _form_text(form: dict) -> str:
-    """A restricted form as a polynomial in u, v, w."""
+def _form_text(M) -> str:
+    """The ternary form of a Gram matrix as a polynomial in u, v, w."""
     terms = []
-    for exps, c in sorted(form.items(), reverse=True):
-        if c:
-            mono = "*".join(x if e == 1 else f"{x}^{e}" for x, e in zip("uvw", exps) if e)
-            terms.append(f"{c}*{mono}")
+    for i, j in itertools.combinations_with_replacement(range(3), 2):
+        if M[i][j]:
+            mono = f"{'uvw'[i]}^2" if i == j else f"{'uvw'[i]}*{'uvw'[j]}"
+            terms.append(f"{M[i][j] if i == j else 2 * M[i][j]}*{mono}")
     return " + ".join(terms).replace("+ -", "- ")
 
 
@@ -199,20 +182,16 @@ def _rational_sqrt(x: Fraction) -> "Fraction | None":
     return Fraction(n, d) if (n * n, d * d) == (x.numerator, x.denominator) else None
 
 
-def _linear_factors(form: dict) -> set[tuple[int, int, int]]:
-    """The linear factors of a nonzero ternary quadratic form over Q.
+def _linear_factors(M) -> set[tuple[int, int, int]]:
+    """The linear factors over Q of the nonzero ternary form x M x^T.
 
-    Let M be the symmetric matrix of the form (cross terms halved).  At rank 1
-    the form is a multiple of L^2 for any nonzero row L.  At rank 2 the form
-    is L1 L2 over Q iff -m_i, for m_i = adj(M)_ii the principal 2x2 minor at
-    an index i with k_i != 0 (k spanning ker M), is a square s^2; then
-    n = (2s / k_i) k is +-(L1 x L2), and M - [n]_x / 2 is the rank-1 matrix
-    L1 L2^T, whose nonzero columns are multiples of L1 and nonzero rows of L2.
+    At rank 1 the form is a multiple of L^2 for any nonzero row L of M.  At
+    rank 2 it is L1 L2 over Q iff -m_i, for m_i = adj(M)_ii the principal 2x2
+    minor at an index i with k_i != 0 (k spanning ker M), is a square s^2;
+    then n = (2s / k_i) k is +-(L1 x L2), and M - [n]_x / 2 is the rank-1
+    matrix L1 L2^T, whose nonzero columns are multiples of L1 and nonzero
+    rows of L2.
     """
-    h = {e: Fraction(c) / (1 if 2 in e else 2) for e, c in form.items()}
-    M = [[h[2, 0, 0], h[1, 1, 0], h[1, 0, 1]],
-         [h[1, 1, 0], h[0, 2, 0], h[0, 1, 1]],
-         [h[1, 0, 1], h[0, 1, 1], h[0, 0, 2]]]
     red, _ = rref(M)
     if len(red) == 1:
         return {primitive_int_covector(red[0])}
@@ -230,7 +209,7 @@ def _linear_factors(form: dict) -> set[tuple[int, int, int]]:
             col = next(c for c in zip(*R) if any(c))
             return {primitive_int_covector(row), primitive_int_covector(col)}
     raise SectionUnsupportedError(
-        f"restricted form {_form_text(form)} is not a product of rational lines")
+        f"restricted form {_form_text(M)} is not a product of rational lines")
 
 
 def _solve_linear_locus(covectors: list[tuple]):
@@ -259,11 +238,12 @@ def plane_section(rows, primes: tuple[int, ...] = (5, 7)) -> SectionDescription:
 
     The plane is the row span of ``rows``, rational Plücker vectors of rank
     3; plane coordinates (u, v, w) refer to its reduced row echelon basis.
-    Each nonzero restricted ternary form is split into rational lines, and
-    the locus is the union, over every choice of one line per form, of the
-    common zeros of the chosen lines: the lines among them, and the points
-    on none of those lines.  Completeness is certified by exhaustive
-    enumeration over the given prime fields, and any disagreement is a hard
+    Each nonzero restricted quadric (a Gram matrix) is split into rational
+    lines, and the locus is the union, over every choice of one line per
+    quadric, of the common zeros of the chosen lines: the lines among them,
+    and the points on none of those lines.  Lines (covectors) and points are
+    substituted back, and completeness is certified by exhaustive
+    enumeration over the given prime fields; any disagreement is a hard
     failure.
     """
     basis, _ = rref(rows)
@@ -271,7 +251,7 @@ def plane_section(rows, primes: tuple[int, ...] = (5, 7)) -> SectionDescription:
         raise ValueError("plane must have projective dimension exactly 2")
     if len(basis[0]) != 10:
         raise ValueError(f"plane lives in dimension {len(basis[0])}, expected 10")
-    forms = [f for f in _restricted_forms(basis) if any(f.values())]
+    forms = [M for M in _gram_matrices(basis) if any(map(any, M))]
     full_plane = not forms
     lines: set[tuple[int, int, int]] = set()
     points: set[tuple] = set()
@@ -282,44 +262,32 @@ def plane_section(rows, primes: tuple[int, ...] = (5, 7)) -> SectionDescription:
                 lines.add(payload)
             elif kind == "point":
                 points.add(payload)
-    lines = sorted(lines)
+    lines = tuple(sorted(lines))
     points = sorted(pt for pt in points if all(_line_value(c, pt) for c in lines))
+    isolated = tuple(primitive_int_covector(_combination(pt, basis)) for pt in points)
+    plane_coords = tuple(primitive_int_covector(pt) for pt in points)
 
-    desc = _describe(basis, lines, points, full_plane)
-    _validate_by_substitution(basis, desc)
+    _validate_by_substitution(basis, lines, isolated)
     for p in primes:
         if p == 2:
             raise ValueError("characteristic 2 degenerates the Plücker quadrics")
         require_prime(p)
-        _certify(basis, desc, p)
-    return SectionDescription(desc.lines, desc.isolated_points,
-                              desc.isolated_plane_coords,
-                              ("QQ",) + tuple(f"F{p}" for p in primes), desc.full_plane)
+        _certify(basis, lines, plane_coords, full_plane, p)
+    return SectionDescription(lines, isolated, plane_coords,
+                              ("QQ",) + tuple(f"F{p}" for p in primes), full_plane)
 
 
-def _describe(basis, lines, points, full_plane) -> SectionDescription:
-    line_objs = []
-    for cov in lines:
-        k0, k1 = kernel_basis([cov], 3)
-        span = (primitive_int_covector(_combination(k0, basis)),
-                primitive_int_covector(_combination(k1, basis)))
-        line_objs.append(SectionLine(cov, span))
-    pts = tuple(primitive_int_covector(_combination(p, basis)) for p in points)
-    plane_coords = tuple(primitive_int_covector(p) for p in points)
-    return SectionDescription(tuple(line_objs), pts, plane_coords, (), full_plane)
-
-
-def _validate_by_substitution(basis, desc: SectionDescription) -> None:
+def _validate_by_substitution(basis, lines, isolated_points) -> None:
     """Re-check every reported component on the variety and in the plane.
 
     A quadric vanishing at three distinct points of a line vanishes on it.
     """
-    for line in desc.lines:
-        k0, k1 = kernel_basis([line.plane_form], 3)
+    for cov in lines:
+        k0, k1 = kernel_basis([cov], 3)
         for coeffs in (k0, k1, [a + b for a, b in zip(k0, k1)]):
             if not grassmannian_membership(BiVector(tuple(_combination(coeffs, basis)))):
-                raise AssertionError(f"reported line {line.plane_form} leaves the variety")
-    for pt in desc.isolated_points:
+                raise AssertionError(f"reported line {cov} leaves the variety")
+    for pt in isolated_points:
         if not grassmannian_membership(BiVector(pt)):
             raise AssertionError(f"reported point {pt} is off the variety")
         if len(rref([*basis, pt])[0]) != 3:
@@ -336,16 +304,16 @@ def _finite_locus(basis: list[list[int]], p: int) -> set[tuple]:
     return locus
 
 
-def _certify(basis, desc: SectionDescription, p: int) -> None:
-    """Compare the rational description with an exhaustive mod-p enumeration."""
+def _certify(basis, lines, plane_coords, full_plane: bool, p: int) -> None:
+    """Compare the rational locus in plane coordinates with a mod-p enumeration."""
     mod_basis = rref_mod([primitive_int_covector(b) for b in basis], p)
     if len(mod_basis) != 3:
         raise CertificationError(f"plane degenerates modulo {p}")
     computed = _finite_locus(mod_basis, p)
-    isolated = {canonical_mod(pt, p) for pt in desc.isolated_plane_coords}
+    isolated = {canonical_mod(pt, p) for pt in plane_coords}
     described = {coeffs for coeffs in projective_points(p, 3)
-                 if desc.full_plane or coeffs in isolated
-                 or any(_line_value(line.plane_form, coeffs) % p == 0 for line in desc.lines)}
+                 if full_plane or coeffs in isolated
+                 or any(_line_value(cov, coeffs) % p == 0 for cov in lines)}
     if computed != described:
         raise CertificationError(
             f"rational locus and F_{p} enumeration disagree: "
@@ -480,21 +448,7 @@ class SurveyReport:
         return self.exact_section_count > 0
 
     def to_witness(self) -> dict:
-        return {
-            "prime": self.prime,
-            "grassmannian_points": self.grassmannian_points,
-            "affine_cell_points": self.affine_cell_points,
-            "dee_points": self.dee_points,
-            "surveyed": self.surveyed,
-            "exact_section_count": self.exact_section_count,
-            "extra_component_count": self.extra_component_count,
-            "full_plane_count": self.full_plane_count,
-            "no_witness_count": self.no_witness_count,
-            "witness_without_extra": self.witness_without_extra,
-            "excluded_line_meeting": self.excluded_line_meeting,
-            "excluded_axis_point": self.excluded_axis_point,
-            "exists_exact_b": self.exists_exact_b,
-        }
+        return {**asdict(self), "exists_exact_b": self.exists_exact_b}
 
 
 def dee_exhaustive_survey(p: int) -> SurveyReport:

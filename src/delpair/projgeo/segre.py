@@ -133,7 +133,7 @@ def segre_fitting_report(q: int) -> CheckReport:
             if section == set(line_pts) | {pt}:
                 failures.append({"check": "a-exact-section", "y": y, "point": (a, b)})
     # (b) bidegree-(0,1) lines fit exactly
-    b_configs = 0
+    valid = set()
     for x in p1:
         for L in lines2:
             Lpts = _line_points(L, p2, q)
@@ -144,24 +144,14 @@ def segre_fitting_report(q: int) -> CheckReport:
                 for b in p2:
                     if b in Lpts:
                         continue
-                    b_configs += 1
+                    valid.add((x, L, a, b))
                     pt = segre_point(a, b, q)
                     section = _span_section([line_img[0], line_img[1], pt], p2, q)
                     if section != set(line_img) | {pt}:
                         failures.append({"check": "b-section", "x": x, "L": L,
                                          "point": (a, b)})
 
-    # (c) single orbit on the valid (x, L, a, b) configurations
-    valid = set()
-    for x in p1:
-        for L in lines2:
-            Lpts = set(_line_points(L, p2, q))
-            for a in p1:
-                if a == x:
-                    continue
-                for b in p2:
-                    if b not in Lpts:
-                        valid.add((x, L, a, b))
+    # (c) single orbit on the valid (x, L, a, b) configurations of (b)
     id2 = ((1, 0), (0, 1))
     id3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     moves = [_move_tables(g, id3, id3, p1, p2, q) for g, _ in _gl_generators(2, q)] + [
@@ -184,7 +174,7 @@ def segre_fitting_report(q: int) -> CheckReport:
     witnesses = [{
         "segre_points": len(segre_pts),
         "a_configs": a_configs,
-        "b_configs": b_configs,
+        "b_configs": len(valid),
         "valid_configs": len(valid),
         "orbit_size": len(orbit),
         "single_orbit": orbit == valid,

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ import delpair
 from delpair import cli, pairs
 from delpair.cli import PAIR_CHECKS, main, parse_pair_id, run_all
 from delpair.pairs import CorrespondenceError
-from delpair.projgeo.plucker import dee_exhaustive_survey
+from delpair.projgeo.plucker import PAIRS, BiVector, dee_exhaustive_survey
 from delpair.projgeo.segre import segre_fitting_report
 from delpair.report import FAIL, RunConfig, bundle_json, bundle_markdown, require_prime
 from delpair.rootsys import ChainError, DiagramError, MarkError
@@ -346,7 +347,32 @@ PINNED_POINTS = {
 }
 
 
-def test_pluecker_section_and_collinear_witnesses_pinned(tmp_path):
+def _seeded_section_points(rng, n):
+    """n bivector literals: wedges of small integer vectors (decomposable)
+    alternating with sparse combinations (mostly not).  Coefficients divisible
+    by 5 or 7 make some planes fail certification at those primes, and a
+    point on ell leaves no plane at all."""
+    for k in range(n):
+        if k % 2 == 0:
+            coords = (0,) * 10
+            while not any(coords):
+                u, v = ([rng.randint(-3, 3) for _ in range(5)] for _ in range(2))
+                coords = BiVector.wedge(u, v).coords
+        else:
+            coords = [0] * 10
+            for i in rng.sample(range(10), rng.randint(1, 3)):
+                coords[i] = rng.choice([-7, -5, -2, -1, 1, 2, 3, 5, 10])
+        yield " ".join(f"{'-' if c < 0 else '+'} {abs(c)} e{i}^e{j}"
+                       for (i, j), c in zip(PAIRS, coords) if c)
+
+
+# sha256 over stdout, stderr and exit code of `pluecker section` on 200
+# seeded points, at the default primes and at --primes 7,11; recorded before
+# restricted quadrics became Gram matrices.
+SEEDED_SECTIONS_SHA256 = "def5c2d02bfc80583af72bfac300dc851e038823ee0b62c4bb5b9d19154b17f4"
+
+
+def test_pluecker_section_and_collinear_witnesses_pinned(tmp_path, capsys):
     out = tmp_path / "w.json"
     for point, (section, witness) in PINNED_POINTS.items():
         for command, expected in (("section", {**section, "certified_over": ["QQ", "F5", "F7"]}),
@@ -354,6 +380,17 @@ def test_pluecker_section_and_collinear_witnesses_pinned(tmp_path):
             assert main(["pluecker", command, "--point", point, "--out", str(out)]) == 0
             (report,) = json.loads(out.read_text())["reports"]
             assert report["witnesses"] == [expected], (command, point)
+    capsys.readouterr()
+    digest = hashlib.sha256()
+    codes = set()
+    for point in _seeded_section_points(random.Random(15), 200):
+        for primes in ([], ["--primes", "7,11"]):
+            code = main(["pluecker", "section", "--point", point, *primes])
+            captured = capsys.readouterr()
+            codes.add(code)
+            digest.update(json.dumps([point, primes, code, captured.out, captured.err]).encode())
+    assert codes == {0, 1, 2}
+    assert digest.hexdigest() == SEEDED_SECTIONS_SHA256
 
 
 def test_default_bundle_golden_hash(default_bundle):

@@ -9,6 +9,7 @@ from delpair.projgeo import plucker
 from delpair.projgeo.linalg import (
     canonical_mod,
     integer_rank,
+    kernel_basis,
     primitive_int_covector,
     projective_points,
     rref,
@@ -19,6 +20,7 @@ from delpair.projgeo.plucker import (
     CertificationError,
     SectionUnsupportedError,
     _echelon_cells,
+    _gram_matrices,
     _linear_factors,
     _pencil_minors,
     _pencil_parameter,
@@ -52,6 +54,15 @@ from oracles import (
 def rank(rows) -> int:
     """Rank over the rationals."""
     return len(rref(rows)[0])
+
+
+def line_span(rows, cov) -> list[tuple[int, ...]]:
+    """Two primitive integer points spanning the section line with plane
+    covector cov, plane coordinates referring to the rref basis of rows."""
+    basis = rref(rows)[0]
+    return [primitive_int_covector([sum(c * row[i] for c, row in zip(k, basis))
+                                    for i in range(10)])
+            for k in kernel_basis([cov], 3)]
 
 
 def on_grassmannian_mod(coords, p: int) -> bool:
@@ -218,14 +229,15 @@ def test_section_span_e45_is_line_plus_point():
 
 
 def test_section_span_e24_is_two_lines():
-    section = plane_section(span_with_ell(parse_bivector("e2^e4")))
+    plane = span_with_ell(parse_bivector("e2^e4"))
+    section = plane_section(plane)
     assert section.shape() == (2, 0)
     # the extra line passes through e2^e4 and e1^e2
     extra_pts = set()
     for line in section.lines:
-        extra_pts |= {line.span[0], line.span[1]}
+        extra_pts |= set(line_span(plane, line))
     b = primitive_int_covector(parse_bivector("e2^e4").coords)
-    spans = [p for line in section.lines for p in line.span]
+    spans = [p for line in section.lines for p in line_span(plane, line)]
     assert any(b == p or rank(spans + [b]) == rank(spans) for p in extra_pts)
 
 
@@ -237,9 +249,10 @@ def test_section_of_plane_inside_variety_is_full_plane():
 
 
 def test_section_lines_substitute_back():
-    section = plane_section(span_with_ell(parse_bivector("e4^e5")))
+    plane = span_with_ell(parse_bivector("e4^e5"))
+    section = plane_section(plane)
     for line in section.lines:
-        p, q = line.span
+        p, q = line_span(plane, line)
         for t, s in ((1, 0), (0, 1), (1, 1), (2, -3)):
             coords = tuple(t * a + s * b for a, b in zip(p, q))
             assert grassmannian_membership(BiVector(coords))
@@ -336,11 +349,11 @@ def test_closed_form_factors_match_sympy_oracle():
             expected = None
         if kind in ("rank 1", "split"):
             assert expected is not None and len(expected) == (1 if kind == "rank 1" else 2)
-            assert _linear_factors(form) == expected, (kind, form)
+            assert _linear_factors(_symmetric_matrix(form)) == expected, (kind, form)
         else:
             assert expected is None
             with pytest.raises(SectionUnsupportedError, match=r"form .*[uvw].* is not a product"):
-                _linear_factors(form)
+                _linear_factors(_symmetric_matrix(form))
 
 
 def _sparse(rng, n, k):
@@ -369,6 +382,27 @@ def _seeded_planes(rng, n):
             yield vecs
 
 
+def test_gram_matrices_evaluate_the_plucker_quadrics():
+    # (u, v, w) M_k (u, v, w)^T against Q_k of the plane point u b0 + v b1 + w b2,
+    # substituted directly, on rational planes and rational plane points
+    rng = random.Random(6)
+    checked = 0
+    for plane in _seeded_planes(rng, 90):
+        basis = rref([[Fraction(x, rng.randint(1, 4)) for x in row] for row in plane])[0]
+        if len(basis) != 3:
+            continue
+        grams = _gram_matrices(basis)
+        for _ in range(4):
+            x = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(3)]
+            point = BiVector(tuple(sum(c * row[i] for c, row in zip(x, basis))
+                                   for i in range(10)))
+            values = tuple(sum(x[i] * M[i][j] * x[j] for i in range(3) for j in range(3))
+                           for M in grams)
+            assert values == plucker_quadrics(point), (plane, x)
+            checked += 1
+    assert checked >= 300
+
+
 def test_plane_sections_match_sympy_oracle():
     outcomes = Counter()
     for plane in _seeded_planes(random.Random(1), 1000):
@@ -383,7 +417,7 @@ def test_plane_sections_match_sympy_oracle():
             outcomes["unsupported"] += 1
             continue
         assert section is not None, plane
-        assert {ln.plane_form for ln in section.lines} == set(lines), plane
+        assert set(section.lines) == set(lines), plane
         assert set(section.isolated_plane_coords) == {primitive_int_covector(p)
                                                      for p in points}, plane
         assert section.full_plane == full_plane, plane
@@ -405,7 +439,7 @@ def test_finite_section_oracle_matches_reduced_rational_section():
                 continue
             mod_plane = rref_mod([primitive_int_covector(b) for b in rref(plane)[0]], p)
             lines, points, full_plane = finite_plane_section(mod_plane, p)
-            reduced = {canonical_mod(ln.plane_form, p) for ln in section.lines}
+            reduced = {canonical_mod(ln, p) for ln in section.lines}
             isolated = {canonical_mod(pt, p) for pt in section.isolated_plane_coords}
             assert full_plane == section.full_plane, plane
             assert set(lines) == reduced, plane
@@ -506,10 +540,12 @@ def test_collinearity_examples():
 
 def test_no_witness_means_no_extra_line_through_b():
     # e4^e5 has no witness; its section carries no line through b
-    section = plane_section(span_with_ell(parse_bivector("e4^e5")))
+    plane = span_with_ell(parse_bivector("e4^e5"))
+    section = plane_section(plane)
     b = primitive_int_covector(parse_bivector("e4^e5").coords)
     for line in section.lines:
-        assert rank([*line.span, b]) == rank(line.span) + 1
+        span = line_span(plane, line)
+        assert rank([*span, b]) == rank(span) + 1
 
 
 # -- the survey ----------------------------------------------------------------
