@@ -2,24 +2,99 @@
 
 Coordinates z_ij = a_i b_j (i in {0,1}, j in {0,1,2}) are flattened in the
 order z_00, z_01, z_02, z_10, z_11, z_12; the image is cut out by the three
-2x2 minors of the coordinate matrix.  Lines of the image have a bidegree:
-(1,0)-lines sweep the first factor over a fixed plane point, (0,1)-lines fix
-the first factor and sweep a line of the plane.
+2x2 minors z0 z4 - z1 z3, z0 z5 - z2 z3 and z1 z5 - z2 z4 of the coordinate
+matrix.  Lines of the image have a bidegree: (1,0)-lines sweep the first
+factor over a fixed plane point, (0,1)-lines fix the first factor and sweep
+a line of the plane.
+
+A plane spanned by a line of the image and a point of the image off it is
+cut in closed form.  The polar form of a minor M = z_a z_b - z_c z_d is
+B(u, v) = u_a v_b + v_a u_b - u_c v_d - v_c u_d, and
+M(sum c_i P_i) = sum c_i^2 M(P_i) + sum_{i<j} c_i c_j B(P_i, P_j) over any
+commutative ring: nothing is halved, so the identity holds at q = 2 too.
 """
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass, field
 
 from ..report import FAIL, PASS, CheckReport, require_prime
 from .linalg import canonical_mod, projective_points
-
-# The minors z_a z_b - z_c z_d, as ((a, b), (c, d)), that cut out the image.
-_MINORS = (((0, 4), (1, 3)), ((0, 5), (2, 3)), ((1, 5), (2, 4)))
 
 
 def segre_point(a: tuple, b: tuple, q: int) -> tuple:
     """Canonical image mod q of (a, b) in the ambient projective 5-space."""
     return canonical_mod([ai * bj for ai in a for bj in b], q)
+
+
+def _on_segre(z: tuple, q: int) -> bool:
+    """Whether the three minors vanish mod q at z."""
+    return not ((z[0] * z[4] - z[1] * z[3]) % q or (z[0] * z[5] - z[2] * z[3]) % q
+                or (z[1] * z[5] - z[2] * z[4]) % q)
+
+
+def _polar(u: tuple, v: tuple) -> tuple[int, int, int]:
+    """The polar forms of the three minors at (u, v), in the order of ``_on_segre``."""
+    return (u[0] * v[4] + v[0] * u[4] - u[1] * v[3] - v[1] * u[3],
+            u[0] * v[5] + v[0] * u[5] - u[2] * v[3] - v[2] * u[3],
+            u[1] * v[5] + v[1] * u[5] - u[2] * v[4] - v[2] * u[4])
+
+
+@dataclass(frozen=True)
+class SegreLine:
+    """The line through P0 and P1, checked to lie on the Segre variety mod q.
+
+    Construction raises ValueError unless the minors vanish at P0 and P1 and
+    their polar forms vanish at (P0, P1), which together put the whole line on
+    the variety, and P0, P1 are distinct points.  ``points`` holds its q + 1
+    points, canonical mod q.
+    """
+
+    P0: tuple
+    P1: tuple
+    q: int
+    points: frozenset = field(init=False, repr=False)
+
+    def __post_init__(self):
+        P0, P1, q = self.P0, self.P1, self.q
+        if not (_on_segre(P0, q) and _on_segre(P1, q)) or any(b % q for b in _polar(P0, P1)):
+            raise ValueError("points do not span a line of the Segre variety")
+        combos = [[(c0 * x + c1 * y) % q for x, y in zip(P0, P1)]
+                  for c0, c1 in projective_points(q, 2)]
+        if not all(any(z) for z in combos):
+            raise ValueError("span is not a line")
+        object.__setattr__(self, "points", frozenset(canonical_mod(z, q) for z in combos))
+
+    def section_with(self, P2: tuple) -> frozenset:
+        """The Segre points, canonical mod q, on the plane spanned by the line and P2.
+
+        P2 must be a point of the variety off the line; otherwise ValueError.
+        On c0 P0 + c1 P1 + c2 P2 the k-th minor equals
+        c2 (B_k(P0, P2) c0 + B_k(P1, P2) c1), so the section is the line plus
+        the common zeros in (c0, c1) of three linear forms, read off the rank
+        mod q of their 3x2 matrix: rank 2 adds P2 alone; rank 1 adds the line
+        through P2 and K = y P0 - x P1, where (x, y) is a nonzero row; rank 0
+        gives the whole plane.
+        """
+        P0, P1, q = self.P0, self.P1, self.q
+        pt = canonical_mod(P2, q)
+        if not _on_segre(pt, q):
+            raise ValueError("point is not on the Segre variety")
+        if pt in self.points:
+            raise ValueError("span is not a plane")
+        rows = [(x % q, y % q) for x, y in zip(_polar(P0, pt), _polar(P1, pt))]
+        (x0, y0), (x1, y1), (x2, y2) = rows
+        if (x0 * y1 - y0 * x1) % q or (x0 * y2 - y0 * x2) % q or (x1 * y2 - y1 * x2) % q:
+            return self.points | {pt}
+        x, y = next((r for r in rows if any(r)), (0, 0))
+        if x or y:
+            # K is a point of the line; the other points of the new one are P2 + t K
+            K = [y * u - x * v for u, v in zip(P0, P1)]
+            extra = ([w + t * k for w, k in zip(pt, K)] for t in range(1, q))
+        else:
+            extra = ([c0 * u + c1 * v + c2 * w for u, v, w in zip(P0, P1, pt)]
+                     for c0, c1, c2 in projective_points(q, 3))
+        return self.points.union([pt], (canonical_mod(z, q) for z in extra))
 
 
 def _line_points(cov: tuple, plane_pts: list[tuple], q: int) -> list[tuple]:
@@ -31,24 +106,6 @@ def _join_points(y: tuple, b: tuple, plane_pts: list[tuple], q: int) -> list[tup
     """Points of the plane line through two distinct plane points."""
     cov = (y[1] * b[2] - y[2] * b[1], y[2] * b[0] - y[0] * b[2], y[0] * b[1] - y[1] * b[0])
     return _line_points(canonical_mod(cov, q), plane_pts, q)
-
-
-def _span_section(points3: list[tuple], plane_pts: list[tuple], q: int) -> set:
-    """The Segre points, canonical mod q, on the plane spanned by three points.
-
-    The combinations c0 P0 + c1 P1 + c2 P2 over the points [c0:c1:c2] of the
-    coordinate plane meet every point of the span once; one of them is zero
-    exactly when the three points are dependent.
-    """
-    P0, P1, P2 = points3
-    section = set()
-    for c0, c1, c2 in plane_pts:
-        z = [(c0 * x + c1 * y + c2 * w) % q for x, y, w in zip(P0, P1, P2)]
-        if not any(z):
-            raise ValueError("span is not a plane")
-        if not any((z[a] * z[b] - z[c] * z[d]) % q for (a, b), (c, d) in _MINORS):
-            section.add(canonical_mod(z, q))
-    return section
 
 
 # -- configuration orbit under the product of the two linear groups ----------
@@ -100,8 +157,14 @@ def segre_fitting_report(q: int) -> CheckReport:
     (c) the valid configurations of (b) form a single orbit under the product
         of the projective linear groups of the two factors.
 
-    Points, sections and the orbit search use plain ints mod q; each
-    generator of the group acts through permutation tables built once.
+    Every section in (a) and (b) is that of a Segre line plus a Segre point
+    off it, so ``SegreLine.section_with`` gives it in closed form from the
+    polar forms of the minors.  The line's hypotheses are checked once per
+    line, the point's for every configuration, and a failed one raises
+    ValueError.  The images of all (a, b) are computed once.  Points,
+    sections and the orbit search use plain ints mod q; each generator of
+    the group acts through permutation tables built once, and the orbit
+    grows a whole layer at a time.
     """
     require_prime(q)
     p1 = list(projective_points(q, 2))
@@ -110,7 +173,8 @@ def segre_fitting_report(q: int) -> CheckReport:
     subject = f"F{q}"
     failures: list[dict] = []
 
-    segre_pts = {segre_point(a, b, q) for a in p1 for b in p2}
+    img = {(a, b): segre_point(a, b, q) for a in p1 for b in p2}
+    segre_pts = set(img.values())
     expected_count = (q + 1) * (q * q + q + 1)
     if len(segre_pts) != expected_count:
         failures.append({"check": "point-count", "got": len(segre_pts),
@@ -119,25 +183,26 @@ def segre_fitting_report(q: int) -> CheckReport:
     # (a) bidegree-(1,0) lines never fit with an extra point
     a_configs = 0
     for y in p2:
-        line_pts = [segre_point(x, y, q) for x in p1]
+        line_pts = {img[x, y] for x in p1}
+        line = SegreLine(img[p1[0], y], img[p1[1], y], q)
         joins = {b: _join_points(y, b, p2, q) for b in p2 if b != y}
         for (a, b) in itertools.product(p1, p2):
             if b == y:
                 continue
             a_configs += 1
-            pt = segre_point(a, b, q)
-            section = _span_section([line_pts[0], line_pts[1], pt], p2, q)
-            witness_curve = {segre_point(a, m, q) for m in joins[b]}
-            if not witness_curve <= section:
+            pt = img[a, b]
+            section = line.section_with(pt)
+            if not all(img[a, m] in section for m in joins[b]):
                 failures.append({"check": "a-witness", "y": y, "point": (a, b)})
-            if section == set(line_pts) | {pt}:
+            if section == line_pts | {pt}:
                 failures.append({"check": "a-exact-section", "y": y, "point": (a, b)})
     # (b) bidegree-(0,1) lines fit exactly
     valid = set()
     for x in p1:
         for L in lines2:
             Lpts = _line_points(L, p2, q)
-            line_img = [segre_point(x, m, q) for m in Lpts]
+            line_img = {img[x, m] for m in Lpts}
+            line = SegreLine(img[x, Lpts[0]], img[x, Lpts[1]], q)
             for a in p1:
                 if a == x:
                     continue
@@ -145,9 +210,8 @@ def segre_fitting_report(q: int) -> CheckReport:
                     if b in Lpts:
                         continue
                     valid.add((x, L, a, b))
-                    pt = segre_point(a, b, q)
-                    section = _span_section([line_img[0], line_img[1], pt], p2, q)
-                    if section != set(line_img) | {pt}:
+                    pt = img[a, b]
+                    if line.section_with(pt) != line_img | {pt}:
                         failures.append({"check": "b-section", "x": x, "L": L,
                                          "point": (a, b)})
 
@@ -156,17 +220,12 @@ def segre_fitting_report(q: int) -> CheckReport:
     id3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     moves = [_move_tables(g, id3, id3, p1, p2, q) for g, _ in _gl_generators(2, q)] + [
         _move_tables(id2, g, g_inv, p1, p2, q) for g, g_inv in _gl_generators(3, q)]
-    seed = next(iter(sorted(valid)))
-    orbit = {seed}
-    frontier = [seed]
-    while frontier:
-        cfg = frontier.pop()
-        x, L, a, b = cfg
-        for on1, on2, on_lines in moves:
-            nxt = (on1[x], on_lines[L], on1[a], on2[b])
-            if nxt not in orbit:
-                orbit.add(nxt)
-                frontier.append(nxt)
+    seed = min(valid)
+    orbit, layer = {seed}, {seed}
+    while layer:
+        layer = {(on1[x], on_lines[L], on1[a], on2[b]) for on1, on2, on_lines in moves
+                 for x, L, a, b in layer} - orbit
+        orbit |= layer
     if orbit != valid:
         failures.append({"check": "c-orbit", "orbit_size": len(orbit),
                          "valid_configs": len(valid)})

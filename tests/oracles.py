@@ -28,6 +28,9 @@ prime field, every point of the plane is tested and the locus is regrouped
 into the lines it contains and the points left over; over the rationals,
 the plane is substituted into quadrics written out here and the locus is
 found with sympy's polynomial gcd, factorization, division and nullspace.
+Segre sections of the span of three points come from testing every point of
+the span on minors written out here, instead of the rank of the polar-form
+matrix.
 """
 from __future__ import annotations
 
@@ -43,7 +46,7 @@ import sympy
 from delpair.chevalley import ChevalleyTable
 from delpair import hss
 from delpair.pairs import DeletionPair, MaximalityVerdict
-from delpair.projgeo.linalg import primitive_int_covector, projective_points
+from delpair.projgeo.linalg import canonical_mod, primitive_int_covector, projective_points
 from delpair.projgeo.plucker import (
     PAIRS,
     BiVector,
@@ -640,6 +643,26 @@ def finite_plane_section(basis, p: int):
     lines = [cov for cov in all_pts if all(q in locus for q in all_pts if on(q, cov))]
     points = sorted(q for q in locus if not any(on(q, cov) for cov in lines))
     return lines, points, False
+
+
+def enumerated_span_section(points3: list[tuple], q: int) -> set:
+    """The Segre points, canonical mod q, on the plane spanned by three points.
+
+    The combinations c0 P0 + c1 P1 + c2 P2 over the points [c0:c1:c2] of the
+    coordinate plane meet every point of the span once; one of them is zero
+    exactly when the three points are dependent.  A point is on the Segre
+    variety when the three 2x2 minors of [[z0, z1, z2], [z3, z4, z5]] vanish.
+    """
+    P0, P1, P2 = points3
+    section = set()
+    for c0, c1, c2 in projective_points(q, 3):
+        z = [(c0 * x + c1 * y + c2 * w) % q for x, y, w in zip(P0, P1, P2)]
+        if not any(z):
+            raise ValueError("span is not a plane")
+        if not ((z[0] * z[4] - z[1] * z[3]) % q or (z[0] * z[5] - z[2] * z[3]) % q
+                or (z[1] * z[5] - z[2] * z[4]) % q):
+            section.add(canonical_mod(z, q))
+    return section
 
 
 SYMBOLS = sympy.symbols("u v w")

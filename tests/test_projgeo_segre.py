@@ -1,8 +1,16 @@
+import itertools
+
 import pytest
 
 from delpair.projgeo.linalg import primitive_int_covector, projective_points, rref
-from delpair.projgeo.segre import _MINORS, _gl_generators, segre_fitting_report, segre_point
-from oracles import sympy_section_locus
+from delpair.projgeo.segre import (
+    SegreLine,
+    _gl_generators,
+    _on_segre,
+    segre_fitting_report,
+    segre_point,
+)
+from oracles import enumerated_span_section, sympy_section_locus
 
 
 def segre_minors(z) -> list:
@@ -24,13 +32,18 @@ def test_segre_point_counts():
 
 
 def test_quadrics_cut_out_the_image():
-    # the minors that _span_section tests, against the image itself
-    image = {segre_point(a, b, 3)
-             for a in projective_points(3, 2)
-             for b in projective_points(3, 3)}
-    for z in projective_points(3, 6):
-        on_segre = not any((z[a] * z[b] - z[c] * z[d]) % 3 for (a, b), (c, d) in _MINORS)
-        assert (z in image) == on_segre
+    # the minors whose vanishing SegreLine checks and whose polar forms give
+    # the closed form of its sections, against the image itself; q = 2 is
+    # included, since the closed form needs no halving there
+    for q in (2, 3, 5):
+        image = {segre_point(a, b, q)
+                 for a in projective_points(q, 2)
+                 for b in projective_points(q, 3)}
+        count = 0
+        for z in projective_points(q, 6):
+            count += 1
+            assert (z in image) == _on_segre(z, q)
+        assert count == (q**6 - 1) // (q - 1)
 
 
 def test_fitting_report_passes_f2_and_f3():
@@ -40,6 +53,101 @@ def test_fitting_report_passes_f2_and_f3():
         data = report.witnesses[0]
         assert data["single_orbit"] is True
         assert data["orbit_size"] == data["valid_configs"]
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_fitting_report_counts_match_closed_forms(q):
+    # F5 is exhaustive too: a (1,0)-line is a plane point y, its extra point
+    # (a, b) has b != y; a (0,1)-line is (x, L), its extra point has a != x
+    # (q choices) and b off L (q^2 choices)
+    report = segre_fitting_report(q)
+    assert report.status == "pass"
+    data = report.witnesses[0]
+    plane = q * q + q + 1
+    assert data["a_configs"] == plane * (q + 1) * (q * q + q)
+    assert data["b_configs"] == (q + 1) * plane * q * q * q
+    assert data["valid_configs"] == data["orbit_size"] == data["b_configs"]
+    assert data["single_orbit"] is True
+    assert len(report.witnesses) == 1
+
+
+def a_configs(q: int):
+    """(P0, P1, P2): two points of each (1,0)-line x {y} and each (a, b), b != y."""
+    p1 = list(projective_points(q, 2))
+    p2 = list(projective_points(q, 3))
+    for y in p2:
+        P0, P1 = (segre_point(x, y, q) for x in p1[:2])
+        for a, b in itertools.product(p1, p2):
+            if b != y:
+                yield P0, P1, segre_point(a, b, q)
+
+
+def b_configs(q: int, lines):
+    """(P0, P1, P2): two points of each (0,1)-line {x} x L with (x, L) in
+    lines, and each (a, b) with a != x and b off L."""
+    p1 = list(projective_points(q, 2))
+    p2 = list(projective_points(q, 3))
+    for x, L in lines:
+        on_L = [m for m in p2 if sum(c * v for c, v in zip(L, m)) % q == 0]
+        P0, P1 = (segre_point(x, m, q) for m in on_L[:2])
+        for a, b in itertools.product(p1, p2):
+            if a != x and b not in on_L:
+                yield P0, P1, segre_point(a, b, q)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_closed_form_section_matches_enumeration(q):
+    # every (a) configuration; every (b) configuration at F2 and F3, and
+    # those of two (0,1)-lines at F5
+    p1 = list(projective_points(q, 2))
+    p2 = list(projective_points(q, 3))
+    lines = list(itertools.product(p1, p2)) if q < 5 else [(p1[0], p2[0]), (p1[-1], p2[-1])]
+    compared = 0
+    for P0, P1, P2 in itertools.chain(a_configs(q), b_configs(q, lines)):
+        closed = SegreLine(P0, P1, q).section_with(P2)
+        assert closed == enumerated_span_section([P0, P1, P2], q), (P0, P1, P2)
+        compared += 1
+    plane = q * q + q + 1
+    assert compared == plane * (q + 1) * (q * q + q) + len(lines) * q * q * q
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_rank_zero_section_is_the_whole_plane(q):
+    # a (0,1)-line {x} x L plus (x, b), b off L, spans {x} x P^2, which lies
+    # on the variety: all three polar forms vanish, and the report never
+    # builds such a span
+    p2 = list(projective_points(q, 3))
+    for x in projective_points(q, 2):
+        for L in p2:
+            on_L = [m for m in p2 if sum(c * v for c, v in zip(L, m)) % q == 0]
+            line = SegreLine(segre_point(x, on_L[0], q), segre_point(x, on_L[1], q), q)
+            for b in p2:
+                if b in on_L:
+                    continue
+                P2 = segre_point(x, b, q)
+                section = line.section_with(P2)
+                assert section == {segre_point(x, m, q) for m in p2}
+                assert section == enumerated_span_section([line.P0, line.P1, P2], q)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_section_hypotheses_are_checked(q):
+    e0, e1 = (1, 0), (0, 1)
+    f0, f1, f2 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    line = SegreLine(segre_point(e0, f0, q), segre_point(e0, f1, q), q)
+    with pytest.raises(ValueError, match="^span is not a plane$"):
+        line.section_with(segre_point(e0, (1, 1, 0), q))            # on the line
+    with pytest.raises(ValueError, match="^point is not on the Segre variety$"):
+        line.section_with((0, 0, 1, 1, 0, 0))                       # z02 z10 != 0
+    with pytest.raises(ValueError, match="^span is not a plane$"):
+        enumerated_span_section([line.P0, line.P1, segre_point(e0, (1, 1, 0), q)], q)
+    not_a_line = "^points do not span a line of the Segre variety$"
+    with pytest.raises(ValueError, match=not_a_line):                   # no common factor
+        SegreLine(segre_point(e0, f0, q), segre_point(e1, f2, q), q)
+    with pytest.raises(ValueError, match=not_a_line):
+        SegreLine((0, 0, 1, 1, 0, 0), segre_point(e0, f0, q), q)
+    with pytest.raises(ValueError, match="^span is not a line$"):
+        SegreLine(segre_point(e0, f0, q), segre_point(e0, f0, q), q)
 
 
 def test_f3_config_count_by_direct_double_loop():
