@@ -4,9 +4,8 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from dataclasses import replace
 
-from . import hss, normalbundle, pairs, report, sff
+from . import hss, normalbundle, pairs, sff
 from .chevalley import build_table, jacobi_failures
 from .pairs import CorrespondenceError, DeletionPair
 from .projgeo import (
@@ -51,7 +50,7 @@ from .rootsys import (
 )
 
 
-def parse_pair_id(text: str, max_rank: int = 7) -> DeletionPair:
+def parse_pair_id(text: str) -> DeletionPair:
     """Resolve "<diagram>:<gamma>/<gamma0>" to its catalog entry."""
     parts = text.split("/")
     if ":" not in text or len(parts) != 2 or not all(part.strip() for part in parts):
@@ -59,7 +58,7 @@ def parse_pair_id(text: str, max_rank: int = 7) -> DeletionPair:
     head, gamma0 = parts
     md = parse_marked(head)
     pair = DeletionPair(md, gamma0.strip())
-    specs = pairs.catalog_specs(max(max_rank, md.diagram.rank))
+    specs = pairs.catalog_specs(max(4, md.diagram.rank))
     if pair.pair_id not in {f"{ambient}/{g0}" for ambient, g0 in specs}:
         raise ChainError(f"{pair.pair_id} is not a catalog deletion pair")
     return pair
@@ -316,7 +315,7 @@ def _qorbit_invariance(seed: int) -> CheckReport:
                                    "violations": bad}])
 
 
-def run_all(config: RunConfig) -> tuple[int, dict]:
+def _all_reports(config: RunConfig) -> list[CheckReport]:
     reports = [root_count_check(), vmrt_chain_check(config.max_rank)]
     for pair in pairs.catalog(config.max_rank):
         for check in PAIR_CHECKS.values():
@@ -324,12 +323,16 @@ def run_all(config: RunConfig) -> tuple[int, dict]:
     reports += plucker_suite(config.primes_plucker)
     reports += segre_suite(config.primes_segre)
     reports += property_suite(config.seed)
-    return _verdict(config, reports)
+    return reports
 
 
-def _verdict(config: RunConfig, reports: list[CheckReport]) -> tuple[int, dict]:
-    """The bundle and its exit code: 0 iff no report says fail."""
-    doc = bundle(config, reports)
+def run_all(config: RunConfig) -> tuple[int, dict]:
+    return _verdict(config, _all_reports(config))
+
+
+def _verdict(config: RunConfig, reports: list[CheckReport], fields=None) -> tuple[int, dict]:
+    """The bundle, echoing ``fields`` of ``config``, and its exit code: 0 iff no fail."""
+    doc = bundle(config, reports, fields)
     return (0 if doc["summary"][FAIL] == 0 else 1), doc
 
 
@@ -337,15 +340,8 @@ def _verdict(config: RunConfig, reports: list[CheckReport]) -> tuple[int, dict]:
 # Command-line interface
 # ---------------------------------------------------------------------------
 
-def _catalog_reports(args, config: RunConfig) -> list[CheckReport]:
-    return [rep for pair in pairs.catalog(config.max_rank)
-            for rep in correspondence_checks(pair)]
-
-
 def _pair_reports(args, config: RunConfig) -> list[CheckReport]:
-    reports = args.check(parse_pair_id(args.pair, config.max_rank))
-    mode = getattr(args, "mode", "both")
-    return [r for r in reports if mode == "both" or r.check_id.endswith(mode)]
+    return PAIR_CHECKS[args.command](parse_pair_id(args.pair))
 
 
 def _section_reports(args, config: RunConfig) -> list[CheckReport]:
@@ -368,13 +364,51 @@ def _collinear_reports(args, config: RunConfig) -> list[CheckReport]:
             "common_vector": [str(c) for c in wit.common_vector]}}])]
 
 
-def _emit(doc: dict, fmt: str, out_path: "str | None") -> None:
-    text = bundle_json(doc) if fmt == "json" else bundle_markdown(doc)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _prime_list(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"takes comma-separated integers, not {text!r}") from None
+
+
+def _one_prime(text: str) -> tuple[int]:
+    try:
+        return (int(text),)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+# Every option besides --format and --out, with the RunConfig field it parses
+# into (RunConfig checks the value); a None default keeps RunConfig's default.
+_OPTIONS = {
+    "--max-rank": ("max_rank", {"type": int}),
+    "--primes": ("primes_plucker", {"type": _prime_list, "metavar": "PRIMES"}),
+    "--seed": ("seed", {"type": int}),
+    "--q": ("primes_segre", {"type": _one_prime, "default": (3,), "metavar": "Q"}),
+    "--pair": (None, {"required": True}),
+    "--mode": (None, {"choices": ("sigma", "tau", "both"), "default": "both"}),
+    "--point": (None, {"required": True}),
+}
+
+# One row per subcommand: its words, reports(args, config), the options it
+# reads, then any RunConfig fields it reads that none of its options sets.
+COMMANDS = (
+    ("catalog", lambda args, config: [rep for pair in pairs.catalog(config.max_rank)
+                                      for rep in correspondence_checks(pair)], ("--max-rank",)),
+    ("verify-pair", _pair_reports, ("--pair",)),
+    ("degeneracy", lambda args, config: [
+        rep for rep in _pair_reports(args, config)
+        if args.mode == "both" or rep.check_id.endswith(args.mode)], ("--pair", "--mode")),
+    ("infinity-locus", _pair_reports, ("--pair",)),
+    ("normal-bundle", _pair_reports, ("--pair",)),
+    ("vmrt-chain", lambda args, config: [vmrt_chain_check(config.max_rank)], ("--max-rank",)),
+    ("run-all", lambda args, config: _all_reports(config), ("--max-rank", "--primes", "--seed"),
+     "primes_segre"),
+    ("pluecker survey", lambda args, config: plucker_suite(config.primes_plucker), ("--primes",)),
+    ("pluecker section", _section_reports, ("--point", "--primes")),
+    ("pluecker collinear", _collinear_reports, ("--point",)),
+    ("segre fitting", lambda args, config: segre_suite(config.primes_segre), ("--q",)),
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -384,82 +418,49 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
-def _subcommand(parent, name: str, reports) -> argparse.ArgumentParser:
-    """A subcommand with the common options; ``reports(args, config)`` lists its reports."""
-    sp = parent.add_parser(name)
-    sp.add_argument("--max-rank", type=int, default=7)
-    sp.add_argument("--primes", type=str, default=None)
-    sp.add_argument("--format", dest="fmt", choices=("json", "markdown"), default="json")
-    sp.add_argument("--seed", type=int, default=report.DEFAULT_SEED)
-    sp.add_argument("--out", type=str, default=None)
-    sp.set_defaults(reports=reports)
-    return sp
-
-
-def _config(args) -> RunConfig:
-    """The run configuration; its echo in the bundle names the primes that ran."""
-    config = RunConfig(max_rank=args.max_rank, fmt=args.fmt, seed=args.seed)
-    if args.command == "segre":
-        if args.primes is not None:
-            raise ValueError("segre fitting takes its prime from --q, not --primes")
-        return replace(config, primes_segre=(args.q,))
-    if args.primes is not None:
-        try:
-            primes = tuple(int(x) for x in args.primes.split(","))
-        except ValueError:
-            raise ValueError(
-                f"--primes takes comma-separated integers, not {args.primes!r}") from None
-        return replace(config, primes_plucker=primes)
-    return config
-
-
 def main(argv: "list[str] | None" = None) -> int:
     parser = _Parser(
         prog="delpair",
         description="verification toolkit for deletion-type pairs of "
                     "Hermitian symmetric spaces")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    _subcommand(sub, "catalog", _catalog_reports)
-    for name, check in PAIR_CHECKS.items():
-        sp = _subcommand(sub, name, _pair_reports)
-        sp.set_defaults(check=check)
-        sp.add_argument("--pair", required=True)
-        if check is degeneracy_checks:
-            sp.add_argument("--mode", choices=("sigma", "tau", "both"), default="both")
-    _subcommand(sub, "vmrt-chain", lambda args, config: [vmrt_chain_check(config.max_rank)])
-    _subcommand(sub, "run-all", None)
-
-    plsub = sub.add_parser("pluecker").add_subparsers(dest="plucker_command", required=True)
-    _subcommand(plsub, "survey", lambda args, config: plucker_suite(config.primes_plucker))
-    _subcommand(plsub, "section", _section_reports).add_argument("--point", required=True)
-    _subcommand(plsub, "collinear", _collinear_reports).add_argument("--point", required=True)
-
-    sgsub = sub.add_parser("segre").add_subparsers(dest="segre_command", required=True)
-    fitting = _subcommand(sgsub, "fitting",
-                          lambda args, config: segre_suite(config.primes_segre))
-    fitting.add_argument("--q", type=int, default=3)
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    for path, reports, options, *reads in COMMANDS:
+        group, _, name = path.rpartition(" ")
+        if group not in groups:           # "pluecker" and "segre"
+            groups[group] = groups[""].add_parser(group).add_subparsers(
+                dest=f"{group}_command", required=True)
+        sp = groups[group].add_parser(name)
+        sp.add_argument("--format", dest="fmt", choices=("json", "markdown"), default="json")
+        sp.add_argument("--out")
+        for flag in options:
+            sp.add_argument(flag, dest=_OPTIONS[flag][0], **_OPTIONS[flag][1])
+        sp.set_defaults(reports=reports, reads=tuple(reads))
 
     try:
         args = parser.parse_args(argv)
-        config = _config(args)
+        # fmt and the RunConfig fields that this command's options set
+        given = {k: v for k, v in vars(args).items()
+                 if k in {"fmt", *(field for field, _ in _OPTIONS.values())}}
+        config = RunConfig(**{k: v for k, v in given.items() if v is not None})
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     try:
-        if args.command == "run-all":
-            code, doc = run_all(config)
-        else:
-            code, doc = _verdict(config, args.reports(args, config))
+        code, doc = _verdict(config, args.reports(args, config), (*given, *args.reads))
     except ValueError as exc:     # input errors: every delpair error class subclasses it
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CertificationError as exc:     # a failed certification, not bad input
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    text = bundle_json(doc) if config.fmt == "json" else bundle_markdown(doc)
     try:
-        _emit(doc, config.fmt, args.out)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except OSError as exc:                # e.g. --out in a missing directory
         print(f"error: {exc}", file=sys.stderr)
         return 2

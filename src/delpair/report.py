@@ -61,14 +61,12 @@ class RunConfig:
         if self.fmt not in ("json", "markdown"):
             raise ValueError(f"unknown output format {self.fmt!r}")
 
-    def to_dict(self) -> dict:
-        return {
-            "max_rank": self.max_rank,
-            "primes_plucker": list(self.primes_plucker),
-            "primes_segre": list(self.primes_segre),
-            "format": self.fmt,
-            "seed": self.seed,
-        }
+    def to_dict(self, fields: "tuple[str, ...] | None" = None) -> dict:
+        """The echo of ``fields``, every field by default; ``fmt`` echoes as "format"."""
+        echo = {"max_rank": self.max_rank, "primes_plucker": list(self.primes_plucker),
+                "primes_segre": list(self.primes_segre), "fmt": self.fmt, "seed": self.seed}
+        return {("format" if k == "fmt" else k): v for k, v in echo.items()
+                if fields is None or k in fields}
 
 
 def is_prime(p: int) -> bool:
@@ -94,13 +92,14 @@ def root_witness(r) -> list[int]:
     return list(r.coeffs)
 
 
-def bundle(config: RunConfig, reports: list[CheckReport]) -> dict:
+def bundle(config: RunConfig, reports: list[CheckReport],
+           fields: "tuple[str, ...] | None" = None) -> dict:
     ordered = sorted(reports, key=lambda r: (r.check_id, r.subject))
     summary = {s: 0 for s in _STATUSES}
     for r in ordered:
         summary[r.status] += 1
     return {
-        "config": config.to_dict(),
+        "config": config.to_dict(fields),
         "reports": [r.to_dict() for r in ordered],
         "summary": summary,
     }

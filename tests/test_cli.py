@@ -1,7 +1,9 @@
 import hashlib
+import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -51,6 +53,17 @@ def test_parse_pair_id_distinct_errors():
         parse_pair_id("B4:a1/a4")
     with pytest.raises(ChainError, match="catalog"):
         parse_pair_id("E6:a1/a3")    # valid deletion but disconnected survivor
+
+
+def test_parse_pair_id_resolves_every_catalog_id(catalog12):
+    # the catalog at a pair's own rank (at least 4) decides it, so B3 resolves
+    for pair in catalog12:
+        resolved = parse_pair_id(pair.pair_id)
+        assert resolved == pair and resolved.name == pair.name
+        assert resolved.chain == pair.chain and resolved.sub == pair.sub
+    assert parse_pair_id("B3:a1/a2") in catalog12
+    with pytest.raises(ChainError, match="catalog"):
+        parse_pair_id("E6:a1/a3")
 
 
 def test_parse_pair_id_does_not_build_the_catalog(monkeypatch):
@@ -367,9 +380,10 @@ def _seeded_section_points(rng, n):
 
 
 # sha256 over stdout, stderr and exit code of `pluecker section` on 200
-# seeded points, at the default primes and at --primes 7,11; recorded before
-# restricted quadrics became Gram matrices.
-SEEDED_SECTIONS_SHA256 = "def5c2d02bfc80583af72bfac300dc851e038823ee0b62c4bb5b9d19154b17f4"
+# seeded points, at the default primes and at --primes 7,11.  Re-pinned when
+# the config echo shrank to format and primes_plucker; with config left out of
+# stdout, the 400 runs hash alike before and after that change.
+SEEDED_SECTIONS_SHA256 = "5433ac2673c3e25c35b09fdad39506c5f973a962f461dd52245688e348823377"
 
 
 def test_pluecker_section_and_collinear_witnesses_pinned(tmp_path, capsys):
@@ -428,18 +442,98 @@ def test_rank20_bundle_golden_hash():
 
 
 def test_pair_commands_agree_with_run_all(default_bundle, catalog7, tmp_path):
-    rows = {(r["check_id"], r["subject"]): r for r in default_bundle["reports"]}
+    # compared as printed: a section's locus lines are tuples before JSON
+    printed = json.loads(bundle_json(default_bundle))
+    rows = {(r["check_id"], r["subject"]): r for r in printed["reports"]}
     # a non-maximal pair: the infinity-locus lemma does not apply, so skipped, exit 0
     assert rows[("sff.infinity_locus", "B4:a1/a3")]["status"] == "skipped"
     out = tmp_path / "pair.json"
     seen = set()
-    for pair_id in catalog7:
-        for command in PAIR_CHECKS:
-            code = main([command, "--pair", pair_id, "--out", str(out)])
-            reports = json.loads(out.read_text())["reports"]
-            for rep in reports:
-                key = (rep["check_id"], rep["subject"])
-                assert rep == rows[key], (command, pair_id)
-                seen.add(key)
-            assert code == (1 if any(r["status"] == FAIL for r in reports) else 0)
-    assert seen == {key for key in rows if key[1] in catalog7}
+    pair_argvs = [[command, "--pair", pair_id] for pair_id in catalog7 for command in PAIR_CHECKS]
+    # `pluecker section` is left out: its witnesses list the locus, run-all's count it
+    suite_argvs = [["catalog"], ["vmrt-chain"], ["pluecker", "survey", "--primes", "5,7"],
+                   ["segre", "fitting", "--q", "2"], ["segre", "fitting", "--q", "3"]]
+    for argv in pair_argvs + suite_argvs:
+        code = main(argv + ["--out", str(out)])
+        reports = json.loads(out.read_text())["reports"]
+        assert reports, argv
+        for rep in reports:
+            key = (rep["check_id"], rep["subject"])
+            assert rep == rows[key], argv
+            seen.add(key)
+        assert code == (1 if any(r["status"] == FAIL for r in reports) else 0)
+    assert {key for key in seen if key[1] in catalog7} == {
+        key for key in rows if key[1] in catalog7}
+    # every run-all row but the property suite's is printed by some subcommand
+    assert {check_id for check_id, _ in rows.keys() - seen} == {
+        "rootsys.counts", "chevalley.properties", "projgeo.decomposability",
+        "projgeo.qorbit_invariance"}
+
+
+# Each subcommand, the options it reads besides --format and --out, and the
+# config fields its bundle echoes besides format.
+COMMAND_READS = [
+    (["catalog"], {"--max-rank"}, {"max_rank"}),
+    (["verify-pair", "--pair", "E6:a6/a5"], {"--pair"}, set()),
+    (["degeneracy", "--pair", "E6:a6/a5"], {"--pair", "--mode"}, set()),
+    (["infinity-locus", "--pair", "E6:a6/a5"], {"--pair"}, set()),
+    (["normal-bundle", "--pair", "E6:a6/a5"], {"--pair"}, set()),
+    (["vmrt-chain"], {"--max-rank"}, {"max_rank"}),
+    (["pluecker", "survey"], {"--primes"}, {"primes_plucker"}),
+    (["pluecker", "section", "--point", "e2^e4"], {"--point", "--primes"}, {"primes_plucker"}),
+    (["pluecker", "collinear", "--point", "e1^e4"], {"--point"}, set()),
+    (["segre", "fitting"], {"--q"}, {"primes_segre"}),
+    (["run-all"], {"--max-rank", "--primes", "--seed"},
+     {"max_rank", "primes_plucker", "primes_segre", "seed"}),
+]
+
+
+def _words(argv):
+    """The subcommand's words: argv up to its first option."""
+    return list(itertools.takewhile(lambda word: not word.startswith("--"), argv))
+
+
+OPTION_VALUES = {"--max-rank": "5", "--primes": "5", "--seed": "3", "--q": "2",
+                 "--pair": "E6:a6/a5", "--mode": "tau", "--point": "e4^e5"}
+
+
+@pytest.mark.parametrize("argv, option", [
+    pytest.param(argv, option, id=f"{' '.join(_words(argv))} {option}")
+    for argv, reads, _ in COMMAND_READS for option in OPTION_VALUES if option not in reads])
+def test_unread_options_are_refused(argv, option, tmp_path, capsys):
+    out = tmp_path / "u.json"
+    assert main(argv + [option, OPTION_VALUES[option], "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and option in err[0]
+    assert captured.out == "" and not out.exists()
+
+
+def test_help_lists_only_the_options_read(capsys):
+    accepted = 0
+    for argv, reads, _ in COMMAND_READS:
+        with pytest.raises(SystemExit) as exc:
+            main(_words(argv) + ["--help"])
+        assert exc.value.code == 0
+        listed = set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) - {"--help"}
+        assert listed == {"--format", "--out"} | reads, argv
+        accepted += len(listed)
+    assert accepted == 37
+
+
+@pytest.mark.parametrize("argv, reads, echoed", COMMAND_READS,
+                         ids=[" ".join(_words(argv)) for argv, _, _ in COMMAND_READS])
+def test_config_echoes_exactly_the_fields_read(argv, reads, echoed, tmp_path):
+    given = [word for option in sorted(reads - {"--pair", "--point"})
+             for word in (option, OPTION_VALUES[option])]
+    out = tmp_path / "c.out"
+    assert main(argv + given + ["--out", str(out)]) == 0
+    config = json.loads(out.read_text())["config"]
+    assert config.keys() == {"format"} | echoed
+    expected = {"max_rank": 5, "primes_plucker": [5], "primes_segre": [2], "seed": 3}
+    if argv == ["run-all"]:
+        expected["primes_segre"] = [2, 3]       # run-all runs the default Segre primes
+    assert config == {"format": "json", **{k: expected[k] for k in echoed}}
+    assert main(argv + given + ["--format", "markdown", "--out", str(out)]) == 0
+    line = next(line for line in out.read_text().splitlines() if line.startswith("config: "))
+    assert set(re.findall(r"(\w+)=", line)) == {"format"} | echoed
