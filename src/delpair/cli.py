@@ -200,7 +200,7 @@ def plucker_suite(primes: tuple[int, ...]) -> list[CheckReport]:
             witnesses=[{
                 "lines": len(sec.lines), "isolated_points": len(sec.isolated_points),
                 "certified_over": list(sec.certified_over),
-                "locus_lines": list(sec.lines),
+                "locus_lines": [list(cov) for cov in sec.lines],
                 "locus_points": [list(pt) for pt in sec.isolated_points],
             }]))
 
@@ -349,7 +349,7 @@ def _section_reports(args, config: RunConfig) -> list[CheckReport]:
     return [CheckReport(
         "plucker.section", f"span(<{args.point}>, ell)", PASS,
         witnesses=[{
-            "lines": list(sec.lines),
+            "lines": [list(cov) for cov in sec.lines],
             "isolated_points": [list(pt) for pt in sec.isolated_points],
             "full_plane": sec.full_plane,
             "certified_over": list(sec.certified_over)}])]

@@ -8,6 +8,12 @@ ints scaled by L; only a non-integral pairing returns a Fraction.  Node
 labels follow Bourbaki numbering ("a1", "a2", ...), global across the
 components of a product diagram.
 
+A connected component has type X_n exactly when it is isomorphic, bond
+multiplicities and short ends included, to the diagram the literal parser
+draws for "X_n", so each type's diagram is written once, in ``_term_edges``
+(Bourbaki, Lie Groups ch. VI, plates).  The hand-written shape rules, one
+per letter, that this matching replaces are an oracle in the tests.
+
 Everything that depends only on a component's Bourbaki type is read per
 type, not per diagram.  Positive roots are generated once per (letter,
 rank) by root strings on the type's own Cartan matrix and embedded through
@@ -156,11 +162,7 @@ class DynkinDiagram:
 
     @cached_property
     def adjacency(self) -> dict[str, dict[str, tuple[int, "str | None"]]]:
-        adj: dict[str, dict[str, tuple[int, str | None]]] = {a: {} for a in self.nodes}
-        for u, v, mult, arrow in self.edges:
-            adj[u][v] = (mult, arrow)
-            adj[v][u] = (mult, arrow)
-        return adj
+        return _adjacency(self.nodes, self.edges)
 
     @cached_property
     def components(self) -> tuple[Component, ...]:
@@ -246,132 +248,88 @@ class DynkinDiagram:
 
 
 def _connected_block(start: str, adj: dict[str, dict]) -> list[str]:
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        a = queue.popleft()
+    """The nodes reachable from ``start``, in breadth-first order."""
+    seen, order = {start}, [start]
+    for a in order:             # the loop reads what it appends
         for b in adj[a]:
             if b not in seen:
                 seen.add(b)
-                queue.append(b)
-    return list(seen)
+                order.append(b)
+    return order
 
 
-def _walk_path(start: str, labels: list[str], adj: dict[str, dict]) -> list[str]:
-    seq = [start]
-    prev = None
-    while True:
-        nxt = [b for b in adj[seq[-1]] if b in labels and b != prev]
-        if not nxt:
-            return seq
-        if len(nxt) > 1:
-            raise DiagramError("not a path")
-        prev = seq[-1]
-        seq.append(nxt[0])
+def _adjacency(nodes, edges) -> dict[str, dict[str, tuple[int, "str | None"]]]:
+    adj: dict[str, dict[str, tuple[int, str | None]]] = {a: {} for a in nodes}
+    for u, v, mult, arrow in edges:
+        adj[u][v] = adj[v][u] = (mult, arrow)
+    return adj
 
 
-def _classify(labels: list[str], full_adj: dict[str, dict]) -> Component:
-    """Match one connected component against the finite-type classification."""
-    adj = {a: {b: m for b, m in full_adj[a].items() if b in set(labels)} for a in labels}
+def _invariant(nodes, adj: dict[str, dict]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Sorted degrees and sorted bond multiplicities, kept by every isomorphism."""
+    return (tuple(sorted(len(adj[a]) for a in nodes)),
+            tuple(sorted(m for a in nodes for m, _ in adj[a].values())))
+
+
+@lru_cache(maxsize=None)
+def _template(letter: str, n: int):
+    """The Bourbaki diagram ``_term_edges`` draws for a type, ready for matching.
+
+    Returns its invariant, its nodes in breadth-first order from Bourbaki
+    node 1 as steps (parent step, (multiplicity, step of the short end),
+    degree), and the step of each Bourbaki node.
+    """
+    lab, edges = _term_edges(letter, n, 0)
+    adj = _adjacency(lab, edges)
+    order = _connected_block(lab[0], adj)
+    step = {a: i for i, a in enumerate(order)}
+    steps = [(None, (None, None), len(adj[order[0]]))]
+    for a in order[1:]:
+        parent = next(b for b in adj[a] if step[b] < step[a])
+        mult, short = adj[a][parent]
+        steps.append((step[parent], (mult, step.get(short)), len(adj[a])))
+    return _invariant(lab, adj), tuple(steps), tuple(step[a] for a in lab)
+
+
+def _embeddings(image: tuple[str, ...], steps, adj: dict[str, dict]) -> list[tuple[str, ...]]:
+    """Every isomorphism from a template onto a tree that extends ``image``."""
+    if len(image) == len(steps):
+        return [image]
+    parent, (mult, short), degree = steps[len(image)]
+    found = []
+    for b, bond in adj[image[parent]].items():
+        full = image + (b,)
+        if (len(adj[b]) == degree and b not in image
+                and bond == (mult, None if short is None else full[short])):
+            found += _embeddings(full, steps, adj)
+    return found
+
+
+def _classify(labels: list[str], adj: dict[str, dict]) -> Component:
+    """Name a connected component by the Bourbaki diagram it is isomorphic to.
+
+    Letters are tried in ``_RANK_BOUNDS`` order, so B2 = C2 reads as B2 and
+    D3 as A3.  An isomorphism keeps each bond's multiplicity and short end;
+    among several (the symmetries of A_n, D_n, D4 and E6) the one whose
+    Bourbaki labels come first in node order wins.
+    """
     n = len(labels)
-    nedges = sum(len(adj[a]) for a in labels) // 2
-    if nedges != n - 1:
+    if sum(len(adj[a]) for a in labels) != 2 * (n - 1):
         raise DiagramError(f"component {labels} contains a cycle")
-    mults = sorted(m for a in labels for (m, _) in adj[a].values())
-    degrees = {a: len(adj[a]) for a in labels}
-    if any(d > 3 for d in degrees.values()):
-        raise DiagramError(f"component {labels}: node of degree > 3")
-
-    if mults and mults[-1] == 3:
-        if n != 2 or mults != [3, 3]:
-            raise DiagramError(f"component {labels}: stray triple bond")
-        (u, v, _, arrow) = next(iter(_component_edges(labels, full_adj)))
-        short = arrow
-        longr = v if short == u else u
-        return Component("G", (short, longr))
-
-    if mults and mults[-1] == 2:
-        doubles = [e for e in _component_edges(labels, full_adj) if e[2] == 2]
-        if len(doubles) != 1 or any(d > 2 for d in degrees.values()):
-            raise DiagramError(f"component {labels}: unclassifiable multiple bonds")
-        ends = [a for a in labels if degrees[a] <= 1]
-        seq = _walk_path(ends[0], labels, adj)
-        (u, v, _, arrow) = doubles[0]
-        k = min(seq.index(u), seq.index(v))
-        if n == 2:
-            longr = v if arrow == u else u
-            return Component("B", (longr, arrow))
-        if k == 0:
-            seq, k = seq[::-1], n - 2
-        if k == n - 2:
-            letter = "B" if arrow == seq[-1] else "C"
-            return Component(letter, tuple(seq))
-        if n == 4 and k == 1:
-            if arrow != seq[2]:
-                seq = seq[::-1]
-            if full_adj[seq[1]][seq[2]][1] != seq[2]:
-                raise DiagramError(f"component {labels}: not of type F4")
-            return Component("F", tuple(seq))
-        raise DiagramError(f"component {labels}: double bond in illegal position")
-
-    branch = [a for a in labels if degrees[a] == 3]
-    if not branch:
-        if n == 1:
-            return Component("A", tuple(labels))
-        ends = sorted((a for a in labels if degrees[a] == 1), key=labels.index)
-        seqs = [_walk_path(e, labels, adj) for e in ends]
-        best = min(seqs, key=lambda s: [labels.index(a) for a in s])
-        return Component("A", tuple(best))
-    if len(branch) > 1:
-        raise DiagramError(f"component {labels}: more than one branch node")
-    b = branch[0]
-    arms = []
-    for nb in adj[b]:
-        seq = [nb]
-        prev = b
-        while True:
-            nxt = [c for c in adj[seq[-1]] if c != prev]
-            if not nxt:
-                break
-            prev = seq[-1]
-            seq.append(nxt[0])
-        arms.append(seq)
-    lengths = sorted(len(a) for a in arms)
-    if lengths[:2] == [1, 1]:
-        tips = sorted([a[0] for a in arms if len(a) == 1], key=labels.index)
-        tails = [a for a in arms if len(a) == lengths[2]]
-        if lengths[2] == 1:   # D4: three symmetric arms
-            tail_leaf = tips[0]
-            tips = tips[1:]
-            tail = [tail_leaf]
-        else:
-            tail = tails[0]
-        return Component("D", tuple(reversed(tail)) + (b,) + tuple(tips))
-    if lengths[0] == 1 and lengths[1] == 2 and lengths[2] in (2, 3, 4):
-        short = next(a for a in arms if len(a) == 1)
-        twos = [a for a in arms if len(a) == 2]
-        longs = [a for a in arms if len(a) == lengths[2]]
-        candidates = []
-        if lengths[2] == 2:   # E6: the two length-2 arms are interchangeable
-            candidates = [(twos[0], twos[1]), (twos[1], twos[0])]
-        else:
-            candidates = [(twos[0], longs[0])]
-        orders = []
-        for mid, tail in candidates:
-            orders.append((mid[1], short[0], mid[0], b) + tuple(tail))
-        best = min(orders, key=lambda s: [labels.index(a) for a in s])
-        return Component("E", best)
-    raise DiagramError(f"component {labels}: arm lengths {lengths} match no type")
-
-
-def _component_edges(labels: list[str], full_adj: dict[str, dict]):
-    block = set(labels)
-    seen = set()
-    for a in labels:
-        for bnode, (m, arrow) in full_adj[a].items():
-            if bnode in block and frozenset((a, bnode)) not in seen:
-                seen.add(frozenset((a, bnode)))
-                yield (a, bnode, m, arrow)
+    invariant = _invariant(labels, adj)
+    position = {a: i for i, a in enumerate(labels)}
+    for letter, (lo, hi) in _RANK_BOUNDS.items():
+        if not lo <= n <= (hi or n):
+            continue
+        shape, steps, order = _template(letter, n)
+        if shape != invariant:
+            continue
+        images = [image for a in labels if len(adj[a]) == steps[0][2]
+                  for image in _embeddings((a,), steps, adj)]
+        if images:
+            best = min(images, key=lambda im: [position[im[j]] for j in order])
+            return Component(letter, tuple(best[j] for j in order))
+    raise DiagramError(f"component {labels} matches no Bourbaki diagram")
 
 
 # ---------------------------------------------------------------------------

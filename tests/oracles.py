@@ -1,5 +1,7 @@
 """Independent oracles, kept deliberately apart from the library paths.
 
+Diagram components are classified by hand-written shape rules, one branch
+per letter, instead of matching the Bourbaki diagrams of the literal parser.
 Root systems are regenerated here by reflection closure instead of root
 strings, and by the generic Fraction kernel (root strings on Root objects,
 inner products from the rational symmetrized form) instead of the integer
@@ -203,6 +205,148 @@ def exhaustive_maximality(pair) -> MaximalityVerdict:
             witnesses.append(step)
     witnesses.sort(key=lambda p: p.pair_id)
     return MaximalityVerdict(not witnesses, tuple(witnesses))
+
+
+def shape_rule_components(nodes: tuple[str, ...], edges) -> tuple[Component, ...]:
+    """Components of a diagram by the hand-written shape rules, one branch per
+    letter, instead of matching the Bourbaki diagrams the literal parser draws.
+
+    Takes raw (nodes, edges) so that a diagram the library refuses can still
+    be classified here; raises DiagramError where no rule applies.
+    """
+    adj: dict[str, dict] = {a: {} for a in nodes}
+    for u, v, mult, arrow in edges:
+        adj[u][v] = adj[v][u] = (mult, arrow)
+    comps, seen = [], set()
+    for start in nodes:
+        if start in seen:
+            continue
+        block, queue = {start}, deque([start])
+        while queue:
+            for b in adj[queue.popleft()]:
+                if b not in block:
+                    block.add(b)
+                    queue.append(b)
+        seen |= block
+        comps.append(shape_rule_classify(sorted(block, key=nodes.index), adj))
+    return tuple(comps)
+
+
+def _walk_path(start: str, labels: list[str], adj: dict[str, dict]) -> list[str]:
+    seq = [start]
+    prev = None
+    while True:
+        nxt = [b for b in adj[seq[-1]] if b in labels and b != prev]
+        if not nxt:
+            return seq
+        if len(nxt) > 1:
+            raise DiagramError("not a path")
+        prev = seq[-1]
+        seq.append(nxt[0])
+
+
+def shape_rule_classify(labels: list[str], full_adj: dict[str, dict]) -> Component:
+    """Match one connected component against the finite-type classification."""
+    adj = {a: {b: m for b, m in full_adj[a].items() if b in set(labels)} for a in labels}
+    n = len(labels)
+    nedges = sum(len(adj[a]) for a in labels) // 2
+    if nedges != n - 1:
+        raise DiagramError(f"component {labels} contains a cycle")
+    mults = sorted(m for a in labels for (m, _) in adj[a].values())
+    degrees = {a: len(adj[a]) for a in labels}
+    if any(d > 3 for d in degrees.values()):
+        raise DiagramError(f"component {labels}: node of degree > 3")
+
+    if mults and mults[-1] == 3:
+        if n != 2 or mults != [3, 3]:
+            raise DiagramError(f"component {labels}: stray triple bond")
+        (u, v, _, arrow) = next(iter(_component_edges(labels, full_adj)))
+        short = arrow
+        longr = v if short == u else u
+        return Component("G", (short, longr))
+
+    if mults and mults[-1] == 2:
+        doubles = [e for e in _component_edges(labels, full_adj) if e[2] == 2]
+        if len(doubles) != 1 or any(d > 2 for d in degrees.values()):
+            raise DiagramError(f"component {labels}: unclassifiable multiple bonds")
+        ends = [a for a in labels if degrees[a] <= 1]
+        seq = _walk_path(ends[0], labels, adj)
+        (u, v, _, arrow) = doubles[0]
+        k = min(seq.index(u), seq.index(v))
+        if n == 2:
+            longr = v if arrow == u else u
+            return Component("B", (longr, arrow))
+        if k == 0:
+            seq, k = seq[::-1], n - 2
+        if k == n - 2:
+            letter = "B" if arrow == seq[-1] else "C"
+            return Component(letter, tuple(seq))
+        if n == 4 and k == 1:
+            if arrow != seq[2]:
+                seq = seq[::-1]
+            if full_adj[seq[1]][seq[2]][1] != seq[2]:
+                raise DiagramError(f"component {labels}: not of type F4")
+            return Component("F", tuple(seq))
+        raise DiagramError(f"component {labels}: double bond in illegal position")
+
+    branch = [a for a in labels if degrees[a] == 3]
+    if not branch:
+        if n == 1:
+            return Component("A", tuple(labels))
+        ends = sorted((a for a in labels if degrees[a] == 1), key=labels.index)
+        seqs = [_walk_path(e, labels, adj) for e in ends]
+        best = min(seqs, key=lambda s: [labels.index(a) for a in s])
+        return Component("A", tuple(best))
+    if len(branch) > 1:
+        raise DiagramError(f"component {labels}: more than one branch node")
+    b = branch[0]
+    arms = []
+    for nb in adj[b]:
+        seq = [nb]
+        prev = b
+        while True:
+            nxt = [c for c in adj[seq[-1]] if c != prev]
+            if not nxt:
+                break
+            prev = seq[-1]
+            seq.append(nxt[0])
+        arms.append(seq)
+    lengths = sorted(len(a) for a in arms)
+    if lengths[:2] == [1, 1]:
+        tips = sorted([a[0] for a in arms if len(a) == 1], key=labels.index)
+        tails = [a for a in arms if len(a) == lengths[2]]
+        if lengths[2] == 1:   # D4: three symmetric arms
+            tail_leaf = tips[0]
+            tips = tips[1:]
+            tail = [tail_leaf]
+        else:
+            tail = tails[0]
+        return Component("D", tuple(reversed(tail)) + (b,) + tuple(tips))
+    if lengths[0] == 1 and lengths[1] == 2 and lengths[2] in (2, 3, 4):
+        short = next(a for a in arms if len(a) == 1)
+        twos = [a for a in arms if len(a) == 2]
+        longs = [a for a in arms if len(a) == lengths[2]]
+        candidates = []
+        if lengths[2] == 2:   # E6: the two length-2 arms are interchangeable
+            candidates = [(twos[0], twos[1]), (twos[1], twos[0])]
+        else:
+            candidates = [(twos[0], longs[0])]
+        orders = []
+        for mid, tail in candidates:
+            orders.append((mid[1], short[0], mid[0], b) + tuple(tail))
+        best = min(orders, key=lambda s: [labels.index(a) for a in s])
+        return Component("E", best)
+    raise DiagramError(f"component {labels}: arm lengths {lengths} match no type")
+
+
+def _component_edges(labels: list[str], full_adj: dict[str, dict]):
+    block = set(labels)
+    seen = set()
+    for a in labels:
+        for bnode, (m, arrow) in full_adj[a].items():
+            if bnode in block and frozenset((a, bnode)) not in seen:
+                seen.add(frozenset((a, bnode)))
+                yield (a, bnode, m, arrow)
 
 
 def reflection_closure_positive_roots(diagram: DynkinDiagram) -> frozenset[Root]:

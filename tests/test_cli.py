@@ -33,6 +33,13 @@ def default_bundle():
     return doc
 
 
+@pytest.fixture(scope="module")
+def rank_sweep_bundle():
+    code, doc = run_all(RunConfig(max_rank=12, primes_plucker=(3,), primes_segre=(2,)))
+    assert code == 0
+    return doc
+
+
 def small_config(**kw):
     defaults = dict(max_rank=4, primes_plucker=(5,), primes_segre=(2,))
     defaults.update(kw)
@@ -414,13 +421,11 @@ def test_default_bundle_golden_hash(default_bundle):
         "pass": 140, "fail": 0, "indeterminate": 26, "skipped": 22}
 
 
-def test_rank_sweep_bundle_golden_hash():
+def test_rank_sweep_bundle_golden_hash(rank_sweep_bundle):
     # B5-B12 and D6-D12: the largest Chevalley tables any bundle reads
-    code, doc = run_all(RunConfig(max_rank=12, primes_plucker=(3,), primes_segre=(2,)))
-    assert code == 0
-    digest = hashlib.sha256(bundle_json(doc).encode("utf-8")).hexdigest()
+    digest = hashlib.sha256(bundle_json(rank_sweep_bundle).encode("utf-8")).hexdigest()
     assert digest == RANK_SWEEP_SHA256
-    assert doc["summary"] == {"pass": 398, "fail": 0, "indeterminate": 101, "skipped": 87}
+    assert rank_sweep_bundle["summary"] == {"pass": 398, "fail": 0, "indeterminate": 101, "skipped": 87}
 
 
 def test_rank16_bundle_golden_hash():
@@ -441,10 +446,14 @@ def test_rank20_bundle_golden_hash():
     assert doc["summary"] == {"pass": 1126, "fail": 0, "indeterminate": 325, "skipped": 295}
 
 
+def test_in_process_bundles_equal_their_json(default_bundle, rank_sweep_bundle):
+    # witnesses hold lists, never tuples, so a bundle reads back as it was built
+    for doc in (default_bundle, rank_sweep_bundle):
+        assert json.loads(bundle_json(doc)) == doc
+
+
 def test_pair_commands_agree_with_run_all(default_bundle, catalog7, tmp_path):
-    # compared as printed: a section's locus lines are tuples before JSON
-    printed = json.loads(bundle_json(default_bundle))
-    rows = {(r["check_id"], r["subject"]): r for r in printed["reports"]}
+    rows = {(r["check_id"], r["subject"]): r for r in default_bundle["reports"]}
     # a non-maximal pair: the infinity-locus lemma does not apply, so skipped, exit 0
     assert rows[("sff.infinity_locus", "B4:a1/a3")]["status"] == "skipped"
     out = tmp_path / "pair.json"

@@ -1,10 +1,13 @@
+import itertools
 import random
+import re
 
 import pytest
 from fractions import Fraction
 
 from delpair.rootsys import (
     ChainError,
+    Component,
     DiagramError,
     DynkinDiagram,
     MarkError,
@@ -29,6 +32,7 @@ from oracles import (
     component_roots,
     highest_root,
     reflection_closure_positive_roots,
+    shape_rule_components,
     symmetrized_form,
     symmetrized_form_scale,
 )
@@ -347,3 +351,95 @@ def test_symmetrized_form_is_symmetric_and_fixes_lengths():
         n = diagram.rank
         assert all(S[i][j] == S[j][i] for i in range(n) for j in range(n))
         assert max(S[i][i] for i in range(n)) == Fraction(2)
+
+
+# -- classification against the shape-rule oracle ------------------------------
+
+ORACLE_TYPES = [f"{letter}{n}" for letter, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+                for n in range(lo, 10)] + ["E6", "E7", "E8", "F4", "G2"]
+
+
+def classified(nodes, edges):
+    """Components by the library and by the shape rules, or "error" on either side."""
+    sides = []
+    for classify in (lambda: DynkinDiagram(nodes, edges).components,
+                     lambda: shape_rule_components(nodes, edges)):
+        try:
+            sides.append(classify())
+        except DiagramError:
+            sides.append("error")
+    return sides
+
+
+def random_diagram(rng: random.Random):
+    """At most 9 nodes in shuffled order: mostly a path-like tree, sometimes
+    with extra edges, random multiplicities and arrows on random ends."""
+    n = rng.randint(1, 9)
+    names = [f"a{i}" for i in range(1, n + 1)]
+    order = names[:]
+    rng.shuffle(order)
+    links = dict.fromkeys(  # insertion-ordered, so the draws follow no hash order
+        frozenset((names[i - 1] if rng.random() < 0.7 else rng.choice(names[:i]), names[i]))
+        for i in range(1, n))
+    for _ in range(rng.choice((0, 0, 0, 1, 2)) if n > 1 else 0):
+        links[frozenset(rng.sample(names, 2))] = None
+    pos = {a: i for i, a in enumerate(order)}
+    edges = set()
+    for link in links:
+        u, v = sorted(link, key=pos.__getitem__)
+        mult = rng.choices((1, 2, 3), (12, 3, 1))[0]
+        edges.add((u, v, mult, None if mult == 1 else rng.choice((u, v))))
+    return tuple(order), frozenset(edges)
+
+
+def test_classification_matches_shape_rules_on_induced_sub_diagrams():
+    for literal in ORACLE_TYPES:
+        diagram = parse_diagram(literal)
+        for size in range(1, diagram.rank + 1):
+            for keep in itertools.combinations(diagram.nodes, size):
+                sub = diagram.induced(set(keep))
+                assert sub.components == shape_rule_components(sub.nodes, sub.edges), keep
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_classification_matches_shape_rules_on_shuffled_literals(seed):
+    for k, literal in enumerate(CONNECTED_LITERALS + PRODUCT_LITERALS):
+        diagram = shuffled(literal, 1000 * seed + k)
+        assert diagram.components == shape_rule_components(diagram.nodes, diagram.edges)
+
+
+def test_classification_matches_shape_rules_on_random_graphs():
+    rng = random.Random(20231)
+    letters, errors = set(), 0
+    for _ in range(5000):
+        nodes, edges = random_diagram(rng)
+        new, old = classified(nodes, edges)
+        assert new == old, (nodes, sorted(edges))
+        if new == "error":
+            errors += 1
+        else:
+            letters |= {comp.letter for comp in new}
+    assert letters == set("ABCDEFG")
+    assert 500 < errors < 4500
+
+
+def test_letter_order_reads_d3_as_a3_and_c2_as_b2():
+    assert parse_diagram("D3").components == (Component("A", ("a2", "a1", "a3")),)
+    assert parse_diagram("C2").components == (Component("B", ("a2", "a1")),)
+
+
+@pytest.mark.parametrize("nodes, edges", [
+    (("a1", "a2", "a3", "a4", "a5"),                       # degree-4 star
+     {("a1", "a2", 1, None), ("a1", "a3", 1, None), ("a1", "a4", 1, None),
+      ("a1", "a5", 1, None)}),
+    (("a1", "a2", "a3", "a4", "a5"),                       # middle double bond
+     {("a1", "a2", 1, None), ("a2", "a3", 2, "a3"), ("a3", "a4", 1, None),
+      ("a4", "a5", 1, None)}),
+    (("a1", "a2", "a3"), {("a1", "a2", 2, "a2"), ("a2", "a3", 2, "a3")}),
+    (("a1", "a2", "a3"), {("a1", "a2", 3, "a1"), ("a2", "a3", 1, None)}),
+])
+def test_non_dynkin_tree_names_its_component(nodes, edges):
+    with pytest.raises(DiagramError, match=re.escape(str(list(nodes)))):
+        DynkinDiagram(nodes, frozenset(edges))
+    with pytest.raises(DiagramError, match=re.escape(str(list(nodes)))):
+        DynkinDiagram(("b0",) + nodes, frozenset(edges))
