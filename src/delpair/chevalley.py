@@ -15,20 +15,25 @@ Squared norms are the integers B(r, r) = L (r, r) of the root system's
 integer form, so every length ratio below is an exact integer division; a
 nonzero remainder is an integrality failure and raises AssertionError.
 
+The Lie algebra is seen through an indexed basis: the root vectors of the
+sorted positive roots (indices 0..n-1), then of their negatives (index
+k + n for the negative of k), then the simple coroots.  Constants live on
+these indices: the recursion keys its memos by basis index, finds a sum of
+roots through a dict from coefficient tuples to indices, and reads B(r, r)
+from a per-index list, so it builds no ``Root`` objects.  The bracket of two
+basis elements is a tuple of (index, integer coefficient) terms, so the
+Jacobi identity on basis triples is checked with int-keyed sums and no
+element objects.
+
 Constants are computed on demand and memoized, never swept over all pairs.
 The Jacobi step for a positive pair summing to rho reads only pairs whose
 sum has lower height, plus rho's own extraspecial pair, whose constant is
 p + 1 outright; so every request bottoms out at extraspecial pairs and the
 recursion terminates.  Each value is the one the height-ordered sweep gives.
-
-The Lie algebra itself is seen through an indexed basis: the root vectors of
-the sorted positive roots, then of their negatives, then the simple coroots.
-The bracket of two basis elements is a tuple of (index, integer coefficient)
-terms, so the Jacobi identity on basis triples is checked with int-keyed
-sums and no element objects.
 """
 from __future__ import annotations
 
+import operator
 from functools import cached_property, lru_cache
 
 from .rootsys import Root, RootSystem
@@ -39,33 +44,45 @@ BasisTerms = tuple[tuple[int, int], ...]   # ((basis index, coefficient), ...)
 class ChevalleyTable:
     """Structure constants N_{a,b} for ordered root pairs with a + b a root.
 
-    Nothing is computed up front: each constant on a pair of positive roots
-    and each extraspecial pair is derived the first time the recursion asks
-    for it and then memoized, so a table costs only the constants its
-    callers read.  ``constant`` itself keeps no memo (``jacobi_failures``
-    memoizes the basis brackets it reads), and squared norms B(r, r) come
-    from the root system, which memoizes B r.  The recursion behind a
-    constant terminates because every Jacobi step moves to pairs whose sum
-    has lower height, or to an extraspecial pair.
+    Nothing is computed up front: each constant on a pair of positive roots,
+    each mixed-sign constant N_{mu,-nu} and each extraspecial pair is derived
+    the first time the recursion asks for it and then memoized by basis
+    index, so a table costs only the constants its callers read.
+    ``constant`` is the checked entry point on ``Root``s and maps onto that
+    index kernel; ``jacobi_failures`` memoizes the basis brackets it reads
+    for one call only.  The recursion behind a constant terminates because
+    every Jacobi step moves to pairs whose sum has lower height, or to an
+    extraspecial pair.
     """
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
-        self._sorted_positives = sorted(rs.positive_roots)
-        self._pos: dict[tuple[Root, Root], int] = {}
-        self._extra: dict[Root, tuple[Root, Root]] = {}
+        positives = sorted(rs.positive_roots)
+        n = self._n = len(positives)
+        coeffs = [r.coeffs for r in positives]
+        self._coeffs = coeffs + [tuple(-c for c in cs) for cs in coeffs]
+        self._index = {cs: k for k, cs in enumerate(self._coeffs)}
+        norms = [rs.scaled_norm(r) for r in positives]
+        self._norm = norms + norms
+        self._pos: dict[int, int] = {}     # xi * n + eta -> N_{xi,eta}
+        self._mix: dict[int, int] = {}     # mu * n + nu -> N_{mu,-nu}
+        self._extra: dict[int, tuple[int, int]] = {}
 
-    # -- construction --------------------------------------------------------
+    # -- the index kernel ----------------------------------------------------
 
-    def _p(self, a: Root, b: Root) -> int:
-        """Largest p with b - p a a root."""
-        p = 0
-        while self.rs.is_root(b - a.scaled(p + 1)):
+    def _sum(self, i: int, j: int) -> "int | None":
+        """Basis index of root i + root j, None when the sum is not a root."""
+        return self._index.get(tuple(map(operator.add, self._coeffs[i], self._coeffs[j])))
+
+    def _p(self, a: int, b: int) -> int:
+        """Largest p with b - p a a root, for positive indices a, b."""
+        neg, p = a + self._n, 0
+        while (b := self._sum(b, neg)) is not None:
             p += 1
         return p
 
-    def _extraspecial(self, rho: Root) -> tuple[Root, Root]:
-        """The pair (alpha, rho - alpha) of positive roots with alpha minimal.
+    def _extraspecial(self, rho: int) -> tuple[int, int]:
+        """The pair (alpha, rho - alpha) of positive indices with alpha minimal.
 
         The first positive alpha in sorted order with rho - alpha positive is
         that minimum; alpha < rho - alpha holds for it, since rho - alpha is
@@ -73,67 +90,77 @@ class ChevalleyTable:
         """
         extra = self._extra.get(rho)
         if extra is None:
-            pos = self.rs.positive_roots
-            alpha = next((a for a in self._sorted_positives if rho - a in pos), None)
-            if alpha is None:
-                raise AssertionError(f"no decomposition of {rho} into positives")
-            extra = self._extra[rho] = (alpha, rho - alpha)
+            n = self._n
+            for alpha in range(n):
+                beta = self._sum(rho, alpha + n)
+                if beta is not None and beta < n:
+                    break
+            else:
+                raise AssertionError(f"no decomposition of {self._coeffs[rho]} into positives")
+            extra = self._extra[rho] = (alpha, beta)
         return extra
 
-    def _positive(self, xi: Root, eta: Root) -> int:
-        """N_{xi,eta} for positive xi, eta whose sum is a root, memoized."""
-        key = (xi, eta)
-        n = self._pos.get(key)
-        if n is None:
+    def _positive(self, xi: int, eta: int) -> int:
+        """N_{xi,eta} for positive indices whose roots sum to a root, memoized."""
+        key = xi * self._n + eta
+        value = self._pos.get(key)
+        if value is None:
             if eta < xi:
-                n = -self._positive(eta, xi)
+                value = -self._positive(eta, xi)
             else:
-                extra = self._extraspecial(xi + eta)
-                if key == extra:
-                    n = self._p(xi, eta) + 1
+                rho = self._sum(xi, eta)
+                alpha, beta = self._extraspecial(rho)
+                if (xi, eta) == (alpha, beta):
+                    value = self._p(xi, eta) + 1
                 else:
-                    n = self._special_from_jacobi(xi, eta, extra)
-            self._pos[key] = n
-        return n
-
-    def _special_from_jacobi(self, xi: Root, eta: Root,
-                             extra: tuple[Root, Root]) -> int:
-        """Solve the Jacobi identity on (xi, eta, -alpha) for N_{xi,eta}."""
-        alpha, beta = extra
-        rho = xi + eta
-        t = 0
-        if self.rs.is_root(eta - alpha):
-            t += self._mixed(eta, -alpha) * self._signed_pair(eta - alpha, xi)
-        if self.rs.is_root(xi - alpha):
-            t += -self._mixed(xi, -alpha) * self._signed_pair(xi - alpha, eta)
-        value, rem = divmod(-t, self._mixed(rho, -alpha))
-        if rem or value == 0:
-            raise AssertionError(f"Jacobi reduction failed on ({xi}, {eta})")
+                    value = self._special_from_jacobi(xi, eta, rho, alpha)
+            self._pos[key] = value
         return value
 
-    def _signed_pair(self, a: Root, b: Root) -> int:
-        """Constant for a pair whose members may have either sign."""
-        apos, bpos = a in self.rs.positive_roots, b in self.rs.positive_roots
-        if apos and bpos:
-            return self._positive(a, b)
-        if not apos and not bpos:
-            return -self._positive(-a, -b)
-        if apos:
-            return self._mixed(a, b)
+    def _special_from_jacobi(self, xi: int, eta: int, rho: int, alpha: int) -> int:
+        """Solve the Jacobi identity on (xi, eta, -alpha) for N_{xi,eta}."""
+        neg = alpha + self._n
+        t = 0
+        k = self._sum(eta, neg)
+        if k is not None:
+            t += self._mixed(eta, neg) * self._signed(k, xi)
+        k = self._sum(xi, neg)
+        if k is not None:
+            t -= self._mixed(xi, neg) * self._signed(k, eta)
+        value, rem = divmod(-t, self._mixed(rho, neg))
+        if rem or value == 0:
+            raise AssertionError(
+                f"Jacobi reduction failed on ({self._coeffs[xi]}, {self._coeffs[eta]})")
+        return value
+
+    def _signed(self, a: int, b: int) -> int:
+        """N_{a,b} for basis root indices of either sign whose roots sum to a root."""
+        n = self._n
+        if a < n:
+            return self._positive(a, b) if b < n else self._mixed(a, b)
+        if b >= n:
+            return -self._positive(a - n, b - n)
         return -self._mixed(b, a)
 
-    def _mixed(self, mu: Root, negnu: Root) -> int:
-        """Constant N_{mu, -nu} with mu, nu positive, reduced to positive pairs
-        via the cyclic identity N_{a,b}/|c|^2 = N_{b,c}/|a|^2 for a+b+c = 0."""
-        nu = -negnu
-        rho = mu - nu
-        norm = self.rs.scaled_norm
-        if rho in self.rs.positive_roots:
-            value, rem = divmod(-norm(rho) * self._positive(nu, rho), norm(mu))
-        else:
-            value, rem = divmod(norm(-rho) * self._positive(-rho, mu), norm(nu))
-        if rem:
-            raise AssertionError(f"non-integral mixed constant for ({mu}, {negnu})")
+    def _mixed(self, mu: int, negnu: int) -> int:
+        """N_{mu,-nu} for positive mu and the index negnu of -nu, memoized;
+        reduced to positive pairs via the cyclic identity
+        N_{a,b}/|c|^2 = N_{b,c}/|a|^2 for a + b + c = 0."""
+        n = self._n
+        nu = negnu - n
+        key = mu * n + nu
+        value = self._mix.get(key)
+        if value is None:
+            rho = self._sum(mu, negnu)
+            norm = self._norm
+            if rho < n:
+                value, rem = divmod(-norm[rho] * self._positive(nu, rho), norm[mu])
+            else:
+                value, rem = divmod(norm[rho] * self._positive(rho - n, mu), norm[nu])
+            if rem:
+                raise AssertionError(
+                    f"non-integral mixed constant for ({self._coeffs[mu]}, {self._coeffs[negnu]})")
+            self._mix[key] = value
         return value
 
     # -- queries --------------------------------------------------------------
@@ -145,20 +172,20 @@ class ChevalleyTable:
             raise ValueError(f"{a} + {b} is not a root")
         if not (is_root(a) and is_root(b)):
             raise ValueError(f"{a} or {b} is not a root")
-        return self._signed_pair(a, b)
+        return self._signed(self._index[a.coeffs], self._index[b.coeffs])
 
     def coroot_coefficients(self, alpha: Root) -> tuple[int, ...]:
-        """Coefficients of the coroot of alpha over the simple coroots.
+        """Coefficients of the coroot of alpha over the simple coroots."""
+        return self._coroot(alpha.coeffs, self.rs.scaled_norm(alpha))
 
-        The coefficient at i is k_i B(alpha_i, alpha_i) / B(alpha, alpha).
-        """
-        norm = self.rs.scaled_norm(alpha)
+    def _coroot(self, coeffs: tuple[int, ...], norm: int) -> tuple[int, ...]:
+        """The coefficient at i is k_i B(alpha_i, alpha_i) / B(alpha, alpha)."""
         form = self.rs.form
         out = []
-        for i, k in enumerate(alpha.coeffs):
+        for i, k in enumerate(coeffs):
             c, rem = divmod(k * form[i][i], norm)
             if rem:
-                raise AssertionError(f"non-integral coroot for {alpha}")
+                raise AssertionError(f"non-integral coroot for {coeffs}")
             out.append(c)
         return tuple(out)
 
@@ -170,34 +197,29 @@ class ChevalleyTable:
 
         Index len(basis_roots) + i is the simple coroot h_i.
         """
-        return tuple(self._sorted_positives) + tuple(-r for r in self._sorted_positives)
-
-    @cached_property
-    def _basis_index(self) -> dict[Root, int]:
-        return {r: k for k, r in enumerate(self.basis_roots)}
+        return tuple(map(Root, self._coeffs))
 
     @property
     def dimension(self) -> int:
-        return len(self.basis_roots) + self.rs.diagram.rank
+        return len(self._coeffs) + self.rs.diagram.rank
 
     def basis_bracket(self, i: int, j: int) -> BasisTerms:
         """[X_i, X_j] over the indexed basis as ((k, c), ...), nonzero c only."""
-        roots = self.basis_roots
-        m = len(roots)
+        coeffs = self._coeffs
+        m = len(coeffs)
+        cartan = self.rs.cartan
         if i >= m:                      # [h, h'] = 0 and [h_i, e_b] = <b, alpha_i> e_b
-            c = 0 if j >= m else self.rs.pairing_simple(roots[j], i - m)
+            c = 0 if j >= m else sum(map(operator.mul, coeffs[j], cartan[i - m]))
             return ((j, c),) if c else ()
-        a = roots[i]
         if j >= m:                      # [e_a, h_k] = -<a, alpha_k> e_a
-            c = self.rs.pairing_simple(a, j - m)
+            c = sum(map(operator.mul, coeffs[i], cartan[j - m]))
             return ((i, -c),) if c else ()
-        b = roots[j]
-        s = a + b
-        k = self._basis_index.get(s)
+        k = self._sum(i, j)
         if k is not None:
-            return ((k, self.constant(a, b)),)
-        if s.is_zero:                   # [e_a, e_-a] = h_a over the simple coroots
-            return tuple((m + t, c) for t, c in enumerate(self.coroot_coefficients(a)) if c)
+            return ((k, self._signed(i, j)),)
+        if j == (i + self._n) % m:      # [e_a, e_-a] = h_a over the simple coroots
+            return tuple((m + t, c) for t, c in enumerate(self._coroot(coeffs[i], self._norm[i]))
+                         if c)
         return ()
 
 
@@ -215,11 +237,12 @@ def jacobi_failures(table: ChevalleyTable, triples) -> int:
     """
     dim = table.dimension
     memo: list = [None] * (dim * dim)
+    basis_bracket = table.basis_bracket
 
     def br(i: int, j: int) -> BasisTerms:
         terms = memo[i * dim + j]
         if terms is None:
-            terms = memo[i * dim + j] = table.basis_bracket(i, j)
+            terms = memo[i * dim + j] = basis_bracket(i, j)
         return terms
 
     bad = 0

@@ -22,9 +22,11 @@ from .projgeo.linalg import integer_rank, primitive_int_covector, rref_mod
 from .projgeo.plucker import (
     CertificationError,
     ell_generators,
+    plane_basis,
     plane_spanned_by,
     plucker_quadrics,
     q_orbit_membership,
+    require_odd_prime,
 )
 from .report import (
     FAIL,
@@ -41,6 +43,8 @@ from .report import (
 from .rootsys import (
     ChainError,
     DiagramError,
+    Root,
+    RootSystem,
     build_root_system,
     descriptor,
     is_hyperquadric,
@@ -238,14 +242,11 @@ def property_suite(seed: int) -> list[CheckReport]:
         rs = build_root_system(parse_diagram(lit))
         table = build_table(rs)
         indices = range(table.dimension)
-        rng = random.Random((seed, lit).__repr__())
-        bad = jacobi_failures(table, (tuple(rng.choice(indices) for _ in range(3))
-                                      for _ in range(1000)))
-        refl_bad = sum(
-            1 for r in rs.positive_roots for i in range(rs.diagram.rank)
-            if rs.reflect(i, rs.reflect(i, r)) != r or not (
-                rs.is_root(rs.reflect(i, r)))
-        )
+        choice = random.Random((seed, lit).__repr__()).choice
+        bad = jacobi_failures(table, [(choice(indices), choice(indices), choice(indices))
+                                      for _ in range(1000)])
+        refl_bad = sum(1 for r in rs.positive_roots for i in range(rs.diagram.rank)
+                       if _reflection_fails(rs, r, i))
         status = PASS if bad == 0 and refl_bad == 0 else FAIL
         out.append(CheckReport(
             "chevalley.properties", lit, status,
@@ -274,6 +275,12 @@ def property_suite(seed: int) -> list[CheckReport]:
 
     out.append(_qorbit_invariance(seed))
     return out
+
+
+def _reflection_fails(rs: RootSystem, r: Root, i: int) -> bool:
+    """Whether s_i r fails to be a root that s_i maps back to r."""
+    w = rs.reflect(i, r)
+    return not rs.is_root(w) or rs.reflect(i, w) != r
 
 
 def _qorbit_invariance(seed: int) -> CheckReport:
@@ -341,11 +348,11 @@ def _verdict(config: RunConfig, reports: list[CheckReport], fields=None) -> tupl
 # ---------------------------------------------------------------------------
 
 def _pair_reports(args, config: RunConfig) -> list[CheckReport]:
-    return PAIR_CHECKS[args.command](parse_pair_id(args.pair))
+    return PAIR_CHECKS[args.command](args.deletion_pair)
 
 
 def _section_reports(args, config: RunConfig) -> list[CheckReport]:
-    sec = plane_section(span_with_ell(parse_bivector(args.point)), config.primes_plucker)
+    sec = plane_section(span_with_ell(args.bivector), config.primes_plucker)
     return [CheckReport(
         "plucker.section", f"span(<{args.point}>, ell)", PASS,
         witnesses=[{
@@ -356,7 +363,7 @@ def _section_reports(args, config: RunConfig) -> list[CheckReport]:
 
 
 def _collinear_reports(args, config: RunConfig) -> list[CheckReport]:
-    wit = collinearity_scan(parse_bivector(args.point))
+    wit = collinearity_scan(args.bivector)
     return [CheckReport(
         "plucker.collinear", args.point, PASS,
         witnesses=[{"witness": None if wit is None else {
@@ -411,6 +418,21 @@ COMMANDS = (
 )
 
 
+def _resolve_inputs(args, config: RunConfig) -> None:
+    """Parse and check every literal input, so that bad input raises
+    ValueError here and not from inside a suite."""
+    if "pair" in args:
+        args.deletion_pair = parse_pair_id(args.pair)
+    if "point" in args:
+        args.bivector = parse_bivector(args.point)
+        if args.pluecker_command == "section":      # the point and ell span a plane
+            plane_basis(span_with_ell(args.bivector))
+        else:                                       # collinear: a point of G(2,5)
+            plane_spanned_by(args.bivector)
+    for p in config.primes_plucker:       # every Plücker lab refuses F_2
+        require_odd_prime(p)
+
+
 class _Parser(argparse.ArgumentParser):
     """Raises on a usage error, so ``main`` reports it in one line, not usage text."""
 
@@ -442,16 +464,14 @@ def main(argv: "list[str] | None" = None) -> int:
         given = {k: v for k, v in vars(args).items()
                  if k in {"fmt", *(field for field, _ in _OPTIONS.values())}}
         config = RunConfig(**{k: v for k, v in given.items() if v is not None})
-    except ValueError as exc:
+        _resolve_inputs(args, config)
+    except ValueError as exc:     # input errors: every delpair error class subclasses it
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     try:
         code, doc = _verdict(config, args.reports(args, config), (*given, *args.reads))
-    except ValueError as exc:     # input errors: every delpair error class subclasses it
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CertificationError as exc:     # a failed certification, not bad input
+    except (ValueError, CertificationError) as exc:     # internal failures, not bad input
         print(f"error: {exc}", file=sys.stderr)
         return 1
     text = bundle_json(doc) if config.fmt == "json" else bundle_markdown(doc)

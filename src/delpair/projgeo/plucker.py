@@ -72,11 +72,18 @@ class BiVector:
         return A
 
 
+# Per quadric (a, b, c, d) of QUAD_SETS, the coordinate indices of
+# x_ab, x_cd, x_ac, x_bd, x_ad, x_bc.
+_QUADRIC_INDICES = tuple(
+    tuple(PAIR_INDEX[pq] for pq in ((a, b), (c, d), (a, c), (b, d), (a, d), (b, c)))
+    for a, b, c, d in QUAD_SETS)
+
+
 def plucker_quadrics(omega: BiVector) -> tuple:
     """The five coordinates of omega ^ omega; all zero iff decomposable."""
-    x = omega.coord
-    return tuple(2 * (x(a, b) * x(c, d) - x(a, c) * x(b, d) + x(a, d) * x(b, c))
-                 for a, b, c, d in QUAD_SETS)
+    x = omega.coords
+    return tuple(2 * (x[ab] * x[cd] - x[ac] * x[bd] + x[ad] * x[bc])
+                 for ab, cd, ac, bd, ad, bc in _QUADRIC_INDICES)
 
 
 def quadric_polarization(x: tuple, y: tuple) -> tuple:
@@ -233,6 +240,24 @@ def _line_value(cov, point):
     return sum(c * x for c, x in zip(cov, point))
 
 
+def require_odd_prime(p: int) -> None:
+    """Raise unless p is a prime at which the Plücker quadrics stay nondegenerate."""
+    if p == 2:
+        raise ValueError("characteristic 2 degenerates the Plücker quadrics")
+    require_prime(p)
+
+
+def plane_basis(rows) -> list[list]:
+    """The reduced row echelon basis of the row span of ``rows``; raises
+    ValueError unless it is a projective plane of Plücker vectors."""
+    basis, _ = rref(rows)
+    if len(basis) != 3:
+        raise ValueError("plane must have projective dimension exactly 2")
+    if len(basis[0]) != 10:
+        raise ValueError(f"plane lives in dimension {len(basis[0])}, expected 10")
+    return basis
+
+
 def plane_section(rows, primes: tuple[int, ...] = (5, 7)) -> SectionDescription:
     """Exact common zero locus of the Plücker quadrics on a rational plane.
 
@@ -246,11 +271,7 @@ def plane_section(rows, primes: tuple[int, ...] = (5, 7)) -> SectionDescription:
     enumeration over the given prime fields; any disagreement is a hard
     failure.
     """
-    basis, _ = rref(rows)
-    if len(basis) != 3:
-        raise ValueError("plane must have projective dimension exactly 2")
-    if len(basis[0]) != 10:
-        raise ValueError(f"plane lives in dimension {len(basis[0])}, expected 10")
+    basis = plane_basis(rows)
     forms = [M for M in _gram_matrices(basis) if any(map(any, M))]
     full_plane = not forms
     lines: set[tuple[int, int, int]] = set()
@@ -269,9 +290,7 @@ def plane_section(rows, primes: tuple[int, ...] = (5, 7)) -> SectionDescription:
 
     _validate_by_substitution(basis, lines, isolated)
     for p in primes:
-        if p == 2:
-            raise ValueError("characteristic 2 degenerates the Plücker quadrics")
-        require_prime(p)
+        require_odd_prime(p)
         _certify(basis, lines, plane_coords, full_plane, p)
     return SectionDescription(lines, isolated, plane_coords,
                               ("QQ",) + tuple(f"F{p}" for p in primes), full_plane)
@@ -472,9 +491,7 @@ def dee_exhaustive_survey(p: int) -> SurveyReport:
     alone and checked, and the implication "witness => extra component" is
     asserted pointwise.
     """
-    if p == 2:
-        raise ValueError("characteristic 2 degenerates the Plücker quadrics")
-    require_prime(p)
+    require_odd_prime(p)
 
     total = affine = dee = surveyed = 0
     exact = extra = fullplane = nowitness = 0

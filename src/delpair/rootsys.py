@@ -541,7 +541,8 @@ class RootSystem:
     def reflect(self, node: "int | str", beta: Root) -> Root:
         """Simple reflection s_{alpha_i}(beta) = beta - <beta, alpha_i> alpha_i."""
         i = self.diagram.index[node] if isinstance(node, str) else node
-        return beta - Root.simple(i, self.diagram.rank).scaled(self.pairing_simple(beta, i))
+        c = beta.coeffs
+        return Root(c[:i] + (c[i] - self.pairing_simple(beta, i),) + c[i + 1:])
 
     def __repr__(self) -> str:
         return f"RootSystem({self.diagram.literal()}, {len(self.positive_roots)} positive roots)"

@@ -32,13 +32,19 @@ the plane is substituted into quadrics written out here and the locus is
 found with sympy's polynomial gcd, factorization, division and nullspace.
 Segre sections of the span of three points come from testing every point of
 the span on minors written out here, instead of the rank of the polar-form
-matrix.
+matrix.  The property suite's replaced paths stay here too: Chevalley
+constants and basis brackets by a recursion keyed by ``Root``s instead of
+basis indices, simple reflections through a scaled simple root and checked
+with three reflections instead of one, the Plücker quadrics through
+``BiVector.coord`` instead of an index table, and the seeded samples drawn
+as the suite first drew them.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import math
+import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,6 +57,7 @@ from delpair.pairs import DeletionPair, MaximalityVerdict
 from delpair.projgeo.linalg import canonical_mod, primitive_int_covector, projective_points
 from delpair.projgeo.plucker import (
     PAIRS,
+    QUAD_SETS,
     BiVector,
     SectionUnsupportedError,
     SurveyReport,
@@ -906,3 +913,171 @@ def sympy_section_locus(basis, quadrics=plucker_quadric_values):
     points = [pt for pt in points
               if not any(sum(a * b for a, b in zip(c, pt)) == 0 for c in lines)]
     return lines, points, False
+
+
+# -- the property suite's replaced paths ---------------------------------------
+
+class RootKeyedChevalleyTable:
+    """Structure constants by the on-demand recursion keyed by ``Root``s.
+
+    The same extraspecial-pair recursion as ``ChevalleyTable``, but its memos
+    are keyed by Root pairs, sums and differences are Root arithmetic, root
+    membership is a set lookup, and the basis bracket reads each constant
+    through the checked ``constant``.  The positive pair memo is the only
+    one; mixed constants are recomputed on every request.
+    """
+
+    def __init__(self, rs: RootSystem):
+        self.rs = rs
+        self._sorted_positives = sorted(rs.positive_roots)
+        self._pos: dict[tuple[Root, Root], int] = {}
+        self._extra: dict[Root, tuple[Root, Root]] = {}
+
+    def _p(self, a: Root, b: Root) -> int:
+        p = 0
+        while self.rs.is_root(b - a.scaled(p + 1)):
+            p += 1
+        return p
+
+    def _extraspecial(self, rho: Root) -> tuple[Root, Root]:
+        extra = self._extra.get(rho)
+        if extra is None:
+            pos = self.rs.positive_roots
+            alpha = next((a for a in self._sorted_positives if rho - a in pos), None)
+            if alpha is None:
+                raise AssertionError(f"no decomposition of {rho} into positives")
+            extra = self._extra[rho] = (alpha, rho - alpha)
+        return extra
+
+    def _positive(self, xi: Root, eta: Root) -> int:
+        key = (xi, eta)
+        n = self._pos.get(key)
+        if n is None:
+            if eta < xi:
+                n = -self._positive(eta, xi)
+            else:
+                extra = self._extraspecial(xi + eta)
+                if key == extra:
+                    n = self._p(xi, eta) + 1
+                else:
+                    n = self._special_from_jacobi(xi, eta, extra)
+            self._pos[key] = n
+        return n
+
+    def _special_from_jacobi(self, xi: Root, eta: Root, extra: tuple[Root, Root]) -> int:
+        alpha, _ = extra
+        rho = xi + eta
+        t = 0
+        if self.rs.is_root(eta - alpha):
+            t += self._mixed(eta, -alpha) * self._signed_pair(eta - alpha, xi)
+        if self.rs.is_root(xi - alpha):
+            t += -self._mixed(xi, -alpha) * self._signed_pair(xi - alpha, eta)
+        value, rem = divmod(-t, self._mixed(rho, -alpha))
+        if rem or value == 0:
+            raise AssertionError(f"Jacobi reduction failed on ({xi}, {eta})")
+        return value
+
+    def _signed_pair(self, a: Root, b: Root) -> int:
+        apos, bpos = a in self.rs.positive_roots, b in self.rs.positive_roots
+        if apos and bpos:
+            return self._positive(a, b)
+        if not apos and not bpos:
+            return -self._positive(-a, -b)
+        if apos:
+            return self._mixed(a, b)
+        return -self._mixed(b, a)
+
+    def _mixed(self, mu: Root, negnu: Root) -> int:
+        nu = -negnu
+        rho = mu - nu
+        norm = self.rs.scaled_norm
+        if rho in self.rs.positive_roots:
+            value, rem = divmod(-norm(rho) * self._positive(nu, rho), norm(mu))
+        else:
+            value, rem = divmod(norm(-rho) * self._positive(-rho, mu), norm(nu))
+        if rem:
+            raise AssertionError(f"non-integral mixed constant for ({mu}, {negnu})")
+        return value
+
+    def constant(self, a: Root, b: Root) -> int:
+        is_root = self.rs.is_root
+        if not is_root(a + b):
+            raise ValueError(f"{a} + {b} is not a root")
+        if not (is_root(a) and is_root(b)):
+            raise ValueError(f"{a} or {b} is not a root")
+        return self._signed_pair(a, b)
+
+    def coroot_coefficients(self, alpha: Root) -> tuple[int, ...]:
+        norm = self.rs.scaled_norm(alpha)
+        form = self.rs.form
+        out = []
+        for i, k in enumerate(alpha.coeffs):
+            c, rem = divmod(k * form[i][i], norm)
+            if rem:
+                raise AssertionError(f"non-integral coroot for {alpha}")
+            out.append(c)
+        return tuple(out)
+
+    @functools.cached_property
+    def basis_roots(self) -> tuple[Root, ...]:
+        return tuple(self._sorted_positives) + tuple(-r for r in self._sorted_positives)
+
+    @functools.cached_property
+    def _basis_index(self) -> dict[Root, int]:
+        return {r: k for k, r in enumerate(self.basis_roots)}
+
+    def basis_bracket(self, i: int, j: int) -> tuple[tuple[int, int], ...]:
+        roots = self.basis_roots
+        m = len(roots)
+        if i >= m:
+            c = 0 if j >= m else self.rs.pairing_simple(roots[j], i - m)
+            return ((j, c),) if c else ()
+        a = roots[i]
+        if j >= m:
+            c = self.rs.pairing_simple(a, j - m)
+            return ((i, -c),) if c else ()
+        b = roots[j]
+        s = a + b
+        k = self._basis_index.get(s)
+        if k is not None:
+            return ((k, self.constant(a, b)),)
+        if s.is_zero:
+            return tuple((m + t, c) for t, c in enumerate(self.coroot_coefficients(a)) if c)
+        return ()
+
+
+def scaled_simple_reflect(rs: RootSystem, i: int, beta: Root) -> Root:
+    """s_i(beta) = beta - <beta, alpha_i> alpha_i, through the scaled simple root."""
+    return beta - Root.simple(i, rs.diagram.rank).scaled(rs.pairing_simple(beta, i))
+
+
+def three_reflection_fails(rs: RootSystem, r: Root, i: int) -> bool:
+    """The reflection check on (r, i) with three reflections, as first written."""
+    return (scaled_simple_reflect(rs, i, scaled_simple_reflect(rs, i, r)) != r
+            or not rs.is_root(scaled_simple_reflect(rs, i, r)))
+
+
+def coord_plucker_quadrics(omega: BiVector) -> tuple:
+    """The five coordinates of omega ^ omega through ``BiVector.coord``."""
+    x = omega.coord
+    return tuple(2 * (x(a, b) * x(c, d) - x(a, c) * x(b, d) + x(a, d) * x(b, c))
+                 for a, b, c, d in QUAD_SETS)
+
+
+def generator_jacobi_triples(seed: int, literal: str, dimension: int) -> list:
+    """The property suite's Jacobi triples, drawn in the generator form."""
+    indices = range(dimension)
+    rng = random.Random((seed, literal).__repr__())
+    return list(tuple(rng.choice(indices) for _ in range(3)) for _ in range(1000))
+
+
+def decomposability_bivectors(seed: int, field_name: str) -> list:
+    """The property suite's 500 bivectors for one field name, zero replaced by e1^e2."""
+    rng = random.Random((seed, field_name).__repr__())
+    out = []
+    for _ in range(500):
+        coords = [rng.randrange(-4, 5) for _ in range(10)]
+        if all(c == 0 for c in coords):
+            coords[0] = 1
+        out.append(BiVector(tuple(coords)))
+    return out

@@ -5,7 +5,13 @@ import pytest
 
 from delpair.chevalley import ChevalleyTable, build_table, jacobi_failures
 from delpair.rootsys import Root, build_root_system, parse_diagram
-from oracles import LieElement, bracket, eager_structure_constants, string_p
+from oracles import (
+    LieElement,
+    RootKeyedChevalleyTable,
+    bracket,
+    eager_structure_constants,
+    string_p,
+)
 
 SYSTEMS = ["A2", "A4", "B2", "B4", "C3", "D5", "E6", "E7", "F4", "G2", "B12", "D12"]
 
@@ -172,20 +178,33 @@ def test_basis_bracket_matches_oracle_bracket(literal):
             assert all(c != 0 for _, c in got)
 
 
+@pytest.mark.parametrize("literal", ["A4", "B4", "C3", "D5", "E6", "E7", "F4", "G2",
+                                     "B3+G2"])
+def test_index_kernel_matches_root_keyed_recursion(literal):
+    rs = build_root_system(parse_diagram(literal))
+    tab, oracle = ChevalleyTable(rs), RootKeyedChevalleyTable(rs)
+    assert tab.basis_roots == oracle.basis_roots
+    dim = tab.dimension
+    for i in range(dim):
+        for j in range(dim):
+            assert tab.basis_bracket(i, j) == oracle.basis_bracket(i, j), (literal, i, j)
+
+
 def test_jacobi_failures_sees_one_flipped_constant():
     rs = build_root_system(parse_diagram("A4"))
     every = list(itertools.product(range(24), repeat=3))
     assert ChevalleyTable(rs).dimension == 24
     assert jacobi_failures(ChevalleyTable(rs), every) == 0
     tab = ChevalleyTable(rs)
-    a, b = Root((1, 0, 0, 0)), Root((0, 1, 0, 0))
-    true_constant = tab.constant
+    # flip N_{a,b} in the bracket [e_a, e_b] alone, not in [e_b, e_a]
+    a, b = map(tab.basis_roots.index, (Root((1, 0, 0, 0)), Root((0, 1, 0, 0))))
+    true_bracket = tab.basis_bracket
 
-    def flipped(x, y):
-        n = true_constant(x, y)
-        return -n if (x, y) == (a, b) else n
+    def flipped(i, j):
+        terms = true_bracket(i, j)
+        return tuple((k, -c) for k, c in terms) if (i, j) == (a, b) else terms
 
-    tab.constant = flipped
+    tab.basis_bracket = flipped
     assert jacobi_failures(tab, every) > 0
 
 

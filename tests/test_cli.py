@@ -12,12 +12,22 @@ import pytest
 
 import delpair
 from delpair import cli, pairs
+from delpair.chevalley import build_table
 from delpair.cli import PAIR_CHECKS, main, parse_pair_id, run_all
 from delpair.pairs import CorrespondenceError
+from delpair.projgeo import segre
 from delpair.projgeo.plucker import PAIRS, BiVector, dee_exhaustive_survey
 from delpair.projgeo.segre import segre_fitting_report
-from delpair.report import FAIL, RunConfig, bundle_json, bundle_markdown, require_prime
-from delpair.rootsys import ChainError, DiagramError, MarkError
+from delpair.report import (
+    DEFAULT_SEED,
+    FAIL,
+    RunConfig,
+    bundle_json,
+    bundle_markdown,
+    require_prime,
+)
+from delpair.rootsys import ChainError, DiagramError, MarkError, build_root_system, parse_diagram
+from oracles import decomposability_bivectors, generator_jacobi_triples
 
 
 DEFAULT_BUNDLE_SHA256 = "5740a2e1470a40513d10aac19e2fa7121f8c14d777e31119684ac7f61315b033"
@@ -219,6 +229,53 @@ def test_cli_section_certification_failure_is_one_line_exit_1(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_internal_value_error_is_one_line_exit_1(monkeypatch, tmp_path, capsys):
+    # a wrong polar form breaks a hypothesis inside the Segre suite; the
+    # input was fine, so this is an internal failure, not a usage error
+    polar = segre._polar
+
+    def sign_flipped(u, v):             # - u1 v3 - v1 u3 in the first form turned to +
+        first, second, third = polar(u, v)
+        return first + 2 * (u[1] * v[3] + v[1] * u[3]), second, third
+
+    monkeypatch.setattr(segre, "_polar", sign_flipped)
+    out = tmp_path / "s.json"
+    assert main(["segre", "fitting", "--q", "3", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("seed", [DEFAULT_SEED, 7])
+def test_property_suite_draws_the_pinned_samples(seed, monkeypatch):
+    # the triples handed to jacobi_failures and the bivectors tested for
+    # decomposability over Q and mod 5, in the order the suite draws them
+    triples, rational, mod5 = [], [], []
+    jacobi = cli.jacobi_failures
+    membership, quadrics = cli.grassmannian_membership, cli.plucker_quadrics
+
+    def recorded_jacobi(table, drawn):
+        triples.append(drawn := list(drawn))
+        return jacobi(table, drawn)
+
+    monkeypatch.setattr(cli, "jacobi_failures", recorded_jacobi)
+    monkeypatch.setattr(cli, "grassmannian_membership",
+                        lambda omega: rational.append(omega) or membership(omega))
+    monkeypatch.setattr(cli, "plucker_quadrics",
+                        lambda omega: mod5.append(omega) or quadrics(omega))
+    reports = cli.property_suite(seed)
+    assert all(rep.status == "pass" for rep in reports)
+    dims = [build_table(build_root_system(parse_diagram(lit))).dimension
+            for lit in cli._PROPERTY_SYSTEMS]
+    assert triples == [generator_jacobi_triples(seed, lit, dim)
+                       for lit, dim in zip(cli._PROPERTY_SYSTEMS, dims)]
+    # the Q-orbit check tests its 100 images after the 500 rational samples
+    assert len(rational) == 600
+    assert rational[:500] == decomposability_bivectors(seed, "QQ")
+    assert mod5 == decomposability_bivectors(seed, "F5")
+
+
 def test_cli_import_leaves_sympy_out():
     env = {**os.environ, "PYTHONPATH": str(Path(delpair.__file__).resolve().parents[1])}
     probe = "import sys, delpair.cli; sys.exit('sympy' in sys.modules)"
@@ -301,6 +358,12 @@ def test_non_prime_arguments_exit_2(capsys):
     (["pluecker", "section", "--point", "e1^e2 - e1^e2"], "'e1^e2 - e1^e2' is zero"),
     (["pluecker", "collinear", "--point", "e1^e2 - e1^e2"], "'e1^e2 - e1^e2' is zero"),
     (["pluecker", "collinear", "--point", "0 e1^e2"], "'0 e1^e2' is zero"),
+    (["run-all", "--primes", "2"], "characteristic 2 degenerates the Plücker quadrics"),
+    (["pluecker", "survey", "--primes", "3,2"], "characteristic 2 degenerates"),
+    (["pluecker", "section", "--point", "e2^e4", "--primes", "2"], "characteristic 2"),
+    (["pluecker", "section", "--point", "e1^e2 - 3 e1^e3"],
+     "plane must have projective dimension exactly 2"),
+    (["pluecker", "collinear", "--point", "e1^e2 + e3^e4"], "bivector is not decomposable"),
 ])
 def test_bad_primes_list_exits_2_with_one_line(argv, message, tmp_path, capsys):
     out = tmp_path / "b.json"

@@ -40,6 +40,7 @@ from oracles import (
     _common_vector,
     _on_ell,
     _wedge_mod,
+    coord_plucker_quadrics,
     enumerate_grassmannian,
     finite_plane_section,
     form_to_sympy,
@@ -78,6 +79,18 @@ def test_symplectic_form_single_component_two():
     assert sorted(values) == [0, 0, 0, 0, 2]
     # the nonzero coordinate sits on e1^e2^e3^e4, i.e. the set missing 5
     assert values[4] == 2
+
+
+@pytest.mark.parametrize("kind", ["int", "Fraction"])
+def test_quadric_index_table_matches_coord_oracle(kind):
+    rng = random.Random(f"quadric-table-{kind}")
+    for _ in range(500):
+        if kind == "int":
+            coords = [rng.randrange(-9, 10) for _ in range(10)]
+        else:
+            coords = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 8)) for _ in range(10)]
+        omega = BiVector(tuple(coords))
+        assert plucker_quadrics(omega) == coord_plucker_quadrics(omega), coords
 
 
 def test_hand_expansion_x_e45_y_e12_z_e13():

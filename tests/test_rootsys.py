@@ -26,15 +26,18 @@ from delpair.rootsys import (
     _highest_root_coefficients,
 )
 from delpair.chevalley import build_table
+from delpair.cli import _reflection_fails
 from oracles import (
     FractionRootSystem,
     closed_form_positive_count,
     component_roots,
     highest_root,
     reflection_closure_positive_roots,
+    scaled_simple_reflect,
     shape_rule_components,
     symmetrized_form,
     symmetrized_form_scale,
+    three_reflection_fails,
 )
 
 ORACLE_LITERALS = [f"A{n}" for n in range(1, 7)] + [f"B{n}" for n in range(2, 6)] + [
@@ -167,6 +170,20 @@ def test_reflection_involution_and_closure_all_systems():
                 image = rs.reflect(i, r)
                 assert rs.is_root(image)
                 assert rs.reflect(i, image) == r
+
+
+def test_one_reflection_check_matches_three_reflection_oracle():
+    # roots of both signs, where no check fails, and twice each root, which is
+    # never a root, so every check fails
+    for literal in ORACLE_LITERALS:
+        rs = build_root_system(parse_diagram(literal))
+        for r in rs.positive_roots:
+            for v in (r, -r, r.scaled(2)):
+                for i in range(rs.diagram.rank):
+                    assert rs.reflect(i, v) == scaled_simple_reflect(rs, i, v)
+                    expected = three_reflection_fails(rs, v, i)
+                    assert _reflection_fails(rs, v, i) == expected
+                    assert expected == (v == r.scaled(2)), (literal, v, i)
 
 
 def test_reflection_known_values_in_e7():
