@@ -11,7 +11,7 @@ computable proxy; reports state this limitation.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import hss
 from .pairs import DeletionPair
@@ -27,8 +27,7 @@ def normal_weights(pair: DeletionPair) -> frozenset[Root]:
     return hss.noncompact_positive_roots(pair.ambient) - pair.correspondence.noncompact_image
 
 
-@dataclass(frozen=True)
-class NormalDecomposition:
+class NormalDecomposition(NamedTuple):
     normal_weights: frozenset[Root]
     components: tuple[frozenset[Root], ...]
     singleton_component: "Root | None"

@@ -11,10 +11,11 @@ sub-diagram.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from . import hss
+from .frozen import Frozen
 from .rootsys import (
     MarkedDiagram,
     Root,
@@ -29,22 +30,19 @@ class CorrespondenceError(ValueError):
     """Raised when a root-correspondence invariant fails, naming the culprit."""
 
 
-@dataclass(frozen=True)
-class DeletionPair:
+class DeletionPair(Frozen, fields=("ambient", "gamma0")):
     """An admissible pair of deletion type: the ambient and the node gamma0.
 
-    The chain and the sub-diagram are derived at construction, so a gamma0
-    that admits no chain deletion raises ``ChainError`` here.  Equality and
-    hashing see only (ambient, gamma0), which determine the rest.
+    The chain (gamma .. gamma0) and the sub-diagram are derived at
+    construction, so a gamma0 that admits no chain deletion raises
+    ``ChainError`` here.  Equality and hashing see only (ambient, gamma0),
+    which determine the rest.
     """
 
-    ambient: MarkedDiagram
-    gamma0: str
-    chain: tuple[str, ...] = field(init=False, compare=False)   # gamma .. gamma0
-    sub: MarkedDiagram = field(init=False, compare=False)
-
-    def __post_init__(self) -> None:
-        chain, sub = delete_chain(self.ambient, self.gamma0)
+    def __init__(self, ambient: MarkedDiagram, gamma0: str) -> None:
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "gamma0", gamma0)
+        chain, sub = delete_chain(ambient, gamma0)
         object.__setattr__(self, "chain", chain)
         object.__setattr__(self, "sub", sub)
 
@@ -120,12 +118,15 @@ def catalog(max_rank: int) -> list[DeletionPair]:
     return [DeletionPair(ambients[literal], gamma0) for literal, gamma0 in specs]
 
 
-@dataclass(frozen=True)
-class RootCorrespondence:
-    """The embedding Phi of the sub root data into the ambient system."""
+class RootCorrespondence(Frozen, fields=("pair", "on_simple")):
+    """The embedding Phi of the sub root data into the ambient system.
 
-    pair: DeletionPair
-    on_simple: tuple[tuple[str, Root], ...]   # sub node label -> ambient root
+    ``on_simple`` pairs each sub node label with its ambient root.
+    """
+
+    def __init__(self, pair: DeletionPair, on_simple: tuple[tuple[str, Root], ...]) -> None:
+        object.__setattr__(self, "pair", pair)
+        object.__setattr__(self, "on_simple", on_simple)
 
     @cached_property
     def _rows(self) -> tuple[tuple[int, ...], ...]:
@@ -185,8 +186,7 @@ def root_correspondence(pair: DeletionPair) -> RootCorrespondence:
     return corr
 
 
-@dataclass(frozen=True)
-class MaximalityVerdict:
+class MaximalityVerdict(NamedTuple):
     maximal: bool
     witnesses: tuple[DeletionPair, ...]   # first steps (X1 in X) of decompositions
 

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import isqrt
+from typing import NamedTuple
 
 from ..report import require_prime
 from .linalg import (
@@ -39,8 +39,7 @@ class SectionUnsupportedError(RuntimeError):
     """The section is not a union of lines and points our solver handles."""
 
 
-@dataclass(frozen=True)
-class BiVector:
+class BiVector(NamedTuple):
     """Element of the second exterior power of the rank-5 module.
 
     Coordinates are ints or Fractions in PAIRS order; code that works mod p
@@ -138,8 +137,7 @@ def span_with_ell(b: BiVector) -> list[tuple]:
 # Plane sections
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SectionDescription:
+class SectionDescription(NamedTuple):
     """Lines, as covectors in plane coordinates relative to the reduced row
     echelon basis of the plane, and isolated points, in those coordinates
     and as primitive integer points."""
@@ -344,8 +342,7 @@ def _certify(basis, lines, plane_coords, full_plane: bool, p: int) -> None:
 # Collinearity with the fixed line
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CollinearityWitness:
+class CollinearityWitness(NamedTuple):
     """A pencil parameter and common vector putting b on a line meeting ell."""
 
     param: "tuple | str"          # (t, s) or "all"
@@ -445,8 +442,7 @@ def _pencil_parameter(x: tuple, p: int) -> "tuple | None":
     return (-c % p, a)
 
 
-@dataclass(frozen=True)
-class SurveyReport:
+class SurveyReport(NamedTuple):
     """Classification of every boundary point against the fixed line."""
 
     prime: int
@@ -467,7 +463,7 @@ class SurveyReport:
         return self.exact_section_count > 0
 
     def to_witness(self) -> dict:
-        return {**asdict(self), "exists_exact_b": self.exists_exact_b}
+        return {**self._asdict(), "exists_exact_b": self.exists_exact_b}
 
 
 def dee_exhaustive_survey(p: int) -> SurveyReport:

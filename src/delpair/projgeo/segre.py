@@ -16,8 +16,8 @@ commutative ring: nothing is halved, so the identity holds at q = 2 too.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
+from ..frozen import Frozen
 from ..report import FAIL, PASS, CheckReport, require_prime
 from .linalg import canonical_mod, projective_points
 
@@ -40,23 +40,20 @@ def _polar(u: tuple, v: tuple) -> tuple[int, int, int]:
             u[1] * v[5] + v[1] * u[5] - u[2] * v[4] - v[2] * u[4])
 
 
-@dataclass(frozen=True)
-class SegreLine:
+class SegreLine(Frozen, fields=("P0", "P1", "q")):
     """The line through P0 and P1, checked to lie on the Segre variety mod q.
 
     Construction raises ValueError unless the minors vanish at P0 and P1 and
     their polar forms vanish at (P0, P1), which together put the whole line on
     the variety, and P0, P1 are distinct points.  ``points`` holds its q + 1
-    points, canonical mod q.
+    points, canonical mod q; (P0, P1, q) determine them, so equality and
+    hashing see only those three.
     """
 
-    P0: tuple
-    P1: tuple
-    q: int
-    points: frozenset = field(init=False, repr=False)
-
-    def __post_init__(self):
-        P0, P1, q = self.P0, self.P1, self.q
+    def __init__(self, P0: tuple, P1: tuple, q: int) -> None:
+        object.__setattr__(self, "P0", P0)
+        object.__setattr__(self, "P1", P1)
+        object.__setattr__(self, "q", q)
         if not (_on_segre(P0, q) and _on_segre(P1, q)) or any(b % q for b in _polar(P0, P1)):
             raise ValueError("points do not span a line of the Segre variety")
         combos = [[(c0 * x + c1 * y) % q for x, y in zip(P0, P1)]

@@ -2,7 +2,8 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+
+from .frozen import Frozen
 
 PASS = "pass"
 FAIL = "fail"
@@ -14,21 +15,24 @@ _STATUSES = (PASS, FAIL, INDETERMINATE, SKIPPED)
 DEFAULT_SEED = 20230915
 
 
-@dataclass
 class CheckReport:
-    """Verdict of one verification with structured witnesses."""
+    """Verdict of one verification with structured witnesses; mutable."""
 
-    check_id: str
-    subject: str
-    status: str
-    witnesses: list = field(default_factory=list)
-    notes: str = ""
+    def __init__(self, check_id: str, subject: str, status: str,
+                 witnesses: "list | None" = None, notes: str = "") -> None:
+        if status not in _STATUSES:
+            raise ValueError(f"unknown status {status!r}")
+        if status in (FAIL, INDETERMINATE) and not (witnesses or notes):
+            raise ValueError(f"{status} report needs witnesses or notes")
+        self.check_id = check_id
+        self.subject = subject
+        self.status = status
+        self.witnesses = [] if witnesses is None else witnesses    # one list per report
+        self.notes = notes
 
-    def __post_init__(self) -> None:
-        if self.status not in _STATUSES:
-            raise ValueError(f"unknown status {self.status!r}")
-        if self.status in (FAIL, INDETERMINATE) and not (self.witnesses or self.notes):
-            raise ValueError(f"{self.status} report needs witnesses or notes")
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{k}={v!r}" for k, v in self.to_dict().items())
+        return f"CheckReport({shown})"
 
     def to_dict(self) -> dict:
         return {
@@ -40,26 +44,27 @@ class CheckReport:
         }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    max_rank: int = 7
-    primes_plucker: tuple[int, ...] = (5, 7)
-    primes_segre: tuple[int, ...] = (2, 3)
-    fmt: str = "json"
-    seed: int = DEFAULT_SEED
+class RunConfig(Frozen, fields=("max_rank", "primes_plucker", "primes_segre", "fmt", "seed")):
+    """What one run computes and how it prints, checked at construction."""
 
-    def __post_init__(self) -> None:
-        if self.max_rank < 4:
+    def __init__(self, max_rank: int = 7, primes_plucker: tuple[int, ...] = (5, 7),
+                 primes_segre: tuple[int, ...] = (2, 3), fmt: str = "json",
+                 seed: int = DEFAULT_SEED) -> None:
+        object.__setattr__(self, "max_rank", max_rank)
+        object.__setattr__(self, "primes_plucker", primes_plucker)
+        object.__setattr__(self, "primes_segre", primes_segre)
+        object.__setattr__(self, "fmt", fmt)
+        object.__setattr__(self, "seed", seed)
+        if max_rank < 4:
             raise ValueError("max_rank must be at least 4")
-        for p in tuple(self.primes_plucker) + tuple(self.primes_segre):
+        for p in tuple(primes_plucker) + tuple(primes_segre):
             require_prime(p)
-        for name in ("primes_plucker", "primes_segre"):
-            primes = getattr(self, name)
+        for name, primes in (("primes_plucker", primes_plucker), ("primes_segre", primes_segre)):
             repeated = sorted({p for p in primes if primes.count(p) > 1})
             if repeated:
                 raise ValueError(f"{name} repeats {', '.join(map(str, repeated))}")
-        if self.fmt not in ("json", "markdown"):
-            raise ValueError(f"unknown output format {self.fmt!r}")
+        if fmt not in ("json", "markdown"):
+            raise ValueError(f"unknown output format {fmt!r}")
 
     def to_dict(self, fields: "tuple[str, ...] | None" = None) -> dict:
         """The echo of ``fields``, every field by default; ``fmt`` echoes as "format"."""

@@ -34,9 +34,11 @@ import math
 import operator
 import re
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, total_ordering
+from typing import NamedTuple
+
+from .frozen import Frozen
 
 
 class DiagramError(ValueError):
@@ -51,11 +53,35 @@ class ChainError(ValueError):
     """Raised when two nodes are not connected by a type-A chain."""
 
 
-@dataclass(frozen=True, order=True)
-class Root:
-    """Element of the root lattice in simple-root coordinates."""
+@total_ordering
+class Root(Frozen):
+    """Element of the root lattice in simple-root coordinates.
 
-    coeffs: tuple[int, ...]
+    Roots compare and order by their coefficient tuples but equal no tuple.
+    A root hashes as the 1-tuple ``(coeffs,)``: that hash fixes the iteration
+    order of every root set, and with it the pinned bundles.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[int, ...]) -> None:
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __eq__(self, other):
+        if other.__class__ is not Root:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
+
+    def __lt__(self, other):
+        if other.__class__ is not Root:
+            return NotImplemented
+        return self.coeffs < other.coeffs
+
+    def __reduce__(self):           # pickle and copy go through __init__
+        return Root, (self.coeffs,)
 
     def __add__(self, other: "Root") -> "Root":
         return Root(tuple(map(operator.add, self.coeffs, other.coeffs)))
@@ -88,8 +114,7 @@ class Root:
         return f"Root{self.coeffs}"
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(NamedTuple):
     """A classified connected component with its Bourbaki relabeling.
 
     ``labels[k]`` is the node playing the role of alpha_{k+1} in the
@@ -115,8 +140,7 @@ class Component:
 Edge = tuple[str, str, int, "str | None"]
 
 
-@dataclass(frozen=True)
-class DynkinDiagram:
+class DynkinDiagram(Frozen, fields=("nodes", "edges")):
     """A (possibly disconnected) Dynkin diagram.
 
     Edges are ``(u, v, multiplicity, arrow)`` with u before v in node order;
@@ -124,15 +148,14 @@ class DynkinDiagram:
     None for simple bonds.
     """
 
-    nodes: tuple[str, ...]
-    edges: frozenset[Edge]
-
-    def __post_init__(self) -> None:
-        if len(set(self.nodes)) != len(self.nodes):
+    def __init__(self, nodes: tuple[str, ...], edges: frozenset[Edge]) -> None:
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "edges", edges)
+        if len(set(nodes)) != len(nodes):
             raise DiagramError("duplicate node labels")
-        pos = {a: i for i, a in enumerate(self.nodes)}
+        pos = {a: i for i, a in enumerate(nodes)}
         seen = set()
-        for u, v, mult, arrow in self.edges:
+        for u, v, mult, arrow in edges:
             if u not in pos or v not in pos or u == v:
                 raise DiagramError(f"bad edge endpoints ({u}, {v})")
             if pos[u] > pos[v]:
@@ -558,25 +581,23 @@ def build_root_system(diagram: DynkinDiagram) -> RootSystem:
 # Marked diagrams
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MarkedDiagram:
+class MarkedDiagram(Frozen, fields=("diagram", "marked")):
     """A Dynkin diagram with a distinguished cominuscule node set."""
 
-    diagram: DynkinDiagram
-    marked: frozenset[str]
-
-    def __post_init__(self) -> None:
-        if self.diagram.is_empty:
-            if self.marked:
+    def __init__(self, diagram: DynkinDiagram, marked: frozenset[str]) -> None:
+        object.__setattr__(self, "diagram", diagram)
+        object.__setattr__(self, "marked", marked)
+        if diagram.is_empty:
+            if marked:
                 raise MarkError("empty diagram cannot carry marks")
             return
-        if not self.marked:
+        if not marked:
             raise MarkError("marked node set must be nonempty")
-        unknown = self.marked - set(self.diagram.nodes)
+        unknown = marked - set(diagram.nodes)
         if unknown:
             raise MarkError(f"unknown marked nodes {sorted(unknown)}")
-        for comp in self.diagram.components:
-            marks_here = self.marked & set(comp.labels)
+        for comp in diagram.components:
+            marks_here = marked & set(comp.labels)
             if len(marks_here) > 1:
                 raise MarkError(f"component {comp.name} carries several marks")
             for mark in marks_here:

@@ -14,7 +14,7 @@ test oracle.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import hss
 from .pairs import DeletionPair
@@ -22,8 +22,7 @@ from .report import FAIL, PASS, SKIPPED, CheckReport, root_witness
 from .rootsys import Root, RootSystem
 
 
-@dataclass(frozen=True)
-class SFFContext:
+class SFFContext(NamedTuple):
     """Weight data of an ambient VMRT and the sub-VMRT of a deletion pair."""
 
     rs: RootSystem
@@ -47,8 +46,7 @@ class SFFContext:
                           sub_tangent, corr.noncompact_image)
 
 
-@dataclass(frozen=True)
-class KernelReport:
+class KernelReport(NamedTuple):
     """Kernel of the (quotiented) form against the sub-VMRT tangent space."""
 
     kernel_weights: frozenset[Root]  # non-radial kernel directions

@@ -276,10 +276,26 @@ def test_property_suite_draws_the_pinned_samples(seed, monkeypatch):
     assert mod5 == decomposability_bivectors(seed, "F5")
 
 
-def test_cli_import_leaves_sympy_out():
+@pytest.fixture(scope="module")
+def cli_import_modules():
+    """Every module in sys.modules after `import delpair.cli` in a fresh interpreter."""
     env = {**os.environ, "PYTHONPATH": str(Path(delpair.__file__).resolve().parents[1])}
-    probe = "import sys, delpair.cli; sys.exit('sympy' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
+    probe = "import sys, delpair.cli; print(*sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    return set(done.stdout.split())
+
+
+def test_cli_import_leaves_sympy_out(cli_import_modules):
+    assert "delpair.cli" in cli_import_modules
+    assert "sympy" not in cli_import_modules
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_out(cli_import_modules):
+    # importing dataclasses (which imports inspect) and decorating the value
+    # classes with it once cost more than a one-query CLI process spent on its query
+    assert "dataclasses" not in cli_import_modules
+    assert "inspect" not in cli_import_modules
 
 
 def test_cli_bad_config_exit_2(tmp_path, capsys):
