@@ -197,7 +197,7 @@ def plucker_suite(primes: tuple[int, ...]) -> list[CheckReport]:
                            notes="degree-2 forms vanishing at 3 points of a line vanish on it"))
 
     for literal, expected in (("e4^e5", (1, 1)), ("e2^e4", (2, 0))):
-        sec = plane_section(span_with_ell(parse_bivector(literal)), primes)
+        sec = plane_section(parse_bivector(literal), primes)
         status = PASS if sec.shape() == expected else FAIL
         out.append(CheckReport(
             "plucker.section", f"span(<{literal}>, ell)", status,
@@ -352,7 +352,7 @@ def _pair_reports(args, config: RunConfig) -> list[CheckReport]:
 
 
 def _section_reports(args, config: RunConfig) -> list[CheckReport]:
-    sec = plane_section(span_with_ell(args.bivector), config.primes_plucker)
+    sec = plane_section(args.bivector, config.primes_plucker)
     return [CheckReport(
         "plucker.section", f"span(<{args.point}>, ell)", PASS,
         witnesses=[{

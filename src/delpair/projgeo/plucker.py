@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from fractions import Fraction
-from math import isqrt
 from typing import NamedTuple
 
 from ..report import require_prime
@@ -33,10 +31,6 @@ QUAD_SETS: tuple[tuple[int, ...], ...] = tuple(
 
 class CertificationError(RuntimeError):
     """A rational locus description disagreed with a prime-field enumeration."""
-
-
-class SectionUnsupportedError(RuntimeError):
-    """The section is not a union of lines and points our solver handles."""
 
 
 class BiVector(NamedTuple):
@@ -161,78 +155,6 @@ def _combination(coeffs, basis) -> list:
     return out
 
 
-def _gram_matrices(basis) -> list[list[list[Fraction]]]:
-    """The Plücker quadrics on plane coordinates x = (u, v, w), as symmetric
-    Gram matrices M_ij = B_S(b_i, b_j) / 2: Q_S(x . basis) = x M x^T."""
-    half = {(i, j): [x / 2 for x in quadric_polarization(basis[i], basis[j])]
-            for i, j in itertools.combinations_with_replacement(range(3), 2)}
-    return [[[half[min(i, j), max(i, j)][k] for j in range(3)] for i in range(3)]
-            for k in range(len(QUAD_SETS))]
-
-
-def _form_text(M) -> str:
-    """The ternary form of a Gram matrix as a polynomial in u, v, w."""
-    terms = []
-    for i, j in itertools.combinations_with_replacement(range(3), 2):
-        if M[i][j]:
-            mono = f"{'uvw'[i]}^2" if i == j else f"{'uvw'[i]}*{'uvw'[j]}"
-            terms.append(f"{M[i][j] if i == j else 2 * M[i][j]}*{mono}")
-    return " + ".join(terms).replace("+ -", "- ")
-
-
-def _rational_sqrt(x: Fraction) -> "Fraction | None":
-    if x < 0:
-        return None
-    n, d = isqrt(x.numerator), isqrt(x.denominator)
-    return Fraction(n, d) if (n * n, d * d) == (x.numerator, x.denominator) else None
-
-
-def _linear_factors(M) -> set[tuple[int, int, int]]:
-    """The linear factors over Q of the nonzero ternary form x M x^T.
-
-    At rank 1 the form is a multiple of L^2 for any nonzero row L of M.  At
-    rank 2 it is L1 L2 over Q iff -m_i, for m_i = adj(M)_ii the principal 2x2
-    minor at an index i with k_i != 0 (k spanning ker M), is a square s^2;
-    then n = (2s / k_i) k is +-(L1 x L2), and M - [n]_x / 2 is the rank-1
-    matrix L1 L2^T, whose nonzero columns are multiples of L1 and nonzero
-    rows of L2.
-    """
-    red, _ = rref(M)
-    if len(red) == 1:
-        return {primitive_int_covector(red[0])}
-    if len(red) == 2:
-        k = kernel_basis(red, 3)[0]
-        i = next(i for i in range(3) if k[i])
-        j, l = (x for x in range(3) if x != i)
-        s = _rational_sqrt(M[j][l] ** 2 - M[j][j] * M[l][l])
-        if s is not None:
-            half_n = [s / k[i] * x for x in k]
-            a, b, c = half_n
-            cross = [[0, -c, b], [c, 0, -a], [-b, a, 0]]
-            R = [[M[r][c] - cross[r][c] for c in range(3)] for r in range(3)]
-            row = next(r for r in R if any(r))
-            col = next(c for c in zip(*R) if any(c))
-            return {primitive_int_covector(row), primitive_int_covector(col)}
-    raise SectionUnsupportedError(
-        f"restricted form {_form_text(M)} is not a product of rational lines")
-
-
-def _solve_linear_locus(covectors: list[tuple]):
-    """Common zero locus of rational linear forms on the projective plane.
-
-    Returns ("line", covector), ("point", coords with leading 1) or
-    ("empty", None).
-    """
-    red, _ = rref(covectors)
-    if len(red) == 1:
-        return ("line", primitive_int_covector(red[0]))
-    if len(red) == 2:
-        vec = kernel_basis(red, 3)[0]
-        lead = next(x for x in vec if x)
-        return ("point", tuple(x / lead for x in vec))
-    return ("empty", None)
-
-
 def _line_value(cov, point):
     """The linear form cov at point: zero iff the point lies on the line."""
     return sum(c * x for c, x in zip(cov, point))
@@ -256,33 +178,37 @@ def plane_basis(rows) -> list[list]:
     return basis
 
 
-def plane_section(rows, primes: tuple[int, ...] = (5, 7)) -> SectionDescription:
-    """Exact common zero locus of the Plücker quadrics on a rational plane.
+def plane_section(b: BiVector, primes: tuple[int, ...] = (5, 7)) -> SectionDescription:
+    """Exact common zero locus of the Plücker quadrics on the plane span(b, ell).
 
-    The plane is the row span of ``rows``, rational Plücker vectors of rank
-    3; plane coordinates (u, v, w) refer to its reduced row echelon basis.
-    Each nonzero restricted quadric (a Gram matrix) is split into rational
-    lines, and the locus is the union, over every choice of one line per
-    quadric, of the common zeros of the chosen lines: the lines among them,
-    and the points on none of those lines.  Lines (covectors) and points are
-    substituted back, and completeness is certified by exhaustive
+    The reduced row echelon basis of the plane is (e1^e2, e1^e3, c), with c
+    the bivector b without its x12 and x13 entries, scaled to a leading 1;
+    plane coordinates (u, v, w) refer to it.  Every Q_S vanishes on ell, so
+    expanding by polarization,
+
+        Q_S(u e12 + v e13 + w c) = w L_S(u, v, w),
+        L_S = B_S(c, e12) u + B_S(c, e13) v + Q_S(c) w.
+
+    The section is ell = {w = 0} together with the common zeros of the five
+    linear forms L_S, read off their rank: at rank 0 it is the whole plane,
+    at rank 1 a second line (unless that line is ell), at rank 2 one point
+    (unless it lies on ell), and at rank 3 ell alone.  Lines (covectors) and
+    points are substituted back, and completeness is certified by exhaustive
     enumeration over the given prime fields; any disagreement is a hard
     failure.
     """
-    basis = plane_basis(rows)
-    forms = [M for M in _gram_matrices(basis) if any(map(any, M))]
+    basis = plane_basis(span_with_ell(b))
+    e12, e13, c = basis
+    forms, _ = rref(list(zip(quadric_polarization(c, e12), quadric_polarization(c, e13),
+                             plucker_quadrics(BiVector(tuple(c))))))
     full_plane = not forms
-    lines: set[tuple[int, int, int]] = set()
-    points: set[tuple] = set()
-    if forms:
-        for choice in itertools.product(*map(_linear_factors, forms)):
-            kind, payload = _solve_linear_locus(list(choice))
-            if kind == "line":
-                lines.add(payload)
-            elif kind == "point":
-                points.add(payload)
+    lines: set[tuple[int, int, int]] = set() if full_plane else {(0, 0, 1)}    # ell: w = 0
+    points = []
+    if len(forms) == 1:
+        lines.add(primitive_int_covector(forms[0]))
+    elif len(forms) == 2:
+        points = [pt for pt in kernel_basis(forms, 3) if pt[2]]
     lines = tuple(sorted(lines))
-    points = sorted(pt for pt in points if all(_line_value(c, pt) for c in lines))
     isolated = tuple(primitive_int_covector(_combination(pt, basis)) for pt in points)
     plane_coords = tuple(primitive_int_covector(pt) for pt in points)
 

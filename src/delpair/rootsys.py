@@ -315,16 +315,23 @@ def _template(letter: str, n: int):
 
 
 def _embeddings(image: tuple[str, ...], steps, adj: dict[str, dict]) -> list[tuple[str, ...]]:
-    """Every isomorphism from a template onto a tree that extends ``image``."""
-    if len(image) == len(steps):
-        return [image]
-    parent, (mult, short), degree = steps[len(image)]
-    found = []
-    for b, bond in adj[image[parent]].items():
-        full = image + (b,)
-        if (len(adj[b]) == degree and b not in image
-                and bond == (mult, None if short is None else full[short])):
-            found += _embeddings(full, steps, adj)
+    """Every isomorphism from a template onto a tree that extends ``image``.
+
+    Depth first on an explicit stack, so a diagram of any rank stays within
+    the interpreter's recursion limit.
+    """
+    found, stack = [], [image]
+    while stack:
+        image = stack.pop()
+        if len(image) == len(steps):
+            found.append(image)
+            continue
+        parent, (mult, short), degree = steps[len(image)]
+        for b, bond in adj[image[parent]].items():
+            full = image + (b,)
+            if (len(adj[b]) == degree and b not in image
+                    and bond == (mult, None if short is None else full[short])):
+                stack.append(full)
     return found
 
 

@@ -25,11 +25,13 @@ the collinearity scan are expanded as generic determinants, and the boundary
 survey visits every point of G(2,5)(F_p) with its full Plücker tuple instead
 of counting affine blocks and reading a per-class table.  Plane sections
 come from two oracles that share none of the quadric or solver code of
-``plane_section``: over a
-prime field, every point of the plane is tested and the locus is regrouped
-into the lines it contains and the points left over; over the rationals,
-the plane is substituted into quadrics written out here and the locus is
-found with sympy's polynomial gcd, factorization, division and nullspace.
+``plane_section``, and the Plücker tests run both on planes through ell,
+the only planes ``plane_section`` takes: over a prime field, every point of
+the plane is tested and the locus is regrouped into the lines it contains
+and the points left over; over the rationals, the plane is substituted into
+quadrics written out here and the locus is found with sympy's polynomial
+gcd, factorization, division and nullspace, with no use of the factor w
+that ell contributes to every restricted quadric.
 Segre sections of the span of three points come from testing every point of
 the span on minors written out here, instead of the rank of the polar-form
 matrix.  The property suite's replaced paths stay here too: Chevalley
@@ -59,7 +61,6 @@ from delpair.projgeo.plucker import (
     PAIRS,
     QUAD_SETS,
     BiVector,
-    SectionUnsupportedError,
     SurveyReport,
     _echelon_cells,
     _pencil_parameter,
@@ -819,11 +820,8 @@ def enumerated_span_section(points3: list[tuple], q: int) -> set:
 SYMBOLS = sympy.symbols("u v w")
 
 
-def form_to_sympy(form: dict) -> sympy.Poly:
-    u, v, w = SYMBOLS
-    expr = sum(sympy.Rational(c) * u**a * v**b * w**d
-               for (a, b, d), c in form.items() if c)
-    return sympy.Poly(expr, *SYMBOLS, domain="QQ")
+class NonLinearFactorError(RuntimeError):
+    """A restricted form has an irreducible factor of degree 2 or more."""
 
 
 def _sympy_covector(values) -> tuple[int, ...]:
@@ -838,7 +836,7 @@ def sympy_linear_factors(poly: sympy.Poly) -> list[tuple[int, int, int]]:
         if p.total_degree() == 1:
             out += [_sympy_covector(p.coeff_monomial(s) for s in SYMBOLS)] * mult
         elif p.total_degree() >= 2:
-            raise SectionUnsupportedError(
+            raise NonLinearFactorError(
                 f"irreducible factor of degree {p.total_degree()}: {p.as_expr()}")
     return out
 

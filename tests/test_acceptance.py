@@ -18,7 +18,6 @@ from delpair.projgeo.plucker import (
     parse_bivector,
     plane_section,
     plucker_quadrics,
-    span_with_ell,
 )
 from delpair.projgeo.segre import segre_fitting_report
 from delpair.report import RunConfig, bundle_json
@@ -121,11 +120,11 @@ def test_criterion_7_plucker_lab():
             coords = tuple(t * a + s * b for a, b in zip(g1.coords, g2.coords))
             assert grassmannian_membership(BiVector(coords))
         # (ii) span([e4^e5], ell): one line plus one isolated point
-        section = plane_section(span_with_ell(parse_bivector("e4^e5")), primes=(5, 7))
+        section = plane_section(parse_bivector("e4^e5"), primes=(5, 7))
         assert section.shape() == (1, 1)
         assert section.certified_over == ("QQ", "F5", "F7")
         # (iii) span([e2^e4], ell): two lines
-        section = plane_section(span_with_ell(parse_bivector("e2^e4")), primes=(5, 7))
+        section = plane_section(parse_bivector("e2^e4"), primes=(5, 7))
         assert section.shape() == (2, 0)
         # (iv) surveys agree between the primes; cross-consistency at 100%
         reports = {p: dee_exhaustive_survey(p) for p in (5, 7)}

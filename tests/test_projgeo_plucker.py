@@ -18,10 +18,8 @@ from delpair.projgeo.linalg import (
 from delpair.projgeo.plucker import (
     BiVector,
     CertificationError,
-    SectionUnsupportedError,
+    _certify,
     _echelon_cells,
-    _gram_matrices,
-    _linear_factors,
     _pencil_minors,
     _pencil_parameter,
     _polarization_rank,
@@ -43,11 +41,9 @@ from oracles import (
     coord_plucker_quadrics,
     enumerate_grassmannian,
     finite_plane_section,
-    form_to_sympy,
     gaussian_binomial_2_of_5,
     maximal_minors,
     pointwise_dee_survey,
-    sympy_linear_factors,
     sympy_section_locus,
 )
 
@@ -232,7 +228,7 @@ def test_bivector_literal_parsing():
 # -- plane sections -----------------------------------------------------------
 
 def test_section_span_e45_is_line_plus_point():
-    section = plane_section(span_with_ell(parse_bivector("e4^e5")))
+    section = plane_section(parse_bivector("e4^e5"))
     assert section.shape() == (1, 1)
     assert section.certified_over == ("QQ", "F5", "F7")
     assert not section.full_plane
@@ -243,7 +239,7 @@ def test_section_span_e45_is_line_plus_point():
 
 def test_section_span_e24_is_two_lines():
     plane = span_with_ell(parse_bivector("e2^e4"))
-    section = plane_section(plane)
+    section = plane_section(parse_bivector("e2^e4"))
     assert section.shape() == (2, 0)
     # the extra line passes through e2^e4 and e1^e2
     extra_pts = set()
@@ -256,14 +252,14 @@ def test_section_span_e24_is_two_lines():
 
 def test_section_of_plane_inside_variety_is_full_plane():
     # span(e2^e3, ell) is the plane of lines inside a fixed 3-space
-    section = plane_section(span_with_ell(parse_bivector("e2^e3")))
+    section = plane_section(parse_bivector("e2^e3"))
     assert section.full_plane
     assert section.shape() == (0, 0)
 
 
 def test_section_lines_substitute_back():
     plane = span_with_ell(parse_bivector("e4^e5"))
-    section = plane_section(plane)
+    section = plane_section(parse_bivector("e4^e5"))
     for line in section.lines:
         p, q = line_span(plane, line)
         for t, s in ((1, 0), (0, 1), (1, 1), (2, -3)):
@@ -273,7 +269,8 @@ def test_section_lines_substitute_back():
 
 def test_certification_failure_is_hard():
     # a plane whose reduced basis rows become parallel mod 5 must raise,
-    # not silently pass
+    # not silently pass; it does not pass through ell, so it is certified
+    # directly
     v1 = [Fraction(0)] * 10
     v2 = [Fraction(0)] * 10
     v3 = [Fraction(0)] * 10
@@ -281,93 +278,10 @@ def test_certification_failure_is_hard():
     v2[1], v2[4] = Fraction(1), Fraction(2, 5)   # e1^e3 + (2/5) e2^e3
     v3[9] = Fraction(1)                          # e4^e5
     with pytest.raises(CertificationError, match="degenerates modulo 5"):
-        plane_section([v1, v2, v3], primes=(5,))
+        _certify(rref([v1, v2, v3])[0], (), (), False, 5)
 
 
-def test_isolated_points_sorted_by_plane_coordinates():
-    plane = [parse_bivector(t).coords for t in ("e1^e3 + e1^e5", "e2^e5", "e3^e4")]
-    section = plane_section(plane)
-    assert section.shape() == (0, 3)
-    assert section.isolated_plane_coords == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
-
-
-def test_non_split_restricted_form_is_unsupported():
-    # the third restricted form is 2uv - 2uw - 2v^2, irreducible over Q
-    plane = [parse_bivector(t).coords for t in
-             ("e1^e2 + e1^e4", "e1^e4 + e2^e5", "e3^e5 - e4^e5")]
-    with pytest.raises(SectionUnsupportedError,
-                       match=r"form 2\*u\*v - 2\*u\*w - 2\*v\^2 is not a product"):
-        plane_section(plane)
-
-
-# -- the closed-form section path against the sympy oracle ---------------------
-
-MONOMIALS = ((2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1))
-
-
-def _product_form(a, b) -> dict:
-    """The ternary form (a . x)(b . x) as a monomial -> coefficient dict."""
-    form = dict.fromkeys(MONOMIALS, 0)
-    for i, j in itertools.product(range(3), repeat=2):
-        form[tuple(int(i == k) + int(j == k) for k in range(3))] += a[i] * b[j]
-    return form
-
-
-def _symmetric_matrix(form) -> list[list]:
-    h = {m: x / (1 if 2 in m else 2) for m, x in form.items()}
-    return [[h[2, 0, 0], h[1, 1, 0], h[1, 0, 1]],
-            [h[1, 1, 0], h[0, 2, 0], h[0, 1, 1]],
-            [h[1, 0, 1], h[0, 1, 1], h[0, 0, 2]]]
-
-
-def _random_covector(rng):
-    while True:
-        c = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(3)]
-        if any(c):
-            return c
-
-
-def _independent_pair(rng):
-    while True:
-        a, b = _random_covector(rng), _random_covector(rng)
-        if rank([a, b]) == 2:
-            return a, b
-
-
-def _seeded_forms(rng, n):
-    """n forms of each kind: rank 1, rank 2 split, rank 2 non-split, rank 3."""
-    for _ in range(n):
-        c, a = Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 3)), _random_covector(rng)
-        yield "rank 1", {m: c * x for m, x in _product_form(a, a).items()}
-        yield "split", _product_form(*_independent_pair(rng))
-        a, b = _independent_pair(rng)
-        square = Fraction(rng.randint(1, 4), rng.randint(1, 4)) ** 2
-        d = rng.choice([-3, -2, -1, 2, 3, 5, 6, 7]) * square      # never a square
-        fa, fb = _product_form(a, a), _product_form(b, b)
-        yield "non-split", {m: fa[m] - d * fb[m] for m in MONOMIALS}
-        while True:
-            form = {m: Fraction(rng.randint(-4, 4)) for m in MONOMIALS}
-            if rank(_symmetric_matrix(form)) == 3:
-                yield "rank 3", form
-                break
-
-
-def test_closed_form_factors_match_sympy_oracle():
-    for kind, form in _seeded_forms(random.Random(4), 60):
-        assert rank(_symmetric_matrix(form)) == (1 if kind == "rank 1" else
-                                                 3 if kind == "rank 3" else 2)
-        try:
-            expected = set(sympy_linear_factors(form_to_sympy(form)))
-        except SectionUnsupportedError:
-            expected = None
-        if kind in ("rank 1", "split"):
-            assert expected is not None and len(expected) == (1 if kind == "rank 1" else 2)
-            assert _linear_factors(_symmetric_matrix(form)) == expected, (kind, form)
-        else:
-            assert expected is None
-            with pytest.raises(SectionUnsupportedError, match=r"form .*[uvw].* is not a product"):
-                _linear_factors(_symmetric_matrix(form))
-
+# -- the closed-form section against the oracles ------------------------------
 
 def _sparse(rng, n, k):
     x = [0] * n
@@ -376,88 +290,55 @@ def _sparse(rng, n, k):
     return x
 
 
-def _seeded_planes(rng, n):
-    """n rational planes of bivectors, as spanning rows: spans of ell with a
-    decomposable or a sparse bivector, and sparse planes."""
-    e12, e13 = [1] + [0] * 9, [0, 1] + [0] * 8
+def _seeded_points(rng, n):
+    """n rational bivectors b off ell, decomposable or sparse, each spanning a
+    plane with ell."""
     made = 0
     while made < n:
-        kind = made % 3
-        if kind == 0:
+        if made % 2 == 0:
             u, v = ([rng.randint(-2, 2) for _ in range(5)] for _ in range(2))
-            vecs = [BiVector.wedge(u, v).coords, e12, e13]
-        elif kind == 1:
-            vecs = [_sparse(rng, 10, rng.randint(1, 4)), e12, e13]
+            b = BiVector.wedge(u, v)
         else:
-            vecs = [_sparse(rng, 10, rng.randint(1, 3)) for _ in range(3)]
-        if rank(vecs) == 3:
+            b = BiVector(tuple(_sparse(rng, 10, rng.randint(1, 4))))
+        if rank(span_with_ell(b)) == 3:
             made += 1
-            yield vecs
-
-
-def test_gram_matrices_evaluate_the_plucker_quadrics():
-    # (u, v, w) M_k (u, v, w)^T against Q_k of the plane point u b0 + v b1 + w b2,
-    # substituted directly, on rational planes and rational plane points
-    rng = random.Random(6)
-    checked = 0
-    for plane in _seeded_planes(rng, 90):
-        basis = rref([[Fraction(x, rng.randint(1, 4)) for x in row] for row in plane])[0]
-        if len(basis) != 3:
-            continue
-        grams = _gram_matrices(basis)
-        for _ in range(4):
-            x = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(3)]
-            point = BiVector(tuple(sum(c * row[i] for c, row in zip(x, basis))
-                                   for i in range(10)))
-            values = tuple(sum(x[i] * M[i][j] * x[j] for i in range(3) for j in range(3))
-                           for M in grams)
-            assert values == plucker_quadrics(point), (plane, x)
-            checked += 1
-    assert checked >= 300
+            yield b
 
 
 def test_plane_sections_match_sympy_oracle():
     outcomes = Counter()
-    for plane in _seeded_planes(random.Random(1), 1000):
-        try:
-            section = plane_section(plane, primes=())
-        except SectionUnsupportedError:
-            section = None
-        try:
-            lines, points, full_plane = sympy_section_locus(rref(plane)[0])
-        except SectionUnsupportedError:
-            assert section is None, plane
-            outcomes["unsupported"] += 1
-            continue
-        assert section is not None, plane
-        assert set(section.lines) == set(lines), plane
+    for b in _seeded_points(random.Random(1), 1000):
+        section = plane_section(b, primes=())
+        lines, points, full_plane = sympy_section_locus(rref(span_with_ell(b))[0])
+        assert set(section.lines) == set(lines), b
         assert set(section.isolated_plane_coords) == {primitive_int_covector(p)
-                                                     for p in points}, plane
-        assert section.full_plane == full_plane, plane
+                                                     for p in points}, b
+        assert section.full_plane == full_plane, b
         outcomes["full plane" if full_plane else section.shape()] += 1
     # the seeded mix reaches every kind of answer
-    assert {"unsupported", "full plane", (1, 1), (2, 0), (1, 0), (0, 3)} <= set(outcomes)
+    assert set(outcomes) == {"full plane", (1, 1), (2, 0), (1, 0)}
 
 
 def test_finite_section_oracle_matches_reduced_rational_section():
     # the rational description, reduced mod p, against the regrouped F_p
     # enumeration of the plane that certification at p reduces to
     certified = Counter()
-    e45 = span_with_ell(parse_bivector("e4^e5"))
-    for plane in itertools.chain([e45], _seeded_planes(random.Random(2), 150)):
+    e45 = parse_bivector("e4^e5")
+    for b in itertools.chain([e45], _seeded_points(random.Random(2), 150)):
+        plane = span_with_ell(b)
         for p in (5, 7):
             try:
-                section = plane_section(plane, primes=(p,))
-            except (CertificationError, SectionUnsupportedError):
+                section = plane_section(b, primes=(p,))
+            except CertificationError:
                 continue
-            mod_plane = rref_mod([primitive_int_covector(b) for b in rref(plane)[0]], p)
+            mod_plane = rref_mod([primitive_int_covector(r) for r in rref(plane)[0]], p)
             lines, points, full_plane = finite_plane_section(mod_plane, p)
             reduced = {canonical_mod(ln, p) for ln in section.lines}
             isolated = {canonical_mod(pt, p) for pt in section.isolated_plane_coords}
-            assert full_plane == section.full_plane, plane
-            assert set(lines) == reduced, plane
+            assert full_plane == section.full_plane, b
+            assert set(lines) == reduced, b
             assert set(points) == {pt for pt in isolated if not any(
-                sum(c * x for c, x in zip(cov, pt)) % p == 0 for cov in reduced)}, plane
+                sum(c * x for c, x in zip(cov, pt)) % p == 0 for cov in reduced)}, b
             certified[p] += 1
     assert certified[5] >= 100 and certified[7] >= 100, certified
 
@@ -554,7 +435,7 @@ def test_collinearity_examples():
 def test_no_witness_means_no_extra_line_through_b():
     # e4^e5 has no witness; its section carries no line through b
     plane = span_with_ell(parse_bivector("e4^e5"))
-    section = plane_section(plane)
+    section = plane_section(parse_bivector("e4^e5"))
     b = primitive_int_covector(parse_bivector("e4^e5").coords)
     for line in section.lines:
         span = line_span(plane, line)

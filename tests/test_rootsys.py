@@ -445,6 +445,14 @@ def test_letter_order_reads_d3_as_a3_and_c2_as_b2():
     assert parse_diagram("C2").components == (Component("B", ("a2", "a1")),)
 
 
+@pytest.mark.parametrize("letter", "ABD")
+def test_rank_1200_literal_classifies_without_recursion(letter):
+    # the template embedding walks one node per step, far past the default
+    # recursion limit; the least isomorphism is still the literal's numbering
+    assert parse_diagram(f"{letter}1200").components == (
+        Component(letter, tuple(f"a{i}" for i in range(1, 1201))),)
+
+
 @pytest.mark.parametrize("nodes, edges", [
     (("a1", "a2", "a3", "a4", "a5"),                       # degree-4 star
      {("a1", "a2", 1, None), ("a1", "a3", 1, None), ("a1", "a4", 1, None),
