@@ -11,9 +11,11 @@ cyclic length-ratio identity for triples summing to zero, and the Jacobi
 identity.  The resulting table satisfies |N_{a,b}| = p + 1 with p the largest
 integer such that b - p a is a root.
 
-Squared norms are the integers B(r, r) = L (r, r) of the root system's
-integer form, so every length ratio below is an exact integer division; a
-nonzero remainder is an integrality failure and raises AssertionError.
+Squared norms are the integers B(r, r) of the root system's integer form.
+A root and every root it is compared with lie in one component, where B is
+a fixed multiple of the inner product, so every length ratio below is an
+exact integer division; a nonzero remainder is an integrality failure and
+raises AssertionError.
 
 The Lie algebra is seen through an indexed basis: the root vectors of the
 sorted positive roots (indices 0..n-1), then of their negatives (index

@@ -16,13 +16,12 @@ from .projgeo import (
     parse_bivector,
     plane_section,
     segre_fitting_report,
-    span_with_ell,
 )
 from .projgeo.linalg import integer_rank, primitive_int_covector, rref_mod
 from .projgeo.plucker import (
     CertificationError,
     ell_generators,
-    plane_basis,
+    ell_plane,
     plane_spanned_by,
     plucker_quadrics,
     q_orbit_membership,
@@ -426,7 +425,7 @@ def _resolve_inputs(args, config: RunConfig) -> None:
     if "point" in args:
         args.bivector = parse_bivector(args.point)
         if args.pluecker_command == "section":      # the point and ell span a plane
-            plane_basis(span_with_ell(args.bivector))
+            ell_plane(args.bivector)
         else:                                       # collinear: a point of G(2,5)
             plane_spanned_by(args.bivector)
     for p in config.primes_plucker:       # every Plücker lab refuses F_2

@@ -11,6 +11,5 @@ from .plucker import (                                          # noqa: F401
     grassmannian_membership,
     parse_bivector,
     plane_section,
-    span_with_ell,
 )
 from .segre import segre_fitting_report                         # noqa: F401

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from fractions import Fraction
 from typing import NamedTuple
 
 from ..report import require_prime
@@ -79,17 +80,6 @@ def plucker_quadrics(omega: BiVector) -> tuple:
                  for ab, cd, ac, bd, ad, bc in _QUADRIC_INDICES)
 
 
-def quadric_polarization(x: tuple, y: tuple) -> tuple:
-    """B_S(x, y) = Q_S(x + y) - Q_S(x) - Q_S(y), computed directly."""
-
-    def term(u, v, i, j, k, l):
-        return u[PAIR_INDEX[(i, j)]] * v[PAIR_INDEX[(k, l)]]
-
-    return tuple(2 * sum(term(u, w, a, b, c, d) - term(u, w, a, c, b, d) + term(u, w, a, d, b, c)
-                         for u, w in ((x, y), (y, x)))
-                 for a, b, c, d in QUAD_SETS)
-
-
 def grassmannian_membership(omega: BiVector) -> bool:
     return not any(plucker_quadrics(omega))
 
@@ -122,9 +112,28 @@ def ell_generators() -> tuple[BiVector, BiVector]:
     return BiVector.basis(1, 2), BiVector.basis(1, 3)
 
 
-def span_with_ell(b: BiVector) -> list[tuple]:
-    """Spanning rows of the plane through b and ell."""
-    return [b.coords] + [g.coords for g in ell_generators()]
+def ell_plane(b: BiVector) -> list[list]:
+    """The reduced row echelon basis (e1^e2, e1^e3, c) of span(b, ell).
+
+    c is b without its x12 and x13 entries, scaled so that its first nonzero
+    entry is 1; raises ValueError when b lies on ell.
+    """
+    rest = (0, 0) + b.coords[2:]
+    lead = next((x for x in rest if x), None)
+    if lead is None:
+        raise ValueError("plane must have projective dimension exactly 2")
+    return [list(g.coords) for g in ell_generators()] + [[Fraction(x) / lead for x in rest]]
+
+
+def ell_rows(x: tuple) -> tuple[tuple, ...]:
+    """The halved rows (B_S(x, e1^e2), B_S(x, e1^e3)) / 2, in QUAD_SETS order.
+
+    For x = u ^ v they are also the signed maximal minors of [u; v; e1; e2]
+    and [u; v; e1; e3], by dropped column (Laplace expansion along the two
+    unit rows).
+    """
+    x24, x25, x34, x35, x45 = x[5:]
+    return ((0, 0), (0, x45), (x45, 0), (x35, -x25), (x34, -x24))
 
 
 # ---------------------------------------------------------------------------
@@ -167,27 +176,16 @@ def require_odd_prime(p: int) -> None:
     require_prime(p)
 
 
-def plane_basis(rows) -> list[list]:
-    """The reduced row echelon basis of the row span of ``rows``; raises
-    ValueError unless it is a projective plane of Plücker vectors."""
-    basis, _ = rref(rows)
-    if len(basis) != 3:
-        raise ValueError("plane must have projective dimension exactly 2")
-    if len(basis[0]) != 10:
-        raise ValueError(f"plane lives in dimension {len(basis[0])}, expected 10")
-    return basis
-
-
 def plane_section(b: BiVector, primes: tuple[int, ...] = (5, 7)) -> SectionDescription:
     """Exact common zero locus of the Plücker quadrics on the plane span(b, ell).
 
-    The reduced row echelon basis of the plane is (e1^e2, e1^e3, c), with c
-    the bivector b without its x12 and x13 entries, scaled to a leading 1;
-    plane coordinates (u, v, w) refer to it.  Every Q_S vanishes on ell, so
-    expanding by polarization,
+    Plane coordinates (u, v, w) refer to the basis (e1^e2, e1^e3, c) of
+    ``ell_plane``.  Every Q_S vanishes on ell, so expanding by polarization,
 
         Q_S(u e12 + v e13 + w c) = w L_S(u, v, w),
-        L_S = B_S(c, e12) u + B_S(c, e13) v + Q_S(c) w.
+        L_S = B_S(c, e12) u + B_S(c, e13) v + Q_S(c) w,
+
+    with the coefficients of u and v twice the rows of ``ell_rows(c)``.
 
     The section is ell = {w = 0} together with the common zeros of the five
     linear forms L_S, read off their rank: at rank 0 it is the whole plane,
@@ -197,10 +195,10 @@ def plane_section(b: BiVector, primes: tuple[int, ...] = (5, 7)) -> SectionDescr
     enumeration over the given prime fields; any disagreement is a hard
     failure.
     """
-    basis = plane_basis(span_with_ell(b))
-    e12, e13, c = basis
-    forms, _ = rref(list(zip(quadric_polarization(c, e12), quadric_polarization(c, e13),
-                             plucker_quadrics(BiVector(tuple(c))))))
+    basis = ell_plane(b)
+    c = basis[2]
+    forms, _ = rref([(2 * a, 2 * s, q) for (a, s), q
+                     in zip(ell_rows(c), plucker_quadrics(BiVector(tuple(c))))])
     full_plane = not forms
     lines: set[tuple[int, int, int]] = set() if full_plane else {(0, 0, 1)}    # ell: w = 0
     points = []
@@ -275,32 +273,17 @@ class CollinearityWitness(NamedTuple):
     common_vector: tuple
 
 
-def _pencil_minors(u, v) -> tuple[tuple, tuple]:
-    """The maximal minors of [u; v; e1; e2] and [u; v; e1; e3], by dropped column.
-
-    Laplace expansion along the two unit rows leaves the signed Plücker
-    coordinates of u ^ v: (0, 0, x45, x35, x34) and (0, x45, 0, -x25, -x24).
-    """
-
-    def x(i, j):
-        return u[i - 1] * v[j - 1] - u[j - 1] * v[i - 1]
-
-    x45 = x(4, 5)
-    return ((0, 0, x45, x(3, 5), x(3, 4)), (0, x45, 0, -x(2, 5), -x(2, 4)))
-
-
 def collinearity_scan(b: BiVector) -> "CollinearityWitness | None":
     """Find [t:s] with W_b meeting <e1, t e2 + s e3>, as exact linear algebra.
 
     The five maximal minors of the 4x5 matrix stacking W_b = <u, v>, e1 and
-    the pencil vector t e2 + s e3 are the linear forms t m2 + s m3, where
-    m2 = (0, 0, x45, x35, x34) and m3 = (0, x45, 0, -x25, -x24) are signed
-    Plücker coordinates of u ^ v; a witness exists iff they have a common
-    projective zero.  Everything is rational, with u and v the reduced row
-    echelon basis of W_b.
+    the pencil vector t e2 + s e3 are the linear forms a t + c s over the
+    rows (a, c) of ``ell_rows(u ^ v)``; a witness exists iff they have a
+    common projective zero.  Everything is rational, with u and v the
+    reduced row echelon basis of W_b.
     """
     u, v = plane_spanned_by(b)
-    nz = [(a, c) for a, c in zip(*_pencil_minors(u, v)) if a or c]
+    nz = [(a, c) for a, c in ell_rows(BiVector.wedge(u, v).coords) if a or c]
     if not nz:
         param, (t, s) = "all", (1, 0)
     else:
@@ -337,11 +320,10 @@ def _echelon_cells(p: int):
 
 
 def _polarization_rank(x: tuple, p: int) -> int:
-    """Rank of the rows (B_S(b, e1^e2), B_S(b, e1^e3)) over the five quadrics S.
+    """Rank mod p of the rows ``ell_rows(x)``.
 
-    Halved, the rows are (0, 0), (0, x45), (x45, 0), (x35, -x25) and
-    (x34, -x24); the survey calls this only on x45 = 0, where the last two
-    rows carry the rank.
+    The survey calls this only on x45 = 0, where the last two rows carry
+    the rank.
     """
     x24, x25, x34, x35, x45 = x[5:]
     if x45 or (x25 * x34 - x24 * x35) % p:
@@ -352,14 +334,11 @@ def _polarization_rank(x: tuple, p: int) -> int:
 def _pencil_parameter(x: tuple, p: int) -> "tuple | None":
     """[t:s] annihilating the signed minors of [u; v; e1; e2] and [u; v; e1; e3].
 
-    Those minors are m2 = (0, 0, x45, x35, x34) and m3 = (0, x45, 0, -x25,
-    -x24); every nonzero pair (a, c) of (m2, m3) asks a t + c s = 0.  Returns
+    Every nonzero row (a, c) of ``ell_rows(x)`` asks a t + c s = 0.  Returns
     None when two of those conditions are independent, and (1, 0) when there
     is none at all.
     """
-    x24, x25, x34, x35, x45 = x[5:]
-    rows = [(a, c) for a, c in ((0, x45), (x45, 0), (x35, -x25 % p), (x34, -x24 % p))
-            if a or c]
+    rows = [(a, c) for a, c in ell_rows(x) if a or c]
     if not rows:
         return (1, 0)
     a, c = rows[0]
@@ -402,16 +381,13 @@ def dee_exhaustive_survey(p: int) -> SurveyReport:
     over these blocks, never taken from p^6 or the Gaussian binomial.  Each
     b = u ^ v on the divisor {x45 = 0} away from ell is read through the
     seven coordinates x14, x15, x23, x24, x25, x34, x35.  Its restricted
-    quadrics come from polarization: halved, the rows (B_S(b, e1^e2),
-    B_S(b, e1^e3)) that can be nonzero are (x35, -x25) and (x34, -x24), and
-    the extra locus on u != 0 is read off their rank.  The collinearity
-    parameter [t:s] is read from the signed Plücker minors (0, 0, x45, x35,
-    x34) of [u; v; e1; e2] and (0, x45, 0, -x25, -x24) of [u; v; e1; e3].
-    Both depend only on the class (x24, x25, x34, x35), so they come from a
-    table of at most p^4 entries filled on first use.  For every point a
-    common vector of W_b and <e1, t e2 + s e3> is then solved from u and v
-    alone and checked, and the implication "witness => extra component" is
-    asserted pointwise.
+    quadrics and its collinearity parameter [t:s] are both read from the
+    rows ``ell_rows(b)``: the extra locus on u != 0 from their rank, [t:s]
+    from their common zero.  On x45 = 0 those rows depend only on the class
+    (x24, x25, x34, x35), so rank and parameter come from a table of at most
+    p^4 entries filled on first use.  For every point a common vector of W_b
+    and <e1, t e2 + s e3> is then solved from u and v alone and checked, and
+    the implication "witness => extra component" is asserted pointwise.
     """
     require_odd_prime(p)
 

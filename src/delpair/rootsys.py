@@ -2,9 +2,11 @@
 
 Roots are integer coefficient vectors over the simple-root basis of a fixed
 diagram, indexed by the diagram's node order.  All root arithmetic uses the
-integer Gram matrix B = L * (symmetrized form), with L the least common
-denominator of its entries, so inner products and squared norms are plain
-ints scaled by L; only a non-integral pairing returns a Fraction.  Node
+integer Gram matrix B_ij = r_i C_ij, with r_i the relative squared length of
+simple root i (shortest 1 in its component), so inner products and squared
+norms are plain ints, each component's scaled by its own factor; only a
+non-integral pairing returns a Fraction.  Every ratio read from B (a
+pairing, a length ratio, a coroot) stays inside one component.  Node
 labels follow Bourbaki numbering ("a1", "a2", ...), global across the
 components of a product diagram.
 
@@ -17,20 +19,18 @@ per letter, that this matching replaces are an oracle in the tests.
 Everything that depends only on a component's Bourbaki type is read per
 type, not per diagram.  Positive roots are generated once per (letter,
 rank) by root strings on the type's own Cartan matrix and embedded through
-``Component.labels``.  The form comes from a table of simple-root lengths
-(long roots squared length 2), and a mark is cominuscule when the Bourbaki
-table of highest-root coefficients gives it coefficient 1, so checking
-marks builds no root system.  The per-diagram paths these replace (root
-strings over the whole diagram's Cartan matrix, the breadth-first
-symmetrizer and the highest-root scan) are independent oracles in the
-tests.
+``Component.labels``.  The form comes from a table of relative simple-root
+lengths, and a mark is cominuscule when the Bourbaki table of highest-root
+coefficients gives it coefficient 1, so checking marks builds no root
+system.  The per-diagram paths these replace (root strings over the whole
+diagram's Cartan matrix, the breadth-first symmetrizer and the highest-root
+scan) are independent oracles in the tests.
 
 The Cartan pairing convention is <b, g> = 2(b, g)/(g, g), i.e. the second
-slot carries the normalization; L cancels in that ratio.
+slot carries the normalization; the scale of B cancels in that ratio.
 """
 from __future__ import annotations
 
-import math
 import operator
 import re
 from collections import deque
@@ -58,8 +58,9 @@ class Root(Frozen):
     """Element of the root lattice in simple-root coordinates.
 
     Roots compare and order by their coefficient tuples but equal no tuple.
-    A root hashes as the 1-tuple ``(coeffs,)``: that hash fixes the iteration
-    order of every root set, and with it the pinned bundles.
+    A root hashes as the 1-tuple ``(coeffs,)``.  That hash fixes the
+    iteration order of every root set, but no bundle depends on it: roots
+    reach a bundle as sorted lists or as counts.
     """
 
     __slots__ = ("coeffs",)
@@ -230,41 +231,19 @@ class DynkinDiagram(Frozen, fields=("nodes", "edges")):
         return tuple(tuple(row) for row in C)
 
     @cached_property
-    def _half_lengths(self) -> dict[str, Fraction]:
-        """d_a = (alpha_a, alpha_a)/2 per node, 1 on long roots."""
-        d: dict[str, Fraction] = {}
-        for comp in self.components:
-            lengths = _relative_lengths(comp.letter, comp.rank)
-            top = max(lengths)
-            d.update((a, Fraction(r, top)) for a, r in zip(comp.labels, lengths))
-        return d
-
-    @cached_property
-    def form_scale(self) -> int:
-        """L, the least common denominator of every symmetrized-form entry.
-
-        Row a of the symmetrized form is d_a times row a of the Cartan
-        matrix, so its entries are 2 d_a on the diagonal and -d of the
-        longer end on each bond.  Bonds count: C_n and F4 have -1/2 between
-        two short roots of squared length 1.
-        """
-        d = self._half_lengths
-        return math.lcm(1, *((2 * x).denominator for x in d.values()),
-                        *(max(d[u], d[v]).denominator for u, v, _, _ in self.edges))
-
-    @cached_property
     def integer_form(self) -> tuple[tuple[int, ...], ...]:
-        """The integer Gram matrix B = L * symmetrized form.
+        """The integer Gram matrix B_ij = r_i C_ij.
 
-        With l_i = B(alpha_i, alpha_i) = 2 L d_i, row i is l_i / 2 times row
-        i of the Cartan matrix; every product l_i C_ij is even because L
-        clears the denominators of the symmetrized form.
+        r_i is the relative squared length of simple root i within its
+        component (shortest 1), so B is symmetric; on a component it is t
+        times the symmetrized form, t the component's largest r (1 for
+        A/D/E, 2 for B, C and F4, 3 for G2).
         """
-        L = self.form_scale
-        d = self._half_lengths
-        lengths = [int(2 * L * d[a]) for a in self.nodes]
-        return tuple(tuple(l * c // 2 for c in row)
-                     for l, row in zip(lengths, self.cartan_matrix))
+        r = {}
+        for comp in self.components:
+            r.update(zip(comp.labels, _relative_lengths(comp.letter, comp.rank)))
+        return tuple(tuple(r[a] * c for c in row)
+                     for a, row in zip(self.nodes, self.cartan_matrix))
 
     def literal(self) -> str:
         return "+".join(comp.name for comp in self.components)
@@ -547,7 +526,7 @@ class RootSystem:
         return column
 
     def scaled_norm(self, r: Root) -> int:
-        """B(r, r) = L (r, r), an integer."""
+        """B(r, r) = t (r, r), an integer, t the scale of r's component."""
         return sum(map(operator.mul, r.coeffs, self._form_column(r.coeffs)))
 
     def pairing(self, beta: Root, gamma: Root) -> "int | Fraction":

@@ -21,17 +21,18 @@ dict-built elements keyed by roots and coroots instead of basis indices,
 and second fundamental form values come from two such brackets instead of
 the weight rule alone; counts come from closed formulas; the Grassmannian is
 enumerated through wedge products of echelon bases, the maximal minors of
-the collinearity scan are expanded as generic determinants, and the boundary
-survey visits every point of G(2,5)(F_p) with its full Plücker tuple instead
-of counting affine blocks and reading a per-class table.  Plane sections
-come from two oracles that share none of the quadric or solver code of
-``plane_section``, and the Plücker tests run both on planes through ell,
-the only planes ``plane_section`` takes: over a prime field, every point of
-the plane is tested and the locus is regrouped into the lines it contains
-and the points left over; over the rationals, the plane is substituted into
-quadrics written out here and the locus is found with sympy's polynomial
-gcd, factorization, division and nullspace, with no use of the factor w
-that ell contributes to every restricted quadric.
+the collinearity scan are expanded as generic determinants and the rows
+through ell come from the generic polarization of the quadrics instead of
+``ell_rows``, and the boundary survey visits every point of G(2,5)(F_p) with
+its full Plücker tuple instead of counting affine blocks and reading a
+per-class table.  Plane sections come from two oracles that share none of
+the quadric or solver code of ``plane_section``, and the Plücker tests run
+both on planes through ell, the only planes ``plane_section`` takes: over a
+prime field, every point of the plane is tested and the locus is regrouped
+into the lines it contains and the points left over; over the rationals, the
+plane is substituted into quadrics written out here and the locus is found
+with sympy's polynomial gcd, factorization, division and nullspace, with no
+use of the factor w that ell contributes to every restricted quadric.
 Segre sections of the span of three points come from testing every point of
 the span on minors written out here, instead of the rank of the polar-form
 matrix.  The property suite's replaced paths stay here too: Chevalley
@@ -45,7 +46,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -58,6 +58,7 @@ from delpair import hss
 from delpair.pairs import DeletionPair, MaximalityVerdict
 from delpair.projgeo.linalg import canonical_mod, primitive_int_covector, projective_points
 from delpair.projgeo.plucker import (
+    PAIR_INDEX,
     PAIRS,
     QUAD_SETS,
     BiVector,
@@ -117,11 +118,6 @@ def symmetrized_form(diagram: DynkinDiagram) -> tuple[tuple[Fraction, ...], ...]
         for i in idxs:
             d[i] /= top
     return tuple(tuple(d[i] * C[i][j] for j in range(n)) for i in range(n))
-
-
-def symmetrized_form_scale(diagram: DynkinDiagram) -> int:
-    """The least common denominator of every symmetrized-form entry."""
-    return math.lcm(1, *(x.denominator for row in symmetrized_form(diagram) for x in row))
 
 
 def component_roots(rs: RootSystem, comp: Component) -> frozenset[Root]:
@@ -756,6 +752,17 @@ def det3(m: list[list], p: int) -> int:
     pos = m[0][0] * m[1][1] * m[2][2] + m[0][1] * m[1][2] * m[2][0] + m[0][2] * m[1][0] * m[2][1]
     neg = m[0][2] * m[1][1] * m[2][0] + m[0][0] * m[1][2] * m[2][1] + m[0][1] * m[1][0] * m[2][2]
     return (pos - neg) % p
+
+
+def quadric_polarization(x: tuple, y: tuple) -> tuple:
+    """B_S(x, y) = Q_S(x + y) - Q_S(x) - Q_S(y), computed directly."""
+
+    def term(u, v, i, j, k, l):
+        return u[PAIR_INDEX[(i, j)]] * v[PAIR_INDEX[(k, l)]]
+
+    return tuple(2 * sum(term(u, w, a, b, c, d) - term(u, w, a, c, b, d) + term(u, w, a, d, b, c)
+                         for u, w in ((x, y), (y, x)))
+                 for a, b, c, d in QUAD_SETS)
 
 
 # -- plane sections ----------------------------------------------------------

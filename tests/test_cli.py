@@ -500,6 +500,28 @@ def test_default_bundle_golden_hash(default_bundle):
         "pass": 140, "fail": 0, "indeterminate": 26, "skipped": 22}
 
 
+def test_default_bundle_does_not_depend_on_the_root_hash():
+    # root sets iterate in hash order; PYTHONHASHSEED varies only the hashes
+    # of strings, so a fresh interpreter changes the hash of every Root
+    probe = """
+import hashlib, json
+from delpair.rootsys import Root, build_root_system, parse_diagram
+Root.__hash__ = lambda self: hash(self.coeffs) ^ 0x5bd1e995
+from delpair.cli import run_all
+from delpair.report import RunConfig, bundle_json
+code, doc = run_all(RunConfig())
+order = [r.coeffs for r in build_root_system(parse_diagram("E6")).positive_roots]
+print(json.dumps([code, hashlib.sha256(bundle_json(doc).encode("utf-8")).hexdigest(), order]))
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(delpair.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    code, digest, order = json.loads(done.stdout)
+    usual = [list(r.coeffs) for r in build_root_system(parse_diagram("E6")).positive_roots]
+    assert sorted(order) == sorted(usual) and order != usual     # the patch took effect
+    assert (code, digest) == (0, DEFAULT_BUNDLE_SHA256)
+
+
 def test_rank_sweep_bundle_golden_hash(rank_sweep_bundle):
     # B5-B12 and D6-D12: the largest Chevalley tables any bundle reads
     digest = hashlib.sha256(bundle_json(rank_sweep_bundle).encode("utf-8")).hexdigest()

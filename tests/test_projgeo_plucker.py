@@ -20,19 +20,18 @@ from delpair.projgeo.plucker import (
     CertificationError,
     _certify,
     _echelon_cells,
-    _pencil_minors,
     _pencil_parameter,
     _polarization_rank,
     collinearity_scan,
     dee_exhaustive_survey,
     ell_generators,
+    ell_plane,
+    ell_rows,
     grassmannian_membership,
     parse_bivector,
     plane_section,
     plucker_quadrics,
     q_orbit_membership,
-    quadric_polarization,
-    span_with_ell,
 )
 from oracles import (
     _common_vector,
@@ -44,6 +43,7 @@ from oracles import (
     gaussian_binomial_2_of_5,
     maximal_minors,
     pointwise_dee_survey,
+    quadric_polarization,
     sympy_section_locus,
 )
 
@@ -51,6 +51,11 @@ from oracles import (
 def rank(rows) -> int:
     """Rank over the rationals."""
     return len(rref(rows)[0])
+
+
+def span_rows(b: BiVector) -> list[tuple]:
+    """Spanning rows b, e1^e2, e1^e3 of the plane through b and ell."""
+    return [b.coords] + [g.coords for g in ell_generators()]
 
 
 def line_span(rows, cov) -> list[tuple[int, ...]]:
@@ -238,7 +243,7 @@ def test_section_span_e45_is_line_plus_point():
 
 
 def test_section_span_e24_is_two_lines():
-    plane = span_with_ell(parse_bivector("e2^e4"))
+    plane = span_rows(parse_bivector("e2^e4"))
     section = plane_section(parse_bivector("e2^e4"))
     assert section.shape() == (2, 0)
     # the extra line passes through e2^e4 and e1^e2
@@ -258,7 +263,7 @@ def test_section_of_plane_inside_variety_is_full_plane():
 
 
 def test_section_lines_substitute_back():
-    plane = span_with_ell(parse_bivector("e4^e5"))
+    plane = span_rows(parse_bivector("e4^e5"))
     section = plane_section(parse_bivector("e4^e5"))
     for line in section.lines:
         p, q = line_span(plane, line)
@@ -300,16 +305,34 @@ def _seeded_points(rng, n):
             b = BiVector.wedge(u, v)
         else:
             b = BiVector(tuple(_sparse(rng, 10, rng.randint(1, 4))))
-        if rank(span_with_ell(b)) == 3:
+        if rank(span_rows(b)) == 3:
             made += 1
             yield b
+
+
+def test_ell_plane_is_the_rref_of_the_span():
+    for b in _seeded_points(random.Random(1), 1000):
+        basis = ell_plane(b)
+        assert basis == rref(span_rows(b))[0], b
+        assert basis[:2] == [list(g.coords) for g in ell_generators()]
+
+
+def test_points_on_ell_span_no_plane():
+    g1, g2 = ell_generators()
+    for t, s in ((1, 0), (0, 1), (1, -3), (Fraction(2, 3), 5)):
+        b = BiVector(tuple(t * a + s * c for a, c in zip(g1.coords, g2.coords)))
+        assert rank(span_rows(b)) == 2
+        with pytest.raises(ValueError, match="^plane must have projective dimension exactly 2$"):
+            ell_plane(b)
+        with pytest.raises(ValueError, match="^plane must have projective dimension exactly 2$"):
+            plane_section(b)
 
 
 def test_plane_sections_match_sympy_oracle():
     outcomes = Counter()
     for b in _seeded_points(random.Random(1), 1000):
         section = plane_section(b, primes=())
-        lines, points, full_plane = sympy_section_locus(rref(span_with_ell(b))[0])
+        lines, points, full_plane = sympy_section_locus(rref(span_rows(b))[0])
         assert set(section.lines) == set(lines), b
         assert set(section.isolated_plane_coords) == {primitive_int_covector(p)
                                                      for p in points}, b
@@ -325,7 +348,7 @@ def test_finite_section_oracle_matches_reduced_rational_section():
     certified = Counter()
     e45 = parse_bivector("e4^e5")
     for b in itertools.chain([e45], _seeded_points(random.Random(2), 150)):
-        plane = span_with_ell(b)
+        plane = span_rows(b)
         for p in (5, 7):
             try:
                 section = plane_section(b, primes=(p,))
@@ -377,8 +400,8 @@ def test_closed_form_minors_match_generic_minors(f5_points):
     for omega, (u, v) in f5_points:
         m2 = maximal_minors([u, v, e1, e2], 5)
         m3 = maximal_minors([u, v, e1, e3], 5)
-        closed = tuple(tuple(x % 5 for x in m) for m in _pencil_minors(u, v))
-        assert closed == (tuple(m2), tuple(m3))
+        closed = [(a % 5, c % 5) for a, c in ell_rows(BiVector.wedge(u, v).coords)]
+        assert closed == list(zip(m2, m3))
         rows = [[a, c] for a, c in zip(m2, m3) if a or c]
         param = _pencil_parameter(omega.coords, 5)
         if rows and len(rref_mod(rows, 5)) == 2:
@@ -387,6 +410,18 @@ def test_closed_form_minors_match_generic_minors(f5_points):
             t, s = param
             assert (t, s) != (0, 0)
             assert all((a * t + c * s) % 5 == 0 for a, c in rows)
+
+
+def test_ell_rows_are_halved_polarization_rows(f5_points):
+    # exactly, over Z: every point of G(2,5)(F5) as an integer tuple, then
+    # seeded integer bivectors, decomposable or not
+    e12, e13 = (g.coords for g in ell_generators())
+    rng = random.Random(22)
+    seeded = [tuple(rng.randint(-9, 9) for _ in range(10)) for _ in range(500)]
+    for x in [omega.coords for omega, _ in f5_points] + seeded:
+        rows = ell_rows(x)
+        assert tuple(2 * a for a, _ in rows) == quadric_polarization(x, e12), x
+        assert tuple(2 * c for _, c in rows) == quadric_polarization(x, e13), x
 
 
 def test_closed_form_rank_matches_polarization_rows(f5_points):
@@ -434,7 +469,7 @@ def test_collinearity_examples():
 
 def test_no_witness_means_no_extra_line_through_b():
     # e4^e5 has no witness; its section carries no line through b
-    plane = span_with_ell(parse_bivector("e4^e5"))
+    plane = span_rows(parse_bivector("e4^e5"))
     section = plane_section(parse_bivector("e4^e5"))
     b = primitive_int_covector(parse_bivector("e4^e5").coords)
     for line in section.lines:

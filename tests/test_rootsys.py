@@ -36,7 +36,6 @@ from oracles import (
     scaled_simple_reflect,
     shape_rule_components,
     symmetrized_form,
-    symmetrized_form_scale,
     three_reflection_fails,
 )
 
@@ -47,6 +46,8 @@ CONNECTED_LITERALS = [f"A{n}" for n in range(1, 21)] + [f"B{n}" for n in range(2
     f"C{n}" for n in range(3, 21)] + [f"D{n}" for n in range(4, 21)] + [
     "E6", "E7", "E8", "F4", "G2"]
 PRODUCT_LITERALS = ["C3+G2+B4", "B3+G2", "A1+A2", "F4+C5+D4", "G2+G2+E6"]
+# t, the largest relative squared length of a simple root, per type letter
+FORM_SCALES = {"A": 1, "B": 2, "C": 2, "D": 1, "E": 1, "F": 2, "G": 3}
 
 
 def shuffled(literal: str, seed: int) -> DynkinDiagram:
@@ -212,17 +213,36 @@ def test_roots_reachable_by_simple_steps():
 
 # -- the integer kernel against the Fraction oracle ---------------------------
 
-@pytest.mark.parametrize("literal, scale", [
-    ("B3", 1), ("C3", 2), ("F4", 2), ("G2", 3), ("B3+G2", 3)])
+def node_scales(diagram: DynkinDiagram) -> list[int]:
+    """Per node, the scale t of its component."""
+    return [FORM_SCALES[diagram.component_of(a).letter] for a in diagram.nodes]
+
+
+def assert_form_is_scaled_symmetrized_form(diagram: DynkinDiagram) -> None:
+    """B = t S on every component, t the component's own scale."""
+    S, B, t = symmetrized_form(diagram), diagram.integer_form, node_scales(diagram)
+    assert all(type(b) is int and b == t_i * x for t_i, row_b, row_s in zip(t, B, S)
+               for b, x in zip(row_b, row_s)), diagram.literal()
+
+
+@pytest.mark.parametrize("literal, scale", [("B3", 2), ("C3", 2), ("F4", 2), ("G2", 3)])
 def test_integer_form_is_minimal_multiple_of_symmetrized_form(literal, scale):
+    # t is the least multiple of S with an even diagonal, so that every row
+    # B_ij = (B_ii / 2) C_ij is integral; for B_n, S itself is integral but
+    # its short root has S_ii = 1
     diagram = parse_diagram(literal)
-    S, B = symmetrized_form(diagram), diagram.integer_form
-    n = diagram.rank
-    assert diagram.form_scale == scale
-    assert all(type(B[i][j]) is int and B[i][j] == scale * S[i][j]
-               for i in range(n) for j in range(n))
+    assert node_scales(diagram) == [scale] * diagram.rank
+    assert_form_is_scaled_symmetrized_form(diagram)
+    S = symmetrized_form(diagram)
     for smaller in range(1, scale):
-        assert any((smaller * x).denominator != 1 for row in S for x in row)
+        assert any((smaller * S[i][i] / 2).denominator != 1 for i in range(diagram.rank))
+
+
+def test_integer_form_scales_b3_and_g2_apart():
+    # each component keeps its own multiple: B3's rows are 2 S, G2's 3 S
+    diagram = parse_diagram("B3+G2")
+    assert node_scales(diagram) == [2, 2, 2, 3, 3]
+    assert_form_is_scaled_symmetrized_form(diagram)
 
 
 @pytest.mark.parametrize("literal", KERNEL_LITERALS)
@@ -233,7 +253,8 @@ def test_integer_kernel_matches_fraction_oracle(literal):
     assert rs.positive_roots == oracle.positive_roots
     roots = sorted(rs.positive_roots)
     for gamma in roots:
-        assert Fraction(rs.scaled_norm(gamma), diagram.form_scale) == oracle.bilinear(gamma, gamma)
+        t = node_scales(diagram)[gamma.support()[0]]     # gamma lies in one component
+        assert rs.scaled_norm(gamma) == t * oracle.bilinear(gamma, gamma)
         for beta in roots:
             value = rs.pairing(beta, gamma)
             assert value == oracle.pairing(beta, gamma)
@@ -252,10 +273,7 @@ def test_embedded_type_roots_match_root_strings_on_own_cartan(typed_diagrams):
 
 def test_integer_form_matches_fraction_symmetrizer(typed_diagrams):
     for diagram in typed_diagrams:
-        S, B, L = symmetrized_form(diagram), diagram.integer_form, diagram.form_scale
-        assert L == symmetrized_form_scale(diagram), diagram.literal()
-        assert all(type(b) is int and b == L * x
-                   for row_b, row_s in zip(B, S) for b, x in zip(row_b, row_s)), diagram.literal()
+        assert_form_is_scaled_symmetrized_form(diagram)
 
 
 def maximal_component_roots(rs, comp):
