@@ -8,28 +8,27 @@ import sys
 from . import hss, normalbundle, pairs, sff
 from .chevalley import build_table, jacobi_failures
 from .pairs import CorrespondenceError, DeletionPair
-from .projgeo import (
+from .projgeo.linalg import integer_rank, primitive_int_covector, rref_mod
+from .projgeo.plucker import (
     BiVector,
+    CertificationError,
     collinearity_scan,
     dee_exhaustive_survey,
+    ell_generators,
+    ell_plane,
     grassmannian_membership,
     parse_bivector,
     plane_section,
-    segre_fitting_report,
-)
-from .projgeo.linalg import integer_rank, primitive_int_covector, rref_mod
-from .projgeo.plucker import (
-    CertificationError,
-    ell_generators,
-    ell_plane,
     plane_spanned_by,
     plucker_quadrics,
     q_orbit_membership,
     require_odd_prime,
 )
+from .projgeo.segre import segre_fitting_report
 from .report import (
     FAIL,
     INDETERMINATE,
+    MAX_RANK,
     PASS,
     SKIPPED,
     CheckReport,
@@ -54,12 +53,15 @@ from .rootsys import (
 
 
 def parse_pair_id(text: str) -> DeletionPair:
-    """Resolve "<diagram>:<gamma>/<gamma0>" to its catalog entry."""
+    """Resolve "<diagram>:<gamma>/<gamma0>", of rank at most MAX_RANK, to its catalog entry."""
     parts = text.split("/")
     if ":" not in text or len(parts) != 2 or not all(part.strip() for part in parts):
         raise DiagramError(f"pair id {text!r} is not of the form D:g/g0")
     head, gamma0 = parts
     md = parse_marked(head)
+    if md.diagram.rank > MAX_RANK:
+        raise DiagramError(f"pair id {text!r} has rank {md.diagram.rank}, "
+                           f"above the largest rank {MAX_RANK}")
     pair = DeletionPair(md, gamma0.strip())
     specs = pairs.catalog_specs(max(4, md.diagram.rank))
     if pair.pair_id not in {f"{ambient}/{g0}" for ambient, g0 in specs}:

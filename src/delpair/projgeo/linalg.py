@@ -6,6 +6,7 @@ whose first nonzero coordinate is 1.
 """
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import gcd
 
@@ -111,20 +112,12 @@ def canonical_mod(coords, p: int) -> tuple[int, ...]:
 
 
 def projective_points(p: int, dim: int):
-    """All points of P^{dim-1}(F_p) as canonical coordinate tuples."""
+    """All points of P^{dim-1}(F_p) as canonical coordinate tuples, by the
+    position of the leading 1, then lexicographically in the tail after it."""
     for lead in range(dim):
         prefix = (0,) * lead + (1,)
-        tail = dim - lead - 1
-        idx = [0] * tail
-        while True:
-            yield prefix + tuple(idx)
-            for k in range(tail - 1, -1, -1):
-                idx[k] += 1
-                if idx[k] < p:
-                    break
-                idx[k] = 0
-            else:
-                break
+        for tail in itertools.product(range(p), repeat=dim - lead - 1):
+            yield prefix + tail
 
 
 def primitive_int_covector(fracs) -> tuple[int, ...]:

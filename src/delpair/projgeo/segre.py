@@ -127,18 +127,18 @@ def _gl_generators(n: int, q: int):
         yield unit_plus(0, 0, 1), unit_plus(0, 0, (q - 1) // 2)
 
 
-def _mat_vec(m: tuple, v: tuple) -> tuple:
-    return tuple(sum(m[i][j] * v[j] for j in range(len(v))) for i in range(len(m)))
+def _permutation(m: tuple, pts: list, q: int) -> dict:
+    """The move x -> m x of the canonical points pts, as a table."""
+    return {x: canonical_mod([sum(a * b for a, b in zip(row, x)) for row in m], q) for x in pts}
 
 
-def _move_tables(g2, g3, g3inv, p1: list, p2: list, q: int) -> tuple[dict, dict, dict]:
-    """The move (g2, g3) as permutations of the line, the plane and its lines."""
-    on1 = {x: canonical_mod(_mat_vec(g2, x), q) for x in p1}
-    on2 = {b: canonical_mod(_mat_vec(g3, b), q) for b in p2}
-    # covectors transform by the inverse on the right: L' = L . g3^{-1}
-    on_lines = {L: canonical_mod([sum(L[i] * g3inv[i][j] for i in range(3))
-                                  for j in range(3)], q) for L in p2}
-    return on1, on2, on_lines
+def _orbit(seed: tuple, moves: list) -> set:
+    """The orbit of a pair under the permutation pairs (t0, t1): (u, v) -> (t0[u], t1[v])."""
+    orbit, layer = {seed}, {seed}
+    while layer:
+        layer = {(t0[u], t1[v]) for t0, t1 in moves for u, v in layer} - orbit
+        orbit |= layer
+    return orbit
 
 
 # -- the fitting report -------------------------------------------------------
@@ -158,16 +158,22 @@ def segre_fitting_report(q: int) -> CheckReport:
     off it, so ``SegreLine.section_with`` gives it in closed form from the
     polar forms of the minors.  The line's hypotheses are checked once per
     line, the point's for every configuration, and a failed one raises
-    ValueError.  The images of all (a, b) are computed once.  Points,
-    sections and the orbit search use plain ints mod q; each generator of
-    the group acts through permutation tables built once, and the orbit
-    grows a whole layer at a time.
+    ValueError.  The images of all (a, b) are computed once, and all
+    arithmetic is on plain ints mod q.
+
+    (c) rests on the product structure: the valid (x, L, a, b) are the pairs
+    (x, a) of line points with a != x times the pairs (L, b) of a plane line
+    and a point off it.  A generator of GL_2 moves (x, a) alone and one of
+    GL_3 moves (L, b) alone, so the orbit of the least configuration is the
+    orbit of its (x, a) times that of its (L, b): it is the valid set exactly
+    when each factor's orbit is that factor's set.  The generators act
+    through permutation tables, on plane lines through the inverse on the
+    right.
     """
     require_prime(q)
     p1 = list(projective_points(q, 2))
     p2 = list(projective_points(q, 3))
-    lines2 = p2          # lines of the plane, as canonical covectors
-    subject = f"F{q}"
+    on_line = {L: _line_points(L, p2, q) for L in p2}   # plane lines as canonical covectors
     failures: list[dict] = []
 
     img = {(a, b): segre_point(a, b, q) for a in p1 for b in p2}
@@ -194,10 +200,9 @@ def segre_fitting_report(q: int) -> CheckReport:
             if section == line_pts | {pt}:
                 failures.append({"check": "a-exact-section", "y": y, "point": (a, b)})
     # (b) bidegree-(0,1) lines fit exactly
-    valid = set()
+    b_configs = 0
     for x in p1:
-        for L in lines2:
-            Lpts = _line_points(L, p2, q)
+        for L, Lpts in on_line.items():
             line_img = {img[x, m] for m in Lpts}
             line = SegreLine(img[x, Lpts[0]], img[x, Lpts[1]], q)
             for a in p1:
@@ -206,36 +211,35 @@ def segre_fitting_report(q: int) -> CheckReport:
                 for b in p2:
                     if b in Lpts:
                         continue
-                    valid.add((x, L, a, b))
+                    b_configs += 1
                     pt = img[a, b]
                     if line.section_with(pt) != line_img | {pt}:
                         failures.append({"check": "b-section", "x": x, "L": L,
                                          "point": (a, b)})
 
-    # (c) single orbit on the valid (x, L, a, b) configurations of (b)
-    id2 = ((1, 0), (0, 1))
-    id3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    moves = [_move_tables(g, id3, id3, p1, p2, q) for g, _ in _gl_generators(2, q)] + [
-        _move_tables(id2, g, g_inv, p1, p2, q) for g, g_inv in _gl_generators(3, q)]
-    seed = min(valid)
-    orbit, layer = {seed}, {seed}
-    while layer:
-        layer = {(on1[x], on_lines[L], on1[a], on2[b]) for on1, on2, on_lines in moves
-                 for x, L, a, b in layer} - orbit
-        orbit |= layer
-    if orbit != valid:
-        failures.append({"check": "c-orbit", "orbit_size": len(orbit),
-                         "valid_configs": len(valid)})
+    # (c) single orbit on the valid configurations of (b), one factor at a time
+    line_pairs = {(x, a) for x in p1 for a in p1 if a != x}
+    plane_pairs = {(L, b) for L, Lpts in on_line.items() for b in p2 if b not in Lpts}
+    on_p1 = [_permutation(g, p1, q) for g, _ in _gl_generators(2, q)]
+    # covectors move by the inverse on the right: L g^-1 is (g^-1)^T L
+    on_p2 = [(_permutation(tuple(zip(*g_inv)), p2, q), _permutation(g, p2, q))
+             for g, g_inv in _gl_generators(3, q)]
+    line_orbit = _orbit(min(line_pairs), [(t, t) for t in on_p1])
+    plane_orbit = _orbit(min(plane_pairs), on_p2)
+    single_orbit = line_orbit == line_pairs and plane_orbit == plane_pairs
+    orbit_size = len(line_orbit) * len(plane_orbit)
+    valid_configs = len(line_pairs) * len(plane_pairs)
+    if not single_orbit:
+        failures.append({"check": "c-orbit", "orbit_size": orbit_size,
+                         "valid_configs": valid_configs})
 
     witnesses = [{
         "segre_points": len(segre_pts),
         "a_configs": a_configs,
-        "b_configs": len(valid),
-        "valid_configs": len(valid),
-        "orbit_size": len(orbit),
-        "single_orbit": orbit == valid,
+        "b_configs": b_configs,
+        "valid_configs": valid_configs,
+        "orbit_size": orbit_size,
+        "single_orbit": single_orbit,
     }]
-    status = PASS if not failures else FAIL
-    return CheckReport("segre.fitting", subject, status,
+    return CheckReport("segre.fitting", f"F{q}", FAIL if failures else PASS,
                        witnesses=witnesses + failures)
-

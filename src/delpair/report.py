@@ -14,6 +14,13 @@ _STATUSES = (PASS, FAIL, INDETERMINATE, SKIPPED)
 
 DEFAULT_SEED = 20230915
 
+# MAX_RANK is the rank of the largest pinned bundle.  A prime bound is the largest
+# prime at which the slowest lab reading it ends within 15 s on a 2-core Xeon VM:
+# the Plücker survey takes 4.6 s at 23 and 15.4 s at 29, the Segre check 13.5 s at 11.
+MAX_RANK = 20
+MAX_PLUCKER_PRIME = 23
+MAX_SEGRE_PRIME = 11
+
 
 class CheckReport:
     """Verdict of one verification with structured witnesses; mutable."""
@@ -55,11 +62,14 @@ class RunConfig(Frozen, fields=("max_rank", "primes_plucker", "primes_segre", "f
         object.__setattr__(self, "primes_segre", primes_segre)
         object.__setattr__(self, "fmt", fmt)
         object.__setattr__(self, "seed", seed)
-        if max_rank < 4:
-            raise ValueError("max_rank must be at least 4")
-        for p in tuple(primes_plucker) + tuple(primes_segre):
-            require_prime(p)
-        for name, primes in (("primes_plucker", primes_plucker), ("primes_segre", primes_segre)):
+        if not 4 <= max_rank <= MAX_RANK:
+            raise ValueError(f"max_rank must be between 4 and {MAX_RANK}")
+        for name, primes, bound in (("primes_plucker", primes_plucker, MAX_PLUCKER_PRIME),
+                                    ("primes_segre", primes_segre, MAX_SEGRE_PRIME)):
+            for p in primes:
+                require_prime(p)
+                if p > bound:
+                    raise ValueError(f"{name} takes primes up to {bound}, not {p}")
             repeated = sorted({p for p in primes if primes.count(p) > 1})
             if repeated:
                 raise ValueError(f"{name} repeats {', '.join(map(str, repeated))}")

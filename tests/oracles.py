@@ -35,7 +35,9 @@ with sympy's polynomial gcd, factorization, division and nullspace, with no
 use of the factor w that ell contributes to every restricted quadric.
 Segre sections of the span of three points come from testing every point of
 the span on minors written out here, instead of the rank of the polar-form
-matrix.  The property suite's replaced paths stay here too: Chevalley
+matrix, and the orbit of the Segre fitting configurations comes from a
+breadth-first search over whole (x, L, a, b) tuples instead of one factor
+of the product at a time.  The property suite's replaced paths stay here too: Chevalley
 constants and basis brackets by a recursion keyed by ``Root``s instead of
 basis indices, simple reflections through a scaled simple root and checked
 with three reflections instead of one, the Plücker quadrics through
@@ -822,6 +824,45 @@ def enumerated_span_section(points3: list[tuple], q: int) -> set:
                 or (z[1] * z[5] - z[2] * z[4]) % q):
             section.add(canonical_mod(z, q))
     return section
+
+
+def _mat_vec(m: tuple, v: tuple) -> tuple:
+    return tuple(sum(m[i][j] * v[j] for j in range(len(v))) for i in range(len(m)))
+
+
+def _move_tables(g2, g3, g3inv, p1: list, p2: list, q: int) -> tuple[dict, dict, dict]:
+    """The move (g2, g3) as permutations of the line, the plane and its lines."""
+    on1 = {x: canonical_mod(_mat_vec(g2, x), q) for x in p1}
+    on2 = {b: canonical_mod(_mat_vec(g3, b), q) for b in p2}
+    # covectors transform by the inverse on the right: L' = L . g3^{-1}
+    on_lines = {L: canonical_mod([sum(L[i] * g3inv[i][j] for i in range(3))
+                                  for j in range(3)], q) for L in p2}
+    return on1, on2, on_lines
+
+
+def configuration_orbit(q: int, gens2: list, gens3: list) -> tuple[set, set]:
+    """(valid, orbit): the Segre fitting configurations (x, L, a, b) with a != x
+    and b off L, and the orbit of the least one under the moves (g2, 1) and
+    (1, g3) for (g2, g2^-1) in gens2 and (g3, g3^-1) in gens3.
+
+    Whole configurations are searched breadth first, each move padded with the
+    identity on the factor it fixes, instead of one factor at a time.
+    """
+    p1 = list(projective_points(q, 2))
+    p2 = list(projective_points(q, 3))
+    valid = {(x, L, a, b) for x in p1 for L in p2 for a in p1 for b in p2
+             if a != x and sum(c * v for c, v in zip(L, b)) % q}
+    id2 = ((1, 0), (0, 1))
+    id3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    moves = [_move_tables(g, id3, id3, p1, p2, q) for g, _ in gens2] + [
+        _move_tables(id2, g, g_inv, p1, p2, q) for g, g_inv in gens3]
+    seed = min(valid)
+    orbit, layer = {seed}, {seed}
+    while layer:
+        layer = {(on1[x], on_lines[L], on1[a], on2[b]) for on1, on2, on_lines in moves
+                 for x, L, a, b in layer} - orbit
+        orbit |= layer
+    return valid, orbit
 
 
 SYMBOLS = sympy.symbols("u v w")

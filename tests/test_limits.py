@@ -1,0 +1,59 @@
+"""The largest rank and primes a run accepts, at the bound and one past it."""
+import pytest
+
+from delpair.cli import main, parse_pair_id
+from delpair.report import MAX_PLUCKER_PRIME, MAX_RANK, MAX_SEGRE_PRIME, RunConfig, is_prime
+from delpair.rootsys import DiagramError
+
+
+def test_bounds_cover_the_pinned_bundles_and_are_prime():
+    assert MAX_RANK >= 20                        # the max_rank-20 bundle is pinned
+    assert is_prime(MAX_PLUCKER_PRIME) and MAX_PLUCKER_PRIME >= 11      # --primes 7,11 pin
+    assert is_prime(MAX_SEGRE_PRIME) and MAX_SEGRE_PRIME >= 7
+
+
+def test_run_config_takes_the_largest_rank_and_refuses_one_more():
+    assert RunConfig(max_rank=MAX_RANK).max_rank == MAX_RANK
+    with pytest.raises(ValueError, match=f"^max_rank must be between 4 and {MAX_RANK}$"):
+        RunConfig(max_rank=MAX_RANK + 1)
+
+
+@pytest.mark.parametrize("field, bound", [("primes_plucker", MAX_PLUCKER_PRIME),
+                                          ("primes_segre", MAX_SEGRE_PRIME)])
+def test_run_config_takes_the_largest_prime_and_refuses_larger(field, bound):
+    assert getattr(RunConfig(**{field: (bound,)}), field) == (bound,)
+    next_prime = next(p for p in range(bound + 1, 2 * bound) if is_prime(p))
+    for p in (next_prime, 1000003):
+        with pytest.raises(ValueError, match=f"^{field} takes primes up to {bound}, not {p}$"):
+            RunConfig(**{field: (3, p)})
+    with pytest.raises(ValueError, match=f"^{bound + 1} is not prime$"):
+        RunConfig(**{field: (bound + 1,)})           # primality is checked first
+
+
+def test_parse_pair_id_takes_the_largest_rank_and_refuses_one_more():
+    assert parse_pair_id(f"B{MAX_RANK}:a1/a5").pair_id == f"B{MAX_RANK}:a1/a5"
+    literal = f"B{MAX_RANK + 1}:a1/a5"
+    with pytest.raises(DiagramError, match=f"^pair id '{literal}' has rank {MAX_RANK + 1}, "
+                                           f"above the largest rank {MAX_RANK}$"):
+        parse_pair_id(literal)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["catalog", "--max-rank", str(MAX_RANK + 1)], "max_rank must be between"),
+    (["run-all", "--max-rank", str(MAX_RANK + 1)], "max_rank must be between"),
+    (["verify-pair", "--pair", f"B{MAX_RANK + 1}:a1/a5"], "above the largest rank"),
+    (["degeneracy", "--pair", "A1200:a1/a2"], "above the largest rank"),
+    (["pluecker", "section", "--point", "e2^e4", "--primes", "1000003"],
+     f"primes_plucker takes primes up to {MAX_PLUCKER_PRIME}, not 1000003"),
+    (["pluecker", "survey", "--primes", f"5,{MAX_PLUCKER_PRIME + 6}"],
+     f"primes_plucker takes primes up to {MAX_PLUCKER_PRIME}"),
+    (["segre", "fitting", "--q", str(MAX_SEGRE_PRIME + 2)],
+     f"primes_segre takes primes up to {MAX_SEGRE_PRIME}"),
+])
+def test_over_the_bound_exits_2_with_one_line(argv, message, tmp_path, capsys):
+    out = tmp_path / "b.json"
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+    assert captured.out == "" and not out.exists()

@@ -210,6 +210,18 @@ def test_rank_mod_p_matches_brute_force_kernel_count():
     assert all(ranks >= {0, 1, 2, 3, 4} for ranks in seen.values()), seen
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_projective_points_sequence(p):
+    # every nonzero vector of F_p^d whose first nonzero entry is 1, ordered by
+    # that entry's position and then by the vector; the labs index by this order
+    for d in (1, 2, 3, 4):
+        canonical = [v for v in itertools.product(range(p), repeat=d)
+                     if any(v) and next(x for x in v if x) == 1]
+        canonical.sort(key=lambda v: (next(i for i, x in enumerate(v) if x), v))
+        assert list(projective_points(p, d)) == canonical
+        assert len(canonical) == (p ** d - 1) // (p - 1)
+
+
 def test_bivector_literal_parsing():
     omega = parse_bivector("e2^e4 - 3 e1^e5")
     assert omega.coord(2, 4) == 1

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from delpair.projgeo import segre
 from delpair.projgeo.linalg import primitive_int_covector, projective_points, rref
 from delpair.projgeo.segre import (
     SegreLine,
@@ -10,7 +11,7 @@ from delpair.projgeo.segre import (
     segre_fitting_report,
     segre_point,
 )
-from oracles import enumerated_span_section, sympy_section_locus
+from oracles import configuration_orbit, enumerated_span_section, sympy_section_locus
 
 
 def segre_minors(z) -> list:
@@ -69,6 +70,65 @@ def test_fitting_report_counts_match_closed_forms(q):
     assert data["valid_configs"] == data["orbit_size"] == data["b_configs"]
     assert data["single_orbit"] is True
     assert len(report.witnesses) == 1
+
+
+def _cut_generators(n: int, q: int, cut):
+    """The generators of GL_n(F_q): all, the first ``cut``, or all with each
+    inverse replaced by the generator itself, which moves plane lines wrongly."""
+    gens = list(_gl_generators(n, q))
+    if cut == "self-inverse":
+        return [(g, g) for g, _ in gens]
+    return gens[:cut]
+
+
+@pytest.mark.parametrize("cut", [None, 1, 2, 3, "self-inverse"])
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_orbit_step_matches_four_tuple_oracle(q, cut, monkeypatch):
+    # the report against a search over whole (x, L, a, b) configurations,
+    # with every generator, with each group cut to its first 1, 2 or 3
+    # generators (several orbits), and with wrong inverses, whose orbit leaves
+    # the valid set for q > 2; the last three reach the c-orbit failure row
+    gens = {n: _cut_generators(n, q, cut) for n in (2, 3)}
+    monkeypatch.setattr(segre, "_gl_generators", lambda n, p: iter(gens[n]))
+    valid, orbit = configuration_orbit(q, gens[2], gens[3])
+    report = segre_fitting_report(q)
+    plane = q * q + q + 1
+    single = orbit == valid
+    assert report.witnesses == [{
+        "segre_points": (q + 1) * plane,
+        "a_configs": plane * (q + 1) * (q * q + q),
+        "b_configs": len(valid),
+        "valid_configs": len(valid),
+        "orbit_size": len(orbit),
+        "single_orbit": single,
+    }] + ([] if single else [{"check": "c-orbit", "orbit_size": len(orbit),
+                              "valid_configs": len(valid)}])
+    assert report.status == ("pass" if single else "fail")
+    # at q = 2 each generator is its own inverse, so only the cuts fail there
+    assert single == (cut is None or (cut == "self-inverse" and q == 2))
+    assert (len(orbit - valid) > 0) == (cut == "self-inverse" and q > 2)
+
+
+def test_factor_orbit_of_the_right_size_off_the_valid_set_fails(monkeypatch):
+    # single_orbit compares each factor's orbit with its set, not only sizes:
+    # an orbit of pairs (x, a) with one a != x replaced by a == x fails
+    orbit = segre._orbit
+
+    def one_pair_off(seed, moves):
+        found = orbit(seed, moves)
+        if len(seed[0]) == 2:                   # (x, a) of line points, not (L, b)
+            x, a = min(found)
+            found = found - {(x, a)} | {(x, x)}
+        return found
+
+    monkeypatch.setattr(segre, "_orbit", one_pair_off)
+    report = segre_fitting_report(3)
+    size = report.witnesses[0]["valid_configs"]
+    assert report.witnesses[0]["orbit_size"] == size
+    assert report.witnesses[0]["single_orbit"] is False
+    assert report.status == "fail"
+    assert report.witnesses[1:] == [{"check": "c-orbit", "orbit_size": size,
+                                     "valid_configs": size}]
 
 
 def a_configs(q: int):
