@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import operator
 import re
-from collections import deque
 from fractions import Fraction
 from functools import cached_property, lru_cache, total_ordering
 from typing import NamedTuple
@@ -196,7 +195,7 @@ class DynkinDiagram(Frozen, fields=("nodes", "edges")):
             if start not in remaining:
                 continue
             block = _connected_block(start, self.adjacency)
-            remaining -= set(block)
+            remaining -= block.keys()
             comps.append(_classify(sorted(block, key=self.index.__getitem__), self.adjacency))
         return tuple(comps)
 
@@ -249,15 +248,15 @@ class DynkinDiagram(Frozen, fields=("nodes", "edges")):
         return "+".join(comp.name for comp in self.components)
 
 
-def _connected_block(start: str, adj: dict[str, dict]) -> list[str]:
-    """The nodes reachable from ``start``, in breadth-first order."""
-    seen, order = {start}, [start]
+def _connected_block(start: str, adj: dict[str, dict]) -> dict[str, "str | None"]:
+    """Each node reachable from ``start``, in breadth-first order, to its parent."""
+    parent, order = {start: None}, [start]
     for a in order:             # the loop reads what it appends
         for b in adj[a]:
-            if b not in seen:
-                seen.add(b)
+            if b not in parent:
+                parent[b] = a
                 order.append(b)
-    return order
+    return parent
 
 
 def _adjacency(nodes, edges) -> dict[str, dict[str, tuple[int, "str | None"]]]:
@@ -283,11 +282,10 @@ def _template(letter: str, n: int):
     """
     lab, edges = _term_edges(letter, n, 0)
     adj = _adjacency(lab, edges)
-    order = _connected_block(lab[0], adj)
-    step = {a: i for i, a in enumerate(order)}
-    steps = [(None, (None, None), len(adj[order[0]]))]
-    for a in order[1:]:
-        parent = next(b for b in adj[a] if step[b] < step[a])
+    parents = _connected_block(lab[0], adj)
+    step = {a: i for i, a in enumerate(parents)}
+    steps = [(None, (None, None), len(adj[lab[0]]))]
+    for a, parent in list(parents.items())[1:]:
         mult, short = adj[a][parent]
         steps.append((step[parent], (mult, step.get(short)), len(adj[a])))
     return _invariant(lab, adj), tuple(steps), tuple(step[a] for a in lab)
@@ -615,22 +613,13 @@ def tree_path(diagram: DynkinDiagram, a: str, b: str) -> list[str]:
     """The unique path between two nodes of the same component."""
     if a not in diagram.index or b not in diagram.index:
         raise DiagramError(f"unknown node in path query ({a}, {b})")
-    prev: dict[str, str] = {}
-    queue = deque([a])
-    seen = {a}
-    while queue:
-        x = queue.popleft()
-        if x == b:
-            path = [b]
-            while path[-1] != a:
-                path.append(prev[path[-1]])
-            return path[::-1]
-        for y in diagram.adjacency[x]:
-            if y not in seen:
-                seen.add(y)
-                prev[y] = x
-                queue.append(y)
-    raise ChainError(f"{a} and {b} lie in different components")
+    parents = _connected_block(b, diagram.adjacency)
+    if a not in parents:
+        raise ChainError(f"{a} and {b} lie in different components")
+    path = [a]
+    while path[-1] != b:
+        path.append(parents[path[-1]])
+    return path
 
 
 @lru_cache(maxsize=None)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import delpair
-from delpair import cli, pairs
+from delpair import cli, hss, pairs
 from delpair.chevalley import build_table
 from delpair.cli import PAIR_CHECKS, main, parse_pair_id, run_all
 from delpair.pairs import CorrespondenceError
@@ -26,7 +26,15 @@ from delpair.report import (
     bundle_markdown,
     require_prime,
 )
-from delpair.rootsys import ChainError, DiagramError, MarkError, build_root_system, parse_diagram
+from delpair.rootsys import (
+    ChainError,
+    DiagramError,
+    MarkError,
+    build_root_system,
+    descriptor,
+    parse_diagram,
+    parse_marked,
+)
 from oracles import decomposability_bivectors, generator_jacobi_triples
 
 
@@ -109,7 +117,7 @@ def test_run_all_bundle_reports_sorted_and_seed_echoed():
     code, doc = run_all(small_config())
     keys = [(r["check_id"], r["subject"]) for r in doc["reports"]]
     assert keys == sorted(keys)
-    assert doc["config"]["seed"] == RunConfig().seed
+    assert doc["config"]["seed"] == DEFAULT_SEED
 
 
 def test_exit_code_mirrors_fail_entries():
@@ -247,8 +255,7 @@ def test_internal_value_error_is_one_line_exit_1(monkeypatch, tmp_path, capsys):
     assert captured.out == "" and not out.exists()
 
 
-@pytest.mark.parametrize("seed", [DEFAULT_SEED, 7])
-def test_property_suite_draws_the_pinned_samples(seed, monkeypatch):
+def test_property_suite_draws_the_pinned_samples(monkeypatch):
     # the triples handed to jacobi_failures and the bivectors tested for
     # decomposability over Q and mod 5, in the order the suite draws them
     triples, rational, mod5 = [], [], []
@@ -264,16 +271,16 @@ def test_property_suite_draws_the_pinned_samples(seed, monkeypatch):
                         lambda omega: rational.append(omega) or membership(omega))
     monkeypatch.setattr(cli, "plucker_quadrics",
                         lambda omega: mod5.append(omega) or quadrics(omega))
-    reports = cli.property_suite(seed)
+    reports = cli.property_suite()
     assert all(rep.status == "pass" for rep in reports)
     dims = [build_table(build_root_system(parse_diagram(lit))).dimension
             for lit in cli._PROPERTY_SYSTEMS]
-    assert triples == [generator_jacobi_triples(seed, lit, dim)
+    assert triples == [generator_jacobi_triples(DEFAULT_SEED, lit, dim)
                        for lit, dim in zip(cli._PROPERTY_SYSTEMS, dims)]
     # the Q-orbit check tests its 100 images after the 500 rational samples
     assert len(rational) == 600
-    assert rational[:500] == decomposability_bivectors(seed, "QQ")
-    assert mod5 == decomposability_bivectors(seed, "F5")
+    assert rational[:500] == decomposability_bivectors(DEFAULT_SEED, "QQ")
+    assert mod5 == decomposability_bivectors(DEFAULT_SEED, "F5")
 
 
 @pytest.fixture(scope="module")
@@ -318,6 +325,32 @@ def test_root_count_check_names_a_wrong_closed_form(monkeypatch):
     assert rep.witnesses == [{"system": "D5", "generated": 20, "formula": 21}]
 
 
+def test_closed_form_dimensions_match_the_noncompact_roots():
+    # every ambient and sub space of the rank-20 catalog, and the marks of
+    # the table that the catalog never reaches (A off mark 2, C, E6 at a1)
+    spaces = {md for pair in pairs.catalog(20) for md in (pair.ambient, pair.sub)}
+    spaces |= {parse_marked(f"A{n}:a{m}") for n in range(1, 9) for m in range(1, n + 1)}
+    spaces |= {parse_marked(f"C{n}:a{n}") for n in range(2, 9)}
+    spaces.add(parse_marked("E6:a1"))
+    letters = set()
+    for md in spaces:
+        letters.update(letter for letter, _, _ in descriptor(md))
+        formula = sum(cli._closed_form_dimension(*d) for d in descriptor(md))
+        assert formula == len(hss.noncompact_positive_roots(md)), md
+    assert letters == {"A", "B", "C", "D", "E"}
+
+
+def test_a_wrong_closed_form_dimension_fails_the_affected_rows(monkeypatch):
+    closed_form = cli._closed_form_dimension
+    monkeypatch.setattr(cli, "_closed_form_dimension",
+                        lambda letter, n, m: closed_form(letter, n, m) + (letter == "E" and n == 7))
+    rows = [rep for pair in pairs.catalog(7) for rep in cli.correspondence_checks(pair)]
+    failed = {rep.subject: rep.notes for rep in rows if rep.status == FAIL}
+    assert failed == {f"E7:a7/{g0}": "E7/P7 has 27 noncompact positive roots, closed form 28"
+                      for g0 in ("a4", "a5", "a6")}
+    assert all(rep.status == "pass" for rep in rows if rep.subject not in failed)
+
+
 def test_every_input_error_is_a_value_error():
     # main reports a ValueError in one line with exit 2; an error class that
     # stopped subclassing it would escape as a traceback
@@ -325,6 +358,16 @@ def test_every_input_error_is_a_value_error():
         assert issubclass(cls, ValueError)
     with pytest.raises(ValueError, match="^delpair: bad usage$"):
         cli._Parser(prog="delpair").error("bad usage")
+
+
+def test_run_config_has_no_seed_setting():
+    assert RunConfig._fields == ("max_rank", "primes_plucker", "primes_segre", "fmt")
+    with pytest.raises(TypeError):
+        RunConfig(seed=7)
+    config = RunConfig()
+    assert config.seed == DEFAULT_SEED
+    with pytest.raises(AttributeError):
+        config.seed = 7
 
 
 def test_config_validation():
@@ -391,7 +434,7 @@ def test_bad_primes_list_exits_2_with_one_line(argv, message, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["run-all", "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+    (["run-all", "--max-rank", "abc"], "argument --max-rank: invalid int value: 'abc'"),
     (["run-all", "--format", "yaml"], "argument --format: invalid choice: 'yaml'"),
     (["verify-pair"], "the following arguments are required: --pair"),
     (["frob"], "argument command: invalid choice: 'frob'"),
@@ -588,12 +631,12 @@ COMMAND_READS = [
     (["degeneracy", "--pair", "E6:a6/a5"], {"--pair", "--mode"}, set()),
     (["infinity-locus", "--pair", "E6:a6/a5"], {"--pair"}, set()),
     (["normal-bundle", "--pair", "E6:a6/a5"], {"--pair"}, set()),
-    (["vmrt-chain"], {"--max-rank"}, {"max_rank"}),
+    (["vmrt-chain"], set(), {"max_rank"}),
     (["pluecker", "survey"], {"--primes"}, {"primes_plucker"}),
     (["pluecker", "section", "--point", "e2^e4"], {"--point", "--primes"}, {"primes_plucker"}),
     (["pluecker", "collinear", "--point", "e1^e4"], {"--point"}, set()),
     (["segre", "fitting"], {"--q"}, {"primes_segre"}),
-    (["run-all"], {"--max-rank", "--primes", "--seed"},
+    (["run-all"], {"--max-rank", "--primes"},
      {"max_rank", "primes_plucker", "primes_segre", "seed"}),
 ]
 
@@ -628,7 +671,7 @@ def test_help_lists_only_the_options_read(capsys):
         listed = set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) - {"--help"}
         assert listed == {"--format", "--out"} | reads, argv
         accepted += len(listed)
-    assert accepted == 37
+    assert accepted == 35
 
 
 @pytest.mark.parametrize("argv, reads, echoed", COMMAND_READS,
@@ -640,9 +683,11 @@ def test_config_echoes_exactly_the_fields_read(argv, reads, echoed, tmp_path):
     assert main(argv + given + ["--out", str(out)]) == 0
     config = json.loads(out.read_text())["config"]
     assert config.keys() == {"format"} | echoed
-    expected = {"max_rank": 5, "primes_plucker": [5], "primes_segre": [2], "seed": 3}
+    expected = {"max_rank": 5, "primes_plucker": [5], "primes_segre": [2], "seed": DEFAULT_SEED}
     if argv == ["run-all"]:
         expected["primes_segre"] = [2, 3]       # run-all runs the default Segre primes
+    if argv == ["vmrt-chain"]:
+        expected["max_rank"] = 7                # vmrt-chain checks the E7 chain
     assert config == {"format": "json", **{k: expected[k] for k in echoed}}
     assert main(argv + given + ["--format", "markdown", "--out", str(out)]) == 0
     line = next(line for line in out.read_text().splitlines() if line.startswith("config: "))

@@ -1,4 +1,6 @@
 """The largest rank and primes a run accepts, at the bound and one past it."""
+import time
+
 import pytest
 
 from delpair.cli import main, parse_pair_id
@@ -18,14 +20,21 @@ def test_run_config_takes_the_largest_rank_and_refuses_one_more():
         RunConfig(max_rank=MAX_RANK + 1)
 
 
+# Two primes that trial division takes 0.7 s and 7 s to confirm, and a 20-digit
+# number: past the square of its bound a prime is refused without dividing.
+HUGE = (100000000000031, 10000000000000061, 12345678901234567891)
+
+
 @pytest.mark.parametrize("field, bound", [("primes_plucker", MAX_PLUCKER_PRIME),
                                           ("primes_segre", MAX_SEGRE_PRIME)])
 def test_run_config_takes_the_largest_prime_and_refuses_larger(field, bound):
     assert getattr(RunConfig(**{field: (bound,)}), field) == (bound,)
     next_prime = next(p for p in range(bound + 1, 2 * bound) if is_prime(p))
-    for p in (next_prime, 1000003):
+    for p in (next_prime, 1000003, *HUGE):
+        t0 = time.perf_counter()
         with pytest.raises(ValueError, match=f"^{field} takes primes up to {bound}, not {p}$"):
             RunConfig(**{field: (3, p)})
+        assert time.perf_counter() - t0 < 0.1
     with pytest.raises(ValueError, match=f"^{bound + 1} is not prime$"):
         RunConfig(**{field: (bound + 1,)})           # primality is checked first
 
@@ -49,10 +58,16 @@ def test_parse_pair_id_takes_the_largest_rank_and_refuses_one_more():
      f"primes_plucker takes primes up to {MAX_PLUCKER_PRIME}"),
     (["segre", "fitting", "--q", str(MAX_SEGRE_PRIME + 2)],
      f"primes_segre takes primes up to {MAX_SEGRE_PRIME}"),
+    (["pluecker", "survey", "--primes", str(HUGE[-1])],
+     f"primes_plucker takes primes up to {MAX_PLUCKER_PRIME}, not {HUGE[-1]}"),
+    (["segre", "fitting", "--q", str(HUGE[-1])],
+     f"primes_segre takes primes up to {MAX_SEGRE_PRIME}, not {HUGE[-1]}"),
 ])
 def test_over_the_bound_exits_2_with_one_line(argv, message, tmp_path, capsys):
     out = tmp_path / "b.json"
+    t0 = time.perf_counter()
     assert main(argv + ["--out", str(out)]) == 2
+    assert time.perf_counter() - t0 < 0.5           # refused before any work
     captured = capsys.readouterr()
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
