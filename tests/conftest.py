@@ -6,6 +6,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from delpair import pairs
+from delpair.checks import run_all
+from delpair.report import RunConfig
 
 
 @pytest.fixture(scope="session")
@@ -23,3 +25,18 @@ def catalog12():
 def maximal_triple(catalog7):
     """The three maximal non-quadric pairs, smallest ambient first."""
     return [catalog7[pid] for pid in ("D5:a5/a3", "E6:a6/a5", "E7:a7/a6")]
+
+
+@pytest.fixture(scope="session")
+def default_bundle():
+    code, doc = run_all(RunConfig())
+    assert code == 0
+    return doc
+
+
+@pytest.fixture(scope="session")
+def rank_sweep_bundle():
+    """The bundle at max_rank 12 with the smallest lab primes."""
+    code, doc = run_all(RunConfig(max_rank=12, primes_plucker=(3,), primes_segre=(2,)))
+    assert code == 0
+    return doc

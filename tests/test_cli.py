@@ -11,9 +11,9 @@ from pathlib import Path
 import pytest
 
 import delpair
-from delpair import cli, hss, pairs
+from delpair import checks, cli, hss, pairs
 from delpair.chevalley import build_table
-from delpair.cli import PAIR_CHECKS, main, parse_pair_id, run_all
+from delpair.cli import main, parse_pair_id, run_all
 from delpair.pairs import CorrespondenceError
 from delpair.projgeo import segre
 from delpair.projgeo.plucker import PAIRS, BiVector, dee_exhaustive_survey
@@ -45,15 +45,8 @@ RANK20_SHA256 = "6029212b69043848f8ba8bbb4b0640cab7f7c3ac350f6da57ae3db558863208
 
 
 @pytest.fixture(scope="module")
-def default_bundle():
-    code, doc = run_all(RunConfig())
-    assert code == 0
-    return doc
-
-
-@pytest.fixture(scope="module")
-def rank_sweep_bundle():
-    code, doc = run_all(RunConfig(max_rank=12, primes_plucker=(3,), primes_segre=(2,)))
+def rank20_bundle():
+    code, doc = run_all(RunConfig(max_rank=20, primes_plucker=(3,), primes_segre=(2,)))
     assert code == 0
     return doc
 
@@ -259,24 +252,24 @@ def test_property_suite_draws_the_pinned_samples(monkeypatch):
     # the triples handed to jacobi_failures and the bivectors tested for
     # decomposability over Q and mod 5, in the order the suite draws them
     triples, rational, mod5 = [], [], []
-    jacobi = cli.jacobi_failures
-    membership, quadrics = cli.grassmannian_membership, cli.plucker_quadrics
+    jacobi = checks.jacobi_failures
+    membership, quadrics = checks.grassmannian_membership, checks.plucker_quadrics
 
     def recorded_jacobi(table, drawn):
         triples.append(drawn := list(drawn))
         return jacobi(table, drawn)
 
-    monkeypatch.setattr(cli, "jacobi_failures", recorded_jacobi)
-    monkeypatch.setattr(cli, "grassmannian_membership",
+    monkeypatch.setattr(checks, "jacobi_failures", recorded_jacobi)
+    monkeypatch.setattr(checks, "grassmannian_membership",
                         lambda omega: rational.append(omega) or membership(omega))
-    monkeypatch.setattr(cli, "plucker_quadrics",
+    monkeypatch.setattr(checks, "plucker_quadrics",
                         lambda omega: mod5.append(omega) or quadrics(omega))
-    reports = cli.property_suite()
+    reports = checks.property_suite()
     assert all(rep.status == "pass" for rep in reports)
     dims = [build_table(build_root_system(parse_diagram(lit))).dimension
-            for lit in cli._PROPERTY_SYSTEMS]
+            for lit in checks._PROPERTY_SYSTEMS]
     assert triples == [generator_jacobi_triples(DEFAULT_SEED, lit, dim)
-                       for lit, dim in zip(cli._PROPERTY_SYSTEMS, dims)]
+                       for lit, dim in zip(checks._PROPERTY_SYSTEMS, dims)]
     # the Q-orbit check tests its 100 images after the 500 rational samples
     assert len(rational) == 600
     assert rational[:500] == decomposability_bivectors(DEFAULT_SEED, "QQ")
@@ -284,13 +277,29 @@ def test_property_suite_draws_the_pinned_samples(monkeypatch):
 
 
 @pytest.fixture(scope="module")
-def cli_import_modules():
-    """Every module in sys.modules after `import delpair.cli` in a fresh interpreter."""
+def import_modules():
+    """Every module in sys.modules, in one fresh interpreter, after `import
+    delpair.checks` and then after `import delpair.cli`, keyed by that module."""
     env = {**os.environ, "PYTHONPATH": str(Path(delpair.__file__).resolve().parents[1])}
-    probe = "import sys, delpair.cli; print(*sys.modules)"
+    probe = ("import sys, delpair.checks; print(*sys.modules); "
+             "import delpair.cli; print(*sys.modules)")
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, check=True)
-    return set(done.stdout.split())
+    after_checks, after_cli = done.stdout.splitlines()
+    return {"delpair.checks": set(after_checks.split()), "delpair.cli": set(after_cli.split())}
+
+
+@pytest.fixture(scope="module")
+def cli_import_modules(import_modules):
+    """Every module in sys.modules after `import delpair.cli` in a fresh interpreter."""
+    return import_modules["delpair.cli"]
+
+
+def test_checks_import_leaves_the_command_line_out(import_modules):
+    # the checks run, and run_all builds a bundle, without the argument parser
+    modules = import_modules["delpair.checks"]
+    assert "delpair.checks" in modules
+    assert "argparse" not in modules and "delpair.cli" not in modules
 
 
 def test_cli_import_leaves_sympy_out(cli_import_modules):
@@ -311,16 +320,19 @@ def test_cli_bad_config_exit_2(tmp_path, capsys):
     capsys.readouterr()
     missing = tmp_path / "missing" / "x.json"
     for argv in (["vmrt-chain"], ["run-all", "--max-rank", "4", "--primes", "3"]):
-        assert main(argv + ["--out", str(missing)]) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error:") and str(missing) in err[0]
+        for path in (str(missing), ""):     # an empty path is a path, not stdout
+            assert main(argv + ["--out", path]) == 2
+            captured = capsys.readouterr()
+            err = captured.err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error:") and repr(path) in err[0]
+            assert captured.out == ""
 
 
 def test_root_count_check_names_a_wrong_closed_form(monkeypatch):
-    closed_form = cli._closed_form_count
-    monkeypatch.setattr(cli, "_closed_form_count",
+    closed_form = checks._closed_form_count
+    monkeypatch.setattr(checks, "_closed_form_count",
                         lambda letter, n: closed_form(letter, n) + (letter == "D"))
-    rep = cli.root_count_check()
+    rep = checks.root_count_check()
     assert rep.status == FAIL and rep.subject == "A4,B4,D5,E6,E7"
     assert rep.witnesses == [{"system": "D5", "generated": 20, "formula": 21}]
 
@@ -335,16 +347,16 @@ def test_closed_form_dimensions_match_the_noncompact_roots():
     letters = set()
     for md in spaces:
         letters.update(letter for letter, _, _ in descriptor(md))
-        formula = sum(cli._closed_form_dimension(*d) for d in descriptor(md))
+        formula = sum(checks._closed_form_dimension(*d) for d in descriptor(md))
         assert formula == len(hss.noncompact_positive_roots(md)), md
     assert letters == {"A", "B", "C", "D", "E"}
 
 
 def test_a_wrong_closed_form_dimension_fails_the_affected_rows(monkeypatch):
-    closed_form = cli._closed_form_dimension
-    monkeypatch.setattr(cli, "_closed_form_dimension",
+    closed_form = checks._closed_form_dimension
+    monkeypatch.setattr(checks, "_closed_form_dimension",
                         lambda letter, n, m: closed_form(letter, n, m) + (letter == "E" and n == 7))
-    rows = [rep for pair in pairs.catalog(7) for rep in cli.correspondence_checks(pair)]
+    rows = [rep for pair in pairs.catalog(7) for rep in checks.correspondence_checks(pair)]
     failed = {rep.subject: rep.notes for rep in rows if rep.status == FAIL}
     assert failed == {f"E7:a7/{g0}": "E7/P7 has 27 noncompact positive roots, closed form 28"
                       for g0 in ("a4", "a5", "a6")}
@@ -581,13 +593,33 @@ def test_rank16_bundle_golden_hash():
     assert doc["summary"] == {"pass": 714, "fail": 0, "indeterminate": 197, "skipped": 175}
 
 
-def test_rank20_bundle_golden_hash():
+def test_rank20_bundle_golden_hash(rank20_bundle):
     # B17-B20 and D17-D20: 346 pairs, the largest catalog any test builds
-    code, doc = run_all(RunConfig(max_rank=20, primes_plucker=(3,), primes_segre=(2,)))
-    assert code == 0
-    digest = hashlib.sha256(bundle_json(doc).encode("utf-8")).hexdigest()
+    digest = hashlib.sha256(bundle_json(rank20_bundle).encode("utf-8")).hexdigest()
     assert digest == RANK20_SHA256
-    assert doc["summary"] == {"pass": 1126, "fail": 0, "indeterminate": 325, "skipped": 295}
+    assert rank20_bundle["summary"] == {
+        "pass": 1126, "fail": 0, "indeterminate": 325, "skipped": 295}
+
+
+# The five rows run-all reports on each catalog pair.
+PAIR_ROWS = ("pairs.correspondence", "sff.kernel_sigma", "sff.kernel_tau",
+             "sff.infinity_locus", "normalbundle.summands_distinct")
+
+
+@pytest.mark.parametrize("max_rank", [7, 12, 20])
+def test_the_pairs_that_pass_every_pair_row(max_rank, request):
+    # the paper's answer: G(2, n-2) in G^II(n,n) for n >= 5, G^II(5,5) in
+    # E6/P6 and E6/P6 in E7/P7.  The hyperquadric ambients are indeterminate
+    # in normalbundle, and the non-maximal pairs skip it and sff.infinity_locus.
+    doc = request.getfixturevalue(
+        {7: "default_bundle", 12: "rank_sweep_bundle", 20: "rank20_bundle"}[max_rank])
+    status = {(r["check_id"], r["subject"]): r["status"] for r in doc["reports"]}
+    subjects = {subject for check_id, subject in status if check_id == "pairs.correspondence"}
+    passing = {pair_id for pair_id in subjects
+               if all(status[check_id, pair_id] == "pass" for check_id in PAIR_ROWS)}
+    family = {f"D{n}:a{n}/a{n - 2}" for n in range(5, max_rank + 1)}
+    assert passing == family | {"E6:a6/a5", "E7:a7/a6"}
+    assert len(passing) == {7: 5, 12: 10, 20: 18}[max_rank]
 
 
 def test_in_process_bundles_equal_their_json(default_bundle, rank_sweep_bundle):
@@ -602,7 +634,8 @@ def test_pair_commands_agree_with_run_all(default_bundle, catalog7, tmp_path):
     assert rows[("sff.infinity_locus", "B4:a1/a3")]["status"] == "skipped"
     out = tmp_path / "pair.json"
     seen = set()
-    pair_argvs = [[command, "--pair", pair_id] for pair_id in catalog7 for command in PAIR_CHECKS]
+    pair_argvs = [[command, "--pair", pair_id] for pair_id in catalog7
+                  for command in ("verify-pair", "degeneracy", "infinity-locus", "normal-bundle")]
     # `pluecker section` is left out: its witnesses list the locus, run-all's count it
     suite_argvs = [["catalog"], ["vmrt-chain"], ["pluecker", "survey", "--primes", "5,7"],
                    ["segre", "fitting", "--q", "2"], ["segre", "fitting", "--q", "3"]]

@@ -26,7 +26,7 @@ from delpair.rootsys import (
     _highest_root_coefficients,
 )
 from delpair.chevalley import build_table
-from delpair.cli import _reflection_fails
+from delpair.checks import _reflection_fails
 from oracles import (
     FractionRootSystem,
     closed_form_positive_count,
