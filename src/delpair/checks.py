@@ -7,7 +7,7 @@ from functools import lru_cache
 from . import hss, normalbundle, pairs, sff
 from .chevalley import build_table, jacobi_failures
 from .pairs import CorrespondenceError, DeletionPair
-from .projgeo.linalg import integer_rank, primitive_int_covector, rref_mod
+from .projgeo.linalg import integer_rank, primitive_int_covector
 from .projgeo.plucker import (
     BiVector,
     collinearity_scan,
@@ -244,10 +244,10 @@ def property_suite() -> list[CheckReport]:
             omega = BiVector(tuple(coords))
             if field_name == "QQ":
                 decomposable = grassmannian_membership(omega)
-                low_rank = integer_rank(omega.matrix()) <= 2
+                low_rank = integer_rank(omega.matrix(), stop=3) <= 2
             else:                       # the same integer coordinates mod 5
                 decomposable = not any(q % 5 for q in plucker_quadrics(omega))
-                low_rank = len(rref_mod(omega.matrix(), 5)) <= 2
+                low_rank = integer_rank(omega.matrix(), 5, stop=3) <= 2
             if decomposable != low_rank:
                 bad += 1
         out.append(CheckReport(

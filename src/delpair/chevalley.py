@@ -21,8 +21,10 @@ The Lie algebra is seen through an indexed basis: the root vectors of the
 sorted positive roots (indices 0..n-1), then of their negatives (index
 k + n for the negative of k), then the simple coroots.  Constants live on
 these indices: the recursion keys its memos by basis index, finds a sum of
-roots through a dict from coefficient tuples to indices, and reads B(r, r)
-from a per-index list, so it builds no ``Root`` objects.  The bracket of two
+roots by adding two packed ints (each coefficient tuple stored as the digits
+of one int) and looking the result up in a dict from packed roots to
+indices, and reads B(r, r) from a per-index list, so it builds no ``Root``
+objects and a sum builds no tuple.  The bracket of two
 basis elements is a tuple of (index, integer coefficient) terms, so the
 Jacobi identity on basis triples is checked with int-keyed sums and no
 element objects.
@@ -41,6 +43,15 @@ from functools import cached_property, lru_cache
 from .rootsys import Root, RootSystem
 
 BasisTerms = tuple[tuple[int, int], ...]   # ((basis index, coefficient), ...)
+
+# A coefficient tuple c is packed as the int sum of (c_t + 16) * 32^t.  With
+# every |c_t| <= 7, each digit of a sum of two roots, c_t + d_t + 16, lies in
+# [2, 30]: nothing carries, so packed(c) + packed(d) - packed(0) is packed(c + d).
+_MAX_COEFF = 7
+
+
+def _pack(coeffs: tuple[int, ...]) -> int:
+    return sum((c + 16) << (5 * t) for t, c in enumerate(coeffs))
 
 
 class ChevalleyTable:
@@ -62,8 +73,13 @@ class ChevalleyTable:
         positives = sorted(rs.positive_roots)
         n = self._n = len(positives)
         coeffs = [r.coeffs for r in positives]
+        if any(abs(c) > _MAX_COEFF for cs in coeffs for c in cs):
+            raise AssertionError(f"a root coefficient exceeds {_MAX_COEFF}, so a packed sum "
+                                 "could carry")
         self._coeffs = coeffs + [tuple(-c for c in cs) for cs in coeffs]
-        self._index = {cs: k for k, cs in enumerate(self._coeffs)}
+        self._packed = [_pack(cs) for cs in self._coeffs]
+        self._index = {key: k for k, key in enumerate(self._packed)}
+        self._bias = _pack((0,) * rs.diagram.rank)
         norms = [rs.scaled_norm(r) for r in positives]
         self._norm = norms + norms
         self._pos: dict[int, int] = {}     # xi * n + eta -> N_{xi,eta}
@@ -74,7 +90,7 @@ class ChevalleyTable:
 
     def _sum(self, i: int, j: int) -> "int | None":
         """Basis index of root i + root j, None when the sum is not a root."""
-        return self._index.get(tuple(map(operator.add, self._coeffs[i], self._coeffs[j])))
+        return self._index.get(self._packed[i] + self._packed[j] - self._bias)
 
     def _p(self, a: int, b: int) -> int:
         """Largest p with b - p a a root, for positive indices a, b."""
@@ -174,7 +190,7 @@ class ChevalleyTable:
             raise ValueError(f"{a} + {b} is not a root")
         if not (is_root(a) and is_root(b)):
             raise ValueError(f"{a} or {b} is not a root")
-        return self._signed(self._index[a.coeffs], self._index[b.coeffs])
+        return self._signed(self._index[_pack(a.coeffs)], self._index[_pack(b.coeffs)])
 
     def coroot_coefficients(self, alpha: Root) -> tuple[int, ...]:
         """Coefficients of the coroot of alpha over the simple coroots."""

@@ -73,14 +73,20 @@ def rref_mod(rows: list[list[int]], p: int) -> list[list[int]]:
     return mat[:r]
 
 
-def integer_rank(rows: list[list[int]]) -> int:
-    """Rank over the rationals of an integer matrix, fraction-free (Bareiss).
+def integer_rank(rows: list[list[int]], p: int | None = None, stop: int | None = None) -> int:
+    """Rank of an integer matrix over the rationals, or mod p when p is given.
 
-    After each pivot step the entries below it are minors of the matrix, so
-    the division by the previous pivot is exact and entries stay ints.
+    Elimination is fraction-free on both: a row below the pivot row becomes
+    pivot * row - entry * top.  Over the rationals that row is then divided by
+    the previous pivot (Bareiss): the entries below each pivot are minors of
+    the matrix, so the division is exact and entries stay ints.  Mod p the
+    pivot is a unit, so no division is needed.  With ``stop`` the elimination
+    ends at the stop-th pivot (stop >= 1) and returns ``stop``:
+    ``integer_rank(m, stop=3) <= 2`` asks whether the rank is at most 2.
     """
-    mat = [list(r) for r in rows]
+    mat = [[x % p for x in r] for r in rows] if p else [list(r) for r in rows]
     nrows = len(mat)
+    limit = nrows if stop is None else min(stop, nrows)
     r, prev = 0, 1
     for c in range(len(mat[0]) if mat else 0):
         pivot = next((i for i in range(r, nrows) if mat[i][c]), None)
@@ -88,14 +94,18 @@ def integer_rank(rows: list[list[int]]) -> int:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
         top = mat[r]
-        p = top[c]
-        for i in range(r + 1, nrows):
-            f = mat[i][c]
-            mat[i] = [(p * x - f * y) // prev for x, y in zip(mat[i], top)]
-        prev = p
+        piv = top[c]
         r += 1
-        if r == nrows:
+        if r == limit:
             break
+        for i in range(r, nrows):
+            f = mat[i][c]
+            if p:
+                if f:
+                    mat[i] = [(piv * x - f * y) % p for x, y in zip(mat[i], top)]
+            else:
+                mat[i] = [(piv * x - f * y) // prev for x, y in zip(mat[i], top)]
+        prev = piv
     return r
 
 

@@ -15,7 +15,7 @@ commutative ring: nothing is halved, so the identity holds at q = 2 too.
 """
 from __future__ import annotations
 
-import itertools
+import operator
 
 from ..frozen import Frozen
 from ..report import FAIL, PASS, CheckReport, require_prime
@@ -105,7 +105,7 @@ def _join_points(y: tuple, b: tuple, plane_pts: list[tuple], q: int) -> list[tup
     return _line_points(canonical_mod(cov, q), plane_pts, q)
 
 
-# -- configuration orbit under the product of the two linear groups ----------
+# -- the action of the product of the two linear groups -----------------------
 
 def _gl_generators(n: int, q: int):
     """Generators g of GL_n(F_q), each with its inverse, as (g, g^-1).
@@ -127,9 +127,14 @@ def _gl_generators(n: int, q: int):
         yield unit_plus(0, 0, 1), unit_plus(0, 0, (q - 1) // 2)
 
 
-def _permutation(m: tuple, pts: list, q: int) -> dict:
+def _kronecker(g: tuple, h: tuple) -> tuple:
+    """The matrix of g (x) h on the coordinates z_ij = a_i b_j, flattened as points are."""
+    return tuple(tuple(x * y for x in gi for y in hj) for gi in g for hj in h)
+
+
+def _permutation(m: tuple, pts, q: int) -> dict:
     """The move x -> m x of the canonical points pts, as a table."""
-    return {x: canonical_mod([sum(a * b for a, b in zip(row, x)) for row in m], q) for x in pts}
+    return {x: canonical_mod([sum(map(operator.mul, row, x)) for row in m], q) for x in pts}
 
 
 def _orbit(seed: tuple, moves: list) -> set:
@@ -143,32 +148,46 @@ def _orbit(seed: tuple, moves: list) -> set:
 
 # -- the fitting report -------------------------------------------------------
 
-def segre_fitting_report(q: int) -> CheckReport:
-    """Exhaustive base-case checks for the fitting of a point plus a line.
+_ID2 = ((1, 0), (0, 1))
+_ID3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
-    (a) a (1,0)-line plus an off-line point spans a plane whose section
-        contains the joining (0,1)-curve, so no exact point-plus-line section
-        exists with a (1,0)-line;
+
+def segre_fitting_report(q: int) -> CheckReport:
+    """Base-case checks for the fitting of a point plus a line, on every
+    configuration, from one section per orbit.
+
+    (a) a (1,0)-line P^1 x {y} plus a point (a, b) with b != y spans a plane
+        whose section contains the joining (0,1)-curve {a} x yb, so no exact
+        point-plus-line section exists with a (1,0)-line;
     (b) a (0,1)-line {x} x L plus a point (a, b) with a != x and b off L
         meets the variety in exactly the line and the point;
-    (c) the valid configurations of (b) form a single orbit under the product
-        of the projective linear groups of the two factors.
+    (c) the configurations of (b) form a single orbit under the product of
+        the projective linear groups of the two factors.
 
-    Every section in (a) and (b) is that of a Segre line plus a Segre point
-    off it, so ``SegreLine.section_with`` gives it in closed form from the
-    polar forms of the minors.  The line's hypotheses are checked once per
-    line, the point's for every configuration, and a failed one raises
-    ValueError.  The images of all (a, b) are computed once, and all
-    arithmetic is on plain ints mod q.
+    Each generator g of GL_2 and h of GL_3 acts on the ambient 5-space as the
+    linear map g (x) 1 or 1 (x) h.  Check (i): on every Segre point it sends
+    the image of (a, b) to that of (g a, b), or (a, h b), and h carries the
+    points of every plane line L onto the line L h^-1.  A linear map carries
+    the span of a line and a point to the span of their images, so then every
+    product of generators carries each configuration, its section and its
+    joining curve to those of the moved configuration, and both properties
+    hold on a whole orbit when they hold at one point of it.
 
-    (c) rests on the product structure: the valid (x, L, a, b) are the pairs
-    (x, a) of line points with a != x times the pairs (L, b) of a plane line
-    and a point off it.  A generator of GL_2 moves (x, a) alone and one of
-    GL_3 moves (L, b) alone, so the orbit of the least configuration is the
-    orbit of its (x, a) times that of its (L, b): it is the valid set exactly
-    when each factor's orbit is that factor's set.  The generators act
-    through permutation tables, on plane lines through the inverse on the
-    right.
+    So each configuration set is certified as one orbit (ii), and one
+    representative per set, the least configuration, gets its section from
+    ``SegreLine.section_with`` (iii).  Both sets are products, and a
+    generator moves one factor alone, so the orbit of the least configuration
+    is the product of the orbits of its factors: it is the whole set exactly
+    when each factor's orbit is that factor's set.  The (a) configurations
+    (y, a, b) are the points a of P^1, searched as the diagonal pairs
+    (a, a), times the ordered pairs (y, b) of distinct plane points; the (b)
+    configurations (x, L, a, b) are the pairs (x, a) of line points with
+    a != x times the pairs (L, b) of a plane line and a point off it.  The
+    generators act through permutation tables, on plane lines through the
+    inverse on the right.  ``a_configs`` and ``b_configs`` count the
+    configurations decided, the two orbits; a failed hypothesis of
+    ``SegreLine`` raises ValueError, and all arithmetic is on plain ints
+    mod q.
     """
     require_prime(q)
     p1 = list(projective_points(q, 2))
@@ -183,49 +202,54 @@ def segre_fitting_report(q: int) -> CheckReport:
         failures.append({"check": "point-count", "got": len(segre_pts),
                          "expected": expected_count})
 
-    # (a) bidegree-(1,0) lines never fit with an extra point
-    a_configs = 0
-    for y in p2:
-        line_pts = {img[x, y] for x in p1}
-        line = SegreLine(img[p1[0], y], img[p1[1], y], q)
-        joins = {b: _join_points(y, b, p2, q) for b in p2 if b != y}
-        for (a, b) in itertools.product(p1, p2):
-            if b == y:
-                continue
-            a_configs += 1
-            pt = img[a, b]
-            section = line.section_with(pt)
-            if not all(img[a, m] in section for m in joins[b]):
-                failures.append({"check": "a-witness", "y": y, "point": (a, b)})
-            if section == line_pts | {pt}:
-                failures.append({"check": "a-exact-section", "y": y, "point": (a, b)})
-    # (b) bidegree-(0,1) lines fit exactly
-    b_configs = 0
-    for x in p1:
-        for L, Lpts in on_line.items():
-            line_img = {img[x, m] for m in Lpts}
-            line = SegreLine(img[x, Lpts[0]], img[x, Lpts[1]], q)
-            for a in p1:
-                if a == x:
-                    continue
-                for b in p2:
-                    if b in Lpts:
-                        continue
-                    b_configs += 1
-                    pt = img[a, b]
-                    if line.section_with(pt) != line_img | {pt}:
-                        failures.append({"check": "b-section", "x": x, "L": L,
-                                         "point": (a, b)})
+    # (i) each generator acts on the ambient space as on the two factors
+    gens2, gens3 = list(_gl_generators(2, q)), list(_gl_generators(3, q))
+    on_p1 = [_permutation(g, p1, q) for g, _ in gens2]
+    on_p2 = [_permutation(h, p2, q) for h, _ in gens3]
+    # covectors move by the inverse on the right: L h^-1 is (h^-1)^T L
+    on_lines = [_permutation(tuple(zip(*h_inv)), p2, q) for _, h_inv in gens3]
+    for k, ((g, _), t) in enumerate(zip(gens2, on_p1)):
+        on_p5 = _permutation(_kronecker(g, _ID3), segre_pts, q)
+        if any(on_p5[z] != img[t[a], b] for (a, b), z in img.items()):
+            failures.append({"check": "generator", "factor": 1, "index": k})
+    for k, ((h, _), t, t_lines) in enumerate(zip(gens3, on_p2, on_lines)):
+        on_p5 = _permutation(_kronecker(_ID2, h), segre_pts, q)
+        if (any(on_p5[z] != img[a, t[b]] for (a, b), z in img.items())
+                or any({t[m] for m in pts} != set(on_line[t_lines[L]])
+                       for L, pts in on_line.items())):
+            failures.append({"check": "generator", "factor": 2, "index": k})
 
-    # (c) single orbit on the valid configurations of (b), one factor at a time
+    # (a) bidegree-(1,0) lines never fit with an extra point
+    distinct = {(y, b) for y in p2 for b in p2 if b != y}
+    a, (y, b) = min(p1), min(distinct)
+    line = SegreLine(img[p1[0], y], img[p1[1], y], q)
+    pt = img[a, b]
+    section = line.section_with(pt)
+    if not all(img[a, m] in section for m in _join_points(y, b, p2, q)):
+        failures.append({"check": "a-witness", "y": y, "point": (a, b)})
+    if section == {img[x, y] for x in p1} | {pt}:
+        failures.append({"check": "a-exact-section", "y": y, "point": (a, b)})
+    point_orbit = _orbit((a, a), [(t, t) for t in on_p1])
+    pair_orbit = _orbit((y, b), [(t, t) for t in on_p2])
+    a_configs = len(point_orbit) * len(pair_orbit)
+    if point_orbit != {(x, x) for x in p1} or pair_orbit != distinct:
+        failures.append({"check": "a-orbit", "orbit_size": a_configs,
+                         "configs": len(p1) * len(distinct)})
+    del distinct, pair_orbit          # about 50 MB at F23, freed before (c) builds its sets
+
+    # (b) bidegree-(0,1) lines fit exactly
     line_pairs = {(x, a) for x in p1 for a in p1 if a != x}
     plane_pairs = {(L, b) for L, Lpts in on_line.items() for b in p2 if b not in Lpts}
-    on_p1 = [_permutation(g, p1, q) for g, _ in _gl_generators(2, q)]
-    # covectors move by the inverse on the right: L g^-1 is (g^-1)^T L
-    on_p2 = [(_permutation(tuple(zip(*g_inv)), p2, q), _permutation(g, p2, q))
-             for g, g_inv in _gl_generators(3, q)]
-    line_orbit = _orbit(min(line_pairs), [(t, t) for t in on_p1])
-    plane_orbit = _orbit(min(plane_pairs), on_p2)
+    (x, a), (L, b) = min(line_pairs), min(plane_pairs)
+    Lpts = on_line[L]
+    line = SegreLine(img[x, Lpts[0]], img[x, Lpts[1]], q)
+    pt = img[a, b]
+    if line.section_with(pt) != {img[x, m] for m in Lpts} | {pt}:
+        failures.append({"check": "b-section", "x": x, "L": L, "point": (a, b)})
+
+    # (c) single orbit on the configurations of (b), one factor at a time
+    line_orbit = _orbit((x, a), [(t, t) for t in on_p1])
+    plane_orbit = _orbit((L, b), list(zip(on_lines, on_p2)))
     single_orbit = line_orbit == line_pairs and plane_orbit == plane_pairs
     orbit_size = len(line_orbit) * len(plane_orbit)
     valid_configs = len(line_pairs) * len(plane_pairs)
@@ -236,7 +260,7 @@ def segre_fitting_report(q: int) -> CheckReport:
     witnesses = [{
         "segre_points": len(segre_pts),
         "a_configs": a_configs,
-        "b_configs": b_configs,
+        "b_configs": orbit_size,
         "valid_configs": valid_configs,
         "orbit_size": orbit_size,
         "single_orbit": single_orbit,

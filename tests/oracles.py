@@ -35,8 +35,10 @@ with sympy's polynomial gcd, factorization, division and nullspace, with no
 use of the factor w that ell contributes to every restricted quadric.
 Segre sections of the span of three points come from testing every point of
 the span on minors written out here, instead of the rank of the polar-form
-matrix, and the orbit of the Segre fitting configurations comes from a
-breadth-first search over whole (x, L, a, b) tuples instead of one factor
+matrix; the Segre fitting report is rebuilt with the section of every
+configuration cut in two loops, instead of one representative per orbit,
+and with the orbits of both configuration sets found by breadth-first
+searches over whole (y, a, b) and (x, L, a, b) tuples instead of one factor
 of the product at a time.  The property suite's replaced paths stay here too: Chevalley
 constants and basis brackets by a recursion keyed by ``Root``s instead of
 basis indices, simple reflections through a scaled simple root and checked
@@ -69,6 +71,8 @@ from delpair.projgeo.plucker import (
     _pencil_parameter,
     _polarization_rank,
 )
+from delpair.projgeo.segre import SegreLine, segre_point
+from delpair.report import CheckReport
 from delpair.rootsys import (
     ChainError,
     Component,
@@ -840,29 +844,126 @@ def _move_tables(g2, g3, g3inv, p1: list, p2: list, q: int) -> tuple[dict, dict,
     return on1, on2, on_lines
 
 
-def configuration_orbit(q: int, gens2: list, gens3: list) -> tuple[set, set]:
-    """(valid, orbit): the Segre fitting configurations (x, L, a, b) with a != x
-    and b off L, and the orbit of the least one under the moves (g2, 1) and
-    (1, g3) for (g2, g2^-1) in gens2 and (g3, g3^-1) in gens3.
+def _breadth_first(seed: tuple, step) -> set:
+    """Every configuration reached from seed; step(c) lists the images of c."""
+    orbit, layer = {seed}, {seed}
+    while layer:
+        layer = {d for c in layer for d in step(c)} - orbit
+        orbit |= layer
+    return orbit
 
+
+def configuration_orbits(q: int, gens2: list, gens3: list) -> tuple[tuple, tuple]:
+    """((valid, orbit) of (a), (valid, orbit) of (b)) for the Segre fitting check.
+
+    The (a) configurations are the (y, a, b) with b != y: the (1,0)-line
+    P^1 x {y} and the point (a, b).  The (b) configurations are the
+    (x, L, a, b) with a != x and b off L: the (0,1)-line {x} x L and the point
+    (a, b).  Each orbit is that of the least configuration under the moves
+    (g2, 1) and (1, g3) for (g2, g2^-1) in gens2 and (g3, g3^-1) in gens3.
     Whole configurations are searched breadth first, each move padded with the
     identity on the factor it fixes, instead of one factor at a time.
     """
     p1 = list(projective_points(q, 2))
     p2 = list(projective_points(q, 3))
-    valid = {(x, L, a, b) for x in p1 for L in p2 for a in p1 for b in p2
-             if a != x and sum(c * v for c, v in zip(L, b)) % q}
+    valid_a = {(y, a, b) for y in p2 for a in p1 for b in p2 if b != y}
+    valid_b = {(x, L, a, b) for x in p1 for L in p2 for a in p1 for b in p2
+               if a != x and sum(c * v for c, v in zip(L, b)) % q}
     id2 = ((1, 0), (0, 1))
     id3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     moves = [_move_tables(g, id3, id3, p1, p2, q) for g, _ in gens2] + [
         _move_tables(id2, g, g_inv, p1, p2, q) for g, g_inv in gens3]
-    seed = min(valid)
-    orbit, layer = {seed}, {seed}
-    while layer:
-        layer = {(on1[x], on_lines[L], on1[a], on2[b]) for on1, on2, on_lines in moves
-                 for x, L, a, b in layer} - orbit
-        orbit |= layer
-    return valid, orbit
+    orbit_a = _breadth_first(min(valid_a), lambda c: [
+        (on2[c[0]], on1[c[1]], on2[c[2]]) for on1, on2, _ in moves])
+    orbit_b = _breadth_first(min(valid_b), lambda c: [
+        (on1[c[0]], on_lines[c[1]], on1[c[2]], on2[c[3]]) for on1, on2, on_lines in moves])
+    return (valid_a, orbit_a), (valid_b, orbit_b)
+
+
+@functools.lru_cache(maxsize=None)
+def looped_sections(q: int) -> tuple:
+    """(a count, a failure rows, b count, b failure rows): the section of every
+    configuration of (a) and (b), cut by ``SegreLine.section_with`` in two
+    loops over every configuration, as the fitting report first walked them.
+
+    (a) fails a configuration whose section misses the joining (0,1)-curve
+    or is exactly the line and the point; (b) one whose section is not.
+    """
+    p1 = list(projective_points(q, 2))
+    p2 = list(projective_points(q, 3))
+    on_line = {L: [m for m in p2 if sum(c * v for c, v in zip(L, m)) % q == 0] for L in p2}
+    img = {(a, b): segre_point(a, b, q) for a in p1 for b in p2}
+
+    def join(y, b):
+        cov = (y[1] * b[2] - y[2] * b[1], y[2] * b[0] - y[0] * b[2], y[0] * b[1] - y[1] * b[0])
+        return on_line[canonical_mod(cov, q)]
+
+    a_rows, a_configs = [], 0
+    for y in p2:
+        line_pts = {img[x, y] for x in p1}
+        line = SegreLine(img[p1[0], y], img[p1[1], y], q)
+        for a, b in itertools.product(p1, p2):
+            if b == y:
+                continue
+            a_configs += 1
+            pt = img[a, b]
+            section = line.section_with(pt)
+            if not all(img[a, m] in section for m in join(y, b)):
+                a_rows.append({"check": "a-witness", "y": y, "point": (a, b)})
+            if section == line_pts | {pt}:
+                a_rows.append({"check": "a-exact-section", "y": y, "point": (a, b)})
+    b_rows, b_configs = [], 0
+    for x in p1:
+        for L, Lpts in on_line.items():
+            line_img = {img[x, m] for m in Lpts}
+            line = SegreLine(img[x, Lpts[0]], img[x, Lpts[1]], q)
+            for a, b in itertools.product(p1, p2):
+                if a == x or b in Lpts:
+                    continue
+                b_configs += 1
+                pt = img[a, b]
+                if line.section_with(pt) != line_img | {pt}:
+                    b_rows.append({"check": "b-section", "x": x, "L": L, "point": (a, b)})
+    return a_configs, tuple(a_rows), b_configs, tuple(b_rows)
+
+
+def looped_fitting_report(q: int, gens2: list, gens3: list) -> CheckReport:
+    """The Segre fitting report from ``looped_sections`` and ``configuration_orbits``:
+    every section of (a) and (b) cut, and both orbits searched as whole
+    configurations, instead of one section per orbit and one factor at a time.
+
+    It acts on the two factors directly, so it has no rows for generators
+    that act wrongly on the ambient space.  Its counts are orbit sizes, as
+    the report's are, and it checks that the loops walked each whole set.
+    """
+    p1 = list(projective_points(q, 2))
+    p2 = list(projective_points(q, 3))
+    (valid_a, orbit_a), (valid_b, orbit_b) = configuration_orbits(q, gens2, gens3)
+    a_configs, a_rows, b_configs, b_rows = looped_sections(q)
+    assert (a_configs, b_configs) == (len(valid_a), len(valid_b))
+    failures = []
+    points = len({segre_point(a, b, q) for a in p1 for b in p2})
+    if points != (q + 1) * (q * q + q + 1):
+        failures.append({"check": "point-count", "got": points,
+                         "expected": (q + 1) * (q * q + q + 1)})
+    failures += [dict(row) for row in a_rows]
+    if orbit_a != valid_a:
+        failures.append({"check": "a-orbit", "orbit_size": len(orbit_a),
+                         "configs": len(valid_a)})
+    failures += [dict(row) for row in b_rows]
+    if orbit_b != valid_b:
+        failures.append({"check": "c-orbit", "orbit_size": len(orbit_b),
+                         "valid_configs": len(valid_b)})
+    witnesses = [{
+        "segre_points": points,
+        "a_configs": len(orbit_a),
+        "b_configs": len(orbit_b),
+        "valid_configs": len(valid_b),
+        "orbit_size": len(orbit_b),
+        "single_orbit": orbit_b == valid_b,
+    }]
+    return CheckReport("segre.fitting", f"F{q}", "fail" if failures else "pass",
+                       witnesses=witnesses + failures)
 
 
 SYMBOLS = sympy.symbols("u v w")

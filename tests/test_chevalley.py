@@ -220,3 +220,41 @@ def test_extraspecial_seed_signs_are_positive():
             continue
         first = min(a for a in positives if a < rho - a and rho - a in pos_set)
         assert tab.constant(first, rho - first) > 0
+
+
+@pytest.mark.parametrize("literal", ["A4", "B4", "C4", "D5", "E6", "E7", "E8", "F4", "G2"])
+def test_packed_sum_is_the_tuple_sum(literal):
+    # every ordered pair of basis roots: the sum of two packed coefficient
+    # tuples, looked up, against the sum of the tuples themselves
+    tab = table(literal)
+    roots = tab.basis_roots
+    index = {r.coeffs: k for k, r in enumerate(roots)}
+    hits = 0
+    for i, a in enumerate(roots):
+        for j, b in enumerate(roots):
+            expected = index.get(tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+            assert tab._sum(i, j) == expected, (a, b)
+            hits += expected is not None
+    assert hits == len(summing_pairs(tab.rs))
+
+
+class _StubSystem:
+    """A rank-2 stand-in root system whose one positive root has the given coefficients."""
+
+    def __init__(self, coeffs):
+        self.positive_roots = [Root(coeffs)]
+        self.diagram = type("Diagram", (), {"rank": 2})()
+
+    def scaled_norm(self, r):
+        return 2
+
+
+def test_table_refuses_coefficients_whose_packed_sums_could_carry():
+    # digits c + 16 in base 32: with |c| <= 7 a sum of two digits stays in
+    # [2, 30], so (7, -7) is taken and its double (14, -14) is no root; 8
+    # could carry into the next digit and is refused at construction
+    tab = ChevalleyTable(_StubSystem((7, -7)))
+    assert tab._sum(0, 0) is None and tab._sum(0, 1) is None
+    for coeffs in ((8, 0), (0, -8)):
+        with pytest.raises(AssertionError, match="^a root coefficient exceeds 7"):
+            ChevalleyTable(_StubSystem(coeffs))

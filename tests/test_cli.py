@@ -231,15 +231,16 @@ def test_cli_section_certification_failure_is_one_line_exit_1(tmp_path, capsys):
 
 
 def test_internal_value_error_is_one_line_exit_1(monkeypatch, tmp_path, capsys):
-    # a wrong polar form breaks a hypothesis inside the Segre suite; the
-    # input was fine, so this is an internal failure, not a usage error
-    polar = segre._polar
+    # a plane line listed with its first point twice breaks a hypothesis of
+    # SegreLine inside the Segre suite; the input was fine, so this is an
+    # internal failure, not a usage error
+    line_points = segre._line_points
 
-    def sign_flipped(u, v):             # - u1 v3 - v1 u3 in the first form turned to +
-        first, second, third = polar(u, v)
-        return first + 2 * (u[1] * v[3] + v[1] * u[3]), second, third
+    def first_point_twice(cov, plane_pts, q):
+        found = line_points(cov, plane_pts, q)
+        return found[:1] + found
 
-    monkeypatch.setattr(segre, "_polar", sign_flipped)
+    monkeypatch.setattr(segre, "_line_points", first_point_twice)
     out = tmp_path / "s.json"
     assert main(["segre", "fitting", "--q", "3", "--out", str(out)]) == 1
     captured = capsys.readouterr()

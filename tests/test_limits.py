@@ -11,7 +11,9 @@ from delpair.rootsys import DiagramError
 def test_bounds_cover_the_pinned_bundles_and_are_prime():
     assert MAX_RANK >= 20                        # the max_rank-20 bundle is pinned
     assert is_prime(MAX_PLUCKER_PRIME) and MAX_PLUCKER_PRIME >= 11      # --primes 7,11 pin
-    assert is_prime(MAX_SEGRE_PRIME) and MAX_SEGRE_PRIME >= 7
+    # CI runs segre fitting --q 23 within 15 s; one representative per orbit
+    # brought the Segre bound up to the Plücker one
+    assert is_prime(MAX_SEGRE_PRIME) and MAX_SEGRE_PRIME == MAX_PLUCKER_PRIME == 23
 
 
 def test_run_config_takes_the_largest_rank_and_refuses_one_more():
@@ -25,12 +27,15 @@ def test_run_config_takes_the_largest_rank_and_refuses_one_more():
 HUGE = (100000000000031, 10000000000000061, 12345678901234567891)
 
 
+def _next_prime(n: int) -> int:
+    return next(p for p in range(n + 1, 2 * n + 2) if is_prime(p))
+
+
 @pytest.mark.parametrize("field, bound", [("primes_plucker", MAX_PLUCKER_PRIME),
                                           ("primes_segre", MAX_SEGRE_PRIME)])
 def test_run_config_takes_the_largest_prime_and_refuses_larger(field, bound):
     assert getattr(RunConfig(**{field: (bound,)}), field) == (bound,)
-    next_prime = next(p for p in range(bound + 1, 2 * bound) if is_prime(p))
-    for p in (next_prime, 1000003, *HUGE):
+    for p in (_next_prime(bound), 1000003, *HUGE):
         t0 = time.perf_counter()
         with pytest.raises(ValueError, match=f"^{field} takes primes up to {bound}, not {p}$"):
             RunConfig(**{field: (3, p)})
@@ -56,7 +61,7 @@ def test_parse_pair_id_takes_the_largest_rank_and_refuses_one_more():
      f"primes_plucker takes primes up to {MAX_PLUCKER_PRIME}, not 1000003"),
     (["pluecker", "survey", "--primes", f"5,{MAX_PLUCKER_PRIME + 6}"],
      f"primes_plucker takes primes up to {MAX_PLUCKER_PRIME}"),
-    (["segre", "fitting", "--q", str(MAX_SEGRE_PRIME + 2)],
+    (["segre", "fitting", "--q", str(_next_prime(MAX_SEGRE_PRIME))],
      f"primes_segre takes primes up to {MAX_SEGRE_PRIME}"),
     (["pluecker", "survey", "--primes", str(HUGE[-1])],
      f"primes_plucker takes primes up to {MAX_PLUCKER_PRIME}, not {HUGE[-1]}"),

@@ -33,11 +33,13 @@ from delpair.projgeo.plucker import (
     plucker_quadrics,
     q_orbit_membership,
 )
+from delpair.report import DEFAULT_SEED
 from oracles import (
     _common_vector,
     _on_ell,
     _wedge_mod,
     coord_plucker_quadrics,
+    decomposability_bivectors,
     enumerate_grassmannian,
     finite_plane_section,
     gaussian_binomial_2_of_5,
@@ -188,6 +190,27 @@ def test_integer_rank_matches_fraction_rref():
         assert integer_rank(m) == expected, m
         seen.add(expected)
     assert seen == {0, 1, 2, 3, 4, 5, 6}
+
+
+def test_early_stop_rank_matches_fraction_rref():
+    # the rank-only elimination at every stop, over Q against the Fraction
+    # rref and mod 5 and 7 against rref_mod (itself checked against kernel
+    # counts below), on the property suite's 1 000 decomposability draws and
+    # on integer matrices of rank 0 to 5
+    draws = [omega.matrix() for field in ("QQ", "F5")
+             for omega in decomposability_bivectors(DEFAULT_SEED, field)]
+    rng = random.Random(57)
+    products = [_low_rank_matrix(rng, nrows, ncols, r, 9)
+                for nrows, ncols in ((5, 5), (6, 7), (7, 6)) for r in range(6) for _ in range(3)]
+    seen = {}
+    for m in draws + products:
+        for p in (None, 5, 7):
+            full = rank(m) if p is None else len(rref_mod(m, p))
+            seen.setdefault(p, set()).add(full)
+            assert integer_rank(m, p) == full, (p, m)
+            for stop in (1, 2, 3, 5):
+                assert integer_rank(m, p, stop) == min(full, stop), (p, stop, m)
+    assert all(ranks >= {0, 1, 2, 3, 4, 5} for ranks in seen.values()), seen
 
 
 def test_rank_mod_p_matches_brute_force_kernel_count():

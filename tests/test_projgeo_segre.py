@@ -11,7 +11,7 @@ from delpair.projgeo.segre import (
     segre_fitting_report,
     segre_point,
 )
-from oracles import configuration_orbit, enumerated_span_section, sympy_section_locus
+from oracles import enumerated_span_section, looped_fitting_report, sympy_section_locus
 
 
 def segre_minors(z) -> list:
@@ -81,32 +81,41 @@ def _cut_generators(n: int, q: int, cut):
     return gens[:cut]
 
 
+def _not_involutions(n: int, q: int) -> list[int]:
+    """Indices of the generators g of GL_n(F_q) with g^2 != 1 mod q."""
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    return [k for k, (g, _) in enumerate(_gl_generators(n, q))
+            if [[sum(g[i][t] * g[t][j] for t in range(n)) % q for j in range(n)]
+                for i in range(n)] != identity]
+
+
 @pytest.mark.parametrize("cut", [None, 1, 2, 3, "self-inverse"])
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_orbit_step_matches_four_tuple_oracle(q, cut, monkeypatch):
-    # the report against a search over whole (x, L, a, b) configurations,
-    # with every generator, with each group cut to its first 1, 2 or 3
-    # generators (several orbits), and with wrong inverses, whose orbit leaves
-    # the valid set for q > 2; the last three reach the c-orbit failure row
+    # the whole report against the looped oracle, which cuts the section of
+    # every configuration of (a) and (b) and searches both orbits over whole
+    # (y, a, b) and (x, L, a, b) tuples: with every generator, with each
+    # group cut to its first 1, 2 or 3 generators (several orbits), and with
+    # wrong inverses, whose orbit leaves the valid set for q > 2
     gens = {n: _cut_generators(n, q, cut) for n in (2, 3)}
     monkeypatch.setattr(segre, "_gl_generators", lambda n, p: iter(gens[n]))
-    valid, orbit = configuration_orbit(q, gens[2], gens[3])
-    report = segre_fitting_report(q)
+    report = segre_fitting_report(q).to_dict()
+    oracle = looped_fitting_report(q, gens[2], gens[3]).to_dict()
+    # a wrong inverse carries plane lines wrongly, which step (i) reports;
+    # the oracle acts on the factors directly and has no such rows
+    moved_wrongly = [{"check": "generator", "factor": 2, "index": k}
+                     for k in (_not_involutions(3, q) if cut == "self-inverse" else [])]
+    assert [row for row in report["witnesses"] if row.get("check") == "generator"] == moved_wrongly
+    report["witnesses"] = [row for row in report["witnesses"] if row not in moved_wrongly]
+    assert report == oracle
+    data, checks = report["witnesses"][0], [row.get("check") for row in report["witnesses"][1:]]
     plane = q * q + q + 1
-    single = orbit == valid
-    assert report.witnesses == [{
-        "segre_points": (q + 1) * plane,
-        "a_configs": plane * (q + 1) * (q * q + q),
-        "b_configs": len(valid),
-        "valid_configs": len(valid),
-        "orbit_size": len(orbit),
-        "single_orbit": single,
-    }] + ([] if single else [{"check": "c-orbit", "orbit_size": len(orbit),
-                              "valid_configs": len(valid)}])
-    assert report.status == ("pass" if single else "fail")
+    assert data["segre_points"] == (q + 1) * plane
+    assert (data["a_configs"] == plane * (q + 1) * (q * q + q)) == ("a-orbit" not in checks)
     # at q = 2 each generator is its own inverse, so only the cuts fail there
-    assert single == (cut is None or (cut == "self-inverse" and q == 2))
-    assert (len(orbit - valid) > 0) == (cut == "self-inverse" and q > 2)
+    assert data["single_orbit"] == (cut is None or (cut == "self-inverse" and q == 2))
+    assert ("a-orbit" in checks) == (cut in (1, 2, 3))
+    assert (report["status"] == "pass") == data["single_orbit"]
 
 
 def test_factor_orbit_of_the_right_size_off_the_valid_set_fails(monkeypatch):
@@ -129,6 +138,53 @@ def test_factor_orbit_of_the_right_size_off_the_valid_set_fails(monkeypatch):
     assert report.status == "fail"
     assert report.witnesses[1:] == [{"check": "c-orbit", "orbit_size": size,
                                      "valid_configs": size}]
+
+
+@pytest.mark.parametrize("call", [0, 1])
+def test_a_orbit_of_the_right_size_off_its_set_fails(call, monkeypatch):
+    # the two factor orbits of (a), searched first, are compared with their
+    # sets, not only by size: one element of the call-th orbit is moved off
+    # its set, a diagonal (a, a) to (a, c) or a pair (y, b) of distinct plane
+    # points to (y, y)
+    orbit, seeds = segre._orbit, []
+
+    def one_off(seed, moves):
+        found = orbit(seed, moves)
+        seeds.append(seed)
+        if len(seeds) - 1 == call:
+            u, v = min(found)
+            w = max(found)[1] if u == v else u
+            found = found - {(u, v)} | {(u, w)}
+        return found
+
+    monkeypatch.setattr(segre, "_orbit", one_off)
+    report = segre_fitting_report(3)
+    assert [len(seed[0]) for seed in seeds] == [2, 3, 2, 3]
+    assert (seeds[0][0] == seeds[0][1]) and seeds[1][0] != seeds[1][1]
+    size = 4 * 13 * 12
+    assert report.witnesses[0]["a_configs"] == size
+    assert report.witnesses[0]["single_orbit"] is True
+    assert report.status == "fail"
+    assert report.witnesses[1:] == [{"check": "a-orbit", "orbit_size": size, "configs": size}]
+
+
+def test_generator_off_the_product_fails(monkeypatch):
+    # step (i) ties each generator's action on the ambient space to its action
+    # on the factors: with z01 and z10 swapped after g (x) 1 and 1 (x) h, no
+    # generator maps the image of (a, b) to that of the moved pair
+    kronecker = segre._kronecker
+
+    def swapped(g, h):
+        m = list(kronecker(g, h))
+        m[1], m[3] = m[3], m[1]
+        return tuple(m)
+
+    monkeypatch.setattr(segre, "_kronecker", swapped)
+    report = segre_fitting_report(3)
+    assert report.status == "fail"
+    assert report.witnesses[1:] == (
+        [{"check": "generator", "factor": 1, "index": k} for k in range(3)]
+        + [{"check": "generator", "factor": 2, "index": k} for k in range(7)])
 
 
 def a_configs(q: int):
