@@ -24,12 +24,15 @@ def noncompact_positive_roots(md: MarkedDiagram) -> frozenset[Root]:
     """
     marks = [md.diagram.index[m] for m in md.marked]
     return frozenset(r for r in md.root_system().positive_roots
-                     if any(r.coeffs[i] == 1 for i in marks))
+                     if 1 in map(r.coeffs.__getitem__, marks))
 
 
+@lru_cache(maxsize=None)
 def psi_gamma(md: MarkedDiagram) -> frozenset[Root]:
     """VMRT tangent weights at the mark gamma: the noncompact mu with mu - gamma
-    a root.  The radial direction gamma itself is not among them."""
+    a root.  The radial direction gamma itself is not among them.  Cached per
+    marked diagram, as ``noncompact_positive_roots`` is, so the pairs that
+    share an ambient or a sub-diagram compute it once."""
     rs = md.root_system()
     gamma = rs.simple_root(md.single_mark)
     return frozenset(m for m in noncompact_positive_roots(md) if rs.is_root(m - gamma))

@@ -22,6 +22,30 @@ PROXY_NOTE = ("irreducibility certified only at the level of Levi-root "
               "connectivity of the weight set")
 
 
+# The Levi search packs a coefficient tuple c of length n as the big-endian
+# base-32 int sum of c_t * 32^(n-1-t), so on nonnegative tuples int order is
+# tuple order.
+_WEIGHT_BITS = 5
+
+
+def weight_packer(rank: int, weights, steps):
+    """Packer of rank-``rank`` roots for a search that moves ``weights`` by +-``steps``.
+
+    Requires nonnegative coefficients whose largest weight and step values
+    sum below 32.  Then w + s carries nowhere, and w - s is either the
+    packing of w - s or borrows, leaving a digit above every weight's, so no
+    candidate aliases a weight.  Anything else raises AssertionError.
+    """
+    coeffs = [r.coeffs for r in weights], [r.coeffs for r in steps]
+    low = min(min(map(min, group), default=0) for group in coeffs)
+    top_w, top_s = (max(map(max, group), default=0) for group in coeffs)
+    if low < 0 or top_w + top_s >= 1 << _WEIGHT_BITS:
+        raise AssertionError(f"weight coefficients up to {top_w} and step coefficients up "
+                             f"to {top_s}, least {low}, do not fit a packed digit")
+    places = tuple(1 << _WEIGHT_BITS * t for t in reversed(range(rank)))
+    return lambda r: sum(map(operator.mul, r.coeffs, places))
+
+
 def normal_weights(pair: DeletionPair) -> frozenset[Root]:
     """Ambient noncompact roots minus the Phi-image of the sub ones."""
     return hss.noncompact_positive_roots(pair.ambient) - pair.correspondence.noncompact_image
@@ -37,22 +61,25 @@ class NormalDecomposition(NamedTuple):
 def levi_components(pair: DeletionPair) -> NormalDecomposition:
     """Partition the normal weights into Levi-action graph components.
 
-    The search runs on coefficient tuples, which order as their roots do.
+    The search runs on weights packed by ``weight_packer`` into big-endian
+    ints, which order as their roots do; each key maps back to its weight.
     """
     corr = pair.correspondence
     weights = normal_weights(pair)
-    steps = [corr.apply(pair.sub_rs().simple_root(label)).coeffs
-             for label in pair.sub.diagram.nodes if label != pair.gamma0]
-    remaining = {w.coeffs for w in weights}
-    blocks: list[set[tuple[int, ...]]] = []
+    steps = [image for label, image in corr.on_simple if label != pair.gamma0]
+    pack = weight_packer(pair.ambient.diagram.rank, weights, steps)
+    root_of = {pack(w): w for w in weights}
+    moves = [pack(s) for s in steps]
+    remaining = set(root_of)
+    blocks: list[set[int]] = []
     while remaining:
         seed = min(remaining)
         block = {seed}
         frontier = [seed]
         while frontier:
             w = frontier.pop()
-            for s in steps:
-                for cand in (tuple(map(operator.add, w, s)), tuple(map(operator.sub, w, s))):
+            for s in moves:
+                for cand in (w + s, w - s):
                     if cand in remaining and cand not in block:
                         block.add(cand)
                         frontier.append(cand)
@@ -61,10 +88,9 @@ def levi_components(pair: DeletionPair) -> NormalDecomposition:
     blocks.sort(key=lambda c: (len(c), min(c)))
     highest = []
     for block in blocks:
-        maximal = [w for w in block
-                   if all(tuple(map(operator.add, w, s)) not in block for s in steps)]
-        highest.append(Root(max(maximal, key=lambda c: (sum(c), c))))
-    components = tuple(frozenset(map(Root, block)) for block in blocks)
+        maximal = [root_of[w] for w in block if all(w + s not in block for s in moves)]
+        highest.append(max(maximal, key=lambda r: (r.height, r.coeffs)))
+    components = tuple(frozenset(map(root_of.__getitem__, block)) for block in blocks)
     singletons = [next(iter(c)) for c in components if len(c) == 1]
     singleton = singletons[0] if len(singletons) == 1 else None
     return NormalDecomposition(weights, components, singleton, tuple(highest))

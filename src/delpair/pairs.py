@@ -10,7 +10,7 @@ sub-diagram.
 """
 from __future__ import annotations
 
-import operator
+from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -129,22 +129,48 @@ class RootCorrespondence(Frozen, fields=("pair", "on_simple")):
         object.__setattr__(self, "on_simple", on_simple)
 
     @cached_property
-    def _rows(self) -> tuple[tuple[int, ...], ...]:
-        """Phi as an integer matrix, ambient rank x sub rank, by rows.
+    def _columns(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Phi by sparse columns, one per sub node in the sub diagram's order.
 
-        Column j is Phi of the sub diagram's j-th simple root.
+        Column j lists (ambient index, coefficient) for the nonzero entries of
+        Phi of the j-th simple root: one entry, or the chain's entries for a
+        neighbor of gamma0, which gains Gamma.
         """
         images = dict(self.on_simple)
-        return tuple(zip(*(images[label].coeffs for label in self.pair.sub.diagram.nodes)))
+        return tuple(tuple((i, c) for i, c in enumerate(images[label].coeffs) if c)
+                     for label in self.pair.sub.diagram.nodes)
 
     def apply(self, beta: Root) -> Root:
-        """Phi on any sub-coordinate root: the matrix times its coefficients."""
-        return Root(tuple(sum(map(operator.mul, row, beta.coeffs)) for row in self._rows))
+        """Phi on any sub-coordinate root: the sparse sum of c_j Phi(alpha_j)."""
+        image = [0] * self.pair.ambient.diagram.rank
+        for c, column in zip(beta.coeffs, self._columns):
+            if c:
+                for i, a in column:
+                    image[i] += c * a
+        return Root(tuple(image))
+
+    @cached_property
+    def gram(self) -> tuple[tuple[int, ...], ...]:
+        """B(Phi alpha_i, Phi alpha_j) under the ambient integer form B, in sub node order."""
+        form = self.pair.ambient_rs().form
+        columns = self._columns
+        return tuple(tuple(sum(a * b * form[k][l] for k, a in ci for l, b in cj)
+                           for cj in columns) for ci in columns)
+
+    def pairing(self, i: int, j: int) -> "int | Fraction":
+        """<Phi alpha_i, Phi alpha_j> = 2 B_ij / B_jj, read from the Gram matrix."""
+        num, den = 2 * self.gram[i][j], self.gram[j][j]
+        q, rem = divmod(num, den)
+        return Fraction(num, den) if rem else q
+
+    @cached_property
+    def on_noncompact(self) -> dict[Root, Root]:
+        """Phi of each noncompact positive root of the sub-diagram."""
+        return {b: self.apply(b) for b in hss.noncompact_positive_roots(self.pair.sub)}
 
     @cached_property
     def noncompact_image(self) -> frozenset[Root]:
-        nc0 = hss.noncompact_positive_roots(self.pair.sub)
-        return frozenset(self.apply(b) for b in nc0)
+        return frozenset(self.on_noncompact.values())
 
 
 def root_correspondence(pair: DeletionPair) -> RootCorrespondence:
@@ -171,7 +197,7 @@ def root_correspondence(pair: DeletionPair) -> RootCorrespondence:
     for i, la in enumerate(sub_diag.nodes):
         for j, lb in enumerate(sub_diag.nodes):
             want = cartan[j][i]
-            got = ars.pairing(table[la], table[lb])
+            got = corr.pairing(i, j)
             if want != got:
                 raise CorrespondenceError(
                     f"pairing mismatch at ({la}, {lb}): <Phi,Phi> = {got}, expected {want}"

@@ -18,13 +18,14 @@ per letter, that this matching replaces are an oracle in the tests.
 
 Everything that depends only on a component's Bourbaki type is read per
 type, not per diagram.  Positive roots are generated once per (letter,
-rank) by root strings on the type's own Cartan matrix and embedded through
-``Component.labels``.  The form comes from a table of relative simple-root
-lengths, and a mark is cominuscule when the Bourbaki table of highest-root
-coefficients gives it coefficient 1, so checking marks builds no root
-system.  The per-diagram paths these replace (root strings over the whole
-diagram's Cartan matrix, the breadth-first symmetrizer and the highest-root
-scan) are independent oracles in the tests.
+rank) by root strings on the type's own Cartan matrix, walked on packed
+ints, and embedded through ``Component.labels``.  The form comes from a
+table of relative simple-root lengths, and a mark is cominuscule when the
+Bourbaki table of highest-root coefficients gives it coefficient 1, so
+checking marks builds no root system.  The per-diagram paths these replace
+(root strings over the whole diagram's Cartan matrix, the breadth-first
+symmetrizer and the highest-root scan), and root strings walked on
+coefficient tuples, are independent oracles in the tests.
 
 The Cartan pairing convention is <b, g> = 2(b, g)/(g, g), i.e. the second
 slot carries the normalization; the scale of B cancels in that ratio.
@@ -108,7 +109,7 @@ class Root(Frozen):
 
     @staticmethod
     def simple(i: int, rank: int) -> "Root":
-        return Root(tuple(1 if j == i else 0 for j in range(rank)))
+        return Root((0,) * i + (1,) + (0,) * (rank - 1 - i))
 
     def __repr__(self) -> str:
         return f"Root{self.coeffs}"
@@ -447,25 +448,47 @@ def _highest_root_coefficients(letter: str, n: int) -> tuple[int, ...]:
             "G2": (3, 2)}[f"{letter}{n}"]
 
 
+# A root string packs a coefficient tuple c as the int sum of c_i * 16^i, so
+# beta +- alpha_i is key +- 16^i.  While every coefficient is at most 14,
+# raising one carries into no other digit, and lowering a zero coefficient
+# borrows, leaving the digit 15 that no root has.
+_STRING_BITS = 4
+_MAX_STRING_COEFF = (1 << _STRING_BITS) - 2
+
+
 def _generate(cartan: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
-    """Positive roots by root strings through the simple roots, as int tuples."""
+    """Positive roots by root strings through the simple roots, as int tuples.
+
+    The walk runs on packed ints and carries each root's pairings
+    <beta, alpha_k> along: raising beta by alpha_i adds column i of the
+    Cartan matrix.  A coefficient past ``_MAX_STRING_COEFF``, which only a
+    matrix of no finite type reaches, raises AssertionError.
+    """
     n = len(cartan)
-    layer = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    roots = dict.fromkeys(layer)        # insertion-ordered set
+    unit = [1 << _STRING_BITS * i for i in range(n)]
+    column = [tuple(row[i] for row in cartan) for i in range(n)]
+    simple = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    layer = list(zip(unit, simple, column))
+    roots = {key: coeffs for key, coeffs, _ in layer}     # insertion-ordered
     while layer:
-        nxt: list[tuple[int, ...]] = []
-        for beta in layer:
-            for i in range(n):
-                p = 0
-                while beta[:i] + (beta[i] - p - 1,) + beta[i + 1:] in roots:
-                    p += 1
-                if p - sum(map(operator.mul, beta, cartan[i])) > 0:
-                    up = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
+        nxt = []
+        for key, coeffs, pairings in layer:
+            for i, step in enumerate(unit):
+                down = key - step
+                while down in roots:
+                    down -= step
+                # the string through beta reaches (key - down) / step - 1 steps down
+                if (key - down) // step - 1 > pairings[i]:
+                    up = key + step
                     if up not in roots:
-                        roots[up] = None
-                        nxt.append(up)
+                        if coeffs[i] == _MAX_STRING_COEFF:
+                            raise AssertionError(
+                                f"a root coefficient exceeds {_MAX_STRING_COEFF}, so a "
+                                "packed root string could alias another root")
+                        roots[up] = raised = coeffs[:i] + (coeffs[i] + 1,) + coeffs[i + 1:]
+                        nxt.append((up, raised, tuple(map(operator.add, pairings, column[i]))))
         layer = nxt
-    return list(roots)
+    return list(roots.values())
 
 
 @lru_cache(maxsize=None)
@@ -476,21 +499,24 @@ def _type_roots(letter: str, n: int) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=None)
 def _embedded_roots(n: int, shape: tuple[tuple[str, int, tuple[int, ...]], ...]
-                    ) -> tuple[frozenset[Root], frozenset[Root]]:
-    """Positive roots and all roots of a rank-n diagram of the given shape.
+                    ) -> tuple[frozenset[Root], frozenset[tuple[int, ...]]]:
+    """Positive roots, and the coefficient tuples of all roots, of a rank-n
+    diagram of the given shape.
 
     ``shape`` lists (letter, rank, node positions) per component; each
-    component's per-type roots are placed at its positions.  Diagrams that
+    component's per-type roots are placed at its positions as int tuples,
+    and each positive tuple is wrapped in a ``Root`` once.  Diagrams that
     differ only in node labels share one shape and so one pair of sets.
     """
-    positives = set()
+    placed = []
     for letter, rank, where in shape:
         for coeffs in _type_roots(letter, rank):
             full = [0] * n
             for i, c in zip(where, coeffs):
                 full[i] = c
-            positives.add(Root(tuple(full)))
-    return frozenset(positives), frozenset(positives | {-r for r in positives})
+            placed.append(tuple(full))
+    negatives = [tuple(map(operator.neg, coeffs)) for coeffs in placed]
+    return frozenset(map(Root, placed)), frozenset(placed + negatives)
 
 
 # ---------------------------------------------------------------------------
@@ -503,11 +529,15 @@ class RootSystem:
     def __init__(self, diagram: DynkinDiagram):
         self.diagram = diagram
         self.cartan = diagram.cartan_matrix
-        self.form = diagram.integer_form
         shape = tuple((c.letter, c.rank, tuple(map(diagram.index.__getitem__, c.labels)))
                       for c in diagram.components)
-        self.positive_roots, self._all = _embedded_roots(diagram.rank, shape)
+        self.positive_roots, self._all_coeffs = _embedded_roots(diagram.rank, shape)
         self._columns: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    @property
+    def form(self) -> tuple[tuple[int, ...], ...]:
+        """The diagram's integer form, built on first use."""
+        return self.diagram.integer_form
 
     # -- pairings ----------------------------------------------------------
 
@@ -540,7 +570,7 @@ class RootSystem:
     # -- membership and reflections -----------------------------------------
 
     def is_root(self, r: Root) -> bool:
-        return r in self._all
+        return r.coeffs in self._all_coeffs
 
     def simple_root(self, label: str) -> Root:
         return Root.simple(self.diagram.index[label], self.diagram.rank)

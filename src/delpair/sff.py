@@ -37,7 +37,7 @@ class SFFContext(NamedTuple):
         rs = pair.ambient_rs()
         psi = hss.psi_gamma(pair.ambient)
         corr = pair.correspondence
-        sub_tangent = frozenset(corr.apply(mu0) for mu0 in hss.psi_gamma(pair.sub))
+        sub_tangent = frozenset(map(corr.on_noncompact.__getitem__, hss.psi_gamma(pair.sub)))
         bad = sub_tangent - psi
         if bad:
             raise AssertionError(f"sub-VMRT tangent leaves Psi_gamma: {sorted(bad)[:3]}")
@@ -125,7 +125,7 @@ def verify_infinity_locus(pair: DeletionPair) -> CheckReport:
     nc0 = hss.noncompact_positive_roots(pair.sub)
     for beta in sorted(nc0):
         pr = srs.pairing(beta, gamma0_sub)
-        image = corr.apply(beta)
+        image = corr.on_noncompact[beta]
         reflected = ars.reflect(pair.gamma0, image)
         if beta == gamma0_sub:
             continue       # handled by check (c)
@@ -147,7 +147,7 @@ def verify_infinity_locus(pair: DeletionPair) -> CheckReport:
     if ars.reflect(pair.gamma0, gamma) != gamma + gamma0_amb:
         failures.append({"check": "c"})
 
-    lhs = frozenset(ars.reflect(pair.gamma0, corr.apply(b)) for b in nc0)
+    lhs = frozenset(ars.reflect(pair.gamma0, image) for image in corr.noncompact_image)
     nc = hss.noncompact_positive_roots(pair.ambient)
     rhs = frozenset(b for b in nc if ars.pairing(b, gamma) == 1)
     if lhs != rhs:

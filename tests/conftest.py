@@ -22,6 +22,12 @@ def catalog12():
 
 
 @pytest.fixture(scope="session")
+def catalog20():
+    """The 346 deletion pairs of rank at most 20, in catalog order."""
+    return pairs.catalog(20)
+
+
+@pytest.fixture(scope="session")
 def maximal_triple(catalog7):
     """The three maximal non-quadric pairs, smallest ambient first."""
     return [catalog7[pid] for pid in ("D5:a5/a3", "E6:a6/a5", "E7:a7/a6")]

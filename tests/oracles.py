@@ -8,12 +8,16 @@ inner products from the rational symmetrized form) instead of the integer
 form; the symmetrized form comes from a breadth-first walk of Cartan-entry
 ratios instead of the table of simple-root lengths, highest roots from a
 scan of each component's roots instead of the Bourbaki coefficient table,
-the root correspondence from additive extension instead of its integer
-matrix, the chain-sum root Gamma from Root additions instead of the chain's
-indicator vector, the sub-VMRT tangent weights gamma + Gamma + kappa0
-from compact sub roots embedded by node label instead of through the root
-correspondence, and maximality from an exhaustive two-step deletion
-search over every node instead of the chain-interior closed form; Chevalley
+the root correspondence from additive extension instead of its sparse
+columns, the positive roots of one type from root strings walked on
+coefficient tuples instead of packed ints, the chain-sum root Gamma from
+Root additions instead of the chain's indicator vector, the sub-VMRT tangent
+weights gamma + Gamma + kappa0 from compact sub roots embedded by node label
+instead of through the root correspondence, maximality from an exhaustive
+two-step deletion search over every node instead of the chain-interior
+closed form, and the Levi components of the normal weights from a
+breadth-first search on coefficient tuples, with steps from additive
+extension, instead of on packed ints; Chevalley
 structure constants come from one eager height-ordered sweep instead of
 on-demand recursion; kernels are recomputed by testing
 every (nu, nu') pair with raw root-sum arithmetic; the Lie bracket acts on
@@ -149,6 +153,71 @@ def additive_apply(corr, beta: Root) -> Root:
         if c:
             total = total + images[label].scaled(c)
     return total
+
+
+def tuple_root_strings(cartan: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
+    """Positive roots by root strings through the simple roots, in discovery order.
+
+    Every candidate of a string is built as a coefficient tuple, and each
+    pairing <beta, alpha_i> is a dot product with a Cartan row.
+    """
+    n = len(cartan)
+    layer = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    roots = dict.fromkeys(layer)        # insertion-ordered set
+    while layer:
+        nxt: list[tuple[int, ...]] = []
+        for beta in layer:
+            for i in range(n):
+                p = 0
+                while beta[:i] + (beta[i] - p - 1,) + beta[i + 1:] in roots:
+                    p += 1
+                if p - sum(b * c for b, c in zip(beta, cartan[i])) > 0:
+                    up = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
+                    if up not in roots:
+                        roots[up] = None
+                        nxt.append(up)
+        layer = nxt
+    return list(roots)
+
+
+def tuple_levi_components(pair) -> tuple[tuple[frozenset[Root], ...], tuple[Root, ...]]:
+    """The Levi components of the normal weights and their highest weights.
+
+    A breadth-first search on coefficient tuples from the least weight left,
+    with the steps Phi(alpha) of the compact sub simple roots from additive
+    extension; components sort by (size, least weight), and each highest
+    weight is the greatest (height, tuple) among the weights that no step
+    raises.
+    """
+    corr = pair.correspondence
+    srs = pair.sub.root_system()
+    steps = [additive_apply(corr, srs.simple_root(label)).coeffs
+             for label in pair.sub.diagram.nodes if label != pair.gamma0]
+    nc = hss.noncompact_positive_roots(pair.ambient)
+    image = {additive_apply(corr, b) for b in hss.noncompact_positive_roots(pair.sub)}
+    remaining = {w.coeffs for w in nc - image}
+    blocks: list[set[tuple[int, ...]]] = []
+    while remaining:
+        seed = min(remaining)
+        block = {seed}
+        frontier = [seed]
+        while frontier:
+            w = frontier.pop()
+            for s in steps:
+                for cand in (tuple(a + b for a, b in zip(w, s)),
+                             tuple(a - b for a, b in zip(w, s))):
+                    if cand in remaining and cand not in block:
+                        block.add(cand)
+                        frontier.append(cand)
+        remaining -= block
+        blocks.append(block)
+    blocks.sort(key=lambda c: (len(c), min(c)))
+    highest = []
+    for block in blocks:
+        maximal = [w for w in block
+                   if all(tuple(a + b for a, b in zip(w, s)) not in block for s in steps)]
+        highest.append(Root(max(maximal, key=lambda c: (sum(c), c))))
+    return tuple(frozenset(map(Root, block)) for block in blocks), tuple(highest)
 
 
 def label_embedded_sub_tangent(pair) -> frozenset[Root]:

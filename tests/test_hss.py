@@ -48,6 +48,16 @@ def test_psi_gamma_sizes(literal, affine):
     assert len(psi_gamma(parse_marked(literal))) + 1 == affine   # and the radial line
 
 
+def test_psi_gamma_is_cached_per_marked_diagram():
+    psi_gamma.cache_clear()
+    literals = ["E7:a7", "D5:a5", "E7:a7", "D5:a1", "D5:a5"]
+    results = [psi_gamma(parse_marked(literal)) for literal in literals]
+    assert results[2] is results[0]
+    assert results[4] is results[1]
+    assert results[3] != results[1]         # same diagram, other mark
+    assert psi_gamma.cache_info().misses == len(set(literals))
+
+
 def test_psi_gamma_inside_noncompact_and_radial_separate():
     md = parse_marked("E6:a6")
     psi = psi_gamma(md)

@@ -1,9 +1,13 @@
+import random
+
 import networkx as nx
 import pytest
 
-from delpair import hss
-from delpair.normalbundle import levi_components, normal_weights, summands_distinct
-from delpair.pairs import root_correspondence
+from delpair import hss, normalbundle
+from delpair.normalbundle import levi_components, normal_weights, summands_distinct, weight_packer
+from delpair.pairs import DeletionPair, root_correspondence
+from delpair.rootsys import Root, parse_marked
+from oracles import tuple_levi_components
 
 
 @pytest.mark.parametrize("pid, count", [
@@ -52,6 +56,64 @@ def test_components_partition_and_match_networkx_oracle(catalog7):
                     graph.add_edge(w, w + s)
         oracle = {frozenset(c) for c in nx.connected_components(graph)}
         assert set(dec.components) == oracle
+
+
+def assert_levi_components_match_tuple_oracle(pair):
+    dec = levi_components(pair)
+    components, highest = tuple_levi_components(pair)
+    assert dec.components == components, pair
+    assert dec.highest_weights == highest, pair
+
+
+def test_packed_levi_components_match_tuple_oracle_on_catalog20(catalog20):
+    for pair in catalog20:
+        assert_levi_components_match_tuple_oracle(pair)
+
+
+@pytest.mark.parametrize("n", range(6, 13))
+def test_packed_levi_components_order_ties_as_the_tuple_oracle(n):
+    # off the catalog, D_n:a_(n-1)/a1 and D_n:a_n/a1 have components of equal
+    # size, which sort by their least weights
+    for mark in (f"a{n - 1}", f"a{n}"):
+        pair = DeletionPair(parse_marked(f"D{n}:{mark}"), "a1")
+        sizes = [len(c) for c in levi_components(pair).components]
+        assert len(set(sizes)) < len(sizes), pair
+        assert_levi_components_match_tuple_oracle(pair)
+
+
+def test_levi_search_joins_weights_through_a_lowering_step(catalog7, monkeypatch):
+    # with steps s < t, the least of {s, t, s + t} is s: raising it by t gives
+    # s + t, and only lowering that by s reaches t
+    pair = catalog7["E7:a7/a6"]
+    s, t = sorted(image for label, image in pair.correspondence.on_simple
+                  if label != pair.gamma0)[:2]
+    monkeypatch.setattr(normalbundle, "normal_weights", lambda pair: frozenset({s, t, s + t}))
+    assert levi_components(pair).components == (frozenset({s, t, s + t}),)
+
+
+def test_weight_packer_orders_as_tuples_and_never_aliases():
+    rng = random.Random(7)
+    weights = {Root(tuple(rng.randrange(0, 27) for _ in range(4))) for _ in range(300)}
+    steps = [Root(tuple(rng.randrange(0, 5) for _ in range(4))) for _ in range(20)]
+    pack = weight_packer(4, weights, steps)
+    root_of = {pack(w): w for w in weights}
+    assert sorted(root_of) == [pack(w) for w in sorted(weights)]
+    for w in weights:
+        for s in steps:
+            for key, moved in ((pack(w) + pack(s), w + s), (pack(w) - pack(s), w - s)):
+                assert (key in root_of) == (moved in weights)
+                assert key not in root_of or root_of[key] == moved
+
+
+@pytest.mark.parametrize("weight, step", [
+    ((0, 32, 0), (0, 0, 0)),      # a weight coefficient past the digit
+    ((0, 31, 0), (0, 0, 1)),      # 31 + 1 carries
+    ((0, -1, 0), (0, 1, 0)),      # a negative weight coefficient borrows
+    ((0, 1, 0), (0, -1, 0)),      # and so does a negative step
+])
+def test_weight_packer_refuses_coefficients_past_its_digit(weight, step):
+    with pytest.raises(AssertionError, match="do not fit a packed digit"):
+        weight_packer(3, [Root(weight)], [Root(step)])
 
 
 def test_singleton_weight_fixed_by_compact_reflections(maximal_triple):

@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from delpair import hss, pairs
@@ -5,6 +8,7 @@ from delpair.normalbundle import normal_weights
 from delpair.pairs import (
     CorrespondenceError,
     DeletionPair,
+    RootCorrespondence,
     catalog,
     catalog_specs,
     is_maximal,
@@ -126,6 +130,51 @@ def test_matrix_apply_matches_additive_oracle(catalog12):
             assert corr.apply(beta) == additive_apply(corr, beta), (pair, beta)
 
 
+def test_sparse_apply_matches_additive_oracle_on_catalog20(catalog20):
+    for pair in catalog20:
+        corr = pair.correspondence
+        nc0 = hss.noncompact_positive_roots(pair.sub)
+        for beta in nc0:
+            assert corr.apply(beta) == additive_apply(corr, beta), (pair, beta)
+        assert corr.on_noncompact == {beta: additive_apply(corr, beta) for beta in nc0}
+
+
+def assert_gram_pairings_match(corr):
+    ars = corr.pair.ambient_rs()
+    images = dict(corr.on_simple)
+    nodes = corr.pair.sub.diagram.nodes
+    for i, la in enumerate(nodes):
+        for j, lb in enumerate(nodes):
+            got, want = corr.pairing(i, j), ars.pairing(images[la], images[lb])
+            assert got == want and type(got) is type(want), (corr.pair, la, lb)
+
+
+def test_gram_pairings_match_root_system_pairing_on_catalog20(catalog20):
+    for pair in catalog20:
+        assert_gram_pairings_match(pair.correspondence)
+
+
+def test_gram_pairings_match_root_system_pairing_off_the_roots(catalog7):
+    # arbitrary nonzero images, so that pairings are often not integers and
+    # the lengths of the two slots differ
+    rng = random.Random(11)
+    non_integral = 0
+    for pid in ("B4:a1/a2", "D5:a5/a3", "E7:a7/a6"):
+        pair = catalog7[pid]
+        rank = pair.ambient.diagram.rank
+        for _ in range(5):
+            images = []
+            for label in pair.sub.diagram.nodes:
+                coeffs = [rng.randrange(-2, 3) for _ in range(rank)]
+                coeffs[rng.randrange(rank)] = 1
+                images.append((label, Root(tuple(coeffs))))
+            corr = RootCorrespondence(pair, tuple(sorted(images)))
+            assert_gram_pairings_match(corr)
+            non_integral += sum(type(corr.pairing(i, j)) is Fraction
+                                for i in range(len(images)) for j in range(len(images)))
+    assert non_integral
+
+
 def test_corrupted_gamma_fails_with_named_invariant(catalog7):
     good = catalog7["B4:a1/a2"]
     bad = DeletionPair(good.ambient, good.gamma0)
@@ -169,8 +218,7 @@ def test_dimension_bookkeeping(catalog7):
         assert nc0 + len(normal_weights(pair)) == nc
 
 
-def test_maximality_matches_exhaustive_oracle_on_catalog20():
-    catalog20 = catalog(20)
+def test_maximality_matches_exhaustive_oracle_on_catalog20(catalog20):
     assert len(catalog20) == 346
     assert sum(not is_maximal(p).maximal for p in catalog20) == 292
     for pair in catalog20:

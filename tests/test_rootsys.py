@@ -37,6 +37,7 @@ from oracles import (
     shape_rule_components,
     symmetrized_form,
     three_reflection_fails,
+    tuple_root_strings,
 )
 
 ORACLE_LITERALS = [f"A{n}" for n in range(1, 7)] + [f"B{n}" for n in range(2, 6)] + [
@@ -267,8 +268,21 @@ def test_integer_kernel_matches_fraction_oracle(literal):
 
 def test_embedded_type_roots_match_root_strings_on_own_cartan(typed_diagrams):
     for diagram in typed_diagrams:
-        generated = {Root(c) for c in _generate(diagram.cartan_matrix)}
+        generated = {Root(c) for c in tuple_root_strings(diagram.cartan_matrix)}
         assert build_root_system(diagram).positive_roots == generated, diagram.literal()
+
+
+def test_packed_root_strings_match_tuple_oracle_in_order():
+    for literal in CONNECTED_LITERALS + ["C2"]:
+        cartan = parse_diagram(literal).cartan_matrix
+        assert _generate(cartan) == tuple_root_strings(cartan), literal
+
+
+def test_packed_root_strings_refuse_a_coefficient_past_the_digit():
+    # the affine A1 matrix has the real roots k alpha_1 + (k + 1) alpha_2 for
+    # every k >= 0, so its root strings grow until a coefficient would pass 14
+    with pytest.raises(AssertionError, match="exceeds 14"):
+        _generate(((2, -2), (-2, 2)))
 
 
 def test_integer_form_matches_fraction_symmetrizer(typed_diagrams):

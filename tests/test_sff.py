@@ -1,6 +1,6 @@
 from delpair.chevalley import build_table
 from delpair.hss import noncompact_positive_roots
-from delpair.pairs import DeletionPair, catalog
+from delpair.pairs import DeletionPair
 from delpair.rootsys import parse_marked
 from delpair.sff import SFFContext, kernels, verify_infinity_locus
 from oracles import bracket_sff_value, brute_kernel, label_embedded_sub_tangent
@@ -19,8 +19,7 @@ def test_context_invariants(catalog7):
         assert len(ctx.sub_tangent) == len(noncompact_positive_roots(vmrt_diagram(pair.sub)))
 
 
-def test_sub_tangent_matches_label_embedding_oracle():
-    catalog20 = catalog(20)
+def test_sub_tangent_matches_label_embedding_oracle(catalog20):
     assert len(catalog20) == 346
     for pair in catalog20:
         ctx = SFFContext.for_pair(pair)
