@@ -89,22 +89,26 @@ def integer_rank(rows: list[list[int]], p: int | None = None, stop: int | None =
     limit = nrows if stop is None else min(stop, nrows)
     r, prev = 0, 1
     for c in range(len(mat[0]) if mat else 0):
-        pivot = next((i for i in range(r, nrows) if mat[i][c]), None)
-        if pivot is None:
+        for pivot in range(r, nrows):
+            if mat[pivot][c]:
+                break
+        else:
             continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        top = mat[r]
+        top = mat[pivot]
+        mat[pivot] = mat[r]
+        mat[r] = top
         piv = top[c]
         r += 1
         if r == limit:
             break
         for i in range(r, nrows):
-            f = mat[i][c]
+            row = mat[i]
+            f = row[c]
             if p:
                 if f:
-                    mat[i] = [(piv * x - f * y) % p for x, y in zip(mat[i], top)]
+                    mat[i] = [(piv * x - f * y) % p for x, y in zip(row, top)]
             else:
-                mat[i] = [(piv * x - f * y) // prev for x, y in zip(mat[i], top)]
+                mat[i] = [(piv * x - f * y) // prev for x, y in zip(row, top)]
         prev = piv
     return r
 

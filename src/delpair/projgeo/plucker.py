@@ -25,6 +25,8 @@ from .linalg import (
 
 PAIRS: tuple[tuple[int, int], ...] = tuple(itertools.combinations(range(1, 6), 2))
 PAIR_INDEX = {pq: k for k, pq in enumerate(PAIRS)}
+# (k, i, j): coordinate k of PAIRS sits at the 0-based matrix slot (i, j), i < j.
+_SLOTS = tuple((k, i - 1, j - 1) for k, (i, j) in enumerate(PAIRS))
 QUAD_SETS: tuple[tuple[int, ...], ...] = tuple(
     tuple(sorted(set(range(1, 6)) - {m})) for m in range(1, 6)
 )
@@ -60,9 +62,10 @@ class BiVector(NamedTuple):
     def matrix(self) -> list[list]:
         """The associated alternating 5x5 matrix."""
         A = [[0] * 5 for _ in range(5)]
-        for (i, j), k in PAIR_INDEX.items():
-            A[i - 1][j - 1] = self.coords[k]
-            A[j - 1][i - 1] = -self.coords[k]
+        x = self.coords
+        for k, i, j in _SLOTS:
+            A[i][j] = x[k]
+            A[j][i] = -x[k]
         return A
 
 
@@ -375,19 +378,25 @@ def dee_exhaustive_survey(p: int) -> SurveyReport:
     """Classify the plane section span<b, ell> for every boundary point b.
 
     G(2,5)(F_p) is enumerated through the reduced-echelon cells in plain ints
-    mod p.  Within a cell, u and (v4, v5) fix x45 = u4 v5 - u5 v4 for the
-    whole block of free (v1, v2, v3) values, so an affine block is counted
-    by its size without visiting its points; the point counts are summed
-    over these blocks, never taken from p^6 or the Gaussian binomial.  Each
-    b = u ^ v on the divisor {x45 = 0} away from ell is read through the
-    seven coordinates x14, x15, x23, x24, x25, x34, x35.  Its restricted
-    quadrics and its collinearity parameter [t:s] are both read from the
-    rows ``ell_rows(b)``: the extra locus on u != 0 from their rank, [t:s]
-    from their common zero.  On x45 = 0 those rows depend only on the class
-    (x24, x25, x34, x35), so rank and parameter come from a table of at most
-    p^4 entries filled on first use.  For every point a common vector of W_b
-    and <e1, t e2 + s e3> is then solved from u and v alone and checked, and
-    the implication "witness => extra component" is asserted pointwise.
+    mod p.  Within a cell, each quadruple (u4, u5, v4, v5) fixes
+    x45 = u4 v5 - u5 v4 for the whole block of free (u1, u2, u3, v1, v2, v3)
+    values, so an affine quadruple's block is counted by its size without
+    visiting its points; the point counts are summed over these blocks,
+    never taken from p^6 or the Gaussian binomial.  Each b = u ^ v on the
+    divisor {x45 = 0} away from ell is visited and read through the seven
+    coordinates x14, x15, x23, x24, x25, x34, x35.  Its restricted quadrics
+    and its collinearity parameter [t:s] are both read from the rows
+    ``ell_rows(b)``: the extra locus on u != 0 from their rank, [t:s] from
+    their common zero.  On x45 = 0 those rows depend only on the class
+    (x24, x25, x34, x35), so rank and parameter come from a table of p^4
+    entries, indexed by the base-p digits of the class and filled on first
+    use.  A common vector alpha u + beta v of W_b and <e1, t e2 + s e3> is
+    solved for every point: [alpha : beta] and (w4, w5) depend on the
+    quadruple alone and are solved once for it, unless it is all zero, when
+    [alpha : beta] reads [t:s] and is solved per point.  Per point remain
+    the class lookup, the counts, the check of w1, w2, w3 and w2 s - w3 t on
+    the point's own u and v, and the implication "witness => extra
+    component", which is asserted pointwise.
     """
     require_odd_prime(p)
 
@@ -395,75 +404,80 @@ def dee_exhaustive_survey(p: int) -> SurveyReport:
     exact = extra = fullplane = nowitness = 0
     witness_without_extra = 0
     excl_meeting = excl_axis = 0
-    classes: dict[tuple, tuple] = {}    # (x24, x25, x34, x35) -> (rank, [t:s])
+    pp = p * p
+    # (rank, t, s) by the base-p digits of (x24, x25, x34, x35), filled on first
+    # use; t = s = None where no pencil parameter exists
+    classes: list = [None] * (pp * pp)
 
     for us, vs in _echelon_cells(p):
-        r1, r2, r3, r4, r5 = vs
-        block = len(r1) * len(r2) * len(r3)
-        for u1, u2, u3, u4, u5 in itertools.product(*us):
-            for v4, v5 in itertools.product(r4, r5):
-                total += block
-                if (u4 * v5 - u5 * v4) % p:
-                    affine += block
-                    continue
-                dee += block
-                for v1 in r1:
-                    x14 = (u1 * v4 - u4 * v1) % p
-                    x15 = (u1 * v5 - u5 * v1) % p
-                    for v2 in r2:
-                        x24 = (u2 * v4 - u4 * v2) % p
-                        x25 = (u2 * v5 - u5 * v2) % p
-                        for v3 in r3:
-                            x23 = (u2 * v3 - u3 * v2) % p
-                            x34 = (u3 * v4 - u4 * v3) % p
-                            x35 = (u3 * v5 - u5 * v3) % p
-                            if not (x14 or x15 or x23 or x24 or x25 or x34 or x35):
-                                continue           # b lies on ell
-                            surveyed += 1
+        heads = list(itertools.product(us[0], vs[0], us[1], vs[1]))
+        block = len(heads) * len(us[2]) * len(vs[2])
+        for u4, u5, v4, v5 in itertools.product(us[3], us[4], vs[3], vs[4]):
+            total += block
+            if (u4 * v5 - u5 * v4) % p:
+                affine += block
+                continue
+            dee += block
+            # alpha u + beta v lies in <e1, t e2 + s e3> iff w4 = w5 = 0 and
+            # (w2, w3) ~ (t, s); the first nonzero condition fixes
+            # [alpha : beta], from the quadruple unless it is all zero
+            if u4 or v4 or u5 or v5:
+                alpha, beta = (v4, -u4) if u4 or v4 else (v5, -u5)
+                w45 = (alpha * u4 + beta * v4) % p or (alpha * u5 + beta * v5) % p
+            else:
+                alpha = beta = w45 = None
+            for u1, v1, u2, v2 in heads:
+                # x145 is nonzero iff x14 or x15 is, high iff x24 or x25 is
+                x145 = (u1 * v4 - u4 * v1) % p or (u1 * v5 - u5 * v1) % p
+                x24 = (u2 * v4 - u4 * v2) % p
+                x25 = (u2 * v5 - u5 * v2) % p
+                high = (x24 * p + x25) * pp
+                for u3 in us[2]:
+                    g2, g4, g5 = u3 * v2, u3 * v4, u3 * v5
+                    for v3 in vs[2]:
+                        x23 = (u2 * v3 - g2) % p
+                        x34 = (g4 - u4 * v3) % p
+                        x35 = (g5 - u5 * v3) % p
+                        if not (x145 or x23 or high or x34 or x35):
+                            continue           # b lies on ell
+                        surveyed += 1
 
-                            key = (x24, x25, x34, x35)
-                            cls = classes.get(key)
-                            if cls is None:
-                                x = (0, 0, 0, 0, 0, x24, x25, x34, x35, 0)
-                                cls = classes[key] = (_polarization_rank(x, p),
-                                                      _pencil_parameter(x, p))
-                            r, param = cls
+                        key = high + x34 * p + x35
+                        cls = classes[key]
+                        if cls is None:
+                            x = (0, 0, 0, 0, 0, x24, x25, x34, x35, 0)
+                            param = _pencil_parameter(x, p) or (None, None)
+                            cls = classes[key] = (_polarization_rank(x, p), *param)
+                        r, t, s = cls
+                        if r == 1:
+                            extra += 1
+                        elif r == 2:
+                            exact += 1
+                        else:
+                            extra += 1
+                            fullplane += 1
+
+                        if t is None:
+                            nowitness += 1
+                        else:
+                            if alpha is None:
+                                c1 = (u2 * s - u3 * t) % p
+                                c2 = (v2 * s - v3 * t) % p
+                                a, b = (c2, -c1) if c1 or c2 else (1, 0)
+                                w45 = (a * u4 + b * v4) % p or (a * u5 + b * v5) % p
+                            else:
+                                a, b = alpha, beta
+                            w2 = (a * u2 + b * v2) % p
+                            w3 = (a * u3 + b * v3) % p
+                            if (w45 or (w2 * s - w3 * t) % p
+                                    or not (w2 or w3 or (a * u1 + b * v1) % p)):
+                                raise AssertionError(
+                                    f"witness parameter [{t}:{s}] without a common vector")
+                            excl_meeting += 1
                             if r == 2:
-                                exact += 1
-                            elif r == 1:
-                                extra += 1
-                            else:
-                                extra += 1
-                                fullplane += 1
-
-                            if param is None:
-                                nowitness += 1
-                            else:
-                                # alpha u + beta v lies in <e1, t e2 + s e3> iff
-                                # w4 = w5 = 0 and (w2, w3) ~ (t, s); the first
-                                # nonzero condition fixes [alpha : beta]
-                                t, s = param
-                                if u4 or v4:
-                                    alpha, beta = v4, -u4
-                                elif u5 or v5:
-                                    alpha, beta = v5, -u5
-                                else:
-                                    c1 = (u2 * s - u3 * t) % p
-                                    c2 = (v2 * s - v3 * t) % p
-                                    alpha, beta = (c2, -c1) if c1 or c2 else (1, 0)
-                                w2 = (alpha * u2 + beta * v2) % p
-                                w3 = (alpha * u3 + beta * v3) % p
-                                w4 = (alpha * u4 + beta * v4) % p
-                                w5 = (alpha * u5 + beta * v5) % p
-                                if (not ((alpha * u1 + beta * v1) % p or w2 or w3 or w4 or w5)
-                                        or w4 or w5 or (w2 * s - w3 * t) % p):
-                                    raise AssertionError(
-                                        f"witness parameter [{t}:{s}] without a common vector")
-                                excl_meeting += 1
-                                if r == 2:
-                                    witness_without_extra += 1
-                            if not (x23 or x24 or x25 or x34 or x35):
-                                excl_axis += 1     # only x1j: e1 lies in W_b
+                                witness_without_extra += 1
+                        if not (x23 or high or x34 or x35):
+                            excl_axis += 1     # only x1j: e1 lies in W_b
 
     if witness_without_extra:
         raise AssertionError(

@@ -1,7 +1,7 @@
 """Machine-readable check reports and run configuration."""
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii as _quote
 
 from .frozen import Frozen
 
@@ -15,9 +15,9 @@ _STATUSES = (PASS, FAIL, INDETERMINATE, SKIPPED)
 DEFAULT_SEED = 20230915
 
 # MAX_RANK is the rank of the largest pinned bundle.  The Plücker bound is the largest
-# prime at which the survey ends within 15 s on a 2-core Xeon VM: 4.6 s at 23 and
-# 15.4 s at 29.  The Segre bound is the same prime; the Segre check takes 6.4-6.9 s
-# and 112 MB at 23.
+# prime at which the survey ends within 15 s on a 2-core Xeon VM: 4.6-6.2 s at 23, and
+# 12.6-15.5 s at 29, which leaves no margin.  The Segre bound is the same prime; the
+# Segre check takes 6.4-6.9 s and 112 MB at 23.
 MAX_RANK = 20
 MAX_PLUCKER_PRIME = 23
 MAX_SEGRE_PRIME = 23
@@ -123,7 +123,57 @@ def bundle(config: RunConfig, reports: list[CheckReport],
 
 
 def bundle_json(b: dict) -> str:
-    return json.dumps(b, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(b, sort_keys=True, indent=2)`` and a newline, written directly.
+
+    Bundles hold dicts with string keys, lists and tuples (both arrays),
+    strings, ints, bools and None; any other type raises TypeError.
+    """
+    out: list[str] = []
+    _write_json(b, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(value, newline: str, out: list[str]) -> None:
+    """Append the JSON text of ``value``; ``newline`` is a newline and the current indent."""
+    kind = type(value)
+    if kind is str:
+        out.append(_quote(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            if type(key) is not str:
+                raise TypeError(f"bundle keys are strings, not {type(key).__name__}")
+            out.append(sep + _quote(key) + ": ")
+            _write_json(value[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        if all(type(x) is int for x in value):
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, value)) + newline + "]")
+            return
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif value is None:
+        out.append("null")
+    elif kind is bool:
+        out.append("true" if value else "false")
+    else:
+        raise TypeError(f"cannot write {kind.__name__} into a bundle")
 
 
 def bundle_markdown(b: dict) -> str:

@@ -313,7 +313,34 @@ def _embeddings(image: tuple[str, ...], steps, adj: dict[str, dict]) -> list[tup
     return found
 
 
+# Per component shape, the letter and the positions (in the component's node
+# order) of its Bourbaki nodes; filled by ``_classify`` on a successful search.
+_SHAPES: dict[tuple, tuple[str, tuple[int, ...]]] = {}
+
+
 def _classify(labels: list[str], adj: dict[str, dict]) -> Component:
+    """``_search``, memoized by the component's shape.
+
+    The shape is the node count and each edge as (position, position,
+    multiplicity, position of the short end), positions in ``labels`` order.
+    ``_search`` keeps the isomorphism whose Bourbaki labels come first in
+    that order, so its answer, read as positions, is the same for every
+    component of one shape.  A search that raises stores nothing.
+    """
+    position = {a: i for i, a in enumerate(labels)}
+    shape = (len(labels), tuple(sorted(
+        (position[a], position[b], mult, None if short is None else position[short])
+        for a in labels for b, (mult, short) in adj[a].items() if position[a] < position[b])))
+    hit = _SHAPES.get(shape)
+    if hit is None:
+        comp = _search(labels, adj)
+        _SHAPES[shape] = (comp.letter, tuple(position[a] for a in comp.labels))
+        return comp
+    letter, order = hit
+    return Component(letter, tuple(labels[i] for i in order))
+
+
+def _search(labels: list[str], adj: dict[str, dict]) -> Component:
     """Name a connected component by the Bourbaki diagram it is isomorphic to.
 
     Letters are tried in ``_RANK_BOUNDS`` order, so B2 = C2 reads as B2 and

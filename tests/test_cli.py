@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -627,6 +628,39 @@ def test_in_process_bundles_equal_their_json(default_bundle, rank_sweep_bundle):
     # witnesses hold lists, never tuples, so a bundle reads back as it was built
     for doc in (default_bundle, rank_sweep_bundle):
         assert json.loads(bundle_json(doc)) == doc
+
+
+def json_dumps_oracle(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("fixture", ["default_bundle", "rank_sweep_bundle", "rank20_bundle"])
+def test_bundle_writer_matches_json_dumps_on_bundles(fixture, request):
+    doc = request.getfixturevalue(fixture)
+    assert bundle_json(doc) == json_dumps_oracle(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    {},
+    [],
+    {"a": {}, "b": [], "c": [[]], "d": [{}], "e": ()},
+    {"reports": [{"x": [1, 2], "y": [{"z": None}]}, {"w": [[1, [2, 3]], []]}]},
+    {"flags": [True, False], "mixed": [1, True, 0, False], "ints": [0, -2, 10 ** 30],
+     "bool": True, "int": 1, "none": None},
+    {"notes": "naïve ℓ ∧ e₁, \"quoted\" \\ back\n\ttab \x00", "ключ": "é"},
+    # what a failed Segre check carries: points and lines as nested tuples
+    {"witnesses": [{"check": "a-witness", "y": (0, 1, 1), "point": ((1, 0), (1, 2, 0))},
+                   {"check": "b-section", "x": (0, 1), "L": 3, "point": ((1, 1), (0, 0, 1))}]},
+    {"b": 1, "a": 2, "B": 3, "_": 4, "a0": 5, "": 6},
+])
+def test_bundle_writer_matches_json_dumps_on_edge_values(doc):
+    assert bundle_json(doc) == json_dumps_oracle(doc)
+
+
+@pytest.mark.parametrize("doc", [{"x": 1.5}, {"x": Fraction(1, 2)}, {"x": {1: 2}}, {"x": {"y"}}])
+def test_bundle_writer_refuses_other_types(doc):
+    with pytest.raises(TypeError):
+        bundle_json(doc)
 
 
 def test_pair_commands_agree_with_run_all(default_bundle, catalog7, tmp_path):

@@ -5,6 +5,7 @@ import re
 import pytest
 from fractions import Fraction
 
+from delpair import pairs, rootsys
 from delpair.rootsys import (
     ChainError,
     Component,
@@ -278,6 +279,16 @@ def test_packed_root_strings_match_tuple_oracle_in_order():
         assert _generate(cartan) == tuple_root_strings(cartan), literal
 
 
+def test_packed_root_strings_keep_a_coefficient_past_a_narrower_digit():
+    # no finite type, but the walk ends: alpha_3 + k alpha_1 is a root for
+    # k <= 5 and nothing else is.  Each root is reached along one string only,
+    # so a step key packed in fewer bits, where 4 alpha_1 reads as alpha_2,
+    # would report alpha_2 + alpha_3 + 4 alpha_1 and more as roots.
+    cartan = ((2, 0, -5), (0, 2, 0), (0, 0, 2))
+    expected = [(1, 0, 0), (0, 1, 0), (0, 0, 1)] + [(k, 0, 1) for k in range(1, 6)]
+    assert _generate(cartan) == tuple_root_strings(cartan) == expected
+
+
 def test_packed_root_strings_refuse_a_coefficient_past_the_digit():
     # the affine A1 matrix has the real roots k alpha_1 + (k + 1) alpha_2 for
     # every k >= 0, so its root strings grow until a coefficient would pass 14
@@ -470,6 +481,40 @@ def test_classification_matches_shape_rules_on_random_graphs():
             letters |= {comp.letter for comp in new}
     assert letters == set("ABCDEFG")
     assert 500 < errors < 4500
+
+
+def test_classification_memo_matches_the_search(monkeypatch):
+    # every component of the catalog(20) ambients and sub-diagrams and of their
+    # compact parts, and shuffled node orders of ten types; a second pass reads
+    # each shape from the memo and must equal the uncached template search
+    search = rootsys._search
+    searches = []
+    monkeypatch.setattr(rootsys, "_SHAPES", {})
+    monkeypatch.setattr(rootsys, "_search",
+                        lambda labels, adj: searches.append(labels) or search(labels, adj))
+    diagrams = [d for pair in pairs.catalog(20) for md in (pair.ambient, pair.sub)
+                for d in (md.diagram, md.diagram.induced(set(md.diagram.nodes) - md.marked))]
+    diagrams += [shuffled(literal, seed) for seed in range(5)
+                 for literal in ("E6", "E7", "E8", "D4", "D8", "B8", "C8", "F4", "G2", "A7")]
+    blocks = [(sorted(comp.labels, key=d.index.__getitem__), d.adjacency)
+              for d in diagrams for comp in d.components]
+    for labels, adj in blocks:
+        rootsys._classify(labels, adj)
+    assert len(searches) == len(rootsys._SHAPES) < len(blocks) // 10
+    missed = len(searches)
+    for labels, adj in blocks:
+        assert rootsys._classify(labels, adj) == search(labels, adj), labels
+    assert len(searches) == missed
+
+
+def test_classification_memo_stores_no_error(monkeypatch):
+    monkeypatch.setattr(rootsys, "_SHAPES", {})
+    star = (("a1", "a2", "a3", "a4", "a5"),
+            frozenset(("a1", b, 1, None) for b in ("a2", "a3", "a4", "a5")))
+    for _ in range(2):
+        with pytest.raises(DiagramError, match="matches no Bourbaki diagram"):
+            DynkinDiagram(*star)
+    assert rootsys._SHAPES == {}
 
 
 def test_letter_order_reads_d3_as_a3_and_c2_as_b2():
