@@ -1,13 +1,14 @@
 """Every check of the run-all bundle, and SUITES, the one ordered table of its suites."""
 from __future__ import annotations
 
+import operator
 import random
 from functools import lru_cache
 
 from . import hss, normalbundle, pairs, sff
 from .chevalley import build_table, jacobi_failures
 from .pairs import CorrespondenceError, DeletionPair
-from .projgeo.linalg import integer_rank, primitive_int_covector
+from .projgeo.linalg import alternating_rank, integer_rank, primitive_int_covector
 from .projgeo.plucker import (
     BiVector,
     collinearity_scan,
@@ -33,7 +34,6 @@ from .report import (
     root_witness,
 )
 from .rootsys import (
-    Root,
     RootSystem,
     build_root_system,
     descriptor,
@@ -217,17 +217,31 @@ def collinear_reports(point: str, omega: BiVector) -> list[CheckReport]:
             "common_vector": [str(c) for c in wit.common_vector]}}])]
 
 
+def _draws(rng: random.Random, n: int, count: int) -> list[int]:
+    """``count`` values below n, each drawn as ``rng.choice`` on a length-n
+    sequence and ``rng.randrange(n)`` draw one: getrandbits(n.bit_length())
+    until the value is below n.  The values, and the generator's state after
+    them, are the ones those calls give."""
+    getrandbits = rng.getrandbits
+    k = n.bit_length()
+    out = []
+    for _ in range(count):
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        out.append(r)
+    return out
+
+
 def property_suite() -> list[CheckReport]:
     out = []
     for lit in _PROPERTY_SYSTEMS:
         rs = build_root_system(parse_diagram(lit))
         table = build_table(rs)
-        indices = range(table.dimension)
-        choice = random.Random((DEFAULT_SEED, lit).__repr__()).choice
-        bad = jacobi_failures(table, [(choice(indices), choice(indices), choice(indices))
-                                      for _ in range(1000)])
-        refl_bad = sum(1 for r in rs.positive_roots for i in range(rs.diagram.rank)
-                       if _reflection_fails(rs, r, i))
+        rng = random.Random((DEFAULT_SEED, lit).__repr__())
+        drawn = _draws(rng, table.dimension, 3000)     # consecutive triples
+        bad = jacobi_failures(table, list(zip(drawn[0::3], drawn[1::3], drawn[2::3])))
+        refl_bad = len(reflection_failures(rs, [r.coeffs for r in rs.positive_roots]))
         status = PASS if bad == 0 and refl_bad == 0 else FAIL
         out.append(CheckReport(
             "chevalley.properties", lit, status,
@@ -236,18 +250,19 @@ def property_suite() -> list[CheckReport]:
 
     for field_name in ("QQ", "F5"):
         rng = random.Random((DEFAULT_SEED, field_name).__repr__())
+        drawn = _draws(rng, 9, 5000)        # ten coordinates in -4..4 per bivector
         bad = 0
-        for _ in range(500):
-            coords = [rng.randrange(-4, 5) for _ in range(10)]
-            if all(c == 0 for c in coords):
+        for start in range(0, 5000, 10):
+            coords = [d - 4 for d in drawn[start:start + 10]]
+            if not any(coords):
                 coords[0] = 1
             omega = BiVector(tuple(coords))
             if field_name == "QQ":
                 decomposable = grassmannian_membership(omega)
-                low_rank = integer_rank(omega.matrix(), stop=3) <= 2
+                low_rank = alternating_rank(coords) <= 2
             else:                       # the same integer coordinates mod 5
                 decomposable = not any(q % 5 for q in plucker_quadrics(omega))
-                low_rank = integer_rank(omega.matrix(), 5, stop=3) <= 2
+                low_rank = alternating_rank(coords, 5) <= 2
             if decomposable != low_rank:
                 bad += 1
         out.append(CheckReport(
@@ -258,10 +273,22 @@ def property_suite() -> list[CheckReport]:
     return out
 
 
-def _reflection_fails(rs: RootSystem, r: Root, i: int) -> bool:
-    """Whether s_i r fails to be a root that s_i maps back to r."""
-    w = rs.reflect(i, r)
-    return not rs.is_root(w) or rs.reflect(i, w) != r
+def reflection_failures(rs: RootSystem, roots) -> list[tuple[tuple[int, ...], int]]:
+    """The pairs (c, i), c a coefficient tuple in ``roots``, at which s_i c is
+    not a root or s_i does not map it back to c.
+
+    With m = <c, alpha_i>, s_i c is w: c with c_i replaced by c_i - m.  Since
+    s_i w = w - <w, alpha_i> alpha_i, s_i w = c iff <w, alpha_i> = -m.
+    """
+    is_root = rs.all_coeffs.__contains__
+    failures = []
+    for c in roots:
+        for i, row in enumerate(rs.cartan):
+            m = sum(map(operator.mul, c, row))
+            w = c[:i] + (c[i] - m,) + c[i + 1:]
+            if not is_root(w) or sum(map(operator.mul, w, row)) != -m:
+                failures.append((c, i))
+    return failures
 
 
 def _qorbit_invariance() -> CheckReport:

@@ -232,7 +232,7 @@ class ChevalleyTable:
         if j >= m:                      # [e_a, h_k] = -<a, alpha_k> e_a
             c = sum(map(operator.mul, coeffs[i], cartan[j - m]))
             return ((i, -c),) if c else ()
-        k = self._sum(i, j)
+        k = self._index.get(self._packed[i] + self._packed[j] - self._bias)
         if k is not None:
             return ((k, self._signed(i, j)),)
         if j == (i + self._n) % m:      # [e_a, e_-a] = h_a over the simple coroots
@@ -250,25 +250,26 @@ def jacobi_failures(table: ChevalleyTable, triples) -> int:
     """How many basis index triples (x, y, z) have a nonzero Jacobiator
     [[X_x, X_y], X_z] + [[X_y, X_z], X_x] + [[X_z, X_x], X_y].
 
-    Basis-pair brackets are memoized for this call only, in a flat list
-    indexed by i * dimension + j, so the cached table does not grow.
+    Each triple sums all three cyclic terms over basis brackets.  The
+    brackets are read through ``table.basis_bracket`` and memoized, inline,
+    for this call only, in a flat list indexed by i * dimension + j, so the
+    cached table does not grow.
     """
     dim = table.dimension
     memo: list = [None] * (dim * dim)
     basis_bracket = table.basis_bracket
-
-    def br(i: int, j: int) -> BasisTerms:
-        terms = memo[i * dim + j]
-        if terms is None:
-            terms = memo[i * dim + j] = basis_bracket(i, j)
-        return terms
-
     bad = 0
     for x, y, z in triples:
         total: dict[int, int] = {}
         for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
-            for k, ck in br(a, b):
-                for t, ct in br(k, c):
+            outer = memo[a * dim + b]
+            if outer is None:
+                outer = memo[a * dim + b] = basis_bracket(a, b)
+            for k, ck in outer:
+                inner = memo[k * dim + c]
+                if inner is None:
+                    inner = memo[k * dim + c] = basis_bracket(k, c)
+                for t, ct in inner:
                     total[t] = total.get(t, 0) + ck * ct
         if any(total.values()):
             bad += 1

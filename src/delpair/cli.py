@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import sys
 
 from .checks import (
@@ -25,6 +27,19 @@ from .projgeo.plucker import (
 )
 from .report import MAX_RANK, RunConfig, bundle_json, bundle_markdown
 from .rootsys import ChainError, DiagramError, parse_marked
+
+# A delpair process ends once its bundle is out, so it skips the teardown of
+# what it cached.  At exit this moves every tracked object to the permanent
+# generation: the interpreter's final collections then skip the cached root
+# systems, Chevalley tables, catalogs and survey tables, and the OS reclaims
+# their memory.  Other atexit handlers still run and stdout and stderr are
+# still flushed; files are closed by their ``with`` blocks, and no delpair
+# object defines __del__ (finalizers of objects in reference cycles do not
+# run at exit).  The hook is registered here, not in the package, so a
+# library import such as ``import delpair.checks`` registers nothing, while
+# ``python -m delpair.cli``, the ``delpair`` script and every program that
+# imports delpair.cli exit this way.
+atexit.register(gc.freeze)
 
 
 def parse_pair_id(text: str) -> DeletionPair:

@@ -113,6 +113,44 @@ def integer_rank(rows: list[list[int]], p: int | None = None, stop: int | None =
     return r
 
 
+def alternating_rank(x, p: int | None = None) -> int:
+    """min(rank, 3) of the alternating 5x5 integer matrix with the ten entries
+    x above its diagonal, row by row, over the rationals or mod p when p is given.
+
+    It equals ``integer_rank(m, p, stop=3)`` on that matrix m, built here
+    from x without a matrix object.  Elimination is fraction-free: a row
+    below the pivot row becomes pivot * row - entry * top, and a row whose
+    entry is 0 is left as it is.  Mod p the rows stay integers and a pivot
+    is an entry that p does not divide, so each step is invertible mod p.
+    The third pivot ends the search, so at most two are eliminated and the
+    entries stay small without Bareiss division.  ``alternating_rank(x) <= 2``
+    asks whether the rank is at most 2.
+    """
+    x12, x13, x14, x15, x23, x24, x25, x34, x35, x45 = x
+    rows = [[0, x12, x13, x14, x15], [-x12, 0, x23, x24, x25], [-x13, -x23, 0, x34, x35],
+            [-x14, -x24, -x34, 0, x45], [-x15, -x25, -x35, -x45, 0]]
+    r = 0
+    for c in range(5):
+        for pivot in range(r, 5):
+            if rows[pivot][c] % p if p else rows[pivot][c]:
+                break
+        else:
+            continue
+        top = rows[pivot]
+        rows[pivot] = rows[r]
+        rows[r] = top
+        r += 1
+        if r == 3:
+            break
+        piv = top[c]
+        for i in range(r, 5):
+            row = rows[i]
+            f = row[c]
+            if f:
+                rows[i] = [piv * a - f * b for a, b in zip(row, top)]
+    return r
+
+
 def canonical_mod(coords, p: int) -> tuple[int, ...]:
     """Scale an integer vector mod p so that its first nonzero coordinate is 1."""
     coords = [c % p for c in coords]

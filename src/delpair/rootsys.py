@@ -596,6 +596,11 @@ class RootSystem:
 
     # -- membership and reflections -----------------------------------------
 
+    @property
+    def all_coeffs(self) -> frozenset[tuple[int, ...]]:
+        """The coefficient tuples of every root, of both signs."""
+        return self._all_coeffs
+
     def is_root(self, r: Root) -> bool:
         return r.coeffs in self._all_coeffs
 

@@ -1,9 +1,14 @@
-"""The SUITES table: what each row reads, and that run-all is its rows together."""
+"""The SUITES table: what each row reads, and that run-all is its rows
+together; the property rows' seeded draws, and each of those rows seen to fail."""
+import random
+
 import pytest
 
-from delpair import cli
-from delpair.checks import SUITES, run_all
-from delpair.report import RunConfig
+from delpair import checks, cli
+from delpair.checks import SUITES, reflection_failures, run_all
+from delpair.chevalley import ChevalleyTable
+from delpair.report import DEFAULT_SEED, FAIL, RunConfig
+from delpair.rootsys import Root, RootSystem, build_root_system, parse_diagram
 
 # Two values of each field: the default, and another a row that reads the
 # field reports differently on.
@@ -42,3 +47,68 @@ def test_run_all_is_every_row_together(fixture, config, request):
 
 def test_cli_run_all_is_this_run_all():
     assert cli.run_all is run_all
+
+
+def test_draws_follow_choice_and_randrange():
+    # the same values as the generator calls they stand for, and the same
+    # generator state afterwards, at every sequence length up to 300
+    for seed in (0, 1, "qorbit", DEFAULT_SEED):
+        for n in range(1, 301):
+            ours, theirs = random.Random(f"{seed}/{n}"), random.Random(f"{seed}/{n}")
+            assert checks._draws(ours, n, 7) == [theirs.choice(range(n)) for _ in range(7)], n
+            assert ours.getstate() == theirs.getstate(), n
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert ([d - 4 for d in checks._draws(ours, 9, 300)]
+                == [theirs.randrange(-4, 5) for _ in range(300)])
+        assert ours.getstate() == theirs.getstate()
+
+
+def _property_rows(check_id):
+    return [rep for rep in checks.property_suite() if rep.check_id == check_id]
+
+
+def test_decomposability_rows_fail_on_a_wrong_membership_predicate(monkeypatch):
+    membership, quadrics = checks.grassmannian_membership, checks.plucker_quadrics
+    monkeypatch.setattr(checks, "grassmannian_membership", lambda omega: not membership(omega))
+    monkeypatch.setattr(checks, "plucker_quadrics",
+                        lambda omega: (0,) * 5 if any(q % 5 for q in quadrics(omega)) else (1,) * 5)
+    rows = _property_rows("projgeo.decomposability")
+    assert [rep.subject for rep in rows] == ["QQ", "F5"]
+    for rep in rows:
+        assert rep.status == FAIL
+        assert rep.witnesses == [{"samples": 500, "mismatches": 500}]
+
+
+def test_qorbit_invariance_fails_on_a_wrong_membership_predicate(monkeypatch):
+    monkeypatch.setattr(checks, "grassmannian_membership", lambda omega: False)
+    rep = checks._qorbit_invariance()
+    assert rep.status == FAIL
+    assert rep.witnesses == [{"group_elements": 20, "points": 5, "violations": 100}]
+
+
+def test_chevalley_row_fails_on_one_flipped_structure_constant(monkeypatch):
+    # N_{a1,a2} flipped in the bracket [e_a1, e_a2] alone, as the A4 row reads it
+    rs = build_root_system(parse_diagram("A4"))
+    table = ChevalleyTable(rs)
+    a, b = map(table.basis_roots.index, (Root((1, 0, 0, 0)), Root((0, 1, 0, 0))))
+    true_bracket = table.basis_bracket
+    table.basis_bracket = lambda i, j: (tuple((k, -c) for k, c in true_bracket(i, j))
+                                        if (i, j) == (a, b) else true_bracket(i, j))
+    monkeypatch.setattr(checks, "_PROPERTY_SYSTEMS", ("A4",))
+    monkeypatch.setattr(checks, "build_table", lambda rs: table)
+    rep, = _property_rows("chevalley.properties")
+    assert rep.status == FAIL
+    assert rep.witnesses[0]["jacobi_failures"] > 0
+    assert rep.witnesses[0]["reflection_failures"] == 0
+
+
+def test_reflection_sweep_fails_on_a_corrupted_cartan_row(monkeypatch):
+    # <., alpha_1> loses its alpha_2 term: s_1 (a1 + a2) leaves the roots
+    bad = RootSystem(parse_diagram("A4"))
+    bad.cartan = ((2, 0, 0, 0),) + bad.cartan[1:]
+    assert ((1, 1, 0, 0), 0) in reflection_failures(bad, [(1, 1, 0, 0)])
+    monkeypatch.setattr(checks, "_PROPERTY_SYSTEMS", ("A4",))
+    monkeypatch.setattr(checks, "build_root_system", lambda diagram: bad)
+    rep, = _property_rows("chevalley.properties")
+    assert rep.status == FAIL
+    assert rep.witnesses[0]["reflection_failures"] > 0

@@ -43,6 +43,7 @@ DEFAULT_BUNDLE_SHA256 = "5740a2e1470a40513d10aac19e2fa7121f8c14d777e31119684ac7f
 RANK_SWEEP_SHA256 = "30c972b23383eb6ab05448fb439a2c2dde9e0b74ff6ae191d8270bac59fe4c6d"
 RANK16_SHA256 = "316213e25bee6dc914b1e51466cd4d2481540c71157c5323ddffb17b0ef109ec"
 RANK20_SHA256 = "6029212b69043848f8ba8bbb4b0640cab7f7c3ac350f6da57ae3db5588632081"
+DEFAULT_MARKDOWN_SHA256 = "6c336d4da02f466e61f5469ece4ee0b7dc33ed6e3df1f4fb9cbaf4b5b3719502"
 
 
 @pytest.fixture(scope="module")
@@ -278,14 +279,17 @@ def test_property_suite_draws_the_pinned_samples(monkeypatch):
     assert mod5 == decomposability_bivectors(DEFAULT_SEED, "F5")
 
 
+def _src_env() -> dict:
+    return {**os.environ, "PYTHONPATH": str(Path(delpair.__file__).resolve().parents[1])}
+
+
 @pytest.fixture(scope="module")
 def import_modules():
     """Every module in sys.modules, in one fresh interpreter, after `import
     delpair.checks` and then after `import delpair.cli`, keyed by that module."""
-    env = {**os.environ, "PYTHONPATH": str(Path(delpair.__file__).resolve().parents[1])}
     probe = ("import sys, delpair.checks; print(*sys.modules); "
              "import delpair.cli; print(*sys.modules)")
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+    done = subprocess.run([sys.executable, "-c", probe], env=_src_env(), capture_output=True,
                           text=True, check=True)
     after_checks, after_cli = done.stdout.splitlines()
     return {"delpair.checks": set(after_checks.split()), "delpair.cli": set(after_cli.split())}
@@ -314,6 +318,28 @@ def test_cli_import_leaves_dataclasses_and_inspect_out(cli_import_modules):
     # classes with it once cost more than a one-query CLI process spent on its query
     assert "dataclasses" not in cli_import_modules
     assert "inspect" not in cli_import_modules
+
+
+@pytest.mark.parametrize("module, frozen", [("delpair.cli", True), ("delpair.checks", False)])
+def test_only_the_command_line_freezes_the_heap_at_exit(module, frozen):
+    probe = f"import atexit, gc, {module}; atexit._run_exitfuncs(); print(gc.get_freeze_count())"
+    done = subprocess.run([sys.executable, "-c", probe], env=_src_env(), capture_output=True,
+                          text=True, check=True)
+    assert (int(done.stdout) > 0) == frozen
+
+
+@pytest.mark.parametrize("fmt, digest", [("json", DEFAULT_BUNDLE_SHA256),
+                                         ("markdown", DEFAULT_MARKDOWN_SHA256)],
+                         ids=["json", "markdown"])
+def test_cli_process_writes_the_pinned_bundle_through_a_frozen_exit(fmt, digest, tmp_path):
+    # stdout is flushed and the --out file written in full by a process that
+    # exits with its heap frozen
+    argv = [sys.executable, "-m", "delpair.cli", "run-all", "--format", fmt]
+    out = tmp_path / "bundle"
+    printed = subprocess.run(argv, env=_src_env(), capture_output=True, check=True).stdout
+    subprocess.run(argv + ["--out", str(out)], env=_src_env(), capture_output=True, check=True)
+    assert hashlib.sha256(printed).hexdigest() == digest
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_cli_bad_config_exit_2(tmp_path, capsys):
@@ -570,8 +596,7 @@ code, doc = run_all(RunConfig())
 order = [r.coeffs for r in build_root_system(parse_diagram("E6")).positive_roots]
 print(json.dumps([code, hashlib.sha256(bundle_json(doc).encode("utf-8")).hexdigest(), order]))
 """
-    env = {**os.environ, "PYTHONPATH": str(Path(delpair.__file__).resolve().parents[1])}
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+    done = subprocess.run([sys.executable, "-c", probe], env=_src_env(), capture_output=True,
                           text=True, check=True)
     code, digest, order = json.loads(done.stdout)
     usual = [list(r.coeffs) for r in build_root_system(parse_diagram("E6")).positive_roots]

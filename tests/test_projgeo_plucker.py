@@ -7,6 +7,7 @@ import pytest
 
 from delpair.projgeo import plucker
 from delpair.projgeo.linalg import (
+    alternating_rank,
     canonical_mod,
     integer_rank,
     kernel_basis,
@@ -211,6 +212,40 @@ def test_early_stop_rank_matches_fraction_rref():
             for stop in (1, 2, 3, 5):
                 assert integer_rank(m, p, stop) == min(full, stop), (p, stop, m)
     assert all(ranks >= {0, 1, 2, 3, 4, 5} for ranks in seen.values()), seen
+
+
+def test_alternating_rank_matches_early_stop_rank_on_every_point_of_p9_f3():
+    # every point of P^9(F_3) as ten integer coordinates; the points of rank
+    # at most 2 are G(2,5)(F_3), of size [5 choose 2]_3
+    counts = Counter()
+    for x in projective_points(3, 10):
+        got = alternating_rank(x, 3)
+        assert got == integer_rank(BiVector(x).matrix(), 3, stop=3), x
+        counts[got] += 1
+    assert sum(counts.values()) == 29_524
+    assert counts == {2: gaussian_binomial_2_of_5(3), 3: 29_524 - gaussian_binomial_2_of_5(3)}
+
+
+def test_alternating_rank_matches_early_stop_rank_on_small_coordinates():
+    # over Q and mod 5 and 7: coordinates in {-2..2}^10, some with most of
+    # them zero, and wedges of two vectors in {-2..2}^5, which have rank <= 2
+    rng = random.Random(32)
+    sample = [[rng.randrange(-2, 3) for _ in range(10)] for _ in range(1500)]
+    for _ in range(1500):
+        support = rng.sample(range(10), rng.randrange(1, 6))
+        sample.append([rng.randrange(-2, 3) if k in support else 0 for k in range(10)])
+    sample += [list(BiVector.wedge([rng.randrange(-2, 3) for _ in range(5)],
+                                   [rng.randrange(-2, 3) for _ in range(5)]).coords)
+               for _ in range(500)]
+    seen = {}
+    for x in sample:
+        m = BiVector(tuple(x)).matrix()
+        for p in (None, 5, 7):
+            got = alternating_rank(x, p)
+            assert got == integer_rank(m, p, stop=3), (p, x)
+            assert (got <= 2) == (integer_rank(m, p) <= 2), (p, x)
+            seen.setdefault(p, set()).add(got)
+    assert all(ranks == {0, 2, 3} for ranks in seen.values()), seen
 
 
 def test_rank_mod_p_matches_brute_force_kernel_count():
