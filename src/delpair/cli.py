@@ -8,24 +8,23 @@ import sys
 
 from .checks import (
     SUITES,
-    collinear_reports,
     correspondence_checks,
     degeneracy_checks,
     infinity_checks,
+    lab_checks,
     normal_bundle_checks,
     run_all,                # re-exported: callers import delpair.cli.run_all
-    section_reports,
     verdict,
 )
 from .pairs import DeletionPair, catalog_specs
-from .projgeo.plucker import (
+from .report import (
+    MAX_RANK,
     CertificationError,
-    ell_plane,
-    parse_bivector,
-    plane_spanned_by,
+    RunConfig,
+    bundle_json,
+    bundle_markdown,
     require_odd_prime,
 )
-from .report import MAX_RANK, RunConfig, bundle_json, bundle_markdown
 from .rootsys import ChainError, DiagramError, parse_marked
 
 # A delpair process ends once its bundle is out, so it skips the teardown of
@@ -96,8 +95,10 @@ COMMANDS = (
     ("vmrt-chain", ("hss.vmrt_chain",), ()),
     ("run-all", tuple(SUITES), ("--max-rank", "--primes")),
     ("pluecker survey", ("plucker",), ("--primes",)),
-    ("pluecker section", section_reports, ("--point", "--primes")),
-    ("pluecker collinear", collinear_reports, ("--point",)),
+    ("pluecker section", lambda *inputs: lab_checks().section_reports(*inputs),
+     ("--point", "--primes")),
+    ("pluecker collinear", lambda *inputs: lab_checks().collinear_reports(*inputs),
+     ("--point",)),
     ("segre fitting", ("segre.fitting",), ("--q",)),
 )
 
@@ -109,6 +110,8 @@ def _resolve_inputs(args, config: RunConfig) -> tuple:
     if "pair" in args:
         inputs = (parse_pair_id(args.pair),)
     if "point" in args:
+        # here, not at the top: only the point commands load the Plücker code
+        from .projgeo.plucker import ell_plane, parse_bivector, plane_spanned_by
         omega = parse_bivector(args.point)
         if args.pluecker_command == "section":      # the point and ell span a plane
             ell_plane(omega)
@@ -129,12 +132,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def main(argv: "list[str] | None" = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     parser = _Parser(
         prog="delpair",
         description="verification toolkit for deletion-type pairs of "
                     "Hermitian symmetric spaces")
     groups = {"": parser.add_subparsers(dest="command", required=True)}
-    for path, runs, options in COMMANDS:
+    # Only the parsers of the command that argv's first word names are built.
+    # A first word that names none (a typo, --help, no word) builds them all,
+    # so every usage error and help text reads as with the full parser.
+    first = argv[0] if argv else None
+    rows = [row for row in COMMANDS if row[0].split()[0] == first] or COMMANDS
+    for path, runs, options in rows:
         group, _, name = path.rpartition(" ")
         if group not in groups:           # "pluecker" and "segre"
             groups[group] = groups[""].add_parser(group).add_subparsers(

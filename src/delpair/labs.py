@@ -1,0 +1,210 @@
+"""The lab checks of the run-all bundle: the Plücker and Segre suites, the
+Plücker point commands and the property suite.
+
+They read ``chevalley`` and ``projgeo``, which no root or pair check needs, so
+``checks`` imports this module on first use and a pair command never loads it.
+"""
+from __future__ import annotations
+
+import operator
+import random
+
+from .checks import _PROPERTY_SYSTEMS
+from .chevalley import build_table, jacobi_failures
+from .projgeo.linalg import alternating_rank, integer_rank, primitive_int_covector
+from .projgeo.plucker import (
+    BiVector,
+    collinearity_scan,
+    dee_exhaustive_survey,
+    ell_generators,
+    grassmannian_membership,
+    parse_bivector,
+    plane_section,
+    plane_spanned_by,
+    plucker_quadrics,
+    q_orbit_membership,
+)
+from .projgeo.segre import segre_fitting_report
+from .report import DEFAULT_SEED, FAIL, PASS, CheckReport
+from .rootsys import RootSystem, build_root_system, parse_diagram
+
+
+def plucker_suite(primes: tuple[int, ...]) -> list[CheckReport]:
+    out = []
+    g1, g2 = ell_generators()
+    samples = [g1.coords, g2.coords,
+               tuple(a + b for a, b in zip(g1.coords, g2.coords)),
+               tuple(a + 7 * b for a, b in zip(g1.coords, g2.coords))]
+    on = all(grassmannian_membership(BiVector(s)) for s in samples)
+    out.append(CheckReport("plucker.line_on_variety", "ell", PASS if on else FAIL,
+                           witnesses=[{"sampled_points": len(samples)}],
+                           notes="degree-2 forms vanishing at 3 points of a line vanish on it"))
+
+    for literal, expected in (("e4^e5", (1, 1)), ("e2^e4", (2, 0))):
+        sec = plane_section(parse_bivector(literal), primes)
+        status = PASS if sec.shape() == expected else FAIL
+        out.append(CheckReport(
+            "plucker.section", f"span(<{literal}>, ell)", status,
+            witnesses=[{
+                "lines": len(sec.lines), "isolated_points": len(sec.isolated_points),
+                "certified_over": list(sec.certified_over),
+                "locus_lines": [list(cov) for cov in sec.lines],
+                "locus_points": [list(pt) for pt in sec.isolated_points],
+            }]))
+
+    reports = []
+    for p in primes:
+        rep = dee_exhaustive_survey(p)
+        reports.append(rep)
+        internal_ok = (rep.witness_without_extra == 0
+                       and rep.affine_cell_points == p ** 6
+                       and rep.grassmannian_points == _gaussian_binomial(p))
+        out.append(CheckReport(
+            "plucker.survey", f"F{p}", PASS if internal_ok else FAIL,
+            witnesses=[rep.to_witness()],
+            notes="tabulates section shapes over the boundary divisor; the "
+                  "point-plus-line claim is reported, not assumed"))
+    agree = len({r.exists_exact_b for r in reports}) <= 1
+    out.append(CheckReport(
+        "plucker.survey_agreement", ",".join(f"F{p}" for p in primes),
+        PASS if agree else FAIL,
+        witnesses=[{f"F{r.prime}": r.exists_exact_b for r in reports}]))
+    return out
+
+
+def _gaussian_binomial(p: int) -> int:
+    return (p ** 5 - 1) * (p ** 4 - 1) // ((p ** 2 - 1) * (p - 1))
+
+
+def section_reports(point: str, omega: BiVector, primes: tuple[int, ...]) -> list[CheckReport]:
+    sec = plane_section(omega, primes)
+    return [CheckReport(
+        "plucker.section", f"span(<{point}>, ell)", PASS,
+        witnesses=[{
+            "lines": [list(cov) for cov in sec.lines],
+            "isolated_points": [list(pt) for pt in sec.isolated_points],
+            "full_plane": sec.full_plane,
+            "certified_over": list(sec.certified_over)}])]
+
+
+def collinear_reports(point: str, omega: BiVector) -> list[CheckReport]:
+    wit = collinearity_scan(omega)
+    return [CheckReport(
+        "plucker.collinear", point, PASS,
+        witnesses=[{"witness": None if wit is None else {
+            "param": "all" if wit.param == "all" else [str(c) for c in wit.param],
+            "common_vector": [str(c) for c in wit.common_vector]}}])]
+
+
+def segre_suite(primes: tuple[int, ...]) -> list[CheckReport]:
+    return [segre_fitting_report(q) for q in primes]
+
+
+def _draws(rng: random.Random, n: int, count: int) -> list[int]:
+    """``count`` values below n, each drawn as ``rng.choice`` on a length-n
+    sequence and ``rng.randrange(n)`` draw one: getrandbits(n.bit_length())
+    until the value is below n.  The values, and the generator's state after
+    them, are the ones those calls give."""
+    getrandbits = rng.getrandbits
+    k = n.bit_length()
+    out = []
+    for _ in range(count):
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        out.append(r)
+    return out
+
+
+def property_suite() -> list[CheckReport]:
+    out = []
+    for lit in _PROPERTY_SYSTEMS:
+        rs = build_root_system(parse_diagram(lit))
+        table = build_table(rs)
+        rng = random.Random((DEFAULT_SEED, lit).__repr__())
+        drawn = _draws(rng, table.dimension, 3000)     # consecutive triples
+        bad = jacobi_failures(table, list(zip(drawn[0::3], drawn[1::3], drawn[2::3])))
+        refl_bad = len(reflection_failures(rs, [r.coeffs for r in rs.positive_roots]))
+        status = PASS if bad == 0 and refl_bad == 0 else FAIL
+        out.append(CheckReport(
+            "chevalley.properties", lit, status,
+            witnesses=[{"jacobi_failures": bad, "reflection_failures": refl_bad,
+                        "triples": 1000}]))
+
+    for field_name in ("QQ", "F5"):
+        rng = random.Random((DEFAULT_SEED, field_name).__repr__())
+        drawn = _draws(rng, 9, 5000)        # ten coordinates in -4..4 per bivector
+        bad = 0
+        for start in range(0, 5000, 10):
+            coords = [d - 4 for d in drawn[start:start + 10]]
+            if not any(coords):
+                coords[0] = 1
+            omega = BiVector(tuple(coords))
+            if field_name == "QQ":
+                decomposable = grassmannian_membership(omega)
+                low_rank = alternating_rank(coords) <= 2
+            else:                       # the same integer coordinates mod 5
+                decomposable = not any(q % 5 for q in plucker_quadrics(omega))
+                low_rank = alternating_rank(coords, 5) <= 2
+            if decomposable != low_rank:
+                bad += 1
+        out.append(CheckReport(
+            "projgeo.decomposability", field_name, PASS if bad == 0 else FAIL,
+            witnesses=[{"samples": 500, "mismatches": bad}]))
+
+    out.append(_qorbit_invariance())
+    return out
+
+
+def reflection_failures(rs: RootSystem, roots) -> list[tuple[tuple[int, ...], int]]:
+    """The pairs (c, i), c a coefficient tuple in ``roots``, at which s_i c is
+    not a root or s_i does not map it back to c.
+
+    With m = <c, alpha_i>, s_i c is w: c with c_i replaced by c_i - m.  Since
+    s_i w = w - <w, alpha_i> alpha_i, s_i w = c iff <w, alpha_i> = -m.
+    """
+    is_root = rs.all_coeffs.__contains__
+    failures = []
+    for c in roots:
+        for i, row in enumerate(rs.cartan):
+            m = sum(map(operator.mul, c, row))
+            w = c[:i] + (c[i] - m,) + c[i + 1:]
+            if not is_root(w) or sum(map(operator.mul, w, row)) != -m:
+                failures.append((c, i))
+    return failures
+
+
+def _qorbit_invariance() -> CheckReport:
+    """Verdicts constant under 20 seeded elements of the line stabilizer.
+
+    Each point's plane is spanned by primitive integer vectors u, v; the
+    image under a group element g is the integer bivector (u g) ^ (v g).
+    Rescaling u and v rescales the image, which changes neither verdict.
+    """
+    rng = random.Random((DEFAULT_SEED, "qorbit").__repr__())
+    shape = [(0,), (0, 1, 2), (0, 1, 2), (0, 1, 2, 3, 4), (0, 1, 2, 3, 4)]
+    points = [parse_bivector(t) for t in ("e4^e5", "e2^e4", "e1^e4", "e1^e2 - e1^e3")]
+    points.append(BiVector.wedge([1, 0, 0, 1, 0], [0, 1, 0, 0, 1]))
+    frames = []
+    for omega in points:
+        u, v = plane_spanned_by(omega)
+        frames.append((primitive_int_covector(u), primitive_int_covector(v),
+                       q_orbit_membership(omega)))
+    bad = 0
+    tried = 0
+    while tried < 20:
+        rows = [[rng.randrange(-3, 4) if c in cols else 0 for c in range(5)]
+                for cols in shape]
+        if integer_rank(rows) != 5:
+            continue
+        tried += 1
+        for u, v, verdict in frames:
+            gu = [sum(x * row[c] for x, row in zip(u, rows)) for c in range(5)]
+            gv = [sum(x * row[c] for x, row in zip(v, rows)) for c in range(5)]
+            image = BiVector.wedge(gu, gv)
+            if not grassmannian_membership(image) or q_orbit_membership(image) != verdict:
+                bad += 1
+    return CheckReport("projgeo.qorbit_invariance", "Q on G(2,5)",
+                       PASS if bad == 0 else FAIL,
+                       witnesses=[{"group_elements": tried, "points": len(points),
+                                   "violations": bad}])

@@ -10,7 +10,6 @@ sub-diagram.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -161,7 +160,10 @@ class RootCorrespondence(Frozen, fields=("pair", "on_simple")):
         """<Phi alpha_i, Phi alpha_j> = 2 B_ij / B_jj, read from the Gram matrix."""
         num, den = 2 * self.gram[i][j], self.gram[j][j]
         q, rem = divmod(num, den)
-        return Fraction(num, den) if rem else q
+        if not rem:
+            return q
+        from fractions import Fraction      # here, not at the top: only this branch needs it
+        return Fraction(num, den)
 
     @cached_property
     def on_noncompact(self) -> dict[Root, Root]:

@@ -73,20 +73,16 @@ def rref_mod(rows: list[list[int]], p: int) -> list[list[int]]:
     return mat[:r]
 
 
-def integer_rank(rows: list[list[int]], p: int | None = None, stop: int | None = None) -> int:
-    """Rank of an integer matrix over the rationals, or mod p when p is given.
+def integer_rank(rows: list[list[int]]) -> int:
+    """Rank of an integer matrix over the rationals.
 
-    Elimination is fraction-free on both: a row below the pivot row becomes
-    pivot * row - entry * top.  Over the rationals that row is then divided by
-    the previous pivot (Bareiss): the entries below each pivot are minors of
-    the matrix, so the division is exact and entries stay ints.  Mod p the
-    pivot is a unit, so no division is needed.  With ``stop`` the elimination
-    ends at the stop-th pivot (stop >= 1) and returns ``stop``:
-    ``integer_rank(m, stop=3) <= 2`` asks whether the rank is at most 2.
+    Elimination is fraction-free: a row below the pivot row becomes
+    pivot * row - entry * top, then divided by the previous pivot (Bareiss):
+    the entries below each pivot are minors of the matrix, so the division is
+    exact and entries stay ints.
     """
-    mat = [[x % p for x in r] for r in rows] if p else [list(r) for r in rows]
+    mat = [list(r) for r in rows]
     nrows = len(mat)
-    limit = nrows if stop is None else min(stop, nrows)
     r, prev = 0, 1
     for c in range(len(mat[0]) if mat else 0):
         for pivot in range(r, nrows):
@@ -99,16 +95,12 @@ def integer_rank(rows: list[list[int]], p: int | None = None, stop: int | None =
         mat[r] = top
         piv = top[c]
         r += 1
-        if r == limit:
+        if r == nrows:
             break
         for i in range(r, nrows):
             row = mat[i]
             f = row[c]
-            if p:
-                if f:
-                    mat[i] = [(piv * x - f * y) % p for x, y in zip(row, top)]
-            else:
-                mat[i] = [(piv * x - f * y) // prev for x, y in zip(row, top)]
+            mat[i] = [(piv * x - f * y) // prev for x, y in zip(row, top)]
         prev = piv
     return r
 
@@ -117,10 +109,9 @@ def alternating_rank(x, p: int | None = None) -> int:
     """min(rank, 3) of the alternating 5x5 integer matrix with the ten entries
     x above its diagonal, row by row, over the rationals or mod p when p is given.
 
-    It equals ``integer_rank(m, p, stop=3)`` on that matrix m, built here
-    from x without a matrix object.  Elimination is fraction-free: a row
-    below the pivot row becomes pivot * row - entry * top, and a row whose
-    entry is 0 is left as it is.  Mod p the rows stay integers and a pivot
+    The rows are built from x without a matrix object.  Elimination is
+    fraction-free: a row below the pivot row becomes pivot * row - entry * top,
+    and a row whose entry is 0 is left as it is.  Mod p the rows stay integers and a pivot
     is an entry that p does not divide, so each step is invertible mod p.
     The third pivot ends the search, so at most two are eliminated and the
     entries stay small without Bareiss division.  ``alternating_rank(x) <= 2``

@@ -13,7 +13,7 @@ import re
 from fractions import Fraction
 from typing import NamedTuple
 
-from ..report import require_prime
+from ..report import CertificationError, require_odd_prime
 from .linalg import (
     canonical_mod,
     kernel_basis,
@@ -30,10 +30,6 @@ _SLOTS = tuple((k, i - 1, j - 1) for k, (i, j) in enumerate(PAIRS))
 QUAD_SETS: tuple[tuple[int, ...], ...] = tuple(
     tuple(sorted(set(range(1, 6)) - {m})) for m in range(1, 6)
 )
-
-
-class CertificationError(RuntimeError):
-    """A rational locus description disagreed with a prime-field enumeration."""
 
 
 class BiVector(NamedTuple):
@@ -170,13 +166,6 @@ def _combination(coeffs, basis) -> list:
 def _line_value(cov, point):
     """The linear form cov at point: zero iff the point lies on the line."""
     return sum(c * x for c, x in zip(cov, point))
-
-
-def require_odd_prime(p: int) -> None:
-    """Raise unless p is a prime at which the Plücker quadrics stay nondegenerate."""
-    if p == 2:
-        raise ValueError("characteristic 2 degenerates the Plücker quadrics")
-    require_prime(p)
 
 
 def plane_section(b: BiVector, primes: tuple[int, ...] = (5, 7)) -> SectionDescription:

@@ -23,6 +23,10 @@ MAX_PLUCKER_PRIME = 23
 MAX_SEGRE_PRIME = 23
 
 
+class CertificationError(RuntimeError):
+    """A rational locus description disagreed with a prime-field enumeration."""
+
+
 class CheckReport:
     """Verdict of one verification with structured witnesses; mutable."""
 
@@ -102,6 +106,13 @@ def require_prime(p: int) -> None:
     """Raise the one error message every prime argument gets."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+
+
+def require_odd_prime(p: int) -> None:
+    """Raise unless p is a prime at which the Plücker quadrics stay nondegenerate."""
+    if p == 2:
+        raise ValueError("characteristic 2 degenerates the Plücker quadrics")
+    require_prime(p)
 
 
 def root_witness(r) -> list[int]:

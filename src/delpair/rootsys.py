@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import operator
 import re
-from fractions import Fraction
 from functools import cached_property, lru_cache, total_ordering
 from typing import NamedTuple
 
@@ -592,7 +591,10 @@ class RootSystem:
         num = 2 * sum(map(operator.mul, beta.coeffs, column))
         den = sum(map(operator.mul, gamma.coeffs, column))
         q, rem = divmod(num, den)
-        return Fraction(num, den) if rem else q
+        if not rem:
+            return q
+        from fractions import Fraction      # here, not at the top: only this branch needs it
+        return Fraction(num, den)
 
     # -- membership and reflections -----------------------------------------
 

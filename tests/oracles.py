@@ -48,7 +48,10 @@ constants and basis brackets by a recursion keyed by ``Root``s instead of
 basis indices, simple reflections through a scaled simple root and checked
 with three reflections instead of one, the Plücker quadrics through
 ``BiVector.coord`` instead of an index table, and the seeded samples drawn
-as the suite first drew them.
+as the suite first drew them.  The rank of an alternating matrix comes from
+one general fraction-free elimination, over Q or mod p and with an early
+stop, instead of ``alternating_rank``'s elimination from a bivector's ten
+coordinates.
 """
 from __future__ import annotations
 
@@ -703,6 +706,46 @@ def bracket_sff_value(nu: Root, nu2: Root, ctx, table: ChevalleyTable):
     if weight not in ctx.noncompact or weight in ctx.psi or weight == ctx.gamma:
         return None
     return (value.coefficient(("e", weight)), weight)
+
+
+def early_stop_rank(rows: list[list[int]], p: int | None = None, stop: int | None = None) -> int:
+    """Rank of an integer matrix over the rationals, or mod p when p is given.
+
+    The elimination ``integer_rank`` once ran for every caller: fraction-free
+    on both, a row below the pivot row becomes pivot * row - entry * top.
+    Over the rationals that row is then divided by the previous pivot
+    (Bareiss), so entries stay ints; mod p the pivot is a unit and no
+    division is needed.  With ``stop`` the elimination ends at the stop-th
+    pivot (stop >= 1) and returns ``stop``: ``early_stop_rank(m, p, 3)`` is
+    ``alternating_rank``'s answer on an alternating m.
+    """
+    mat = [[x % p for x in r] for r in rows] if p else [list(r) for r in rows]
+    nrows = len(mat)
+    limit = nrows if stop is None else min(stop, nrows)
+    r, prev = 0, 1
+    for c in range(len(mat[0]) if mat else 0):
+        for pivot in range(r, nrows):
+            if mat[pivot][c]:
+                break
+        else:
+            continue
+        top = mat[pivot]
+        mat[pivot] = mat[r]
+        mat[r] = top
+        piv = top[c]
+        r += 1
+        if r == limit:
+            break
+        for i in range(r, nrows):
+            row = mat[i]
+            f = row[c]
+            if p:
+                if f:
+                    mat[i] = [(piv * x - f * y) % p for x, y in zip(row, top)]
+            else:
+                mat[i] = [(piv * x - f * y) // prev for x, y in zip(row, top)]
+        prev = piv
+    return r
 
 
 def gaussian_binomial_2_of_5(p: int) -> int:

@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from delpair import checks, cli
-from delpair.checks import SUITES, reflection_failures, run_all
+from delpair import cli, labs
+from delpair.checks import SUITES, run_all
 from delpair.chevalley import ChevalleyTable
+from delpair.labs import reflection_failures
 from delpair.report import DEFAULT_SEED, FAIL, RunConfig
 from delpair.rootsys import Root, RootSystem, build_root_system, parse_diagram
 
@@ -55,22 +56,22 @@ def test_draws_follow_choice_and_randrange():
     for seed in (0, 1, "qorbit", DEFAULT_SEED):
         for n in range(1, 301):
             ours, theirs = random.Random(f"{seed}/{n}"), random.Random(f"{seed}/{n}")
-            assert checks._draws(ours, n, 7) == [theirs.choice(range(n)) for _ in range(7)], n
+            assert labs._draws(ours, n, 7) == [theirs.choice(range(n)) for _ in range(7)], n
             assert ours.getstate() == theirs.getstate(), n
         ours, theirs = random.Random(seed), random.Random(seed)
-        assert ([d - 4 for d in checks._draws(ours, 9, 300)]
+        assert ([d - 4 for d in labs._draws(ours, 9, 300)]
                 == [theirs.randrange(-4, 5) for _ in range(300)])
         assert ours.getstate() == theirs.getstate()
 
 
 def _property_rows(check_id):
-    return [rep for rep in checks.property_suite() if rep.check_id == check_id]
+    return [rep for rep in labs.property_suite() if rep.check_id == check_id]
 
 
 def test_decomposability_rows_fail_on_a_wrong_membership_predicate(monkeypatch):
-    membership, quadrics = checks.grassmannian_membership, checks.plucker_quadrics
-    monkeypatch.setattr(checks, "grassmannian_membership", lambda omega: not membership(omega))
-    monkeypatch.setattr(checks, "plucker_quadrics",
+    membership, quadrics = labs.grassmannian_membership, labs.plucker_quadrics
+    monkeypatch.setattr(labs, "grassmannian_membership", lambda omega: not membership(omega))
+    monkeypatch.setattr(labs, "plucker_quadrics",
                         lambda omega: (0,) * 5 if any(q % 5 for q in quadrics(omega)) else (1,) * 5)
     rows = _property_rows("projgeo.decomposability")
     assert [rep.subject for rep in rows] == ["QQ", "F5"]
@@ -80,8 +81,8 @@ def test_decomposability_rows_fail_on_a_wrong_membership_predicate(monkeypatch):
 
 
 def test_qorbit_invariance_fails_on_a_wrong_membership_predicate(monkeypatch):
-    monkeypatch.setattr(checks, "grassmannian_membership", lambda omega: False)
-    rep = checks._qorbit_invariance()
+    monkeypatch.setattr(labs, "grassmannian_membership", lambda omega: False)
+    rep = labs._qorbit_invariance()
     assert rep.status == FAIL
     assert rep.witnesses == [{"group_elements": 20, "points": 5, "violations": 100}]
 
@@ -94,8 +95,8 @@ def test_chevalley_row_fails_on_one_flipped_structure_constant(monkeypatch):
     true_bracket = table.basis_bracket
     table.basis_bracket = lambda i, j: (tuple((k, -c) for k, c in true_bracket(i, j))
                                         if (i, j) == (a, b) else true_bracket(i, j))
-    monkeypatch.setattr(checks, "_PROPERTY_SYSTEMS", ("A4",))
-    monkeypatch.setattr(checks, "build_table", lambda rs: table)
+    monkeypatch.setattr(labs, "_PROPERTY_SYSTEMS", ("A4",))
+    monkeypatch.setattr(labs, "build_table", lambda rs: table)
     rep, = _property_rows("chevalley.properties")
     assert rep.status == FAIL
     assert rep.witnesses[0]["jacobi_failures"] > 0
@@ -107,8 +108,8 @@ def test_reflection_sweep_fails_on_a_corrupted_cartan_row(monkeypatch):
     bad = RootSystem(parse_diagram("A4"))
     bad.cartan = ((2, 0, 0, 0),) + bad.cartan[1:]
     assert ((1, 1, 0, 0), 0) in reflection_failures(bad, [(1, 1, 0, 0)])
-    monkeypatch.setattr(checks, "_PROPERTY_SYSTEMS", ("A4",))
-    monkeypatch.setattr(checks, "build_root_system", lambda diagram: bad)
+    monkeypatch.setattr(labs, "_PROPERTY_SYSTEMS", ("A4",))
+    monkeypatch.setattr(labs, "build_root_system", lambda diagram: bad)
     rep, = _property_rows("chevalley.properties")
     assert rep.status == FAIL
     assert rep.witnesses[0]["reflection_failures"] > 0

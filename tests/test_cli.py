@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import itertools
 import json
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import delpair
-from delpair import checks, cli, hss, pairs
+from delpair import checks, cli, hss, labs, pairs
 from delpair.chevalley import build_table
 from delpair.cli import main, parse_pair_id, run_all
 from delpair.pairs import CorrespondenceError
@@ -255,24 +256,24 @@ def test_property_suite_draws_the_pinned_samples(monkeypatch):
     # the triples handed to jacobi_failures and the bivectors tested for
     # decomposability over Q and mod 5, in the order the suite draws them
     triples, rational, mod5 = [], [], []
-    jacobi = checks.jacobi_failures
-    membership, quadrics = checks.grassmannian_membership, checks.plucker_quadrics
+    jacobi = labs.jacobi_failures
+    membership, quadrics = labs.grassmannian_membership, labs.plucker_quadrics
 
     def recorded_jacobi(table, drawn):
         triples.append(drawn := list(drawn))
         return jacobi(table, drawn)
 
-    monkeypatch.setattr(checks, "jacobi_failures", recorded_jacobi)
-    monkeypatch.setattr(checks, "grassmannian_membership",
+    monkeypatch.setattr(labs, "jacobi_failures", recorded_jacobi)
+    monkeypatch.setattr(labs, "grassmannian_membership",
                         lambda omega: rational.append(omega) or membership(omega))
-    monkeypatch.setattr(checks, "plucker_quadrics",
+    monkeypatch.setattr(labs, "plucker_quadrics",
                         lambda omega: mod5.append(omega) or quadrics(omega))
-    reports = checks.property_suite()
+    reports = labs.property_suite()
     assert all(rep.status == "pass" for rep in reports)
     dims = [build_table(build_root_system(parse_diagram(lit))).dimension
-            for lit in checks._PROPERTY_SYSTEMS]
+            for lit in labs._PROPERTY_SYSTEMS]
     assert triples == [generator_jacobi_triples(DEFAULT_SEED, lit, dim)
-                       for lit, dim in zip(checks._PROPERTY_SYSTEMS, dims)]
+                       for lit, dim in zip(labs._PROPERTY_SYSTEMS, dims)]
     # the Q-orbit check tests its 100 images after the 500 rational samples
     assert len(rational) == 600
     assert rational[:500] == decomposability_bivectors(DEFAULT_SEED, "QQ")
@@ -283,16 +284,31 @@ def _src_env() -> dict:
     return {**os.environ, "PYTHONPATH": str(Path(delpair.__file__).resolve().parents[1])}
 
 
+# Commands that read no lab: the pair commands, the VMRT chain and a pair id
+# refused as malformed.  Then one command that does.
+PAIR_COMMANDS = (["catalog"], ["verify-pair", "--pair", "E7:a7/a6"],
+                 ["degeneracy", "--pair", "D5:a5/a3"], ["infinity-locus", "--pair", "E6:a6/a5"],
+                 ["normal-bundle", "--pair", "E7:a7/a6"], ["vmrt-chain"],
+                 ["verify-pair", "--pair", "E7:a7"])
+LAB_COMMAND = ["pluecker", "collinear", "--point", "e1^e4"]
+
+
 @pytest.fixture(scope="module")
 def import_modules():
     """Every module in sys.modules, in one fresh interpreter, after `import
-    delpair.checks` and then after `import delpair.cli`, keyed by that module."""
-    probe = ("import sys, delpair.checks; print(*sys.modules); "
-             "import delpair.cli; print(*sys.modules)")
+    delpair.checks`, after `import delpair.cli`, and after main on each of
+    PAIR_COMMANDS and then LAB_COMMAND, keyed by that module or command."""
+    commands = [*PAIR_COMMANDS, LAB_COMMAND]
+    probe = ("import os, sys, delpair.checks; print(*sys.modules)\n"
+             "import delpair.cli; print(*sys.modules)\n"
+             f"for argv in {commands!r}:\n"
+             "    delpair.cli.main([*argv, '--out', os.devnull]); print(*sys.modules)\n")
     done = subprocess.run([sys.executable, "-c", probe], env=_src_env(), capture_output=True,
                           text=True, check=True)
-    after_checks, after_cli = done.stdout.splitlines()
-    return {"delpair.checks": set(after_checks.split()), "delpair.cli": set(after_cli.split())}
+    keys = ["delpair.checks", "delpair.cli", *(" ".join(argv) for argv in commands)]
+    lines = done.stdout.splitlines()
+    assert len(lines) == len(keys)
+    return {key: set(line.split()) for key, line in zip(keys, lines)}
 
 
 @pytest.fixture(scope="module")
@@ -306,6 +322,24 @@ def test_checks_import_leaves_the_command_line_out(import_modules):
     modules = import_modules["delpair.checks"]
     assert "delpair.checks" in modules
     assert "argparse" not in modules and "delpair.cli" not in modules
+    assert "delpair.labs" not in modules
+
+
+def _lab_modules(modules: set) -> set:
+    return {name for name in modules if name in ("delpair.labs", "delpair.chevalley", "fractions")
+            or name.startswith("delpair.projgeo")}
+
+
+@pytest.mark.parametrize("step", ["delpair.cli", *(" ".join(argv) for argv in PAIR_COMMANDS)])
+def test_pair_commands_load_no_lab_code(import_modules, step):
+    # a pair command reads no Chevalley table, projective-geometry lab or
+    # Fraction, so neither importing the command line nor running it loads them
+    assert _lab_modules(import_modules[step]) == set()
+
+
+def test_a_point_command_loads_the_labs(import_modules):
+    modules = import_modules[" ".join(LAB_COMMAND)]
+    assert {"delpair.labs", "delpair.chevalley", "delpair.projgeo.plucker", "fractions"} <= modules
 
 
 def test_cli_import_leaves_sympy_out(cli_import_modules):
@@ -473,11 +507,29 @@ def test_bad_primes_list_exits_2_with_one_line(argv, message, tmp_path, capsys):
     assert captured.out == "" and not out.exists()
 
 
+def _choose_from(*names: str) -> str:
+    """The "(choose from ...)" text this Python's argparse prints for ``names``;
+    whether it quotes them depends on the release."""
+    probe = argparse.ArgumentParser(exit_on_error=False)
+    probe.add_argument("name", choices=names)
+    with pytest.raises(argparse.ArgumentError) as exc:
+        probe.parse_args(["frob"])
+    text = str(exc.value)
+    return text[text.index("(choose from"):]
+
+
 @pytest.mark.parametrize("argv, message", [
     (["run-all", "--max-rank", "abc"], "argument --max-rank: invalid int value: 'abc'"),
     (["run-all", "--format", "yaml"], "argument --format: invalid choice: 'yaml'"),
     (["verify-pair"], "the following arguments are required: --pair"),
     (["frob"], "argument command: invalid choice: 'frob'"),
+    # a first word that names no command: the parser is built in full
+    (["frob"], "argument command: invalid choice: 'frob' " + _choose_from(
+        "catalog", "verify-pair", "degeneracy", "infinity-locus", "normal-bundle",
+        "vmrt-chain", "run-all", "pluecker", "segre")),
+    (["pluecker", "frob"], "argument pluecker_command: invalid choice: 'frob' "
+     + _choose_from("survey", "section", "collinear")),
+    ([], "the following arguments are required: command"),
 ])
 def test_usage_errors_exit_2_with_one_line(argv, message, capsys):
     assert main(argv) == 2

@@ -41,6 +41,7 @@ from oracles import (
     _wedge_mod,
     coord_plucker_quadrics,
     decomposability_bivectors,
+    early_stop_rank,
     enumerate_grassmannian,
     finite_plane_section,
     gaussian_binomial_2_of_5,
@@ -194,10 +195,10 @@ def test_integer_rank_matches_fraction_rref():
 
 
 def test_early_stop_rank_matches_fraction_rref():
-    # the rank-only elimination at every stop, over Q against the Fraction
-    # rref and mod 5 and 7 against rref_mod (itself checked against kernel
-    # counts below), on the property suite's 1 000 decomposability draws and
-    # on integer matrices of rank 0 to 5
+    # the oracle's rank-only elimination at every stop, over Q against the
+    # Fraction rref (with integer_rank) and mod 5 and 7 against rref_mod
+    # (itself checked against kernel counts below), on the property suite's
+    # 1 000 decomposability draws and on integer matrices of rank 0 to 5
     draws = [omega.matrix() for field in ("QQ", "F5")
              for omega in decomposability_bivectors(DEFAULT_SEED, field)]
     rng = random.Random(57)
@@ -208,9 +209,10 @@ def test_early_stop_rank_matches_fraction_rref():
         for p in (None, 5, 7):
             full = rank(m) if p is None else len(rref_mod(m, p))
             seen.setdefault(p, set()).add(full)
-            assert integer_rank(m, p) == full, (p, m)
+            assert early_stop_rank(m, p) == full, (p, m)
+            assert p is not None or integer_rank(m) == full, m
             for stop in (1, 2, 3, 5):
-                assert integer_rank(m, p, stop) == min(full, stop), (p, stop, m)
+                assert early_stop_rank(m, p, stop) == min(full, stop), (p, stop, m)
     assert all(ranks >= {0, 1, 2, 3, 4, 5} for ranks in seen.values()), seen
 
 
@@ -220,7 +222,7 @@ def test_alternating_rank_matches_early_stop_rank_on_every_point_of_p9_f3():
     counts = Counter()
     for x in projective_points(3, 10):
         got = alternating_rank(x, 3)
-        assert got == integer_rank(BiVector(x).matrix(), 3, stop=3), x
+        assert got == early_stop_rank(BiVector(x).matrix(), 3, stop=3), x
         counts[got] += 1
     assert sum(counts.values()) == 29_524
     assert counts == {2: gaussian_binomial_2_of_5(3), 3: 29_524 - gaussian_binomial_2_of_5(3)}
@@ -242,8 +244,8 @@ def test_alternating_rank_matches_early_stop_rank_on_small_coordinates():
         m = BiVector(tuple(x)).matrix()
         for p in (None, 5, 7):
             got = alternating_rank(x, p)
-            assert got == integer_rank(m, p, stop=3), (p, x)
-            assert (got <= 2) == (integer_rank(m, p) <= 2), (p, x)
+            assert got == early_stop_rank(m, p, stop=3), (p, x)
+            assert (got <= 2) == (early_stop_rank(m, p) <= 2), (p, x)
             seen.setdefault(p, set()).add(got)
     assert all(ranks == {0, 2, 3} for ranks in seen.values()), seen
 

@@ -27,7 +27,7 @@ from delpair.rootsys import (
     _highest_root_coefficients,
 )
 from delpair.chevalley import build_table
-from delpair.checks import reflection_failures
+from delpair.labs import reflection_failures
 from oracles import (
     FractionRootSystem,
     closed_form_positive_count,
