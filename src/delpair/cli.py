@@ -1,7 +1,6 @@
 """Command-line front end: parses a subcommand, runs its checks, prints the bundle."""
 from __future__ import annotations
 
-import argparse
 import atexit
 import gc
 import sys
@@ -58,24 +57,31 @@ def parse_pair_id(text: str) -> DeletionPair:
     return pair
 
 
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"invalid int value: {text!r}") from None
+
+
 def _prime_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(x) for x in text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"takes comma-separated integers, not {text!r}") from None
+        raise ValueError(f"takes comma-separated integers, not {text!r}") from None
 
 
 def _one_prime(text: str) -> tuple[int]:
-    try:
-        return (int(text),)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    return (_int(text),)
 
 
-# Every option besides --format and --out, with the RunConfig field it parses
-# into (RunConfig checks the value); a None default keeps RunConfig's default.
+# Every option, with the RunConfig field it parses into (RunConfig checks the
+# value) or None when it sets none; a None default keeps RunConfig's default.
+# The message of a ValueError from a type is the option's usage error.
 _OPTIONS = {
-    "--max-rank": ("max_rank", {"type": int}),
+    "--format": ("fmt", {"choices": ("json", "markdown"), "default": "json"}),
+    "--out": (None, {}),
+    "--max-rank": ("max_rank", {"type": _int}),
     "--primes": ("primes_plucker", {"type": _prime_list, "metavar": "PRIMES"}),
     "--q": ("primes_segre", {"type": _one_prime, "default": (3,), "metavar": "Q"}),
     "--pair": (None, {"required": True}),
@@ -83,9 +89,13 @@ _OPTIONS = {
     "--point": (None, {"required": True}),
 }
 
+# The options of every subcommand, listed first in its help.
+_COMMON = ("--format", "--out")
+
 # One row per subcommand: its words, the SUITES rows it runs or the check it
-# runs on its one literal input, and the options it reads.  Its bundle echoes
-# format, the fields its options set and the fields its SUITES rows read.
+# runs on its one literal input, and the options it reads besides _COMMON.
+# Its bundle echoes format, the fields its options set and the fields its
+# SUITES rows read.
 COMMANDS = (
     ("catalog", ("pairs.correspondence",), ("--max-rank",)),
     ("verify-pair", correspondence_checks, ("--pair",)),
@@ -102,84 +112,108 @@ COMMANDS = (
     ("segre fitting", ("segre.fitting",), ("--q",)),
 )
 
+_CONFIG_FIELDS = {field for field, _ in _OPTIONS.values()} - {None}
 
-def _resolve_inputs(args, config: RunConfig) -> tuple:
+
+def _dest(flag: str) -> str:
+    """The key of ``flag``'s value in the parsed arguments, as argparse names it."""
+    return _OPTIONS[flag][0] or flag[2:]
+
+
+def _table_args(argv: "list[str]") -> "dict | None":
+    """The mapping of ``argv`` that argparse's parser gives, or None.
+
+    Read here are the words of one COMMANDS row followed by distinct
+    ``--flag value`` pairs of that command's options, each value converted
+    by its type and in its choices, with every required option given.  A
+    value starts with no ``-``, or with ``- `` as a bivector literal may;
+    argparse reads both as values.  Any other argv (help, ``--flag=value``,
+    an abbreviation, a repeat, an unread option, a bad value, a missing or
+    unknown command) gives None.
+    """
+    for path, runs, options in COMMANDS:
+        words = path.split()
+        if argv[:len(words)] == words:
+            break
+    else:
+        return None
+    flags = (*_COMMON, *options)
+    args = {_dest(flag): _OPTIONS[flag][1].get("default") for flag in flags}
+    args.update(command=words[0], runs=runs)
+    if len(words) == 2:                 # "pluecker" and "segre"
+        args[f"{words[0]}_command"] = words[1]
+    rest = argv[len(words):]
+    given = rest[::2]
+    if len(rest) % 2 or len(set(given)) < len(given) or not set(given) <= set(flags):
+        return None
+    for flag, value in zip(given, rest[1::2]):
+        if value.startswith("-") and not value.startswith("- "):
+            return None
+        spec = _OPTIONS[flag][1]
+        if "type" in spec:
+            try:
+                value = spec["type"](value)
+            except ValueError:
+                return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        args[_dest(flag)] = value
+    if any(_OPTIONS[flag][1].get("required") and flag not in given for flag in flags):
+        return None
+    return args
+
+
+def _resolve_inputs(args: dict, config: RunConfig) -> tuple:
     """Parse and check every literal input, so that bad input raises
     ValueError here and not from inside a check; return the check's arguments."""
     inputs = ()
     if "pair" in args:
-        inputs = (parse_pair_id(args.pair),)
+        inputs = (parse_pair_id(args["pair"]),)
     if "point" in args:
         # here, not at the top: only the point commands load the Plücker code
         from .projgeo.plucker import ell_plane, parse_bivector, plane_spanned_by
-        omega = parse_bivector(args.point)
-        if args.pluecker_command == "section":      # the point and ell span a plane
+        omega = parse_bivector(args["point"])
+        if args["pluecker_command"] == "section":   # the point and ell span a plane
             ell_plane(omega)
-            inputs = (args.point, omega, config.primes_plucker)
+            inputs = (args["point"], omega, config.primes_plucker)
         else:                                       # collinear: a point of G(2,5)
             plane_spanned_by(omega)
-            inputs = (args.point, omega)
+            inputs = (args["point"], omega)
     for p in config.primes_plucker:       # every Plücker lab refuses F_2
         require_odd_prime(p)
     return inputs
 
 
-class _Parser(argparse.ArgumentParser):
-    """Raises on a usage error, so ``main`` reports it in one line, not usage text."""
-
-    def error(self, message: str):
-        raise ValueError(f"{self.prog}: {message}")
-
-
 def main(argv: "list[str] | None" = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    parser = _Parser(
-        prog="delpair",
-        description="verification toolkit for deletion-type pairs of "
-                    "Hermitian symmetric spaces")
-    groups = {"": parser.add_subparsers(dest="command", required=True)}
-    # Only the parsers of the command that argv's first word names are built.
-    # A first word that names none (a typo, --help, no word) builds them all,
-    # so every usage error and help text reads as with the full parser.
-    first = argv[0] if argv else None
-    rows = [row for row in COMMANDS if row[0].split()[0] == first] or COMMANDS
-    for path, runs, options in rows:
-        group, _, name = path.rpartition(" ")
-        if group not in groups:           # "pluecker" and "segre"
-            groups[group] = groups[""].add_parser(group).add_subparsers(
-                dest=f"{group}_command", required=True)
-        sp = groups[group].add_parser(name)
-        sp.add_argument("--format", dest="fmt", choices=("json", "markdown"), default="json")
-        sp.add_argument("--out")
-        for flag in options:
-            sp.add_argument(flag, dest=_OPTIONS[flag][0], **_OPTIONS[flag][1])
-        sp.set_defaults(runs=runs)
-
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _table_args(argv)
+        if args is None:
+            # here, not at the top: loading argparse costs more than most checks take
+            from .usage import parse_args
+            args = parse_args(argv)
         # fmt and the RunConfig fields that this command's options set
-        given = {k: v for k, v in vars(args).items()
-                 if k in {"fmt", *(field for field, _ in _OPTIONS.values())}}
+        given = {k: v for k, v in args.items() if k in _CONFIG_FIELDS}
         config = RunConfig(**{k: v for k, v in given.items() if v is not None})
         inputs = _resolve_inputs(args, config)
     except ValueError as exc:     # input errors: every delpair error class subclasses it
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    suites = [SUITES[name] for name in args.runs] if isinstance(args.runs, tuple) else []
+    runs = args["runs"]
+    suites = [SUITES[name] for name in runs] if isinstance(runs, tuple) else []
     try:
-        reports = ([rep for run, _ in suites for rep in run(config)] if suites
-                   else args.runs(*inputs))
-        if getattr(args, "mode", "both") != "both":    # degeneracy: one kernel only
-            reports = [rep for rep in reports if rep.check_id.endswith(args.mode)]
+        reports = [rep for run, _ in suites for rep in run(config)] if suites else runs(*inputs)
+        if args.get("mode", "both") != "both":    # degeneracy: one kernel only
+            reports = [rep for rep in reports if rep.check_id.endswith(args["mode"])]
         code, doc = verdict(config, reports, (*given, *(f for _, reads in suites for f in reads)))
     except (ValueError, CertificationError) as exc:     # internal failures, not bad input
         print(f"error: {exc}", file=sys.stderr)
         return 1
     text = bundle_json(doc) if config.fmt == "json" else bundle_markdown(doc)
     try:
-        if args.out is not None:
-            with open(args.out, "w", encoding="utf-8") as fh:
+        if args["out"] is not None:
+            with open(args["out"], "w", encoding="utf-8") as fh:
                 fh.write(text)
         else:
             sys.stdout.write(text)

@@ -1,8 +1,6 @@
 """Machine-readable check reports and run configuration."""
 from __future__ import annotations
 
-from json.encoder import encode_basestring_ascii as _quote
-
 from .frozen import Frozen
 
 PASS = "pass"
@@ -140,16 +138,42 @@ def bundle_json(b: dict) -> str:
     strings, ints, bools and None; any other type raises TypeError.
     """
     out: list[str] = []
-    _write_json(b, "\n", out)
+    _write_json(b, "\n", out, {})
     out.append("\n")
     return "".join(out)
 
 
-def _write_json(value, newline: str, out: list[str]) -> None:
-    """Append the JSON text of ``value``; ``newline`` is a newline and the current indent."""
+# The escapes json writes for these characters; every other character outside
+# printable ASCII it writes as \uXXXX.
+_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t",
+            "\b": "\\b", "\f": "\\f"}
+
+
+def _quote(text: str) -> str:
+    """``json.dumps(text)``: the JSON string of ``text`` in ASCII, as ensure_ascii writes it."""
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return '"' + text + '"'
+    out = ['"']
+    for ch in text:
+        n = ord(ch)
+        if 0x20 <= n < 0x7f or ch in _ESCAPES:
+            out.append(_ESCAPES.get(ch, ch))
+        elif n < 0x10000:
+            out.append(f"\\u{n:04x}")
+        else:                           # past U+FFFF: a UTF-16 surrogate pair
+            n -= 0x10000
+            out.append(f"\\u{0xd800 | n >> 10:04x}\\u{0xdc00 | n & 0x3ff:04x}")
+    out.append('"')
+    return "".join(out)
+
+
+def _write_json(value, newline: str, out: list[str], quoted: dict) -> None:
+    """Append the JSON text of ``value``; ``newline`` is a newline and the current
+    indent, and ``quoted`` maps each string written so far to its JSON text (a
+    bundle repeats its keys, check ids, subjects and statuses)."""
     kind = type(value)
     if kind is str:
-        out.append(_quote(value))
+        out.append(quoted.get(value) or quoted.setdefault(value, _quote(value)))
     elif kind is int:
         out.append(int.__repr__(value))
     elif kind is dict:
@@ -161,8 +185,8 @@ def _write_json(value, newline: str, out: list[str]) -> None:
         for key in sorted(value):
             if type(key) is not str:
                 raise TypeError(f"bundle keys are strings, not {type(key).__name__}")
-            out.append(sep + _quote(key) + ": ")
-            _write_json(value[key], inner, out)
+            out.append(sep + (quoted.get(key) or quoted.setdefault(key, _quote(key))) + ": ")
+            _write_json(value[key], inner, out, quoted)
             sep = "," + inner
         out.append(newline + "}")
     elif kind is list or kind is tuple:
@@ -176,7 +200,7 @@ def _write_json(value, newline: str, out: list[str]) -> None:
         sep = "[" + inner
         for item in value:
             out.append(sep)
-            _write_json(item, inner, out)
+            _write_json(item, inner, out, quoted)
             sep = "," + inner
         out.append(newline + "]")
     elif value is None:

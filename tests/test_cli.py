@@ -8,12 +8,13 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import pytest
 
 import delpair
-from delpair import checks, cli, hss, labs, pairs
+from delpair import checks, cli, hss, labs, pairs, report, usage
 from delpair.chevalley import build_table
 from delpair.cli import main, parse_pair_id, run_all
 from delpair.pairs import CorrespondenceError
@@ -293,19 +294,31 @@ PAIR_COMMANDS = (["catalog"], ["verify-pair", "--pair", "E7:a7/a6"],
 LAB_COMMAND = ["pluecker", "collinear", "--point", "e1^e4"]
 
 
+HELP_COMMAND = ["run-all", "--help"]
+
+
 @pytest.fixture(scope="module")
 def import_modules():
-    """Every module in sys.modules, in one fresh interpreter, after `import
-    delpair.checks`, after `import delpair.cli`, and after main on each of
-    PAIR_COMMANDS and then LAB_COMMAND, keyed by that module or command."""
+    """Every module in sys.modules, in one fresh interpreter: before any import
+    ("bare"), after `import delpair.checks`, after `import delpair.cli`, after
+    main on each of PAIR_COMMANDS and then LAB_COMMAND, and after HELP_COMMAND,
+    keyed by that module or command."""
     commands = [*PAIR_COMMANDS, LAB_COMMAND]
-    probe = ("import os, sys, delpair.checks; print(*sys.modules)\n"
+    probe = ("import sys; print(*sys.modules)\n"
+             "import os, delpair.checks; print(*sys.modules)\n"
              "import delpair.cli; print(*sys.modules)\n"
              f"for argv in {commands!r}:\n"
-             "    delpair.cli.main([*argv, '--out', os.devnull]); print(*sys.modules)\n")
+             "    delpair.cli.main([*argv, '--out', os.devnull]); print(*sys.modules)\n"
+             "stdout, sys.stdout = sys.stdout, open(os.devnull, 'w')\n"
+             "try:\n"
+             f"    delpair.cli.main({HELP_COMMAND!r})\n"
+             "except SystemExit:\n"
+             "    sys.stdout = stdout\n"
+             "print(*sys.modules)\n")
     done = subprocess.run([sys.executable, "-c", probe], env=_src_env(), capture_output=True,
                           text=True, check=True)
-    keys = ["delpair.checks", "delpair.cli", *(" ".join(argv) for argv in commands)]
+    keys = ["bare", "delpair.checks", "delpair.cli", *(" ".join(argv) for argv in commands),
+            " ".join(HELP_COMMAND)]
     lines = done.stdout.splitlines()
     assert len(lines) == len(keys)
     return {key: set(line.split()) for key, line in zip(keys, lines)}
@@ -340,6 +353,23 @@ def test_pair_commands_load_no_lab_code(import_modules, step):
 def test_a_point_command_loads_the_labs(import_modules):
     modules = import_modules[" ".join(LAB_COMMAND)]
     assert {"delpair.labs", "delpair.chevalley", "delpair.projgeo.plucker", "fractions"} <= modules
+
+
+def _argparse_and_json(modules: set) -> set:
+    return {name for name in modules if name.split(".")[0] in ("argparse", "json", "_json")}
+
+
+@pytest.mark.parametrize("step", ["delpair.cli", *(" ".join(argv) for argv in PAIR_COMMANDS),
+                                  " ".join(LAB_COMMAND)])
+def test_commands_load_neither_argparse_nor_json(import_modules, step):
+    # the table parser reads these argvs and report writes JSON itself;
+    # loading argparse and json cost about half of `import delpair.cli`
+    assert _argparse_and_json(import_modules[step] - import_modules["bare"]) == set()
+
+
+def test_help_loads_argparse(import_modules):
+    # the table parser declines --help, and argparse writes the help
+    assert "argparse" in import_modules[" ".join(HELP_COMMAND)] - import_modules["bare"]
 
 
 def test_cli_import_leaves_sympy_out(cli_import_modules):
@@ -431,7 +461,7 @@ def test_every_input_error_is_a_value_error():
     for cls in (DiagramError, MarkError, ChainError, CorrespondenceError):
         assert issubclass(cls, ValueError)
     with pytest.raises(ValueError, match="^delpair: bad usage$"):
-        cli._Parser(prog="delpair").error("bad usage")
+        usage._Parser(prog="delpair").error("bad usage")
 
 
 def test_run_config_has_no_seed_setting():
@@ -544,6 +574,81 @@ def test_help_still_exits_0(capsys):
         main(["run-all", "--help"])
     assert exc.value.code == 0
     assert "usage: delpair run-all" in capsys.readouterr().out
+
+
+# A value of each option that the table parser reads and that keeps each run
+# small, and values to put in its place: a number argparse reads as a value
+# and not as an option, a bivector literal that starts with "-", and values
+# that the option's type or choices refuse.
+TABLE_VALUES = {"--format": "markdown", "--out": None, "--max-rank": "5", "--primes": "3",
+                "--q": "2", "--pair": "E6:a6/a5", "--mode": "tau", "--point": "- e2^e4"}
+OTHER_VALUES = ("-3", "- e1^e2 + e3^e4", "x", "5,", "")
+
+
+def _table_argvs(out: str):
+    """Every COMMANDS row with each subset of its options and --format/--out."""
+    for path, _, options in cli.COMMANDS:
+        flags = (*cli._COMMON, *options)
+        for k in range(len(flags) + 1):
+            for subset in itertools.combinations(flags, k):
+                yield path.split() + [word for flag in subset
+                                      for word in (flag, TABLE_VALUES[flag] or out)]
+
+
+# Argvs the table parser declines: "=", an abbreviation, a repeat, an unread
+# option, a missing required option or value, a missing or unknown command.
+DECLINED_ARGVS = (["run-all", "--max-rank=5"], ["run-all", "--max", "5"],
+                  ["run-all", "--primes", "3", "--primes", "5"], ["vmrt-chain", "--max-rank", "5"],
+                  ["verify-pair"], ["verify-pair", "--pair"],
+                  ["pluecker", "section", "--point", "-e2^e4"], ["pluecker"], ["frob"], [])
+
+
+def _oracle_args(argv):
+    """argparse's mapping of argv, or None for a usage error."""
+    try:
+        return usage.parse_args(argv)
+    except ValueError:
+        return None
+
+
+def test_table_parser_matches_argparse():
+    argvs = list(_table_argvs("x.json"))
+    # argparse refuses the argvs without a required option; the table reads every other
+    for argv in argvs:
+        assert cli._table_args(argv) == _oracle_args(argv), argv
+    assert sum(cli._table_args(argv) is not None for argv in argvs) == 76
+    # each option in turn given each other value: argparse may read what the table declines
+    for argv in argvs:
+        for i in range(len(argv) - 1, 0, -2):
+            if not argv[i - 1].startswith("--"):
+                break
+            for value in OTHER_VALUES:
+                changed = argv[:i] + [value] + argv[i + 1:]
+                args = cli._table_args(changed)
+                if args is not None:
+                    assert args == _oracle_args(changed), changed
+    for argv in DECLINED_ARGVS:
+        assert cli._table_args(argv) is None, argv
+
+
+def _run_main(argv, out, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    written = out.read_text() if out.exists() else None
+    out.unlink(missing_ok=True)
+    return code, captured.out, captured.err, written
+
+
+def test_main_matches_the_argparse_only_path(monkeypatch, tmp_path, capsys):
+    out = tmp_path / "t.out"
+    forms = [argv + [value] for argv in (
+        ["pluecker", "section", "--point"], ["pluecker", "collinear", "--point"],
+        ["verify-pair", "--pair"], ["catalog", "--max-rank"]) for value in OTHER_VALUES]
+    argvs = [*_table_argvs(str(out)), *forms, *DECLINED_ARGVS]
+    table = [_run_main(argv, out, capsys) for argv in argvs]
+    monkeypatch.setattr(cli, "_table_args", lambda argv: None)
+    for argv, expected in zip(argvs, table):
+        assert _run_main(argv, out, capsys) == expected, argv
 
 
 # Witnesses of `pluecker section` and `pluecker collinear` at the default
@@ -732,6 +837,16 @@ def test_bundle_writer_matches_json_dumps_on_bundles(fixture, request):
 ])
 def test_bundle_writer_matches_json_dumps_on_edge_values(doc):
     assert bundle_json(doc) == json_dumps_oracle(doc)
+
+
+QUOTED_CHARACTERS = [*map(chr, range(0x100)), "\u2028", "\u2029", "\uffff", "\U0001f600",
+                     "\ud800", "\udfff"]
+
+
+def test_string_quoting_matches_json():
+    # the encoder behind json.dumps with ensure_ascii is the oracle
+    for text in (*QUOTED_CHARACTERS, "".join(QUOTED_CHARACTERS), "", "ℓ ∧ e₁ and e1^e2"):
+        assert report._quote(text) == encode_basestring_ascii(text), repr(text)
 
 
 @pytest.mark.parametrize("doc", [{"x": 1.5}, {"x": Fraction(1, 2)}, {"x": {1: 2}}, {"x": {"y"}}])
