@@ -21,10 +21,10 @@ The Lie algebra is seen through an indexed basis: the root vectors of the
 sorted positive roots (indices 0..n-1), then of their negatives (index
 k + n for the negative of k), then the simple coroots.  Constants live on
 these indices: the recursion keys its memos by basis index, finds a sum of
-roots by adding two packed ints (each coefficient tuple stored as the digits
-of one int) and looking the result up in a dict from packed roots to
-indices, and reads B(r, r) from a per-index list, so it builds no ``Root``
-objects and a sum builds no tuple.  The bracket of two
+roots by adding two roots packed by ``rootsys.packing``, which never carries
+on a sum of two roots, and looking the result up in a dict from packed roots
+to indices, and reads B(r, r) from a per-index list, so it builds no
+``Root`` objects and a sum builds no tuple.  The bracket of two
 basis elements is a tuple of (index, integer coefficient) terms, so the
 Jacobi identity on basis triples is checked with int-keyed sums and no
 element objects.
@@ -40,18 +40,9 @@ from __future__ import annotations
 import operator
 from functools import cached_property, lru_cache
 
-from .rootsys import Root, RootSystem
+from .rootsys import Root, RootSystem, packing
 
 BasisTerms = tuple[tuple[int, int], ...]   # ((basis index, coefficient), ...)
-
-# A coefficient tuple c is packed as the int sum of (c_t + 16) * 32^t.  With
-# every |c_t| <= 7, each digit of a sum of two roots, c_t + d_t + 16, lies in
-# [2, 30]: nothing carries, so packed(c) + packed(d) - packed(0) is packed(c + d).
-_MAX_COEFF = 7
-
-
-def _pack(coeffs: tuple[int, ...]) -> int:
-    return sum((c + 16) << (5 * t) for t, c in enumerate(coeffs))
 
 
 class ChevalleyTable:
@@ -73,13 +64,11 @@ class ChevalleyTable:
         positives = sorted(rs.positive_roots)
         n = self._n = len(positives)
         coeffs = [r.coeffs for r in positives]
-        if any(abs(c) > _MAX_COEFF for cs in coeffs for c in cs):
-            raise AssertionError(f"a root coefficient exceeds {_MAX_COEFF}, so a packed sum "
-                                 "could carry")
         self._coeffs = coeffs + [tuple(-c for c in cs) for cs in coeffs]
-        self._packed = [_pack(cs) for cs in self._coeffs]
+        self._packing = packing(rs.diagram.rank)
+        self._packed = list(map(self._packing.pack, self._coeffs))
+        self._zero = self._packing.zero
         self._index = {key: k for k, key in enumerate(self._packed)}
-        self._bias = _pack((0,) * rs.diagram.rank)
         norms = [rs.scaled_norm(r) for r in positives]
         self._norm = norms + norms
         self._pos: dict[int, int] = {}     # xi * n + eta -> N_{xi,eta}
@@ -90,7 +79,7 @@ class ChevalleyTable:
 
     def _sum(self, i: int, j: int) -> "int | None":
         """Basis index of root i + root j, None when the sum is not a root."""
-        return self._index.get(self._packed[i] + self._packed[j] - self._bias)
+        return self._index.get(self._packed[i] + self._packed[j] - self._zero)
 
     def _p(self, a: int, b: int) -> int:
         """Largest p with b - p a a root, for positive indices a, b."""
@@ -190,7 +179,8 @@ class ChevalleyTable:
             raise ValueError(f"{a} + {b} is not a root")
         if not (is_root(a) and is_root(b)):
             raise ValueError(f"{a} or {b} is not a root")
-        return self._signed(self._index[_pack(a.coeffs)], self._index[_pack(b.coeffs)])
+        pack = self._packing.pack
+        return self._signed(self._index[pack(a.coeffs)], self._index[pack(b.coeffs)])
 
     def coroot_coefficients(self, alpha: Root) -> tuple[int, ...]:
         """Coefficients of the coroot of alpha over the simple coroots."""
@@ -232,7 +222,7 @@ class ChevalleyTable:
         if j >= m:                      # [e_a, h_k] = -<a, alpha_k> e_a
             c = sum(map(operator.mul, coeffs[i], cartan[j - m]))
             return ((i, -c),) if c else ()
-        k = self._index.get(self._packed[i] + self._packed[j] - self._bias)
+        k = self._index.get(self._packed[i] + self._packed[j] - self._zero)
         if k is not None:
             return ((k, self._signed(i, j)),)
         if j == (i + self._n) % m:      # [e_a, e_-a] = h_a over the simple coroots

@@ -7,43 +7,21 @@ connected components of that graph proxy the decomposition into irreducible
 homogeneous summands.  Connectivity is a necessary condition for
 irreducibility and, for these multiplicity-free modules, the decisive
 computable proxy; reports state this limitation.
+
+The graph search runs on roots packed by ``rootsys.packing``: a weight moves
+by a step as one int addition, and packed weights order as their roots do.
 """
 from __future__ import annotations
 
-import operator
 from typing import NamedTuple
 
 from . import hss
 from .pairs import DeletionPair
 from .report import FAIL, INDETERMINATE, PASS, CheckReport, root_witness
-from .rootsys import Root
+from .rootsys import Root, packing
 
 PROXY_NOTE = ("irreducibility certified only at the level of Levi-root "
               "connectivity of the weight set")
-
-
-# The Levi search packs a coefficient tuple c of length n as the big-endian
-# base-32 int sum of c_t * 32^(n-1-t), so on nonnegative tuples int order is
-# tuple order.
-_WEIGHT_BITS = 5
-
-
-def weight_packer(rank: int, weights, steps):
-    """Packer of rank-``rank`` roots for a search that moves ``weights`` by +-``steps``.
-
-    Requires nonnegative coefficients whose largest weight and step values
-    sum below 32.  Then w + s carries nowhere, and w - s is either the
-    packing of w - s or borrows, leaving a digit above every weight's, so no
-    candidate aliases a weight.  Anything else raises AssertionError.
-    """
-    coeffs = [r.coeffs for r in weights], [r.coeffs for r in steps]
-    low = min(min(map(min, group), default=0) for group in coeffs)
-    top_w, top_s = (max(map(max, group), default=0) for group in coeffs)
-    if low < 0 or top_w + top_s >= 1 << _WEIGHT_BITS:
-        raise AssertionError(f"weight coefficients up to {top_w} and step coefficients up "
-                             f"to {top_s}, least {low}, do not fit a packed digit")
-    places = tuple(1 << _WEIGHT_BITS * t for t in reversed(range(rank)))
-    return lambda r: sum(map(operator.mul, r.coeffs, places))
 
 
 def normal_weights(pair: DeletionPair) -> frozenset[Root]:
@@ -61,15 +39,15 @@ class NormalDecomposition(NamedTuple):
 def levi_components(pair: DeletionPair) -> NormalDecomposition:
     """Partition the normal weights into Levi-action graph components.
 
-    The search runs on weights packed by ``weight_packer`` into big-endian
-    ints, which order as their roots do; each key maps back to its weight.
+    The search runs on packed roots, each key mapping back to its weight.
+    The weights are ambient roots, and the steps are Phi images, which ``root_correspondence`` checked to be
+    ambient roots, so w +- s is the packing of that sum or difference.
     """
     corr = pair.correspondence
     weights = normal_weights(pair)
-    steps = [image for label, image in corr.on_simple if label != pair.gamma0]
-    pack = weight_packer(pair.ambient.diagram.rank, weights, steps)
-    root_of = {pack(w): w for w in weights}
-    moves = [pack(s) for s in steps]
+    pk = packing(pair.ambient.diagram.rank)
+    root_of = {pk.pack(w.coeffs): w for w in weights}
+    moves = [pk.step(image.coeffs) for label, image in corr.on_simple if label != pair.gamma0]
     remaining = set(root_of)
     blocks: list[set[int]] = []
     while remaining:

@@ -19,6 +19,7 @@ from .rootsys import (
     MarkedDiagram,
     Root,
     RootSystem,
+    cartan_ratio,
     delete_chain,
     parse_marked,
     space_name,
@@ -158,12 +159,7 @@ class RootCorrespondence(Frozen, fields=("pair", "on_simple")):
 
     def pairing(self, i: int, j: int) -> "int | Fraction":
         """<Phi alpha_i, Phi alpha_j> = 2 B_ij / B_jj, read from the Gram matrix."""
-        num, den = 2 * self.gram[i][j], self.gram[j][j]
-        q, rem = divmod(num, den)
-        if not rem:
-            return q
-        from fractions import Fraction      # here, not at the top: only this branch needs it
-        return Fraction(num, den)
+        return cartan_ratio(self.gram[i][j], self.gram[j][j])
 
     @cached_property
     def on_noncompact(self) -> dict[Root, Root]:

@@ -25,7 +25,10 @@ Bourbaki table of highest-root coefficients gives it coefficient 1, so
 checking marks builds no root system.  The per-diagram paths these replace
 (root strings over the whole diagram's Cartan matrix, the breadth-first
 symmetrizer and the highest-root scan), and root strings walked on
-coefficient tuples, are independent oracles in the tests.
+coefficient tuples, are independent oracles in the tests.  ``packing`` is
+the one packed-root format, shared with the Chevalley table and the Levi
+search; ``_generate`` refuses a coefficient past ``PACK_BOUND``, so no sum
+or difference of two roots carries or borrows.
 
 The Cartan pairing convention is <b, g> = 2(b, g)/(g, g), i.e. the second
 slot carries the normalization; the scale of B cancels in that ratio.
@@ -474,12 +477,35 @@ def _highest_root_coefficients(letter: str, n: int) -> tuple[int, ...]:
             "G2": (3, 2)}[f"{letter}{n}"]
 
 
-# A root string packs a coefficient tuple c as the int sum of c_i * 16^i, so
-# beta +- alpha_i is key +- 16^i.  While every coefficient is at most 14,
-# raising one carries into no other digit, and lowering a zero coefficient
-# borrows, leaving the digit 15 that no root has.
-_STRING_BITS = 4
-_MAX_STRING_COEFF = (1 << _STRING_BITS) - 2
+PACK_BOUND = 7      # the largest root coefficient a packing takes; E8's is 6
+
+
+class Packing(Frozen, fields=("places", "zero")):
+    """Coefficient tuples of rank n packed into ints: pack(c) = zero + sum c_t 32^(n-1-t).
+
+    Each base-32 digit, most significant first, is c_t + 16, so packed
+    tuples order as the tuples do, and pack(a) + step(b) is pack(a + b) with
+    no carry or borrow while every coefficient of a + b stays in -14..14.
+    ``places`` holds the digit weights 32^(n-1-t), ``zero`` packs the zero tuple.
+    """
+
+    def __init__(self, n: int) -> None:
+        places = tuple(32 ** t for t in reversed(range(n)))
+        object.__setattr__(self, "places", places)
+        object.__setattr__(self, "zero", 16 * sum(places))
+
+    def pack(self, coeffs: tuple[int, ...]) -> int:
+        return self.zero + self.step(coeffs)
+
+    def step(self, coeffs: tuple[int, ...]) -> int:
+        """pack(a + coeffs) - pack(a), for any a."""
+        return sum(map(operator.mul, coeffs, self.places))
+
+
+@lru_cache(maxsize=None)
+def packing(n: int) -> Packing:
+    """The packing of rank-n coefficient tuples, built once per rank."""
+    return Packing(n)
 
 
 def _generate(cartan: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
@@ -487,14 +513,15 @@ def _generate(cartan: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
 
     The walk runs on packed ints and carries each root's pairings
     <beta, alpha_k> along: raising beta by alpha_i adds column i of the
-    Cartan matrix.  A coefficient past ``_MAX_STRING_COEFF``, which only a
-    matrix of no finite type reaches, raises AssertionError.
+    Cartan matrix.  A coefficient past ``PACK_BOUND``, which only a matrix
+    of no finite type reaches, raises AssertionError.
     """
     n = len(cartan)
-    unit = [1 << _STRING_BITS * i for i in range(n)]
+    pk = packing(n)
+    unit, zero = pk.places, pk.zero
     column = [tuple(row[i] for row in cartan) for i in range(n)]
     simple = [tuple(int(j == i) for j in range(n)) for i in range(n)]
-    layer = list(zip(unit, simple, column))
+    layer = [(zero + step, coeffs, col) for step, coeffs, col in zip(unit, simple, column)]
     roots = {key: coeffs for key, coeffs, _ in layer}     # insertion-ordered
     while layer:
         nxt = []
@@ -507,10 +534,9 @@ def _generate(cartan: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
                 if (key - down) // step - 1 > pairings[i]:
                     up = key + step
                     if up not in roots:
-                        if coeffs[i] == _MAX_STRING_COEFF:
-                            raise AssertionError(
-                                f"a root coefficient exceeds {_MAX_STRING_COEFF}, so a "
-                                "packed root string could alias another root")
+                        if coeffs[i] == PACK_BOUND:
+                            raise AssertionError(f"a root coefficient exceeds {PACK_BOUND}, "
+                                                 "so a packed sum of roots could carry")
                         roots[up] = raised = coeffs[:i] + (coeffs[i] + 1,) + coeffs[i + 1:]
                         nxt.append((up, raised, tuple(map(operator.add, pairings, column[i]))))
         layer = nxt
@@ -548,6 +574,15 @@ def _embedded_roots(n: int, shape: tuple[tuple[str, int, tuple[int, ...]], ...]
 # ---------------------------------------------------------------------------
 # Root systems
 # ---------------------------------------------------------------------------
+
+def cartan_ratio(b_ij: int, b_jj: int) -> "int | Fraction":
+    """The Cartan ratio 2 b_ij / b_jj of two form values, an int when exact."""
+    q, rem = divmod(2 * b_ij, b_jj)
+    if not rem:
+        return q
+    from fractions import Fraction      # here, not at the top: only this branch needs it
+    return Fraction(2 * b_ij, b_jj)
+
 
 class RootSystem:
     """The full positive system over a diagram, with exact integer pairings."""
@@ -588,13 +623,8 @@ class RootSystem:
         if gamma.is_zero:
             raise ValueError("pairing against the zero vector")
         column = self._form_column(gamma.coeffs)
-        num = 2 * sum(map(operator.mul, beta.coeffs, column))
-        den = sum(map(operator.mul, gamma.coeffs, column))
-        q, rem = divmod(num, den)
-        if not rem:
-            return q
-        from fractions import Fraction      # here, not at the top: only this branch needs it
-        return Fraction(num, den)
+        return cartan_ratio(sum(map(operator.mul, beta.coeffs, column)),
+                            sum(map(operator.mul, gamma.coeffs, column)))
 
     # -- membership and reflections -----------------------------------------
 

@@ -236,25 +236,3 @@ def test_packed_sum_is_the_tuple_sum(literal):
             assert tab._sum(i, j) == expected, (a, b)
             hits += expected is not None
     assert hits == len(summing_pairs(tab.rs))
-
-
-class _StubSystem:
-    """A rank-2 stand-in root system whose one positive root has the given coefficients."""
-
-    def __init__(self, coeffs):
-        self.positive_roots = [Root(coeffs)]
-        self.diagram = type("Diagram", (), {"rank": 2})()
-
-    def scaled_norm(self, r):
-        return 2
-
-
-def test_table_refuses_coefficients_whose_packed_sums_could_carry():
-    # digits c + 16 in base 32: with |c| <= 7 a sum of two digits stays in
-    # [2, 30], so (7, -7) is taken and its double (14, -14) is no root; 8
-    # could carry into the next digit and is refused at construction
-    tab = ChevalleyTable(_StubSystem((7, -7)))
-    assert tab._sum(0, 0) is None and tab._sum(0, 1) is None
-    for coeffs in ((8, 0), (0, -8)):
-        with pytest.raises(AssertionError, match="^a root coefficient exceeds 7"):
-            ChevalleyTable(_StubSystem(coeffs))

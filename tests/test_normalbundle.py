@@ -1,12 +1,10 @@
-import random
-
 import networkx as nx
 import pytest
 
 from delpair import hss, normalbundle
-from delpair.normalbundle import levi_components, normal_weights, summands_distinct, weight_packer
+from delpair.normalbundle import levi_components, normal_weights, summands_distinct
 from delpair.pairs import DeletionPair, root_correspondence
-from delpair.rootsys import Root, parse_marked
+from delpair.rootsys import parse_marked
 from oracles import tuple_levi_components
 
 
@@ -89,31 +87,6 @@ def test_levi_search_joins_weights_through_a_lowering_step(catalog7, monkeypatch
                   if label != pair.gamma0)[:2]
     monkeypatch.setattr(normalbundle, "normal_weights", lambda pair: frozenset({s, t, s + t}))
     assert levi_components(pair).components == (frozenset({s, t, s + t}),)
-
-
-def test_weight_packer_orders_as_tuples_and_never_aliases():
-    rng = random.Random(7)
-    weights = {Root(tuple(rng.randrange(0, 27) for _ in range(4))) for _ in range(300)}
-    steps = [Root(tuple(rng.randrange(0, 5) for _ in range(4))) for _ in range(20)]
-    pack = weight_packer(4, weights, steps)
-    root_of = {pack(w): w for w in weights}
-    assert sorted(root_of) == [pack(w) for w in sorted(weights)]
-    for w in weights:
-        for s in steps:
-            for key, moved in ((pack(w) + pack(s), w + s), (pack(w) - pack(s), w - s)):
-                assert (key in root_of) == (moved in weights)
-                assert key not in root_of or root_of[key] == moved
-
-
-@pytest.mark.parametrize("weight, step", [
-    ((0, 32, 0), (0, 0, 0)),      # a weight coefficient past the digit
-    ((0, 31, 0), (0, 0, 1)),      # 31 + 1 carries
-    ((0, -1, 0), (0, 1, 0)),      # a negative weight coefficient borrows
-    ((0, 1, 0), (0, -1, 0)),      # and so does a negative step
-])
-def test_weight_packer_refuses_coefficients_past_its_digit(weight, step):
-    with pytest.raises(AssertionError, match="do not fit a packed digit"):
-        weight_packer(3, [Root(weight)], [Root(step)])
 
 
 def test_singleton_weight_fixed_by_compact_reflections(maximal_triple):

@@ -187,6 +187,16 @@ def test_generator_off_the_product_fails(monkeypatch):
         + [{"check": "generator", "factor": 2, "index": k} for k in range(7)])
 
 
+def test_a_section_that_is_exactly_line_plus_point_fails(monkeypatch):
+    # a negative control for (a): a section that adds only the point to the
+    # line misses the joining curve and is the exact section (a) rules out,
+    # while (b), whose section is exactly that, still passes
+    monkeypatch.setattr(segre.SegreLine, "section_with", lambda self, P2: self.points | {P2})
+    report = segre_fitting_report(3)
+    assert report.status == "fail"
+    assert [row["check"] for row in report.witnesses[1:]] == ["a-witness", "a-exact-section"]
+
+
 def a_configs(q: int):
     """(P0, P1, P2): two points of each (1,0)-line x {y} and each (a, b), b != y."""
     p1 = list(projective_points(q, 2))

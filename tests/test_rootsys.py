@@ -14,6 +14,7 @@ from delpair.rootsys import (
     MarkError,
     MarkedDiagram,
     Root,
+    PACK_BOUND,
     RootSystem,
     build_root_system,
     canonical_mark_position,
@@ -21,6 +22,7 @@ from delpair.rootsys import (
     descriptor,
     is_hyperquadric,
     parse_diagram,
+    packing,
     parse_marked,
     space_name,
     _generate,
@@ -293,9 +295,43 @@ def test_packed_root_strings_keep_a_coefficient_past_a_narrower_digit():
 
 def test_packed_root_strings_refuse_a_coefficient_past_the_digit():
     # the affine A1 matrix has the real roots k alpha_1 + (k + 1) alpha_2 for
-    # every k >= 0, so its root strings grow until a coefficient would pass 14
-    with pytest.raises(AssertionError, match="exceeds 14"):
+    # every k >= 0, so its root strings grow until a coefficient would pass 7
+    with pytest.raises(AssertionError, match="exceeds 7"):
         _generate(((2, -2), (-2, 2)))
+
+
+def test_packed_root_strings_take_coefficients_up_to_the_pack_bound():
+    # no finite type: with <alpha_2, alpha_1> = -m, alpha_2 + k alpha_1 is a
+    # root for k <= m and nothing else is, so m = 7 reaches the bound and
+    # m = 8 passes it
+    cartan = ((2, -7), (0, 2))
+    expected = [(1, 0), (0, 1)] + [(k, 1) for k in range(1, 8)]
+    assert _generate(cartan) == tuple_root_strings(cartan) == expected
+    with pytest.raises(AssertionError, match="^a root coefficient exceeds 7,"):
+        _generate(((2, -8), (0, 2)))
+
+
+def test_packing_orders_as_tuples_and_steps_without_carry():
+    # random tuples with coefficients in -7..7, every root's range: each
+    # packed digit, most significant first in base 32, is the coefficient
+    # plus 16, so pack(a) +- step(b) is pack(a +- b) with coefficients in
+    # -14..14, and packed tuples and sums order as the tuples do
+    rng = random.Random(35)
+    for n in (1, 2, 5, 8):
+        pk = packing(n)
+        draws = [tuple(rng.randint(-PACK_BOUND, PACK_BOUND) for _ in range(n))
+                 for _ in range(300)]
+        tuples = set(draws)
+        for a, b in zip(draws, draws[1:]):
+            for sign in (1, -1):
+                moved = tuple(x + sign * y for x, y in zip(a, b))
+                assert pk.pack(a) + sign * pk.step(b) == pk.pack(moved)
+                tuples.add(moved)
+        for c in tuples:
+            key = pk.pack(c)
+            assert [key // 32 ** (n - 1 - t) % 32 - 16 for t in range(n)] == list(c)
+        assert sorted(tuples, key=pk.pack) == sorted(tuples)
+        assert pk.pack((0,) * n) == pk.zero and packing(n) is pk
 
 
 def test_integer_form_matches_fraction_symmetrizer(typed_diagrams):

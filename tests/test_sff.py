@@ -1,6 +1,7 @@
 from delpair.chevalley import build_table
 from delpair.hss import noncompact_positive_roots
 from delpair.pairs import DeletionPair
+from delpair.report import root_witness
 from delpair.rootsys import parse_marked
 from delpair.sff import SFFContext, kernels, verify_infinity_locus
 from oracles import bracket_sff_value, brute_kernel, label_embedded_sub_tangent
@@ -126,6 +127,21 @@ def test_infinity_locus_maximal_pairs(maximal_triple):
 def test_infinity_locus_quadric_pairs(catalog7):
     for pid in ("B4:a1/a2", "D5:a1/a2"):
         assert verify_infinity_locus(catalog7[pid]).status == "pass"
+
+
+def test_infinity_locus_fails_identity_d_on_a_dropped_image():
+    # a negative control for (d): with one Phi image dropped from the cached
+    # image set of a fresh pair, the reflected set loses exactly its
+    # reflection, and (a)-(c), which do not read that set, still hold
+    pair = DeletionPair(parse_marked("D6:a6"), "a4")
+    corr = pair.correspondence
+    dropped = min(corr.noncompact_image)
+    corr.__dict__["noncompact_image"] = corr.noncompact_image - {dropped}
+    report = verify_infinity_locus(pair)
+    assert report.status == "fail"
+    reflected = pair.ambient_rs().reflect(pair.gamma0, dropped)
+    assert report.witnesses == [{"check": "d", "lhs_only": [],
+                                 "rhs_only": [root_witness(reflected)]}]
 
 
 def test_infinity_locus_skips_type_a_ambient():
