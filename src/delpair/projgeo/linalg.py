@@ -73,38 +73,6 @@ def rref_mod(rows: list[list[int]], p: int) -> list[list[int]]:
     return mat[:r]
 
 
-def integer_rank(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix over the rationals.
-
-    Elimination is fraction-free: a row below the pivot row becomes
-    pivot * row - entry * top, then divided by the previous pivot (Bareiss):
-    the entries below each pivot are minors of the matrix, so the division is
-    exact and entries stay ints.
-    """
-    mat = [list(r) for r in rows]
-    nrows = len(mat)
-    r, prev = 0, 1
-    for c in range(len(mat[0]) if mat else 0):
-        for pivot in range(r, nrows):
-            if mat[pivot][c]:
-                break
-        else:
-            continue
-        top = mat[pivot]
-        mat[pivot] = mat[r]
-        mat[r] = top
-        piv = top[c]
-        r += 1
-        if r == nrows:
-            break
-        for i in range(r, nrows):
-            row = mat[i]
-            f = row[c]
-            mat[i] = [(piv * x - f * y) // prev for x, y in zip(row, top)]
-        prev = piv
-    return r
-
-
 def alternating_rank(x, p: int | None = None) -> int:
     """min(rank, 3) of the alternating 5x5 integer matrix with the ten entries
     x above its diagonal, row by row, over the rationals or mod p when p is given.

@@ -1,9 +1,10 @@
 """The Grassmannian of planes in a 5-space under its Plücker embedding.
 
-Coordinates x_ij (1 <= i < j <= 5) are ordered lexicographically.  The image
-is cut out by the five coordinates of w ^ w: for every 4-subset
-S = {a < b < c < d} the quadric Q_S(x) = 2 (x_ab x_cd - x_ac x_bd + x_ad x_bc).
-The distinguished line is ell = {[e1 ^ (t e2 + s e3)]}; the affine cell is
+A bivector is the tuple of its ten coordinates x_ij (1 <= i < j <= 5), ints
+or Fractions, ordered lexicographically as in PAIRS.  The image is cut out
+by the five coordinates of w ^ w: for every 4-subset S = {a < b < c < d}
+the quadric Q_S(x) = 2 (x_ab x_cd - x_ac x_bd + x_ad x_bc).  The
+distinguished line is ell = {[e1 ^ (t e2 + s e3)]}; the affine cell is
 {x_45 != 0} on the variety and its complement is the boundary divisor.
 """
 from __future__ import annotations
@@ -32,37 +33,18 @@ QUAD_SETS: tuple[tuple[int, ...], ...] = tuple(
 )
 
 
-class BiVector(NamedTuple):
-    """Element of the second exterior power of the rank-5 module.
+def wedge(u, v) -> tuple:
+    """The bivector u ^ v of two 5-vectors."""
+    return tuple(u[i - 1] * v[j - 1] - u[j - 1] * v[i - 1] for i, j in PAIRS)
 
-    Coordinates are ints or Fractions in PAIRS order; code that works mod p
-    reduces what it computes from them.
-    """
 
-    coords: tuple
-
-    @staticmethod
-    def basis(i: int, j: int) -> "BiVector":
-        coords = [0] * 10
-        coords[PAIR_INDEX[(i, j)]] = 1
-        return BiVector(tuple(coords))
-
-    @staticmethod
-    def wedge(u, v) -> "BiVector":
-        """u ^ v for 5-vectors u, v."""
-        return BiVector(tuple(u[i - 1] * v[j - 1] - u[j - 1] * v[i - 1] for i, j in PAIRS))
-
-    def coord(self, i: int, j: int):
-        return self.coords[PAIR_INDEX[(i, j)]]
-
-    def matrix(self) -> list[list]:
-        """The associated alternating 5x5 matrix."""
-        A = [[0] * 5 for _ in range(5)]
-        x = self.coords
-        for k, i, j in _SLOTS:
-            A[i][j] = x[k]
-            A[j][i] = -x[k]
-        return A
+def alternating_matrix(x) -> list[list]:
+    """The alternating 5x5 matrix with the coordinates of x above its diagonal."""
+    A = [[0] * 5 for _ in range(5)]
+    for k, i, j in _SLOTS:
+        A[i][j] = x[k]
+        A[j][i] = -x[k]
+    return A
 
 
 # Per quadric (a, b, c, d) of QUAD_SETS, the coordinate indices of
@@ -72,31 +54,28 @@ _QUADRIC_INDICES = tuple(
     for a, b, c, d in QUAD_SETS)
 
 
-def plucker_quadrics(omega: BiVector) -> tuple:
-    """The five coordinates of omega ^ omega; all zero iff decomposable."""
-    x = omega.coords
+def plucker_quadrics(x) -> tuple:
+    """The five coordinates of x ^ x; all zero iff decomposable."""
     return tuple(2 * (x[ab] * x[cd] - x[ac] * x[bd] + x[ad] * x[bc])
                  for ab, cd, ac, bd, ad, bc in _QUADRIC_INDICES)
 
 
-def grassmannian_membership(omega: BiVector) -> bool:
-    return not any(plucker_quadrics(omega))
+def grassmannian_membership(x) -> bool:
+    return not any(plucker_quadrics(x))
 
 
-def q_orbit_membership(omega: BiVector) -> bool:
+def q_orbit_membership(x) -> bool:
     """True on the affine cell {x_45 != 0}; requires a point of the variety."""
-    if not grassmannian_membership(omega):
+    if not grassmannian_membership(x):
         raise ValueError("point is not on the Grassmannian")
-    return bool(omega.coord(4, 5))
+    return bool(x[9])                   # x45
 
 
-def plane_spanned_by(omega: BiVector) -> tuple[tuple, tuple]:
+def plane_spanned_by(x) -> tuple[tuple, tuple]:
     """Two spanning vectors of the 2-plane of a decomposable bivector."""
-    if not grassmannian_membership(omega):
+    if not grassmannian_membership(x):
         raise ValueError("bivector is not decomposable")
-    A = omega.matrix()
-    cols = [[A[i][j] for i in range(5)] for j in range(5)]
-    red, _ = rref(cols)
+    red, _ = rref(alternating_matrix(x))
     if len(red) != 2:
         raise ValueError("decomposable bivector of unexpected rank")
     return tuple(red[0]), tuple(red[1])
@@ -106,22 +85,22 @@ def plane_spanned_by(omega: BiVector) -> tuple[tuple, tuple]:
 # The fixed line ell and its spans
 # ---------------------------------------------------------------------------
 
-def ell_generators() -> tuple[BiVector, BiVector]:
+def ell_generators() -> tuple[tuple, tuple]:
     """e1 ^ e2 and e1 ^ e3, spanning the line ell on the variety."""
-    return BiVector.basis(1, 2), BiVector.basis(1, 3)
+    return (1,) + (0,) * 9, (0, 1) + (0,) * 8
 
 
-def ell_plane(b: BiVector) -> list[list]:
+def ell_plane(b: tuple) -> list[list]:
     """The reduced row echelon basis (e1^e2, e1^e3, c) of span(b, ell).
 
     c is b without its x12 and x13 entries, scaled so that its first nonzero
     entry is 1; raises ValueError when b lies on ell.
     """
-    rest = (0, 0) + b.coords[2:]
+    rest = (0, 0) + b[2:]
     lead = next((x for x in rest if x), None)
     if lead is None:
         raise ValueError("plane must have projective dimension exactly 2")
-    return [list(g.coords) for g in ell_generators()] + [[Fraction(x) / lead for x in rest]]
+    return [list(g) for g in ell_generators()] + [[Fraction(x) / lead for x in rest]]
 
 
 def ell_rows(x: tuple) -> tuple[tuple, ...]:
@@ -168,7 +147,7 @@ def _line_value(cov, point):
     return sum(c * x for c, x in zip(cov, point))
 
 
-def plane_section(b: BiVector, primes: tuple[int, ...] = (5, 7)) -> SectionDescription:
+def plane_section(b: tuple, primes: tuple[int, ...] = (5, 7)) -> SectionDescription:
     """Exact common zero locus of the Plücker quadrics on the plane span(b, ell).
 
     Plane coordinates (u, v, w) refer to the basis (e1^e2, e1^e3, c) of
@@ -190,7 +169,7 @@ def plane_section(b: BiVector, primes: tuple[int, ...] = (5, 7)) -> SectionDescr
     basis = ell_plane(b)
     c = basis[2]
     forms, _ = rref([(2 * a, 2 * s, q) for (a, s), q
-                     in zip(ell_rows(c), plucker_quadrics(BiVector(tuple(c))))])
+                     in zip(ell_rows(c), plucker_quadrics(c))])
     full_plane = not forms
     lines: set[tuple[int, int, int]] = set() if full_plane else {(0, 0, 1)}    # ell: w = 0
     points = []
@@ -218,10 +197,10 @@ def _validate_by_substitution(basis, lines, isolated_points) -> None:
     for cov in lines:
         k0, k1 = kernel_basis([cov], 3)
         for coeffs in (k0, k1, [a + b for a, b in zip(k0, k1)]):
-            if not grassmannian_membership(BiVector(tuple(_combination(coeffs, basis)))):
+            if not grassmannian_membership(_combination(coeffs, basis)):
                 raise AssertionError(f"reported line {cov} leaves the variety")
     for pt in isolated_points:
-        if not grassmannian_membership(BiVector(pt)):
+        if not grassmannian_membership(pt):
             raise AssertionError(f"reported point {pt} is off the variety")
         if len(rref([*basis, pt])[0]) != 3:
             raise AssertionError(f"reported point {pt} is off the plane")
@@ -231,8 +210,7 @@ def _finite_locus(basis: list[list[int]], p: int) -> set[tuple]:
     """The points [u:v:w] of P^2(F_p) where u b0 + v b1 + w b2 is on the variety."""
     locus = set()
     for coeffs in projective_points(p, 3):
-        omega = BiVector(tuple(_combination(coeffs, basis)))
-        if not any(q % p for q in plucker_quadrics(omega)):
+        if not any(q % p for q in plucker_quadrics(_combination(coeffs, basis))):
             locus.add(coeffs)
     return locus
 
@@ -265,7 +243,7 @@ class CollinearityWitness(NamedTuple):
     common_vector: tuple
 
 
-def collinearity_scan(b: BiVector) -> "CollinearityWitness | None":
+def collinearity_scan(b: tuple) -> "CollinearityWitness | None":
     """Find [t:s] with W_b meeting <e1, t e2 + s e3>, as exact linear algebra.
 
     The five maximal minors of the 4x5 matrix stacking W_b = <u, v>, e1 and
@@ -275,7 +253,7 @@ def collinearity_scan(b: BiVector) -> "CollinearityWitness | None":
     reduced row echelon basis of W_b.
     """
     u, v = plane_spanned_by(b)
-    nz = [(a, c) for a, c in ell_rows(BiVector.wedge(u, v).coords) if a or c]
+    nz = [(a, c) for a, c in ell_rows(wedge(u, v)) if a or c]
     if not nz:
         param, (t, s) = "all", (1, 0)
     else:
@@ -498,7 +476,7 @@ _TERM_RE = re.compile(
 )
 
 
-def parse_bivector(text: str) -> BiVector:
+def parse_bivector(text: str) -> tuple:
     """Parse integer combinations of basis bivectors, e.g. "e2^e4 - 3 e1^e5".
 
     Every term after the first needs its own + or - sign, and a literal
@@ -530,4 +508,4 @@ def parse_bivector(text: str) -> BiVector:
         raise ValueError(f"empty bivector literal {text!r}")
     if not any(coords):
         raise ValueError(f"bivector literal {text!r} is zero")
-    return BiVector(tuple(coords))
+    return tuple(coords)

@@ -46,9 +46,9 @@ searches over whole (y, a, b) and (x, L, a, b) tuples instead of one factor
 of the product at a time.  The property suite's replaced paths stay here too: Chevalley
 constants and basis brackets by a recursion keyed by ``Root``s instead of
 basis indices, simple reflections through a scaled simple root and checked
-with three reflections instead of one, the Plücker quadrics through
-``BiVector.coord`` instead of an index table, and the seeded samples drawn
-as the suite first drew them.  The rank of an alternating matrix comes from
+with three reflections instead of one, the Plücker quadrics with each
+coordinate looked up by its pair (i, j) instead of an index table, and the
+seeded samples drawn as the suite first drew them.  The rank of an alternating matrix comes from
 one general fraction-free elimination, over Q or mod p and with an early
 stop, instead of ``alternating_rank``'s elimination from a bivector's ten
 coordinates.
@@ -72,7 +72,6 @@ from delpair.projgeo.plucker import (
     PAIR_INDEX,
     PAIRS,
     QUAD_SETS,
-    BiVector,
     SurveyReport,
     _echelon_cells,
     _pencil_parameter,
@@ -711,9 +710,9 @@ def bracket_sff_value(nu: Root, nu2: Root, ctx, table: ChevalleyTable):
 def early_stop_rank(rows: list[list[int]], p: int | None = None, stop: int | None = None) -> int:
     """Rank of an integer matrix over the rationals, or mod p when p is given.
 
-    The elimination ``integer_rank`` once ran for every caller: fraction-free
-    on both, a row below the pivot row becomes pivot * row - entry * top.
-    Over the rationals that row is then divided by the previous pivot
+    One general elimination, fraction-free over the rationals and mod p: a
+    row below the pivot row becomes pivot * row - entry * top.  Over the
+    rationals that row is then divided by the previous pivot
     (Bareiss), so entries stay ints; mod p the pivot is a unit and no
     division is needed.  With ``stop`` the elimination ends at the stop-th
     pivot (stop >= 1) and returns ``stop``: ``early_stop_rank(m, p, 3)`` is
@@ -754,7 +753,7 @@ def gaussian_binomial_2_of_5(p: int) -> int:
 
 
 def enumerate_grassmannian(p: int):
-    """All F_p-points of G(2,5), as (BiVector u ^ v mod p, (u, v)).
+    """All F_p-points of G(2,5), as (u ^ v mod p, (u, v)).
 
     Subspaces are enumerated through their unique reduced-echelon bases, so
     the count is the Gaussian binomial coefficient for 2-subspaces of a
@@ -772,7 +771,7 @@ def enumerate_grassmannian(p: int):
                 u[c] = val
             for c, val in zip(free2, fv[len(free_positions):]):
                 v[c] = val
-            yield BiVector(tuple(x % p for x in BiVector.wedge(u, v).coords)), (tuple(u), tuple(v))
+            yield _wedge_mod(u, v, p), (tuple(u), tuple(v))
 
 
 def _wedge_mod(u, v, p: int) -> tuple:
@@ -1316,9 +1315,10 @@ def three_reflection_fails(rs: RootSystem, r: Root, i: int) -> bool:
             or not rs.is_root(scaled_simple_reflect(rs, i, r)))
 
 
-def coord_plucker_quadrics(omega: BiVector) -> tuple:
-    """The five coordinates of omega ^ omega through ``BiVector.coord``."""
-    x = omega.coord
+def coord_plucker_quadrics(omega) -> tuple:
+    """The five coordinates of omega ^ omega, each x_ij looked up by its pair."""
+    def x(i, j):
+        return omega[PAIR_INDEX[(i, j)]]
     return tuple(2 * (x(a, b) * x(c, d) - x(a, c) * x(b, d) + x(a, d) * x(b, c))
                  for a, b, c, d in QUAD_SETS)
 
@@ -1338,5 +1338,5 @@ def decomposability_bivectors(seed: int, field_name: str) -> list:
         coords = [rng.randrange(-4, 5) for _ in range(10)]
         if all(c == 0 for c in coords):
             coords[0] = 1
-        out.append(BiVector(tuple(coords)))
+        out.append(tuple(coords))
     return out

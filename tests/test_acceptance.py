@@ -11,7 +11,7 @@ from delpair.chevalley import build_table
 from delpair.cli import run_all
 from delpair.projgeo.linalg import rref, rref_mod
 from delpair.projgeo.plucker import (
-    BiVector,
+    alternating_matrix,
     dee_exhaustive_survey,
     ell_generators,
     grassmannian_membership,
@@ -117,8 +117,7 @@ def test_criterion_7_plucker_lab():
         # (i) ell on the variety over the rationals, exactly
         g1, g2 = ell_generators()
         for t, s in ((1, 0), (0, 1), (1, 1), (2, 1), (1, -3)):
-            coords = tuple(t * a + s * b for a, b in zip(g1.coords, g2.coords))
-            assert grassmannian_membership(BiVector(coords))
+            assert grassmannian_membership(tuple(t * a + s * b for a, b in zip(g1, g2)))
         # (ii) span([e4^e5], ell): one line plus one isolated point
         section = plane_section(parse_bivector("e4^e5"), primes=(5, 7))
         assert section.shape() == (1, 1)
@@ -170,12 +169,12 @@ def test_criterion_9_property_suites(tmp_path):
             coords = [rng.randrange(-4, 5) for _ in range(10)]
             if all(c == 0 for c in coords):
                 coords[0] = 1
-            omega = BiVector(tuple(coords))
+            matrix = alternating_matrix(coords)
             if k % 2 == 0:
-                assert grassmannian_membership(omega) == (len(rref(omega.matrix())[0]) <= 2)
+                assert grassmannian_membership(coords) == (len(rref(matrix)[0]) <= 2)
             else:                                                   # over F5
-                assert (not any(q % 5 for q in plucker_quadrics(omega))) == (
-                    len(rref_mod(omega.matrix(), 5)) <= 2)
+                assert (not any(q % 5 for q in plucker_quadrics(coords))) == (
+                    len(rref_mod(matrix, 5)) <= 2)
         # byte-identical bundles across repeated seeded runs
         config = RunConfig(max_rank=4, primes_plucker=(5,), primes_segre=(2,))
         code1, doc1 = run_all(config)

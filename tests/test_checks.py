@@ -8,6 +8,7 @@ from delpair import cli, labs
 from delpair.checks import SUITES, run_all
 from delpair.chevalley import ChevalleyTable
 from delpair.labs import reflection_failures
+from delpair.projgeo.linalg import rref
 from delpair.report import DEFAULT_SEED, FAIL, RunConfig
 from delpair.rootsys import Root, RootSystem, build_root_system, parse_diagram
 
@@ -85,6 +86,26 @@ def test_qorbit_invariance_fails_on_a_wrong_membership_predicate(monkeypatch):
     rep = labs._qorbit_invariance()
     assert rep.status == FAIL
     assert rep.witnesses == [{"group_elements": 20, "points": 5, "violations": 100}]
+
+
+def test_invertibility_closed_form_matches_the_fraction_rank():
+    # matrices of the Q-orbit draws' shape: fully random, or with g00 = 0, or
+    # with the {1, 2} or {3, 4} block's second row a multiple of its first;
+    # the block-determinant product is nonzero exactly at Fraction rank 5
+    rng = random.Random(36)
+    shape = [(0,), (0, 1, 2), (0, 1, 2), (0, 1, 2, 3, 4), (0, 1, 2, 3, 4)]
+    seen = set()
+    for k in range(800):
+        g = [[rng.randrange(-3, 4) if c in cols else 0 for c in range(5)] for cols in shape]
+        if k % 4 == 1:
+            g[0][0] = 0
+        elif k % 4 > 1:                 # the block {i, i + 1}, rows i and i + 1
+            i, m = (1 if k % 4 == 2 else 3), rng.randrange(-2, 3)
+            g[i + 1][i:i + 2] = [m * x for x in g[i][i:i + 2]]
+        full = len(rref(g)[0]) == 5
+        assert labs._invertible(g) == full, g
+        seen.add((k % 4, full))
+    assert seen == {(0, True), (0, False), (1, False), (2, False), (3, False)}
 
 
 def test_chevalley_row_fails_on_one_flipped_structure_constant(monkeypatch):

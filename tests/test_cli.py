@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import itertools
 import json
+import math
 import os
 import random
 import re
@@ -19,7 +20,7 @@ from delpair.chevalley import build_table
 from delpair.cli import main, parse_pair_id, run_all
 from delpair.pairs import CorrespondenceError
 from delpair.projgeo import segre
-from delpair.projgeo.plucker import PAIRS, BiVector, dee_exhaustive_survey
+from delpair.projgeo.plucker import PAIRS, dee_exhaustive_survey, wedge
 from delpair.projgeo.segre import segre_fitting_report
 from delpair.report import (
     DEFAULT_SEED,
@@ -183,6 +184,25 @@ def test_pair_id_with_empty_or_extra_part_exits_2(pair_id, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == f"error: pair id {pair_id!r} is not of the form D:g/g0\n"
     assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("pair_id, message", [
+    ("E9:a1/a2", "rank 9 out of range for type E"),
+    ("X7:a7/a6", "cannot parse diagram literal 'X7'"),
+    ("E7:/a6", "marked node set must be nonempty"),
+    ("E7:a9/a6", "unknown marked nodes ['a9']"),
+    ("E7:a7/a7", "gamma0 coincides with the marked node"),
+    ("C4:a4/a3", "a4 and a3 are not connected by a type-A chain: "
+                 "bond (a4, a3) has multiplicity 2"),
+    ("A3+A3:a1/a4", "a1 and a4 lie in different components"),
+    ("E7:a7/a1", "E7:a7/a1 is not a catalog deletion pair"),
+])
+def test_cli_refuses_pair_ids_that_name_no_deletion_pair(pair_id, message, capsys):
+    # without --out a bundle would go to stdout
+    assert main(["verify-pair", "--pair", pair_id]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
 
 
 def test_cli_degeneracy_modes(tmp_path):
@@ -699,7 +719,7 @@ def _seeded_section_points(rng, n):
             coords = (0,) * 10
             while not any(coords):
                 u, v = ([rng.randint(-3, 3) for _ in range(5)] for _ in range(2))
-                coords = BiVector.wedge(u, v).coords
+                coords = wedge(u, v)
         else:
             coords = [0] * 10
             for i in rng.sample(range(10), rng.randint(1, 3)):
@@ -814,6 +834,32 @@ def test_the_pairs_that_pass_every_pair_row(max_rank, request):
     family = {f"D{n}:a{n}/a{n - 2}" for n in range(5, max_rank + 1)}
     assert passing == family | {"E6:a6/a5", "E7:a7/a6"}
     assert len(passing) == {7: 5, 12: 10, 20: 18}[max_rank]
+
+
+# Per passing pair: dim_sub, dim_ambient, the normal-bundle component sizes,
+# the infinity locus_size, the kernel_tau kernel_size and the number of
+# kernel_sigma weights.  D_n:a_n/a_(n-2) is G(2, n-2) in G^II(n,n).
+FAMILY_CLOSED_FORMS = {
+    **{f"D{n}:a{n}/a{n - 2}": (2 * (n - 2), n * (n - 1) // 2, [1, math.comb(n - 2, 2)],
+                               2 * (n - 2), n - 1, 1)
+       for n in range(5, 21)},
+    "E6:a6/a5": (10, 16, [1, 5], 10, 7, 1),
+    "E7:a7/a6": (16, 27, [1, 10], 16, 11, 1),
+}
+
+
+def test_the_passing_pairs_meet_their_closed_forms(rank20_bundle):
+    witnesses = {(r["check_id"], r["subject"]): r["witnesses"] for r in rank20_bundle["reports"]}
+    assert len(FAMILY_CLOSED_FORMS) == 18
+    for pair_id, expected in FAMILY_CLOSED_FORMS.items():
+        (corr,) = witnesses["pairs.correspondence", pair_id]
+        (normal,) = witnesses["normalbundle.summands_distinct", pair_id]
+        (locus,) = witnesses["sff.infinity_locus", pair_id]
+        (tau,) = witnesses["sff.kernel_tau", pair_id]
+        (sigma,) = witnesses["sff.kernel_sigma", pair_id]
+        read = (corr["dim_sub"], corr["dim_ambient"], sorted(normal["component_sizes"]),
+                locus["locus_size"], tau["kernel_size"], len(sigma["kernel"]))
+        assert read == expected, pair_id
 
 
 def test_in_process_bundles_equal_their_json(default_bundle, rank_sweep_bundle):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from delpair import hss, pairs
+from delpair.checks import correspondence_checks
 from delpair.normalbundle import normal_weights
 from delpair.pairs import (
     CorrespondenceError,
@@ -14,6 +15,7 @@ from delpair.pairs import (
     is_maximal,
     root_correspondence,
 )
+from delpair.report import FAIL
 from delpair.rootsys import ChainError, MarkError, Root, parse_diagram, parse_marked
 from oracles import additive_apply, chain_sum, exhaustive_maximality
 
@@ -181,6 +183,36 @@ def test_corrupted_gamma_fails_with_named_invariant(catalog7):
     object.__setattr__(bad, "big_gamma", Root((0, 1, 1, 0)))   # wrong chain sum
     with pytest.raises(CorrespondenceError, match="a3"):
         root_correspondence(bad)
+
+
+def test_correspondence_row_fails_on_a_pairing_mismatch():
+    # with Gamma = 0, Phi sends a2 (gamma0) to alpha_1 and its neighbour a3
+    # to alpha_3: both are roots, but orthogonal, while a2 and a3 are joined
+    # in the sub, so only the Cartan-invariance check sees it
+    pair = DeletionPair(parse_marked("B3:a1"), "a2")
+    object.__setattr__(pair, "big_gamma", Root((0, 0, 0)))
+    (rep,) = correspondence_checks(pair)
+    assert rep.status == FAIL
+    assert rep.notes.startswith("pairing mismatch at (a2, a3)"), rep.notes
+
+
+def test_correspondence_raises_when_phi_leaves_the_noncompact_cone(monkeypatch):
+    # -Phi sends simple roots to roots and has Phi's Gram matrix, so only the
+    # cone check sees it: the noncompact roots go to negative roots
+    real = pairs.RootCorrespondence
+    monkeypatch.setattr(pairs, "RootCorrespondence", lambda pair, on_simple: real(
+        pair, tuple((label, -image) for label, image in on_simple)))
+    with pytest.raises(CorrespondenceError, match="^Phi image leaves the noncompact cone"):
+        root_correspondence(DeletionPair(parse_marked("E7:a7"), "a6"))
+
+
+def test_correspondence_raises_when_phi_is_not_injective(monkeypatch):
+    # no table of simple-root images reaches this check: images whose
+    # pairings match the sub's Cartan matrix have a nonsingular Gram matrix,
+    # so they are independent and Phi is injective.  A patched apply does.
+    monkeypatch.setattr(RootCorrespondence, "apply", lambda self, beta: self.on_simple[0][1])
+    with pytest.raises(CorrespondenceError, match="^Phi is not injective on noncompact roots$"):
+        root_correspondence(DeletionPair(parse_marked("E7:a7"), "a6"))
 
 
 def test_maximality_verdicts(catalog7):

@@ -8,7 +8,6 @@ import pytest
 
 from delpair import pairs
 from delpair.pairs import DeletionPair
-from delpair.projgeo.plucker import BiVector
 from delpair.projgeo.segre import SegreLine, segre_point
 from delpair.report import PASS, CheckReport, RunConfig
 from delpair.rootsys import (
@@ -28,7 +27,6 @@ VALUES = {
     "MarkedDiagram": (lambda: parse_marked("E7:a7"), "marked"),
     "DeletionPair": (lambda: DeletionPair(parse_marked("E7:a7"), "a5"), "gamma0"),
     "RunConfig": (lambda: RunConfig(max_rank=9, primes_plucker=(3,)), "max_rank"),
-    "BiVector": (lambda: BiVector.basis(1, 2), "coords"),
     "SegreLine": (lambda: SegreLine(segre_point((1, 0), (1, 0, 0), 3),
                                     segre_point((1, 0), (0, 1, 0), 3), 3), "q"),
 }
