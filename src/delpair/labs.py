@@ -132,10 +132,11 @@ def property_suite() -> list[CheckReport]:
 
     for field_name in ("QQ", "F5"):
         rng = random.Random((DEFAULT_SEED, field_name).__repr__())
-        drawn = _draws(rng, 9, 5000)        # ten coordinates in -4..4 per bivector
+        # ten coordinates in -4..4 per bivector
+        drawn = [d - 4 for d in _draws(rng, 9, 5000)]
         bad = 0
         for start in range(0, 5000, 10):
-            omega = tuple(d - 4 for d in drawn[start:start + 10])
+            omega = tuple(drawn[start:start + 10])
             if not any(omega):
                 omega = (1,) + omega[1:]
             if field_name == "QQ":

@@ -81,9 +81,12 @@ def alternating_rank(x, p: int | None = None) -> int:
     fraction-free: a row below the pivot row becomes pivot * row - entry * top,
     and a row whose entry is 0 is left as it is.  Mod p the rows stay integers and a pivot
     is an entry that p does not divide, so each step is invertible mod p.
-    The third pivot ends the search, so at most two are eliminated and the
-    entries stay small without Bareiss division.  ``alternating_rank(x) <= 2``
-    asks whether the rank is at most 2.
+    Only the first pivot is eliminated.  After the second, a third pivot
+    exists iff some entry pivot * a - entry * b of the rows below, right of
+    the pivot column, is nonzero; those entries are tested one at a time and
+    the first nonzero one returns 3, without building the eliminated rows.
+    So the entries stay small without Bareiss division.
+    ``alternating_rank(x) <= 2`` asks whether the rank is at most 2.
     """
     x12, x13, x14, x15, x23, x24, x25, x34, x35, x45 = x
     rows = [[0, x12, x13, x14, x15], [-x12, 0, x23, x24, x25], [-x13, -x23, 0, x34, x35],
@@ -99,9 +102,16 @@ def alternating_rank(x, p: int | None = None) -> int:
         rows[pivot] = rows[r]
         rows[r] = top
         r += 1
-        if r == 3:
-            break
         piv = top[c]
+        if r == 2:
+            tail = top[c + 1:]
+            for row in rows[2:]:
+                f = row[c]
+                for a, b in zip(row[c + 1:], tail):
+                    e = piv * a - f * b
+                    if e % p if p else e:
+                        return 3
+            return 2
         for i in range(r, 5):
             row = rows[i]
             f = row[c]

@@ -47,17 +47,14 @@ def alternating_matrix(x) -> list[list]:
     return A
 
 
-# Per quadric (a, b, c, d) of QUAD_SETS, the coordinate indices of
-# x_ab, x_cd, x_ac, x_bd, x_ad, x_bc.
-_QUADRIC_INDICES = tuple(
-    tuple(PAIR_INDEX[pq] for pq in ((a, b), (c, d), (a, c), (b, d), (a, d), (b, c)))
-    for a, b, c, d in QUAD_SETS)
-
-
 def plucker_quadrics(x) -> tuple:
-    """The five coordinates of x ^ x; all zero iff decomposable."""
-    return tuple(2 * (x[ab] * x[cd] - x[ac] * x[bd] + x[ad] * x[bc])
-                 for ab, cd, ac, bd, ad, bc in _QUADRIC_INDICES)
+    """The five coordinates of x ^ x, in QUAD_SETS order; all zero iff decomposable."""
+    x12, x13, x14, x15, x23, x24, x25, x34, x35, x45 = x
+    return (2 * (x23 * x45 - x24 * x35 + x25 * x34),
+            2 * (x13 * x45 - x14 * x35 + x15 * x34),
+            2 * (x12 * x45 - x14 * x25 + x15 * x24),
+            2 * (x12 * x35 - x13 * x25 + x15 * x23),
+            2 * (x12 * x34 - x13 * x24 + x14 * x23))
 
 
 def grassmannian_membership(x) -> bool:
@@ -341,6 +338,13 @@ class SurveyReport(NamedTuple):
         return {**self._asdict(), "exists_exact_b": self.exists_exact_b}
 
 
+def _survey_class(x24: int, x25: int, x34: int, x35: int, p: int) -> tuple:
+    """(rank, t, s) of the boundary class (x24, x25, x34, x35) mod p; t = s =
+    None where no pencil parameter exists."""
+    x = (0, 0, 0, 0, 0, x24, x25, x34, x35, 0)
+    return (_polarization_rank(x, p), *(_pencil_parameter(x, p) or (None, None)))
+
+
 def dee_exhaustive_survey(p: int) -> SurveyReport:
     """Classify the plane section span<b, ell> for every boundary point b.
 
@@ -349,36 +353,50 @@ def dee_exhaustive_survey(p: int) -> SurveyReport:
     x45 = u4 v5 - u5 v4 for the whole block of free (u1, u2, u3, v1, v2, v3)
     values, so an affine quadruple's block is counted by its size without
     visiting its points; the point counts are summed over these blocks,
-    never taken from p^6 or the Gaussian binomial.  Each b = u ^ v on the
-    divisor {x45 = 0} away from ell is visited and read through the seven
-    coordinates x14, x15, x23, x24, x25, x34, x35.  Its restricted quadrics
-    and its collinearity parameter [t:s] are both read from the rows
-    ``ell_rows(b)``: the extra locus on u != 0 from their rank, [t:s] from
-    their common zero.  On x45 = 0 those rows depend only on the class
-    (x24, x25, x34, x35), so rank and parameter come from a table of p^4
-    entries, indexed by the base-p digits of the class and filled on first
-    use.  A common vector alpha u + beta v of W_b and <e1, t e2 + s e3> is
-    solved for every point: [alpha : beta] and (w4, w5) depend on the
-    quadruple alone and are solved once for it, unless it is all zero, when
-    [alpha : beta] reads [t:s] and is solved per point.  Per point remain
-    the class lookup, the counts, the check of w1, w2, w3 and w2 s - w3 t on
-    the point's own u and v, and the implication "witness => extra
-    component", which is asserted pointwise.
+    never taken from p^6 or the Gaussian binomial.  A boundary point
+    b = u ^ v away from ell is read through the seven coordinates x14, x15,
+    x23, x24, x25, x34, x35.  Its restricted quadrics and its collinearity
+    parameter [t:s] are both read from the rows ``ell_rows(b)``: the extra
+    locus on u != 0 from their rank, [t:s] from their common zero.  On
+    x45 = 0 those rows depend only on the class (x24, x25, x34, x35), so
+    rank and parameter come from a table of p^4 entries, indexed by the
+    base-p digits of the class and filled on first use, and the section and
+    witness counts are sums over classes of the points in each class.
+
+    A common vector alpha u + beta v of W_b and <e1, t e2 + s e3> is checked
+    for every class a point meets: [alpha : beta] is (v4, -u4), or (v5, -u5)
+    when u4 = v4 = 0, solved once per quadruple unless the quadruple is all
+    zero, when it reads [t:s] and is solved per point.
+
+    Where both u3 and v3 are free (the big cell, u = (1, 0, u3, u4, u5),
+    v = (0, 1, v3, v4, v5)) and the quadruple is a nonzero one with x45 = 0,
+    (u4, u5) and (v4, v5) are proportional, so the map
+    (u3, v3) -> (x34, x35) = u3 (v4, v5) - v3 (u4, u5) has rank 1: its
+    fibres are p lines of p points each, the kernel spanned by
+    (-beta, alpha).  On a fibre the class and every input of the witness
+    check are constant, since w3 = alpha u3 + beta v3 is x34 (x35 when
+    u4 = v4 = 0) and w1, w2, w4, w5 do not involve (u3, v3).  So that block
+    is visited one fibre at a time, each fibre counted by its p points: no
+    point of a nonzero quadruple lies on ell, whose points have
+    u4 = u5 = v4 = v5 = 0.  Only x23 = -u3 varies on a fibre, and it matters
+    only on the zero class, whose one fibre is the kernel with u4 = u5 = 0:
+    there u3 = 0, so its p points are axis points.  Every other block is
+    visited point by point.  The implication "witness => extra component"
+    is asserted over all the counts.
     """
     require_odd_prime(p)
 
-    total = affine = dee = surveyed = 0
-    exact = extra = fullplane = nowitness = 0
-    witness_without_extra = 0
-    excl_meeting = excl_axis = 0
+    total = affine = dee = surveyed = excl_axis = 0
     pp = p * p
-    # (rank, t, s) by the base-p digits of (x24, x25, x34, x35), filled on first
-    # use; t = s = None where no pencil parameter exists
+    # (rank, t, s) by the base-p digits of (x24, x25, x34, x35), filled on
+    # first use, and the number of surveyed points in each class
     classes: list = [None] * (pp * pp)
+    hits = [0] * (pp * pp)
 
     for us, vs in _echelon_cells(p):
         heads = list(itertools.product(us[0], vs[0], us[1], vs[1]))
         block = len(heads) * len(us[2]) * len(vs[2])
+        fibred = len(us[2]) == len(vs[2]) == p
         for u4, u5, v4, v5 in itertools.product(us[3], us[4], vs[3], vs[4]):
             total += block
             if (u4 * v5 - u5 * v4) % p:
@@ -393,6 +411,37 @@ def dee_exhaustive_survey(p: int) -> SurveyReport:
                 w45 = (alpha * u4 + beta * v4) % p or (alpha * u5 + beta * v5) % p
             else:
                 alpha = beta = w45 = None
+            if fibred and alpha is not None:
+                # one point of each fibre, on a line through 0 off the kernel
+                reps = ([(u3, 0) for u3 in range(p)] if alpha
+                        else [(0, v3) for v3 in range(p)])
+                for u1, v1, u2, v2 in heads:
+                    x24 = (u2 * v4 - u4 * v2) % p
+                    x25 = (u2 * v5 - u5 * v2) % p
+                    high = (x24 * p + x25) * pp
+                    w1 = (alpha * u1 + beta * v1) % p
+                    w2 = (alpha * u2 + beta * v2) % p
+                    for u3, v3 in reps:
+                        x34 = (u3 * v4 - u4 * v3) % p
+                        x35 = (u3 * v5 - u5 * v3) % p
+                        if not (high or x34 or x35):
+                            # the kernel fibre of the zero class: here
+                            # (x24, x25) = -(u4, u5) and (x34, x35) = u3 (v4, v5),
+                            # so u3 = 0 and u = e1 lies in W_b
+                            excl_axis += p
+                        surveyed += p
+                        key = high + x34 * p + x35
+                        cls = classes[key]
+                        if cls is None:
+                            cls = classes[key] = _survey_class(x24, x25, x34, x35, p)
+                        hits[key] += p
+                        _, t, s = cls
+                        if t is not None:
+                            w3 = x34 if u4 or v4 else x35
+                            if w45 or (w2 * s - w3 * t) % p or not (w1 or w2 or w3):
+                                raise AssertionError(
+                                    f"witness parameter [{t}:{s}] without a common vector")
+                continue
             for u1, v1, u2, v2 in heads:
                 # x145 is nonzero iff x14 or x15 is, high iff x24 or x25 is
                 x145 = (u1 * v4 - u4 * v1) % p or (u1 * v5 - u5 * v1) % p
@@ -408,44 +457,47 @@ def dee_exhaustive_survey(p: int) -> SurveyReport:
                         if not (x145 or x23 or high or x34 or x35):
                             continue           # b lies on ell
                         surveyed += 1
-
+                        if not (x23 or high or x34 or x35):
+                            excl_axis += 1     # only x1j: e1 lies in W_b
                         key = high + x34 * p + x35
                         cls = classes[key]
                         if cls is None:
-                            x = (0, 0, 0, 0, 0, x24, x25, x34, x35, 0)
-                            param = _pencil_parameter(x, p) or (None, None)
-                            cls = classes[key] = (_polarization_rank(x, p), *param)
-                        r, t, s = cls
-                        if r == 1:
-                            extra += 1
-                        elif r == 2:
-                            exact += 1
-                        else:
-                            extra += 1
-                            fullplane += 1
-
+                            cls = classes[key] = _survey_class(x24, x25, x34, x35, p)
+                        hits[key] += 1
+                        _, t, s = cls
                         if t is None:
-                            nowitness += 1
+                            continue
+                        if alpha is None:
+                            c1 = (u2 * s - u3 * t) % p
+                            c2 = (v2 * s - v3 * t) % p
+                            a, b = (c2, -c1) if c1 or c2 else (1, 0)
+                            w45 = (a * u4 + b * v4) % p or (a * u5 + b * v5) % p
                         else:
-                            if alpha is None:
-                                c1 = (u2 * s - u3 * t) % p
-                                c2 = (v2 * s - v3 * t) % p
-                                a, b = (c2, -c1) if c1 or c2 else (1, 0)
-                                w45 = (a * u4 + b * v4) % p or (a * u5 + b * v5) % p
-                            else:
-                                a, b = alpha, beta
-                            w2 = (a * u2 + b * v2) % p
-                            w3 = (a * u3 + b * v3) % p
-                            if (w45 or (w2 * s - w3 * t) % p
-                                    or not (w2 or w3 or (a * u1 + b * v1) % p)):
-                                raise AssertionError(
-                                    f"witness parameter [{t}:{s}] without a common vector")
-                            excl_meeting += 1
-                            if r == 2:
-                                witness_without_extra += 1
-                        if not (x23 or high or x34 or x35):
-                            excl_axis += 1     # only x1j: e1 lies in W_b
+                            a, b = alpha, beta
+                        w2 = (a * u2 + b * v2) % p
+                        w3 = (a * u3 + b * v3) % p
+                        if (w45 or (w2 * s - w3 * t) % p
+                                or not (w2 or w3 or (a * u1 + b * v1) % p)):
+                            raise AssertionError(
+                                f"witness parameter [{t}:{s}] without a common vector")
 
+    exact = extra = fullplane = nowitness = witness_without_extra = excl_meeting = 0
+    for cls, n in zip(classes, hits):
+        if not n:
+            continue
+        r, t, _ = cls
+        if r == 2:
+            exact += n
+        else:
+            extra += n
+            if r == 0:
+                fullplane += n
+        if t is None:
+            nowitness += n
+        else:
+            excl_meeting += n
+            if r == 2:
+                witness_without_extra += n
     if witness_without_extra:
         raise AssertionError(
             "collinearity witness without extra section component "

@@ -28,7 +28,8 @@ enumerated through wedge products of echelon bases, the maximal minors of
 the collinearity scan are expanded as generic determinants and the rows
 through ell come from the generic polarization of the quadrics instead of
 ``ell_rows``, and the boundary survey visits every point of G(2,5)(F_p) with
-its full Plücker tuple instead of counting affine blocks and reading a
+its full Plücker tuple instead of counting affine blocks, visiting the
+big cell's boundary blocks one rank-1 fibre at a time and reading a
 per-class table.  Plane sections come from two oracles that share none of
 the quadric or solver code of ``plane_section``, and the Plücker tests run
 both on planes through ell, the only planes ``plane_section`` takes: over a
@@ -47,7 +48,7 @@ of the product at a time.  The property suite's replaced paths stay here too: Ch
 constants and basis brackets by a recursion keyed by ``Root``s instead of
 basis indices, simple reflections through a scaled simple root and checked
 with three reflections instead of one, the Plücker quadrics with each
-coordinate looked up by its pair (i, j) instead of an index table, and the
+coordinate looked up by its pair (i, j) instead of written out, and the
 seeded samples drawn as the suite first drew them.  The rank of an alternating matrix comes from
 one general fraction-free elimination, over Q or mod p and with an early
 stop, instead of ``alternating_rank``'s elimination from a bivector's ten

@@ -87,14 +87,17 @@ def test_symplectic_form_single_component_two():
     assert values[4] == 2
 
 
-@pytest.mark.parametrize("kind", ["int", "Fraction"])
-def test_quadric_index_table_matches_coord_oracle(kind):
+@pytest.mark.parametrize("kind", ["int", "Fraction", "tuple"])
+def test_written_out_quadrics_match_coord_oracle(kind):
+    # src/ passes both lists (plane combinations) and tuples (bivectors)
     rng = random.Random(f"quadric-table-{kind}")
     for _ in range(500):
-        if kind == "int":
-            coords = [rng.randrange(-9, 10) for _ in range(10)]
-        else:
+        if kind == "Fraction":
             coords = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 8)) for _ in range(10)]
+        else:
+            coords = [rng.randrange(-9, 10) for _ in range(10)]
+        if kind == "tuple":
+            coords = tuple(coords)
         assert plucker_quadrics(coords) == coord_plucker_quadrics(coords), coords
 
 
@@ -548,8 +551,8 @@ def test_survey_computed_truth_every_boundary_point_obstructed(surveys):
 
 
 # SurveyReport witnesses recorded from the field-object survey that computed
-# every count through BiVector, PrimeField and generic 4x4 minors; F11 was
-# recorded from the point-by-point survey that is now `pointwise_dee_survey`.
+# every count through BiVector, PrimeField and generic 4x4 minors; F11 and F13
+# were recorded from the point-by-point survey that is now `pointwise_dee_survey`.
 PINNED_SURVEYS = {
     3: dict(grassmannian_points=1210, affine_cell_points=729, dee_points=481,
             surveyed=477, exact_section_count=0, extra_component_count=477,
@@ -568,6 +571,11 @@ PINNED_SURVEYS = {
              full_plane_count=1573, no_witness_count=0, witness_without_extra=0,
              excluded_line_meeting=193237, excluded_axis_point=1452,
              exists_exact_b=False),
+    13: dict(grassmannian_points=5259970, affine_cell_points=4826809, dee_points=433161,
+             surveyed=433147, exact_section_count=0, extra_component_count=433147,
+             full_plane_count=2535, no_witness_count=0, witness_without_extra=0,
+             excluded_line_meeting=433147, excluded_axis_point=2366,
+             exists_exact_b=False),
 }
 
 
@@ -584,8 +592,10 @@ def test_block_survey_matches_pointwise_oracle(p, surveys):
 
 
 def test_survey_checks_each_common_vector_against_the_class_table(monkeypatch):
-    # [s:t] for [t:s] is wrong at b = e2 ^ e4, whose witness is [1:0]; the
-    # class table passes it on, and only the per-point check can catch it
+    # [s:t] for [t:s] is wrong on the class (0, 0, 0, 1), whose witness is
+    # [0:1]; the class table passes it on, and only the check of the common
+    # vector can catch it, first on a fibre of the big cell's block
+    # (u4, u5, v4, v5) = (0, 0, 0, 1)
     real = plucker._pencil_parameter
 
     def swapped(x, p):
@@ -593,8 +603,26 @@ def test_survey_checks_each_common_vector_against_the_class_table(monkeypatch):
         return None if param is None else param[::-1]
 
     monkeypatch.setattr(plucker, "_pencil_parameter", swapped)
-    with pytest.raises(AssertionError, match="without a common vector"):
+    with pytest.raises(AssertionError,
+                       match=r"^witness parameter \[1:0\] without a common vector$"):
         dee_exhaustive_survey(5)
+
+
+def test_survey_refuses_a_witness_on_an_exact_section(monkeypatch):
+    # every class read as rank 2: every surveyed point is an exact section
+    # with a witness, which the final assertion refuses, counted in full
+    monkeypatch.setattr(plucker, "_polarization_rank", lambda x, p: 2)
+    with pytest.raises(AssertionError, match=r"^collinearity witness without extra "
+                       r"section component \(4675 boundary points\)$"):
+        dee_exhaustive_survey(5)
+
+
+def test_survey_counts_points_without_a_pencil_parameter(monkeypatch):
+    monkeypatch.setattr(plucker, "_pencil_parameter", lambda x, p: None)
+    rep = dee_exhaustive_survey(5)
+    assert rep.no_witness_count == rep.surveyed == 4675
+    assert rep.excluded_line_meeting == 0
+    assert rep.witness_without_extra == 0
 
 
 def test_survey_rejects_characteristic_two():
