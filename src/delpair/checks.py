@@ -14,9 +14,9 @@ from .report import (
     CheckReport,
     RunConfig,
     bundle,
-    root_witness,
 )
 from .rootsys import (
+    add,
     build_root_system,
     descriptor,
     is_hyperquadric,
@@ -69,7 +69,7 @@ def correspondence_checks(pair: DeletionPair) -> list[CheckReport]:
         "pairs.correspondence", pair.pair_id, PASS,
         witnesses=[{
             "name": pair.name,
-            "Gamma": root_witness(pair.big_gamma),
+            "Gamma": list(pair.big_gamma),
             "dim_sub": nc0, "dim_ambient": nc,
             "maximal": verdict.maximal,
             "decompositions_via": list(verdict.witness_ids()),
@@ -81,14 +81,14 @@ def degeneracy_checks(pair: DeletionPair) -> list[CheckReport]:
     ks, kt = sff.kernels(ctx)
     ars = pair.ambient_rs()
     gamma = ars.simple_root(pair.gamma)
-    adjacent = [gamma + ars.simple_root(b)
+    adjacent = [add(gamma, ars.simple_root(b))
                 for b in pair.ambient.diagram.neighbors(pair.gamma)]
-    missing = [root_witness(a) for a in adjacent if a not in ks.kernel_weights]
+    missing = [list(a) for a in adjacent if a not in ks.kernel_weights]
     return [
         CheckReport("sff.kernel_sigma", pair.pair_id,
                     PASS if ks.strict and not missing else FAIL,
                     witnesses=[{"strict": ks.strict,
-                                "kernel": [root_witness(w) for w in sorted(ks.kernel_weights)],
+                                "kernel": [list(w) for w in sorted(ks.kernel_weights)],
                                 "missing_adjacent_witnesses": missing}]),
         CheckReport("sff.kernel_tau", pair.pair_id,
                     PASS if kt.strict else FAIL,

@@ -23,11 +23,11 @@ k + n for the negative of k), then the simple coroots.  Constants live on
 these indices: the recursion keys its memos by basis index, finds a sum of
 roots by adding two roots packed by ``rootsys.packing``, which never carries
 on a sum of two roots, and looking the result up in a dict from packed roots
-to indices, and reads B(r, r) from a per-index list, so it builds no
-``Root`` objects and a sum builds no tuple.  The bracket of two
-basis elements is a tuple of (index, integer coefficient) terms, so the
-Jacobi identity on basis triples is checked with int-keyed sums and no
-element objects.
+to indices, and reads B(r, r) from a per-index list, so a sum builds no
+tuple.  ``basis_roots`` is the tuple of the basis roots themselves, plain
+root tuples as ``rootsys`` gives them.  The bracket of two basis elements is
+a tuple of (index, integer coefficient) terms, so the Jacobi identity on
+basis triples is checked with int-keyed sums and no element objects.
 
 Constants are computed on demand and memoized, never swept over all pairs.
 The Jacobi step for a positive pair summing to rho reads only pairs whose
@@ -38,9 +38,9 @@ recursion terminates.  Each value is the one the height-ordered sweep gives.
 from __future__ import annotations
 
 import operator
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
-from .rootsys import Root, RootSystem, packing
+from .rootsys import RootSystem, add, packing
 
 BasisTerms = tuple[tuple[int, int], ...]   # ((basis index, coefficient), ...)
 
@@ -52,8 +52,8 @@ class ChevalleyTable:
     each mixed-sign constant N_{mu,-nu} and each extraspecial pair is derived
     the first time the recursion asks for it and then memoized by basis
     index, so a table costs only the constants its callers read.
-    ``constant`` is the checked entry point on ``Root``s and maps onto that
-    index kernel; ``jacobi_failures`` memoizes the basis brackets it reads
+    ``constant`` is the checked entry point on root tuples and maps onto
+    that index kernel; ``jacobi_failures`` memoizes the basis brackets it reads
     for one call only.  The recursion behind a constant terminates because
     every Jacobi step moves to pairs whose sum has lower height, or to an
     extraspecial pair.
@@ -63,10 +63,11 @@ class ChevalleyTable:
         self.rs = rs
         positives = sorted(rs.positive_roots)
         n = self._n = len(positives)
-        coeffs = [r.coeffs for r in positives]
-        self._coeffs = coeffs + [tuple(-c for c in cs) for cs in coeffs]
+        # the roots of the basis root vectors: sorted positives, then their
+        # negatives; index len(basis_roots) + i is the simple coroot h_i
+        self.basis_roots = tuple(positives) + tuple(tuple(-c for c in r) for r in positives)
         self._packing = packing(rs.diagram.rank)
-        self._packed = list(map(self._packing.pack, self._coeffs))
+        self._packed = list(map(self._packing.pack, self.basis_roots))
         self._zero = self._packing.zero
         self._index = {key: k for k, key in enumerate(self._packed)}
         norms = [rs.scaled_norm(r) for r in positives]
@@ -103,7 +104,7 @@ class ChevalleyTable:
                 if beta is not None and beta < n:
                     break
             else:
-                raise AssertionError(f"no decomposition of {self._coeffs[rho]} into positives")
+                raise AssertionError(f"no decomposition of {self.basis_roots[rho]} into positives")
             extra = self._extra[rho] = (alpha, beta)
         return extra
 
@@ -137,7 +138,7 @@ class ChevalleyTable:
         value, rem = divmod(-t, self._mixed(rho, neg))
         if rem or value == 0:
             raise AssertionError(
-                f"Jacobi reduction failed on ({self._coeffs[xi]}, {self._coeffs[eta]})")
+                f"Jacobi reduction failed on ({self.basis_roots[xi]}, {self.basis_roots[eta]})")
         return value
 
     def _signed(self, a: int, b: int) -> int:
@@ -165,26 +166,26 @@ class ChevalleyTable:
             else:
                 value, rem = divmod(norm[rho] * self._positive(rho - n, mu), norm[nu])
             if rem:
-                raise AssertionError(
-                    f"non-integral mixed constant for ({self._coeffs[mu]}, {self._coeffs[negnu]})")
+                raise AssertionError("non-integral mixed constant for "
+                                     f"({self.basis_roots[mu]}, {self.basis_roots[negnu]})")
             self._mix[key] = value
         return value
 
     # -- queries --------------------------------------------------------------
 
-    def constant(self, a: Root, b: Root) -> int:
+    def constant(self, a: tuple[int, ...], b: tuple[int, ...]) -> int:
         """N_{a,b}; only defined when a, b and a + b are all roots."""
         is_root = self.rs.is_root
-        if not is_root(a + b):
+        if not is_root(add(a, b)):
             raise ValueError(f"{a} + {b} is not a root")
         if not (is_root(a) and is_root(b)):
             raise ValueError(f"{a} or {b} is not a root")
         pack = self._packing.pack
-        return self._signed(self._index[pack(a.coeffs)], self._index[pack(b.coeffs)])
+        return self._signed(self._index[pack(a)], self._index[pack(b)])
 
-    def coroot_coefficients(self, alpha: Root) -> tuple[int, ...]:
+    def coroot_coefficients(self, alpha: tuple[int, ...]) -> tuple[int, ...]:
         """Coefficients of the coroot of alpha over the simple coroots."""
-        return self._coroot(alpha.coeffs, self.rs.scaled_norm(alpha))
+        return self._coroot(alpha, self.rs.scaled_norm(alpha))
 
     def _coroot(self, coeffs: tuple[int, ...], norm: int) -> tuple[int, ...]:
         """The coefficient at i is k_i B(alpha_i, alpha_i) / B(alpha, alpha)."""
@@ -199,34 +200,26 @@ class ChevalleyTable:
 
     # -- the indexed basis ----------------------------------------------------
 
-    @cached_property
-    def basis_roots(self) -> tuple[Root, ...]:
-        """Roots of the basis root vectors: sorted positives, then negatives.
-
-        Index len(basis_roots) + i is the simple coroot h_i.
-        """
-        return tuple(map(Root, self._coeffs))
-
     @property
     def dimension(self) -> int:
-        return len(self._coeffs) + self.rs.diagram.rank
+        return len(self.basis_roots) + self.rs.diagram.rank
 
     def basis_bracket(self, i: int, j: int) -> BasisTerms:
         """[X_i, X_j] over the indexed basis as ((k, c), ...), nonzero c only."""
-        coeffs = self._coeffs
-        m = len(coeffs)
+        roots = self.basis_roots
+        m = len(roots)
         cartan = self.rs.cartan
         if i >= m:                      # [h, h'] = 0 and [h_i, e_b] = <b, alpha_i> e_b
-            c = 0 if j >= m else sum(map(operator.mul, coeffs[j], cartan[i - m]))
+            c = 0 if j >= m else sum(map(operator.mul, roots[j], cartan[i - m]))
             return ((j, c),) if c else ()
         if j >= m:                      # [e_a, h_k] = -<a, alpha_k> e_a
-            c = sum(map(operator.mul, coeffs[i], cartan[j - m]))
+            c = sum(map(operator.mul, roots[i], cartan[j - m]))
             return ((i, -c),) if c else ()
         k = self._index.get(self._packed[i] + self._packed[j] - self._zero)
         if k is not None:
             return ((k, self._signed(i, j)),)
         if j == (i + self._n) % m:      # [e_a, e_-a] = h_a over the simple coroots
-            return tuple((m + t, c) for t, c in enumerate(self._coroot(coeffs[i], self._norm[i]))
+            return tuple((m + t, c) for t, c in enumerate(self._coroot(roots[i], self._norm[i]))
                          if c)
         return ()
 

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .rootsys import DynkinDiagram, MarkedDiagram, MarkError, Root
+from .rootsys import DynkinDiagram, MarkedDiagram, MarkError, sub
 
 
 @lru_cache(maxsize=None)
-def noncompact_positive_roots(md: MarkedDiagram) -> frozenset[Root]:
+def noncompact_positive_roots(md: MarkedDiagram) -> frozenset[tuple[int, ...]]:
     """Positive roots with coefficient 1 at the mark of their component.
 
     A positive root's support lies in one component, so a coefficient 1 at
@@ -24,18 +24,18 @@ def noncompact_positive_roots(md: MarkedDiagram) -> frozenset[Root]:
     """
     marks = [md.diagram.index[m] for m in md.marked]
     return frozenset(r for r in md.root_system().positive_roots
-                     if 1 in map(r.coeffs.__getitem__, marks))
+                     if 1 in map(r.__getitem__, marks))
 
 
 @lru_cache(maxsize=None)
-def psi_gamma(md: MarkedDiagram) -> frozenset[Root]:
+def psi_gamma(md: MarkedDiagram) -> frozenset[tuple[int, ...]]:
     """VMRT tangent weights at the mark gamma: the noncompact mu with mu - gamma
     a root.  The radial direction gamma itself is not among them.  Cached per
     marked diagram, as ``noncompact_positive_roots`` is, so the pairs that
     share an ambient or a sub-diagram compute it once."""
     rs = md.root_system()
     gamma = rs.simple_root(md.single_mark)
-    return frozenset(m for m in noncompact_positive_roots(md) if rs.is_root(m - gamma))
+    return frozenset(m for m in noncompact_positive_roots(md) if rs.is_root(sub(m, gamma)))
 
 
 def vmrt_diagram(md: MarkedDiagram) -> MarkedDiagram:

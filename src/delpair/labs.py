@@ -123,7 +123,7 @@ def property_suite() -> list[CheckReport]:
         rng = random.Random((DEFAULT_SEED, lit).__repr__())
         drawn = _draws(rng, table.dimension, 3000)     # consecutive triples
         bad = jacobi_failures(table, list(zip(drawn[0::3], drawn[1::3], drawn[2::3])))
-        refl_bad = len(reflection_failures(rs, [r.coeffs for r in rs.positive_roots]))
+        refl_bad = len(reflection_failures(rs, rs.positive_roots))
         status = PASS if bad == 0 and refl_bad == 0 else FAIL
         out.append(CheckReport(
             "chevalley.properties", lit, status,
@@ -162,7 +162,7 @@ def reflection_failures(rs: RootSystem, roots) -> list[tuple[tuple[int, ...], in
     With m = <c, alpha_i>, s_i c is w: c with c_i replaced by c_i - m.  Since
     s_i w = w - <w, alpha_i> alpha_i, s_i w = c iff <w, alpha_i> = -m.
     """
-    is_root = rs.all_coeffs.__contains__
+    is_root = rs.all_roots.__contains__
     failures = []
     for c in roots:
         for i, row in enumerate(rs.cartan):

@@ -8,8 +8,9 @@ homogeneous summands.  Connectivity is a necessary condition for
 irreducibility and, for these multiplicity-free modules, the decisive
 computable proxy; reports state this limitation.
 
-The graph search runs on roots packed by ``rootsys.packing``: a weight moves
-by a step as one int addition, and packed weights order as their roots do.
+The graph search runs on roots packed by ``rootsys.packing``, which packs
+each root tuple directly: a weight moves by a step as one int addition, and
+packed weights order as their roots do.
 """
 from __future__ import annotations
 
@@ -17,37 +18,38 @@ from typing import NamedTuple
 
 from . import hss
 from .pairs import DeletionPair
-from .report import FAIL, INDETERMINATE, PASS, CheckReport, root_witness
-from .rootsys import Root, packing
+from .report import FAIL, INDETERMINATE, PASS, CheckReport
+from .rootsys import packing
 
 PROXY_NOTE = ("irreducibility certified only at the level of Levi-root "
               "connectivity of the weight set")
 
 
-def normal_weights(pair: DeletionPair) -> frozenset[Root]:
+def normal_weights(pair: DeletionPair) -> frozenset[tuple[int, ...]]:
     """Ambient noncompact roots minus the Phi-image of the sub ones."""
     return hss.noncompact_positive_roots(pair.ambient) - pair.correspondence.noncompact_image
 
 
 class NormalDecomposition(NamedTuple):
-    normal_weights: frozenset[Root]
-    components: tuple[frozenset[Root], ...]
-    singleton_component: "Root | None"
-    highest_weights: tuple[Root, ...]      # parallel to components
+    normal_weights: frozenset[tuple[int, ...]]
+    components: tuple[frozenset[tuple[int, ...]], ...]
+    singleton_component: "tuple[int, ...] | None"
+    highest_weights: tuple[tuple[int, ...], ...]    # parallel to components
 
 
 def levi_components(pair: DeletionPair) -> NormalDecomposition:
     """Partition the normal weights into Levi-action graph components.
 
     The search runs on packed roots, each key mapping back to its weight.
-    The weights are ambient roots, and the steps are Phi images, which ``root_correspondence`` checked to be
-    ambient roots, so w +- s is the packing of that sum or difference.
+    The weights are ambient roots, and the steps are Phi images, which
+    ``root_correspondence`` checked to be ambient roots, so w +- s is the
+    packing of that sum or difference.
     """
     corr = pair.correspondence
     weights = normal_weights(pair)
     pk = packing(pair.ambient.diagram.rank)
-    root_of = {pk.pack(w.coeffs): w for w in weights}
-    moves = [pk.step(image.coeffs) for label, image in corr.on_simple if label != pair.gamma0]
+    root_of = {pk.pack(w): w for w in weights}
+    moves = [pk.step(image) for label, image in corr.on_simple if label != pair.gamma0]
     remaining = set(root_of)
     blocks: list[set[int]] = []
     while remaining:
@@ -67,7 +69,7 @@ def levi_components(pair: DeletionPair) -> NormalDecomposition:
     highest = []
     for block in blocks:
         maximal = [root_of[w] for w in block if all(w + s not in block for s in moves)]
-        highest.append(max(maximal, key=lambda r: (r.height, r.coeffs)))
+        highest.append(max(maximal, key=lambda r: (sum(r), r)))
     components = tuple(frozenset(map(root_of.__getitem__, block)) for block in blocks)
     singletons = [next(iter(c)) for c in components if len(c) == 1]
     singleton = singletons[0] if len(singletons) == 1 else None
@@ -90,7 +92,7 @@ def summands_distinct(pair: DeletionPair) -> CheckReport:
             witnesses=[{"component_sizes": sizes}],
             notes=f"expected 2 components, found {len(dec.components)}; {PROXY_NOTE}",
         )
-    hw = [root_witness(w) for w in dec.highest_weights]
+    hw = [list(w) for w in dec.highest_weights]
     distinct = dec.highest_weights[0] != dec.highest_weights[1] and sizes[0] != sizes[1]
     status = PASS if distinct else FAIL
     return CheckReport(

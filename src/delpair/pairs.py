@@ -17,8 +17,8 @@ from . import hss
 from .frozen import Frozen
 from .rootsys import (
     MarkedDiagram,
-    Root,
     RootSystem,
+    add,
     cartan_ratio,
     delete_chain,
     parse_marked,
@@ -51,13 +51,13 @@ class DeletionPair(Frozen, fields=("ambient", "gamma0")):
         return self.chain[0]
 
     @cached_property
-    def big_gamma(self) -> Root:
+    def big_gamma(self) -> tuple[int, ...]:
         """Sum of the chain's simple roots, gamma excluded, gamma0 included.
 
         In simple-root coordinates this is the indicator vector of chain[1:].
         """
         summed = set(self.chain[1:])
-        return Root(tuple(int(label in summed) for label in self.ambient.diagram.nodes))
+        return tuple(int(label in summed) for label in self.ambient.diagram.nodes)
 
     @cached_property
     def correspondence(self) -> RootCorrespondence:
@@ -124,7 +124,8 @@ class RootCorrespondence(Frozen, fields=("pair", "on_simple")):
     ``on_simple`` pairs each sub node label with its ambient root.
     """
 
-    def __init__(self, pair: DeletionPair, on_simple: tuple[tuple[str, Root], ...]) -> None:
+    def __init__(self, pair: DeletionPair,
+                 on_simple: tuple[tuple[str, tuple[int, ...]], ...]) -> None:
         object.__setattr__(self, "pair", pair)
         object.__setattr__(self, "on_simple", on_simple)
 
@@ -137,17 +138,17 @@ class RootCorrespondence(Frozen, fields=("pair", "on_simple")):
         neighbor of gamma0, which gains Gamma.
         """
         images = dict(self.on_simple)
-        return tuple(tuple((i, c) for i, c in enumerate(images[label].coeffs) if c)
+        return tuple(tuple((i, c) for i, c in enumerate(images[label]) if c)
                      for label in self.pair.sub.diagram.nodes)
 
-    def apply(self, beta: Root) -> Root:
+    def apply(self, beta: tuple[int, ...]) -> tuple[int, ...]:
         """Phi on any sub-coordinate root: the sparse sum of c_j Phi(alpha_j)."""
         image = [0] * self.pair.ambient.diagram.rank
-        for c, column in zip(beta.coeffs, self._columns):
+        for c, column in zip(beta, self._columns):
             if c:
                 for i, a in column:
                     image[i] += c * a
-        return Root(tuple(image))
+        return tuple(image)
 
     @cached_property
     def gram(self) -> tuple[tuple[int, ...], ...]:
@@ -162,12 +163,12 @@ class RootCorrespondence(Frozen, fields=("pair", "on_simple")):
         return cartan_ratio(self.gram[i][j], self.gram[j][j])
 
     @cached_property
-    def on_noncompact(self) -> dict[Root, Root]:
+    def on_noncompact(self) -> dict[tuple[int, ...], tuple[int, ...]]:
         """Phi of each noncompact positive root of the sub-diagram."""
         return {b: self.apply(b) for b in hss.noncompact_positive_roots(self.pair.sub)}
 
     @cached_property
-    def noncompact_image(self) -> frozenset[Root]:
+    def noncompact_image(self) -> frozenset[tuple[int, ...]]:
         return frozenset(self.on_noncompact.values())
 
 
@@ -178,12 +179,12 @@ def root_correspondence(pair: DeletionPair) -> RootCorrespondence:
     neighbors0 = set(sub_diag.neighbors(pair.gamma0))
     gamma_root = ars.simple_root(pair.gamma)
 
-    table: dict[str, Root] = {}
+    table: dict[str, tuple[int, ...]] = {}
     for label in sub_diag.nodes:
         if label == pair.gamma0:
             table[label] = gamma_root
         elif label in neighbors0:
-            table[label] = ars.simple_root(label) + pair.big_gamma
+            table[label] = add(ars.simple_root(label), pair.big_gamma)
         else:
             table[label] = ars.simple_root(label)
     corr = RootCorrespondence(pair, tuple(sorted(table.items())))

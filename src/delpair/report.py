@@ -114,11 +114,6 @@ def require_odd_prime(p: int) -> None:
     require_prime(p)
 
 
-def root_witness(r) -> list[int]:
-    """Roots serialize as plain coefficient lists in simple-root coordinates."""
-    return list(r.coeffs)
-
-
 def bundle(config: RunConfig, reports: list[CheckReport],
            fields: "tuple[str, ...] | None" = None) -> dict:
     ordered = sorted(reports, key=lambda r: (r.check_id, r.subject))

@@ -1,7 +1,9 @@
 """Dynkin diagrams, exact root systems, Weyl reflections, chain deletion.
 
-Roots are integer coefficient vectors over the simple-root basis of a fixed
-diagram, indexed by the diagram's node order.  All root arithmetic uses the
+A root is a plain tuple of ints: its coefficients over the simple-root basis
+of a fixed diagram, in the diagram's node order.  Tuples compare, sort and
+hash as Python's own, and ``add`` and ``sub`` do the lattice arithmetic,
+since ``+`` on tuples concatenates.  All root arithmetic uses the
 integer Gram matrix B_ij = r_i C_ij, with r_i the relative squared length of
 simple root i (shortest 1 in its component), so inner products and squared
 norms are plain ints, each component's scaled by its own factor; only a
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 import operator
 import re
-from functools import cached_property, lru_cache, total_ordering
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .frozen import Frozen
@@ -53,68 +55,6 @@ class MarkError(ValueError):
 
 class ChainError(ValueError):
     """Raised when two nodes are not connected by a type-A chain."""
-
-
-@total_ordering
-class Root(Frozen):
-    """Element of the root lattice in simple-root coordinates.
-
-    Roots compare and order by their coefficient tuples but equal no tuple.
-    A root hashes as the 1-tuple ``(coeffs,)``.  That hash fixes the
-    iteration order of every root set, but no bundle depends on it: roots
-    reach a bundle as sorted lists or as counts.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: tuple[int, ...]) -> None:
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __eq__(self, other):
-        if other.__class__ is not Root:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.coeffs,))
-
-    def __lt__(self, other):
-        if other.__class__ is not Root:
-            return NotImplemented
-        return self.coeffs < other.coeffs
-
-    def __reduce__(self):           # pickle and copy go through __init__
-        return Root, (self.coeffs,)
-
-    def __add__(self, other: "Root") -> "Root":
-        return Root(tuple(map(operator.add, self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "Root") -> "Root":
-        return Root(tuple(map(operator.sub, self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "Root":
-        return Root(tuple(map(operator.neg, self.coeffs)))
-
-    def scaled(self, k: int) -> "Root":
-        return Root(tuple(k * a for a in self.coeffs))
-
-    @property
-    def height(self) -> int:
-        return sum(self.coeffs)
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, a in enumerate(self.coeffs) if a != 0)
-
-    @staticmethod
-    def simple(i: int, rank: int) -> "Root":
-        return Root((0,) * i + (1,) + (0,) * (rank - 1 - i))
-
-    def __repr__(self) -> str:
-        return f"Root{self.coeffs}"
 
 
 class Component(NamedTuple):
@@ -551,13 +491,12 @@ def _type_roots(letter: str, n: int) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=None)
 def _embedded_roots(n: int, shape: tuple[tuple[str, int, tuple[int, ...]], ...]
-                    ) -> tuple[frozenset[Root], frozenset[tuple[int, ...]]]:
-    """Positive roots, and the coefficient tuples of all roots, of a rank-n
-    diagram of the given shape.
+                    ) -> tuple[frozenset[tuple[int, ...]], frozenset[tuple[int, ...]]]:
+    """The positive roots, and all roots of both signs, of a rank-n diagram
+    of the given shape.
 
     ``shape`` lists (letter, rank, node positions) per component; each
-    component's per-type roots are placed at its positions as int tuples,
-    and each positive tuple is wrapped in a ``Root`` once.  Diagrams that
+    component's per-type roots are placed at its positions.  Diagrams that
     differ only in node labels share one shape and so one pair of sets.
     """
     placed = []
@@ -568,12 +507,22 @@ def _embedded_roots(n: int, shape: tuple[tuple[str, int, tuple[int, ...]], ...]
                 full[i] = c
             placed.append(tuple(full))
     negatives = [tuple(map(operator.neg, coeffs)) for coeffs in placed]
-    return frozenset(map(Root, placed)), frozenset(placed + negatives)
+    return frozenset(placed), frozenset(placed + negatives)
 
 
 # ---------------------------------------------------------------------------
 # Root systems
 # ---------------------------------------------------------------------------
+
+def add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The root-lattice sum a + b; on tuples ``+`` would concatenate."""
+    return tuple(map(operator.add, a, b))
+
+
+def sub(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The root-lattice difference a - b."""
+    return tuple(map(operator.sub, a, b))
+
 
 def cartan_ratio(b_ij: int, b_jj: int) -> "int | Fraction":
     """The Cartan ratio 2 b_ij / b_jj of two form values, an int when exact."""
@@ -592,7 +541,7 @@ class RootSystem:
         self.cartan = diagram.cartan_matrix
         shape = tuple((c.letter, c.rank, tuple(map(diagram.index.__getitem__, c.labels)))
                       for c in diagram.components)
-        self.positive_roots, self._all_coeffs = _embedded_roots(diagram.rank, shape)
+        self.positive_roots, self.all_roots = _embedded_roots(diagram.rank, shape)
         self._columns: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     @property
@@ -602,9 +551,9 @@ class RootSystem:
 
     # -- pairings ----------------------------------------------------------
 
-    def pairing_simple(self, beta: Root, i: int) -> int:
+    def pairing_simple(self, beta: tuple[int, ...], i: int) -> int:
         """<beta, alpha_i>, always an integer."""
-        return sum(map(operator.mul, beta.coeffs, self.cartan[i]))
+        return sum(map(operator.mul, beta, self.cartan[i]))
 
     def _form_column(self, gamma: tuple[int, ...]) -> tuple[int, ...]:
         """B gamma, so that B(beta, gamma) is a dot product with beta; memoized."""
@@ -614,36 +563,31 @@ class RootSystem:
                 sum(map(operator.mul, row, gamma)) for row in self.form)
         return column
 
-    def scaled_norm(self, r: Root) -> int:
+    def scaled_norm(self, r: tuple[int, ...]) -> int:
         """B(r, r) = t (r, r), an integer, t the scale of r's component."""
-        return sum(map(operator.mul, r.coeffs, self._form_column(r.coeffs)))
+        return sum(map(operator.mul, r, self._form_column(r)))
 
-    def pairing(self, beta: Root, gamma: Root) -> "int | Fraction":
+    def pairing(self, beta: tuple[int, ...], gamma: tuple[int, ...]) -> "int | Fraction":
         """Cartan pairing <beta, gamma> = 2(beta, gamma)/(gamma, gamma)."""
-        if gamma.is_zero:
+        if not any(gamma):
             raise ValueError("pairing against the zero vector")
-        column = self._form_column(gamma.coeffs)
-        return cartan_ratio(sum(map(operator.mul, beta.coeffs, column)),
-                            sum(map(operator.mul, gamma.coeffs, column)))
+        column = self._form_column(gamma)
+        return cartan_ratio(sum(map(operator.mul, beta, column)),
+                            sum(map(operator.mul, gamma, column)))
 
     # -- membership and reflections -----------------------------------------
 
-    @property
-    def all_coeffs(self) -> frozenset[tuple[int, ...]]:
-        """The coefficient tuples of every root, of both signs."""
-        return self._all_coeffs
+    def is_root(self, r: tuple[int, ...]) -> bool:
+        return r in self.all_roots
 
-    def is_root(self, r: Root) -> bool:
-        return r.coeffs in self._all_coeffs
+    def simple_root(self, label: str) -> tuple[int, ...]:
+        i, n = self.diagram.index[label], self.diagram.rank
+        return (0,) * i + (1,) + (0,) * (n - 1 - i)
 
-    def simple_root(self, label: str) -> Root:
-        return Root.simple(self.diagram.index[label], self.diagram.rank)
-
-    def reflect(self, node: "int | str", beta: Root) -> Root:
+    def reflect(self, node: "int | str", beta: tuple[int, ...]) -> tuple[int, ...]:
         """Simple reflection s_{alpha_i}(beta) = beta - <beta, alpha_i> alpha_i."""
         i = self.diagram.index[node] if isinstance(node, str) else node
-        c = beta.coeffs
-        return Root(c[:i] + (c[i] - self.pairing_simple(beta, i),) + c[i + 1:])
+        return beta[:i] + (beta[i] - self.pairing_simple(beta, i),) + beta[i + 1:]
 
     def __repr__(self) -> str:
         return f"RootSystem({self.diagram.literal()}, {len(self.positive_roots)} positive roots)"

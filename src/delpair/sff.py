@@ -10,6 +10,10 @@ verdicts are independent of the Chevalley sign convention and build no
 Lie elements.  The sub-VMRT tangent weights are Phi(Psi_gamma0(X0)), read
 through the pair's root correspondence.  The bracket evaluation stays as a
 test oracle.
+
+Weights are root tuples (see ``rootsys``): a kernel is a set difference of
+tuple sets, the lemma's sums and differences go through ``rootsys.add`` and
+``rootsys.sub``, and a witness is the tuple as a list.
 """
 from __future__ import annotations
 
@@ -18,19 +22,19 @@ from typing import NamedTuple
 
 from . import hss
 from .pairs import DeletionPair
-from .report import FAIL, PASS, SKIPPED, CheckReport, root_witness
-from .rootsys import Root, RootSystem
+from .report import FAIL, PASS, SKIPPED, CheckReport
+from .rootsys import RootSystem, add, sub
 
 
 class SFFContext(NamedTuple):
     """Weight data of an ambient VMRT and the sub-VMRT of a deletion pair."""
 
     rs: RootSystem
-    gamma: Root
-    noncompact: frozenset[Root]
-    psi: frozenset[Root]              # Psi_gamma, radial excluded
-    sub_tangent: frozenset[Root]      # Phi(Psi_gamma0(X0))
-    x0_tangent: frozenset[Root]       # Phi image of the sub noncompact roots
+    gamma: tuple[int, ...]
+    noncompact: frozenset[tuple[int, ...]]
+    psi: frozenset[tuple[int, ...]]            # Psi_gamma, radial excluded
+    sub_tangent: frozenset[tuple[int, ...]]    # Phi(Psi_gamma0(X0))
+    x0_tangent: frozenset[tuple[int, ...]]     # Phi image of the sub noncompact roots
 
     @staticmethod
     def for_pair(pair: DeletionPair) -> "SFFContext":
@@ -49,7 +53,7 @@ class SFFContext(NamedTuple):
 class KernelReport(NamedTuple):
     """Kernel of the (quotiented) form against the sub-VMRT tangent space."""
 
-    kernel_weights: frozenset[Root]  # non-radial kernel directions
+    kernel_weights: frozenset[tuple[int, ...]]  # non-radial kernel directions
     strict: bool
 
 
@@ -66,17 +70,16 @@ def kernels(ctx: SFFContext) -> tuple[KernelReport, KernelReport]:
     # weight w (where the form survives: a noncompact root outside Psi_gamma
     # and not gamma), i.e. when nu = w - (nu' - gamma); there are far fewer
     # live weights than nu
-    gamma = ctx.gamma.coeffs
-    shifts = [tuple(map(operator.sub, nu2.coeffs, gamma)) for nu2 in ctx.sub_tangent]
+    shifts = [tuple(map(operator.sub, nu2, ctx.gamma)) for nu2 in ctx.sub_tangent]
     hit_sigma: set[tuple[int, ...]] = set()
     hit_tau: set[tuple[int, ...]] = set()
     for w in ctx.noncompact - ctx.psi - {ctx.gamma}:
-        hit = {tuple(map(operator.sub, w.coeffs, s)) for s in shifts}
+        hit = {tuple(map(operator.sub, w, s)) for s in shifts}
         hit_sigma |= hit
         if w not in ctx.x0_tangent:
             hit_tau |= hit
-    sigma = frozenset(nu for nu in ctx.psi if nu.coeffs not in hit_sigma)
-    tau = frozenset(nu for nu in ctx.psi if nu.coeffs not in hit_tau)
+    sigma = ctx.psi - hit_sigma
+    tau = ctx.psi - hit_tau
     return (KernelReport(sigma, bool(sigma)),
             KernelReport(tau, ctx.sub_tangent <= tau and tau != ctx.sub_tangent))
 
@@ -116,11 +119,11 @@ def verify_infinity_locus(pair: DeletionPair) -> CheckReport:
 
     failures: list[dict] = []
 
-    def shape(beta: Root, expected_theta_total: int) -> bool:
+    def shape(beta: tuple[int, ...], expected_theta_total: int) -> bool:
         """beta = gamma0 + k*theta + Sigma with the stated neighbor total."""
-        if beta.coeffs[gamma0_idx] != 1:
+        if beta[gamma0_idx] != 1:
             return False
-        return sum(beta.coeffs[i] for i in theta_idx) == expected_theta_total
+        return sum(beta[i] for i in theta_idx) == expected_theta_total
 
     nc0 = hss.noncompact_positive_roots(pair.sub)
     for beta in sorted(nc0):
@@ -131,20 +134,20 @@ def verify_infinity_locus(pair: DeletionPair) -> CheckReport:
             continue       # handled by check (c)
         if pr == 1:
             if not shape(beta, 1):
-                failures.append({"check": "a-shape", "beta": root_witness(beta)})
+                failures.append({"check": "a-shape", "beta": list(beta)})
             if reflected != image:
-                failures.append({"check": "a-fixed", "beta": root_witness(beta)})
+                failures.append({"check": "a-fixed", "beta": list(beta)})
         elif pr == 0:
             if not shape(beta, 2):
-                failures.append({"check": "b-shape", "beta": root_witness(beta)})
-            if reflected != image - gamma0_amb:
-                failures.append({"check": "b-drop", "beta": root_witness(beta)})
+                failures.append({"check": "b-shape", "beta": list(beta)})
+            if reflected != sub(image, gamma0_amb):
+                failures.append({"check": "b-drop", "beta": list(beta)})
             if ars.pairing(gamma, reflected) != 1:
-                failures.append({"check": "b-pairing", "beta": root_witness(beta)})
+                failures.append({"check": "b-pairing", "beta": list(beta)})
         else:
-            failures.append({"check": "pairing-range", "beta": root_witness(beta),
+            failures.append({"check": "pairing-range", "beta": list(beta),
                              "pairing": str(pr)})
-    if ars.reflect(pair.gamma0, gamma) != gamma + gamma0_amb:
+    if ars.reflect(pair.gamma0, gamma) != add(gamma, gamma0_amb):
         failures.append({"check": "c"})
 
     lhs = frozenset(ars.reflect(pair.gamma0, image) for image in corr.noncompact_image)
@@ -153,8 +156,8 @@ def verify_infinity_locus(pair: DeletionPair) -> CheckReport:
     if lhs != rhs:
         failures.append({
             "check": "d",
-            "lhs_only": [root_witness(r) for r in sorted(lhs - rhs)],
-            "rhs_only": [root_witness(r) for r in sorted(rhs - lhs)],
+            "lhs_only": [list(r) for r in sorted(lhs - rhs)],
+            "rhs_only": [list(r) for r in sorted(rhs - lhs)],
         })
 
     if failures:

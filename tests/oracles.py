@@ -3,15 +3,16 @@
 Diagram components are classified by hand-written shape rules, one branch
 per letter, instead of matching the Bourbaki diagrams of the literal parser.
 Root systems are regenerated here by reflection closure instead of root
-strings, and by the generic Fraction kernel (root strings on Root objects,
-inner products from the rational symmetrized form) instead of the integer
-form; the symmetrized form comes from a breadth-first walk of Cartan-entry
-ratios instead of the table of simple-root lengths, highest roots from a
-scan of each component's roots instead of the Bourbaki coefficient table,
+strings, and by the generic Fraction kernel (root strings on coefficient
+tuples with the arithmetic written out here, inner products from the rational
+symmetrized form) instead of the integer form; the symmetrized form comes
+from a breadth-first walk of Cartan-entry ratios instead of the table of
+simple-root lengths, highest roots from a scan of each component's roots
+instead of the Bourbaki coefficient table,
 the root correspondence from additive extension instead of its sparse
 columns, the positive roots of one type from root strings walked on
 coefficient tuples instead of packed ints, the chain-sum root Gamma from
-Root additions instead of the chain's indicator vector, the sub-VMRT tangent
+root additions instead of the chain's indicator vector, the sub-VMRT tangent
 weights gamma + Gamma + kappa0 from compact sub roots embedded by node label
 instead of through the root correspondence, maximality from an exhaustive
 two-step deletion search over every node instead of the chain-interior
@@ -45,7 +46,7 @@ configuration cut in two loops, instead of one representative per orbit,
 and with the orbits of both configuration sets found by breadth-first
 searches over whole (y, a, b) and (x, L, a, b) tuples instead of one factor
 of the product at a time.  The property suite's replaced paths stay here too: Chevalley
-constants and basis brackets by a recursion keyed by ``Root``s instead of
+constants and basis brackets by a recursion keyed by root tuples instead of
 basis indices, simple reflections through a scaled simple root and checked
 with three reflections instead of one, the Plücker quadrics with each
 coordinate looked up by its pair (i, j) instead of written out, and the
@@ -86,10 +87,39 @@ from delpair.rootsys import (
     DiagramError,
     DynkinDiagram,
     MarkedDiagram,
-    Root,
     RootSystem,
     delete_chain,
 )
+
+Vec = tuple[int, ...]       # a root or weight: coefficients in a diagram's node order
+
+
+# Root arithmetic on coefficient tuples, written out here instead of read from
+# ``rootsys.add`` and ``rootsys.sub``; a strict zip refuses two ranks.
+
+def plus(a: Vec, b: Vec) -> Vec:
+    return tuple(x + y for x, y in zip(a, b, strict=True))
+
+
+def minus(a: Vec, b: Vec) -> Vec:
+    return tuple(x - y for x, y in zip(a, b, strict=True))
+
+
+def neg(a: Vec) -> Vec:
+    return tuple(-x for x in a)
+
+
+def times(k: int, a: Vec) -> Vec:
+    return tuple(k * x for x in a)
+
+
+def unit(i: int, n: int) -> Vec:
+    """The simple root alpha_i of a rank-n diagram."""
+    return tuple(int(j == i) for j in range(n))
+
+
+def support(r: Vec) -> tuple[int, ...]:
+    return tuple(i for i, a in enumerate(r) if a)
 
 COUNT_FORMULAS = {
     "A": lambda n: n * (n + 1) // 2,
@@ -133,28 +163,28 @@ def symmetrized_form(diagram: DynkinDiagram) -> tuple[tuple[Fraction, ...], ...]
     return tuple(tuple(d[i] * C[i][j] for j in range(n)) for i in range(n))
 
 
-def component_roots(rs: RootSystem, comp: Component) -> frozenset[Root]:
+def component_roots(rs: RootSystem, comp: Component) -> frozenset[Vec]:
     """Positive roots supported on one component, by scanning their supports."""
     idxs = {rs.diagram.index[a] for a in comp.labels}
-    return frozenset(r for r in rs.positive_roots if set(r.support()) <= idxs)
+    return frozenset(r for r in rs.positive_roots if set(support(r)) <= idxs)
 
 
-def highest_root(rs: RootSystem, comp: Component) -> Root:
+def highest_root(rs: RootSystem, comp: Component) -> Vec:
     """The unique root of greatest height among a component's roots."""
     croots = component_roots(rs, comp)
-    top = max(croots, key=lambda r: (r.height, r.coeffs))
-    if sum(1 for r in croots if r.height == top.height) != 1:
+    top = max(croots, key=lambda r: (sum(r), r))
+    if sum(1 for r in croots if sum(r) == sum(top)) != 1:
         raise DiagramError(f"component {comp.name}: highest root not unique")
     return top
 
 
-def additive_apply(corr, beta: Root) -> Root:
-    """Phi(beta) as the sum of c_j Phi(alpha_j), one Root at a time."""
+def additive_apply(corr, beta: Vec) -> Vec:
+    """Phi(beta) as the sum of c_j Phi(alpha_j), one root at a time."""
     images = dict(corr.on_simple)
-    total = Root(tuple(0 for _ in range(corr.pair.ambient.diagram.rank)))
-    for label, c in zip(corr.pair.sub.diagram.nodes, beta.coeffs):
+    total = (0,) * corr.pair.ambient.diagram.rank
+    for label, c in zip(corr.pair.sub.diagram.nodes, beta, strict=True):
         if c:
-            total = total + images[label].scaled(c)
+            total = plus(total, times(c, images[label]))
     return total
 
 
@@ -183,7 +213,7 @@ def tuple_root_strings(cartan: tuple[tuple[int, ...], ...]) -> list[tuple[int, .
     return list(roots)
 
 
-def tuple_levi_components(pair) -> tuple[tuple[frozenset[Root], ...], tuple[Root, ...]]:
+def tuple_levi_components(pair) -> tuple[tuple[frozenset[Vec], ...], tuple[Vec, ...]]:
     """The Levi components of the normal weights and their highest weights.
 
     A breadth-first search on coefficient tuples from the least weight left,
@@ -194,12 +224,12 @@ def tuple_levi_components(pair) -> tuple[tuple[frozenset[Root], ...], tuple[Root
     """
     corr = pair.correspondence
     srs = pair.sub.root_system()
-    steps = [additive_apply(corr, srs.simple_root(label)).coeffs
+    steps = [additive_apply(corr, srs.simple_root(label))
              for label in pair.sub.diagram.nodes if label != pair.gamma0]
     nc = hss.noncompact_positive_roots(pair.ambient)
     image = {additive_apply(corr, b) for b in hss.noncompact_positive_roots(pair.sub)}
-    remaining = {w.coeffs for w in nc - image}
-    blocks: list[set[tuple[int, ...]]] = []
+    remaining = set(nc - image)
+    blocks: list[set[Vec]] = []
     while remaining:
         seed = min(remaining)
         block = {seed}
@@ -207,8 +237,7 @@ def tuple_levi_components(pair) -> tuple[tuple[frozenset[Root], ...], tuple[Root
         while frontier:
             w = frontier.pop()
             for s in steps:
-                for cand in (tuple(a + b for a, b in zip(w, s)),
-                             tuple(a - b for a, b in zip(w, s))):
+                for cand in (plus(w, s), minus(w, s)):
                     if cand in remaining and cand not in block:
                         block.add(cand)
                         frontier.append(cand)
@@ -218,12 +247,12 @@ def tuple_levi_components(pair) -> tuple[tuple[frozenset[Root], ...], tuple[Root
     highest = []
     for block in blocks:
         maximal = [w for w in block
-                   if all(tuple(a + b for a, b in zip(w, s)) not in block for s in steps)]
-        highest.append(Root(max(maximal, key=lambda c: (sum(c), c))))
-    return tuple(frozenset(map(Root, block)) for block in blocks), tuple(highest)
+                   if all(plus(w, s) not in block for s in steps)]
+        highest.append(max(maximal, key=lambda c: (sum(c), c)))
+    return tuple(map(frozenset, blocks)), tuple(highest)
 
 
-def label_embedded_sub_tangent(pair) -> frozenset[Root]:
+def label_embedded_sub_tangent(pair) -> frozenset[Vec]:
     """Sub-VMRT tangent weights as gamma + Gamma + kappa0, kappa0 embedded by labels.
 
     kappa0 = mu0 - gamma0 runs over the compact sub roots of mu0 in
@@ -231,24 +260,24 @@ def label_embedded_sub_tangent(pair) -> frozenset[Root]:
     without the root correspondence.
     """
     rs = pair.ambient.root_system()
-    base = rs.simple_root(pair.gamma) + pair.big_gamma
+    base = plus(rs.simple_root(pair.gamma), pair.big_gamma)
     gamma0 = pair.sub.root_system().simple_root(pair.gamma0)
     index = pair.ambient.diagram.index
     out = set()
     for mu0 in hss.psi_gamma(pair.sub):
         coeffs = [0] * pair.ambient.diagram.rank
-        for label, c in zip(pair.sub.diagram.nodes, (mu0 - gamma0).coeffs):
+        for label, c in zip(pair.sub.diagram.nodes, minus(mu0, gamma0)):
             coeffs[index[label]] = c
-        out.add(base + Root(tuple(coeffs)))
+        out.add(plus(base, tuple(coeffs)))
     return frozenset(out)
 
 
-def chain_sum(pair) -> Root:
-    """Gamma as a sum of simple roots of the ambient system, one Root at a time."""
+def chain_sum(pair) -> Vec:
+    """Gamma as a sum of simple roots of the ambient system, one root at a time."""
     rs = pair.ambient.root_system()
-    total = Root(tuple(0 for _ in range(pair.ambient.diagram.rank)))
+    total = (0,) * pair.ambient.diagram.rank
     for label in pair.chain[1:]:
-        total = total + rs.simple_root(label)
+        total = plus(total, rs.simple_root(label))
     return total
 
 
@@ -431,17 +460,16 @@ def _component_edges(labels: list[str], full_adj: dict[str, dict]):
                 yield (a, bnode, m, arrow)
 
 
-def reflection_closure_positive_roots(diagram: DynkinDiagram) -> frozenset[Root]:
+def reflection_closure_positive_roots(diagram: DynkinDiagram) -> frozenset[Vec]:
     """Orbit of the simple roots under all simple reflections, positives only."""
     n = diagram.rank
     C = diagram.cartan_matrix
 
-    def reflect(i: int, beta: Root) -> Root:
-        k = sum(b * C[i][j] for j, b in enumerate(beta.coeffs))
-        return Root(tuple(b - k * (1 if j == i else 0)
-                          for j, b in enumerate(beta.coeffs)))
+    def reflect(i: int, beta: Vec) -> Vec:
+        k = sum(b * C[i][j] for j, b in enumerate(beta))
+        return tuple(b - k * (1 if j == i else 0) for j, b in enumerate(beta))
 
-    roots = {Root.simple(i, n) for i in range(n)} | {-Root.simple(i, n) for i in range(n)}
+    roots = {unit(i, n) for i in range(n)} | {neg(unit(i, n)) for i in range(n)}
     frontier = set(roots)
     while frontier:
         new = set()
@@ -452,7 +480,7 @@ def reflection_closure_positive_roots(diagram: DynkinDiagram) -> frozenset[Root]
                     new.add(img)
         roots |= new
         frontier = new
-    return frozenset(r for r in roots if all(c >= 0 for c in r.coeffs))
+    return frozenset(r for r in roots if all(c >= 0 for c in r))
 
 
 class FractionRootSystem:
@@ -466,80 +494,80 @@ class FractionRootSystem:
     def __init__(self, diagram: DynkinDiagram):
         self.cartan = diagram.cartan_matrix
         self.sym = symmetrized_form(diagram)
-        self._columns: dict[Root, tuple[Fraction, ...]] = {}
-        self._norms: dict[Root, Fraction] = {}
+        self._columns: dict[Vec, tuple[Fraction, ...]] = {}
+        self._norms: dict[Vec, Fraction] = {}
         self.positive_roots = frozenset(self._generate(diagram.rank))
 
-    def _generate(self, n: int) -> set[Root]:
-        roots: set[Root] = {Root.simple(i, n) for i in range(n)}
+    def _generate(self, n: int) -> set[Vec]:
+        roots: set[Vec] = {unit(i, n) for i in range(n)}
         layer = set(roots)
         while layer:
-            nxt: set[Root] = set()
+            nxt: set[Vec] = set()
             for beta in layer:
                 for i in range(n):
-                    alpha = Root.simple(i, n)
+                    alpha = unit(i, n)
                     p = 0
-                    while beta - alpha.scaled(p + 1) in roots:
+                    while minus(beta, times(p + 1, alpha)) in roots:
                         p += 1
                     if p - self.pairing_simple(beta, i) > 0:
-                        cand = beta + alpha
+                        cand = plus(beta, alpha)
                         if cand not in roots:
                             nxt.add(cand)
             roots |= nxt
             layer = nxt
         return roots
 
-    def pairing_simple(self, beta: Root, i: int) -> int:
-        return sum(b * self.cartan[i][j] for j, b in enumerate(beta.coeffs) if b)
+    def pairing_simple(self, beta: Vec, i: int) -> int:
+        return sum(b * self.cartan[i][j] for j, b in enumerate(beta) if b)
 
-    def _column(self, gamma: Root) -> tuple[Fraction, ...]:
+    def _column(self, gamma: Vec) -> tuple[Fraction, ...]:
         """The Fraction vector S gamma, memoized per gamma."""
         col = self._columns.get(gamma)
         if col is None:
             col = self._columns[gamma] = tuple(
-                sum((row[j] * g for j, g in enumerate(gamma.coeffs) if g), Fraction(0))
+                sum((row[j] * g for j, g in enumerate(gamma) if g), Fraction(0))
                 for row in self.sym)
         return col
 
-    def bilinear(self, beta: Root, gamma: Root) -> Fraction:
+    def bilinear(self, beta: Vec, gamma: Vec) -> Fraction:
         """(beta, gamma) under the symmetrized form."""
         col = self._column(gamma)
-        return sum((b * col[i] for i, b in enumerate(beta.coeffs) if b), Fraction(0))
+        return sum((b * col[i] for i, b in enumerate(beta) if b), Fraction(0))
 
-    def _norm(self, gamma: Root) -> Fraction:
+    def _norm(self, gamma: Vec) -> Fraction:
         """(gamma, gamma), memoized per gamma."""
         norm = self._norms.get(gamma)
         if norm is None:
             norm = self._norms[gamma] = self.bilinear(gamma, gamma)
         return norm
 
-    def pairing(self, beta: Root, gamma: Root) -> "int | Fraction":
+    def pairing(self, beta: Vec, gamma: Vec) -> "int | Fraction":
         """<beta, gamma> = 2(beta, gamma)/(gamma, gamma)."""
-        if gamma.is_zero:
+        if not any(gamma):
             raise ValueError("pairing against the zero vector")
         value = 2 * self.bilinear(beta, gamma) / self._norm(gamma)
         return int(value) if value.denominator == 1 else value
 
-    def coroot_coefficients(self, alpha: Root) -> tuple[int, ...]:
+    def coroot_coefficients(self, alpha: Vec) -> tuple[int, ...]:
         """alpha^vee = sum_i k_i (alpha_i, alpha_i)/(alpha, alpha) alpha_i^vee."""
         norm = self.bilinear(alpha, alpha)
         out = []
-        for i, k in enumerate(alpha.coeffs):
+        for i, k in enumerate(alpha):
             c = k * self.sym[i][i] / norm
             assert c.denominator == 1, f"non-integral coroot for {alpha}"
             out.append(int(c))
         return tuple(out)
 
 
-def string_p(rs: RootSystem, a: Root, b: Root) -> int:
+def string_p(rs: RootSystem, a: Vec, b: Vec) -> int:
     """Largest p with b - p a a root, by direct membership."""
     p = 0
-    while rs.is_root(b - a.scaled(p + 1)):
+    while rs.is_root(minus(b, times(p + 1, a))):
         p += 1
     return p
 
 
-def eager_structure_constants(rs: RootSystem) -> dict[tuple[Root, Root], int]:
+def eager_structure_constants(rs: RootSystem) -> dict[tuple[Vec, Vec], int]:
     """N_{a,b} on every ordered root pair with a + b a root, all up front.
 
     The height-ordered sweep: each positive root's extraspecial pair gets
@@ -551,47 +579,47 @@ def eager_structure_constants(rs: RootSystem) -> dict[tuple[Root, Root], int]:
     pos_set = set(positives)
     fraction_rs = FractionRootSystem(rs.diagram)
     norm = {r: fraction_rs.bilinear(r, r) for r in positives}
-    pos: dict[tuple[Root, Root], int] = {}
+    pos: dict[tuple[Vec, Vec], int] = {}
 
-    def mixed(mu: Root, negnu: Root) -> int:
-        nu = -negnu
-        rho = mu - nu
+    def mixed(mu: Vec, negnu: Vec) -> int:
+        nu = neg(negnu)
+        rho = minus(mu, nu)
         if rho in pos_set:
             value = -Fraction(norm[rho], norm[mu]) * pos[(nu, rho)]
         else:
-            value = Fraction(norm[-rho], norm[nu]) * pos[(-rho, mu)]
+            value = Fraction(norm[neg(rho)], norm[nu]) * pos[(neg(rho), mu)]
         assert value.denominator == 1
         return int(value)
 
-    def signed_pair(a: Root, b: Root) -> int:
+    def signed_pair(a: Vec, b: Vec) -> int:
         apos, bpos = a in pos_set, b in pos_set
         if apos and bpos:
             return pos[(a, b)]
         if not apos and not bpos:
-            return -pos[(-a, -b)]
+            return -pos[(neg(a), neg(b))]
         return mixed(a, b) if apos else -mixed(b, a)
 
-    def from_jacobi(xi: Root, eta: Root, alpha: Root) -> int:
+    def from_jacobi(xi: Vec, eta: Vec, alpha: Vec) -> int:
         t = 0
-        if rs.is_root(eta - alpha):
-            t += mixed(eta, -alpha) * signed_pair(eta - alpha, xi)
-        if rs.is_root(xi - alpha):
-            t -= mixed(xi, -alpha) * signed_pair(xi - alpha, eta)
-        value = Fraction(-t, mixed(xi + eta, -alpha))
+        if rs.is_root(minus(eta, alpha)):
+            t += mixed(eta, neg(alpha)) * signed_pair(minus(eta, alpha), xi)
+        if rs.is_root(minus(xi, alpha)):
+            t -= mixed(xi, neg(alpha)) * signed_pair(minus(xi, alpha), eta)
+        value = Fraction(-t, mixed(plus(xi, eta), neg(alpha)))
         assert value.denominator == 1 and value != 0
         return int(value)
 
-    for rho in sorted(positives, key=lambda r: r.height):
-        pairs = sorted((a, rho - a) for a in positives
-                       if a < rho - a and rho - a in pos_set)
+    for rho in sorted(positives, key=sum):
+        pairs = sorted((a, minus(rho, a)) for a in positives
+                       if a < minus(rho, a) and minus(rho, a) in pos_set)
         if not pairs:
             continue
         alpha, beta = pairs[0]
         for xi, eta in pairs:
             n = string_p(rs, alpha, beta) + 1 if xi == alpha else from_jacobi(xi, eta, alpha)
             pos[(xi, eta)], pos[(eta, xi)] = n, -n
-    roots = positives + [-r for r in positives]
-    return {(a, b): signed_pair(a, b) for a in roots for b in roots if rs.is_root(a + b)}
+    roots = positives + [neg(r) for r in positives]
+    return {(a, b): signed_pair(a, b) for a in roots for b in roots if rs.is_root(plus(a, b))}
 
 
 def brute_kernel(psi, sub_tangent, gamma, noncompact, rs, quotient=frozenset()):
@@ -599,15 +627,13 @@ def brute_kernel(psi, sub_tangent, gamma, noncompact, rs, quotient=frozenset()):
     dead = set()
     allowed = set(psi) | {gamma} | set(quotient)
     for nu in psi:
-        if all(
-            (nu + nu2 - gamma) not in noncompact or (nu + nu2 - gamma) in allowed
-            for nu2 in sub_tangent
-        ):
+        if all(w not in noncompact or w in allowed
+               for w in (minus(plus(nu, nu2), gamma) for nu2 in sub_tangent)):
             dead.add(nu)
     return frozenset(dead)
 
 
-BasisKey = tuple[str, "Root | int"]   # ("e", root) or ("h", simple index)
+BasisKey = tuple[str, "Vec | int"]   # ("e", root) or ("h", simple index)
 
 
 @dataclass(frozen=True)
@@ -624,7 +650,7 @@ class LieElement:
         return LieElement(tuple(terms))
 
     @staticmethod
-    def root_vector(alpha: Root, coeff: int = 1) -> "LieElement":
+    def root_vector(alpha: Vec, coeff: int = 1) -> "LieElement":
         return LieElement.from_dict({("e", alpha): coeff})
 
     @staticmethod
@@ -653,7 +679,7 @@ class LieElement:
     def coefficient(self, key: BasisKey) -> int:
         return self.as_dict().get(key, 0)
 
-    def root_support(self) -> set[Root]:
+    def root_support(self) -> set[Vec]:
         return {k[1] for k, _ in self.terms if k[0] == "e"}
 
 
@@ -677,16 +703,16 @@ def bracket(x: LieElement, y: LieElement, table: ChevalleyTable) -> LieElement:
                 acc(kx, -c * rs.pairing_simple(kx[1], ky[1]))
             else:
                 a, b = kx[1], ky[1]
-                s = a + b
+                s = plus(a, b)
                 if rs.is_root(s):
                     acc(("e", s), c * table.constant(a, b))
-                elif s.is_zero:
+                elif not any(s):
                     for i, hc in enumerate(table.coroot_coefficients(a)):
                         acc(("h", i), c * hc)
     return LieElement.from_dict(out)
 
 
-def bracket_sff_value(nu: Root, nu2: Root, ctx, table: ChevalleyTable):
+def bracket_sff_value(nu: Vec, nu2: Vec, ctx, table: ChevalleyTable):
     """Second fundamental form through [E_{nu-gamma}, [E_{nu'-gamma}, E_gamma]].
 
     Both brackets are evaluated on Lie elements, and the value is then
@@ -694,15 +720,14 @@ def bracket_sff_value(nu: Root, nu2: Root, ctx, table: ChevalleyTable):
     (coefficient, weight) for a surviving value, None for zero; the
     coefficient is N_{nu'-gamma,gamma} N_{nu-gamma,nu'}.
     """
-    inner = bracket(LieElement.root_vector(nu2 - ctx.gamma),
+    inner = bracket(LieElement.root_vector(minus(nu2, ctx.gamma)),
                     LieElement.root_vector(ctx.gamma), table)
-    value = bracket(LieElement.root_vector(nu - ctx.gamma), inner, table)
+    value = bracket(LieElement.root_vector(minus(nu, ctx.gamma)), inner, table)
     if value.is_zero:
         return None
-    support = value.root_support()
-    if support != {nu + nu2 - ctx.gamma}:
-        raise AssertionError(f"unexpected bracket support {support}")
-    weight = nu + nu2 - ctx.gamma
+    weight = minus(plus(nu, nu2), ctx.gamma)
+    if value.root_support() != {weight}:
+        raise AssertionError(f"unexpected bracket support {value.root_support()}")
     if weight not in ctx.noncompact or weight in ctx.psi or weight == ctx.gamma:
         return None
     return (value.coefficient(("e", weight)), weight)
@@ -1177,10 +1202,10 @@ def sympy_section_locus(basis, quadrics=plucker_quadric_values):
 # -- the property suite's replaced paths ---------------------------------------
 
 class RootKeyedChevalleyTable:
-    """Structure constants by the on-demand recursion keyed by ``Root``s.
+    """Structure constants by the on-demand recursion keyed by root tuples.
 
     The same extraspecial-pair recursion as ``ChevalleyTable``, but its memos
-    are keyed by Root pairs, sums and differences are Root arithmetic, root
+    are keyed by root pairs, sums and differences are tuple arithmetic, root
     membership is a set lookup, and the basis bracket reads each constant
     through the checked ``constant``.  The positive pair memo is the only
     one; mixed constants are recomputed on every request.
@@ -1189,33 +1214,33 @@ class RootKeyedChevalleyTable:
     def __init__(self, rs: RootSystem):
         self.rs = rs
         self._sorted_positives = sorted(rs.positive_roots)
-        self._pos: dict[tuple[Root, Root], int] = {}
-        self._extra: dict[Root, tuple[Root, Root]] = {}
+        self._pos: dict[tuple[Vec, Vec], int] = {}
+        self._extra: dict[Vec, tuple[Vec, Vec]] = {}
 
-    def _p(self, a: Root, b: Root) -> int:
+    def _p(self, a: Vec, b: Vec) -> int:
         p = 0
-        while self.rs.is_root(b - a.scaled(p + 1)):
+        while self.rs.is_root(minus(b, times(p + 1, a))):
             p += 1
         return p
 
-    def _extraspecial(self, rho: Root) -> tuple[Root, Root]:
+    def _extraspecial(self, rho: Vec) -> tuple[Vec, Vec]:
         extra = self._extra.get(rho)
         if extra is None:
             pos = self.rs.positive_roots
-            alpha = next((a for a in self._sorted_positives if rho - a in pos), None)
+            alpha = next((a for a in self._sorted_positives if minus(rho, a) in pos), None)
             if alpha is None:
                 raise AssertionError(f"no decomposition of {rho} into positives")
-            extra = self._extra[rho] = (alpha, rho - alpha)
+            extra = self._extra[rho] = (alpha, minus(rho, alpha))
         return extra
 
-    def _positive(self, xi: Root, eta: Root) -> int:
+    def _positive(self, xi: Vec, eta: Vec) -> int:
         key = (xi, eta)
         n = self._pos.get(key)
         if n is None:
             if eta < xi:
                 n = -self._positive(eta, xi)
             else:
-                extra = self._extraspecial(xi + eta)
+                extra = self._extraspecial(plus(xi, eta))
                 if key == extra:
                     n = self._p(xi, eta) + 1
                 else:
@@ -1223,54 +1248,54 @@ class RootKeyedChevalleyTable:
             self._pos[key] = n
         return n
 
-    def _special_from_jacobi(self, xi: Root, eta: Root, extra: tuple[Root, Root]) -> int:
+    def _special_from_jacobi(self, xi: Vec, eta: Vec, extra: tuple[Vec, Vec]) -> int:
         alpha, _ = extra
-        rho = xi + eta
+        rho = plus(xi, eta)
         t = 0
-        if self.rs.is_root(eta - alpha):
-            t += self._mixed(eta, -alpha) * self._signed_pair(eta - alpha, xi)
-        if self.rs.is_root(xi - alpha):
-            t += -self._mixed(xi, -alpha) * self._signed_pair(xi - alpha, eta)
-        value, rem = divmod(-t, self._mixed(rho, -alpha))
+        if self.rs.is_root(minus(eta, alpha)):
+            t += self._mixed(eta, neg(alpha)) * self._signed_pair(minus(eta, alpha), xi)
+        if self.rs.is_root(minus(xi, alpha)):
+            t += -self._mixed(xi, neg(alpha)) * self._signed_pair(minus(xi, alpha), eta)
+        value, rem = divmod(-t, self._mixed(rho, neg(alpha)))
         if rem or value == 0:
             raise AssertionError(f"Jacobi reduction failed on ({xi}, {eta})")
         return value
 
-    def _signed_pair(self, a: Root, b: Root) -> int:
+    def _signed_pair(self, a: Vec, b: Vec) -> int:
         apos, bpos = a in self.rs.positive_roots, b in self.rs.positive_roots
         if apos and bpos:
             return self._positive(a, b)
         if not apos and not bpos:
-            return -self._positive(-a, -b)
+            return -self._positive(neg(a), neg(b))
         if apos:
             return self._mixed(a, b)
         return -self._mixed(b, a)
 
-    def _mixed(self, mu: Root, negnu: Root) -> int:
-        nu = -negnu
-        rho = mu - nu
+    def _mixed(self, mu: Vec, negnu: Vec) -> int:
+        nu = neg(negnu)
+        rho = minus(mu, nu)
         norm = self.rs.scaled_norm
         if rho in self.rs.positive_roots:
             value, rem = divmod(-norm(rho) * self._positive(nu, rho), norm(mu))
         else:
-            value, rem = divmod(norm(-rho) * self._positive(-rho, mu), norm(nu))
+            value, rem = divmod(norm(neg(rho)) * self._positive(neg(rho), mu), norm(nu))
         if rem:
             raise AssertionError(f"non-integral mixed constant for ({mu}, {negnu})")
         return value
 
-    def constant(self, a: Root, b: Root) -> int:
+    def constant(self, a: Vec, b: Vec) -> int:
         is_root = self.rs.is_root
-        if not is_root(a + b):
+        if not is_root(plus(a, b)):
             raise ValueError(f"{a} + {b} is not a root")
         if not (is_root(a) and is_root(b)):
             raise ValueError(f"{a} or {b} is not a root")
         return self._signed_pair(a, b)
 
-    def coroot_coefficients(self, alpha: Root) -> tuple[int, ...]:
+    def coroot_coefficients(self, alpha: Vec) -> tuple[int, ...]:
         norm = self.rs.scaled_norm(alpha)
         form = self.rs.form
         out = []
-        for i, k in enumerate(alpha.coeffs):
+        for i, k in enumerate(alpha):
             c, rem = divmod(k * form[i][i], norm)
             if rem:
                 raise AssertionError(f"non-integral coroot for {alpha}")
@@ -1278,11 +1303,11 @@ class RootKeyedChevalleyTable:
         return tuple(out)
 
     @functools.cached_property
-    def basis_roots(self) -> tuple[Root, ...]:
-        return tuple(self._sorted_positives) + tuple(-r for r in self._sorted_positives)
+    def basis_roots(self) -> tuple[Vec, ...]:
+        return tuple(self._sorted_positives) + tuple(map(neg, self._sorted_positives))
 
     @functools.cached_property
-    def _basis_index(self) -> dict[Root, int]:
+    def _basis_index(self) -> dict[Vec, int]:
         return {r: k for k, r in enumerate(self.basis_roots)}
 
     def basis_bracket(self, i: int, j: int) -> tuple[tuple[int, int], ...]:
@@ -1296,21 +1321,21 @@ class RootKeyedChevalleyTable:
             c = self.rs.pairing_simple(a, j - m)
             return ((i, -c),) if c else ()
         b = roots[j]
-        s = a + b
+        s = plus(a, b)
         k = self._basis_index.get(s)
         if k is not None:
             return ((k, self.constant(a, b)),)
-        if s.is_zero:
+        if not any(s):
             return tuple((m + t, c) for t, c in enumerate(self.coroot_coefficients(a)) if c)
         return ()
 
 
-def scaled_simple_reflect(rs: RootSystem, i: int, beta: Root) -> Root:
+def scaled_simple_reflect(rs: RootSystem, i: int, beta: Vec) -> Vec:
     """s_i(beta) = beta - <beta, alpha_i> alpha_i, through the scaled simple root."""
-    return beta - Root.simple(i, rs.diagram.rank).scaled(rs.pairing_simple(beta, i))
+    return minus(beta, times(rs.pairing_simple(beta, i), unit(i, rs.diagram.rank)))
 
 
-def three_reflection_fails(rs: RootSystem, r: Root, i: int) -> bool:
+def three_reflection_fails(rs: RootSystem, r: Vec, i: int) -> bool:
     """The reflection check on (r, i) with three reflections, as first written."""
     return (scaled_simple_reflect(rs, i, scaled_simple_reflect(rs, i, r)) != r
             or not rs.is_root(scaled_simple_reflect(rs, i, r)))

@@ -22,7 +22,7 @@ from delpair.projgeo.plucker import (
 from delpair.projgeo.segre import segre_fitting_report
 from delpair.report import RunConfig, bundle_json
 from delpair.rootsys import build_root_system, descriptor, parse_diagram, parse_marked
-from oracles import LieElement, bracket, reflection_closure_positive_roots
+from oracles import LieElement, bracket, neg, plus, reflection_closure_positive_roots
 
 import random
 
@@ -69,7 +69,7 @@ def test_criterion_3_degeneracy_suite(maximal_triple):
             ars = pair.ambient_rs()
             gamma = ars.simple_root(pair.gamma)
             for nb in pair.ambient.diagram.neighbors(pair.gamma):
-                assert gamma + ars.simple_root(nb) in sigma.kernel_weights
+                assert plus(gamma, ars.simple_root(nb)) in sigma.kernel_weights
             assert ctx.sub_tangent <= tau.kernel_weights
             assert tau.strict
 
@@ -150,7 +150,7 @@ def test_criterion_9_property_suites(tmp_path):
             table = build_table(rs)
             roots = sorted(rs.positive_roots)
             basis = [LieElement.root_vector(r) for r in roots]
-            basis += [LieElement.root_vector(-r) for r in roots]
+            basis += [LieElement.root_vector(neg(r)) for r in roots]
             basis += [LieElement.coroot(i) for i in range(rs.diagram.rank)]
             rng = random.Random(f"acceptance-{literal}")
             for _ in range(1000):

@@ -10,7 +10,7 @@ from delpair.chevalley import ChevalleyTable
 from delpair.labs import reflection_failures
 from delpair.projgeo.linalg import rref
 from delpair.report import DEFAULT_SEED, FAIL, RunConfig
-from delpair.rootsys import Root, RootSystem, build_root_system, parse_diagram
+from delpair.rootsys import RootSystem, build_root_system, parse_diagram
 
 # Two values of each field: the default, and another a row that reads the
 # field reports differently on.
@@ -112,7 +112,7 @@ def test_chevalley_row_fails_on_one_flipped_structure_constant(monkeypatch):
     # N_{a1,a2} flipped in the bracket [e_a1, e_a2] alone, as the A4 row reads it
     rs = build_root_system(parse_diagram("A4"))
     table = ChevalleyTable(rs)
-    a, b = map(table.basis_roots.index, (Root((1, 0, 0, 0)), Root((0, 1, 0, 0))))
+    a, b = map(table.basis_roots.index, ((1, 0, 0, 0), (0, 1, 0, 0)))
     true_bracket = table.basis_bracket
     table.basis_bracket = lambda i, j: (tuple((k, -c) for k, c in true_bracket(i, j))
                                         if (i, j) == (a, b) else true_bracket(i, j))

@@ -770,23 +770,27 @@ def test_default_bundle_golden_hash(default_bundle):
         "pass": 140, "fail": 0, "indeterminate": 26, "skipped": 22}
 
 
-def test_default_bundle_does_not_depend_on_the_root_hash():
-    # root sets iterate in hash order; PYTHONHASHSEED varies only the hashes
-    # of strings, so a fresh interpreter changes the hash of every Root
+def test_default_bundle_does_not_depend_on_root_set_order():
+    # root sets iterate in an order fixed by the hashes of their tuples and,
+    # where those collide in the table, by insertion order.  A tuple of ints
+    # hashes the same under every PYTHONHASHSEED, so the probe changes the
+    # insertion order instead: every root set is built in reverse sorted order
     probe = """
 import hashlib, json
-from delpair.rootsys import Root, build_root_system, parse_diagram
-Root.__hash__ = lambda self: hash(self.coeffs) ^ 0x5bd1e995
+from delpair import rootsys
+embedded = rootsys._embedded_roots
+rootsys._embedded_roots = lambda n, shape: tuple(
+    frozenset(sorted(roots, reverse=True)) for roots in embedded(n, shape))
 from delpair.cli import run_all
 from delpair.report import RunConfig, bundle_json
 code, doc = run_all(RunConfig())
-order = [r.coeffs for r in build_root_system(parse_diagram("E6")).positive_roots]
+order = list(rootsys.build_root_system(rootsys.parse_diagram("E6")).positive_roots)
 print(json.dumps([code, hashlib.sha256(bundle_json(doc).encode("utf-8")).hexdigest(), order]))
 """
     done = subprocess.run([sys.executable, "-c", probe], env=_src_env(), capture_output=True,
                           text=True, check=True)
     code, digest, order = json.loads(done.stdout)
-    usual = [list(r.coeffs) for r in build_root_system(parse_diagram("E6")).positive_roots]
+    usual = list(map(list, build_root_system(parse_diagram("E6")).positive_roots))
     assert sorted(order) == sorted(usual) and order != usual     # the patch took effect
     assert (code, digest) == (0, DEFAULT_BUNDLE_SHA256)
 

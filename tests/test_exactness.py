@@ -2,8 +2,10 @@
 
 An ``ast`` scan of every module under ``src/delpair`` refuses a float
 literal, a call to ``float`` or ``round``, a ``math`` name other than
-``gcd``, an import of ``time``, and an import of ``random`` outside
-``labs``, which draws the seeded samples of the property suite.
+``gcd``, an import of ``time``, an import of ``random`` outside
+``labs``, which draws the seeded samples of the property suite, and a bare
+``assert`` statement, which ``python -O`` strips: a check raises
+``AssertionError`` explicitly, so it runs under every interpreter flag.
 """
 import ast
 from pathlib import Path
@@ -26,6 +28,8 @@ def inexact(source: str, module: str) -> list[str]:
         elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
               and node.func.id in ("float", "round")):
             found.append(f"{where}: call to {node.func.id}")
+        elif isinstance(node, ast.Assert):
+            found.append(f"{where}: assert statement")
         elif isinstance(node, ast.Import):
             imported = [(alias.name.split(".")[0], None) for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and not node.level:    # not delpair's own
@@ -57,6 +61,7 @@ def test_src_computes_exactly():
     ("from time import perf_counter", "cli.py"),
     ("import random", "projgeo/segre.py"),
     ("from random import Random", "checks.py"),
+    ("assert len(roots) == 36, roots", "rootsys.py"),
 ])
 def test_scan_refuses_each_inexact_construct(source, module):
     assert len(inexact(source, module)) == 1, source
@@ -67,6 +72,7 @@ def test_scan_refuses_each_inexact_construct(source, module):
     ("import random", "labs.py"),
     ("from .linalg import rref", "projgeo/plucker.py"),
     ("x = Fraction(1, 2) + 3", "projgeo/linalg.py"),
+    ("raise AssertionError('a check that -O keeps')", "sff.py"),
 ])
 def test_scan_allows_exact_constructs(source, module):
     assert inexact(source, module) == []

@@ -25,7 +25,7 @@ def test_noncompact_count_is_dimension(literal, dim):
 def test_noncompact_filter_oracle_a4():
     md = parse_marked("A4:a2")
     rs = md.root_system()
-    direct = {r for r in rs.positive_roots if r.coeffs[1] == 1}
+    direct = {r for r in rs.positive_roots if r[1] == 1}
     assert noncompact_positive_roots(md) == direct
 
 
@@ -85,6 +85,12 @@ def test_vmrt_diagram_examples(literal, expected):
 
 def test_vmrt_of_line_is_empty():
     assert vmrt_diagram(parse_marked("A1:a1")).is_empty
+
+
+def test_vmrt_refuses_a_mark_whose_removal_strands_a_component():
+    # removing a1 from A1+A2 leaves A2 with no neighbor of a1 to mark
+    with pytest.raises(MarkError, match="^removing a1 strands an unmarked diagram$"):
+        vmrt_diagram(parse_marked("A1+A2:a1"))
 
 
 def test_vmrt_rejects_product_input():

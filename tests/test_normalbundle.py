@@ -5,7 +5,7 @@ from delpair import hss, normalbundle
 from delpair.normalbundle import levi_components, normal_weights, summands_distinct
 from delpair.pairs import DeletionPair, root_correspondence
 from delpair.rootsys import parse_marked
-from oracles import tuple_levi_components
+from oracles import minus, plus, times, tuple_levi_components
 
 
 @pytest.mark.parametrize("pid, count", [
@@ -50,8 +50,8 @@ def test_components_partition_and_match_networkx_oracle(catalog7):
         graph.add_nodes_from(dec.normal_weights)
         for w in dec.normal_weights:
             for s in steps:
-                if w + s in dec.normal_weights:
-                    graph.add_edge(w, w + s)
+                if plus(w, s) in dec.normal_weights:
+                    graph.add_edge(w, plus(w, s))
         oracle = {frozenset(c) for c in nx.connected_components(graph)}
         assert set(dec.components) == oracle
 
@@ -85,8 +85,9 @@ def test_levi_search_joins_weights_through_a_lowering_step(catalog7, monkeypatch
     pair = catalog7["E7:a7/a6"]
     s, t = sorted(image for label, image in pair.correspondence.on_simple
                   if label != pair.gamma0)[:2]
-    monkeypatch.setattr(normalbundle, "normal_weights", lambda pair: frozenset({s, t, s + t}))
-    assert levi_components(pair).components == (frozenset({s, t, s + t}),)
+    weights = frozenset({s, t, plus(s, t)})
+    monkeypatch.setattr(normalbundle, "normal_weights", lambda pair: weights)
+    assert levi_components(pair).components == (weights,)
 
 
 def test_singleton_weight_fixed_by_compact_reflections(maximal_triple):
@@ -99,7 +100,7 @@ def test_singleton_weight_fixed_by_compact_reflections(maximal_triple):
             if label == pair.gamma0:
                 continue
             rho = corr.apply(pair.sub_rs().simple_root(label))
-            assert w - rho.scaled(ars.pairing(w, rho)) == w
+            assert minus(w, times(ars.pairing(w, rho), rho)) == w
 
 
 def test_highest_weights_unique_per_component(maximal_triple):
@@ -109,7 +110,7 @@ def test_highest_weights_unique_per_component(maximal_triple):
         steps = [corr.apply(pair.sub_rs().simple_root(label))
                  for label in pair.sub.diagram.nodes if label != pair.gamma0]
         for block, hw in zip(dec.components, dec.highest_weights):
-            maximal = [w for w in block if all(w + s not in block for s in steps)]
+            maximal = [w for w in block if all(plus(w, s) not in block for s in steps)]
             assert maximal == [hw]
 
 

@@ -16,8 +16,8 @@ from delpair.pairs import (
     root_correspondence,
 )
 from delpair.report import FAIL
-from delpair.rootsys import ChainError, MarkError, Root, parse_diagram, parse_marked
-from oracles import additive_apply, chain_sum, exhaustive_maximality
+from delpair.rootsys import ChainError, MarkError, parse_diagram, parse_marked
+from oracles import additive_apply, chain_sum, exhaustive_maximality, neg
 
 SWEEP_DIAGRAMS = (
     [f"A{n}" for n in range(1, 13)] + [f"B{n}" for n in range(2, 13)]
@@ -74,9 +74,9 @@ def test_catalog_specs_name_the_catalog_pairs():
 
 def test_gamma_is_chain_sum(catalog7):
     pair = catalog7["B4:a1/a3"]
-    assert pair.big_gamma == Root((0, 1, 1, 0))
+    assert pair.big_gamma == (0, 1, 1, 0)
     pair = catalog7["E7:a7/a6"]
-    assert pair.big_gamma == Root((0, 0, 0, 0, 0, 1, 0))
+    assert pair.big_gamma == (0, 0, 0, 0, 0, 1, 0)
 
 
 def test_gamma_matches_root_sum_oracle(catalog12):
@@ -87,17 +87,17 @@ def test_gamma_matches_root_sum_oracle(catalog12):
 def test_phi_on_simple_roots_e7(catalog7):
     corr = root_correspondence(catalog7["E7:a7/a6"])
     table = dict(corr.on_simple)
-    assert table["a6"] == Root((0, 0, 0, 0, 0, 0, 1))          # gamma
-    assert table["a5"] == Root((0, 0, 0, 0, 1, 1, 0))          # a5 + Gamma
-    assert table["a2"] == Root((0, 1, 0, 0, 0, 0, 0))          # untouched
+    assert table["a6"] == (0, 0, 0, 0, 0, 0, 1)          # gamma
+    assert table["a5"] == (0, 0, 0, 0, 1, 1, 0)          # a5 + Gamma
+    assert table["a2"] == (0, 1, 0, 0, 0, 0, 0)          # untouched
 
 
 def test_phi_on_simple_roots_b4(catalog7):
     corr = root_correspondence(catalog7["B4:a1/a2"])
     table = dict(corr.on_simple)
-    assert table["a2"] == Root((1, 0, 0, 0))
-    assert table["a3"] == Root((0, 1, 1, 0))
-    assert table["a4"] == Root((0, 0, 0, 1))
+    assert table["a2"] == (1, 0, 0, 0)
+    assert table["a3"] == (0, 1, 1, 0)
+    assert table["a4"] == (0, 0, 0, 1)
 
 
 def test_phi_preserves_pairings_example(catalog7):
@@ -169,7 +169,7 @@ def test_gram_pairings_match_root_system_pairing_off_the_roots(catalog7):
             for label in pair.sub.diagram.nodes:
                 coeffs = [rng.randrange(-2, 3) for _ in range(rank)]
                 coeffs[rng.randrange(rank)] = 1
-                images.append((label, Root(tuple(coeffs))))
+                images.append((label, tuple(coeffs)))
             corr = RootCorrespondence(pair, tuple(sorted(images)))
             assert_gram_pairings_match(corr)
             non_integral += sum(type(corr.pairing(i, j)) is Fraction
@@ -180,7 +180,7 @@ def test_gram_pairings_match_root_system_pairing_off_the_roots(catalog7):
 def test_corrupted_gamma_fails_with_named_invariant(catalog7):
     good = catalog7["B4:a1/a2"]
     bad = DeletionPair(good.ambient, good.gamma0)
-    object.__setattr__(bad, "big_gamma", Root((0, 1, 1, 0)))   # wrong chain sum
+    object.__setattr__(bad, "big_gamma", (0, 1, 1, 0))   # wrong chain sum
     with pytest.raises(CorrespondenceError, match="a3"):
         root_correspondence(bad)
 
@@ -190,7 +190,7 @@ def test_correspondence_row_fails_on_a_pairing_mismatch():
     # to alpha_3: both are roots, but orthogonal, while a2 and a3 are joined
     # in the sub, so only the Cartan-invariance check sees it
     pair = DeletionPair(parse_marked("B3:a1"), "a2")
-    object.__setattr__(pair, "big_gamma", Root((0, 0, 0)))
+    object.__setattr__(pair, "big_gamma", (0, 0, 0))
     (rep,) = correspondence_checks(pair)
     assert rep.status == FAIL
     assert rep.notes.startswith("pairing mismatch at (a2, a3)"), rep.notes
@@ -201,7 +201,7 @@ def test_correspondence_raises_when_phi_leaves_the_noncompact_cone(monkeypatch):
     # cone check sees it: the noncompact roots go to negative roots
     real = pairs.RootCorrespondence
     monkeypatch.setattr(pairs, "RootCorrespondence", lambda pair, on_simple: real(
-        pair, tuple((label, -image) for label, image in on_simple)))
+        pair, tuple((label, neg(image)) for label, image in on_simple)))
     with pytest.raises(CorrespondenceError, match="^Phi image leaves the noncompact cone"):
         root_correspondence(DeletionPair(parse_marked("E7:a7"), "a6"))
 

@@ -1,9 +1,10 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
 from delpair.projgeo import segre
-from delpair.projgeo.linalg import primitive_int_covector, projective_points, rref
+from delpair.projgeo.linalg import canonical_mod, primitive_int_covector, projective_points, rref
 from delpair.projgeo.segre import (
     SegreLine,
     _gl_generators,
@@ -307,6 +308,16 @@ def test_zero_one_line_plus_point_section_over_rationals():
     assert (len(lines), len(points), full_plane) == (1, 1, False)
     found = [sum(c * x for c, x in zip(points[0], col)) for col in zip(*basis)]
     assert primitive_int_covector(found) == primitive_int_covector(pt)
+
+
+def test_primitive_covector_refuses_the_zero_covector():
+    with pytest.raises(ValueError, match="^zero covector$"):
+        primitive_int_covector([0, Fraction(0, 3), 0])
+
+
+def test_canonical_mod_refuses_a_vector_that_vanishes_mod_p():
+    with pytest.raises(ValueError, match="^projective point needs a nonzero coordinate$"):
+        canonical_mod((5, -10, 0), 5)
 
 
 def test_one_zero_line_plus_point_has_witness_curve():

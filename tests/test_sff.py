@@ -1,10 +1,13 @@
+from types import SimpleNamespace
+
+import pytest
+
 from delpair.chevalley import build_table
 from delpair.hss import noncompact_positive_roots
 from delpair.pairs import DeletionPair
-from delpair.report import root_witness
 from delpair.rootsys import parse_marked
 from delpair.sff import SFFContext, kernels, verify_infinity_locus
-from oracles import bracket_sff_value, brute_kernel, label_embedded_sub_tangent
+from oracles import bracket_sff_value, brute_kernel, label_embedded_sub_tangent, minus, plus
 
 
 def ctx_for(catalog7, pid):
@@ -33,10 +36,10 @@ def test_vanishing_for_adjacent_weight(catalog7):
     pair = catalog7["E7:a7/a6"]
     ctx = SFFContext.for_pair(pair)
     ars = pair.ambient_rs()
-    nu = ars.simple_root("a7") + ars.simple_root("a6")
+    nu = plus(ars.simple_root("a7"), ars.simple_root("a6"))
     assert nu in ctx.psi
     for nu2 in ctx.sub_tangent:
-        assert not ars.is_root(nu + nu2 - ctx.gamma)
+        assert not ars.is_root(minus(plus(nu, nu2), ctx.gamma))
     assert nu in kernels(ctx)[0].kernel_weights
 
 
@@ -46,7 +49,7 @@ def test_zero_nonzero_pattern_symmetric_and_injective(catalog7):
         table = build_table(ctx.rs)
         psi = sorted(ctx.psi)
         for nu2 in psi:
-            images = [nu + nu2 - ctx.gamma for nu in psi]
+            images = [minus(plus(nu, nu2), ctx.gamma) for nu in psi]
             assert len(set(images)) == len(images)
         for nu in psi:
             for nu2 in psi:
@@ -98,7 +101,7 @@ def test_degeneracy_for_all_catalog_pairs(catalog7):
         ars = pair.ambient_rs()
         gamma = ars.simple_root(pair.gamma)
         for nb in pair.ambient.diagram.neighbors(pair.gamma):
-            assert gamma + ars.simple_root(nb) in sigma.kernel_weights
+            assert plus(gamma, ars.simple_root(nb)) in sigma.kernel_weights
         assert sigma.kernel_weights <= tau.kernel_weights
         assert ctx.sub_tangent <= tau.kernel_weights
         assert tau.strict
@@ -109,7 +112,7 @@ def test_d5_kernel_weight_list_frozen(catalog7):
     ctx = ctx_for(catalog7, "D5:a5/a3")
     report = kernels(ctx)[0]
     ars = ctx.rs
-    expected = {ars.simple_root("a5") + ars.simple_root("a3")}
+    expected = {plus(ars.simple_root("a5"), ars.simple_root("a3"))}
     assert report.kernel_weights == expected
 
 
@@ -141,7 +144,7 @@ def test_infinity_locus_fails_identity_d_on_a_dropped_image():
     assert report.status == "fail"
     reflected = pair.ambient_rs().reflect(pair.gamma0, dropped)
     assert report.witnesses == [{"check": "d", "lhs_only": [],
-                                 "rhs_only": [root_witness(reflected)]}]
+                                 "rhs_only": [list(reflected)]}]
 
 
 def test_infinity_locus_skips_type_a_ambient():
@@ -164,3 +167,85 @@ def test_infinity_locus_identity_both_sides_oracle(catalog7):
            if ars.pairing(b, gamma) == 1}
     assert lhs == rhs
     assert len(lhs) == 16
+
+
+# -- negative controls: each row of the infinity locus seen to fail ------------
+#
+# In D5:a5/a3 the sub-diagram is A4:a3, gamma0 = a3, and its noncompact roots
+# other than gamma0 pair 1 with gamma0 ((0,0,1,1), (0,1,1,0), (1,1,1,0), the
+# sub-VMRT tangent weights) or 0 ((0,1,1,1), (1,1,1,1)).
+
+PAIRS_1 = (0, 0, 1, 1)
+PAIRS_0 = (0, 1, 1, 1)
+
+
+def d5_pair():
+    """A fresh D5:a5/a3, so its cached correspondence can be altered."""
+    return DeletionPair(parse_marked("D5:a5"), "a3")
+
+
+def swapped_images(pair, a, b):
+    """Swap Phi(a) and Phi(b) in the pair's cached noncompact images."""
+    corr = pair.correspondence
+    images = dict(corr.on_noncompact)
+    images[a], images[b] = images[b], images[a]
+    corr.__dict__["on_noncompact"] = images
+    return pair
+
+
+def lying_sub_pairing(pair, beta, value):
+    """Make the pair's sub root system report <beta, gamma0> = value."""
+    srs = pair.sub_rs()
+
+    def pairing(b, g):
+        return value if b == beta else srs.pairing(b, g)
+    pair.__dict__["sub_rs"] = lambda: SimpleNamespace(simple_root=srs.simple_root,
+                                                      pairing=pairing)
+    return pair
+
+
+def failed_rows(report):
+    assert report.status == "fail"
+    return [(w["check"], w.get("beta")) for w in report.witnesses]
+
+
+def test_infinity_locus_fails_b_drop_b_pairing_and_c_off_its_hypothesis():
+    # B4:a1/a3 is not maximal, so run-all skips it; its chain a1, a2, a3 puts
+    # gamma two bonds from gamma0, so s_{gamma0} fixes gamma (c), and the sub
+    # root a3 + 2 a4 of B2:a3, pairing 0 with a3, keeps its image (b-drop),
+    # which then pairs 0 with gamma (b-pairing)
+    report = verify_infinity_locus(DeletionPair(parse_marked("B4:a1"), "a3"))
+    assert failed_rows(report) == [("b-drop", [1, 2]), ("b-pairing", [1, 2]),
+                                   ("c", None), ("d", None)]
+
+
+def test_infinity_locus_fails_a_fixed_on_swapped_images():
+    # Phi(0,0,1,1) and Phi(0,1,1,1) swapped: the first root's image is no
+    # longer fixed by s_{gamma0}, and the second's no longer drops by gamma0
+    report = verify_infinity_locus(swapped_images(d5_pair(), PAIRS_1, PAIRS_0))
+    assert failed_rows(report) == [("a-fixed", [0, 0, 1, 1]), ("b-drop", [0, 1, 1, 1])]
+
+
+def test_infinity_locus_fails_a_shape_on_a_root_said_to_pair_1():
+    # (0,1,1,1) has two neighbors of gamma0, not one, and its image drops
+    report = verify_infinity_locus(lying_sub_pairing(d5_pair(), PAIRS_0, 1))
+    assert failed_rows(report) == [("a-shape", [0, 1, 1, 1]), ("a-fixed", [0, 1, 1, 1])]
+
+
+def test_infinity_locus_fails_b_shape_on_a_root_said_to_pair_0():
+    # (0,0,1,1) has one neighbor of gamma0, not two, and its image is fixed
+    report = verify_infinity_locus(lying_sub_pairing(d5_pair(), PAIRS_1, 0))
+    assert failed_rows(report) == [("b-shape", [0, 0, 1, 1]), ("b-drop", [0, 0, 1, 1])]
+
+
+def test_infinity_locus_fails_pairing_range_on_a_pairing_of_minus_1():
+    report = verify_infinity_locus(lying_sub_pairing(d5_pair(), PAIRS_1, -1))
+    assert report.witnesses == [{"check": "pairing-range", "beta": [0, 0, 1, 1],
+                                 "pairing": "-1"}]
+
+
+def test_sff_context_refuses_a_sub_tangent_outside_psi_gamma():
+    # (0,0,1,1) is a sub-VMRT tangent weight and (0,1,1,1) is not; with their
+    # images swapped, the sub tangent holds an image outside Psi_gamma
+    with pytest.raises(AssertionError, match="^sub-VMRT tangent leaves Psi_gamma"):
+        SFFContext.for_pair(swapped_images(d5_pair(), PAIRS_1, PAIRS_0))

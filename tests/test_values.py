@@ -12,7 +12,6 @@ from delpair.projgeo.segre import SegreLine, segre_point
 from delpair.report import PASS, CheckReport, RunConfig
 from delpair.rootsys import (
     Component,
-    Root,
     build_root_system,
     delete_chain,
     parse_diagram,
@@ -21,7 +20,6 @@ from delpair.rootsys import (
 
 # Per value class, a builder of fresh equal instances and one of its fields.
 VALUES = {
-    "Root": (lambda: Root((1, 0, 2)), "coeffs"),
     "Component": (lambda: Component("A", ("a1", "a2")), "letter"),
     "DynkinDiagram": (lambda: parse_diagram("E7+A2"), "nodes"),
     "MarkedDiagram": (lambda: parse_marked("E7:a7"), "marked"),
@@ -38,6 +36,8 @@ def test_fields_cannot_be_assigned(name):
     value = build()
     with pytest.raises(AttributeError):
         setattr(value, field, getattr(value, field))
+    with pytest.raises(AttributeError):
+        delattr(value, field)
 
 
 @pytest.mark.parametrize("name", VALUES)
@@ -58,19 +58,14 @@ def test_deletion_pair_equality_ignores_chain_and_sub():
     assert p != DeletionPair(parse_marked("D6:a1"), "a4")
 
 
-def test_root_sorts_like_its_coefficients_but_is_no_tuple():
-    coeffs = [(1, 1, 0), (0, 1, 0), (1, 0, 0), (0, 1, 1), (1, 1, 1)]
-    roots = [Root(c) for c in coeffs]
-    assert [r.coeffs for r in sorted(roots)] == sorted(coeffs)
-    assert max(roots) == Root(max(coeffs)) and min(roots) == Root(min(coeffs))
-    assert Root((0, 1)) < Root((1, 0)) <= Root((1, 0)) and Root((1, 0)) >= Root((0, 1))
-    r = Root((1, 2))
-    assert not isinstance(r, tuple)
-    assert r != (1, 2) and r != ((1, 2),)
-    with pytest.raises(TypeError):
-        r < (1, 2)
-    with pytest.raises(TypeError):
-        r * 2
+@pytest.mark.parametrize("status, message", [
+    ("passed", "unknown status 'passed'"),
+    ("fail", "fail report needs witnesses or notes"),
+    ("indeterminate", "indeterminate report needs witnesses or notes"),
+])
+def test_check_report_refuses_an_unknown_status_or_an_unexplained_verdict(status, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        CheckReport("x", "s", status)
 
 
 def test_check_reports_do_not_share_a_witness_list():
