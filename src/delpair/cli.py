@@ -207,7 +207,7 @@ def main(argv: "list[str] | None" = None) -> int:
         if args.get("mode", "both") != "both":    # degeneracy: one kernel only
             reports = [rep for rep in reports if rep.check_id.endswith(args["mode"])]
         code, doc = verdict(config, reports, (*given, *(f for _, reads in suites for f in reads)))
-    except (ValueError, CertificationError) as exc:     # internal failures, not bad input
+    except (ValueError, CertificationError, AssertionError) as exc:   # internal failures
         print(f"error: {exc}", file=sys.stderr)
         return 1
     text = bundle_json(doc) if config.fmt == "json" else bundle_markdown(doc)

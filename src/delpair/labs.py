@@ -57,7 +57,10 @@ def plucker_suite(primes: tuple[int, ...]) -> list[CheckReport]:
         reports.append(rep)
         internal_ok = (rep.witness_without_extra == 0
                        and rep.affine_cell_points == p ** 6
-                       and rep.grassmannian_points == _gaussian_binomial(p))
+                       and rep.grassmannian_points == _gaussian_binomial(p)
+                       and rep.surveyed == rep.dee_points - (p + 1)
+                       and rep.full_plane_count == p * p * (p + 2)
+                       and rep.excluded_axis_point == p * p * (p + 1))
         out.append(CheckReport(
             "plucker.survey", f"F{p}", PASS if internal_ok else FAIL,
             witnesses=[rep.to_witness()],

@@ -363,26 +363,30 @@ def dee_exhaustive_survey(p: int) -> SurveyReport:
     base-p digits of the class and filled on first use, and the section and
     witness counts are sums over classes of the points in each class.
 
-    A common vector alpha u + beta v of W_b and <e1, t e2 + s e3> is checked
-    for every class a point meets: [alpha : beta] is (v4, -u4), or (v5, -u5)
-    when u4 = v4 = 0, solved once per quadruple unless the quadruple is all
-    zero, when it reads [t:s] and is solved per point.
+    Each boundary block is walked once, over weighted points (u3, v3, n)
+    for every head (u1, v1, u2, v2): n points of one class that pass or
+    fail the witness check together.  A block lists all its points with
+    n = 1, except in the big cell (u = (1, 0, u3, u4, u5),
+    v = (0, 1, v3, v4, v5)) at a nonzero quadruple.  There x45 = 0 makes
+    (u4, u5) and (v4, v5) proportional, so (u3, v3) -> (x34, x35) =
+    u3 (v4, v5) - v3 (u4, u5) has rank 1, with p fibres of p points along
+    the kernel spanned by (-beta, alpha) below, and the block lists one
+    point of each fibre, on a line through 0 off the kernel, with n = p.
+    This is exact: no point of a nonzero quadruple lies on ell, whose
+    points have u4 = u5 = v4 = v5 = 0; the class and every input of the
+    witness check are constant along the kernel, since
+    w3 = alpha u3 + beta v3 is x34 (x35 when u4 = v4 = 0) and w1, w2, w4,
+    w5 do not involve (u3, v3); and x23 = -u3, the one coordinate that
+    varies, matters only on the zero class, whose fibre is the kernel
+    (u4 = u5 = 0, so u3 = 0): its representative (0, 0) and all p of its
+    points are axis points.
 
-    Where both u3 and v3 are free (the big cell, u = (1, 0, u3, u4, u5),
-    v = (0, 1, v3, v4, v5)) and the quadruple is a nonzero one with x45 = 0,
-    (u4, u5) and (v4, v5) are proportional, so the map
-    (u3, v3) -> (x34, x35) = u3 (v4, v5) - v3 (u4, u5) has rank 1: its
-    fibres are p lines of p points each, the kernel spanned by
-    (-beta, alpha).  On a fibre the class and every input of the witness
-    check are constant, since w3 = alpha u3 + beta v3 is x34 (x35 when
-    u4 = v4 = 0) and w1, w2, w4, w5 do not involve (u3, v3).  So that block
-    is visited one fibre at a time, each fibre counted by its p points: no
-    point of a nonzero quadruple lies on ell, whose points have
-    u4 = u5 = v4 = v5 = 0.  Only x23 = -u3 varies on a fibre, and it matters
-    only on the zero class, whose one fibre is the kernel with u4 = u5 = 0:
-    there u3 = 0, so its p points are axis points.  Every other block is
-    visited point by point.  The implication "witness => extra component"
-    is asserted over all the counts.
+    A common vector alpha u + beta v of W_b and <e1, t e2 + s e3> is checked
+    at every listed point whose class has a witness: [alpha : beta] is
+    (v4, -u4), or (v5, -u5) when u4 = v4 = 0, solved once per quadruple
+    unless the quadruple is all zero, when it reads [t:s] and is solved per
+    point.  The implication "witness => extra component" is asserted over
+    all the counts.
     """
     require_odd_prime(p)
 
@@ -392,10 +396,14 @@ def dee_exhaustive_survey(p: int) -> SurveyReport:
     # first use, and the number of surveyed points in each class
     classes: list = [None] * (pp * pp)
     hits = [0] * (pp * pp)
+    # one point of each big-cell fibre, on a line through 0 off the kernel
+    along_u = [(u3, 0, p) for u3 in range(p)]
+    along_v = [(0, v3, p) for v3 in range(p)]
 
     for us, vs in _echelon_cells(p):
         heads = list(itertools.product(us[0], vs[0], us[1], vs[1]))
         block = len(heads) * len(us[2]) * len(vs[2])
+        points = [(u3, v3, 1) for u3 in us[2] for v3 in vs[2]]
         fibred = len(us[2]) == len(vs[2]) == p
         for u4, u5, v4, v5 in itertools.product(us[3], us[4], vs[3], vs[4]):
             total += block
@@ -409,77 +417,46 @@ def dee_exhaustive_survey(p: int) -> SurveyReport:
             if u4 or v4 or u5 or v5:
                 alpha, beta = (v4, -u4) if u4 or v4 else (v5, -u5)
                 w45 = (alpha * u4 + beta * v4) % p or (alpha * u5 + beta * v5) % p
+                reps = (along_u if alpha else along_v) if fibred else points
             else:
                 alpha = beta = w45 = None
-            if fibred and alpha is not None:
-                # one point of each fibre, on a line through 0 off the kernel
-                reps = ([(u3, 0) for u3 in range(p)] if alpha
-                        else [(0, v3) for v3 in range(p)])
-                for u1, v1, u2, v2 in heads:
-                    x24 = (u2 * v4 - u4 * v2) % p
-                    x25 = (u2 * v5 - u5 * v2) % p
-                    high = (x24 * p + x25) * pp
-                    w1 = (alpha * u1 + beta * v1) % p
-                    w2 = (alpha * u2 + beta * v2) % p
-                    for u3, v3 in reps:
-                        x34 = (u3 * v4 - u4 * v3) % p
-                        x35 = (u3 * v5 - u5 * v3) % p
-                        if not (high or x34 or x35):
-                            # the kernel fibre of the zero class: here
-                            # (x24, x25) = -(u4, u5) and (x34, x35) = u3 (v4, v5),
-                            # so u3 = 0 and u = e1 lies in W_b
-                            excl_axis += p
-                        surveyed += p
-                        key = high + x34 * p + x35
-                        cls = classes[key]
-                        if cls is None:
-                            cls = classes[key] = _survey_class(x24, x25, x34, x35, p)
-                        hits[key] += p
-                        _, t, s = cls
-                        if t is not None:
-                            w3 = x34 if u4 or v4 else x35
-                            if w45 or (w2 * s - w3 * t) % p or not (w1 or w2 or w3):
-                                raise AssertionError(
-                                    f"witness parameter [{t}:{s}] without a common vector")
-                continue
+                reps = points
             for u1, v1, u2, v2 in heads:
                 # x145 is nonzero iff x14 or x15 is, high iff x24 or x25 is
                 x145 = (u1 * v4 - u4 * v1) % p or (u1 * v5 - u5 * v1) % p
                 x24 = (u2 * v4 - u4 * v2) % p
                 x25 = (u2 * v5 - u5 * v2) % p
                 high = (x24 * p + x25) * pp
-                for u3 in us[2]:
-                    g2, g4, g5 = u3 * v2, u3 * v4, u3 * v5
-                    for v3 in vs[2]:
-                        x23 = (u2 * v3 - g2) % p
-                        x34 = (g4 - u4 * v3) % p
-                        x35 = (g5 - u5 * v3) % p
-                        if not (x145 or x23 or high or x34 or x35):
-                            continue           # b lies on ell
-                        surveyed += 1
-                        if not (x23 or high or x34 or x35):
-                            excl_axis += 1     # only x1j: e1 lies in W_b
-                        key = high + x34 * p + x35
-                        cls = classes[key]
-                        if cls is None:
-                            cls = classes[key] = _survey_class(x24, x25, x34, x35, p)
-                        hits[key] += 1
-                        _, t, s = cls
-                        if t is None:
-                            continue
-                        if alpha is None:
-                            c1 = (u2 * s - u3 * t) % p
-                            c2 = (v2 * s - v3 * t) % p
-                            a, b = (c2, -c1) if c1 or c2 else (1, 0)
-                            w45 = (a * u4 + b * v4) % p or (a * u5 + b * v5) % p
-                        else:
-                            a, b = alpha, beta
-                        w2 = (a * u2 + b * v2) % p
-                        w3 = (a * u3 + b * v3) % p
-                        if (w45 or (w2 * s - w3 * t) % p
-                                or not (w2 or w3 or (a * u1 + b * v1) % p)):
-                            raise AssertionError(
-                                f"witness parameter [{t}:{s}] without a common vector")
+                for u3, v3, n in reps:
+                    x23 = (u2 * v3 - u3 * v2) % p
+                    x34 = (u3 * v4 - u4 * v3) % p
+                    x35 = (u3 * v5 - u5 * v3) % p
+                    if not (x145 or x23 or high or x34 or x35):
+                        continue           # b lies on ell
+                    surveyed += n
+                    if not (x23 or high or x34 or x35):
+                        excl_axis += n     # only x1j: e1 lies in W_b
+                    key = high + x34 * p + x35
+                    cls = classes[key]
+                    if cls is None:
+                        cls = classes[key] = _survey_class(x24, x25, x34, x35, p)
+                    hits[key] += n
+                    _, t, s = cls
+                    if t is None:
+                        continue
+                    if alpha is None:
+                        c1 = (u2 * s - u3 * t) % p
+                        c2 = (v2 * s - v3 * t) % p
+                        a, b = (c2, -c1) if c1 or c2 else (1, 0)
+                        w45 = (a * u4 + b * v4) % p or (a * u5 + b * v5) % p
+                    else:
+                        a, b = alpha, beta
+                    w2 = (a * u2 + b * v2) % p
+                    w3 = (a * u3 + b * v3) % p
+                    if (w45 or (w2 * s - w3 * t) % p
+                            or not (w2 or w3 or (a * u1 + b * v1) % p)):
+                        raise AssertionError(
+                            f"witness parameter [{t}:{s}] without a common vector")
 
     exact = extra = fullplane = nowitness = witness_without_extra = excl_meeting = 0
     for cls, n in zip(classes, hits):

@@ -29,8 +29,8 @@ enumerated through wedge products of echelon bases, the maximal minors of
 the collinearity scan are expanded as generic determinants and the rows
 through ell come from the generic polarization of the quadrics instead of
 ``ell_rows``, and the boundary survey visits every point of G(2,5)(F_p) with
-its full Plücker tuple instead of counting affine blocks, visiting the
-big cell's boundary blocks one rank-1 fibre at a time and reading a
+its full Plücker tuple instead of counting affine blocks, weighting one
+point per rank-1 fibre in the big cell's boundary blocks and reading a
 per-class table.  Plane sections come from two oracles that share none of
 the quadric or solver code of ``plane_section``, and the Plücker tests run
 both on planes through ell, the only planes ``plane_section`` takes: over a

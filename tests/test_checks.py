@@ -1,5 +1,6 @@
 """The SUITES table: what each row reads, and that run-all is its rows
-together; the property rows' seeded draws, and each of those rows seen to fail."""
+together; the property rows' seeded draws, and each of those rows and the
+Plücker survey row seen to fail."""
 import random
 
 import pytest
@@ -9,7 +10,7 @@ from delpair.checks import SUITES, run_all
 from delpair.chevalley import ChevalleyTable
 from delpair.labs import reflection_failures
 from delpair.projgeo.linalg import rref
-from delpair.report import DEFAULT_SEED, FAIL, RunConfig
+from delpair.report import DEFAULT_SEED, FAIL, PASS, RunConfig
 from delpair.rootsys import RootSystem, build_root_system, parse_diagram
 
 # Two values of each field: the default, and another a row that reads the
@@ -134,3 +135,22 @@ def test_reflection_sweep_fails_on_a_corrupted_cartan_row(monkeypatch):
     rep, = _property_rows("chevalley.properties")
     assert rep.status == FAIL
     assert rep.witnesses[0]["reflection_failures"] > 0
+
+
+@pytest.mark.parametrize("field", ["surveyed", "full_plane_count", "excluded_axis_point"])
+def test_survey_row_fails_on_a_count_off_its_closed_form(monkeypatch, field):
+    # dee_points - (p + 1), p^2 (p + 2) and p^2 (p + 1) at F3: one more
+    # point in one count fails the row
+    survey = labs.dee_exhaustive_survey
+
+    def statuses():
+        return [rep.status for rep in labs.plucker_suite((3,))
+                if rep.check_id == "plucker.survey"]
+
+    def one_more(p):
+        rep = survey(p)
+        return rep._replace(**{field: getattr(rep, field) + 1})
+
+    assert statuses() == [PASS]
+    monkeypatch.setattr(labs, "dee_exhaustive_survey", one_more)
+    assert statuses() == [FAIL]

@@ -226,6 +226,44 @@ def test_extraspecial_seed_signs_are_positive():
         assert tab.constant(first, minus(rho, first)) > 0
 
 
+# Each internal assertion of the recursion, seen to fire on one fresh table
+# with a broken sum or norm; the fourth, a non-integral coroot, fires through
+# `delpair run-all` in tests/test_cli.py.
+
+def fresh(literal):
+    return ChevalleyTable(build_root_system(parse_diagram(literal)))
+
+
+def test_a_root_without_positive_summands_has_no_extraspecial_pair():
+    # no sum with a negative root is seen, so a1 + a2 - alpha is never a root
+    tab = fresh("A2")
+    n, true_sum = tab._n, tab._sum
+    tab._sum = lambda i, j: None if j >= n else true_sum(i, j)
+    with pytest.raises(AssertionError, match=r"^no decomposition of \(1, 1\) into positives$"):
+        tab.constant((1, 0), (0, 1))
+
+
+def test_a_jacobi_identity_with_no_term_to_solve_from_fails():
+    # hiding that (0, 1, 1) - (0, 0, 1) is a root leaves the Jacobi identity
+    # on ((0, 1, 1), (1, 0, 0), -(0, 0, 1)) with N_{xi,eta} alone, times 0
+    tab = fresh("A3")
+    index, true_sum = tab.basis_roots.index, tab._sum
+    hidden = (index((0, 1, 1)), index((0, 0, -1)))
+    tab._sum = lambda i, j: None if (i, j) == hidden else true_sum(i, j)
+    with pytest.raises(AssertionError,
+                       match=r"^Jacobi reduction failed on \(\(0, 1, 1\), \(1, 0, 0\)\)$"):
+        tab.constant((0, 1, 1), (1, 0, 0))
+
+
+def test_a_length_ratio_that_is_no_integer_fails():
+    # |a1 + a2|^2 = 3 against |a1|^2 = 2: N_{a1+a2,-a2} = -2 N_{a2,a1}/3
+    tab = fresh("A2")
+    tab._norm[tab.basis_roots.index((1, 1))] = 3
+    with pytest.raises(AssertionError,
+                       match=r"^non-integral mixed constant for \(\(1, 1\), \(0, -1\)\)$"):
+        tab.constant((1, 1), (0, -1))
+
+
 @pytest.mark.parametrize("literal", ["A4", "B4", "C4", "D5", "E6", "E7", "E8", "F4", "G2"])
 def test_packed_sum_is_the_tuple_sum(literal):
     # every ordered pair of basis roots: the sum of two packed coefficient

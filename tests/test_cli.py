@@ -15,11 +15,11 @@ from pathlib import Path
 import pytest
 
 import delpair
-from delpair import checks, cli, hss, labs, pairs, report, usage
-from delpair.chevalley import build_table
+from delpair import checks, cli, hss, labs, pairs, report, sff, usage
+from delpair.chevalley import ChevalleyTable, build_table
 from delpair.cli import main, parse_pair_id, run_all
 from delpair.pairs import CorrespondenceError
-from delpair.projgeo import segre
+from delpair.projgeo import plucker, segre
 from delpair.projgeo.plucker import PAIRS, dee_exhaustive_survey, wedge
 from delpair.projgeo.segre import segre_fitting_report
 from delpair.report import (
@@ -257,6 +257,15 @@ def test_cli_section_certification_failure_is_one_line_exit_1(tmp_path, capsys):
     assert not out.exists()
 
 
+def _one_line_exit_1(argv, out, capsys):
+    assert main([*argv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), captured.err
+    assert captured.out == "" and not out.exists()
+    return err[0]
+
+
 def test_internal_value_error_is_one_line_exit_1(monkeypatch, tmp_path, capsys):
     # a plane line listed with its first point twice breaks a hypothesis of
     # SegreLine inside the Segre suite; the input was fine, so this is an
@@ -268,13 +277,42 @@ def test_internal_value_error_is_one_line_exit_1(monkeypatch, tmp_path, capsys):
         return found[:1] + found
 
     monkeypatch.setattr(segre, "_line_points", first_point_twice)
-    out = tmp_path / "s.json"
-    assert main(["segre", "fitting", "--q", "3", "--out", str(out)]) == 1
-    captured = capsys.readouterr()
-    err = captured.err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error:")
-    assert captured.out == "" and not out.exists()
+    _one_line_exit_1(["segre", "fitting", "--q", "3"], tmp_path / "s.json", capsys)
 
+
+def test_internal_assertion_in_run_all_is_one_line_exit_1(monkeypatch, tmp_path, capsys):
+    # a broken internal invariant of a pair check is an internal failure too:
+    # one error line, exit 1 and no bundle, not a traceback
+    def broken(pair):
+        raise AssertionError("sub-VMRT tangent leaves Psi_gamma: [(0, 1)]")
+
+    monkeypatch.setattr(sff.SFFContext, "for_pair", staticmethod(broken))
+    err = _one_line_exit_1(["run-all"], tmp_path / "b.json", capsys)
+    assert err == "error: sub-VMRT tangent leaves Psi_gamma: [(0, 1)]"
+
+
+def test_internal_assertion_in_the_survey_is_one_line_exit_1(monkeypatch, tmp_path, capsys):
+    # every class read as rank 2 makes each witness one on an exact section
+    monkeypatch.setattr(plucker, "_polarization_rank", lambda x, p: 2)
+    err = _one_line_exit_1(["pluecker", "survey", "--primes", "5"], tmp_path / "s.json", capsys)
+    assert err == ("error: collinearity witness without extra section component "
+                   "(4675 boundary points)")
+
+
+
+def test_internal_assertion_in_a_chevalley_table_is_one_line_exit_1(monkeypatch, tmp_path,
+                                                                     capsys):
+    # every squared norm tripled keeps each mixed constant's length ratio,
+    # so the first failure is a coroot [e_a, e_-a] of the property row's
+    # Jacobi triples, whose coefficients are no longer integers
+    def tripled_norms(rs):
+        table = ChevalleyTable(rs)
+        table._norm = [3 * norm for norm in table._norm]
+        return table
+
+    monkeypatch.setattr(labs, "build_table", tripled_norms)
+    err = _one_line_exit_1(["run-all"], tmp_path / "b.json", capsys)
+    assert err == "error: non-integral coroot for (1, 1, 1, 1)"
 
 def test_property_suite_draws_the_pinned_samples(monkeypatch):
     # the triples handed to jacobi_failures and the bivectors tested for
