@@ -183,10 +183,6 @@ class ChevalleyTable:
         pack = self._packing.pack
         return self._signed(self._index[pack(a)], self._index[pack(b)])
 
-    def coroot_coefficients(self, alpha: tuple[int, ...]) -> tuple[int, ...]:
-        """Coefficients of the coroot of alpha over the simple coroots."""
-        return self._coroot(alpha, self.rs.scaled_norm(alpha))
-
     def _coroot(self, coeffs: tuple[int, ...], norm: int) -> tuple[int, ...]:
         """The coefficient at i is k_i B(alpha_i, alpha_i) / B(alpha, alpha)."""
         form = self.rs.form

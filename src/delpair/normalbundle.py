@@ -14,9 +14,8 @@ packed weights order as their roots do.
 """
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from . import hss
+from .frozen import Frozen
 from .pairs import DeletionPair
 from .report import FAIL, INDETERMINATE, PASS, CheckReport
 from .rootsys import packing
@@ -30,11 +29,11 @@ def normal_weights(pair: DeletionPair) -> frozenset[tuple[int, ...]]:
     return hss.noncompact_positive_roots(pair.ambient) - pair.correspondence.noncompact_image
 
 
-class NormalDecomposition(NamedTuple):
-    normal_weights: frozenset[tuple[int, ...]]
-    components: tuple[frozenset[tuple[int, ...]], ...]
-    singleton_component: "tuple[int, ...] | None"
-    highest_weights: tuple[tuple[int, ...], ...]    # parallel to components
+class NormalDecomposition(Frozen, fields=("normal_weights", "components",
+                                          "singleton_component", "highest_weights")):
+    """The normal weights, their Levi components as frozensets of weights,
+    the weight of the one singleton component (or None), and the highest
+    weight of each component, in the order of ``components``."""
 
 
 def levi_components(pair: DeletionPair) -> NormalDecomposition:

@@ -11,7 +11,6 @@ sub-diagram.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from typing import NamedTuple
 
 from . import hss
 from .frozen import Frozen
@@ -211,9 +210,9 @@ def root_correspondence(pair: DeletionPair) -> RootCorrespondence:
     return corr
 
 
-class MaximalityVerdict(NamedTuple):
-    maximal: bool
-    witnesses: tuple[DeletionPair, ...]   # first steps (X1 in X) of decompositions
+class MaximalityVerdict(Frozen, fields=("maximal", "witnesses")):
+    """Whether a pair is maximal, and the first steps (X1 in X) of its
+    decompositions, a tuple of deletion pairs."""
 
     def witness_ids(self) -> tuple[str, ...]:
         return tuple(w.pair_id for w in self.witnesses)

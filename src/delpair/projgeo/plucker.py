@@ -12,8 +12,8 @@ from __future__ import annotations
 import itertools
 import re
 from fractions import Fraction
-from typing import NamedTuple
 
+from ..frozen import Frozen
 from ..report import CertificationError, require_odd_prime
 from .linalg import (
     canonical_mod,
@@ -115,16 +115,11 @@ def ell_rows(x: tuple) -> tuple[tuple, ...]:
 # Plane sections
 # ---------------------------------------------------------------------------
 
-class SectionDescription(NamedTuple):
+class SectionDescription(Frozen, fields=("lines", "isolated_points", "isolated_plane_coords",
+                                         "certified_over", "full_plane")):
     """Lines, as covectors in plane coordinates relative to the reduced row
     echelon basis of the plane, and isolated points, in those coordinates
     and as primitive integer points."""
-
-    lines: tuple[tuple[int, int, int], ...]
-    isolated_points: tuple[tuple[int, ...], ...]
-    isolated_plane_coords: tuple[tuple[int, ...], ...]
-    certified_over: tuple[str, ...]
-    full_plane: bool = False
 
     def shape(self) -> tuple[int, int]:
         return (len(self.lines), len(self.isolated_points))
@@ -233,11 +228,9 @@ def _certify(basis, lines, plane_coords, full_plane: bool, p: int) -> None:
 # Collinearity with the fixed line
 # ---------------------------------------------------------------------------
 
-class CollinearityWitness(NamedTuple):
-    """A pencil parameter and common vector putting b on a line meeting ell."""
-
-    param: "tuple | str"          # (t, s) or "all"
-    common_vector: tuple
+class CollinearityWitness(Frozen, fields=("param", "common_vector")):
+    """A pencil parameter (t, s), or "all", and a common vector putting b on
+    a line meeting ell."""
 
 
 def collinearity_scan(b: tuple) -> "CollinearityWitness | None":
@@ -314,28 +307,21 @@ def _pencil_parameter(x: tuple, p: int) -> "tuple | None":
     return (-c % p, a)
 
 
-class SurveyReport(NamedTuple):
+class SurveyReport(Frozen, fields=(
+        "prime", "grassmannian_points", "affine_cell_points", "dee_points", "surveyed",
+        "exact_section_count", "extra_component_count", "full_plane_count",
+        "no_witness_count", "witness_without_extra",
+        "excluded_line_meeting",        # reading 1: b on a variety line meeting ell
+        "excluded_axis_point")):        # reading 2: the axis vector e1 lies in W_b
     """Classification of every boundary point against the fixed line."""
-
-    prime: int
-    grassmannian_points: int
-    affine_cell_points: int
-    dee_points: int
-    surveyed: int
-    exact_section_count: int
-    extra_component_count: int
-    full_plane_count: int
-    no_witness_count: int
-    witness_without_extra: int
-    excluded_line_meeting: int       # reading 1: b on a variety line meeting ell
-    excluded_axis_point: int         # reading 2: the axis vector e1 lies in W_b
 
     @property
     def exists_exact_b(self) -> bool:
         return self.exact_section_count > 0
 
     def to_witness(self) -> dict:
-        return {**self._asdict(), "exists_exact_b": self.exists_exact_b}
+        return {**{name: getattr(self, name) for name in self._fields},
+                "exists_exact_b": self.exists_exact_b}
 
 
 def _survey_class(x24: int, x25: int, x34: int, x35: int, p: int) -> tuple:

@@ -38,9 +38,7 @@ slot carries the normalization; the scale of B cancels in that ratio.
 from __future__ import annotations
 
 import operator
-import re
 from functools import cached_property, lru_cache
-from typing import NamedTuple
 
 from .frozen import Frozen
 
@@ -57,15 +55,12 @@ class ChainError(ValueError):
     """Raised when two nodes are not connected by a type-A chain."""
 
 
-class Component(NamedTuple):
+class Component(Frozen, fields=("letter", "labels")):
     """A classified connected component with its Bourbaki relabeling.
 
     ``labels[k]`` is the node playing the role of alpha_{k+1} in the
     Bourbaki numbering of the component's type.
     """
-
-    letter: str
-    labels: tuple[str, ...]
 
     @property
     def rank(self) -> int:
@@ -313,7 +308,6 @@ def _search(labels: list[str], adj: dict[str, dict]) -> Component:
 # Diagram literals
 # ---------------------------------------------------------------------------
 
-_TERM_RE = re.compile(r"^([ABCDEFG])([0-9]+)$")
 _RANK_BOUNDS = {"A": (1, None), "B": (2, None), "C": (2, None), "D": (3, None),
                 "E": (6, 8), "F": (4, 4), "G": (2, 2)}
 
@@ -361,10 +355,11 @@ def parse_diagram(text: str) -> DynkinDiagram:
     edges: list[Edge] = []
     offset = 0
     for term in text.strip().split("+"):
-        m = _TERM_RE.match(term.strip())
-        if not m:
+        stripped = term.strip()
+        letter, digits = stripped[:1], stripped[1:]
+        if not (letter in _RANK_BOUNDS and digits.isascii() and digits.isdigit()):
             raise DiagramError(f"cannot parse diagram literal {term!r}")
-        letter, n = m.group(1), int(m.group(2))
+        n = int(digits)
         lo, hi = _RANK_BOUNDS[letter]
         if n < lo or (hi is not None and n > hi):
             raise DiagramError(f"rank {n} out of range for type {letter}")

@@ -18,23 +18,23 @@ tuple sets, the lemma's sums and differences go through ``rootsys.add`` and
 from __future__ import annotations
 
 import operator
-from typing import NamedTuple
 
 from . import hss
+from .frozen import Frozen
 from .pairs import DeletionPair
 from .report import FAIL, PASS, SKIPPED, CheckReport
-from .rootsys import RootSystem, add, sub
+from .rootsys import add, sub
 
 
-class SFFContext(NamedTuple):
-    """Weight data of an ambient VMRT and the sub-VMRT of a deletion pair."""
+class SFFContext(Frozen, fields=("rs", "gamma", "noncompact", "psi", "sub_tangent",
+                                 "x0_tangent")):
+    """Weight data of an ambient VMRT and the sub-VMRT of a deletion pair.
 
-    rs: RootSystem
-    gamma: tuple[int, ...]
-    noncompact: frozenset[tuple[int, ...]]
-    psi: frozenset[tuple[int, ...]]            # Psi_gamma, radial excluded
-    sub_tangent: frozenset[tuple[int, ...]]    # Phi(Psi_gamma0(X0))
-    x0_tangent: frozenset[tuple[int, ...]]     # Phi image of the sub noncompact roots
+    Besides the ambient root system, the simple root gamma and the noncompact
+    roots, the weight sets are ``psi``, Psi_gamma with the radial weight
+    excluded, ``sub_tangent``, Phi(Psi_gamma0(X0)), and ``x0_tangent``, the
+    Phi image of the sub noncompact roots.
+    """
 
     @staticmethod
     def for_pair(pair: DeletionPair) -> "SFFContext":
@@ -50,11 +50,9 @@ class SFFContext(NamedTuple):
                           sub_tangent, corr.noncompact_image)
 
 
-class KernelReport(NamedTuple):
-    """Kernel of the (quotiented) form against the sub-VMRT tangent space."""
-
-    kernel_weights: frozenset[tuple[int, ...]]  # non-radial kernel directions
-    strict: bool
+class KernelReport(Frozen, fields=("kernel_weights", "strict")):
+    """Kernel of the (quotiented) form against the sub-VMRT tangent space:
+    its non-radial directions, as weights, and whether it is strict."""
 
 
 def kernels(ctx: SFFContext) -> tuple[KernelReport, KernelReport]:

@@ -1,7 +1,9 @@
 """Independent oracles, kept deliberately apart from the library paths.
 
-Diagram components are classified by hand-written shape rules, one branch
-per letter, instead of matching the Bourbaki diagrams of the literal parser.
+Diagram literals are read term by term with the regular expression
+``^([ABCDEFG])([0-9]+)$`` instead of ``str`` methods.  Diagram components
+are classified by hand-written shape rules, one branch per letter, instead
+of matching the Bourbaki diagrams of the literal parser.
 Root systems are regenerated here by reflection closure instead of root
 strings, and by the generic Fraction kernel (root strings on coefficient
 tuples with the arithmetic written out here, inner products from the rational
@@ -60,6 +62,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+import re
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -82,12 +85,14 @@ from delpair.projgeo.plucker import (
 from delpair.projgeo.segre import SegreLine, segre_point
 from delpair.report import CheckReport
 from delpair.rootsys import (
+    _RANK_BOUNDS,
     ChainError,
     Component,
     DiagramError,
     DynkinDiagram,
     MarkedDiagram,
     RootSystem,
+    _term_edges,
     delete_chain,
 )
 
@@ -341,6 +346,28 @@ def shape_rule_components(nodes: tuple[str, ...], edges) -> tuple[Component, ...
         seen |= block
         comps.append(shape_rule_classify(sorted(block, key=nodes.index), adj))
     return tuple(comps)
+
+
+_DIAGRAM_TERM_RE = re.compile(r"^([ABCDEFG])([0-9]+)$")
+
+
+def regex_parse_diagram(text: str) -> DynkinDiagram:
+    """``parse_diagram`` with each stripped term matched by the regular
+    expression; the same bonds per term and the same error messages."""
+    nodes: list[str] = []
+    edges: list = []
+    for term in text.strip().split("+"):
+        m = _DIAGRAM_TERM_RE.match(term.strip())
+        if not m:
+            raise DiagramError(f"cannot parse diagram literal {term!r}")
+        letter, n = m.group(1), int(m.group(2))
+        lo, hi = _RANK_BOUNDS[letter]
+        if n < lo or (hi is not None and n > hi):
+            raise DiagramError(f"rank {n} out of range for type {letter}")
+        lab, e = _term_edges(letter, n, len(nodes))
+        nodes += lab
+        edges += e
+    return DynkinDiagram(tuple(nodes), frozenset(edges))
 
 
 def _walk_path(start: str, labels: list[str], adj: dict[str, dict]) -> list[str]:
@@ -683,6 +710,17 @@ class LieElement:
         return {k[1] for k, _ in self.terms if k[0] == "e"}
 
 
+def table_coroot(table: ChevalleyTable, alpha: Vec) -> tuple[int, ...]:
+    """The coroot of alpha over the simple coroots, as the table writes the
+    bracket [X_alpha, X_-alpha]: basis indices k and k + n (mod 2n) for n
+    positive roots, with the simple coroots after the 2n root vectors."""
+    roots = table.basis_roots
+    m = len(roots)
+    k = roots.index(alpha)
+    terms = dict(table.basis_bracket(k, (k + m // 2) % m))
+    return tuple(terms.get(i, 0) for i in range(m, table.dimension))
+
+
 def bracket(x: LieElement, y: LieElement, table: ChevalleyTable) -> LieElement:
     """Lie bracket of two elements in the Chevalley basis, term by term."""
     rs = table.rs
@@ -707,7 +745,7 @@ def bracket(x: LieElement, y: LieElement, table: ChevalleyTable) -> LieElement:
                 if rs.is_root(s):
                     acc(("e", s), c * table.constant(a, b))
                 elif not any(s):
-                    for i, hc in enumerate(table.coroot_coefficients(a)):
+                    for i, hc in enumerate(table_coroot(table, a)):
                         acc(("h", i), c * hc)
     return LieElement.from_dict(out)
 

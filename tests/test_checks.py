@@ -10,6 +10,7 @@ from delpair.checks import SUITES, run_all
 from delpair.chevalley import ChevalleyTable
 from delpair.labs import reflection_failures
 from delpair.projgeo.linalg import rref
+from delpair.projgeo.plucker import SurveyReport
 from delpair.report import DEFAULT_SEED, FAIL, PASS, RunConfig
 from delpair.rootsys import RootSystem, build_root_system, parse_diagram
 
@@ -149,7 +150,9 @@ def test_survey_row_fails_on_a_count_off_its_closed_form(monkeypatch, field):
 
     def one_more(p):
         rep = survey(p)
-        return rep._replace(**{field: getattr(rep, field) + 1})
+        values = {name: getattr(rep, name) for name in rep._fields}
+        values[field] += 1
+        return SurveyReport(**values)
 
     assert statuses() == [PASS]
     monkeypatch.setattr(labs, "dee_exhaustive_survey", one_more)

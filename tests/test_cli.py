@@ -363,7 +363,8 @@ def import_modules():
     """Every module in sys.modules, in one fresh interpreter: before any import
     ("bare"), after `import delpair.checks`, after `import delpair.cli`, after
     main on each of PAIR_COMMANDS and then LAB_COMMAND, and after HELP_COMMAND,
-    keyed by that module or command."""
+    keyed by that module or command.  The interpreter runs under -S, so
+    "bare" holds no module that `site` and its .pth files would load."""
     commands = [*PAIR_COMMANDS, LAB_COMMAND]
     probe = ("import sys; print(*sys.modules)\n"
              "import os, delpair.checks; print(*sys.modules)\n"
@@ -376,8 +377,8 @@ def import_modules():
              "except SystemExit:\n"
              "    sys.stdout = stdout\n"
              "print(*sys.modules)\n")
-    done = subprocess.run([sys.executable, "-c", probe], env=_src_env(), capture_output=True,
-                          text=True, check=True)
+    done = subprocess.run([sys.executable, "-S", "-c", probe], env=_src_env(),
+                          capture_output=True, text=True, check=True)
     keys = ["bare", "delpair.checks", "delpair.cli", *(" ".join(argv) for argv in commands),
             " ".join(HELP_COMMAND)]
     lines = done.stdout.splitlines()
@@ -426,6 +427,14 @@ def test_commands_load_neither_argparse_nor_json(import_modules, step):
     # the table parser reads these argvs and report writes JSON itself;
     # loading argparse and json cost about half of `import delpair.cli`
     assert _argparse_and_json(import_modules[step] - import_modules["bare"]) == set()
+
+
+@pytest.mark.parametrize("step", ["delpair.cli", *(" ".join(argv) for argv in PAIR_COMMANDS)])
+def test_pair_commands_load_neither_typing_nor_re(import_modules, step):
+    # the records are Frozen values and diagram literals are read by str
+    # methods; typing and re together cost more than the rest of the import
+    loaded = import_modules[step] - import_modules["bare"]
+    assert {name for name in loaded if name.split(".")[0] in ("typing", "re")} == set()
 
 
 def test_help_loads_argparse(import_modules):

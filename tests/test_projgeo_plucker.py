@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -310,6 +311,38 @@ def test_section_lines_substitute_back():
             assert grassmannian_membership(tuple(t * a + s * b for a, b in zip(p, q)))
 
 
+def _wrong_covector(monkeypatch, size: int, wrong: tuple) -> None:
+    """Make plane_section report ``wrong`` wherever it makes a primitive
+    vector of ``size`` coordinates: a section line (3) or an isolated point (10)."""
+    real = plucker.primitive_int_covector
+    monkeypatch.setattr(plucker, "primitive_int_covector",
+                        lambda v: wrong if len(v) == size else real(v))
+
+
+def test_substitution_refuses_a_line_off_the_variety(monkeypatch):
+    # u = 0 in span(e2^e4, ell) holds e1^e3 + e2^e4, of rank 4
+    _wrong_covector(monkeypatch, 3, (1, 0, 0))
+    with pytest.raises(AssertionError, match=r"^reported line \(1, 0, 0\) leaves the variety$"):
+        plane_section(parse_bivector("e2^e4"))
+
+
+def test_substitution_refuses_a_point_off_the_variety(monkeypatch):
+    e12_e34 = parse_bivector("e1^e2 + e3^e4")
+    _wrong_covector(monkeypatch, 10, e12_e34)
+    with pytest.raises(AssertionError, match=rf"^reported point {re.escape(str(e12_e34))} "
+                                             r"is off the variety$"):
+        plane_section(parse_bivector("e4^e5"))
+
+
+def test_substitution_refuses_a_point_off_the_plane(monkeypatch):
+    # e2^e4 is on the variety but not in span(e4^e5, ell)
+    e24 = parse_bivector("e2^e4")
+    _wrong_covector(monkeypatch, 10, e24)
+    with pytest.raises(AssertionError,
+                       match=rf"^reported point {re.escape(str(e24))} is off the plane$"):
+        plane_section(parse_bivector("e4^e5"))
+
+
 def test_certification_failure_is_hard():
     # a plane whose reduced basis rows become parallel mod 5 must raise,
     # not silently pass; it does not pass through ell, so it is certified
@@ -503,6 +536,13 @@ def test_collinearity_examples():
     w = collinearity_scan(parse_bivector("e1^e4"))
     assert w is not None and w.param == "all"
     assert primitive_int_covector(w.common_vector) == (1, 0, 0, 0, 0)
+
+
+def test_collinearity_refuses_a_witness_without_a_common_vector(monkeypatch):
+    # an empty kernel for the stacked columns of W_b, e1 and the pencil vector
+    monkeypatch.setattr(plucker, "kernel_basis", lambda rows, n: [])
+    with pytest.raises(AssertionError, match="^witness parameter without a common vector$"):
+        collinearity_scan(parse_bivector("e2^e4"))
 
 
 def test_no_witness_means_no_extra_line_through_b():

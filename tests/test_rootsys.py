@@ -29,6 +29,7 @@ from delpair.rootsys import (
 )
 from delpair.chevalley import build_table
 from delpair.labs import reflection_failures
+from delpair.report import MAX_RANK
 from oracles import (
     FractionRootSystem,
     closed_form_positive_count,
@@ -38,10 +39,12 @@ from oracles import (
     neg,
     plus,
     reflection_closure_positive_roots,
+    regex_parse_diagram,
     scaled_simple_reflect,
     shape_rule_components,
     support,
     symmetrized_form,
+    table_coroot,
     three_reflection_fails,
     times,
     tuple_root_strings,
@@ -285,8 +288,8 @@ def test_integer_kernel_matches_fraction_oracle(literal):
             assert type(value) is int or value.denominator != 1
     table = build_table(rs)
     for alpha in roots:
-        assert table.coroot_coefficients(alpha) == oracle.coroot_coefficients(alpha)
-        assert table.coroot_coefficients(neg(alpha)) == oracle.coroot_coefficients(neg(alpha))
+        assert table_coroot(table, alpha) == oracle.coroot_coefficients(alpha)
+        assert table_coroot(table, neg(alpha)) == oracle.coroot_coefficients(neg(alpha))
 
 
 def test_embedded_type_roots_match_root_strings_on_own_cartan(typed_diagrams):
@@ -584,6 +587,36 @@ def test_rank_1200_literal_classifies_without_recursion(letter):
     # recursion limit; the least isomorphism is still the literal's numbering
     assert parse_diagram(f"{letter}1200").components == (
         Component(letter, tuple(f"a{i}" for i in range(1, 1201))),)
+
+
+# Terms the regular expression refuses or reads differently from a naive
+# reader: non-ASCII digits, leading zeros, inner spaces, empty terms, lower
+# case, and ranks past the bounds of each letter.
+ODD_LITERALS = ("E\u0667", "A\u00b2", "A\u0661", "D\uff15", "A01", "E007+B02", "A 1", "A1+B 2",
+                "E 7", " A1 + A2 ", "A1\t+\tA2", "", " ", "+", "A1+", "+A1", "A1++A2", "a1",
+                "e7", "A1+g2", "A", "7", "AB1", "A1.0", "A-1", "A+1", "A0", "B1", "C1", "D2",
+                "E5", "E9", "F3", "F5", "G1", "G3", "E08", "H3")
+
+
+def _read_or_refuse(parse, literal):
+    """The diagram and its components, or the text of the DiagramError."""
+    try:
+        diagram = parse(literal)
+    except DiagramError as exc:
+        return str(exc)
+    return diagram, diagram.components
+
+
+def test_literal_parser_matches_the_regex_oracle():
+    literals = {spec.split(":")[0] for spec, _ in pairs.catalog_specs(MAX_RANK)}
+    literals |= {pair.sub.diagram.literal() for pair in pairs.catalog(MAX_RANK)}
+    literals |= {"A1+A2", "B3+G2", "E7+A2"}
+    for literal in sorted(literals) + list(ODD_LITERALS):
+        assert _read_or_refuse(parse_diagram, literal) == \
+            _read_or_refuse(regex_parse_diagram, literal), literal
+    refused = [lit for lit in ODD_LITERALS if isinstance(_read_or_refuse(parse_diagram, lit), str)]
+    # all but A01, E007+B02, E08 and the two sums with spaces or tabs around +
+    assert len(refused) == len(ODD_LITERALS) - 5
 
 
 @pytest.mark.parametrize("nodes, edges", [

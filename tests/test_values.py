@@ -2,12 +2,21 @@
 
 The caches key on equal values, not on identity: a value class whose
 ``__eq__`` or ``__hash__`` went wrong would keep every bundle the same and
-silently rebuild each root system and deletion per call.
+silently rebuild each root system and deletion per call.  The read-only
+records share ``Frozen``'s ``__init__``, which takes each field once,
+positionally or by name.
 """
 import pytest
 
 from delpair import pairs
-from delpair.pairs import DeletionPair
+from delpair.normalbundle import levi_components
+from delpair.pairs import DeletionPair, MaximalityVerdict
+from delpair.projgeo.plucker import (
+    collinearity_scan,
+    dee_exhaustive_survey,
+    parse_bivector,
+    plane_section,
+)
 from delpair.projgeo.segre import SegreLine, segre_point
 from delpair.report import PASS, CheckReport, RunConfig
 from delpair.rootsys import (
@@ -17,6 +26,7 @@ from delpair.rootsys import (
     parse_diagram,
     parse_marked,
 )
+from delpair.sff import KernelReport, SFFContext
 
 # Per value class, a builder of fresh equal instances and one of its fields.
 VALUES = {
@@ -27,6 +37,16 @@ VALUES = {
     "RunConfig": (lambda: RunConfig(max_rank=9, primes_plucker=(3,)), "max_rank"),
     "SegreLine": (lambda: SegreLine(segre_point((1, 0), (1, 0, 0), 3),
                                     segre_point((1, 0), (0, 1, 0), 3), 3), "q"),
+    "MaximalityVerdict": (lambda: MaximalityVerdict(
+        False, (DeletionPair(parse_marked("D6:a1"), "a4"),)), "witnesses"),
+    "SFFContext": (lambda: SFFContext.for_pair(DeletionPair(parse_marked("D5:a5"), "a3")),
+                   "psi"),
+    "KernelReport": (lambda: KernelReport(frozenset({(0, 1, 1)}), strict=True), "strict"),
+    "NormalDecomposition": (
+        lambda: levi_components(DeletionPair(parse_marked("E7:a7"), "a6")), "components"),
+    "SectionDescription": (lambda: plane_section(parse_bivector("e4^e5")), "lines"),
+    "CollinearityWitness": (lambda: collinearity_scan(parse_bivector("e2^e4")), "param"),
+    "SurveyReport": (lambda: dee_exhaustive_survey(3), "surveyed"),
 }
 
 
@@ -47,6 +67,24 @@ def test_equal_values_built_apart_are_equal_and_hash_equal(name):
     assert a is not b
     assert a == b and not a != b
     assert hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("args, kwargs, message", [
+    (("A",), {}, r"^Component\(\) missing field 'labels'$"),
+    (("A", ("a1",)), {"rank": 1}, r"^Component\(\) got an unexpected field 'rank'$"),
+    (("A", ("a1",)), {"letter": "B"}, r"^Component\(\) got multiple values for field 'letter'$"),
+    (("A", ("a1",), 1), {}, r"^Component\(\) takes 2 fields but 3 were given$"),
+])
+def test_a_record_refuses_a_missing_unknown_or_repeated_field(args, kwargs, message):
+    with pytest.raises(TypeError, match=message):
+        Component(*args, **kwargs)
+
+
+def test_a_record_takes_its_fields_positionally_or_by_name():
+    by_position = Component("A", ("a1", "a2"))
+    assert Component(labels=("a1", "a2"), letter="A") == by_position
+    assert Component("A", labels=("a1", "a2")) == by_position
+    assert (by_position.letter, by_position.labels) == ("A", ("a1", "a2"))
 
 
 def test_deletion_pair_equality_ignores_chain_and_sub():
