@@ -14,7 +14,7 @@ from operator import attrgetter
 
 
 class Frozen:
-    """An immutable value that compares, hashes and prints by its fields.
+    """An immutable value that compares and hashes by its fields.
 
     A subclass names its fields, two or more, in its class statement:
     ``class C(Frozen, fields=("a", "b"))``.  A value class writes its own
@@ -66,7 +66,3 @@ class Frozen:
 
     def __hash__(self) -> int:
         return hash(self._key(self))
-
-    def __repr__(self) -> str:
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__name__}({shown})"

@@ -81,9 +81,6 @@ class DeletionPair(Frozen, fields=("ambient", "gamma0")):
     def sub_rs(self) -> RootSystem:
         return self.sub.root_system()
 
-    def __repr__(self) -> str:
-        return f"DeletionPair({self.pair_id})"
-
 
 def catalog_specs(max_rank: int) -> list[tuple[str, str]]:
     """(marked ambient literal, gamma0) of every catalog pair, in catalog order.

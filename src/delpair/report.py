@@ -41,10 +41,6 @@ class CheckReport:
         self.witnesses = [] if witnesses is None else witnesses    # one list per report
         self.notes = notes
 
-    def __repr__(self) -> str:
-        shown = ", ".join(f"{k}={v!r}" for k, v in self.to_dict().items())
-        return f"CheckReport({shown})"
-
     def to_dict(self) -> dict:
         return {
             "check_id": self.check_id,

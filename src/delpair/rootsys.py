@@ -137,12 +137,6 @@ class DynkinDiagram(Frozen, fields=("nodes", "edges")):
             comps.append(_classify(sorted(block, key=self.index.__getitem__), self.adjacency))
         return tuple(comps)
 
-    def component_of(self, label: str) -> Component:
-        for comp in self.components:
-            if label in comp.labels:
-                return comp
-        raise DiagramError(f"no node {label!r}")
-
     def neighbors(self, label: str) -> tuple[str, ...]:
         return tuple(sorted(self.adjacency[label], key=self.index.__getitem__))
 
@@ -584,9 +578,6 @@ class RootSystem:
         i = self.diagram.index[node] if isinstance(node, str) else node
         return beta[:i] + (beta[i] - self.pairing_simple(beta, i),) + beta[i + 1:]
 
-    def __repr__(self) -> str:
-        return f"RootSystem({self.diagram.literal()}, {len(self.positive_roots)} positive roots)"
-
 
 @lru_cache(maxsize=None)
 def build_root_system(diagram: DynkinDiagram) -> RootSystem:
@@ -604,15 +595,11 @@ class MarkedDiagram(Frozen, fields=("diagram", "marked")):
     def __init__(self, diagram: DynkinDiagram, marked: frozenset[str]) -> None:
         object.__setattr__(self, "diagram", diagram)
         object.__setattr__(self, "marked", marked)
-        if diagram.is_empty:
-            if marked:
-                raise MarkError("empty diagram cannot carry marks")
-            return
-        if not marked:
-            raise MarkError("marked node set must be nonempty")
         unknown = marked - set(diagram.nodes)
         if unknown:
             raise MarkError(f"unknown marked nodes {sorted(unknown)}")
+        if not marked and not diagram.is_empty:
+            raise MarkError("marked node set must be nonempty")
         for comp in diagram.components:
             marks_here = marked & set(comp.labels)
             if len(marks_here) > 1:
@@ -719,15 +706,10 @@ def is_hyperquadric(md: MarkedDiagram) -> bool:
 
     Covers the usual rows (B_n, a1) and (D_n, a1) together with the triality
     images: every cominuscule mark of D4 gives the six-dimensional quadric,
-    and (A1, a1) is the conic.
+    and (A1, a1) is the conic.  ``md`` is irreducible: one component, one mark.
     """
-    if md.is_empty or len(md.marked) != 1:
-        return False
-    mark = md.single_mark
-    comp = md.diagram.component_of(mark)
-    if len(md.diagram.components) != 1:
-        return False
-    m = canonical_mark_position(comp, mark)
+    comp, = md.diagram.components
+    m = canonical_mark_position(comp, md.single_mark)
     if comp.letter == "B" and m == 1:
         return True
     if comp.letter == "D" and (m == 1 or comp.rank == 4):

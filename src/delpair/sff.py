@@ -113,14 +113,12 @@ def verify_infinity_locus(pair: DeletionPair) -> CheckReport:
     gamma0_amb = ars.simple_root(pair.gamma0)
     sub_diag = pair.sub.diagram
     theta_idx = {sub_diag.index[n] for n in sub_diag.neighbors(pair.gamma0)}
-    gamma0_idx = sub_diag.index[pair.gamma0]
 
     failures: list[dict] = []
 
     def shape(beta: tuple[int, ...], expected_theta_total: int) -> bool:
-        """beta = gamma0 + k*theta + Sigma with the stated neighbor total."""
-        if beta[gamma0_idx] != 1:
-            return False
+        """beta = gamma0 + k*theta + Sigma with the stated neighbor total; every
+        root of nc0 has coefficient 1 at gamma0, the sub's one mark."""
         return sum(beta[i] for i in theta_idx) == expected_theta_total
 
     nc0 = hss.noncompact_positive_roots(pair.sub)

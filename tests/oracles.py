@@ -1395,12 +1395,6 @@ def generator_jacobi_triples(seed: int, literal: str, dimension: int) -> list:
 
 
 def decomposability_bivectors(seed: int, field_name: str) -> list:
-    """The property suite's 500 bivectors for one field name, zero replaced by e1^e2."""
+    """The property suite's 500 bivectors for one field name."""
     rng = random.Random((seed, field_name).__repr__())
-    out = []
-    for _ in range(500):
-        coords = [rng.randrange(-4, 5) for _ in range(10)]
-        if all(c == 0 for c in coords):
-            coords[0] = 1
-        out.append(tuple(coords))
-    return out
+    return [tuple(rng.randrange(-4, 5) for _ in range(10)) for _ in range(500)]

@@ -85,6 +85,7 @@ def test_vmrt_diagram_examples(literal, expected):
 
 def test_vmrt_of_line_is_empty():
     assert vmrt_diagram(parse_marked("A1:a1")).is_empty
+    assert space_name(vmrt_diagram(parse_marked("A1:a1"))) == "pt"
 
 
 def test_vmrt_refuses_a_mark_whose_removal_strands_a_component():

@@ -32,6 +32,7 @@ from delpair.projgeo.plucker import (
     grassmannian_membership,
     parse_bivector,
     plane_section,
+    plane_spanned_by,
     plucker_quadrics,
     q_orbit_membership,
     wedge,
@@ -139,6 +140,15 @@ def test_decomposability_iff_rank_two_seeded():
         else:                                               # over F5
             decomposable = on_grassmannian_mod(coords, 5)
             assert decomposable == (len(rref_mod(alternating_matrix(coords), 5)) <= 2)
+
+
+def test_the_zero_bivector_is_decomposable_of_rank_0_and_spans_no_plane():
+    # so the property suite tests a drawn zero bivector as it is: it cannot mismatch
+    zero = (0,) * 10
+    assert grassmannian_membership(zero) and not any(q % 5 for q in plucker_quadrics(zero))
+    assert alternating_rank(zero) == alternating_rank(zero, 5) == 0
+    with pytest.raises(ValueError, match="^decomposable bivector of unexpected rank$"):
+        plane_spanned_by(zero)
 
 
 def test_integer_bivectors_decide_like_rational_ones():
@@ -683,7 +693,6 @@ def test_qorbit_invariance_under_seeded_group_elements():
             continue
         done += 1
         for omega in samples:
-            from delpair.projgeo.plucker import plane_spanned_by
             u, v = plane_spanned_by(omega)
             gu = [sum(u[i] * rows[i][c] for i in range(5)) for c in range(5)]
             gv = [sum(v[i] * rows[i][c] for i in range(5)) for c in range(5)]

@@ -198,6 +198,37 @@ def test_a_section_that_is_exactly_line_plus_point_fails(monkeypatch):
     assert [row["check"] for row in report.witnesses[1:]] == ["a-witness", "a-exact-section"]
 
 
+def test_a_segre_map_that_joins_two_points_fails_the_point_count(monkeypatch):
+    # the image of (a, b) with a and b the largest points of their factors
+    # taken for that of (min a, b): 51 Segre points at F3, not 4 * 13, and no
+    # generator then acts on the image as on the factors
+    p1, p2 = list(projective_points(3, 2)), list(projective_points(3, 3))
+    point = segre.segre_point
+    monkeypatch.setattr(segre, "segre_point", lambda a, b, q: point(
+        min(p1) if (a, b) == (max(p1), max(p2)) else a, b, q))
+    report = segre_fitting_report(3)
+    assert report.status == "fail"
+    assert report.witnesses[1] == {"check": "point-count", "got": 51, "expected": 52}
+    assert {row["check"] for row in report.witnesses[2:]} == {"generator"}
+
+
+def test_a_b_section_with_one_point_too_many_fails(monkeypatch):
+    # a negative control for (b): each section gains P0 + P2, a point of its
+    # plane off the variety; (a), whose section holds more than the line and
+    # the point, still passes
+    section_with = segre.SegreLine.section_with
+
+    def one_too_many(self, P2):
+        return section_with(self, P2) | {canonical_mod([u + w for u, w in zip(self.P0, P2)],
+                                                       self.q)}
+
+    monkeypatch.setattr(segre.SegreLine, "section_with", one_too_many)
+    report = segre_fitting_report(3)
+    assert report.status == "fail"
+    assert report.witnesses[1:] == [{"check": "b-section", "x": (0, 1), "L": (0, 0, 1),
+                                     "point": ((1, 0), (0, 0, 1))}]
+
+
 def a_configs(q: int):
     """(P0, P1, P2): two points of each (1,0)-line x {y} and each (a, b), b != y."""
     p1 = list(projective_points(q, 2))

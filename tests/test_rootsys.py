@@ -242,7 +242,8 @@ def test_roots_reachable_by_simple_steps():
 
 def node_scales(diagram: DynkinDiagram) -> list[int]:
     """Per node, the scale t of its component."""
-    return [FORM_SCALES[diagram.component_of(a).letter] for a in diagram.nodes]
+    scale = {a: FORM_SCALES[comp.letter] for comp in diagram.components for a in comp.labels}
+    return [scale[a] for a in diagram.nodes]
 
 
 def assert_form_is_scaled_symmetrized_form(diagram: DynkinDiagram) -> None:
@@ -408,6 +409,13 @@ def test_one_mark_per_component():
     assert md.marked == frozenset({"a1", "a3"})
 
 
+def test_an_empty_diagram_takes_no_marks():
+    empty = DynkinDiagram((), frozenset())
+    assert MarkedDiagram(empty, frozenset()).is_empty
+    with pytest.raises(MarkError, match=r"^unknown marked nodes \['a1'\]$"):
+        MarkedDiagram(empty, frozenset({"a1"}))
+
+
 def test_delete_chain_table_rows():
     chain, sub = delete_chain(parse_marked("B4:a1"), "a2")
     assert chain == ("a1", "a2")
@@ -449,6 +457,7 @@ def test_space_names_and_descriptors():
     assert space_name(parse_marked("A4:a3")) == "G(2,3)"
     assert space_name(parse_marked("D5:a4")) == "G^II(5,5)"
     assert space_name(parse_marked("A1+A2:a1,a3")) == "P^1 x P^2"
+    assert space_name(parse_marked("C3:a3")) == "G^III(3,3)"     # Lagrangian Grassmannian
     assert descriptor(parse_marked("A4:a3")) == (("A", 4, 2),)
     assert canonical_mark_position(
         parse_diagram("D6").components[0], "a5") == 6
@@ -459,6 +468,7 @@ def test_hyperquadric_recognition():
     assert is_hyperquadric(parse_marked("D5:a1"))
     assert is_hyperquadric(parse_marked("D4:a4"))      # triality
     assert is_hyperquadric(parse_marked("A3:a2"))      # G(2,2) = Q^4
+    assert is_hyperquadric(parse_marked("A1:a1"))      # the conic
     assert not is_hyperquadric(parse_marked("D5:a5"))
     assert not is_hyperquadric(parse_marked("E7:a7"))
 

@@ -9,6 +9,7 @@ positionally or by name.
 import pytest
 
 from delpair import pairs
+from delpair.frozen import Frozen
 from delpair.normalbundle import levi_components
 from delpair.pairs import DeletionPair, MaximalityVerdict
 from delpair.projgeo.plucker import (
@@ -78,6 +79,18 @@ def test_equal_values_built_apart_are_equal_and_hash_equal(name):
 def test_a_record_refuses_a_missing_unknown_or_repeated_field(args, kwargs, message):
     with pytest.raises(TypeError, match=message):
         Component(*args, **kwargs)
+
+
+def test_a_value_is_unequal_to_a_value_of_another_class():
+    # the same field values in another Frozen class: __eq__ declines it both ways
+
+    class Twin(Frozen, fields=("letter", "labels")):
+        pass
+
+    component, twin = Component("A", ("a1", "a2")), Twin("A", ("a1", "a2"))
+    assert component.__eq__(twin) is NotImplemented
+    assert component != twin and twin != component
+    assert hash(component) == hash(twin)
 
 
 def test_a_record_takes_its_fields_positionally_or_by_name():
