@@ -40,7 +40,7 @@ from __future__ import annotations
 import operator
 from functools import lru_cache
 
-from .rootsys import RootSystem, add, packing
+from .rootsys import RootSystem, packing
 
 BasisTerms = tuple[tuple[int, int], ...]   # ((basis index, coefficient), ...)
 
@@ -52,11 +52,10 @@ class ChevalleyTable:
     each mixed-sign constant N_{mu,-nu} and each extraspecial pair is derived
     the first time the recursion asks for it and then memoized by basis
     index, so a table costs only the constants its callers read.
-    ``constant`` is the checked entry point on root tuples and maps onto
-    that index kernel; ``jacobi_failures`` memoizes the basis brackets it reads
-    for one call only.  The recursion behind a constant terminates because
-    every Jacobi step moves to pairs whose sum has lower height, or to an
-    extraspecial pair.
+    ``basis_bracket`` reads that index kernel; ``jacobi_failures`` memoizes
+    the basis brackets it reads for one call only.  The recursion behind a
+    constant terminates because every Jacobi step moves to pairs whose sum
+    has lower height, or to an extraspecial pair.
     """
 
     def __init__(self, rs: RootSystem):
@@ -66,11 +65,11 @@ class ChevalleyTable:
         # the roots of the basis root vectors: sorted positives, then their
         # negatives; index len(basis_roots) + i is the simple coroot h_i
         self.basis_roots = tuple(positives) + tuple(tuple(-c for c in r) for r in positives)
-        self._packing = packing(rs.diagram.rank)
-        self._packed = list(map(self._packing.pack, self.basis_roots))
-        self._zero = self._packing.zero
+        pk = packing(rs.diagram.rank)
+        self._packed = list(map(pk.pack, self.basis_roots))
+        self._zero = pk.zero
         self._index = {key: k for k, key in enumerate(self._packed)}
-        norms = [rs.scaled_norm(r) for r in positives]
+        norms = [rs.inner(r, r) for r in positives]
         self._norm = norms + norms
         self._pos: dict[int, int] = {}     # xi * n + eta -> N_{xi,eta}
         self._mix: dict[int, int] = {}     # mu * n + nu -> N_{mu,-nu}
@@ -170,18 +169,6 @@ class ChevalleyTable:
                                      f"({self.basis_roots[mu]}, {self.basis_roots[negnu]})")
             self._mix[key] = value
         return value
-
-    # -- queries --------------------------------------------------------------
-
-    def constant(self, a: tuple[int, ...], b: tuple[int, ...]) -> int:
-        """N_{a,b}; only defined when a, b and a + b are all roots."""
-        is_root = self.rs.is_root
-        if not is_root(add(a, b)):
-            raise ValueError(f"{a} + {b} is not a root")
-        if not (is_root(a) and is_root(b)):
-            raise ValueError(f"{a} or {b} is not a root")
-        pack = self._packing.pack
-        return self._signed(self._index[pack(a)], self._index[pack(b)])
 
     def _coroot(self, coeffs: tuple[int, ...], norm: int) -> tuple[int, ...]:
         """The coefficient at i is k_i B(alpha_i, alpha_i) / B(alpha, alpha)."""

@@ -29,11 +29,9 @@ def normal_weights(pair: DeletionPair) -> frozenset[tuple[int, ...]]:
     return hss.noncompact_positive_roots(pair.ambient) - pair.correspondence.noncompact_image
 
 
-class NormalDecomposition(Frozen, fields=("normal_weights", "components",
-                                          "singleton_component", "highest_weights")):
+class NormalDecomposition(Frozen, fields=("normal_weights", "components", "highest_weights")):
     """The normal weights, their Levi components as frozensets of weights,
-    the weight of the one singleton component (or None), and the highest
-    weight of each component, in the order of ``components``."""
+    and the highest weight of each component, in the order of ``components``."""
 
 
 def levi_components(pair: DeletionPair) -> NormalDecomposition:
@@ -70,9 +68,7 @@ def levi_components(pair: DeletionPair) -> NormalDecomposition:
         maximal = [root_of[w] for w in block if all(w + s not in block for s in moves)]
         highest.append(max(maximal, key=lambda r: (sum(r), r)))
     components = tuple(frozenset(map(root_of.__getitem__, block)) for block in blocks)
-    singletons = [next(iter(c)) for c in components if len(c) == 1]
-    singleton = singletons[0] if len(singletons) == 1 else None
-    return NormalDecomposition(weights, components, singleton, tuple(highest))
+    return NormalDecomposition(weights, components, tuple(highest))
 
 
 def summands_distinct(pair: DeletionPair) -> CheckReport:

@@ -18,7 +18,6 @@ from .rootsys import (
     MarkedDiagram,
     RootSystem,
     add,
-    cartan_ratio,
     delete_chain,
     parse_marked,
     space_name,
@@ -147,18 +146,6 @@ class RootCorrespondence(Frozen, fields=("pair", "on_simple")):
         return tuple(image)
 
     @cached_property
-    def gram(self) -> tuple[tuple[int, ...], ...]:
-        """B(Phi alpha_i, Phi alpha_j) under the ambient integer form B, in sub node order."""
-        form = self.pair.ambient_rs().form
-        columns = self._columns
-        return tuple(tuple(sum(a * b * form[k][l] for k, a in ci for l, b in cj)
-                           for cj in columns) for ci in columns)
-
-    def pairing(self, i: int, j: int) -> "int | Fraction":
-        """<Phi alpha_i, Phi alpha_j> = 2 B_ij / B_jj, read from the Gram matrix."""
-        return cartan_ratio(self.gram[i][j], self.gram[j][j])
-
-    @cached_property
     def on_noncompact(self) -> dict[tuple[int, ...], tuple[int, ...]]:
         """Phi of each noncompact positive root of the sub-diagram."""
         return {b: self.apply(b) for b in hss.noncompact_positive_roots(self.pair.sub)}
@@ -188,14 +175,17 @@ def root_correspondence(pair: DeletionPair) -> RootCorrespondence:
     for label, image in table.items():
         if not ars.is_root(image):
             raise CorrespondenceError(f"Phi({label}) = {image} is not an ambient root")
+    # <Phi a_i, Phi a_j> = C_ji, read as 2 B(Phi a_i, Phi a_j) = C_ji B(Phi a_j, Phi a_j):
+    # the same claim, as Phi a_j is a root and so B(Phi a_j, Phi a_j) > 0
     cartan = sub_diag.cartan_matrix           # cartan[j][i] = <alpha_i, alpha_j>
+    norm = {label: ars.inner(image, image) for label, image in table.items()}
     for i, la in enumerate(sub_diag.nodes):
         for j, lb in enumerate(sub_diag.nodes):
-            want = cartan[j][i]
-            got = corr.pairing(i, j)
-            if want != got:
+            want, got = cartan[j][i] * norm[lb], 2 * ars.inner(table[la], table[lb])
+            if got != want:
                 raise CorrespondenceError(
-                    f"pairing mismatch at ({la}, {lb}): <Phi,Phi> = {got}, expected {want}"
+                    f"pairing mismatch at ({la}, {lb}): 2B(Phi {la}, Phi {lb}) = {got}, "
+                    f"expected {cartan[j][i]} B(Phi {lb}, Phi {lb}) = {want}"
                 )
     nc0 = hss.noncompact_positive_roots(pair.sub)
     nc = hss.noncompact_positive_roots(pair.ambient)

@@ -6,10 +6,9 @@ hash as Python's own, and ``add`` and ``sub`` do the lattice arithmetic,
 since ``+`` on tuples concatenates.  All root arithmetic uses the
 integer Gram matrix B_ij = r_i C_ij, with r_i the relative squared length of
 simple root i (shortest 1 in its component), so inner products and squared
-norms are plain ints, each component's scaled by its own factor; only a
-non-integral pairing returns a Fraction.  Every ratio read from B (a
-pairing, a length ratio, a coroot) stays inside one component.  Node
-labels follow Bourbaki numbering ("a1", "a2", ...), global across the
+norms are plain ints, each component's scaled by its own factor.  Every
+ratio read from B (a length ratio, a coroot) stays inside one component.
+Node labels follow Bourbaki numbering ("a1", "a2", ...), global across the
 components of a product diagram.
 
 A connected component has type X_n exactly when it is isomorphic, bond
@@ -33,7 +32,9 @@ search; ``_generate`` refuses a coefficient past ``PACK_BOUND``, so no sum
 or difference of two roots carries or borrows.
 
 The Cartan pairing convention is <b, g> = 2(b, g)/(g, g), i.e. the second
-slot carries the normalization; the scale of B cancels in that ratio.
+slot carries the normalization.  No pairing is divided out: <b, alpha_i> is
+a Cartan-row sum, ``pairing_simple``, and a claim <b, g> = k is read as the
+integer identity 2 B(b, g) = k B(g, g), in which the scale of B cancels.
 """
 from __future__ import annotations
 
@@ -513,17 +514,8 @@ def sub(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(map(operator.sub, a, b))
 
 
-def cartan_ratio(b_ij: int, b_jj: int) -> "int | Fraction":
-    """The Cartan ratio 2 b_ij / b_jj of two form values, an int when exact."""
-    q, rem = divmod(2 * b_ij, b_jj)
-    if not rem:
-        return q
-    from fractions import Fraction      # here, not at the top: only this branch needs it
-    return Fraction(2 * b_ij, b_jj)
-
-
 class RootSystem:
-    """The full positive system over a diagram, with exact integer pairings."""
+    """The full positive system over a diagram, with its integer form."""
 
     def __init__(self, diagram: DynkinDiagram):
         self.diagram = diagram
@@ -552,17 +544,10 @@ class RootSystem:
                 sum(map(operator.mul, row, gamma)) for row in self.form)
         return column
 
-    def scaled_norm(self, r: tuple[int, ...]) -> int:
-        """B(r, r) = t (r, r), an integer, t the scale of r's component."""
-        return sum(map(operator.mul, r, self._form_column(r)))
-
-    def pairing(self, beta: tuple[int, ...], gamma: tuple[int, ...]) -> "int | Fraction":
-        """Cartan pairing <beta, gamma> = 2(beta, gamma)/(gamma, gamma)."""
-        if not any(gamma):
-            raise ValueError("pairing against the zero vector")
-        column = self._form_column(gamma)
-        return cartan_ratio(sum(map(operator.mul, beta, column)),
-                            sum(map(operator.mul, gamma, column)))
+    def inner(self, beta: tuple[int, ...], gamma: tuple[int, ...]) -> int:
+        """B(beta, gamma), an integer; B(r, r) = t (r, r) for a root r, t the
+        scale of r's component."""
+        return sum(map(operator.mul, beta, self._form_column(gamma)))
 
     # -- membership and reflections -----------------------------------------
 

@@ -121,9 +121,13 @@ def verify_infinity_locus(pair: DeletionPair) -> CheckReport:
         root of nc0 has coefficient 1 at gamma0, the sub's one mark."""
         return sum(beta[i] for i in theta_idx) == expected_theta_total
 
+    # <beta, gamma0> and <b, gamma> are Cartan-row sums, and <gamma, r> = 1 is
+    # the integer identity 2 B(gamma, r) = B(r, r)
+    gamma0_idx = sub_diag.index[pair.gamma0]
+    gamma_idx = ars.diagram.index[pair.gamma]
     nc0 = hss.noncompact_positive_roots(pair.sub)
     for beta in sorted(nc0):
-        pr = srs.pairing(beta, gamma0_sub)
+        pr = srs.pairing_simple(beta, gamma0_idx)
         image = corr.on_noncompact[beta]
         reflected = ars.reflect(pair.gamma0, image)
         if beta == gamma0_sub:
@@ -138,7 +142,7 @@ def verify_infinity_locus(pair: DeletionPair) -> CheckReport:
                 failures.append({"check": "b-shape", "beta": list(beta)})
             if reflected != sub(image, gamma0_amb):
                 failures.append({"check": "b-drop", "beta": list(beta)})
-            if ars.pairing(gamma, reflected) != 1:
+            if 2 * ars.inner(gamma, reflected) != ars.inner(reflected, reflected):
                 failures.append({"check": "b-pairing", "beta": list(beta)})
         else:
             failures.append({"check": "pairing-range", "beta": list(beta),
@@ -148,7 +152,7 @@ def verify_infinity_locus(pair: DeletionPair) -> CheckReport:
 
     lhs = frozenset(ars.reflect(pair.gamma0, image) for image in corr.noncompact_image)
     nc = hss.noncompact_positive_roots(pair.ambient)
-    rhs = frozenset(b for b in nc if ars.pairing(b, gamma) == 1)
+    rhs = frozenset(b for b in nc if ars.pairing_simple(b, gamma_idx) == 1)
     if lhs != rhs:
         failures.append({
             "check": "d",

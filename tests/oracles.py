@@ -55,7 +55,11 @@ coordinate looked up by its pair (i, j) instead of written out, and the
 seeded samples drawn as the suite first drew them.  The rank of an alternating matrix comes from
 one general fraction-free elimination, over Q or mod p and with an early
 stop, instead of ``alternating_rank``'s elimination from a bivector's ten
-coordinates.
+coordinates.  Two readers that only the tests use live here as well: the
+rational Cartan pairing 2 B(beta, gamma) / B(gamma, gamma), which the library
+reads only as a Cartan-row sum or an integer identity on its form B, and a
+structure constant N_{a,b} on two root tuples, read off the table's basis
+bracket.
 """
 from __future__ import annotations
 
@@ -125,6 +129,16 @@ def unit(i: int, n: int) -> Vec:
 
 def support(r: Vec) -> tuple[int, ...]:
     return tuple(i for i, a in enumerate(r) if a)
+
+
+def form_pairing(rs: RootSystem, beta: Vec, gamma: Vec) -> "int | Fraction":
+    """<beta, gamma> = 2 B(beta, gamma) / B(gamma, gamma) on the integer form,
+    an int when exact."""
+    if not any(gamma):
+        raise ValueError("pairing against the zero vector")
+    value = Fraction(2 * rs.inner(beta, gamma), rs.inner(gamma, gamma))
+    return value.numerator if value.denominator == 1 else value
+
 
 COUNT_FORMULAS = {
     "A": lambda n: n * (n + 1) // 2,
@@ -721,6 +735,24 @@ def table_coroot(table: ChevalleyTable, alpha: Vec) -> tuple[int, ...]:
     return tuple(terms.get(i, 0) for i in range(m, table.dimension))
 
 
+@functools.lru_cache(maxsize=None)
+def _basis_index(table: ChevalleyTable) -> dict[Vec, int]:
+    return {r: k for k, r in enumerate(table.basis_roots)}
+
+
+def table_constant(table: ChevalleyTable, a: Vec, b: Vec) -> int:
+    """N_{a,b}, as the table writes [X_a, X_b] = N_{a,b} X_{a+b}; only defined
+    when a, b and a + b are all roots."""
+    index = _basis_index(table)
+    if plus(a, b) not in index:
+        raise ValueError(f"{a} + {b} is not a root")
+    if a not in index or b not in index:
+        raise ValueError(f"{a} or {b} is not a root")
+    (k, n), = table.basis_bracket(index[a], index[b])
+    assert table.basis_roots[k] == plus(a, b)
+    return n
+
+
 def bracket(x: LieElement, y: LieElement, table: ChevalleyTable) -> LieElement:
     """Lie bracket of two elements in the Chevalley basis, term by term."""
     rs = table.rs
@@ -743,7 +775,7 @@ def bracket(x: LieElement, y: LieElement, table: ChevalleyTable) -> LieElement:
                 a, b = kx[1], ky[1]
                 s = plus(a, b)
                 if rs.is_root(s):
-                    acc(("e", s), c * table.constant(a, b))
+                    acc(("e", s), c * table_constant(table, a, b))
                 elif not any(s):
                     for i, hc in enumerate(table_coroot(table, a)):
                         acc(("h", i), c * hc)
@@ -1312,7 +1344,8 @@ class RootKeyedChevalleyTable:
     def _mixed(self, mu: Vec, negnu: Vec) -> int:
         nu = neg(negnu)
         rho = minus(mu, nu)
-        norm = self.rs.scaled_norm
+        def norm(r: Vec) -> int:
+            return self.rs.inner(r, r)
         if rho in self.rs.positive_roots:
             value, rem = divmod(-norm(rho) * self._positive(nu, rho), norm(mu))
         else:
@@ -1330,7 +1363,7 @@ class RootKeyedChevalleyTable:
         return self._signed_pair(a, b)
 
     def coroot_coefficients(self, alpha: Vec) -> tuple[int, ...]:
-        norm = self.rs.scaled_norm(alpha)
+        norm = self.rs.inner(alpha, alpha)
         form = self.rs.form
         out = []
         for i, k in enumerate(alpha):

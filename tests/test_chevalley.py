@@ -14,6 +14,7 @@ from oracles import (
     neg,
     plus,
     string_p,
+    table_constant,
     times,
 )
 
@@ -35,16 +36,16 @@ def summing_pairs(rs):
 def test_constants_satisfy_p_plus_one(literal):
     tab = table(literal)
     for a, b in summing_pairs(tab.rs):
-        assert abs(tab.constant(a, b)) == string_p(tab.rs, a, b) + 1
+        assert abs(table_constant(tab, a, b)) == string_p(tab.rs, a, b) + 1
 
 
 @pytest.mark.parametrize("literal", SYSTEMS)
 def test_antisymmetry_and_negation_rule(literal):
     tab = table(literal)
     for a, b in summing_pairs(tab.rs):
-        n = tab.constant(a, b)
-        assert tab.constant(b, a) == -n
-        assert tab.constant(neg(a), neg(b)) == -n
+        n = table_constant(tab, a, b)
+        assert table_constant(tab, b, a) == -n
+        assert table_constant(tab, neg(a), neg(b)) == -n
 
 
 @pytest.mark.parametrize("literal", SYSTEMS + ["A1+A2", "B3+G2"])
@@ -52,7 +53,7 @@ def test_constants_match_the_eager_sweep(literal):
     tab = table(literal)
     eager = eager_structure_constants(tab.rs)
     assert list(eager) == summing_pairs(tab.rs)
-    assert all(tab.constant(a, b) == n for (a, b), n in eager.items())
+    assert all(table_constant(tab, a, b) == n for (a, b), n in eager.items())
 
 
 @pytest.mark.parametrize("literal", ["B4", "F4", "G2", "E7"])
@@ -62,24 +63,24 @@ def test_query_order_does_not_change_constants(literal):
     shuffled = pairs[:]
     random.Random(f"order-{literal}").shuffle(shuffled)
     first, second = ChevalleyTable(rs), ChevalleyTable(rs)
-    by_shuffled = {(a, b): first.constant(a, b) for a, b in shuffled}
-    assert by_shuffled == {(a, b): second.constant(a, b) for a, b in pairs}
+    by_shuffled = {(a, b): table_constant(first, a, b) for a, b in shuffled}
+    assert by_shuffled == {(a, b): table_constant(second, a, b) for a, b in pairs}
 
 
 def test_constant_refuses_pairs_outside_the_table():
     tab = table("B2")
     a1 = (1, 0)
     with pytest.raises(ValueError, match=r"^\(1, 0\) \+ \(-1, 0\) is not a root$"):
-        tab.constant(a1, neg(a1))                # a + b = 0
+        table_constant(tab, a1, neg(a1))            # a + b = 0
     with pytest.raises(ValueError, match="not a root"):
-        tab.constant(a1, a1)                     # a + b = 2 a1 is not a root
+        table_constant(tab, a1, a1)                 # a + b = 2 a1 is not a root
     with pytest.raises(ValueError, match=r"^\(2, 0\) or \(-1, 0\) is not a root$"):
-        tab.constant(times(2, a1), neg(a1))      # a is not a root, a + b = a1 is
+        table_constant(tab, times(2, a1), neg(a1))  # a is not a root, a + b = a1 is
 
 
 def test_a2_constant_is_unit():
     tab = table("A2")
-    assert abs(tab.constant((1, 0), (0, 1))) == 1
+    assert abs(table_constant(tab, (1, 0), (0, 1))) == 1
 
 
 def test_b2_constant_is_two():
@@ -88,13 +89,13 @@ def test_b2_constant_is_two():
     rs = tab.rs
     assert rs.is_root(minus((1, 1), (0, 1)))
     assert not rs.is_root(minus((1, 1), (0, 2)))
-    assert abs(tab.constant((0, 1), (1, 1))) == 2
+    assert abs(table_constant(tab, (0, 1), (1, 1))) == 2
 
 
 @pytest.mark.parametrize("literal", ["A4", "D5", "E6", "E7"])
 def test_simply_laced_constants_are_units(literal):
     tab = table(literal)
-    assert all(abs(tab.constant(a, b)) == 1 for a, b in summing_pairs(tab.rs))
+    assert all(abs(table_constant(tab, a, b)) == 1 for a, b in summing_pairs(tab.rs))
 
 
 def test_e7_triple_bracket_lands_on_the_sum():
@@ -223,7 +224,7 @@ def test_extraspecial_seed_signs_are_positive():
         if sum(rho) == 1:
             continue
         first = min(a for a in positives if a < minus(rho, a) and minus(rho, a) in pos_set)
-        assert tab.constant(first, minus(rho, first)) > 0
+        assert table_constant(tab, first, minus(rho, first)) > 0
 
 
 # Each internal assertion of the recursion, seen to fire on one fresh table
@@ -240,7 +241,7 @@ def test_a_root_without_positive_summands_has_no_extraspecial_pair():
     n, true_sum = tab._n, tab._sum
     tab._sum = lambda i, j: None if j >= n else true_sum(i, j)
     with pytest.raises(AssertionError, match=r"^no decomposition of \(1, 1\) into positives$"):
-        tab.constant((1, 0), (0, 1))
+        table_constant(tab, (1, 0), (0, 1))
 
 
 def test_a_jacobi_identity_with_no_term_to_solve_from_fails():
@@ -252,7 +253,7 @@ def test_a_jacobi_identity_with_no_term_to_solve_from_fails():
     tab._sum = lambda i, j: None if (i, j) == hidden else true_sum(i, j)
     with pytest.raises(AssertionError,
                        match=r"^Jacobi reduction failed on \(\(0, 1, 1\), \(1, 0, 0\)\)$"):
-        tab.constant((0, 1, 1), (1, 0, 0))
+        table_constant(tab, (0, 1, 1), (1, 0, 0))
 
 
 def test_a_length_ratio_that_is_no_integer_fails():
@@ -261,7 +262,7 @@ def test_a_length_ratio_that_is_no_integer_fails():
     tab._norm[tab.basis_roots.index((1, 1))] = 3
     with pytest.raises(AssertionError,
                        match=r"^non-integral mixed constant for \(\(1, 1\), \(0, -1\)\)$"):
-        tab.constant((1, 1), (0, -1))
+        table_constant(tab, (1, 1), (0, -1))
 
 
 @pytest.mark.parametrize("literal", ["A4", "B4", "C4", "D5", "E6", "E7", "E8", "F4", "G2"])

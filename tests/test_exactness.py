@@ -1,10 +1,12 @@
-"""The exactness scan: delpair computes on ints and Fractions only.
+"""The exactness scan: delpair computes on ints, and on Fractions only in
+``projgeo``.
 
 An ``ast`` scan of every module under ``src/delpair`` refuses a float
 literal, a call to ``float`` or ``round``, a ``math`` name other than
 ``gcd``, an import of ``time``, an import of ``random`` outside
-``labs``, which draws the seeded samples of the property suite, and a bare
-``assert`` statement, which ``python -O`` strips: a check raises
+``labs``, which draws the seeded samples of the property suite, an import
+of ``fractions`` outside ``projgeo/``, whose rational sections need it, and
+a bare ``assert`` statement, which ``python -O`` strips: a check raises
 ``AssertionError`` explicitly, so it runs under every interpreter flag.
 """
 import ast
@@ -36,7 +38,8 @@ def inexact(source: str, module: str) -> list[str]:
             imported = [(node.module.split(".")[0], alias.name) for alias in node.names]
         for top, name in imported:
             if (top == "math" and name != "gcd" or top == "time"
-                    or top == "random" and module != "labs.py"):
+                    or top == "random" and module != "labs.py"
+                    or top == "fractions" and not module.startswith("projgeo/")):
                 found.append(f"{where}: import of {top}{'.' + name if name else ''}")
     return found
 
@@ -61,6 +64,7 @@ def test_src_computes_exactly():
     ("from time import perf_counter", "cli.py"),
     ("import random", "projgeo/segre.py"),
     ("from random import Random", "checks.py"),
+    ("from fractions import Fraction", "rootsys.py"),
     ("assert len(roots) == 36, roots", "rootsys.py"),
 ])
 def test_scan_refuses_each_inexact_construct(source, module):
@@ -72,6 +76,7 @@ def test_scan_refuses_each_inexact_construct(source, module):
     ("import random", "labs.py"),
     ("from .linalg import rref", "projgeo/plucker.py"),
     ("x = Fraction(1, 2) + 3", "projgeo/linalg.py"),
+    ("from fractions import Fraction", "projgeo/linalg.py"),
     ("raise AssertionError('a check that -O keeps')", "sff.py"),
 ])
 def test_scan_allows_exact_constructs(source, module):

@@ -17,7 +17,14 @@ from delpair.pairs import (
 )
 from delpair.report import FAIL
 from delpair.rootsys import ChainError, MarkError, parse_diagram, parse_marked
-from oracles import additive_apply, chain_sum, exhaustive_maximality, neg
+from oracles import (
+    FractionRootSystem,
+    additive_apply,
+    chain_sum,
+    exhaustive_maximality,
+    form_pairing,
+    neg,
+)
 
 SWEEP_DIAGRAMS = (
     [f"A{n}" for n in range(1, 13)] + [f"B{n}" for n in range(2, 13)]
@@ -105,7 +112,7 @@ def test_phi_preserves_pairings_example(catalog7):
     ars = pair.ambient_rs()
     corr = root_correspondence(pair)
     table = dict(corr.on_simple)
-    assert ars.pairing(table["a5"], table["a6"]) == -1
+    assert form_pairing(ars, table["a5"], table["a6"]) == -1
 
 
 def test_every_catalog_pair_verifies(catalog7):
@@ -141,39 +148,46 @@ def test_sparse_apply_matches_additive_oracle_on_catalog20(catalog20):
         assert corr.on_noncompact == {beta: additive_apply(corr, beta) for beta in nc0}
 
 
-def assert_gram_pairings_match(corr):
-    ars = corr.pair.ambient_rs()
-    images = dict(corr.on_simple)
-    nodes = corr.pair.sub.diagram.nodes
+def assert_phi_preserves_cartan_integers(pair):
+    ars = pair.ambient_rs()
+    images = dict(pair.correspondence.on_simple)
+    nodes = pair.sub.diagram.nodes
+    cartan = pair.sub.diagram.cartan_matrix
     for i, la in enumerate(nodes):
         for j, lb in enumerate(nodes):
-            got, want = corr.pairing(i, j), ars.pairing(images[la], images[lb])
-            assert got == want and type(got) is type(want), (corr.pair, la, lb)
+            got = form_pairing(ars, images[la], images[lb])
+            assert got == cartan[j][i] and type(got) is int, (pair, la, lb)
 
 
-def test_gram_pairings_match_root_system_pairing_on_catalog20(catalog20):
+def test_phi_pairings_match_the_sub_cartan_matrix_on_catalog20(catalog20):
     for pair in catalog20:
-        assert_gram_pairings_match(pair.correspondence)
+        assert_phi_preserves_cartan_integers(pair)
 
 
-def test_gram_pairings_match_root_system_pairing_off_the_roots(catalog7):
+def test_integer_identity_matches_the_rational_pairing_off_the_roots(catalog7):
     # arbitrary nonzero images, so that pairings are often not integers and
-    # the lengths of the two slots differ
+    # the lengths of the two slots differ: 2 B(x, y) = k B(y, y), the identity
+    # root_correspondence checks, holds exactly when <x, y> = k
     rng = random.Random(11)
     non_integral = 0
     for pid in ("B4:a1/a2", "D5:a5/a3", "E7:a7/a6"):
         pair = catalog7[pid]
+        ars, oracle = pair.ambient_rs(), FractionRootSystem(pair.ambient.diagram)
         rank = pair.ambient.diagram.rank
         for _ in range(5):
             images = []
             for label in pair.sub.diagram.nodes:
                 coeffs = [rng.randrange(-2, 3) for _ in range(rank)]
                 coeffs[rng.randrange(rank)] = 1
-                images.append((label, tuple(coeffs)))
-            corr = RootCorrespondence(pair, tuple(sorted(images)))
-            assert_gram_pairings_match(corr)
-            non_integral += sum(type(corr.pairing(i, j)) is Fraction
-                                for i in range(len(images)) for j in range(len(images)))
+                images.append(tuple(coeffs))
+            for x in images:
+                for y in images:
+                    want = oracle.pairing(x, y)
+                    assert form_pairing(ars, x, y) == want, (pair, x, y)
+                    for k in range(-3, 4):
+                        holds = 2 * ars.inner(x, y) == k * ars.inner(y, y)
+                        assert holds == (want == k), (pair, x, y, k)
+                    non_integral += type(want) is Fraction
     assert non_integral
 
 

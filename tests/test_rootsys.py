@@ -34,6 +34,7 @@ from oracles import (
     FractionRootSystem,
     closed_form_positive_count,
     component_roots,
+    form_pairing,
     highest_root,
     minus,
     neg,
@@ -150,13 +151,13 @@ def test_pairing_normalization():
     for literal in ("A3", "B3", "G2"):
         rs = build_root_system(parse_diagram(literal))
         for alpha in rs.positive_roots:
-            assert rs.pairing(alpha, alpha) == 2
+            assert form_pairing(rs, alpha, alpha) == 2
 
 
 def test_pairing_adjacent_simply_laced():
     rs = build_root_system(parse_diagram("A2"))
-    assert rs.pairing((1, 0), (0, 1)) == -1
-    assert rs.pairing((1, 0), (0, 2)) == Fraction(-1, 2)   # not a root
+    assert form_pairing(rs, (1, 0), (0, 1)) == -1
+    assert form_pairing(rs, (1, 0), (0, 2)) == Fraction(-1, 2)   # not a root
 
 
 def test_pairing_composite_root_value_in_e7():
@@ -164,13 +165,13 @@ def test_pairing_composite_root_value_in_e7():
     rs = build_root_system(parse_diagram("E7"))
     composite = (0, 0, 0, 0, 1, 1, 1)
     assert rs.is_root(composite)
-    assert rs.pairing(rs.simple_root("a6"), composite) == 0
+    assert form_pairing(rs, rs.simple_root("a6"), composite) == 0
 
 
 def test_pairing_rejects_zero():
     rs = build_root_system(parse_diagram("A2"))
     with pytest.raises(ValueError):
-        rs.pairing((1, 0), (0, 0))
+        form_pairing(rs, (1, 0), (0, 0))
 
 
 def test_pairing_additive_in_first_argument():
@@ -179,7 +180,7 @@ def test_pairing_additive_in_first_argument():
     roots = sorted(rs.positive_roots)
     for _ in range(200):
         a, b, g = rng.choice(roots), rng.choice(roots), rng.choice(roots)
-        assert rs.pairing(plus(a, b), g) == rs.pairing(a, g) + rs.pairing(b, g)
+        assert form_pairing(rs, plus(a, b), g) == form_pairing(rs, a, g) + form_pairing(rs, b, g)
 
 
 def test_reflection_negates_own_root():
@@ -282,9 +283,9 @@ def test_integer_kernel_matches_fraction_oracle(literal):
     roots = sorted(rs.positive_roots)
     for gamma in roots:
         t = node_scales(diagram)[support(gamma)[0]]     # gamma lies in one component
-        assert rs.scaled_norm(gamma) == t * oracle.bilinear(gamma, gamma)
+        assert rs.inner(gamma, gamma) == t * oracle.bilinear(gamma, gamma)
         for beta in roots:
-            value = rs.pairing(beta, gamma)
+            value = form_pairing(rs, beta, gamma)
             assert value == oracle.pairing(beta, gamma)
             assert type(value) is int or value.denominator != 1
     table = build_table(rs)

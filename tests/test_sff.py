@@ -7,7 +7,14 @@ from delpair.hss import noncompact_positive_roots
 from delpair.pairs import DeletionPair
 from delpair.rootsys import parse_marked
 from delpair.sff import SFFContext, kernels, verify_infinity_locus
-from oracles import bracket_sff_value, brute_kernel, label_embedded_sub_tangent, minus, plus
+from oracles import (
+    bracket_sff_value,
+    brute_kernel,
+    form_pairing,
+    label_embedded_sub_tangent,
+    minus,
+    plus,
+)
 
 
 def ctx_for(catalog7, pid):
@@ -164,7 +171,7 @@ def test_infinity_locus_identity_both_sides_oracle(catalog7):
     lhs = {ars.reflect("a6", corr.apply(b)) for b in nc0}
     gamma = ars.simple_root("a7")
     rhs = {b for b in noncompact_positive_roots(pair.ambient)
-           if ars.pairing(b, gamma) == 1}
+           if form_pairing(ars, b, gamma) == 1}
     assert lhs == rhs
     assert len(lhs) == 16
 
@@ -197,10 +204,10 @@ def lying_sub_pairing(pair, beta, value):
     """Make the pair's sub root system report <beta, gamma0> = value."""
     srs = pair.sub_rs()
 
-    def pairing(b, g):
-        return value if b == beta else srs.pairing(b, g)
+    def pairing_simple(b, i):
+        return value if b == beta else srs.pairing_simple(b, i)
     pair.__dict__["sub_rs"] = lambda: SimpleNamespace(simple_root=srs.simple_root,
-                                                      pairing=pairing)
+                                                      pairing_simple=pairing_simple)
     return pair
 
 
