@@ -139,8 +139,7 @@ def _catalog(max_rank: int) -> tuple[DeletionPair, ...]:
 
 
 def lab_checks():
-    """The ``labs`` module, imported on first use: by the three lab rows of
-    SUITES and by the two Plücker point commands."""
+    """The ``labs`` module, imported on first use by the three lab rows of SUITES."""
     from . import labs      # here, not at the top: only the lab rows load chevalley and projgeo
     return labs
 

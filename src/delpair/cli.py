@@ -10,7 +10,6 @@ from .checks import (
     correspondence_checks,
     degeneracy_checks,
     infinity_checks,
-    lab_checks,
     normal_bundle_checks,
     run_all,                # re-exported: callers import delpair.cli.run_all
     verdict,
@@ -105,9 +104,9 @@ COMMANDS = (
     ("vmrt-chain", ("hss.vmrt_chain",), ()),
     ("run-all", tuple(SUITES), ("--max-rank", "--primes")),
     ("pluecker survey", ("plucker",), ("--primes",)),
-    ("pluecker section", lambda *inputs: lab_checks().section_reports(*inputs),
+    ("pluecker section", lambda *inputs: _plucker().section_reports(*inputs),
      ("--point", "--primes")),
-    ("pluecker collinear", lambda *inputs: lab_checks().collinear_reports(*inputs),
+    ("pluecker collinear", lambda *inputs: _plucker().collinear_reports(*inputs),
      ("--point",)),
     ("segre fitting", ("segre.fitting",), ("--q",)),
 )
@@ -163,6 +162,12 @@ def _table_args(argv: "list[str]") -> "dict | None":
     return args
 
 
+def _plucker():
+    """``projgeo.plucker``, imported here: only the point commands load it."""
+    from .projgeo import plucker
+    return plucker
+
+
 def _resolve_inputs(args: dict, config: RunConfig) -> tuple:
     """Parse and check every literal input, so that bad input raises
     ValueError here and not from inside a check; return the check's arguments."""
@@ -170,14 +175,13 @@ def _resolve_inputs(args: dict, config: RunConfig) -> tuple:
     if "pair" in args:
         inputs = (parse_pair_id(args["pair"]),)
     if "point" in args:
-        # here, not at the top: only the point commands load the Plücker code
-        from .projgeo.plucker import ell_plane, parse_bivector, plane_spanned_by
-        omega = parse_bivector(args["point"])
+        plucker = _plucker()
+        omega = plucker.parse_bivector(args["point"])
         if args["pluecker_command"] == "section":   # the point and ell span a plane
-            ell_plane(omega)
+            plucker.ell_plane(omega)
             inputs = (args["point"], omega, config.primes_plucker)
         else:                                       # collinear: a point of G(2,5)
-            plane_spanned_by(omega)
+            plucker.plane_spanned_by(omega)
             inputs = (args["point"], omega)
     for p in config.primes_plucker:       # every Plücker lab refuses F_2
         require_odd_prime(p)

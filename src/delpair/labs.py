@@ -1,8 +1,9 @@
-"""The lab checks of the run-all bundle: the Plücker and Segre suites, the
-Plücker point commands and the property suite.
+"""The lab checks of the run-all bundle: the Plücker and Segre suites and the
+property suite.
 
 They read ``chevalley`` and ``projgeo``, which no root or pair check needs, so
 ``checks`` imports this module on first use and a pair command never loads it.
+Nor does a Plücker point command: its reports live in ``projgeo.plucker``.
 """
 from __future__ import annotations
 
@@ -13,7 +14,6 @@ from .checks import _PROPERTY_SYSTEMS
 from .chevalley import build_table, jacobi_failures
 from .projgeo.linalg import alternating_rank, primitive_int_covector
 from .projgeo.plucker import (
-    collinearity_scan,
     dee_exhaustive_survey,
     ell_generators,
     grassmannian_membership,
@@ -76,26 +76,6 @@ def plucker_suite(primes: tuple[int, ...]) -> list[CheckReport]:
 
 def _gaussian_binomial(p: int) -> int:
     return (p ** 5 - 1) * (p ** 4 - 1) // ((p ** 2 - 1) * (p - 1))
-
-
-def section_reports(point: str, omega: tuple, primes: tuple[int, ...]) -> list[CheckReport]:
-    sec = plane_section(omega, primes)
-    return [CheckReport(
-        "plucker.section", f"span(<{point}>, ell)", PASS,
-        witnesses=[{
-            "lines": [list(cov) for cov in sec.lines],
-            "isolated_points": [list(pt) for pt in sec.isolated_points],
-            "full_plane": sec.full_plane,
-            "certified_over": list(sec.certified_over)}])]
-
-
-def collinear_reports(point: str, omega: tuple) -> list[CheckReport]:
-    wit = collinearity_scan(omega)
-    return [CheckReport(
-        "plucker.collinear", point, PASS,
-        witnesses=[{"witness": None if wit is None else {
-            "param": "all" if wit.param == "all" else [str(c) for c in wit.param],
-            "common_vector": [str(c) for c in wit.common_vector]}}])]
 
 
 def segre_suite(primes: tuple[int, ...]) -> list[CheckReport]:

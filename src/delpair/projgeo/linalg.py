@@ -1,4 +1,4 @@
-"""Small exact linear algebra: rational matrices as Fractions, F_p ones as ints.
+"""Small exact linear algebra on plain ints, over the integers and mod p.
 
 Rational witnesses are primitive integer vectors with a positive leading
 entry; points of projective space over F_p are tuples of ints in [0, p)
@@ -7,45 +7,7 @@ whose first nonzero coordinate is 1.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import gcd
-
-
-def rref(rows: list[list]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over the rationals; returns (nonzero rows, pivot columns)."""
-    mat = [[Fraction(x) for x in r] for r in rows]
-    nrows, pivots = len(mat), []
-    r = 0
-    ncols = len(mat[0]) if mat else 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if mat[i][c]), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [inv * x for x in mat[r]]
-        for i in range(nrows):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return mat[:r], pivots
-
-
-def kernel_basis(rows: list[list], ncols: int) -> list[list[Fraction]]:
-    """Basis of the right kernel of a rational matrix, one vector per free column."""
-    red, pivots = rref(rows)
-    basis = []
-    for f in (c for c in range(ncols) if c not in pivots):
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for r, c in zip(red, pivots):
-            vec[c] = -r[f]
-        basis.append(vec)
-    return basis
 
 
 def rref_mod(rows: list[list[int]], p: int) -> list[list[int]]:
@@ -141,20 +103,11 @@ def projective_points(p: int, dim: int):
             yield prefix + tail
 
 
-def primitive_int_covector(fracs) -> tuple[int, ...]:
-    """Clear denominators and common factors from a rational covector."""
-    fracs = [Fraction(f) for f in fracs]
-    mult = 1
-    for f in fracs:
-        mult = mult * f.denominator // gcd(mult, f.denominator)
-    ints = [int(f * mult) for f in fracs]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
+def primitive_int_covector(ints) -> tuple[int, ...]:
+    """An integer vector over the gcd of its entries, with a positive leading entry."""
+    g = gcd(*ints)
     if g == 0:
         raise ValueError("zero covector")
-    ints = [v // g for v in ints]
-    lead = next(v for v in ints if v != 0)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return tuple(ints)
+    if next(v for v in ints if v) < 0:
+        g = -g
+    return tuple(v // g for v in ints)

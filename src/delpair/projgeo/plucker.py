@@ -1,7 +1,7 @@
 """The Grassmannian of planes in a 5-space under its Plücker embedding.
 
-A bivector is the tuple of its ten coordinates x_ij (1 <= i < j <= 5), ints
-or Fractions, ordered lexicographically as in PAIRS.  The image is cut out
+A bivector is the tuple of its ten integer coordinates x_ij (1 <= i < j <= 5),
+ordered lexicographically as in PAIRS.  The image is cut out
 by the five coordinates of w ^ w: for every 4-subset S = {a < b < c < d}
 the quadric Q_S(x) = 2 (x_ab x_cd - x_ac x_bd + x_ad x_bc).  The
 distinguished line is ell = {[e1 ^ (t e2 + s e3)]}; the affine cell is
@@ -10,19 +10,11 @@ distinguished line is ell = {[e1 ^ (t e2 + s e3)]}; the affine cell is
 from __future__ import annotations
 
 import itertools
-import re
-from fractions import Fraction
+from math import gcd
 
 from ..frozen import Frozen
-from ..report import CertificationError, require_odd_prime
-from .linalg import (
-    canonical_mod,
-    kernel_basis,
-    primitive_int_covector,
-    projective_points,
-    rref,
-    rref_mod,
-)
+from ..report import PASS, CertificationError, CheckReport, require_odd_prime
+from .linalg import canonical_mod, primitive_int_covector, projective_points, rref_mod
 
 PAIRS: tuple[tuple[int, int], ...] = tuple(itertools.combinations(range(1, 6), 2))
 PAIR_INDEX = {pq: k for k, pq in enumerate(PAIRS)}
@@ -69,13 +61,18 @@ def q_orbit_membership(x) -> bool:
 
 
 def plane_spanned_by(x) -> tuple[tuple, tuple]:
-    """Two spanning vectors of the 2-plane of a decomposable bivector."""
+    """Two integer vectors spanning the 2-plane of a decomposable bivector:
+    with x_ij its lex-first nonzero coordinate, column j and row i of its
+    alternating matrix, x_ij times that matrix's two reduced row echelon rows.
+    """
     if not grassmannian_membership(x):
         raise ValueError("bivector is not decomposable")
-    red, _ = rref(alternating_matrix(x))
-    if len(red) != 2:
+    slot = next((slot for slot in _SLOTS if x[slot[0]]), None)
+    if slot is None:
         raise ValueError("decomposable bivector of unexpected rank")
-    return tuple(red[0]), tuple(red[1])
+    _, i, j = slot
+    A = alternating_matrix(x)
+    return tuple(row[j] for row in A), tuple(A[i])
 
 
 # ---------------------------------------------------------------------------
@@ -87,17 +84,14 @@ def ell_generators() -> tuple[tuple, tuple]:
     return (1,) + (0,) * 9, (0, 1) + (0,) * 8
 
 
-def ell_plane(b: tuple) -> list[list]:
-    """The reduced row echelon basis (e1^e2, e1^e3, c) of span(b, ell).
-
-    c is b without its x12 and x13 entries, scaled so that its first nonzero
-    entry is 1; raises ValueError when b lies on ell.
-    """
-    rest = (0, 0) + b[2:]
-    lead = next((x for x in rest if x), None)
-    if lead is None:
+def ell_plane(b: tuple) -> list[list[int]]:
+    """The integer basis (e1^e2, e1^e3, c) of span(b, ell), c being b without
+    its x12 and x13 entries; it is reduced row echelon once c is divided by
+    its first nonzero entry.  Raises ValueError when b lies on ell."""
+    c = [0, 0, *b[2:]]
+    if not any(c):
         raise ValueError("plane must have projective dimension exactly 2")
-    return [list(g) for g in ell_generators()] + [[Fraction(x) / lead for x in rest]]
+    return [list(g) for g in ell_generators()] + [c]
 
 
 def ell_rows(x: tuple) -> tuple[tuple, ...]:
@@ -139,39 +133,46 @@ def _line_value(cov, point):
     return sum(c * x for c, x in zip(cov, point))
 
 
+def _cross(f, g) -> tuple:
+    """The kernel of two independent 3-covectors, or 0 on two dependent ones."""
+    return (f[1] * g[2] - f[2] * g[1], f[2] * g[0] - f[0] * g[2], f[0] * g[1] - f[1] * g[0])
+
+
 def plane_section(b: tuple, primes: tuple[int, ...] = (5, 7)) -> SectionDescription:
     """Exact common zero locus of the Plücker quadrics on the plane span(b, ell).
 
-    Plane coordinates (u, v, w) refer to the basis (e1^e2, e1^e3, c) of
-    ``ell_plane``.  Every Q_S vanishes on ell, so expanding by polarization,
+    With (e1^e2, e1^e3, c) the integer basis of ``ell_plane`` and lead the
+    first nonzero entry of c, every Q_S vanishes on ell, so by polarization
 
-        Q_S(u e12 + v e13 + w c) = w L_S(u, v, w),
-        L_S = B_S(c, e12) u + B_S(c, e13) v + Q_S(c) w,
+        Q_S(u e12 + v e13 + w c) = w L_S,  L_S = B_S(c, e12) u + B_S(c, e13) v + Q_S(c) w,
 
-    with the coefficients of u and v twice the rows of ``ell_rows(c)``.
-
-    The section is ell = {w = 0} together with the common zeros of the five
-    linear forms L_S, read off their rank: at rank 0 it is the whole plane,
-    at rank 1 a second line (unless that line is ell), at rank 2 one point
-    (unless it lies on ell), and at rank 3 ell alone.  Lines (covectors) and
-    points are substituted back, and completeness is certified by exhaustive
-    enumeration over the given prime fields; any disagreement is a hard
-    failure.
+    the coefficients of u and v being twice the rows of ``ell_rows(c)``.  The
+    section is ell = {w = 0} and the common zeros of the L_S, read off their
+    rank by cross products: the plane at rank 0, a second line at rank 1,
+    the kernel point at rank 2 (off ell), ell alone at rank 3.  Reported in
+    the reduced basis (e1^e2, e1^e3, c / lead), a line (a, s, q) becomes
+    (a lead, s lead, q) and a point (u, v, w) becomes (u, v, lead w).  They
+    are substituted back and certified by enumeration over the given prime
+    fields; any disagreement is a hard failure.
     """
     basis = ell_plane(b)
     c = basis[2]
-    forms, _ = rref([(2 * a, 2 * s, q) for (a, s), q
-                     in zip(ell_rows(c), plucker_quadrics(c))])
+    lead = next(x for x in c if x)
+    forms = [(2 * a, 2 * s, q) for (a, s), q in zip(ell_rows(c), plucker_quadrics(c))
+             if a or s or q]
     full_plane = not forms
     lines: set[tuple[int, int, int]] = set() if full_plane else {(0, 0, 1)}    # ell: w = 0
     points = []
-    if len(forms) == 1:
-        lines.add(primitive_int_covector(forms[0]))
-    elif len(forms) == 2:
-        points = [pt for pt in kernel_basis(forms, 3) if pt[2]]
+    if forms:
+        kernel = next((k for k in (_cross(forms[0], f) for f in forms[1:]) if any(k)), None)
+        if kernel is None:                                      # rank 1
+            a, s, q = forms[0]
+            lines.add(primitive_int_covector((a * lead, s * lead, q)))
+        elif not any(_line_value(f, kernel) for f in forms) and kernel[2]:    # rank 2
+            points = [kernel]
     lines = tuple(sorted(lines))
     isolated = tuple(primitive_int_covector(_combination(pt, basis)) for pt in points)
-    plane_coords = tuple(primitive_int_covector(pt) for pt in points)
+    plane_coords = tuple(primitive_int_covector((u, v, lead * w)) for u, v, w in points)
 
     _validate_by_substitution(basis, lines, isolated)
     for p in primes:
@@ -184,17 +185,24 @@ def plane_section(b: tuple, primes: tuple[int, ...] = (5, 7)) -> SectionDescript
 def _validate_by_substitution(basis, lines, isolated_points) -> None:
     """Re-check every reported component on the variety and in the plane.
 
-    A quadric vanishing at three distinct points of a line vanishes on it.
+    A line is tested at three points (u, v, w), lead u e12 + lead v e13 + w c:
+    a quadric vanishing at three points of a line vanishes on it.  A point
+    is in the plane iff, without x12 and x13, it is c up to scale.
     """
+    c = basis[2]
+    k = next(k for k, x in enumerate(c) if x)
+    lead = c[k]
     for cov in lines:
-        k0, k1 = kernel_basis([cov], 3)
-        for coeffs in (k0, k1, [a + b for a, b in zip(k0, k1)]):
-            if not grassmannian_membership(_combination(coeffs, basis)):
+        i = next(i for i, x in enumerate(cov) if x)
+        k0, k1 = ([cov[i] * (m == f) - cov[f] * (m == i) for m in range(3)]
+                  for f in range(3) if f != i)
+        for u, v, w in (k0, k1, [a + b for a, b in zip(k0, k1)]):
+            if not grassmannian_membership(_combination((lead * u, lead * v, w), basis)):
                 raise AssertionError(f"reported line {cov} leaves the variety")
     for pt in isolated_points:
         if not grassmannian_membership(pt):
             raise AssertionError(f"reported point {pt} is off the variety")
-        if len(rref([*basis, pt])[0]) != 3:
+        if any(x * lead - pt[k] * y for x, y in zip(pt[2:], c[2:])):
             raise AssertionError(f"reported point {pt} is off the plane")
 
 
@@ -230,34 +238,62 @@ def _certify(basis, lines, plane_coords, full_plane: bool, p: int) -> None:
 
 class CollinearityWitness(Frozen, fields=("param", "common_vector")):
     """A pencil parameter (t, s), or "all", and a common vector putting b on
-    a line meeting ell."""
+    a line meeting ell, each entry an exact rational written as a string."""
+
+
+def _ratio(n: int, m: int) -> str:
+    """The rational n / m as "n/m" in lowest terms over a positive denominator,
+    or as "n" when that denominator is 1."""
+    g = gcd(n, m) if m > 0 else -gcd(n, m)
+    return f"{n // g}" if m == g else f"{n // g}/{m // g}"
 
 
 def collinearity_scan(b: tuple) -> "CollinearityWitness | None":
-    """Find [t:s] with W_b meeting <e1, t e2 + s e3>, as exact linear algebra.
+    """Find [t:s] with W_b meeting <e1, t e2 + s e3>, in closed form.
 
-    The five maximal minors of the 4x5 matrix stacking W_b = <u, v>, e1 and
-    the pencil vector t e2 + s e3 are the linear forms a t + c s over the
-    rows (a, c) of ``ell_rows(u ^ v)``; a witness exists iff they have a
-    common projective zero.  Everything is rational, with u and v the
-    reduced row echelon basis of W_b.
+    The reduced row echelon basis u, v of W_b has u ^ v = b / d, d the
+    lex-first nonzero coordinate of b, so the maximal minors of
+    [u; v; e1; t e2 + s e3] are (a t + c s) / d over the rows (a, c) of
+    ``ell_rows(b)``; the first nonzero row gives [t:s] = [-c/d : a/d].  The
+    common vector is -e1 when e1 is in W_b (all x_jk with 2 <= j < k are 0),
+    else -y for y = (c0, t, s, 0, 0) in W_b, (y ^ b)_1jk = 0 solved for c0 at
+    the first nonzero x_jk, and written as the integer z = den x_jk y.
     """
-    u, v = plane_spanned_by(b)
-    nz = [(a, c) for a, c in ell_rows(wedge(u, v)) if a or c]
+    plane_spanned_by(b)                 # refuses b off the variety and b = 0
+    nz = [(a, c) for a, c in ell_rows(b) if a or c]
     if not nz:
-        param, (t, s) = "all", (1, 0)
+        param, (t, s), den = "all", (1, 0), 1
     else:
         a, c = nz[0]
         if any(a * c2 - c * a2 for a2, c2 in nz[1:]):
             return None            # two independent conditions a t + c s = 0
-        param = (t, s) = (-c, a)
-    cols = [u, v, (1, 0, 0, 0, 0), (0, t, s, 0, 0)]
-    ker = kernel_basis([[col[r] for col in cols] for r in range(5)], 4)
-    if not ker:
+        den = next(x for x in b if x)
+        t, s = -c, a
+        param = (_ratio(t, den), _ratio(s, den))
+    x = dict(zip(PAIRS, b))
+    jk = next((jk for jk in PAIRS[4:] if x[jk]), None)      # pairs 2 <= j < k
+    if jk is None:
+        return CollinearityWitness(param, ("-1", "0", "0", "0", "0"))
+    j, k = jk
+    pencil = (0, t, s, 0, 0)
+    z = (pencil[j - 1] * x[1, k] - pencil[k - 1] * x[1, j], t * x[jk], s * x[jk], 0, 0)
+    if any(z[i - 1] * x[m, n] - z[m - 1] * x[i, n] + z[n - 1] * x[i, m]
+           for i, m, n in itertools.combinations(range(1, 6), 3)):
         raise AssertionError("witness parameter without a common vector")
-    a0, b0 = ker[0][0], ker[0][1]
-    common = tuple(a0 * x + b0 * y for x, y in zip(u, v))
-    return CollinearityWitness(param, common)
+    return CollinearityWitness(param, tuple(_ratio(-v, den * x[jk]) for v in z))
+
+
+def section_reports(point: str, omega: tuple, primes: tuple[int, ...]) -> list[CheckReport]:
+    sec = plane_section(omega, primes)
+    return [CheckReport("plucker.section", f"span(<{point}>, ell)", PASS, witnesses=[{
+        "lines": sec.lines, "isolated_points": sec.isolated_points,
+        "full_plane": sec.full_plane, "certified_over": sec.certified_over}])]
+
+
+def collinear_reports(point: str, omega: tuple) -> list[CheckReport]:
+    wit = collinearity_scan(omega)
+    witness = None if wit is None else {"param": wit.param, "common_vector": wit.common_vector}
+    return [CheckReport("plucker.collinear", point, PASS, witnesses=[{"witness": witness}])]
 
 
 # ---------------------------------------------------------------------------
@@ -486,9 +522,31 @@ def dee_exhaustive_survey(p: int) -> SurveyReport:
 # Bivector literals
 # ---------------------------------------------------------------------------
 
-_TERM_RE = re.compile(
-    r"\s*(?P<sign>[+-])?\s*(?P<coef>\d+)?\s*e(?P<i>[1-5])\s*\^\s*e(?P<j>[1-5])"
-)
+_BASIS = {f"e{i}": i for i in range(1, 6)}
+
+
+def _skip_space(text: str, k: int) -> int:
+    while text[k:k + 1].isspace():
+        k += 1
+    return k
+
+
+def _read_term(text: str, pos: int) -> "tuple | None":
+    """The term "[+ or -][digits]e<i>^e<j>" at pos as (sign, digits, i, j, end),
+    or None; sign and digits may be "", and ``str.isspace`` space may precede
+    each part.  Digits are what ``str.isdecimal`` takes."""
+    k = _skip_space(text, pos)
+    sign = text[k] if text[k:k + 1] in ("+", "-") else ""
+    start = k = _skip_space(text, k + len(sign))
+    while text[k:k + 1].isdecimal():
+        k += 1
+    digits, k = text[start:k], _skip_space(text, k)
+    i, k = _BASIS.get(text[k:k + 2]), _skip_space(text, k + 2)
+    if i is None or text[k:k + 1] != "^":
+        return None
+    k = _skip_space(text, k + 1)
+    j = _BASIS.get(text[k:k + 2])
+    return None if j is None else (sign, digits, i, j, k + 2)
 
 
 def parse_bivector(text: str) -> tuple:
@@ -501,16 +559,15 @@ def parse_bivector(text: str) -> tuple:
     pos = 0
     seen = False
     while pos < len(text):
-        m = _TERM_RE.match(text, pos)
-        if not m:
+        term = _read_term(text, pos)
+        if term is None:
             if text[pos:].strip():
                 raise ValueError(f"cannot parse bivector literal at {text[pos:]!r}")
             break
-        if seen and not m.group("sign"):
+        sign, digits, i, j, end = term
+        if seen and not sign:
             raise ValueError(f"bivector literal needs + or - before {text[pos:].strip()!r}")
-        sign = -1 if m.group("sign") == "-" else 1
-        coef = int(m.group("coef") or 1) * sign
-        i, j = int(m.group("i")), int(m.group("j"))
+        coef = int(digits or 1) * (-1 if sign == "-" else 1)
         if i == j:
             raise ValueError("e_i ^ e_i is zero")
         if i > j:
@@ -518,7 +575,7 @@ def parse_bivector(text: str) -> tuple:
             coef = -coef
         coords[PAIR_INDEX[(i, j)]] += coef
         seen = True
-        pos = m.end()
+        pos = end
     if not seen:
         raise ValueError(f"empty bivector literal {text!r}")
     if not any(coords):

@@ -59,12 +59,18 @@ coordinates.  Two readers that only the tests use live here as well: the
 rational Cartan pairing 2 B(beta, gamma) / B(gamma, gamma), which the library
 reads only as a Cartan-row sum or an integer identity on its form B, and a
 structure constant N_{a,b} on two root tuples, read off the table's basis
-bracket.
+bracket.  The rational Plücker lab that integer closed forms replaced stays
+here as well: Fraction row reduction and kernels, primitive covectors of
+rational vectors, the reduced echelon bases of W_b and of span(b, ell), plane
+sections from the row-reduced forms L_S, the collinearity witness from the
+first kernel vector of the stacked columns, and bivector literals read with a
+regular expression instead of ``str`` methods.
 """
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 import re
 from collections import deque
@@ -76,18 +82,28 @@ import sympy
 from delpair.chevalley import ChevalleyTable
 from delpair import hss
 from delpair.pairs import DeletionPair, MaximalityVerdict
-from delpair.projgeo.linalg import canonical_mod, primitive_int_covector, projective_points
+from delpair.projgeo.linalg import canonical_mod, projective_points
 from delpair.projgeo.plucker import (
     PAIR_INDEX,
     PAIRS,
     QUAD_SETS,
+    CollinearityWitness,
+    SectionDescription,
     SurveyReport,
+    _certify,
+    _combination,
     _echelon_cells,
     _pencil_parameter,
     _polarization_rank,
+    alternating_matrix,
+    ell_generators,
+    ell_rows,
+    grassmannian_membership,
+    plucker_quadrics,
+    wedge,
 )
 from delpair.projgeo.segre import SegreLine, segre_point
-from delpair.report import CheckReport
+from delpair.report import CheckReport, require_odd_prime
 from delpair.rootsys import (
     _RANK_BOUNDS,
     ChainError,
@@ -1181,7 +1197,7 @@ class NonLinearFactorError(RuntimeError):
 
 
 def _sympy_covector(values) -> tuple[int, ...]:
-    return primitive_int_covector([Fraction(str(c)) for c in values])
+    return fraction_primitive_covector([Fraction(str(c)) for c in values])
 
 
 def sympy_linear_factors(poly: sympy.Poly) -> list[tuple[int, int, int]]:
@@ -1267,6 +1283,197 @@ def sympy_section_locus(basis, quadrics=plucker_quadric_values):
     points = [pt for pt in points
               if not any(sum(a * b for a, b in zip(c, pt)) == 0 for c in lines)]
     return lines, points, False
+
+
+# -- the rational Plücker lab ---------------------------------------------------
+
+def rref(rows: list[list]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over the rationals; returns (nonzero rows, pivot columns)."""
+    mat = [[Fraction(x) for x in r] for r in rows]
+    nrows, pivots = len(mat), []
+    r = 0
+    ncols = len(mat[0]) if mat else 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if mat[i][c]), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = 1 / mat[r][c]
+        mat[r] = [inv * x for x in mat[r]]
+        for i in range(nrows):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return mat[:r], pivots
+
+
+def kernel_basis(rows: list[list], ncols: int) -> list[list[Fraction]]:
+    """Basis of the right kernel of a rational matrix, one vector per free column."""
+    red, pivots = rref(rows)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for r, c in zip(red, pivots):
+            vec[c] = -r[f]
+        basis.append(vec)
+    return basis
+
+
+def fraction_primitive_covector(fracs) -> tuple[int, ...]:
+    """Clear denominators and common factors from a rational covector."""
+    fracs = [Fraction(f) for f in fracs]
+    mult = 1
+    for f in fracs:
+        mult = mult * f.denominator // math.gcd(mult, f.denominator)
+    ints = [int(f * mult) for f in fracs]
+    g = 0
+    for v in ints:
+        g = math.gcd(g, v)
+    if g == 0:
+        raise ValueError("zero covector")
+    ints = [v // g for v in ints]
+    lead = next(v for v in ints if v != 0)
+    if lead < 0:
+        ints = [-v for v in ints]
+    return tuple(ints)
+
+
+def fraction_plane_spanned_by(x) -> tuple[tuple, tuple]:
+    """The reduced row echelon basis of the 2-plane of a decomposable bivector."""
+    if not grassmannian_membership(x):
+        raise ValueError("bivector is not decomposable")
+    red, _ = rref(alternating_matrix(x))
+    if len(red) != 2:
+        raise ValueError("decomposable bivector of unexpected rank")
+    return tuple(red[0]), tuple(red[1])
+
+
+def fraction_ell_plane(b: tuple) -> list[list]:
+    """The reduced row echelon basis (e1^e2, e1^e3, c) of span(b, ell), with
+    c = b without its x12 and x13 entries over its first nonzero entry."""
+    rest = (0, 0) + tuple(b[2:])
+    lead = next((x for x in rest if x), None)
+    if lead is None:
+        raise ValueError("plane must have projective dimension exactly 2")
+    return [list(g) for g in ell_generators()] + [[Fraction(x) / lead for x in rest]]
+
+
+def fraction_plane_section(b: tuple, primes: tuple[int, ...] = (5, 7)) -> SectionDescription:
+    """``plane_section`` on the Fraction basis of ``fraction_ell_plane``: the
+    forms L_S of c are row reduced over the rationals, their kernel taken by
+    free columns, and each reported line tested at two kernel vectors and
+    their sum; the mod-p certification is ``_certify`` on primitive rows."""
+    basis = fraction_ell_plane(b)
+    c = basis[2]
+    forms, _ = rref([(2 * a, 2 * s, q) for (a, s), q
+                     in zip(ell_rows(c), plucker_quadrics(c))])
+    full_plane = not forms
+    lines = set() if full_plane else {(0, 0, 1)}
+    points = []
+    if len(forms) == 1:
+        lines.add(fraction_primitive_covector(forms[0]))
+    elif len(forms) == 2:
+        points = [pt for pt in kernel_basis(forms, 3) if pt[2]]
+    lines = tuple(sorted(lines))
+    isolated = tuple(fraction_primitive_covector(_combination(pt, basis)) for pt in points)
+    plane_coords = tuple(fraction_primitive_covector(pt) for pt in points)
+    for cov in lines:
+        k0, k1 = kernel_basis([cov], 3)
+        for coeffs in (k0, k1, [a + b for a, b in zip(k0, k1)]):
+            if not grassmannian_membership(_combination(coeffs, basis)):
+                raise AssertionError(f"reported line {cov} leaves the variety")
+    for pt in isolated:
+        if not grassmannian_membership(pt):
+            raise AssertionError(f"reported point {pt} is off the variety")
+        if len(rref([*basis, pt])[0]) != 3:
+            raise AssertionError(f"reported point {pt} is off the plane")
+    for p in primes:
+        require_odd_prime(p)
+        _certify([fraction_primitive_covector(row) for row in basis], lines, plane_coords,
+                 full_plane, p)
+    return SectionDescription(lines, isolated, plane_coords,
+                              ("QQ",) + tuple(f"F{p}" for p in primes), full_plane)
+
+
+def fraction_collinearity_scan(b: tuple) -> "CollinearityWitness | None":
+    """``collinearity_scan`` on the Fraction basis u, v of W_b: [t:s] from
+    the rows ``ell_rows(u ^ v)``, and the common vector from the first kernel
+    vector of the stacked columns u, v, e1, t e2 + s e3; its entries are
+    Fractions and ints, not strings."""
+    u, v = fraction_plane_spanned_by(b)
+    nz = [(a, c) for a, c in ell_rows(wedge(u, v)) if a or c]
+    if not nz:
+        param, (t, s) = "all", (1, 0)
+    else:
+        a, c = nz[0]
+        if any(a * c2 - c * a2 for a2, c2 in nz[1:]):
+            return None
+        param = (t, s) = (-c, a)
+    cols = [u, v, (1, 0, 0, 0, 0), (0, t, s, 0, 0)]
+    ker = kernel_basis([[col[r] for col in cols] for r in range(5)], 4)
+    if not ker:
+        raise AssertionError("witness parameter without a common vector")
+    a0, b0 = ker[0][0], ker[0][1]
+    return CollinearityWitness(param, tuple(a0 * x + b0 * y for x, y in zip(u, v)))
+
+
+_BIVECTOR_TERM_RE = re.compile(
+    r"\s*(?P<sign>[+-])?\s*(?P<coef>\d+)?\s*e(?P<i>[1-5])\s*\^\s*e(?P<j>[1-5])"
+)
+
+
+def regex_parse_bivector(text: str) -> tuple:
+    """``parse_bivector`` with its terms matched by a regular expression."""
+    coords = [0] * 10
+    pos = 0
+    seen = False
+    while pos < len(text):
+        m = _BIVECTOR_TERM_RE.match(text, pos)
+        if not m:
+            if text[pos:].strip():
+                raise ValueError(f"cannot parse bivector literal at {text[pos:]!r}")
+            break
+        if seen and not m.group("sign"):
+            raise ValueError(f"bivector literal needs + or - before {text[pos:].strip()!r}")
+        sign = -1 if m.group("sign") == "-" else 1
+        coef = int(m.group("coef") or 1) * sign
+        i, j = int(m.group("i")), int(m.group("j"))
+        if i == j:
+            raise ValueError("e_i ^ e_i is zero")
+        if i > j:
+            i, j = j, i
+            coef = -coef
+        coords[PAIR_INDEX[(i, j)]] += coef
+        seen = True
+        pos = m.end()
+    if not seen:
+        raise ValueError(f"empty bivector literal {text!r}")
+    if not any(coords):
+        raise ValueError(f"bivector literal {text!r} is zero")
+    return tuple(coords)
+
+
+def seeded_section_bivectors(rng: random.Random, n: int):
+    """n integer bivectors: wedges of vectors in {-3..3}^5 (decomposable)
+    alternating with one to three coordinates from -7..10 (mostly not).
+    Coefficients divisible by 5 or 7 make some planes fail certification
+    at those primes, and a point on ell leaves no plane at all."""
+    for k in range(n):
+        if k % 2 == 0:
+            coords = (0,) * 10
+            while not any(coords):
+                u, v = ([rng.randint(-3, 3) for _ in range(5)] for _ in range(2))
+                coords = wedge(u, v)
+        else:
+            coords = [0] * 10
+            for i in rng.sample(range(10), rng.randint(1, 3)):
+                coords[i] = rng.choice([-7, -5, -2, -1, 1, 2, 3, 5, 10])
+        yield tuple(coords)
 
 
 # -- the property suite's replaced paths ---------------------------------------

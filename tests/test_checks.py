@@ -9,10 +9,10 @@ from delpair import cli, labs
 from delpair.checks import SUITES, run_all
 from delpair.chevalley import ChevalleyTable
 from delpair.labs import reflection_failures
-from delpair.projgeo.linalg import rref
 from delpair.projgeo.plucker import SurveyReport
 from delpair.report import DEFAULT_SEED, FAIL, PASS, RunConfig
 from delpair.rootsys import RootSystem, build_root_system, parse_diagram
+from oracles import rref
 
 # Two values of each field: the default, and another a row that reads the
 # field reports differently on.

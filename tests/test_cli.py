@@ -20,7 +20,7 @@ from delpair.chevalley import ChevalleyTable, build_table
 from delpair.cli import main, parse_pair_id, run_all
 from delpair.pairs import CorrespondenceError
 from delpair.projgeo import plucker, segre
-from delpair.projgeo.plucker import PAIRS, dee_exhaustive_survey, wedge
+from delpair.projgeo.plucker import PAIRS, dee_exhaustive_survey
 from delpair.projgeo.segre import segre_fitting_report
 from delpair.report import (
     DEFAULT_SEED,
@@ -39,7 +39,11 @@ from delpair.rootsys import (
     parse_diagram,
     parse_marked,
 )
-from oracles import decomposability_bivectors, generator_jacobi_triples
+from oracles import (
+    decomposability_bivectors,
+    generator_jacobi_triples,
+    seeded_section_bivectors,
+)
 
 
 # The pinned sha256s live in one file, which CI reads too.  The bundles at
@@ -349,12 +353,13 @@ def _src_env() -> dict:
 
 
 # Commands that read no lab: the pair commands, the VMRT chain and a pair id
-# refused as malformed.  Then one command that does.
+# refused as malformed.  Then the two point commands, which read the Plücker lab.
 PAIR_COMMANDS = (["catalog"], ["verify-pair", "--pair", "E7:a7/a6"],
                  ["degeneracy", "--pair", "D5:a5/a3"], ["infinity-locus", "--pair", "E6:a6/a5"],
                  ["normal-bundle", "--pair", "E7:a7/a6"], ["vmrt-chain"],
                  ["verify-pair", "--pair", "E7:a7"])
 LAB_COMMAND = ["pluecker", "collinear", "--point", "e1^e4"]
+SECTION_COMMAND = ["pluecker", "section", "--point", "e2^e4"]
 
 
 HELP_COMMAND = ["run-all", "--help"]
@@ -364,10 +369,10 @@ HELP_COMMAND = ["run-all", "--help"]
 def import_modules():
     """Every module in sys.modules, in one fresh interpreter: before any import
     ("bare"), after `import delpair.checks`, after `import delpair.cli`, after
-    main on each of PAIR_COMMANDS and then LAB_COMMAND, and after HELP_COMMAND,
+    main on each of PAIR_COMMANDS, LAB_COMMAND and SECTION_COMMAND, and after HELP_COMMAND,
     keyed by that module or command.  The interpreter runs under -S, so
     "bare" holds no module that `site` and its .pth files would load."""
-    commands = [*PAIR_COMMANDS, LAB_COMMAND]
+    commands = [*PAIR_COMMANDS, LAB_COMMAND, SECTION_COMMAND]
     probe = ("import sys; print(*sys.modules)\n"
              "import os, delpair.checks; print(*sys.modules)\n"
              "import delpair.cli; print(*sys.modules)\n"
@@ -414,9 +419,16 @@ def test_pair_commands_load_no_lab_code(import_modules, step):
     assert _lab_modules(import_modules[step]) == set()
 
 
-def test_a_point_command_loads_the_labs(import_modules):
-    modules = import_modules[" ".join(LAB_COMMAND)]
-    assert {"delpair.labs", "delpair.chevalley", "delpair.projgeo.plucker", "fractions"} <= modules
+def test_point_commands_load_only_the_plucker_lab(import_modules):
+    # the point commands run reports of projgeo.plucker, which computes on
+    # ints and reads bivector literals by str methods: neither command loads
+    # the other labs, random, fractions (nor the decimal it imports) or re
+    refused = {"fractions", "decimal", "re", "random", "delpair.labs", "delpair.chevalley",
+               "delpair.projgeo.segre"}
+    for argv in (LAB_COMMAND, SECTION_COMMAND):
+        loaded = import_modules[" ".join(argv)] - import_modules["bare"]
+        assert "delpair.projgeo.plucker" in loaded, argv
+        assert loaded & refused == set(), argv
 
 
 def _argparse_and_json(modules: set) -> set:
@@ -424,7 +436,7 @@ def _argparse_and_json(modules: set) -> set:
 
 
 @pytest.mark.parametrize("step", ["delpair.cli", *(" ".join(argv) for argv in PAIR_COMMANDS),
-                                  " ".join(LAB_COMMAND)])
+                                  " ".join(LAB_COMMAND), " ".join(SECTION_COMMAND)])
 def test_commands_load_neither_argparse_nor_json(import_modules, step):
     # the table parser reads these argvs and report writes JSON itself;
     # loading argparse and json cost about half of `import delpair.cli`
@@ -776,20 +788,8 @@ PINNED_POINTS = {
 
 
 def _seeded_section_points(rng, n):
-    """n bivector literals: wedges of small integer vectors (decomposable)
-    alternating with sparse combinations (mostly not).  Coefficients divisible
-    by 5 or 7 make some planes fail certification at those primes, and a
-    point on ell leaves no plane at all."""
-    for k in range(n):
-        if k % 2 == 0:
-            coords = (0,) * 10
-            while not any(coords):
-                u, v = ([rng.randint(-3, 3) for _ in range(5)] for _ in range(2))
-                coords = wedge(u, v)
-        else:
-            coords = [0] * 10
-            for i in rng.sample(range(10), rng.randint(1, 3)):
-                coords[i] = rng.choice([-7, -5, -2, -1, 1, 2, 3, 5, 10])
+    """The n bivectors of ``seeded_section_bivectors`` as literals."""
+    for coords in seeded_section_bivectors(rng, n):
         yield " ".join(f"{'-' if c < 0 else '+'} {abs(c)} e{i}^e{j}"
                        for (i, j), c in zip(PAIRS, coords) if c)
 
@@ -820,6 +820,24 @@ def test_pluecker_section_and_collinear_witnesses_pinned(tmp_path, capsys):
             digest.update(json.dumps([point, primes, code, captured.out, captured.err]).encode())
     assert codes == {0, 1, 2}
     assert digest.hexdigest() == SEEDED_SECTIONS_SHA256
+
+
+# The same digest for `pluecker collinear`, which reads no primes, on the same
+# 200 points; pinned while the witness was still computed in Fractions, so it
+# fixes every rational string the integer closed form prints.
+SEEDED_COLLINEAR_SHA256 = GOLDENS["pluecker_collinear_200"]
+
+
+def test_pluecker_collinear_on_seeded_points_pinned(capsys):
+    digest = hashlib.sha256()
+    codes = set()
+    for point in _seeded_section_points(random.Random(15), 200):
+        code = main(["pluecker", "collinear", "--point", point])
+        captured = capsys.readouterr()
+        codes.add(code)
+        digest.update(json.dumps([point, [], code, captured.out, captured.err]).encode())
+    assert codes == {0, 2}
+    assert digest.hexdigest() == SEEDED_COLLINEAR_SHA256
 
 
 @pytest.mark.xfail(strict=True, reason=(

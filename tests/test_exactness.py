@@ -1,13 +1,14 @@
-"""The exactness scan: delpair computes on ints, and on Fractions only in
-``projgeo``.
+"""The exactness scan: delpair computes on ints.
 
 An ``ast`` scan of every module under ``src/delpair`` refuses a float
 literal, a call to ``float`` or ``round``, a ``math`` name other than
 ``gcd``, an import of ``time``, an import of ``random`` outside
 ``labs``, which draws the seeded samples of the property suite, an import
-of ``fractions`` outside ``projgeo/``, whose rational sections need it, and
-a bare ``assert`` statement, which ``python -O`` strips: a check raises
-``AssertionError`` explicitly, so it runs under every interpreter flag.
+of ``fractions`` (rational witnesses are integer closed forms, and the
+Fraction code is a test oracle) or of ``re`` (literals are read by ``str``
+methods), and a bare ``assert`` statement, which ``python -O`` strips: a
+check raises ``AssertionError`` explicitly, so it runs under every
+interpreter flag.
 """
 import ast
 from pathlib import Path
@@ -39,7 +40,7 @@ def inexact(source: str, module: str) -> list[str]:
         for top, name in imported:
             if (top == "math" and name != "gcd" or top == "time"
                     or top == "random" and module != "labs.py"
-                    or top == "fractions" and not module.startswith("projgeo/")):
+                    or top in ("fractions", "re")):
                 found.append(f"{where}: import of {top}{'.' + name if name else ''}")
     return found
 
@@ -65,6 +66,8 @@ def test_src_computes_exactly():
     ("import random", "projgeo/segre.py"),
     ("from random import Random", "checks.py"),
     ("from fractions import Fraction", "rootsys.py"),
+    ("from fractions import Fraction", "projgeo/linalg.py"),
+    ("import re", "projgeo/plucker.py"),
     ("assert len(roots) == 36, roots", "rootsys.py"),
 ])
 def test_scan_refuses_each_inexact_construct(source, module):
@@ -76,7 +79,6 @@ def test_scan_refuses_each_inexact_construct(source, module):
     ("import random", "labs.py"),
     ("from .linalg import rref", "projgeo/plucker.py"),
     ("x = Fraction(1, 2) + 3", "projgeo/linalg.py"),
-    ("from fractions import Fraction", "projgeo/linalg.py"),
     ("raise AssertionError('a check that -O keeps')", "sff.py"),
 ])
 def test_scan_allows_exact_constructs(source, module):

@@ -10,15 +10,14 @@ from delpair.projgeo import plucker
 from delpair.projgeo.linalg import (
     alternating_rank,
     canonical_mod,
-    kernel_basis,
     primitive_int_covector,
     projective_points,
-    rref,
     rref_mod,
 )
 from delpair.projgeo.plucker import (
     PAIR_INDEX,
     CertificationError,
+    SectionDescription,
     _certify,
     _echelon_cells,
     _pencil_parameter,
@@ -47,10 +46,19 @@ from oracles import (
     early_stop_rank,
     enumerate_grassmannian,
     finite_plane_section,
+    fraction_collinearity_scan,
+    fraction_ell_plane,
+    fraction_plane_section,
+    fraction_plane_spanned_by,
+    fraction_primitive_covector,
     gaussian_binomial_2_of_5,
+    kernel_basis,
     maximal_minors,
     pointwise_dee_survey,
     quadric_polarization,
+    regex_parse_bivector,
+    rref,
+    seeded_section_bivectors,
     sympy_section_locus,
 )
 
@@ -69,8 +77,8 @@ def line_span(rows, cov) -> list[tuple[int, ...]]:
     """Two primitive integer points spanning the section line with plane
     covector cov, plane coordinates referring to the rref basis of rows."""
     basis = rref(rows)[0]
-    return [primitive_int_covector([sum(c * row[i] for c, row in zip(k, basis))
-                                    for i in range(10)])
+    return [fraction_primitive_covector([sum(c * row[i] for c, row in zip(k, basis))
+                                         for i in range(10)])
             for k in kernel_basis([cov], 3)]
 
 
@@ -280,6 +288,43 @@ def test_bivector_literal_parsing():
             parse_bivector(text)
 
 
+# Literals at the edges of the grammar: non-ASCII digits and spaces (which
+# str.isdecimal and str.isspace take exactly where the regex's \d and \s
+# match), spaces inside a term, missing, doubled or trailing signs, indices
+# out of range or repeated, terms that cancel, and the empty literal.
+ODD_LITERALS = (
+    "\u0663 e1^e2", "e1^e2 + \u0663\u0660 e3^e4", "\uff11 e1^e2", "\u00b2e1^e2",
+    "e\uff11^e2", "\u00a0e1^e2", "e1^e2\u2003- e3^e4", "e1^e2\u3000+\u3000e4^e5",
+    "\u2009e2^e4\u2009", "\x1ce1^e2", "\u200be1^e2", "e1 ^ e2", "e1\t^\te2",
+    "e1^e2\n+ e3^e4", "e1^e2 e3^e4", "e1^e2e3^e4", "+ - e1^e2", "- + e1^e2",
+    "e1^e2 ++ e3^e4", "+e1^e2", "-e2^e1", "e0^e1", "e1^e6", "e1^e1", "e1^e2 +",
+    "e1^e2 + ", "e1^e2 + 3", "", "   ", "e1^e2 - e1^e2", "e2^e4 + e4^e2", "0 e1^e2",
+    "00 e1^e2 + 007 e2^e3", "3e1^e2", "e 1^e2", "e1 ^e 2", "E1^E2", "e1\u2227e2",
+    "e1^^e2", "e1^e2 x", "-3 e1^e2 + 2e4^e5", "e1^e2 - 12345678901234567890 e1^e2",
+)
+
+
+def _outcome(f, *args):
+    """f's value, or the type and message of the error it raised."""
+    try:
+        return f(*args)
+    except (ValueError, AssertionError, CertificationError) as exc:
+        return type(exc), str(exc)
+
+
+def test_bivector_parser_matches_the_regex_oracle():
+    assert len(ODD_LITERALS) >= 30
+    messages = ("cannot parse", "needs + or - before", "e_i ^ e_i", "empty", "is zero")
+    outcomes = Counter()
+    for text in ODD_LITERALS:
+        got = _outcome(parse_bivector, text)
+        assert got == _outcome(regex_parse_bivector, text), text
+        kind = "value" if type(got[0]) is int else next(m for m in messages if m in got[1])
+        outcomes[kind] += 1
+    # values and every message of the parser occur
+    assert set(outcomes) == {"value", *messages}, outcomes
+
+
 # -- plane sections -----------------------------------------------------------
 
 def test_section_span_e45_is_line_plus_point():
@@ -363,8 +408,9 @@ def test_certification_failure_is_hard():
     v1[0], v1[4] = Fraction(1), Fraction(1, 5)   # e1^e2 + (1/5) e2^e3
     v2[1], v2[4] = Fraction(1), Fraction(2, 5)   # e1^e3 + (2/5) e2^e3
     v3[9] = Fraction(1)                          # e4^e5
+    rows = [fraction_primitive_covector(row) for row in rref([v1, v2, v3])[0]]
     with pytest.raises(CertificationError, match="degenerates modulo 5"):
-        _certify(rref([v1, v2, v3])[0], (), (), False, 5)
+        _certify(rows, (), (), False, 5)
 
 
 # -- the closed-form section against the oracles ------------------------------
@@ -392,10 +438,14 @@ def _seeded_points(rng, n):
 
 
 def test_ell_plane_is_the_rref_of_the_span():
+    # an integer basis, which c / lead makes reduced row echelon: the rational
+    # closed form of fraction_ell_plane
     for b in _seeded_points(random.Random(1), 1000):
         basis = ell_plane(b)
-        assert basis == rref(span_rows(b))[0], b
+        assert all(type(x) is int for row in basis for x in row)
+        assert rref(basis)[0] == rref(span_rows(b))[0] == fraction_ell_plane(b), b
         assert basis[:2] == [list(g) for g in ell_generators()]
+        assert basis[2] == [0, 0, *b[2:]]
 
 
 def test_points_on_ell_span_no_plane():
@@ -407,6 +457,47 @@ def test_points_on_ell_span_no_plane():
             ell_plane(b)
         with pytest.raises(ValueError, match="^plane must have projective dimension exactly 2$"):
             plane_section(b)
+
+
+def _reported_at(ref, primes):
+    """The rational section ``ref`` as reported once certified at ``primes``."""
+    return SectionDescription(ref.lines, ref.isolated_points, ref.isolated_plane_coords,
+                              ("QQ", *(f"F{p}" for p in primes)), ref.full_plane)
+
+
+def _certified(ref, rows, primes):
+    """``ref`` certified at ``primes`` on its primitive basis ``rows``, as
+    ``fraction_plane_section`` certifies it."""
+    for p in primes:
+        _certify(rows, ref.lines, ref.isolated_plane_coords, ref.full_plane, p)
+    return _reported_at(ref, primes)
+
+
+def test_plane_section_matches_the_fraction_reference():
+    # 4 000 seeded points, each at three prime sets: the same section or the
+    # same error type and message.  Certification is one _certify on the
+    # primitive basis rows, the lines and the points, so where those agree
+    # and plane_section certifies, the reference certifies too; it is
+    # certified at the primes only where plane_section fails.
+    outcomes = Counter()
+    for b in seeded_section_bivectors(random.Random(44), 4000):
+        ref = _outcome(fraction_plane_section, b, ())
+        if not isinstance(ref, tuple):
+            rows = [fraction_primitive_covector(row) for row in fraction_ell_plane(b)]
+            assert [primitive_int_covector(row) for row in ell_plane(b)] == rows, b
+        for primes in ((5, 7), (7, 11), (3,)):
+            got = _outcome(plane_section, b, primes)
+            if isinstance(ref, tuple):
+                expected = ref
+            elif isinstance(got, tuple):
+                expected = _outcome(_certified, ref, rows, primes)
+            else:
+                expected = _reported_at(ref, primes)
+            assert got == expected, (b, primes)
+            outcomes[got[0].__name__ if isinstance(got, tuple) else got.shape()] += 1
+    assert sum(outcomes.values()) == 12_000
+    assert outcomes["CertificationError"] >= 1000 and outcomes["ValueError"] >= 100, outcomes
+    assert {(0, 0), (1, 0), (1, 1), (2, 0)} <= set(outcomes), outcomes
 
 
 def test_plane_sections_match_sympy_oracle():
@@ -442,7 +533,7 @@ def test_finite_section_oracle_matches_reduced_rational_section():
                 section = plane_section(b, primes=(p,))
             except CertificationError:
                 continue
-            mod_plane = rref_mod([primitive_int_covector(r) for r in rref(plane)[0]], p)
+            mod_plane = rref_mod([fraction_primitive_covector(r) for r in rref(plane)[0]], p)
             lines, points, full_plane = finite_plane_section(mod_plane, p)
             reduced = {canonical_mod(ln, p) for ln in section.lines}
             isolated = {canonical_mod(pt, p) for pt in section.isolated_plane_coords}
@@ -541,25 +632,59 @@ def test_common_vector_rejects_a_wrong_parameter():
 # -- collinearity --------------------------------------------------------------
 
 def test_collinearity_examples():
+    # the witness writes exact rationals as strings
     w = collinearity_scan(parse_bivector("e2^e4"))
     assert w is not None
-    t, s = w.param
+    t, s = map(Fraction, w.param)
     assert s == 0 and t != 0                      # [t:s] = [1:0]
-    common = primitive_int_covector(w.common_vector)
+    common = fraction_primitive_covector(map(Fraction, w.common_vector))
     assert common == (0, 1, 0, 0, 0)
 
     assert collinearity_scan(parse_bivector("e4^e5")) is None
 
     w = collinearity_scan(parse_bivector("e1^e4"))
     assert w is not None and w.param == "all"
-    assert primitive_int_covector(w.common_vector) == (1, 0, 0, 0, 0)
+    assert fraction_primitive_covector(map(Fraction, w.common_vector)) == (1, 0, 0, 0, 0)
 
 
 def test_collinearity_refuses_a_witness_without_a_common_vector(monkeypatch):
-    # an empty kernel for the stacked columns of W_b, e1 and the pencil vector
-    monkeypatch.setattr(plucker, "kernel_basis", lambda rows, n: [])
+    # rows that give e2^e4 the parameter [0:1]: y is then e3, which is not in
+    # W_b = <e2, e4>, so (y ^ b)_124 = 0 holds and (y ^ b)_234 does not
+    monkeypatch.setattr(plucker, "ell_rows", lambda x: ((0, 0),) * 4 + ((1, 0),))
     with pytest.raises(AssertionError, match="^witness parameter without a common vector$"):
         collinearity_scan(parse_bivector("e2^e4"))
+
+
+def _sparse_wedges(rng, n):
+    """n nonzero wedges of vectors in {-3..3}^5 with about half their entries
+    0, so that e1 is often in W_b and all rows of ``ell_rows`` are often 0."""
+    made = 0
+    while made < n:
+        u, v = ([rng.choice((0, rng.randint(-3, 3))) for _ in range(5)] for _ in range(2))
+        b = wedge(u, v)
+        if any(b):
+            made += 1
+            yield b
+
+
+def test_collinearity_strings_match_the_fraction_reference():
+    # the closed form writes each entry as str writes the Fraction of the
+    # reference, which row reduces u, v, e1 and the pencil vector
+    kinds = Counter()
+    for b in _sparse_wedges(random.Random(45), 10_000):
+        d = next(x for x in b if x)
+        assert plane_spanned_by(b) == tuple(tuple(d * x for x in w)
+                                            for w in fraction_plane_spanned_by(b)), b
+        ref, got = fraction_collinearity_scan(b), collinearity_scan(b)
+        if ref is None:
+            assert got is None, b
+            kinds["none"] += 1
+            continue
+        param = ref.param if ref.param == "all" else tuple(map(str, ref.param))
+        assert (got.param, got.common_vector) == (param, tuple(map(str, ref.common_vector))), b
+        kinds[(ref.param == "all", got.common_vector == ("-1", "0", "0", "0", "0"))] += 1
+    # e1 in W_b makes every row of ell_rows 0, so its parameter is "all"
+    assert len(kinds) == 4 and min(kinds.values()) >= 100, kinds
 
 
 def test_no_witness_means_no_extra_line_through_b():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from delpair.projgeo import segre
-from delpair.projgeo.linalg import canonical_mod, primitive_int_covector, projective_points, rref
+from delpair.projgeo.linalg import canonical_mod, primitive_int_covector, projective_points
 from delpair.projgeo.segre import (
     SegreLine,
     _gl_generators,
@@ -12,7 +12,13 @@ from delpair.projgeo.segre import (
     segre_fitting_report,
     segre_point,
 )
-from oracles import enumerated_span_section, looped_fitting_report, sympy_section_locus
+from oracles import (
+    enumerated_span_section,
+    fraction_primitive_covector,
+    looped_fitting_report,
+    rref,
+    sympy_section_locus,
+)
 
 
 def segre_minors(z) -> list:
@@ -338,12 +344,15 @@ def test_zero_one_line_plus_point_section_over_rationals():
     lines, points, full_plane = sympy_section_locus(basis, segre_minors)
     assert (len(lines), len(points), full_plane) == (1, 1, False)
     found = [sum(c * x for c, x in zip(points[0], col)) for col in zip(*basis)]
-    assert primitive_int_covector(found) == primitive_int_covector(pt)
+    assert fraction_primitive_covector(found) == fraction_primitive_covector(pt)
 
 
 def test_primitive_covector_refuses_the_zero_covector():
+    # the library's covector is an int vector; the rational oracle's may hold Fractions
     with pytest.raises(ValueError, match="^zero covector$"):
-        primitive_int_covector([0, Fraction(0, 3), 0])
+        primitive_int_covector([0, 0, 0])
+    with pytest.raises(ValueError, match="^zero covector$"):
+        fraction_primitive_covector([0, Fraction(0, 3), 0])
 
 
 def test_canonical_mod_refuses_a_vector_that_vanishes_mod_p():
