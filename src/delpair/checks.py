@@ -1,5 +1,6 @@
 """Every root and pair check of the run-all bundle, and SUITES, the one ordered
-table of its suites; the lab checks are in ``labs``, loaded on first use."""
+table of its suites; each lab row reads its own lab module, loaded by ``lab``
+on first use."""
 from __future__ import annotations
 
 from functools import lru_cache
@@ -138,10 +139,15 @@ def _catalog(max_rank: int) -> tuple[DeletionPair, ...]:
     return tuple(pairs.catalog(max_rank))
 
 
-def lab_checks():
-    """The ``labs`` module, imported on first use by the three lab rows of SUITES."""
-    from . import labs      # here, not at the top: only the lab rows load chevalley and projgeo
-    return labs
+def lab(name: str):
+    """The lab module ``delpair.<name>``, imported on first use.
+
+    The three lab rows of SUITES and the point commands reach their lab only
+    through here, so a command loads the lab it reads and no other: a pair
+    command loads none, the Plücker and Segre commands not ``labs``, nor its
+    ``chevalley`` and ``random``.
+    """
+    return __import__(f"delpair.{name}", fromlist=["*"])
 
 
 def _each_pair(check):
@@ -158,11 +164,11 @@ SUITES = {
     "sff.kernel": (_each_pair(degeneracy_checks), ("max_rank",)),
     "sff.infinity_locus": (_each_pair(infinity_checks), ("max_rank",)),
     "normalbundle.summands_distinct": (_each_pair(normal_bundle_checks), ("max_rank",)),
-    "plucker": (lambda config: lab_checks().plucker_suite(config.primes_plucker),
+    "plucker": (lambda config: lab("projgeo.plucker").plucker_suite(config.primes_plucker),
                 ("primes_plucker",)),
-    "segre.fitting": (lambda config: lab_checks().segre_suite(config.primes_segre),
-                      ("primes_segre",)),
-    "properties": (lambda config: lab_checks().property_suite(), ("seed",)),
+    "segre.fitting": (lambda config: [lab("projgeo.segre").segre_fitting_report(q)
+                                      for q in config.primes_segre], ("primes_segre",)),
+    "properties": (lambda config: lab("labs").property_suite(_PROPERTY_SYSTEMS), ("seed",)),
 }
 
 

@@ -10,6 +10,7 @@ from .checks import (
     correspondence_checks,
     degeneracy_checks,
     infinity_checks,
+    lab,
     normal_bundle_checks,
     run_all,                # re-exported: callers import delpair.cli.run_all
     verdict,
@@ -104,9 +105,9 @@ COMMANDS = (
     ("vmrt-chain", ("hss.vmrt_chain",), ()),
     ("run-all", tuple(SUITES), ("--max-rank", "--primes")),
     ("pluecker survey", ("plucker",), ("--primes",)),
-    ("pluecker section", lambda *inputs: _plucker().section_reports(*inputs),
+    ("pluecker section", lambda *inputs: lab("projgeo.plucker").section_reports(*inputs),
      ("--point", "--primes")),
-    ("pluecker collinear", lambda *inputs: _plucker().collinear_reports(*inputs),
+    ("pluecker collinear", lambda *inputs: lab("projgeo.plucker").collinear_reports(*inputs),
      ("--point",)),
     ("segre fitting", ("segre.fitting",), ("--q",)),
 )
@@ -162,12 +163,6 @@ def _table_args(argv: "list[str]") -> "dict | None":
     return args
 
 
-def _plucker():
-    """``projgeo.plucker``, imported here: only the point commands load it."""
-    from .projgeo import plucker
-    return plucker
-
-
 def _resolve_inputs(args: dict, config: RunConfig) -> tuple:
     """Parse and check every literal input, so that bad input raises
     ValueError here and not from inside a check; return the check's arguments."""
@@ -175,7 +170,7 @@ def _resolve_inputs(args: dict, config: RunConfig) -> tuple:
     if "pair" in args:
         inputs = (parse_pair_id(args["pair"]),)
     if "point" in args:
-        plucker = _plucker()
+        plucker = lab("projgeo.plucker")
         omega = plucker.parse_bivector(args["point"])
         if args["pluecker_command"] == "section":   # the point and ell span a plane
             plucker.ell_plane(omega)

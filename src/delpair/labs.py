@@ -1,85 +1,28 @@
-"""The lab checks of the run-all bundle: the Plücker and Segre suites and the
-property suite.
+"""The property suite of the run-all bundle: seeded Jacobi triples, the
+reflection sweep, the decomposability rows and the Q-orbit invariance.
 
-They read ``chevalley`` and ``projgeo``, which no root or pair check needs, so
-``checks`` imports this module on first use and a pair command never loads it.
-Nor does a Plücker point command: its reports live in ``projgeo.plucker``.
+It is the one module that imports ``random``.  It reads ``chevalley`` and
+``projgeo``, which no root or pair check needs, so ``checks`` imports it on
+first use and only the ``properties`` row of SUITES loads it; the Plücker
+and Segre rows are built in ``projgeo.plucker`` and ``projgeo.segre``.
 """
 from __future__ import annotations
 
 import operator
 import random
 
-from .checks import _PROPERTY_SYSTEMS
 from .chevalley import build_table, jacobi_failures
 from .projgeo.linalg import alternating_rank, primitive_int_covector
 from .projgeo.plucker import (
-    dee_exhaustive_survey,
-    ell_generators,
     grassmannian_membership,
     parse_bivector,
-    plane_section,
     plane_spanned_by,
     plucker_quadrics,
     q_orbit_membership,
     wedge,
 )
-from .projgeo.segre import segre_fitting_report
 from .report import DEFAULT_SEED, FAIL, PASS, CheckReport
 from .rootsys import RootSystem, build_root_system, parse_diagram
-
-
-def plucker_suite(primes: tuple[int, ...]) -> list[CheckReport]:
-    out = []
-    g1, g2 = ell_generators()
-    samples = [g1, g2, tuple(a + b for a, b in zip(g1, g2)),
-               tuple(a + 7 * b for a, b in zip(g1, g2))]
-    on = all(grassmannian_membership(s) for s in samples)
-    out.append(CheckReport("plucker.line_on_variety", "ell", PASS if on else FAIL,
-                           witnesses=[{"sampled_points": len(samples)}],
-                           notes="degree-2 forms vanishing at 3 points of a line vanish on it"))
-
-    for literal, expected in (("e4^e5", (1, 1)), ("e2^e4", (2, 0))):
-        sec = plane_section(parse_bivector(literal), primes)
-        status = PASS if sec.shape() == expected else FAIL
-        out.append(CheckReport(
-            "plucker.section", f"span(<{literal}>, ell)", status,
-            witnesses=[{
-                "lines": len(sec.lines), "isolated_points": len(sec.isolated_points),
-                "certified_over": list(sec.certified_over),
-                "locus_lines": [list(cov) for cov in sec.lines],
-                "locus_points": [list(pt) for pt in sec.isolated_points],
-            }]))
-
-    reports = []
-    for p in primes:
-        rep = dee_exhaustive_survey(p)
-        reports.append(rep)
-        internal_ok = (rep.witness_without_extra == 0
-                       and rep.affine_cell_points == p ** 6
-                       and rep.grassmannian_points == _gaussian_binomial(p)
-                       and rep.surveyed == rep.dee_points - (p + 1)
-                       and rep.full_plane_count == p * p * (p + 2)
-                       and rep.excluded_axis_point == p * p * (p + 1))
-        out.append(CheckReport(
-            "plucker.survey", f"F{p}", PASS if internal_ok else FAIL,
-            witnesses=[rep.to_witness()],
-            notes="tabulates section shapes over the boundary divisor; the "
-                  "point-plus-line claim is reported, not assumed"))
-    agree = len({r.exists_exact_b for r in reports}) <= 1
-    out.append(CheckReport(
-        "plucker.survey_agreement", ",".join(f"F{p}" for p in primes),
-        PASS if agree else FAIL,
-        witnesses=[{f"F{r.prime}": r.exists_exact_b for r in reports}]))
-    return out
-
-
-def _gaussian_binomial(p: int) -> int:
-    return (p ** 5 - 1) * (p ** 4 - 1) // ((p ** 2 - 1) * (p - 1))
-
-
-def segre_suite(primes: tuple[int, ...]) -> list[CheckReport]:
-    return [segre_fitting_report(q) for q in primes]
 
 
 def _draws(rng: random.Random, n: int, count: int) -> list[int]:
@@ -98,9 +41,10 @@ def _draws(rng: random.Random, n: int, count: int) -> list[int]:
     return out
 
 
-def property_suite() -> list[CheckReport]:
+def property_suite(systems: tuple[str, ...]) -> list[CheckReport]:
+    """The ``properties`` row of run-all, on the root system literals ``systems``."""
     out = []
-    for lit in _PROPERTY_SYSTEMS:
+    for lit in systems:
         rs = build_root_system(parse_diagram(lit))
         table = build_table(rs)
         rng = random.Random((DEFAULT_SEED, lit).__repr__())

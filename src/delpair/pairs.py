@@ -119,11 +119,6 @@ class RootCorrespondence(Frozen, fields=("pair", "on_simple")):
     ``on_simple`` pairs each sub node label with its ambient root.
     """
 
-    def __init__(self, pair: DeletionPair,
-                 on_simple: tuple[tuple[str, tuple[int, ...]], ...]) -> None:
-        object.__setattr__(self, "pair", pair)
-        object.__setattr__(self, "on_simple", on_simple)
-
     @cached_property
     def _columns(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Phi by sparse columns, one per sub node in the sub diagram's order.

@@ -10,31 +10,6 @@ import itertools
 from math import gcd
 
 
-def rref_mod(rows: list[list[int]], p: int) -> list[list[int]]:
-    """The nonzero rows of the reduced row echelon form of an integer matrix mod p.
-
-    Their number is the rank mod p.
-    """
-    mat = [[x % p for x in r] for r in rows]
-    nrows = len(mat)
-    r = 0
-    for c in range(len(mat[0]) if mat else 0):
-        pivot = next((i for i in range(r, nrows) if mat[i][c]), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = pow(mat[r][c], -1, p)
-        mat[r] = [inv * x % p for x in mat[r]]
-        for i in range(nrows):
-            f = mat[i][c]
-            if i != r and f:
-                mat[i] = [(x - f * y) % p for x, y in zip(mat[i], mat[r])]
-        r += 1
-        if r == nrows:
-            break
-    return mat[:r]
-
-
 def alternating_rank(x, p: int | None = None) -> int:
     """min(rank, 3) of the alternating 5x5 integer matrix with the ten entries
     x above its diagonal, row by row, over the rationals or mod p when p is given.

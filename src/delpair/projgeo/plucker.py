@@ -13,8 +13,8 @@ import itertools
 from math import gcd
 
 from ..frozen import Frozen
-from ..report import PASS, CertificationError, CheckReport, require_odd_prime
-from .linalg import canonical_mod, primitive_int_covector, projective_points, rref_mod
+from ..report import FAIL, PASS, CertificationError, CheckReport, require_odd_prime
+from .linalg import canonical_mod, primitive_int_covector, projective_points
 
 PAIRS: tuple[tuple[int, int], ...] = tuple(itertools.combinations(range(1, 6), 2))
 PAIR_INDEX = {pq: k for k, pq in enumerate(PAIRS)}
@@ -216,11 +216,15 @@ def _finite_locus(basis: list[list[int]], p: int) -> set[tuple]:
 
 
 def _certify(basis, lines, plane_coords, full_plane: bool, p: int) -> None:
-    """Compare the rational locus in plane coordinates with a mod-p enumeration."""
-    mod_basis = rref_mod([primitive_int_covector(b) for b in basis], p)
-    if len(mod_basis) != 3:
-        raise CertificationError(f"plane degenerates modulo {p}")
-    computed = _finite_locus(mod_basis, p)
+    """Compare the rational locus in plane coordinates with a mod-p enumeration.
+
+    The basis is (e1^e2, e1^e3, c) with c zero in its first two places, so
+    the reduced row echelon form mod p of its primitive rows keeps e1^e2 and
+    e1^e3 and makes c primitive, then canonical mod p: a primitive c is
+    never 0 mod p.
+    """
+    computed = _finite_locus(
+        [basis[0], basis[1], canonical_mod(primitive_int_covector(basis[2]), p)], p)
     isolated = {canonical_mod(pt, p) for pt in plane_coords}
     described = {coeffs for coeffs in projective_points(p, 3)
                  if full_plane or coeffs in isolated
@@ -296,6 +300,57 @@ def collinear_reports(point: str, omega: tuple) -> list[CheckReport]:
     return [CheckReport("plucker.collinear", point, PASS, witnesses=[{"witness": witness}])]
 
 
+def plucker_suite(primes: tuple[int, ...]) -> list[CheckReport]:
+    """The ``plucker`` row of run-all: ell on the variety, two plane sections
+    and the boundary survey at each prime, with its closed-form counts."""
+    out = []
+    g1, g2 = ell_generators()
+    samples = [g1, g2, tuple(a + b for a, b in zip(g1, g2)),
+               tuple(a + 7 * b for a, b in zip(g1, g2))]
+    on = all(grassmannian_membership(s) for s in samples)
+    out.append(CheckReport("plucker.line_on_variety", "ell", PASS if on else FAIL,
+                           witnesses=[{"sampled_points": len(samples)}],
+                           notes="degree-2 forms vanishing at 3 points of a line vanish on it"))
+
+    for literal, expected in (("e4^e5", (1, 1)), ("e2^e4", (2, 0))):
+        sec = plane_section(parse_bivector(literal), primes)
+        status = PASS if sec.shape() == expected else FAIL
+        out.append(CheckReport(
+            "plucker.section", f"span(<{literal}>, ell)", status,
+            witnesses=[{
+                "lines": len(sec.lines), "isolated_points": len(sec.isolated_points),
+                "certified_over": list(sec.certified_over),
+                "locus_lines": [list(cov) for cov in sec.lines],
+                "locus_points": [list(pt) for pt in sec.isolated_points],
+            }]))
+
+    reports = []
+    for p in primes:
+        rep = dee_exhaustive_survey(p)
+        reports.append(rep)
+        internal_ok = (rep.witness_without_extra == 0
+                       and rep.affine_cell_points == p ** 6
+                       and rep.grassmannian_points == _gaussian_binomial(p)
+                       and rep.surveyed == rep.dee_points - (p + 1)
+                       and rep.full_plane_count == p * p * (p + 2)
+                       and rep.excluded_axis_point == p * p * (p + 1))
+        out.append(CheckReport(
+            "plucker.survey", f"F{p}", PASS if internal_ok else FAIL,
+            witnesses=[rep.to_witness()],
+            notes="tabulates section shapes over the boundary divisor; the "
+                  "point-plus-line claim is reported, not assumed"))
+    agree = len({r.exists_exact_b for r in reports}) <= 1
+    out.append(CheckReport(
+        "plucker.survey_agreement", ",".join(f"F{p}" for p in primes),
+        PASS if agree else FAIL,
+        witnesses=[{f"F{r.prime}": r.exists_exact_b for r in reports}]))
+    return out
+
+
+def _gaussian_binomial(p: int) -> int:
+    return (p ** 5 - 1) * (p ** 4 - 1) // ((p ** 2 - 1) * (p - 1))
+
+
 # ---------------------------------------------------------------------------
 # Exhaustive survey of the boundary divisor
 # ---------------------------------------------------------------------------
@@ -313,34 +368,6 @@ def _echelon_cells(p: int):
         us = [zero if c < i or c == j else one if c == i else full for c in range(5)]
         vs = [zero if c < j else one if c == j else full for c in range(5)]
         yield us, vs
-
-
-def _polarization_rank(x: tuple, p: int) -> int:
-    """Rank mod p of the rows ``ell_rows(x)``.
-
-    The survey calls this only on x45 = 0, where the last two rows carry
-    the rank.
-    """
-    x24, x25, x34, x35, x45 = x[5:]
-    if x45 or (x25 * x34 - x24 * x35) % p:
-        return 2
-    return 1 if x24 or x25 or x34 or x35 else 0
-
-
-def _pencil_parameter(x: tuple, p: int) -> "tuple | None":
-    """[t:s] annihilating the signed minors of [u; v; e1; e2] and [u; v; e1; e3].
-
-    Every nonzero row (a, c) of ``ell_rows(x)`` asks a t + c s = 0.  Returns
-    None when two of those conditions are independent, and (1, 0) when there
-    is none at all.
-    """
-    rows = [(a, c) for a, c in ell_rows(x) if a or c]
-    if not rows:
-        return (1, 0)
-    a, c = rows[0]
-    if any((a * c2 - c * a2) % p for a2, c2 in rows[1:]):
-        return None
-    return (-c % p, a)
 
 
 class SurveyReport(Frozen, fields=(
@@ -362,9 +389,21 @@ class SurveyReport(Frozen, fields=(
 
 def _survey_class(x24: int, x25: int, x34: int, x35: int, p: int) -> tuple:
     """(rank, t, s) of the boundary class (x24, x25, x34, x35) mod p; t = s =
-    None where no pencil parameter exists."""
-    x = (0, 0, 0, 0, 0, x24, x25, x34, x35, 0)
-    return (_polarization_rank(x, p), *(_pencil_parameter(x, p) or (None, None)))
+    None where no pencil parameter exists.
+
+    On x45 = 0 the nonzero rows of ``ell_rows(x)`` are among (x35, -x25) and
+    (x34, -x24), so the rank mod p is 2 iff x25 x34 - x24 x35 is not 0 mod p,
+    and then no [t:s] solves both conditions a t + c s = 0.  Otherwise the
+    first nonzero row (a, c) gives [t:s] = [-c : a], and with no nonzero row
+    every [t:s] does, (1, 0) first.
+    """
+    if (x25 * x34 - x24 * x35) % p:
+        return (2, None, None)
+    if x25 or x35:
+        return (1, x25 % p, x35)
+    if x24 or x34:
+        return (1, x24 % p, x34)
+    return (0, 1, 0)
 
 
 def dee_exhaustive_survey(p: int) -> SurveyReport:

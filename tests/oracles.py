@@ -33,7 +33,9 @@ through ell come from the generic polarization of the quadrics instead of
 ``ell_rows``, and the boundary survey visits every point of G(2,5)(F_p) with
 its full Plücker tuple instead of counting affine blocks, weighting one
 point per rank-1 fibre in the big cell's boundary blocks and reading a
-per-class table.  Plane sections come from two oracles that share none of
+per-class table; its rank and pencil parameter come from the rows through
+ell, one 10-tuple at a time, instead of the survey's closed form on four
+coordinates.  Plane sections come from two oracles that share none of
 the quadric or solver code of ``plane_section``, and the Plücker tests run
 both on planes through ell, the only planes ``plane_section`` takes: over a
 prime field, every point of the plane is tested and the locus is regrouped
@@ -60,8 +62,9 @@ rational Cartan pairing 2 B(beta, gamma) / B(gamma, gamma), which the library
 reads only as a Cartan-row sum or an integer identity on its form B, and a
 structure constant N_{a,b} on two root tuples, read off the table's basis
 bracket.  The rational Plücker lab that integer closed forms replaced stays
-here as well: Fraction row reduction and kernels, primitive covectors of
-rational vectors, the reduced echelon bases of W_b and of span(b, ell), plane
+here as well: Fraction row reduction and kernels, row reduction mod p,
+which ``plane_section``'s certification replaced by a closed form on the
+basis of span(b, ell), primitive covectors of rational vectors, the reduced echelon bases of W_b and of span(b, ell), plane
 sections from the row-reduced forms L_S, the collinearity witness from the
 first kernel vector of the stacked columns, and bivector literals read with a
 regular expression instead of ``str`` methods.
@@ -93,8 +96,6 @@ from delpair.projgeo.plucker import (
     _certify,
     _combination,
     _echelon_cells,
-    _pencil_parameter,
-    _polarization_rank,
     alternating_matrix,
     ell_generators,
     ell_rows,
@@ -819,6 +820,31 @@ def bracket_sff_value(nu: Vec, nu2: Vec, ctx, table: ChevalleyTable):
     return (value.coefficient(("e", weight)), weight)
 
 
+def rref_mod(rows: list[list[int]], p: int) -> list[list[int]]:
+    """The nonzero rows of the reduced row echelon form of an integer matrix mod p.
+
+    Their number is the rank mod p.
+    """
+    mat = [[x % p for x in r] for r in rows]
+    nrows = len(mat)
+    r = 0
+    for c in range(len(mat[0]) if mat else 0):
+        pivot = next((i for i in range(r, nrows) if mat[i][c]), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = pow(mat[r][c], -1, p)
+        mat[r] = [inv * x % p for x in mat[r]]
+        for i in range(nrows):
+            f = mat[i][c]
+            if i != r and f:
+                mat[i] = [(x - f * y) % p for x, y in zip(mat[i], mat[r])]
+        r += 1
+        if r == nrows:
+            break
+    return mat[:r]
+
+
 def early_stop_rank(rows: list[list[int]], p: int | None = None, stop: int | None = None) -> int:
     """Rank of an integer matrix over the rationals, or mod p when p is given.
 
@@ -894,6 +920,34 @@ def _wedge_mod(u, v, p: int) -> tuple:
 def _on_ell(x: tuple) -> bool:
     """b lies on ell = {[e1 ^ (t e2 + s e3)]} iff only x12 and x13 are nonzero."""
     return not any(x[2:])
+
+
+def _polarization_rank(x: tuple, p: int) -> int:
+    """Rank mod p of the rows ``ell_rows(x)``.
+
+    The survey reads it only on x45 = 0, where the last two rows carry
+    the rank.
+    """
+    x24, x25, x34, x35, x45 = x[5:]
+    if x45 or (x25 * x34 - x24 * x35) % p:
+        return 2
+    return 1 if x24 or x25 or x34 or x35 else 0
+
+
+def _pencil_parameter(x: tuple, p: int) -> "tuple | None":
+    """[t:s] annihilating the signed minors of [u; v; e1; e2] and [u; v; e1; e3].
+
+    Every nonzero row (a, c) of ``ell_rows(x)`` asks a t + c s = 0.  Returns
+    None when two of those conditions are independent, and (1, 0) when there
+    is none at all.
+    """
+    rows = [(a, c) for a, c in ell_rows(x) if a or c]
+    if not rows:
+        return (1, 0)
+    a, c = rows[0]
+    if any((a * c2 - c * a2) % p for a2, c2 in rows[1:]):
+        return None
+    return (-c % p, a)
 
 
 def _common_vector(u, v, t: int, s: int, p: int) -> tuple:

@@ -9,7 +9,6 @@ from contextlib import contextmanager
 from delpair import hss, normalbundle, pairs, sff
 from delpair.chevalley import build_table
 from delpair.cli import run_all
-from delpair.projgeo.linalg import rref_mod
 from delpair.projgeo.plucker import (
     alternating_matrix,
     dee_exhaustive_survey,
@@ -22,7 +21,15 @@ from delpair.projgeo.plucker import (
 from delpair.projgeo.segre import segre_fitting_report
 from delpair.report import RunConfig, bundle_json
 from delpair.rootsys import build_root_system, descriptor, parse_diagram, parse_marked
-from oracles import LieElement, bracket, neg, plus, reflection_closure_positive_roots, rref
+from oracles import (
+    LieElement,
+    bracket,
+    neg,
+    plus,
+    reflection_closure_positive_roots,
+    rref,
+    rref_mod,
+)
 
 import random
 

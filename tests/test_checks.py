@@ -6,9 +6,10 @@ import random
 import pytest
 
 from delpair import cli, labs
-from delpair.checks import SUITES, run_all
+from delpair.checks import _PROPERTY_SYSTEMS, SUITES, run_all
 from delpair.chevalley import ChevalleyTable
 from delpair.labs import reflection_failures
+from delpair.projgeo import plucker
 from delpair.projgeo.plucker import SurveyReport
 from delpair.report import DEFAULT_SEED, FAIL, PASS, RunConfig
 from delpair.rootsys import RootSystem, build_root_system, parse_diagram
@@ -67,8 +68,8 @@ def test_draws_follow_choice_and_randrange():
         assert ours.getstate() == theirs.getstate()
 
 
-def _property_rows(check_id):
-    return [rep for rep in labs.property_suite() if rep.check_id == check_id]
+def _property_rows(check_id, systems=_PROPERTY_SYSTEMS):
+    return [rep for rep in labs.property_suite(systems) if rep.check_id == check_id]
 
 
 def test_decomposability_rows_fail_on_a_wrong_membership_predicate(monkeypatch):
@@ -118,9 +119,8 @@ def test_chevalley_row_fails_on_one_flipped_structure_constant(monkeypatch):
     true_bracket = table.basis_bracket
     table.basis_bracket = lambda i, j: (tuple((k, -c) for k, c in true_bracket(i, j))
                                         if (i, j) == (a, b) else true_bracket(i, j))
-    monkeypatch.setattr(labs, "_PROPERTY_SYSTEMS", ("A4",))
     monkeypatch.setattr(labs, "build_table", lambda rs: table)
-    rep, = _property_rows("chevalley.properties")
+    rep, = _property_rows("chevalley.properties", ("A4",))
     assert rep.status == FAIL
     assert rep.witnesses[0]["jacobi_failures"] > 0
     assert rep.witnesses[0]["reflection_failures"] == 0
@@ -131,9 +131,8 @@ def test_reflection_sweep_fails_on_a_corrupted_cartan_row(monkeypatch):
     bad = RootSystem(parse_diagram("A4"))
     bad.cartan = ((2, 0, 0, 0),) + bad.cartan[1:]
     assert ((1, 1, 0, 0), 0) in reflection_failures(bad, [(1, 1, 0, 0)])
-    monkeypatch.setattr(labs, "_PROPERTY_SYSTEMS", ("A4",))
     monkeypatch.setattr(labs, "build_root_system", lambda diagram: bad)
-    rep, = _property_rows("chevalley.properties")
+    rep, = _property_rows("chevalley.properties", ("A4",))
     assert rep.status == FAIL
     assert rep.witnesses[0]["reflection_failures"] > 0
 
@@ -142,10 +141,10 @@ def test_reflection_sweep_fails_on_a_corrupted_cartan_row(monkeypatch):
 def test_survey_row_fails_on_a_count_off_its_closed_form(monkeypatch, field):
     # dee_points - (p + 1), p^2 (p + 2) and p^2 (p + 1) at F3: one more
     # point in one count fails the row
-    survey = labs.dee_exhaustive_survey
+    survey = plucker.dee_exhaustive_survey
 
     def statuses():
-        return [rep.status for rep in labs.plucker_suite((3,))
+        return [rep.status for rep in plucker.plucker_suite((3,))
                 if rep.check_id == "plucker.survey"]
 
     def one_more(p):
@@ -155,5 +154,5 @@ def test_survey_row_fails_on_a_count_off_its_closed_form(monkeypatch, field):
         return SurveyReport(**values)
 
     assert statuses() == [PASS]
-    monkeypatch.setattr(labs, "dee_exhaustive_survey", one_more)
+    monkeypatch.setattr(plucker, "dee_exhaustive_survey", one_more)
     assert statuses() == [FAIL]

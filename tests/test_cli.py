@@ -299,7 +299,8 @@ def test_internal_assertion_in_run_all_is_one_line_exit_1(monkeypatch, tmp_path,
 
 def test_internal_assertion_in_the_survey_is_one_line_exit_1(monkeypatch, tmp_path, capsys):
     # every class read as rank 2 makes each witness one on an exact section
-    monkeypatch.setattr(plucker, "_polarization_rank", lambda x, p: 2)
+    real = plucker._survey_class
+    monkeypatch.setattr(plucker, "_survey_class", lambda *args: (2, *real(*args)[1:]))
     err = _one_line_exit_1(["pluecker", "survey", "--primes", "5"], tmp_path / "s.json", capsys)
     assert err == ("error: collinearity witness without extra section component "
                    "(4675 boundary points)")
@@ -336,12 +337,12 @@ def test_property_suite_draws_the_pinned_samples(monkeypatch):
                         lambda omega: rational.append(omega) or membership(omega))
     monkeypatch.setattr(labs, "plucker_quadrics",
                         lambda omega: mod5.append(omega) or quadrics(omega))
-    reports = labs.property_suite()
+    reports = labs.property_suite(checks._PROPERTY_SYSTEMS)
     assert all(rep.status == "pass" for rep in reports)
     dims = [build_table(build_root_system(parse_diagram(lit))).dimension
-            for lit in labs._PROPERTY_SYSTEMS]
+            for lit in checks._PROPERTY_SYSTEMS]
     assert triples == [generator_jacobi_triples(DEFAULT_SEED, lit, dim)
-                       for lit, dim in zip(labs._PROPERTY_SYSTEMS, dims)]
+                       for lit, dim in zip(checks._PROPERTY_SYSTEMS, dims)]
     # the Q-orbit check tests its 100 images after the 500 rational samples
     assert len(rational) == 600
     assert rational[:500] == decomposability_bivectors(DEFAULT_SEED, "QQ")
@@ -429,6 +430,27 @@ def test_point_commands_load_only_the_plucker_lab(import_modules):
         loaded = import_modules[" ".join(argv)] - import_modules["bare"]
         assert "delpair.projgeo.plucker" in loaded, argv
         assert loaded & refused == set(), argv
+
+
+# The two lab commands that run SUITES rows, with the lab module each reads.
+LAB_ROW_COMMANDS = {"pluecker survey --primes 3": "delpair.projgeo.plucker",
+                    "segre fitting --q 2": "delpair.projgeo.segre"}
+
+
+@pytest.mark.parametrize(("command", "own"), list(LAB_ROW_COMMANDS.items()))
+def test_lab_row_commands_load_only_their_lab(command, own):
+    # each in a fresh interpreter, under -S: the survey and the Segre fitting
+    # load their own lab, and neither the other lab nor the property suite
+    # with its chevalley and random
+    probe = ("import os, sys; bare = set(sys.modules); import delpair.cli\n"
+             f"assert delpair.cli.main([*{command.split()!r}, '--out', os.devnull]) == 0\n"
+             "print(*set(sys.modules) - bare)\n")
+    done = subprocess.run([sys.executable, "-S", "-c", probe], env=_src_env(),
+                          capture_output=True, text=True, check=True)
+    loaded = set(done.stdout.split())
+    refused = {"random", "delpair.labs", "delpair.chevalley", *LAB_ROW_COMMANDS.values()}
+    assert own in loaded
+    assert loaded & (refused - {own}) == set()
 
 
 def _argparse_and_json(modules: set) -> set:

@@ -12,7 +12,6 @@ from delpair.projgeo.linalg import (
     canonical_mod,
     primitive_int_covector,
     projective_points,
-    rref_mod,
 )
 from delpair.projgeo.plucker import (
     PAIR_INDEX,
@@ -20,8 +19,7 @@ from delpair.projgeo.plucker import (
     SectionDescription,
     _certify,
     _echelon_cells,
-    _pencil_parameter,
-    _polarization_rank,
+    _survey_class,
     alternating_matrix,
     collinearity_scan,
     dee_exhaustive_survey,
@@ -40,6 +38,8 @@ from delpair.report import DEFAULT_SEED
 from oracles import (
     _common_vector,
     _on_ell,
+    _pencil_parameter,
+    _polarization_rank,
     _wedge_mod,
     coord_plucker_quadrics,
     decomposability_bivectors,
@@ -58,6 +58,7 @@ from oracles import (
     quadric_polarization,
     regex_parse_bivector,
     rref,
+    rref_mod,
     seeded_section_bivectors,
     sympy_section_locus,
 )
@@ -398,21 +399,6 @@ def test_substitution_refuses_a_point_off_the_plane(monkeypatch):
         plane_section(parse_bivector("e4^e5"))
 
 
-def test_certification_failure_is_hard():
-    # a plane whose reduced basis rows become parallel mod 5 must raise,
-    # not silently pass; it does not pass through ell, so it is certified
-    # directly
-    v1 = [Fraction(0)] * 10
-    v2 = [Fraction(0)] * 10
-    v3 = [Fraction(0)] * 10
-    v1[0], v1[4] = Fraction(1), Fraction(1, 5)   # e1^e2 + (1/5) e2^e3
-    v2[1], v2[4] = Fraction(1), Fraction(2, 5)   # e1^e3 + (2/5) e2^e3
-    v3[9] = Fraction(1)                          # e4^e5
-    rows = [fraction_primitive_covector(row) for row in rref([v1, v2, v3])[0]]
-    with pytest.raises(CertificationError, match="degenerates modulo 5"):
-        _certify(rows, (), (), False, 5)
-
-
 # -- the closed-form section against the oracles ------------------------------
 
 def _sparse(rng, n, k):
@@ -498,6 +484,31 @@ def test_plane_section_matches_the_fraction_reference():
     assert sum(outcomes.values()) == 12_000
     assert outcomes["CertificationError"] >= 1000 and outcomes["ValueError"] >= 100, outcomes
     assert {(0, 0), (1, 0), (1, 1), (2, 0)} <= set(outcomes), outcomes
+
+
+def test_certify_enumerates_the_rref_mod_of_the_ell_plane_basis(monkeypatch):
+    # the plane _certify enumerates is rref_mod of the primitive rows of
+    # ell_plane, at good primes and at bad ones, where c's leading entry
+    # vanishes mod p and certification can fail
+    reduced = []
+    finite_locus = plucker._finite_locus
+    monkeypatch.setattr(plucker, "_finite_locus",
+                        lambda basis, p: reduced.append(list(map(list, basis)))
+                        or finite_locus(basis, p))
+    outcomes = Counter()
+    for b in seeded_section_bivectors(random.Random(45), 300):
+        sec = _outcome(plane_section, b, ())
+        if isinstance(sec, tuple):
+            continue
+        basis = ell_plane(b)
+        lead = next(x for x in basis[2] if x)
+        for p in (3, 5, 7, 11, 13, 23):
+            reduced.clear()
+            got = _outcome(_certify, basis, sec.lines, sec.isolated_plane_coords,
+                           sec.full_plane, p)
+            assert reduced == [rref_mod([primitive_int_covector(row) for row in basis], p)]
+            outcomes[lead % p == 0, got is None] += 1
+    assert {(False, True), (True, True), (True, False)} <= set(outcomes), outcomes
 
 
 def test_plane_sections_match_sympy_oracle():
@@ -611,6 +622,16 @@ def test_closed_form_rank_matches_polarization_rows(f5_points):
         rows = [[a, b] for a, b in zip(c1, c2) if a or b]
         expected = len(rref_mod(rows, 5)) if rows else 0
         assert _polarization_rank(omega, 5) == expected
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_survey_class_closed_form_matches_the_row_readers(p):
+    # every class (x24, x25, x34, x35) mod p, against the rank and pencil
+    # parameter of its rows through ell, read from the whole 10-tuple
+    for x24, x25, x34, x35 in itertools.product(range(p), repeat=4):
+        x = (0, 0, 0, 0, 0, x24, x25, x34, x35, 0)
+        expected = (_polarization_rank(x, p), *(_pencil_parameter(x, p) or (None, None)))
+        assert _survey_class(x24, x25, x34, x35, p) == expected, x
 
 
 def test_boundary_points_on_ell_match_line_ell_points(f5_points):
@@ -778,13 +799,13 @@ def test_survey_checks_each_common_vector_against_the_class_table(monkeypatch):
     # [0:1]; the class table passes it on, and only the check of the common
     # vector can catch it, first on a fibre of the big cell's block
     # (u4, u5, v4, v5) = (0, 0, 0, 1)
-    real = plucker._pencil_parameter
+    real = plucker._survey_class
 
-    def swapped(x, p):
-        param = real(x, p)
-        return None if param is None else param[::-1]
+    def swapped(*args):
+        r, t, s = real(*args)
+        return r, s, t
 
-    monkeypatch.setattr(plucker, "_pencil_parameter", swapped)
+    monkeypatch.setattr(plucker, "_survey_class", swapped)
     with pytest.raises(AssertionError,
                        match=r"^witness parameter \[1:0\] without a common vector$"):
         dee_exhaustive_survey(5)
@@ -793,14 +814,16 @@ def test_survey_checks_each_common_vector_against_the_class_table(monkeypatch):
 def test_survey_refuses_a_witness_on_an_exact_section(monkeypatch):
     # every class read as rank 2: every surveyed point is an exact section
     # with a witness, which the final assertion refuses, counted in full
-    monkeypatch.setattr(plucker, "_polarization_rank", lambda x, p: 2)
+    real = plucker._survey_class
+    monkeypatch.setattr(plucker, "_survey_class", lambda *args: (2, *real(*args)[1:]))
     with pytest.raises(AssertionError, match=r"^collinearity witness without extra "
                        r"section component \(4675 boundary points\)$"):
         dee_exhaustive_survey(5)
 
 
 def test_survey_counts_points_without_a_pencil_parameter(monkeypatch):
-    monkeypatch.setattr(plucker, "_pencil_parameter", lambda x, p: None)
+    real = plucker._survey_class
+    monkeypatch.setattr(plucker, "_survey_class", lambda *args: (real(*args)[0], None, None))
     rep = dee_exhaustive_survey(5)
     assert rep.no_witness_count == rep.surveyed == 4675
     assert rep.excluded_line_meeting == 0
