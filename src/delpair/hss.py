@@ -10,32 +10,43 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .rootsys import DynkinDiagram, MarkedDiagram, MarkError, sub
+from .rootsys import DynkinDiagram, MarkedDiagram, MarkError, _embedded_roots
 
 
-@lru_cache(maxsize=None)
+def _key(md: MarkedDiagram) -> tuple[int, tuple, tuple[int, ...]]:
+    """The rank, the shape and the mark positions, which key every root set here."""
+    marks = tuple(sorted(map(md.diagram.index.__getitem__, md.marked)))
+    return md.diagram.rank, md.root_system().shape, marks
+
+
 def noncompact_positive_roots(md: MarkedDiagram) -> frozenset[tuple[int, ...]]:
     """Positive roots with coefficient 1 at the mark of their component.
 
     A positive root's support lies in one component, so a coefficient 1 at
-    a mark places the root in that mark's component.  Cached per marked
-    diagram: the result reads only the diagram and the marks, and
-    marked-diagram equality compares both.
+    a mark places the root in that mark's component.  Memoized by ``_key``:
+    the 1 597 marked diagrams of ``pairs.catalog(40)`` have 155 keys.
     """
-    marks = [md.diagram.index[m] for m in md.marked]
-    return frozenset(r for r in md.root_system().positive_roots
-                     if 1 in map(r.__getitem__, marks))
+    return _noncompact(*_key(md))
 
 
 @lru_cache(maxsize=None)
+def _noncompact(n: int, shape: tuple, marks: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
+    return frozenset(r for r in _embedded_roots(n, shape) if 1 in map(r.__getitem__, marks))
+
+
 def psi_gamma(md: MarkedDiagram) -> frozenset[tuple[int, ...]]:
     """VMRT tangent weights at the mark gamma: the noncompact mu with mu - gamma
-    a root.  The radial direction gamma itself is not among them.  Cached per
-    marked diagram, as ``noncompact_positive_roots`` is, so the pairs that
-    share an ambient or a sub-diagram compute it once."""
-    rs = md.root_system()
-    gamma = rs.simple_root(md.single_mark)
-    return frozenset(m for m in noncompact_positive_roots(md) if rs.is_root(sub(m, gamma)))
+    a root.  The radial direction gamma itself is not among them.  Memoized
+    by ``_key``, as ``noncompact_positive_roots`` is."""
+    md.single_mark        # one mark, or MarkError
+    return _psi(*_key(md))
+
+
+@lru_cache(maxsize=None)
+def _psi(n: int, shape: tuple, marks: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
+    (i,), positives = marks, _embedded_roots(n, shape)
+    return frozenset(m for m in _noncompact(n, shape, marks)
+                     if m[:i] + (m[i] - 1,) + m[i + 1:] in positives)
 
 
 def vmrt_diagram(md: MarkedDiagram) -> MarkedDiagram:

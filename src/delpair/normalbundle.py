@@ -18,7 +18,7 @@ from . import hss
 from .frozen import Frozen
 from .pairs import DeletionPair
 from .report import FAIL, INDETERMINATE, PASS, CheckReport
-from .rootsys import packing
+from .rootsys import packed_roots, packing
 
 PROXY_NOTE = ("irreducibility certified only at the level of Levi-root "
               "connectivity of the weight set")
@@ -44,29 +44,33 @@ def levi_components(pair: DeletionPair) -> NormalDecomposition:
     """
     corr = pair.correspondence
     weights = normal_weights(pair)
+    # normal weights are noncompact roots, packed once per ambient shape; no packing is 0
+    known = packed_roots(hss.noncompact_positive_roots(pair.ambient))
     pk = packing(pair.ambient.diagram.rank)
-    root_of = {pk.pack(w): w for w in weights}
+    root_of = {known.get(w) or pk.pack(w): w for w in weights}
     moves = [pk.step(image) for label, image in corr.on_simple if label != pair.gamma0]
-    remaining = set(root_of)
-    blocks: list[set[int]] = []
-    while remaining:
-        seed = min(remaining)
-        block = {seed}
-        frontier = [seed]
-        while frontier:
-            w = frontier.pop()
-            for s in moves:
-                for cand in (w + s, w - s):
-                    if cand in remaining and cand not in block:
-                        block.add(cand)
-                        frontier.append(cand)
-        remaining -= block
-        blocks.append(block)
-    blocks.sort(key=lambda c: (len(c), min(c)))
-    highest = []
-    for block in blocks:
-        maximal = [root_of[w] for w in block if all(w + s not in block for s in moves)]
-        highest.append(max(maximal, key=lambda r: (sum(r), r)))
+    # the edges v -- v + s between weights, found by one comprehension
+    edges = [(v, w) for w in root_of for s in moves if (v := w - s) in root_of]
+    neighbours: dict[int, list[int]] = {}
+    for v, w in edges:
+        neighbours.setdefault(v, []).append(w)
+        neighbours.setdefault(w, []).append(v)
+    blocks: list[list[int]] = []
+    seen: set[int] = set()
+    for seed in sorted(root_of):    # each block starts at its least weight
+        if seed not in seen:
+            block = [seed]
+            seen.add(seed)
+            for w in block:         # the loop reads what it appends
+                fresh = [v for v in neighbours.get(w, ()) if v not in seen]
+                seen.update(fresh)
+                block += fresh
+            blocks.append(block)
+    blocks.sort(key=len)            # stable, so equal sizes stay in least-weight order
+    # w is maximal in its block when no w + s is a weight: w + s would be in it
+    lower = {v for v, _ in edges}
+    highest = [max((root_of[w] for w in block if w not in lower), key=lambda r: (sum(r), r))
+               for block in blocks]
     components = tuple(frozenset(map(root_of.__getitem__, block)) for block in blocks)
     return NormalDecomposition(weights, components, tuple(highest))
 

@@ -10,7 +10,9 @@ sub-diagram.
 """
 from __future__ import annotations
 
+import operator
 from functools import cached_property, lru_cache
+from itertools import compress
 
 from . import hss
 from .frozen import Frozen
@@ -66,7 +68,7 @@ class DeletionPair(Frozen, fields=("ambient", "gamma0")):
         """
         return root_correspondence(self)
 
-    @property
+    @cached_property
     def pair_id(self) -> str:
         return f"{self.ambient.diagram.literal()}:{self.gamma}/{self.gamma0}"
 
@@ -128,17 +130,27 @@ class RootCorrespondence(Frozen, fields=("pair", "on_simple")):
         neighbor of gamma0, which gains Gamma.
         """
         images = dict(self.on_simple)
-        return tuple(tuple((i, c) for i, c in enumerate(images[label]) if c)
+        return tuple(tuple(compress(enumerate(images[label]), images[label]))
                      for label in self.pair.sub.diagram.nodes)
 
+    @cached_property
+    def _placement(self):
+        """Phi as one ``itemgetter`` on a sub root extended by 0 and the few
+        sums (on the chain, which the neighbors of gamma0 reach through Gamma)
+        that are neither one coefficient beta_j nor 0."""
+        m, forms = len(self._columns), [[] for _ in self.pair.ambient.diagram.nodes]
+        for j, column in enumerate(self._columns):
+            for a, c in column:
+                forms[a].append((j, c))
+        slot_of: dict[tuple, int] = {(): m}
+        slots = [form[0][0] if len(form) == 1 and form[0][1] == 1
+                 else slot_of.setdefault(form, m + len(slot_of)) for form in map(tuple, forms)]
+        return operator.itemgetter(*slots), tuple(slot_of)[1:]   # a pair's ambient has rank >= 2
+
     def apply(self, beta: tuple[int, ...]) -> tuple[int, ...]:
-        """Phi on any sub-coordinate root: the sparse sum of c_j Phi(alpha_j)."""
-        image = [0] * self.pair.ambient.diagram.rank
-        for c, column in zip(beta, self._columns):
-            if c:
-                for i, a in column:
-                    image[i] += c * a
-        return tuple(image)
+        """Phi on any sub-coordinate root: the sum of c_j Phi(alpha_j)."""
+        place, sums = self._placement
+        return place(beta + (0,) + tuple(sum(c * beta[j] for j, c in form) for form in sums))
 
     @cached_property
     def on_noncompact(self) -> dict[tuple[int, ...], tuple[int, ...]]:
@@ -148,6 +160,23 @@ class RootCorrespondence(Frozen, fields=("pair", "on_simple")):
     @cached_property
     def noncompact_image(self) -> frozenset[tuple[int, ...]]:
         return frozenset(self.on_noncompact.values())
+
+
+def _phi_gram(form: tuple[tuple[int, ...], ...], columns: tuple) -> list[list[int]]:
+    """B(Phi a_i, Phi a_j) in O(n^2): row i reads B Phi(a_i), a row of B or a
+    sum of rows, at each unit column's entry and sums it over the few other
+    columns (the neighbors of gamma0); one ``inner`` per entry is the oracle."""
+    heads = [column[0][0] for column in columns]
+    wide = [j for j, column in enumerate(columns) if column != ((heads[j], 1),)]
+    gram = []
+    for head, column in zip(heads, columns):
+        row = form[head] if column == ((head, 1),) else list(
+            map(sum, zip(*[[c * b for b in form[a]] for a, c in column])))
+        entries = list(map(row.__getitem__, heads))
+        for j in wide:
+            entries[j] = sum(c * row[a] for a, c in columns[j])
+        gram.append(entries)
+    return gram
 
 
 def root_correspondence(pair: DeletionPair) -> RootCorrespondence:
@@ -173,10 +202,10 @@ def root_correspondence(pair: DeletionPair) -> RootCorrespondence:
     # <Phi a_i, Phi a_j> = C_ji, read as 2 B(Phi a_i, Phi a_j) = C_ji B(Phi a_j, Phi a_j):
     # the same claim, as Phi a_j is a root and so B(Phi a_j, Phi a_j) > 0
     cartan = sub_diag.cartan_matrix           # cartan[j][i] = <alpha_i, alpha_j>
-    norm = {label: ars.inner(image, image) for label, image in table.items()}
+    gram = _phi_gram(ars.form, corr._columns)
     for i, la in enumerate(sub_diag.nodes):
         for j, lb in enumerate(sub_diag.nodes):
-            want, got = cartan[j][i] * norm[lb], 2 * ars.inner(table[la], table[lb])
+            want, got = cartan[j][i] * gram[j][j], 2 * gram[i][j]
             if got != want:
                 raise CorrespondenceError(
                     f"pairing mismatch at ({la}, {lb}): 2B(Phi {la}, Phi {lb}) = {got}, "
@@ -217,5 +246,5 @@ def is_maximal(pair: DeletionPair) -> MaximalityVerdict:
     """
     steps = (DeletionPair(pair.ambient, g1) for g1 in pair.chain[1:-1])
     witnesses = sorted((step for step in steps if len(step.sub.diagram.components) == 1),
-                       key=lambda p: p.pair_id)
+                       key=lambda p: p.gamma0)         # as by pair id: one ambient
     return MaximalityVerdict(not witnesses, tuple(witnesses))

@@ -18,18 +18,19 @@ draws for "X_n", so each type's diagram is written once, in ``_term_edges``
 per letter, that this matching replaces are an oracle in the tests.
 
 Everything that depends only on a component's Bourbaki type is read per
-type, not per diagram.  Positive roots are generated once per (letter,
-rank) by root strings on the type's own Cartan matrix, walked on packed
-ints, and embedded through ``Component.labels``.  The form comes from a
-table of relative simple-root lengths, and a mark is cominuscule when the
-Bourbaki table of highest-root coefficients gives it coefficient 1, so
-checking marks builds no root system.  The per-diagram paths these replace
-(root strings over the whole diagram's Cartan matrix, the breadth-first
-symmetrizer and the highest-root scan), and root strings walked on
-coefficient tuples, are independent oracles in the tests.  ``packing`` is
-the one packed-root format, shared with the Chevalley table and the Levi
-search; ``_generate`` refuses a coefficient past ``PACK_BOUND``, so no sum
-or difference of two roots carries or borrows.
+type, not per diagram.  Positive roots are built once per (letter, rank),
+in closed form for A-D and by root strings on packed ints for E, F and G,
+and placed once per shape by one ``itemgetter`` per component.  The form
+comes from a table of relative simple-root lengths, and a mark is
+cominuscule when the Bourbaki table of highest-root coefficients gives it
+coefficient 1, so checking marks builds no root system.  The per-diagram
+paths these replace (root strings over the whole diagram's Cartan matrix,
+the breadth-first symmetrizer and the highest-root scan), root strings
+walked on coefficient tuples and the reflection closure are independent
+oracles in the tests.  ``packing`` is the one packed-root format, shared
+with the Chevalley table, the kernels and the Levi search; ``_generate``
+refuses a coefficient past ``PACK_BOUND`` and the closed forms stop at 2,
+so no sum or difference of two roots carries or borrows.
 
 The Cartan pairing convention is <b, g> = 2(b, g)/(g, g), i.e. the second
 slot carries the normalization.  No pairing is divided out: <b, alpha_i> is
@@ -438,6 +439,12 @@ def packing(n: int) -> Packing:
     return Packing(n)
 
 
+@lru_cache(maxsize=None)
+def packed_roots(roots: frozenset[tuple[int, ...]]) -> dict[tuple[int, ...], int]:
+    """Each root of a set to its packing; the sets given are memoized per shape."""
+    return {r: packing(len(r)).pack(r) for r in roots}
+
+
 def _generate(cartan: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
     """Positive roots by root strings through the simple roots, as int tuples.
 
@@ -473,31 +480,53 @@ def _generate(cartan: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
     return list(roots.values())
 
 
+def _run(i: int, j: int) -> tuple[int, ...]:
+    """alpha_i + ... + alpha_(j-1) on the first j nodes, 0-based: e_i - e_j."""
+    return (0,) * i + (1,) * (j - i)
+
+
 @lru_cache(maxsize=None)
 def _type_roots(letter: str, n: int) -> tuple[tuple[int, ...], ...]:
-    """Positive roots of one Bourbaki type in Bourbaki coordinates, generated once."""
+    """Positive roots of one Bourbaki type in Bourbaki coordinates, built once.
+
+    A-D are read off Bourbaki's plates I-IV, each root a ``_run`` and a tail
+    (C_n and D_n start from A_(n-1)'s e_i - e_j, B_n from A_n's runs); E, F
+    and G are walked by ``_generate``, the oracle of the closed forms.
+    """
+    if letter == "A":
+        return tuple(_run(i, j) + (0,) * (n - j) for i in range(n) for j in range(i + 1, n + 1))
+    if letter == "B":           # e_i - e_j and e_i, then e_i + e_j
+        return _type_roots("A", n) + tuple(
+            _run(i, j) + (2,) * (n - j) for i in range(n) for j in range(i + 1, n))
+    if letter in ("C", "D"):
+        differences = tuple(r + (0,) for r in _type_roots("A", n - 1))
+        if letter == "C":       # then e_i + e_j, and 2 e_i at j = i
+            return differences + tuple(
+                _run(i, j) + (2,) * (n - 1 - j) + (1,) for i in range(n) for j in range(i, n))
+        return differences + tuple(_run(i, n - 2) + (0, 1) for i in range(n - 1)) + tuple(
+            _run(i, j) + (2,) * (n - 2 - j) + (1, 1)      # e_i + e_n, then e_i + e_j, j < n
+            for i in range(n - 2) for j in range(i + 1, n - 1))
     return tuple(_generate(parse_diagram(f"{letter}{n}").cartan_matrix))
 
 
 @lru_cache(maxsize=None)
 def _embedded_roots(n: int, shape: tuple[tuple[str, int, tuple[int, ...]], ...]
-                    ) -> tuple[frozenset[tuple[int, ...]], frozenset[tuple[int, ...]]]:
-    """The positive roots, and all roots of both signs, of a rank-n diagram
-    of the given shape.
+                    ) -> frozenset[tuple[int, ...]]:
+    """The positive roots of a rank-n diagram of the given shape.
 
-    ``shape`` lists (letter, rank, node positions) per component; each
-    component's per-type roots are placed at its positions.  Diagrams that
-    differ only in node labels share one shape and so one pair of sets.
+    ``shape`` lists (letter, rank, node positions) per component; one
+    ``itemgetter`` per component reads each node's coefficient, or a 0
+    appended at index ``rank`` off it (n >= 2 there, so it returns a tuple).
+    Diagrams that differ only in node labels share one shape and so one set.
     """
-    placed = []
+    placed: list[tuple[int, ...]] = []
     for letter, rank, where in shape:
-        for coeffs in _type_roots(letter, rank):
-            full = [0] * n
-            for i, c in zip(where, coeffs):
-                full[i] = c
-            placed.append(tuple(full))
-    negatives = [tuple(map(operator.neg, coeffs)) for coeffs in placed]
-    return frozenset(placed), frozenset(placed + negatives)
+        if where == tuple(range(n)):    # the whole diagram, in Bourbaki order
+            placed += _type_roots(letter, rank)
+            continue
+        place = operator.itemgetter(*(where.index(i) if i in where else rank for i in range(n)))
+        placed += [place(coeffs + (0,)) for coeffs in _type_roots(letter, rank)]
+    return frozenset(placed)
 
 
 # ---------------------------------------------------------------------------
@@ -515,15 +544,21 @@ def sub(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 
 class RootSystem:
-    """The full positive system over a diagram, with its integer form."""
+    """The full positive system over a diagram, with its integer form and its
+    ``shape``, (letter, rank, node positions) per component."""
 
     def __init__(self, diagram: DynkinDiagram):
         self.diagram = diagram
         self.cartan = diagram.cartan_matrix
-        shape = tuple((c.letter, c.rank, tuple(map(diagram.index.__getitem__, c.labels)))
-                      for c in diagram.components)
-        self.positive_roots, self.all_roots = _embedded_roots(diagram.rank, shape)
+        self.shape = tuple((c.letter, c.rank, tuple(map(diagram.index.__getitem__, c.labels)))
+                           for c in diagram.components)
+        self.positive_roots = _embedded_roots(diagram.rank, self.shape)
         self._columns: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    @cached_property
+    def all_roots(self) -> frozenset[tuple[int, ...]]:
+        """The roots of both signs, built on first use."""
+        return self.positive_roots | {tuple(map(operator.neg, r)) for r in self.positive_roots}
 
     @property
     def form(self) -> tuple[tuple[int, ...], ...]:
@@ -552,7 +587,7 @@ class RootSystem:
     # -- membership and reflections -----------------------------------------
 
     def is_root(self, r: tuple[int, ...]) -> bool:
-        return r in self.all_roots
+        return r in self.positive_roots or tuple(map(operator.neg, r)) in self.positive_roots
 
     def simple_root(self, label: str) -> tuple[int, ...]:
         i, n = self.diagram.index[label], self.diagram.rank

@@ -11,19 +11,18 @@ Lie elements.  The sub-VMRT tangent weights are Phi(Psi_gamma0(X0)), read
 through the pair's root correspondence.  The bracket evaluation stays as a
 test oracle.
 
-Weights are root tuples (see ``rootsys``): a kernel is a set difference of
-tuple sets, the lemma's sums and differences go through ``rootsys.add`` and
-``rootsys.sub``, and a witness is the tuple as a list.
+Weights are root tuples (see ``rootsys``), packed for the kernel search: a
+kernel is the set of Psi_gamma weights whose packings no shift reaches, the
+lemma's sums and differences go through ``rootsys.add`` and ``rootsys.sub``,
+and a witness is the tuple as a list.
 """
 from __future__ import annotations
-
-import operator
 
 from . import hss
 from .frozen import Frozen
 from .pairs import DeletionPair
 from .report import FAIL, PASS, SKIPPED, CheckReport
-from .rootsys import add, sub
+from .rootsys import add, packed_roots, sub
 
 
 class SFFContext(Frozen, fields=("rs", "gamma", "noncompact", "psi", "sub_tangent",
@@ -63,21 +62,23 @@ def kernels(ctx: SFFContext) -> tuple[KernelReport, KernelReport]:
     Phi(noncompact sub roots).  Weight-injectivity of nu -> nu + nu' - gamma
     for fixed nu' makes each reported kernel exact: it is spanned by the
     listed root directions.
+    The search runs on weights packed once per ambient shape, so a shifted
+    weight is one int subtraction; the search on tuples is the test oracle.
     """
     # nu leaves a kernel when some shift nu' - gamma moves it onto a live
     # weight w (where the form survives: a noncompact root outside Psi_gamma
-    # and not gamma), i.e. when nu = w - (nu' - gamma); there are far fewer
-    # live weights than nu
-    shifts = [tuple(map(operator.sub, nu2, ctx.gamma)) for nu2 in ctx.sub_tangent]
-    hit_sigma: set[tuple[int, ...]] = set()
-    hit_tau: set[tuple[int, ...]] = set()
-    for w in ctx.noncompact - ctx.psi - {ctx.gamma}:
-        hit = {tuple(map(operator.sub, w, s)) for s in shifts}
-        hit_sigma |= hit
-        if w not in ctx.x0_tangent:
-            hit_tau |= hit
-    sigma = ctx.psi - hit_sigma
-    tau = ctx.psi - hit_tau
+    # and not gamma), i.e. when nu = w - (nu' - gamma).  The packing is affine
+    # and no coefficient of w - (nu' - gamma) leaves -14..14, so a packed
+    # difference is the packing of the tuple's
+    packed = packed_roots(ctx.noncompact)
+    shifts = [packed[nu2] - packed[ctx.gamma] for nu2 in ctx.sub_tangent]
+    live = ctx.noncompact - ctx.psi - {ctx.gamma}
+    hit_tau = {w - s for w in map(packed.__getitem__, live - ctx.x0_tangent) for s in shifts}
+    hit_sigma = hit_tau | {w - s for w in map(packed.__getitem__, live & ctx.x0_tangent)
+                           for s in shifts}
+    psi = packed_roots(ctx.psi).items()
+    sigma = frozenset(nu for nu, key in psi if key not in hit_sigma)
+    tau = frozenset(nu for nu, key in psi if key not in hit_tau)
     return (KernelReport(sigma, bool(sigma)),
             KernelReport(tau, ctx.sub_tangent <= tau and tau != ctx.sub_tangent))
 

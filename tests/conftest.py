@@ -6,7 +6,13 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from delpair import pairs
-from delpair.checks import run_all
+from delpair.checks import (
+    correspondence_checks,
+    degeneracy_checks,
+    infinity_checks,
+    normal_bundle_checks,
+    run_all,
+)
 from delpair.report import RunConfig
 
 
@@ -25,6 +31,23 @@ def catalog12():
 def catalog20():
     """The 346 deletion pairs of rank at most 20, in catalog order."""
     return pairs.catalog(20)
+
+
+@pytest.fixture(scope="session")
+def rank40_witnesses():
+    """(check_id, pair id) -> (status, witnesses) of the five pair rows on
+    every pair of ``pairs.catalog(40)``.
+
+    MAX_RANK stays 20, so no bundle reaches rank 40: the four pair checks of
+    run-all's pair rows run here on each pair in turn, as those rows do.
+    """
+    out, catalog = {}, pairs.catalog(40)
+    for check in (correspondence_checks, degeneracy_checks, infinity_checks,
+                  normal_bundle_checks):
+        for pair in catalog:
+            for rep in check(pair):
+                out[rep.check_id, rep.subject] = rep.status, rep.witnesses
+    return out
 
 
 @pytest.fixture(scope="session")

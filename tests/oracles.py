@@ -168,6 +168,35 @@ COUNT_FORMULAS = {
 }
 
 
+# The five rows run-all reports on each catalog pair.
+PAIR_ROWS = ("pairs.correspondence", "sff.kernel_sigma", "sff.kernel_tau",
+             "sff.infinity_locus", "normalbundle.summands_distinct")
+
+# Per pair that passes every pair row, for n up to 40: dim_sub, dim_ambient,
+# the normal-bundle component sizes, the infinity locus_size, the kernel_tau
+# kernel_size and the number of kernel_sigma weights.  D_n:a_n/a_(n-2) is
+# G(2, n-2) in G^II(n,n).
+FAMILY_CLOSED_FORMS = {
+    **{f"D{n}:a{n}/a{n - 2}": (2 * (n - 2), n * (n - 1) // 2, [1, math.comb(n - 2, 2)],
+                               2 * (n - 2), n - 1, 1)
+       for n in range(5, 41)},
+    "E6:a6/a5": (10, 16, [1, 5], 10, 7, 1),
+    "E7:a7/a6": (16, 27, [1, 10], 16, 11, 1),
+}
+
+
+def family_reading(witnesses, pair_id: str) -> tuple:
+    """The witnesses ``FAMILY_CLOSED_FORMS`` lists, read off the pair rows'
+    witnesses, keyed by (check_id, pair id)."""
+    (corr,) = witnesses["pairs.correspondence", pair_id]
+    (normal,) = witnesses["normalbundle.summands_distinct", pair_id]
+    (locus,) = witnesses["sff.infinity_locus", pair_id]
+    (tau,) = witnesses["sff.kernel_tau", pair_id]
+    (sigma,) = witnesses["sff.kernel_sigma", pair_id]
+    return (corr["dim_sub"], corr["dim_ambient"], sorted(normal["component_sizes"]),
+            locus["locus_size"], tau["kernel_size"], len(sigma["kernel"]))
+
+
 def closed_form_positive_count(diagram: DynkinDiagram) -> int:
     return sum(COUNT_FORMULAS[c.letter](c.rank) for c in diagram.components)
 
@@ -519,26 +548,31 @@ def _component_edges(labels: list[str], full_adj: dict[str, dict]):
 
 
 def reflection_closure_positive_roots(diagram: DynkinDiagram) -> frozenset[Vec]:
-    """Orbit of the simple roots under all simple reflections, positives only."""
+    """Orbit of the simple roots under all simple reflections, positives only.
+
+    s_i keeps every positive root but alpha_i positive, and every positive
+    root reaches a simple one by reflections that lower its height, so the
+    orbit is walked on positive roots alone: s_i(beta) changes coordinate i
+    only, so it is negative exactly when that coordinate drops below 0.
+    Each root carries its pairings <beta, alpha_k>, which s_i lowers by
+    <beta, alpha_i> times those of alpha_i, column i of the Cartan matrix.
+    """
     n = diagram.rank
-    C = diagram.cartan_matrix
-
-    def reflect(i: int, beta: Vec) -> Vec:
-        k = sum(b * C[i][j] for j, b in enumerate(beta))
-        return tuple(b - k * (1 if j == i else 0) for j, b in enumerate(beta))
-
-    roots = {unit(i, n) for i in range(n)} | {neg(unit(i, n)) for i in range(n)}
-    frontier = set(roots)
+    cartan = diagram.cartan_matrix
+    column = [tuple(row[i] for row in cartan) for i in range(n)]
+    frontier = [(unit(i, n), column[i]) for i in range(n)]
+    roots = {beta for beta, _ in frontier}
     while frontier:
-        new = set()
-        for beta in frontier:
-            for i in range(n):
-                img = reflect(i, beta)
-                if img not in roots:
-                    new.add(img)
-        roots |= new
+        new = []
+        for beta, pairings in frontier:
+            for i, k in enumerate(pairings):
+                if k and beta[i] >= k:
+                    img = beta[:i] + (beta[i] - k,) + beta[i + 1:]
+                    if img not in roots:
+                        roots.add(img)
+                        new.append((img, tuple(p - k * c for p, c in zip(pairings, column[i]))))
         frontier = new
-    return frozenset(r for r in roots if all(c >= 0 for c in r))
+    return frozenset(roots)
 
 
 class FractionRootSystem:
@@ -689,6 +723,47 @@ def brute_kernel(psi, sub_tangent, gamma, noncompact, rs, quotient=frozenset()):
                for w in (minus(plus(nu, nu2), gamma) for nu2 in sub_tangent)):
             dead.add(nu)
     return frozenset(dead)
+
+
+def tuple_kernels(ctx) -> tuple[frozenset[Vec], frozenset[Vec]]:
+    """The sigma and tau kernel weights from shifts on coefficient tuples.
+
+    Each live weight w (noncompact, outside Psi_gamma, not gamma) removes
+    every w - (nu' - gamma) from sigma's kernel, and from tau's when w lies
+    outside the Phi image of the sub noncompact roots; no weight is packed.
+    """
+    shifts = [minus(nu2, ctx.gamma) for nu2 in ctx.sub_tangent]
+    hit_sigma: set[Vec] = set()
+    hit_tau: set[Vec] = set()
+    for w in ctx.noncompact - ctx.psi - {ctx.gamma}:
+        hit = {minus(w, s) for s in shifts}
+        hit_sigma |= hit
+        if w not in ctx.x0_tangent:
+            hit_tau |= hit
+    return ctx.psi - hit_sigma, ctx.psi - hit_tau
+
+
+def filtered_noncompact(md: MarkedDiagram) -> frozenset[Vec]:
+    """The positive roots of this diagram's own root system with coefficient
+    1 at a mark, filtered per marked diagram instead of read per shape."""
+    rs = RootSystem(md.diagram)
+    marks = [md.diagram.index[m] for m in md.marked]
+    return frozenset(r for r in rs.positive_roots if any(r[i] == 1 for i in marks))
+
+
+def filtered_psi(md: MarkedDiagram) -> frozenset[Vec]:
+    """Psi_gamma per marked diagram: the noncompact mu with mu - gamma a root."""
+    rs = RootSystem(md.diagram)
+    gamma = unit(md.diagram.index[md.single_mark], md.diagram.rank)
+    return frozenset(mu for mu in filtered_noncompact(md) if rs.is_root(minus(mu, gamma)))
+
+
+def inner_gram(pair) -> list[list[int]]:
+    """B(Phi a_i, Phi a_j) by one ``inner`` call per entry, in sub node order."""
+    ars = pair.ambient_rs()
+    images = dict(pair.correspondence.on_simple)
+    nodes = pair.sub.diagram.nodes
+    return [[ars.inner(images[a], images[b]) for b in nodes] for a in nodes]
 
 
 BasisKey = tuple[str, "Vec | int"]   # ("e", root) or ("h", simple index)

@@ -2,7 +2,6 @@ import argparse
 import hashlib
 import itertools
 import json
-import math
 import os
 import random
 import re
@@ -40,7 +39,10 @@ from delpair.rootsys import (
     parse_marked,
 )
 from oracles import (
+    FAMILY_CLOSED_FORMS,
+    PAIR_ROWS,
     decomposability_bivectors,
+    family_reading,
     generator_jacobi_triples,
     seeded_section_bivectors,
 )
@@ -885,8 +887,7 @@ def test_default_bundle_does_not_depend_on_root_set_order():
 import hashlib, json
 from delpair import rootsys
 embedded = rootsys._embedded_roots
-rootsys._embedded_roots = lambda n, shape: tuple(
-    frozenset(sorted(roots, reverse=True)) for roots in embedded(n, shape))
+rootsys._embedded_roots = lambda n, shape: frozenset(sorted(embedded(n, shape), reverse=True))
 from delpair.cli import run_all
 from delpair.report import RunConfig, bundle_json
 code, doc = run_all(RunConfig())
@@ -925,11 +926,6 @@ def test_rank20_bundle_golden_hash(rank20_bundle):
         "pass": 1126, "fail": 0, "indeterminate": 325, "skipped": 295}
 
 
-# The five rows run-all reports on each catalog pair.
-PAIR_ROWS = ("pairs.correspondence", "sff.kernel_sigma", "sff.kernel_tau",
-             "sff.infinity_locus", "normalbundle.summands_distinct")
-
-
 @pytest.mark.parametrize("max_rank", [7, 12, 20])
 def test_the_pairs_that_pass_every_pair_row(max_rank, request):
     # the paper's answer: G(2, n-2) in G^II(n,n) for n >= 5, G^II(5,5) in
@@ -946,30 +942,13 @@ def test_the_pairs_that_pass_every_pair_row(max_rank, request):
     assert len(passing) == {7: 5, 12: 10, 20: 18}[max_rank]
 
 
-# Per passing pair: dim_sub, dim_ambient, the normal-bundle component sizes,
-# the infinity locus_size, the kernel_tau kernel_size and the number of
-# kernel_sigma weights.  D_n:a_n/a_(n-2) is G(2, n-2) in G^II(n,n).
-FAMILY_CLOSED_FORMS = {
-    **{f"D{n}:a{n}/a{n - 2}": (2 * (n - 2), n * (n - 1) // 2, [1, math.comb(n - 2, 2)],
-                               2 * (n - 2), n - 1, 1)
-       for n in range(5, 21)},
-    "E6:a6/a5": (10, 16, [1, 5], 10, 7, 1),
-    "E7:a7/a6": (16, 27, [1, 10], 16, 11, 1),
-}
-
-
 def test_the_passing_pairs_meet_their_closed_forms(rank20_bundle):
     witnesses = {(r["check_id"], r["subject"]): r["witnesses"] for r in rank20_bundle["reports"]}
-    assert len(FAMILY_CLOSED_FORMS) == 18
-    for pair_id, expected in FAMILY_CLOSED_FORMS.items():
-        (corr,) = witnesses["pairs.correspondence", pair_id]
-        (normal,) = witnesses["normalbundle.summands_distinct", pair_id]
-        (locus,) = witnesses["sff.infinity_locus", pair_id]
-        (tau,) = witnesses["sff.kernel_tau", pair_id]
-        (sigma,) = witnesses["sff.kernel_sigma", pair_id]
-        read = (corr["dim_sub"], corr["dim_ambient"], sorted(normal["component_sizes"]),
-                locus["locus_size"], tau["kernel_size"], len(sigma["kernel"]))
-        assert read == expected, pair_id
+    expected = {pair_id: forms for pair_id, forms in FAMILY_CLOSED_FORMS.items()
+                if ("pairs.correspondence", pair_id) in witnesses}
+    assert len(expected) == 18
+    for pair_id, forms in expected.items():
+        assert family_reading(witnesses, pair_id) == forms, pair_id
 
 
 def test_in_process_bundles_equal_their_json(default_bundle, rank_sweep_bundle):

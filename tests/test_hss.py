@@ -1,12 +1,14 @@
 import pytest
 
+from delpair import hss
 from delpair.hss import (
     noncompact_positive_roots,
     psi_gamma,
     vmrt_chain,
     vmrt_diagram,
 )
-from delpair.rootsys import MarkError, descriptor, parse_marked, space_name
+from delpair.rootsys import MarkError, delete_chain, descriptor, parse_marked, space_name
+from oracles import filtered_noncompact, filtered_psi
 
 
 @pytest.mark.parametrize("literal, dim", [
@@ -30,13 +32,18 @@ def test_noncompact_filter_oracle_a4():
 
 
 def test_noncompact_roots_are_cached_per_marked_diagram():
-    noncompact_positive_roots.cache_clear()
+    # memoized by (rank, shape, mark positions): the sub-diagram a2..a4 of
+    # B4 has B3's shape, so it shares B3's set
+    hss._noncompact.cache_clear()
     literals = ["E7:a7", "A1+A2:a1,a3", "E7:a7", "A1+A2:a1", "A1+A2:a1,a3", "B4:a1"]
     results = [noncompact_positive_roots(parse_marked(literal)) for literal in literals]
     assert results[2] is results[0]
     assert results[4] is results[1]
     assert results[3] is not results[1]     # same diagram, other marks
-    assert noncompact_positive_roots.cache_info().misses == len(set(literals))
+    assert hss._noncompact.cache_info().misses == len(set(literals))
+    sub = delete_chain(parse_marked("B4:a1"), "a2")[1]
+    assert noncompact_positive_roots(sub) is noncompact_positive_roots(parse_marked("B3:a1"))
+    assert hss._noncompact.cache_info().misses == len(set(literals)) + 1
 
 
 @pytest.mark.parametrize("literal, affine", [
@@ -49,13 +56,20 @@ def test_psi_gamma_sizes(literal, affine):
 
 
 def test_psi_gamma_is_cached_per_marked_diagram():
-    psi_gamma.cache_clear()
+    hss._psi.cache_clear()
     literals = ["E7:a7", "D5:a5", "E7:a7", "D5:a1", "D5:a5"]
     results = [psi_gamma(parse_marked(literal)) for literal in literals]
     assert results[2] is results[0]
     assert results[4] is results[1]
     assert results[3] != results[1]         # same diagram, other mark
-    assert psi_gamma.cache_info().misses == len(set(literals))
+    assert hss._psi.cache_info().misses == len(set(literals))
+
+
+def test_shape_keyed_roots_match_per_diagram_filter_on_catalog20(catalog20):
+    for pair in catalog20:
+        for md in (pair.ambient, pair.sub):
+            assert noncompact_positive_roots(md) == filtered_noncompact(md), md.literal()
+            assert psi_gamma(md) == filtered_psi(md), md.literal()
 
 
 def test_psi_gamma_inside_noncompact_and_radial_separate():

@@ -15,14 +15,18 @@ from delpair.pairs import (
     is_maximal,
     root_correspondence,
 )
-from delpair.report import FAIL
+from delpair.report import FAIL, PASS
 from delpair.rootsys import ChainError, MarkError, parse_diagram, parse_marked
 from oracles import (
+    FAMILY_CLOSED_FORMS,
+    PAIR_ROWS,
     FractionRootSystem,
     additive_apply,
     chain_sum,
     exhaustive_maximality,
+    family_reading,
     form_pairing,
+    inner_gram,
     neg,
 )
 
@@ -139,6 +143,12 @@ def test_matrix_apply_matches_additive_oracle(catalog12):
             assert corr.apply(beta) == additive_apply(corr, beta), (pair, beta)
 
 
+def test_sparse_gram_matches_per_entry_inner_on_catalog20(catalog20):
+    for pair in catalog20:
+        gram = pairs._phi_gram(pair.ambient_rs().form, pair.correspondence._columns)
+        assert gram == inner_gram(pair), pair.pair_id
+
+
 def test_sparse_apply_matches_additive_oracle_on_catalog20(catalog20):
     for pair in catalog20:
         corr = pair.correspondence
@@ -227,6 +237,22 @@ def test_correspondence_raises_when_phi_is_not_injective(monkeypatch):
     monkeypatch.setattr(RootCorrespondence, "apply", lambda self, beta: self.on_simple[0][1])
     with pytest.raises(CorrespondenceError, match="^Phi is not injective on noncompact roots$"):
         root_correspondence(DeletionPair(parse_marked("E7:a7"), "a6"))
+
+
+def test_the_pairs_that_pass_every_pair_row_at_rank_40(rank40_witnesses):
+    # the paper's family G(2, n-2) in G^II(n,n) for 5 <= n <= 40, twice the
+    # rank of the largest pinned bundle, and the two exceptional pairs; every
+    # other pair fails none of the five rows
+    statuses = {key: status for key, (status, _) in rank40_witnesses.items()}
+    subjects = {pair_id for check_id, pair_id in statuses if check_id == "pairs.correspondence"}
+    assert len(subjects) == len(catalog(40)) == 1486
+    assert FAIL not in statuses.values()
+    passing = {pair_id for pair_id in subjects
+               if all(statuses[check_id, pair_id] == PASS for check_id in PAIR_ROWS)}
+    assert passing == FAMILY_CLOSED_FORMS.keys() and len(passing) == 38
+    witnesses = {key: found for key, (_, found) in rank40_witnesses.items()}
+    for pair_id, forms in FAMILY_CLOSED_FORMS.items():
+        assert family_reading(witnesses, pair_id) == forms, pair_id
 
 
 def test_maximality_verdicts(catalog7):

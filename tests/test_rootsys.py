@@ -31,6 +31,7 @@ from delpair.chevalley import build_table
 from delpair.labs import reflection_failures
 from delpair.report import MAX_RANK
 from oracles import (
+    COUNT_FORMULAS,
     FractionRootSystem,
     closed_form_positive_count,
     component_roots,
@@ -298,6 +299,19 @@ def test_embedded_type_roots_match_root_strings_on_own_cartan(typed_diagrams):
     for diagram in typed_diagrams:
         generated = set(tuple_root_strings(diagram.cartan_matrix))
         assert build_root_system(diagram).positive_roots == generated, diagram.literal()
+
+
+@pytest.mark.parametrize("letter, lowest", [("A", 1), ("B", 2), ("C", 2), ("D", 4)])
+def test_closed_form_type_roots_match_root_strings_and_reflection_closure(letter, lowest):
+    # A1-A40, B2-B40, C2-C40 and D4-D40, twice the rank of the largest pinned
+    # bundle: the closed forms against the packed root strings and the
+    # reflection closure, with no root listed twice
+    for n in range(lowest, 41):
+        roots = rootsys._type_roots(letter, n)
+        diagram = parse_diagram(f"{letter}{n}")
+        assert len(roots) == len(set(roots)) == COUNT_FORMULAS[letter](n), (letter, n)
+        assert set(roots) == set(_generate(diagram.cartan_matrix)), (letter, n)
+        assert set(roots) == reflection_closure_positive_roots(diagram), (letter, n)
 
 
 def test_packed_root_strings_match_tuple_oracle_in_order():

@@ -14,6 +14,7 @@ from oracles import (
     label_embedded_sub_tangent,
     minus,
     plus,
+    tuple_kernels,
 )
 
 
@@ -98,6 +99,13 @@ def test_kernel_tau_matches_brute_oracle(catalog12):
         oracle = brute_kernel(ctx.psi, ctx.sub_tangent, ctx.gamma,
                               ctx.noncompact, ctx.rs, quotient=ctx.x0_tangent)
         assert report.kernel_weights == oracle, pair
+
+
+def test_packed_kernels_match_tuple_kernels_on_catalog20(catalog20):
+    for pair in catalog20:
+        ctx = SFFContext.for_pair(pair)
+        sigma, tau = kernels(ctx)
+        assert (sigma.kernel_weights, tau.kernel_weights) == tuple_kernels(ctx), pair.pair_id
 
 
 def test_degeneracy_for_all_catalog_pairs(catalog7):
