@@ -163,19 +163,21 @@ class RootCorrespondence(Frozen, fields=("pair", "on_simple")):
 
 
 def _phi_gram(form: tuple[tuple[int, ...], ...], columns: tuple) -> list[list[int]]:
-    """B(Phi a_i, Phi a_j) in O(n^2): row i reads B Phi(a_i), a row of B or a
-    sum of rows, at each unit column's entry and sums it over the few other
-    columns (the neighbors of gamma0); one ``inner`` per entry is the oracle."""
+    """B(Phi a_i, Phi a_j) in O(n^2): row i reads B Phi(a_i) at each unit column's
+    entry; the few other columns (the neighbors of gamma0) are summed in their
+    own rows and copied into the rest, as B is symmetric.  ``inner`` is the oracle."""
     heads = [column[0][0] for column in columns]
     wide = [j for j, column in enumerate(columns) if column != ((heads[j], 1),)]
     gram = []
     for head, column in zip(heads, columns):
         row = form[head] if column == ((head, 1),) else list(
             map(sum, zip(*[[c * b for b in form[a]] for a, c in column])))
-        entries = list(map(row.__getitem__, heads))
-        for j in wide:
-            entries[j] = sum(c * row[a] for a, c in columns[j])
-        gram.append(entries)
+        gram.append(list(map(row.__getitem__, heads)))
+        for j in wide if column != ((head, 1),) else ():
+            gram[-1][j] = sum(c * row[a] for a, c in columns[j])
+    for j in wide:
+        for entries, value in zip(gram, gram[j]):
+            entries[j] = value
     return gram
 
 
@@ -201,16 +203,16 @@ def root_correspondence(pair: DeletionPair) -> RootCorrespondence:
             raise CorrespondenceError(f"Phi({label}) = {image} is not an ambient root")
     # <Phi a_i, Phi a_j> = C_ji, read as 2 B(Phi a_i, Phi a_j) = C_ji B(Phi a_j, Phi a_j):
     # the same claim, as Phi a_j is a root and so B(Phi a_j, Phi a_j) > 0
-    cartan = sub_diag.cartan_matrix           # cartan[j][i] = <alpha_i, alpha_j>
     gram = _phi_gram(ars.form, corr._columns)
-    for i, la in enumerate(sub_diag.nodes):
-        for j, lb in enumerate(sub_diag.nodes):
-            want, got = cartan[j][i] * gram[j][j], 2 * gram[i][j]
-            if got != want:
-                raise CorrespondenceError(
-                    f"pairing mismatch at ({la}, {lb}): 2B(Phi {la}, Phi {lb}) = {got}, "
-                    f"expected {cartan[j][i]} B(Phi {lb}, Phi {lb}) = {want}"
-                )
+    norms, nodes = [row[j] for j, row in enumerate(gram)], sub_diag.nodes
+    for la, row, column in zip(nodes, gram, zip(*sub_diag.cartan_matrix)):
+        wants = list(map(operator.mul, column, norms))     # column[j] = <alpha_i, alpha_j>
+        if list(map((2).__mul__, row)) != wants:
+            j = next(j for j, (b, want) in enumerate(zip(row, wants)) if 2 * b != want)
+            raise CorrespondenceError(
+                f"pairing mismatch at ({la}, {nodes[j]}): 2B(Phi {la}, Phi {nodes[j]}) = "
+                f"{2 * row[j]}, expected {column[j]} B(Phi {nodes[j]}, Phi {nodes[j]}) = {wants[j]}"
+            )
     nc0 = hss.noncompact_positive_roots(pair.sub)
     nc = hss.noncompact_positive_roots(pair.ambient)
     if len(corr.noncompact_image) != len(nc0):
@@ -246,5 +248,5 @@ def is_maximal(pair: DeletionPair) -> MaximalityVerdict:
     """
     steps = (DeletionPair(pair.ambient, g1) for g1 in pair.chain[1:-1])
     witnesses = sorted((step for step in steps if len(step.sub.diagram.components) == 1),
-                       key=lambda p: p.gamma0)         # as by pair id: one ambient
+                       key=lambda p: p.gamma0)     # pair-id order: one ambient and gamma
     return MaximalityVerdict(not witnesses, tuple(witnesses))

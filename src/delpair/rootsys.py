@@ -19,18 +19,17 @@ per letter, that this matching replaces are an oracle in the tests.
 
 Everything that depends only on a component's Bourbaki type is read per
 type, not per diagram.  Positive roots are built once per (letter, rank),
-in closed form for A-D and by root strings on packed ints for E, F and G,
-and placed once per shape by one ``itemgetter`` per component.  The form
-comes from a table of relative simple-root lengths, and a mark is
-cominuscule when the Bourbaki table of highest-root coefficients gives it
-coefficient 1, so checking marks builds no root system.  The per-diagram
-paths these replace (root strings over the whole diagram's Cartan matrix,
-the breadth-first symmetrizer and the highest-root scan), root strings
-walked on coefficient tuples and the reflection closure are independent
-oracles in the tests.  ``packing`` is the one packed-root format, shared
-with the Chevalley table, the kernels and the Levi search; ``_generate``
-refuses a coefficient past ``PACK_BOUND`` and the closed forms stop at 2,
-so no sum or difference of two roots carries or borrows.
+in closed form for A-D and by root strings on packed ints for E-G, and
+placed once per shape by one ``itemgetter`` per component.  The form comes
+from a table of relative simple-root lengths, and a mark is cominuscule
+when the Bourbaki table of highest-root coefficients gives it coefficient
+1, so checking marks builds no root system.  The per-diagram paths these
+replace (root strings over the whole diagram's Cartan matrix, the
+symmetrizer and the highest-root scan), root strings on coefficient tuples
+and the reflection closure are independent oracles in the tests.
+``packing`` is the one packed-root format, shared with the Chevalley table,
+the kernels and the Levi search; ``_generate`` refuses a coefficient past
+``PACK_BOUND`` and the closed forms stop at 2, so no root sum carries.
 
 The Cartan pairing convention is <b, g> = 2(b, g)/(g, g), i.e. the second
 slot carries the normalization.  No pairing is divided out: <b, alpha_i> is
@@ -544,8 +543,7 @@ def sub(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 
 class RootSystem:
-    """The full positive system over a diagram, with its integer form and its
-    ``shape``, (letter, rank, node positions) per component."""
+    """The positive roots of a diagram, memoized by its ``shape``, and its form."""
 
     def __init__(self, diagram: DynkinDiagram):
         self.diagram = diagram
