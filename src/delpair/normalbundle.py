@@ -44,10 +44,9 @@ def levi_components(pair: DeletionPair) -> NormalDecomposition:
     """
     corr = pair.correspondence
     weights = normal_weights(pair)
-    # normal weights are noncompact roots, packed once per ambient shape; no packing is 0
-    known = packed_roots(hss.noncompact_positive_roots(pair.ambient))
+    known = packed_roots(hss.noncompact_positive_roots(pair.ambient))   # once per shape
     pk = packing(pair.ambient.diagram.rank)
-    root_of = {known.get(w) or pk.pack(w): w for w in weights}
+    root_of = {known.get(w) or pk.pack(w): w for w in weights}      # no packing is 0
     moves = [pk.step(image) for label, image in corr.on_simple if label != pair.gamma0]
     # the edges v -- v + s between weights, found by one comprehension
     edges = [(v, w) for w in root_of for s in moves if (v := w - s) in root_of]
@@ -55,8 +54,7 @@ def levi_components(pair: DeletionPair) -> NormalDecomposition:
     for v, w in edges:
         neighbours.setdefault(v, []).append(w)
         neighbours.setdefault(w, []).append(v)
-    blocks: list[list[int]] = []
-    seen: set[int] = set()
+    blocks, seen = [], set()
     for seed in sorted(root_of):    # each block starts at its least weight
         if seed not in seen:
             block = [seed]

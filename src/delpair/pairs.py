@@ -135,9 +135,8 @@ class RootCorrespondence(Frozen, fields=("pair", "on_simple")):
 
     @cached_property
     def _placement(self):
-        """Phi as one ``itemgetter`` on a sub root extended by 0 and the few
-        sums (on the chain, which the neighbors of gamma0 reach through Gamma)
-        that are neither one coefficient beta_j nor 0."""
+        """Phi as one ``itemgetter`` on a sub root extended by 0 and the sums on
+        the chain's nodes, which the neighbors of gamma0 reach through Gamma."""
         m, forms = len(self._columns), [[] for _ in self.pair.ambient.diagram.nodes]
         for j, column in enumerate(self._columns):
             for a, c in column:
@@ -231,6 +230,9 @@ class MaximalityVerdict(Frozen, fields=("maximal", "witnesses")):
         return tuple(w.pair_id for w in self.witnesses)
 
 
+_step = lru_cache(maxsize=None)(DeletionPair)     # the pairs of one ambient share their steps
+
+
 @lru_cache(maxsize=None)
 def is_maximal(pair: DeletionPair) -> MaximalityVerdict:
     """The first steps X1 in X of every decomposition X0 in X1 in X.
@@ -246,7 +248,7 @@ def is_maximal(pair: DeletionPair) -> MaximalityVerdict:
     Cached by pair equality, which is safe: the verdict reads only the
     ambient and the chain, and (ambient, gamma0) determine both.
     """
-    steps = (DeletionPair(pair.ambient, g1) for g1 in pair.chain[1:-1])
+    steps = (_step(pair.ambient, g1) for g1 in pair.chain[1:-1])
     witnesses = sorted((step for step in steps if len(step.sub.diagram.components) == 1),
                        key=lambda p: p.gamma0)     # pair-id order: one ambient and gamma
     return MaximalityVerdict(not witnesses, tuple(witnesses))

@@ -514,9 +514,8 @@ def _embedded_roots(n: int, shape: tuple[tuple[str, int, tuple[int, ...]], ...]
     """The positive roots of a rank-n diagram of the given shape.
 
     ``shape`` lists (letter, rank, node positions) per component; one
-    ``itemgetter`` per component reads each node's coefficient, or a 0
-    appended at index ``rank`` off it (n >= 2 there, so it returns a tuple).
-    Diagrams that differ only in node labels share one shape and so one set.
+    ``itemgetter`` per component (n >= 2 there, so it returns a tuple) reads
+    each node's coefficient, or a 0 appended at index ``rank`` off it.
     """
     placed: list[tuple[int, ...]] = []
     for letter, rank, where in shape:

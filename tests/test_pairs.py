@@ -318,6 +318,7 @@ def test_maximality_deletes_only_at_chain_interior_nodes(pair_id, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(pairs, "delete_chain", recording(pairs.delete_chain))
+    pairs._step.cache_clear()       # steps built by earlier tests would hide their deletions
     verdict = is_maximal.__wrapped__(pair)
     assert not verdict.maximal and calls
     for md, node in calls:
