@@ -23,7 +23,13 @@ breadth-first search on coefficient tuples, with steps from additive
 extension, instead of on packed ints; Chevalley
 structure constants come from one eager height-ordered sweep instead of
 on-demand recursion; kernels are recomputed by testing
-every (nu, nu') pair with raw root-sum arithmetic; the Lie bracket acts on
+every (nu, nu') pair with raw root-sum arithmetic, and by the search from
+the live weights on coefficient tuples instead of packed ints; the Gram
+matrix of Phi comes from one ``inner`` per entry instead of B's rows and
+the sparse columns, and the noncompact roots and Psi_gamma from a filter
+per marked diagram instead of the memo per (rank, shape, marks); the
+positive roots of A-D come from the reflection closure and from root
+strings instead of the closed forms; the Lie bracket acts on
 dict-built elements keyed by roots and coroots instead of basis indices,
 and second fundamental form values come from two such brackets instead of
 the weight rule alone; counts come from closed formulas; the Grassmannian is
