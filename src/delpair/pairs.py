@@ -136,20 +136,19 @@ class RootCorrespondence(Frozen, fields=("pair", "on_simple")):
     @cached_property
     def _placement(self):
         """Phi as one ``itemgetter`` on a sub root extended by 0 and the sums on
-        the chain's nodes, which the neighbors of gamma0 reach through Gamma."""
-        m, forms = len(self._columns), [[] for _ in self.pair.ambient.diagram.nodes]
-        for j, column in enumerate(self._columns):
-            for a, c in column:
-                forms[a].append((j, c))
-        slot_of: dict[tuple, int] = {(): m}
-        slots = [form[0][0] if len(form) == 1 and form[0][1] == 1
-                 else slot_of.setdefault(form, m + len(slot_of)) for form in map(tuple, forms)]
+        the chain's nodes, which the neighbors of gamma0 reach through Gamma:
+        row a of Phi reads one coefficient, the 0, or an appended sum."""
+        images, m = dict(self.on_simple), len(self.pair.sub.diagram.nodes)
+        slot_of = {(0,) * m: m}
+        slots = [row.index(1) if row.count(0) == m - 1 and 1 in row
+                 else slot_of.setdefault(row, m + len(slot_of))
+                 for row in zip(*map(images.__getitem__, self.pair.sub.diagram.nodes))]
         return operator.itemgetter(*slots), tuple(slot_of)[1:]   # a pair's ambient has rank >= 2
 
     def apply(self, beta: tuple[int, ...]) -> tuple[int, ...]:
         """Phi on any sub-coordinate root: the sum of c_j Phi(alpha_j)."""
         place, sums = self._placement
-        return place(beta + (0,) + tuple(sum(c * beta[j] for j, c in form) for form in sums))
+        return place(beta + (0,) + tuple(sum(map(operator.mul, row, beta)) for row in sums))
 
     @cached_property
     def on_noncompact(self) -> dict[tuple[int, ...], tuple[int, ...]]:
