@@ -167,12 +167,12 @@ def _phi_gram(form: tuple[tuple[int, ...], ...], columns: tuple) -> list[list[in
     heads = [column[0][0] for column in columns]
     wide = [j for j, column in enumerate(columns) if column != ((heads[j], 1),)]
     gram = []
-    for head, column in zip(heads, columns):
-        row = form[head] if column == ((head, 1),) else list(
-            map(sum, zip(*[[c * b for b in form[a]] for a, c in column])))
-        gram.append(list(map(row.__getitem__, heads)))
-        for j in wide if column != ((head, 1),) else ():
-            gram[-1][j] = sum(c * row[a] for a, c in columns[j])
+    for i, (head, column) in enumerate(zip(heads, columns)):
+        if i not in wide:
+            gram.append(list(map(form[head].__getitem__, heads)))
+            continue
+        row = list(map(sum, zip(*[[c * b for b in form[a]] for a, c in column])))   # B Phi(a_i)
+        gram.append([sum(c * row[a] for a, c in other) for other in columns])
     for j in wide:
         for entries, value in zip(gram, gram[j]):
             entries[j] = value
