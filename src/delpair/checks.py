@@ -135,7 +135,7 @@ def vmrt_chain_check(max_rank: int) -> CheckReport:
 
 @lru_cache(maxsize=1)
 def _catalog(max_rank: int) -> tuple[DeletionPair, ...]:
-    """One catalog for the four pair rows, so each pair builds Phi once per run."""
+    """One catalog for the four pair rows, parsed once per run."""
     return tuple(pairs.catalog(max_rank))
 
 

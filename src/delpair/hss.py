@@ -13,11 +13,10 @@ from functools import lru_cache
 from .rootsys import DynkinDiagram, MarkedDiagram, MarkError, _embedded_roots
 
 
-@lru_cache(maxsize=None)
 def _key(md: MarkedDiagram) -> tuple[int, tuple, tuple[int, ...]]:
     """The rank, the shape and the mark positions, which key every root set here."""
     marks = tuple(sorted(map(md.diagram.index.__getitem__, md.marked)))
-    return md.diagram.rank, md.root_system().shape, marks
+    return md.diagram.rank, md.diagram.shape, marks
 
 
 def noncompact_positive_roots(md: MarkedDiagram) -> frozenset[tuple[int, ...]]:

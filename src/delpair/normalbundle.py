@@ -29,9 +29,9 @@ def normal_weights(pair: DeletionPair) -> frozenset[tuple[int, ...]]:
     return hss.noncompact_positive_roots(pair.ambient) - pair.correspondence.noncompact_image
 
 
-class NormalDecomposition(Frozen, fields=("normal_weights", "components", "highest_weights")):
-    """The normal weights, their Levi components as frozensets of weights,
-    and the highest weight of each component, in the order of ``components``."""
+class NormalDecomposition(Frozen, fields=("components", "highest_weights")):
+    """The Levi components of the normal weights as frozensets of weights, and
+    the highest weight of each component, in the order of ``components``."""
 
 
 def levi_components(pair: DeletionPair) -> NormalDecomposition:
@@ -43,10 +43,9 @@ def levi_components(pair: DeletionPair) -> NormalDecomposition:
     packing of that sum or difference.
     """
     corr = pair.correspondence
-    weights = normal_weights(pair)
     known = packed_roots(hss.noncompact_positive_roots(pair.ambient))   # once per shape
     pk = packing(pair.ambient.diagram.rank)
-    root_of = {known.get(w) or pk.pack(w): w for w in weights}      # no packing is 0
+    root_of = {known.get(w) or pk.pack(w): w for w in normal_weights(pair)}    # no packing is 0
     moves = [pk.step(image) for label, image in corr.on_simple if label != pair.gamma0]
     # the edges v -- v + s between weights, found by one comprehension
     edges = [(v, w) for w in root_of for s in moves if (v := w - s) in root_of]
@@ -70,7 +69,7 @@ def levi_components(pair: DeletionPair) -> NormalDecomposition:
     highest = [max((root_of[w] for w in block if w not in lower), key=lambda r: (sum(r), r))
                for block in blocks]
     components = tuple(frozenset(map(root_of.__getitem__, block)) for block in blocks)
-    return NormalDecomposition(weights, components, tuple(highest))
+    return NormalDecomposition(components, tuple(highest))
 
 
 def summands_distinct(pair: DeletionPair) -> CheckReport:

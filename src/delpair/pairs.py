@@ -61,11 +61,7 @@ class DeletionPair(Frozen, fields=("ambient", "gamma0")):
 
     @cached_property
     def correspondence(self) -> RootCorrespondence:
-        """Phi, built and verified once per pair object.
-
-        Cached on the object rather than by pair equality: Phi depends on
-        ``big_gamma``, which equality does not see.
-        """
+        """Phi, built and verified once per pair object."""
         return root_correspondence(self)
 
     @cached_property
@@ -108,11 +104,16 @@ def catalog_specs(max_rank: int) -> list[tuple[str, str]]:
     return out
 
 
+# The one memo of deletion pairs, by (ambient, gamma0): the catalog's pairs are
+# the steps that maximality tries, so each derives its chain and Phi once.
+_step = lru_cache(maxsize=None)(DeletionPair)
+
+
 def catalog(max_rank: int) -> list[DeletionPair]:
     """All instantiations of the deletion-type families with rank <= max_rank."""
     specs = catalog_specs(max_rank)
     ambients = {literal: parse_marked(literal) for literal in {lit for lit, _ in specs}}
-    return [DeletionPair(ambients[literal], gamma0) for literal, gamma0 in specs]
+    return [_step(ambients[literal], gamma0) for literal, gamma0 in specs]
 
 
 class RootCorrespondence(Frozen, fields=("pair", "on_simple")):
@@ -229,10 +230,6 @@ class MaximalityVerdict(Frozen, fields=("maximal", "witnesses")):
         return tuple(w.pair_id for w in self.witnesses)
 
 
-_step = lru_cache(maxsize=None)(DeletionPair)     # the pairs of one ambient share their steps
-
-
-@lru_cache(maxsize=None)
 def is_maximal(pair: DeletionPair) -> MaximalityVerdict:
     """The first steps X1 in X of every decomposition X0 in X1 in X.
 
@@ -243,9 +240,6 @@ def is_maximal(pair: DeletionPair) -> MaximalityVerdict:
     gives X1 = X0.  On the chain, deleting from g1 on removes the rest of the
     chain, so the two steps together remove the chain minus gamma0.  The
     exhaustive search over every node stays as a test oracle.
-
-    Cached by pair equality, which is safe: the verdict reads only the
-    ambient and the chain, and (ambient, gamma0) determine both.
     """
     steps = (_step(pair.ambient, g1) for g1 in pair.chain[1:-1])
     witnesses = sorted((step for step in steps if len(step.sub.diagram.components) == 1),

@@ -147,6 +147,12 @@ class DynkinDiagram(Frozen, fields=("nodes", "edges")):
         return DynkinDiagram(nodes, edges)
 
     @cached_property
+    def shape(self) -> tuple[tuple[str, int, tuple[int, ...]], ...]:
+        """(letter, rank, node positions) per component, the key of its roots."""
+        return tuple((c.letter, c.rank, tuple(map(self.index.__getitem__, c.labels)))
+                     for c in self.components)
+
+    @cached_property
     def cartan_matrix(self) -> tuple[tuple[int, ...], ...]:
         """C[i][j] = <alpha_j, alpha_i> = 2(alpha_i, alpha_j)/(alpha_i, alpha_i)."""
         n = self.rank
@@ -205,7 +211,6 @@ def _invariant(nodes, adj: dict[str, dict]) -> tuple[tuple[int, ...], tuple[int,
             tuple(sorted(m for a in nodes for m, _ in adj[a].values())))
 
 
-@lru_cache(maxsize=None)
 def _template(letter: str, n: int):
     """The Bourbaki diagram ``_term_edges`` draws for a type, ready for matching.
 
@@ -513,9 +518,9 @@ def _embedded_roots(n: int, shape: tuple[tuple[str, int, tuple[int, ...]], ...]
                     ) -> frozenset[tuple[int, ...]]:
     """The positive roots of a rank-n diagram of the given shape.
 
-    ``shape`` lists (letter, rank, node positions) per component; one
-    ``itemgetter`` per component (n >= 2 there, so it returns a tuple) reads
-    each node's coefficient, or a 0 appended at index ``rank`` off it.
+    ``shape`` is a ``DynkinDiagram.shape``; one ``itemgetter`` per component
+    (n >= 2 there, so it returns a tuple) reads each node's coefficient, or a
+    0 appended at index ``rank`` off it.
     """
     placed: list[tuple[int, ...]] = []
     for letter, rank, where in shape:
@@ -542,14 +547,12 @@ def sub(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 
 class RootSystem:
-    """The positive roots of a diagram, memoized by its ``shape``, and its form."""
+    """The positive roots of a diagram, memoized by the diagram's ``shape``, and its form."""
 
     def __init__(self, diagram: DynkinDiagram):
         self.diagram = diagram
         self.cartan = diagram.cartan_matrix
-        self.shape = tuple((c.letter, c.rank, tuple(map(diagram.index.__getitem__, c.labels)))
-                           for c in diagram.components)
-        self.positive_roots = _embedded_roots(diagram.rank, self.shape)
+        self.positive_roots = _embedded_roots(diagram.rank, diagram.shape)
         self._columns: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     @cached_property
@@ -659,15 +662,12 @@ def tree_path(diagram: DynkinDiagram, a: str, b: str) -> list[str]:
     return path
 
 
-@lru_cache(maxsize=None)
 def delete_chain(ambient: MarkedDiagram,
                  gamma0: str) -> tuple[tuple[str, ...], MarkedDiagram]:
     """Delete the type-A chain running from the mark to (but excluding) gamma0.
 
     Returns the chain (the path from the mark to gamma0, both included) and
-    the surviving sub-diagram marked at gamma0.  Memoized by marked-diagram
-    equality, so the deletion steps that maximality tries read the result
-    a catalog pair already derived.
+    the surviving sub-diagram marked at gamma0.
     """
     gamma = ambient.single_mark
     if gamma0 == gamma:

@@ -25,26 +25,24 @@ from .report import FAIL, PASS, SKIPPED, CheckReport
 from .rootsys import add, packed_roots, sub
 
 
-class SFFContext(Frozen, fields=("rs", "gamma", "noncompact", "psi", "sub_tangent",
-                                 "x0_tangent")):
+class SFFContext(Frozen, fields=("gamma", "noncompact", "psi", "sub_tangent", "x0_tangent")):
     """Weight data of an ambient VMRT and the sub-VMRT of a deletion pair.
 
-    Besides the ambient root system, the simple root gamma and the noncompact
-    roots, the weight sets are ``psi``, Psi_gamma with the radial weight
-    excluded, ``sub_tangent``, Phi(Psi_gamma0(X0)), and ``x0_tangent``, the
-    Phi image of the sub noncompact roots.
+    Besides the simple root gamma and the ambient noncompact roots, the
+    weight sets are ``psi``, Psi_gamma with the radial weight excluded,
+    ``sub_tangent``, Phi(Psi_gamma0(X0)), and ``x0_tangent``, the Phi image
+    of the sub noncompact roots.
     """
 
     @staticmethod
     def for_pair(pair: DeletionPair) -> "SFFContext":
-        rs = pair.ambient_rs()
         psi = hss.psi_gamma(pair.ambient)
         corr = pair.correspondence
         sub_tangent = frozenset(map(corr.on_noncompact.__getitem__, hss.psi_gamma(pair.sub)))
         bad = sub_tangent - psi
         if bad:
             raise AssertionError(f"sub-VMRT tangent leaves Psi_gamma: {sorted(bad)[:3]}")
-        return SFFContext(rs, rs.simple_root(pair.gamma),
+        return SFFContext(pair.ambient_rs().simple_root(pair.gamma),
                           hss.noncompact_positive_roots(pair.ambient), psi,
                           sub_tangent, corr.noncompact_image)
 

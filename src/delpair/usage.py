@@ -34,12 +34,7 @@ def parse_args(argv: "list[str]") -> dict:
         description="verification toolkit for deletion-type pairs of "
                     "Hermitian symmetric spaces")
     groups = {"": parser.add_subparsers(dest="command", required=True)}
-    # Only the parsers of the command that argv's first word names are built.
-    # A first word that names none (a typo, --help, no word) builds them all,
-    # so every usage error and help text reads as with the full parser.
-    first = argv[0] if argv else None
-    rows = [row for row in COMMANDS if row[0].split()[0] == first] or COMMANDS
-    for path, runs, options in rows:
+    for path, runs, options in COMMANDS:
         group, _, name = path.rpartition(" ")
         if group not in groups:           # "pluecker" and "segre"
             groups[group] = groups[""].add_parser(group).add_subparsers(

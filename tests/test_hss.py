@@ -1,6 +1,6 @@
 import pytest
 
-from delpair import hss
+from delpair import hss, rootsys
 from delpair.hss import (
     noncompact_positive_roots,
     psi_gamma,
@@ -44,6 +44,23 @@ def test_noncompact_roots_are_cached_per_marked_diagram():
     sub = delete_chain(parse_marked("B4:a1"), "a2")[1]
     assert noncompact_positive_roots(sub) is noncompact_positive_roots(parse_marked("B3:a1"))
     assert hss._noncompact.cache_info().misses == len(set(literals)) + 1
+
+
+def test_weight_sets_build_no_root_system(monkeypatch):
+    # the sets are keyed by the diagram's shape, which needs no root system
+    def refused(diagram):
+        raise AssertionError(f"hss built the root system of {diagram.literal()}")
+
+    monkeypatch.setattr(rootsys, "RootSystem", refused)
+    before = rootsys.build_root_system.cache_info()
+    # dim G^II(11,11) x P^3; dim G^III(9,9), whose VMRT has dimension 8; dim E6/P1 x Q^9
+    for literal, dim, affine in (("D11+A3:a11,a12", 55 + 3, None), ("C9:a9", 45, 9),
+                                 ("E6+B5:a1,a7", 16 + 9, None)):
+        md = parse_marked(literal)
+        assert len(noncompact_positive_roots(md)) == dim
+        if affine:
+            assert len(psi_gamma(md)) + 1 == affine
+    assert rootsys.build_root_system.cache_info() == before
 
 
 @pytest.mark.parametrize("literal, affine", [

@@ -41,16 +41,17 @@ def test_components_partition_and_match_networkx_oracle(catalog7):
         for block in dec.components:
             assert not (union & block)
             union |= block
-        assert union == dec.normal_weights
+        weights = normal_weights(pair)
+        assert union == weights
 
         corr = root_correspondence(pair)
         steps = [corr.apply(pair.sub_rs().simple_root(label))
                  for label in pair.sub.diagram.nodes if label != pair.gamma0]
         graph = nx.Graph()
-        graph.add_nodes_from(dec.normal_weights)
-        for w in dec.normal_weights:
+        graph.add_nodes_from(weights)
+        for w in weights:
             for s in steps:
-                if plus(w, s) in dec.normal_weights:
+                if plus(w, s) in weights:
                     graph.add_edge(w, plus(w, s))
         oracle = {frozenset(c) for c in nx.connected_components(graph)}
         assert set(dec.components) == oracle

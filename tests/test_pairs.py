@@ -1,5 +1,11 @@
+import json
+import operator
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -305,21 +311,54 @@ def test_maximality_matches_exhaustive_oracle_on_single_mark_pairs():
         assert is_maximal(pair).witness_ids() == exhaustive_maximality(pair).witness_ids(), pair
 
 
+# A fresh interpreter records each chain deletion as (ambient literal, gamma0),
+# then runs the lines given and prints the deletions that they made.
+DELETIONS = """
+import json
+from delpair import checks, pairs
+from delpair.report import RunConfig
+from delpair.rootsys import parse_marked
+deletions, derive = [], pairs.delete_chain
+def recording(ambient, gamma0):
+    deletions.append((ambient.literal(), gamma0))
+    return derive(ambient, gamma0)
+pairs.delete_chain = recording
+"""
+
+
+def fresh_deletions(lines: str) -> list[tuple[str, str]]:
+    probe = f"{DELETIONS}{lines}\nprint(json.dumps(deletions))"
+    env = {**os.environ, "PYTHONPATH": str(Path(pairs.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    return [tuple(d) for d in json.loads(done.stdout)]
+
+
 @pytest.mark.parametrize("pair_id", ["B12:a1/a11", "E7:a7/a4"])
-def test_maximality_deletes_only_at_chain_interior_nodes(pair_id, monkeypatch):
+def test_maximality_deletes_only_at_chain_interior_nodes(pair_id):
     ambient, gamma0 = pair_id.rsplit("/", 1)
     pair = DeletionPair(parse_marked(ambient), gamma0)
-    calls = []
+    deletions = fresh_deletions(
+        f"pair = pairs.DeletionPair(parse_marked({ambient!r}), {gamma0!r})\n"
+        "deletions.clear()\n"
+        "assert not pairs.is_maximal(pair).maximal")
+    assert sorted(deletions) == sorted((ambient, g1) for g1 in pair.chain[1:-1])
 
-    def recording(fn):
-        def wrapper(md, node):
-            calls.append((md, node))
-            return fn(md, node)
-        return wrapper
 
-    monkeypatch.setattr(pairs, "delete_chain", recording(pairs.delete_chain))
-    pairs._step.cache_clear()       # steps built by earlier tests would hide their deletions
-    verdict = is_maximal.__wrapped__(pair)
-    assert not verdict.maximal and calls
-    for md, node in calls:
-        assert md == pair.ambient and node in pair.chain[1:-1], (md, node)
+def test_the_pair_rows_delete_each_chain_once():
+    # the catalog's pairs are the steps that maximality tries, so the four
+    # pair rows of a rank-12 run derive each (ambient, gamma0) once
+    deletions = fresh_deletions(
+        "config = RunConfig(max_rank=12)\n"
+        "for row in ('pairs.correspondence', 'sff.kernel', 'sff.infinity_locus',\n"
+        "            'normalbundle.summands_distinct'):\n"
+        "    checks.SUITES[row][0](config)")
+    assert sorted(deletions) == sorted(catalog_specs(12))
+
+
+def test_the_catalog_is_built_once():
+    first, again = catalog(12), catalog(12)
+    assert len(first) == 114 and all(map(operator.is_, first, again))
+    # maximality's steps are catalog pairs, and the same objects
+    objects = set(map(id, first))
+    assert all(id(w) in objects for pair in first for w in is_maximal(pair).witnesses)

@@ -54,7 +54,7 @@ def test_vanishing_for_adjacent_weight(catalog7):
 def test_zero_nonzero_pattern_symmetric_and_injective(catalog7):
     for pid in ("D5:a5/a3", "E6:a6/a5", "B4:a1/a2"):
         ctx = ctx_for(catalog7, pid)
-        table = build_table(ctx.rs)
+        table = build_table(catalog7[pid].ambient_rs())
         psi = sorted(ctx.psi)
         for nu2 in psi:
             images = [minus(plus(nu, nu2), ctx.gamma) for nu in psi]
@@ -70,7 +70,7 @@ def test_kernels_match_bracket_oracle_rank12(catalog12):
     assert len(catalog12) == 114
     for pair in catalog12:
         ctx = SFFContext.for_pair(pair)
-        table = build_table(ctx.rs)
+        table = build_table(pair.ambient_rs())
 
         def bracket_kernel(quotient):
             return frozenset(nu for nu in ctx.psi if all(
@@ -88,7 +88,7 @@ def test_kernel_sigma_matches_brute_oracle(catalog12):
         ctx = SFFContext.for_pair(pair)
         report = kernels(ctx)[0]
         oracle = brute_kernel(ctx.psi, ctx.sub_tangent, ctx.gamma,
-                              ctx.noncompact, ctx.rs)
+                              ctx.noncompact, pair.ambient_rs())
         assert report.kernel_weights == oracle, pair
 
 
@@ -97,7 +97,7 @@ def test_kernel_tau_matches_brute_oracle(catalog12):
         ctx = SFFContext.for_pair(pair)
         report = kernels(ctx)[1]
         oracle = brute_kernel(ctx.psi, ctx.sub_tangent, ctx.gamma,
-                              ctx.noncompact, ctx.rs, quotient=ctx.x0_tangent)
+                              ctx.noncompact, pair.ambient_rs(), quotient=ctx.x0_tangent)
         assert report.kernel_weights == oracle, pair
 
 
@@ -126,7 +126,7 @@ def test_d5_kernel_weight_list_frozen(catalog7):
     # brute-force enumeration over all of Psi_gamma(D5, a5)
     ctx = ctx_for(catalog7, "D5:a5/a3")
     report = kernels(ctx)[0]
-    ars = ctx.rs
+    ars = catalog7["D5:a5/a3"].ambient_rs()
     expected = {plus(ars.simple_root("a5"), ars.simple_root("a3"))}
     assert report.kernel_weights == expected
 
