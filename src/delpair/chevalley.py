@@ -27,7 +27,11 @@ to indices, and reads B(r, r) from a per-index list, so a sum builds no
 tuple.  ``basis_roots`` is the tuple of the basis roots themselves, plain
 root tuples as ``rootsys`` gives them.  The bracket of two basis elements is
 a tuple of (index, integer coefficient) terms, so the Jacobi identity on
-basis triples is checked with int-keyed sums and no element objects.
+basis triples is checked with int-keyed sums and no element objects.  The
+bracket is graded: [X_i, X_j] sits at the weight of X_i plus that of X_j, a
+coroot having weight 0.  So the Jacobi counter evaluates only the triples
+whose weights sum to 0 or a root; on every other triple each term of the
+Jacobiator is zero.
 
 Constants are computed on demand and memoized, never swept over all pairs.
 The Jacobi step for a positive pair summing to rho reads only pairs whose
@@ -216,16 +220,34 @@ def jacobi_failures(table: ChevalleyTable, triples) -> int:
     """How many basis index triples (x, y, z) have a nonzero Jacobiator
     [[X_x, X_y], X_z] + [[X_y, X_z], X_x] + [[X_z, X_x], X_y].
 
-    Each triple sums all three cyclic terms over basis brackets.  The
+    Only weight-live triples are evaluated: those whose three weights (a
+    coroot's is 0) sum to 0 or a root.  Every term ``basis_bracket`` returns
+    sits at the sum of its two weights, so each term of a dropped triple's
+    Jacobiator sits at that triple's weight sum, which carries no basis
+    element: the term is zero.  The test reads packed weights,
+    ``table._packed`` padded with the packed zero for the coroots, and looks
+    their sum up in ``table._index``.  It is exact for every table, E8
+    included: with sigma the sum of the three weights and rho a root or 0,
+    every coefficient satisfies |sigma_t - rho_t| <= 3 * 7 + 7 = 28 < 32,
+    with 7 = ``PACK_BOUND``, so the base-32 digits of packed(sigma) -
+    packed(rho) never carry, and packed(sigma) = packed(rho) forces sigma =
+    rho.
+
+    Each kept triple sums all three cyclic terms over basis brackets.  The
     brackets are read through ``table.basis_bracket`` and memoized, inline,
     for this call only, in a flat list indexed by i * dimension + j, so the
     cached table does not grow.
     """
+    index, zero = table._index, table._zero
+    weight = table._packed + [zero] * table.rs.diagram.rank
+    twice = 2 * zero
+    live = [(x, y, z) for x, y, z in triples
+            if (s := weight[x] + weight[y] + weight[z] - twice) == zero or s in index]
     dim = table.dimension
     memo: list = [None] * (dim * dim)
     basis_bracket = table.basis_bracket
     bad = 0
-    for x, y, z in triples:
+    for x, y, z in live:
         total: dict[int, int] = {}
         for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
             outer = memo[a * dim + b]

@@ -57,7 +57,8 @@ and with the orbits of both configuration sets found by breadth-first
 searches over whole (y, a, b) and (x, L, a, b) tuples instead of one factor
 of the product at a time.  The property suite's replaced paths stay here too: Chevalley
 constants and basis brackets by a recursion keyed by root tuples instead of
-basis indices, simple reflections through a scaled simple root and checked
+basis indices, the Jacobi counter on every triple instead of the weight-live
+ones alone, simple reflections through a scaled simple root and checked
 with three reflections instead of one, the Plücker quadrics with each
 coordinate looked up by its pair (i, j) instead of written out, and the
 seeded samples drawn as the suite first drew them.  The rank of an alternating matrix comes from
@@ -1760,6 +1761,39 @@ def coord_plucker_quadrics(omega) -> tuple:
         return omega[PAIR_INDEX[(i, j)]]
     return tuple(2 * (x(a, b) * x(c, d) - x(a, c) * x(b, d) + x(a, d) * x(b, c))
                  for a, b, c, d in QUAD_SETS)
+
+
+def unfiltered_jacobi_failures(table: ChevalleyTable, triples) -> int:
+    """How many basis index triples have a nonzero Jacobiator, each triple
+    evaluated in full: the counter as it was before its weight filter."""
+    dim = table.dimension
+    memo: list = [None] * (dim * dim)
+    basis_bracket = table.basis_bracket
+    bad = 0
+    for x, y, z in triples:
+        total: dict[int, int] = {}
+        for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+            outer = memo[a * dim + b]
+            if outer is None:
+                outer = memo[a * dim + b] = basis_bracket(a, b)
+            for k, ck in outer:
+                inner = memo[k * dim + c]
+                if inner is None:
+                    inner = memo[k * dim + c] = basis_bracket(k, c)
+                for t, ct in inner:
+                    total[t] = total.get(t, 0) + ck * ct
+        if any(total.values()):
+            bad += 1
+    return bad
+
+
+def jacobiator_terms(table: ChevalleyTable, x: int, y: int, z: int) -> list:
+    """Every (basis index, coefficient) term of the three cyclic double
+    brackets of the triple, before any of them are summed."""
+    return [(t, ck * ct)
+            for a, b, c in ((x, y, z), (y, z, x), (z, x, y))
+            for k, ck in table.basis_bracket(a, b)
+            for t, ct in table.basis_bracket(k, c)]
 
 
 def generator_jacobi_triples(seed: int, literal: str, dimension: int) -> list:

@@ -10,12 +10,14 @@ from oracles import (
     RootKeyedChevalleyTable,
     bracket,
     eager_structure_constants,
+    jacobiator_terms,
     minus,
     neg,
     plus,
     string_p,
     table_constant,
     times,
+    unfiltered_jacobi_failures,
 )
 
 SYSTEMS = ["A2", "A4", "B2", "B4", "C3", "D5", "E6", "E7", "F4", "G2", "B12", "D12"]
@@ -210,7 +212,53 @@ def test_jacobi_failures_sees_one_flipped_constant():
         return tuple((k, -c) for k, c in terms) if (i, j) == (a, b) else terms
 
     tab.basis_bracket = flipped
-    assert jacobi_failures(tab, every) > 0
+    assert jacobi_failures(tab, every) == unfiltered_jacobi_failures(tab, every) > 0
+
+
+LIVE_SYSTEMS = ["A4", "B4", "D5", "E6", "E7", "C3", "F4", "G2", "E8", "B3+G2"]
+
+
+def _seeded_triples(tab, count=1500):
+    """Seeded basis index triples, each with its weight sum: a coroot's
+    weight is 0, and the sum is added on coefficient tuples."""
+    rank = tab.rs.diagram.rank
+    weights = list(tab.basis_roots) + [(0,) * rank] * rank
+    rng = random.Random(f"live-{tab.rs.diagram.literal()}")
+    triples = [tuple(rng.randrange(tab.dimension) for _ in range(3)) for _ in range(count)]
+    return [(t, plus(plus(weights[t[0]], weights[t[1]]), weights[t[2]])) for t in triples]
+
+
+@pytest.mark.parametrize("literal", LIVE_SYSTEMS)
+def test_jacobi_failures_evaluates_exactly_the_weight_live_triples(literal):
+    # a bracket that is one nonzero term everywhere makes every evaluated
+    # triple a failure, so the count is the number of triples kept
+    tab = fresh(literal)
+    seeded = _seeded_triples(tab)
+    zero, roots = (0,) * tab.rs.diagram.rank, set(tab.basis_roots)
+    at_zero = sum(sigma == zero for _, sigma in seeded)
+    at_root = sum(sigma in roots for _, sigma in seeded)
+    assert at_zero > 0 and at_root > 0 and at_zero + at_root < len(seeded)
+    tab.basis_bracket = lambda i, j: ((0, 1),)
+    assert jacobi_failures(tab, [t for t, _ in seeded]) == at_zero + at_root
+
+
+@pytest.mark.parametrize("literal", LIVE_SYSTEMS)
+def test_dropped_triples_have_no_jacobiator_term(literal):
+    # grading: a triple whose weights sum to neither 0 nor a root has no
+    # nonzero term, so the filter counts as the unfiltered oracle does, on the
+    # true table and with [e_a, e_b] negated whenever a comes before b
+    tab = fresh(literal)
+    seeded = _seeded_triples(tab)
+    zero, roots = (0,) * tab.rs.diagram.rank, set(tab.basis_roots)
+    dropped = [t for t, sigma in seeded if sigma != zero and sigma not in roots]
+    assert dropped and all(jacobiator_terms(tab, *t) == [] for t in dropped)
+    triples = [t for t, _ in seeded]
+    assert jacobi_failures(tab, triples) == unfiltered_jacobi_failures(tab, triples) == 0
+    m = len(tab.basis_roots)
+    true_bracket = tab.basis_bracket
+    tab.basis_bracket = lambda i, j: (tuple((k, -c) for k, c in true_bracket(i, j))
+                                      if i < j < m else true_bracket(i, j))
+    assert jacobi_failures(tab, triples) == unfiltered_jacobi_failures(tab, triples) > 0
 
 
 def test_extraspecial_seed_signs_are_positive():

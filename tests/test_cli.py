@@ -1,4 +1,5 @@
 import argparse
+import gc
 import hashlib
 import itertools
 import json
@@ -504,6 +505,63 @@ def test_only_the_command_line_freezes_the_heap_at_exit(module, frozen):
         counts.append(int(done.stdout))
     bare, count = counts
     assert (count > bare) == frozen
+
+
+# Commands whose runs of main must leave no reference cycle behind.
+ACYCLIC_COMMANDS = (["run-all"], ["run-all", "--max-rank", "20", "--primes", "3"],
+                    ["verify-pair", "--pair", "E7:a7/a6"], ["pluecker", "survey", "--primes", "5"],
+                    ["segre", "fitting", "--q", "5"])
+
+
+def test_command_line_runs_leave_no_cyclic_garbage():
+    # main runs with the collector off, so a command that starts leaving
+    # reference cycles would hold their memory until exit; here the
+    # collector is off from the start and each run is collected after it
+    probe = ("import gc, os; gc.disable(); import delpair.cli; gc.collect()\n"
+             f"for argv in {ACYCLIC_COMMANDS!r}:\n"
+             "    assert delpair.cli.main([*argv, '--out', os.devnull]) == 0, argv\n"
+             "    print(gc.collect())\n")
+    done = subprocess.run([sys.executable, "-c", probe], env=_src_env(),
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["0"] * len(ACYCLIC_COMMANDS)
+
+
+def test_main_runs_with_the_collector_off(monkeypatch, tmp_path):
+    seen, real = [], cli.verdict
+    monkeypatch.setattr(cli, "verdict", lambda *args: seen.append(gc.isenabled()) or real(*args))
+    assert gc.isenabled()
+    assert main(["vmrt-chain", "--out", str(tmp_path / "v.json")]) == 0
+    assert seen == [False] and gc.isenabled()
+
+
+def _broken_verdict(*args):
+    raise AssertionError("broken internal invariant")
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize("argv, broken, code", [
+    (["vmrt-chain"], False, 0),
+    (["vmrt-chain"], True, 1),                  # an internal failure
+    (["run-all", "--max-rank", "3"], False, 2),
+    (["frob"], False, 2),                       # refused by argparse
+    (["run-all", "--help"], False, None),       # argparse exits 0
+], ids=["exit-0", "exit-1", "exit-2", "argparse-exit-2", "help"])
+def test_main_gives_back_the_callers_collector_setting(argv, broken, code, enabled,
+                                                       monkeypatch, tmp_path, capsys):
+    if broken:
+        monkeypatch.setattr(cli, "verdict", _broken_verdict)
+    argv = [*argv, "--out", str(tmp_path / "out")]
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if code is None:
+            with pytest.raises(SystemExit):
+                main(argv)
+        else:
+            assert main(argv) == code
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 @pytest.mark.parametrize("fmt, digest", [("json", DEFAULT_BUNDLE_SHA256),
