@@ -24,7 +24,7 @@ from .report import (
     bundle_markdown,
     require_odd_prime,
 )
-from .rootsys import ChainError, DiagramError, parse_marked
+from .rootsys import ChainError, DiagramError, diagram_terms, parse_marked
 
 # A delpair process ends once its bundle is out, so it skips the teardown of
 # what it cached.  At exit this moves every tracked object to the permanent
@@ -58,10 +58,14 @@ def parse_pair_id(text: str) -> DeletionPair:
     if ":" not in text or len(parts) != 2 or not all(part.strip() for part in parts):
         raise DiagramError(f"pair id {text!r} is not of the form D:g/g0")
     head, gamma0 = parts
-    md = parse_marked(head)
-    if md.diagram.rank > MAX_RANK:
-        raise DiagramError(f"pair id {text!r} has rank {md.diagram.rank}, "
+    # the rank is summed from the literal's terms before parse_marked builds
+    # the diagram, whose classification takes time quadratic in the rank
+    diagram_text, colon, _ = head.partition(":")
+    rank = sum(n for _, n in diagram_terms(diagram_text)) if colon else 0
+    if rank > MAX_RANK:
+        raise DiagramError(f"pair id {text!r} has rank {rank}, "
                            f"above the largest rank {MAX_RANK}")
+    md = parse_marked(head)
     # through the memo of pairs: a pair and its Phi refer to each other, and
     # the memo keeps that cycle reachable instead of leaving it to the collector
     pair = _step(md, gamma0.strip())

@@ -349,11 +349,10 @@ def _term_edges(letter: str, n: int, offset: int) -> tuple[list[str], list[Edge]
     return lab, edges
 
 
-def parse_diagram(text: str) -> DynkinDiagram:
-    """Parse a diagram literal such as "E7", "B4" or "A1+A2"."""
-    nodes: list[str] = []
-    edges: list[Edge] = []
-    offset = 0
+def diagram_terms(text: str) -> list[tuple[str, int]]:
+    """The (letter, rank) of each term of a diagram literal, each rank in its
+    type's range; no diagram is built."""
+    terms = []
     for term in text.strip().split("+"):
         stripped = term.strip()
         letter, digits = stripped[:1], stripped[1:]
@@ -363,6 +362,16 @@ def parse_diagram(text: str) -> DynkinDiagram:
         lo, hi = _RANK_BOUNDS[letter]
         if n < lo or (hi is not None and n > hi):
             raise DiagramError(f"rank {n} out of range for type {letter}")
+        terms.append((letter, n))
+    return terms
+
+
+def parse_diagram(text: str) -> DynkinDiagram:
+    """Parse a diagram literal such as "E7", "B4" or "A1+A2"."""
+    nodes: list[str] = []
+    edges: list[Edge] = []
+    offset = 0
+    for letter, n in diagram_terms(text):
         lab, e = _term_edges(letter, n, offset)
         nodes += lab
         edges += e

@@ -1594,24 +1594,6 @@ def regex_parse_bivector(text: str) -> tuple:
     return tuple(coords)
 
 
-def seeded_section_bivectors(rng: random.Random, n: int):
-    """n integer bivectors: wedges of vectors in {-3..3}^5 (decomposable)
-    alternating with one to three coordinates from -7..10 (mostly not).
-    Coefficients divisible by 5 or 7 make some planes fail certification
-    at those primes, and a point on ell leaves no plane at all."""
-    for k in range(n):
-        if k % 2 == 0:
-            coords = (0,) * 10
-            while not any(coords):
-                u, v = ([rng.randint(-3, 3) for _ in range(5)] for _ in range(2))
-                coords = wedge(u, v)
-        else:
-            coords = [0] * 10
-            for i in rng.sample(range(10), rng.randint(1, 3)):
-                coords[i] = rng.choice([-7, -5, -2, -1, 1, 2, 3, 5, 10])
-        yield tuple(coords)
-
-
 # -- the property suite's replaced paths ---------------------------------------
 
 class RootKeyedChevalleyTable:

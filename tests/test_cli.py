@@ -4,8 +4,9 @@ import hashlib
 import itertools
 import json
 import os
-import random
 import re
+import shlex
+import shutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -20,7 +21,7 @@ from delpair.chevalley import ChevalleyTable, build_table
 from delpair.cli import main, parse_pair_id, run_all
 from delpair.pairs import CorrespondenceError
 from delpair.projgeo import plucker, segre
-from delpair.projgeo.plucker import PAIRS, dee_exhaustive_survey
+from delpair.projgeo.plucker import dee_exhaustive_survey
 from delpair.projgeo.segre import segre_fitting_report
 from delpair.report import (
     DEFAULT_SEED,
@@ -45,18 +46,12 @@ from oracles import (
     decomposability_bivectors,
     family_reading,
     generator_jacobi_triples,
-    seeded_section_bivectors,
 )
+import pins
 
 
-# The pinned sha256s live in one file, which CI reads too.  The bundles at
-# max_rank 12 (rank_sweep), 16 and 20 use Plücker prime 3 and Segre prime 2.
-GOLDENS = json.loads((Path(__file__).parent / "goldens.json").read_text("utf-8"))
-DEFAULT_BUNDLE_SHA256 = GOLDENS["default"]
-RANK_SWEEP_SHA256 = GOLDENS["rank_sweep"]
-RANK16_SHA256 = GOLDENS["max_rank_16"]
-RANK20_SHA256 = GOLDENS["max_rank_20"]
-DEFAULT_MARKDOWN_SHA256 = GOLDENS["default_markdown"]
+# The byte contract: every pinned sha256 and how tests/pins.py builds it.
+GOLDENS = json.loads(pins.TABLE.read_text("utf-8"))
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +102,15 @@ def test_parse_pair_id_does_not_build_the_catalog(monkeypatch):
     assert parse_pair_id("B4:a1/a3").pair_id == "B4:a1/a3"
     with pytest.raises(ChainError, match="catalog"):
         parse_pair_id("E6:a1/a3")
+
+
+def test_an_over_rank_pair_id_is_refused_before_its_diagram_is_built():
+    # classifying A100000 would take minutes; the rank is summed from the literal
+    argv = [sys.executable, "-m", "delpair.cli", "verify-pair", "--pair", "A100000:a1/a2"]
+    done = subprocess.run(argv, env=_src_env(), capture_output=True, text=True, timeout=5)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == ("error: pair id 'A100000:a1/a2' has rank 100000, "
+                           "above the largest rank 20\n")
 
 
 def test_run_all_small_config_is_green():
@@ -564,8 +568,8 @@ def test_main_gives_back_the_callers_collector_setting(argv, broken, code, enabl
         (gc.enable if was else gc.disable)()
 
 
-@pytest.mark.parametrize("fmt, digest", [("json", DEFAULT_BUNDLE_SHA256),
-                                         ("markdown", DEFAULT_MARKDOWN_SHA256)],
+@pytest.mark.parametrize("fmt, digest", [("json", GOLDENS["default"]["sha256"]),
+                                         ("markdown", GOLDENS["default_markdown"]["sha256"])],
                          ids=["json", "markdown"])
 def test_cli_process_writes_the_pinned_bundle_through_a_frozen_exit(fmt, digest, tmp_path):
     # stdout is flushed and the --out file written in full by a process that
@@ -869,21 +873,7 @@ PINNED_POINTS = {
 }
 
 
-def _seeded_section_points(rng, n):
-    """The n bivectors of ``seeded_section_bivectors`` as literals."""
-    for coords in seeded_section_bivectors(rng, n):
-        yield " ".join(f"{'-' if c < 0 else '+'} {abs(c)} e{i}^e{j}"
-                       for (i, j), c in zip(PAIRS, coords) if c)
-
-
-# sha256 over stdout, stderr and exit code of `pluecker section` on 200
-# seeded points, at the default primes and at --primes 7,11.  Re-pinned when
-# the config echo shrank to format and primes_plucker; with config left out of
-# stdout, the 400 runs hash alike before and after that change.
-SEEDED_SECTIONS_SHA256 = GOLDENS["pluecker_section_200"]
-
-
-def test_pluecker_section_and_collinear_witnesses_pinned(tmp_path, capsys):
+def test_pluecker_section_and_collinear_witnesses_pinned(tmp_path):
     out = tmp_path / "w.json"
     for point, (section, witness) in PINNED_POINTS.items():
         for command, expected in (("section", {**section, "certified_over": ["QQ", "F5", "F7"]}),
@@ -891,35 +881,6 @@ def test_pluecker_section_and_collinear_witnesses_pinned(tmp_path, capsys):
             assert main(["pluecker", command, "--point", point, "--out", str(out)]) == 0
             (report,) = json.loads(out.read_text())["reports"]
             assert report["witnesses"] == [expected], (command, point)
-    capsys.readouterr()
-    digest = hashlib.sha256()
-    codes = set()
-    for point in _seeded_section_points(random.Random(15), 200):
-        for primes in ([], ["--primes", "7,11"]):
-            code = main(["pluecker", "section", "--point", point, *primes])
-            captured = capsys.readouterr()
-            codes.add(code)
-            digest.update(json.dumps([point, primes, code, captured.out, captured.err]).encode())
-    assert codes == {0, 1, 2}
-    assert digest.hexdigest() == SEEDED_SECTIONS_SHA256
-
-
-# The same digest for `pluecker collinear`, which reads no primes, on the same
-# 200 points; pinned while the witness was still computed in Fractions, so it
-# fixes every rational string the integer closed form prints.
-SEEDED_COLLINEAR_SHA256 = GOLDENS["pluecker_collinear_200"]
-
-
-def test_pluecker_collinear_on_seeded_points_pinned(capsys):
-    digest = hashlib.sha256()
-    codes = set()
-    for point in _seeded_section_points(random.Random(15), 200):
-        code = main(["pluecker", "collinear", "--point", point])
-        captured = capsys.readouterr()
-        codes.add(code)
-        digest.update(json.dumps([point, [], code, captured.out, captured.err]).encode())
-    assert codes == {0, 2}
-    assert digest.hexdigest() == SEEDED_COLLINEAR_SHA256
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -927,13 +888,6 @@ def test_pluecker_collinear_on_seeded_points_pinned(capsys):
     "point reduces badly, and exits 1 with 'rational locus and F_5 enumeration disagree'"))
 def test_pluecker_section_certifies_a_point_whose_plane_reduces_badly_at_5(capsys):
     assert main(["pluecker", "section", "--point", "e1^e4 + 5 e2^e4"]) == 0
-
-
-def test_default_bundle_golden_hash(default_bundle):
-    digest = hashlib.sha256(bundle_json(default_bundle).encode("utf-8")).hexdigest()
-    assert digest == DEFAULT_BUNDLE_SHA256
-    assert default_bundle["summary"] == {
-        "pass": 140, "fail": 0, "indeterminate": 26, "skipped": 22}
 
 
 def test_default_bundle_does_not_depend_on_root_set_order():
@@ -957,31 +911,41 @@ print(json.dumps([code, hashlib.sha256(bundle_json(doc).encode("utf-8")).hexdige
     code, digest, order = json.loads(done.stdout)
     usual = list(map(list, build_root_system(parse_diagram("E6")).positive_roots))
     assert sorted(order) == sorted(usual) and order != usual     # the patch took effect
-    assert (code, digest) == (0, DEFAULT_BUNDLE_SHA256)
+    assert (code, digest) == (0, GOLDENS["default"]["sha256"])
 
 
-def test_rank_sweep_bundle_golden_hash(rank_sweep_bundle):
-    # B5-B12 and D6-D12: the largest Chevalley tables any bundle reads
-    digest = hashlib.sha256(bundle_json(rank_sweep_bundle).encode("utf-8")).hexdigest()
-    assert digest == RANK_SWEEP_SHA256
-    assert rank_sweep_bundle["summary"] == {"pass": 398, "fail": 0, "indeterminate": 101, "skipped": 87}
+@pytest.mark.parametrize("name", list(GOLDENS))
+def test_pin_holds(name):
+    assert pins.check(GOLDENS[name]) is None
 
 
-def test_rank16_bundle_golden_hash():
-    # B13-B16 and D13-D16: tables no smaller bundle reaches
-    code, doc = run_all(RunConfig(max_rank=16, primes_plucker=(3,), primes_segre=(2,)))
-    assert code == 0
-    digest = hashlib.sha256(bundle_json(doc).encode("utf-8")).hexdigest()
-    assert digest == RANK16_SHA256
-    assert doc["summary"] == {"pass": 714, "fail": 0, "indeterminate": 197, "skipped": 175}
+def test_every_readme_command_is_a_pin():
+    text = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+                if line.startswith("delpair ")]
+    pinned = [entry["argv"] for entry in GOLDENS.values() if "argv" in entry]
+    assert len(commands) == 13
+    assert [" ".join(argv) for argv in commands if argv not in pinned] == []
 
 
-def test_rank20_bundle_golden_hash(rank20_bundle):
-    # B17-B20 and D17-D20: 346 pairs, the largest catalog any test builds
-    digest = hashlib.sha256(bundle_json(rank20_bundle).encode("utf-8")).hexdigest()
-    assert digest == RANK20_SHA256
-    assert rank20_bundle["summary"] == {
-        "pass": 1126, "fail": 0, "indeterminate": 325, "skipped": 295}
+def test_pin_runner_names_each_pin_that_differs(tmp_path):
+    # a copy of the runner on a copy of the table with one sha altered and one
+    # entry whose command exits 2, under -S with only src on the path
+    table = {**GOLDENS, "vmrt_chain": {**GOLDENS["vmrt_chain"], "sha256": "0" * 64},
+             "refused": {"sha256": "0" * 64, "argv": ["verify-pair", "--pair", "E7:a7/a7"]}}
+    (tmp_path / "goldens.json").write_text(json.dumps(table), "utf-8")
+    shutil.copy(pins.__file__, tmp_path)
+    names = ["vmrt_chain", "catalog_7", "refused", "unpinned"]
+    done = subprocess.run([sys.executable, "-S", str(tmp_path / "pins.py"), *names],
+                          env=_src_env(), capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (1, "")
+    assert done.stdout.splitlines() == [
+        f"vmrt_chain: sha256 {GOLDENS['vmrt_chain']['sha256']}, pinned {'0' * 64}",
+        "catalog_7: ok",
+        "refused: exit 2: error: gamma0 coincides with the marked node",
+        "unpinned: no such pin",
+        "3 pins differ: vmrt_chain refused unpinned"]
 
 
 @pytest.mark.parametrize("max_rank", [7, 12, 20])

@@ -59,9 +59,9 @@ from oracles import (
     regex_parse_bivector,
     rref,
     rref_mod,
-    seeded_section_bivectors,
     sympy_section_locus,
 )
+from pins import seeded_section_bivectors
 
 
 def rank(rows) -> int:
