@@ -58,8 +58,8 @@ def parse_pair_id(text: str) -> DeletionPair:
     if ":" not in text or len(parts) != 2 or not all(part.strip() for part in parts):
         raise DiagramError(f"pair id {text!r} is not of the form D:g/g0")
     head, gamma0 = parts
-    # the rank is summed from the literal's terms before parse_marked builds
-    # the diagram, whose classification takes time quadratic in the rank
+    # the rank is summed from the literal's terms, so that a pair id past
+    # MAX_RANK is refused before parse_marked builds and types its diagram
     diagram_text, colon, _ = head.partition(":")
     rank = sum(n for _, n in diagram_terms(diagram_text)) if colon else 0
     if rank > MAX_RANK:

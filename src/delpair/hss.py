@@ -60,7 +60,7 @@ def vmrt_diagram(md: MarkedDiagram) -> MarkedDiagram:
     keep = set(md.diagram.nodes) - {gamma}
     sub = md.diagram.induced(keep)
     if sub.is_empty:
-        return MarkedDiagram(DynkinDiagram((), frozenset()), frozenset())
+        return MarkedDiagram(DynkinDiagram((), ()), frozenset())
     if not neighbors:
         raise MarkError(f"removing {gamma} strands an unmarked diagram")
     return MarkedDiagram(sub, frozenset(neighbors))

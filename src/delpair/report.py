@@ -1,6 +1,8 @@
 """Machine-readable check reports and run configuration."""
 from __future__ import annotations
 
+from collections import Counter
+
 from .frozen import Frozen
 
 PASS = "pass"
@@ -71,7 +73,7 @@ class RunConfig(Frozen, fields=("max_rank", "primes_plucker", "primes_segre", "f
                     require_prime(p)
                 if p > bound:
                     raise ValueError(f"{name} takes primes up to {bound}, not {p}")
-            repeated = sorted({p for p in primes if primes.count(p) > 1})
+            repeated = sorted(p for p, k in Counter(primes).items() if k > 1)
             if repeated:
                 raise ValueError(f"{name} repeats {', '.join(map(str, repeated))}")
         if fmt not in ("json", "markdown"):

@@ -11,11 +11,13 @@ ratio read from B (a length ratio, a coroot) stays inside one component.
 Node labels follow Bourbaki numbering ("a1", "a2", ...), global across the
 components of a product diagram.
 
-A connected component has type X_n exactly when it is isomorphic, bond
-multiplicities and short ends included, to the diagram the literal parser
-draws for "X_n", so each type's diagram is written once, in ``_term_edges``
-(Bourbaki, Lie Groups ch. VI, plates).  The hand-written shape rules, one
-per letter, that this matching replaces are an oracle in the tests.
+Every diagram is a literal's Bourbaki diagram or an induced sub-diagram of
+one, so a diagram stores each connected component as its type and the node
+playing each Bourbaki node, and reads its bonds from the type's diagram,
+written once in ``_term_edges`` (Bourbaki, Lie Groups ch. VI, plates).
+``induced`` types each block of the kept nodes in one pass, by the arm
+lengths at its branch node or the place of its multiple bond (``_typed``).
+The hand-written shape rules, one per letter, are an oracle in the tests.
 
 Everything that depends only on a component's Bourbaki type is read per
 type, not per diagram.  Positive roots are built once per (letter, rank),
@@ -45,7 +47,7 @@ from .frozen import Frozen
 
 
 class DiagramError(ValueError):
-    """Raised for malformed or unclassifiable Dynkin diagram data."""
+    """Raised for a malformed diagram literal or pair id, or an unknown node."""
 
 
 class MarkError(ValueError):
@@ -57,7 +59,7 @@ class ChainError(ValueError):
 
 
 class Component(Frozen, fields=("letter", "labels")):
-    """A classified connected component with its Bourbaki relabeling.
+    """A typed connected component with its Bourbaki relabeling.
 
     ``labels[k]`` is the node playing the role of alpha_{k+1} in the
     Bourbaki numbering of the component's type.
@@ -79,36 +81,12 @@ class Component(Frozen, fields=("letter", "labels")):
 Edge = tuple[str, str, int, "str | None"]
 
 
-class DynkinDiagram(Frozen, fields=("nodes", "edges")):
-    """A (possibly disconnected) Dynkin diagram.
+class DynkinDiagram(Frozen, fields=("nodes", "components")):
+    """A (possibly disconnected) Dynkin diagram: its nodes and typed components.
 
-    Edges are ``(u, v, multiplicity, arrow)`` with u before v in node order;
-    ``arrow`` names the short-root endpoint for multiplicity >= 2 and is
-    None for simple bonds.
+    Each component names its type and the node playing each Bourbaki node,
+    as ``parse_diagram`` and ``induced`` type them; its bonds are the type's.
     """
-
-    def __init__(self, nodes: tuple[str, ...], edges: frozenset[Edge]) -> None:
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "edges", edges)
-        if len(set(nodes)) != len(nodes):
-            raise DiagramError("duplicate node labels")
-        pos = {a: i for i, a in enumerate(nodes)}
-        seen = set()
-        for u, v, mult, arrow in edges:
-            if u not in pos or v not in pos or u == v:
-                raise DiagramError(f"bad edge endpoints ({u}, {v})")
-            if pos[u] > pos[v]:
-                raise DiagramError(f"edge ({u}, {v}) not in node order")
-            if frozenset((u, v)) in seen:
-                raise DiagramError(f"parallel edges between {u} and {v}")
-            seen.add(frozenset((u, v)))
-            if mult not in (1, 2, 3):
-                raise DiagramError(f"bond multiplicity {mult} out of range")
-            if mult == 1 and arrow is not None:
-                raise DiagramError("multiplicity-1 edges carry no arrow")
-            if mult >= 2 and arrow not in (u, v):
-                raise DiagramError("multiple bond needs an arrow endpoint")
-        self.components  # classify eagerly so invalid diagrams fail here
 
     @property
     def rank(self) -> int:
@@ -123,28 +101,38 @@ class DynkinDiagram(Frozen, fields=("nodes", "edges")):
         return {a: i for i, a in enumerate(self.nodes)}
 
     @cached_property
-    def adjacency(self) -> dict[str, dict[str, tuple[int, "str | None"]]]:
-        return _adjacency(self.nodes, self.edges)
+    def edges(self) -> tuple[Edge, ...]:
+        """The bonds ``(u, v, multiplicity, short end)``, u before v in node
+        order, component by component; the short end is None for a simple bond."""
+        edges = []
+        for comp in self.components:
+            for u, v, mult, short in _term_edges(comp.letter, comp.labels):
+                edges.append((u, v, mult, short) if self.index[u] < self.index[v]
+                             else (v, u, mult, short))
+        return tuple(edges)
 
     @cached_property
-    def components(self) -> tuple[Component, ...]:
-        remaining = set(self.nodes)
-        comps = []
-        for start in self.nodes:
-            if start not in remaining:
-                continue
-            block = _connected_block(start, self.adjacency)
-            remaining -= block.keys()
-            comps.append(_classify(sorted(block, key=self.index.__getitem__), self.adjacency))
-        return tuple(comps)
+    def adjacency(self) -> dict[str, dict[str, tuple[int, "str | None"]]]:
+        adj: dict[str, dict[str, tuple[int, str | None]]] = {a: {} for a in self.nodes}
+        for u, v, mult, short in self.edges:
+            adj[u][v] = adj[v][u] = (mult, short)
+        return adj
 
     def neighbors(self, label: str) -> tuple[str, ...]:
         return tuple(sorted(self.adjacency[label], key=self.index.__getitem__))
 
     def induced(self, keep: "set[str] | frozenset[str]") -> "DynkinDiagram":
+        """The sub-diagram on the kept nodes, each component typed by ``_typed``."""
         nodes = tuple(a for a in self.nodes if a in keep)
-        edges = frozenset(e for e in self.edges if e[0] in keep and e[1] in keep)
-        return DynkinDiagram(nodes, edges)
+        adj = {a: {b: bond for b, bond in self.adjacency[a].items() if b in keep}
+               for a in nodes}
+        components, seen = [], set()
+        for start in nodes:
+            if start not in seen:
+                block = _connected_block(start, adj)
+                seen.update(block)
+                components.append(_typed(block, adj, self.index))
+        return DynkinDiagram(nodes, tuple(components))
 
     @cached_property
     def shape(self) -> tuple[tuple[str, int, tuple[int, ...]], ...]:
@@ -198,110 +186,48 @@ def _connected_block(start: str, adj: dict[str, dict]) -> dict[str, "str | None"
     return parent
 
 
-def _adjacency(nodes, edges) -> dict[str, dict[str, tuple[int, "str | None"]]]:
-    adj: dict[str, dict[str, tuple[int, str | None]]] = {a: {} for a in nodes}
-    for u, v, mult, arrow in edges:
-        adj[u][v] = adj[v][u] = (mult, arrow)
-    return adj
+def _arm(prev: "str | None", a: str, adj: dict[str, dict]) -> list[str]:
+    """The nodes from ``a`` to the end of the path leading away from ``prev``."""
+    arm = [a]
+    while nxt := [b for b in adj[a] if b != prev]:
+        prev, a = a, nxt[0]
+        arm.append(a)
+    return arm
 
 
-def _invariant(nodes, adj: dict[str, dict]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Sorted degrees and sorted bond multiplicities, kept by every isomorphism."""
-    return (tuple(sorted(len(adj[a]) for a in nodes)),
-            tuple(sorted(m for a in nodes for m, _ in adj[a].values())))
+def _typed(block: dict[str, "str | None"], adj: dict[str, dict],
+           position: dict[str, int]) -> Component:
+    """The type and Bourbaki labels of the connected block of ``adj`` whose
+    nodes ``block`` holds, in a sub-diagram of a Bourbaki diagram.
 
-
-def _template(letter: str, n: int):
-    """The Bourbaki diagram ``_term_edges`` draws for a type, ready for matching.
-
-    Returns its invariant, its nodes in breadth-first order from Bourbaki
-    node 1 as steps (parent step, (multiplicity, step of the short end),
-    degree), and the step of each Bourbaki node.
+    A node of degree 3 has arms (1, 1, k), D_(k+3), or (1, 2, 2), (1, 2, 3)
+    and (1, 2, 4), E6, E7 and E8; any other block is a path with at most one
+    multiple bond, A, B, C, F4 or G2, so C2 reads as B2 and D3 as A3.
+    Among the type's symmetries (A_n reversed, D_n's last two nodes, D4's
+    three tips, E6's flip) the labelling whose Bourbaki nodes come first by
+    ``position`` is taken.
     """
-    lab, edges = _term_edges(letter, n, 0)
-    adj = _adjacency(lab, edges)
-    parents = _connected_block(lab[0], adj)
-    step = {a: i for i, a in enumerate(parents)}
-    steps = [(None, (None, None), len(adj[lab[0]]))]
-    for a, parent in list(parents.items())[1:]:
-        mult, short = adj[a][parent]
-        steps.append((step[parent], (mult, step.get(short)), len(adj[a])))
-    return _invariant(lab, adj), tuple(steps), tuple(step[a] for a in lab)
-
-
-def _embeddings(image: tuple[str, ...], steps, adj: dict[str, dict]) -> list[tuple[str, ...]]:
-    """Every isomorphism from a template onto a tree that extends ``image``.
-
-    Depth first on an explicit stack, so a diagram of any rank stays within
-    the interpreter's recursion limit.
-    """
-    found, stack = [], [image]
-    while stack:
-        image = stack.pop()
-        if len(image) == len(steps):
-            found.append(image)
-            continue
-        parent, (mult, short), degree = steps[len(image)]
-        for b, bond in adj[image[parent]].items():
-            full = image + (b,)
-            if (len(adj[b]) == degree and b not in image
-                    and bond == (mult, None if short is None else full[short])):
-                stack.append(full)
-    return found
-
-
-# Per component shape, the letter and the positions (in the component's node
-# order) of its Bourbaki nodes; filled by ``_classify`` on a successful search.
-_SHAPES: dict[tuple, tuple[str, tuple[int, ...]]] = {}
-
-
-def _classify(labels: list[str], adj: dict[str, dict]) -> Component:
-    """``_search``, memoized by the component's shape.
-
-    The shape is the node count and each edge as (position, position,
-    multiplicity, position of the short end), positions in ``labels`` order.
-    ``_search`` keeps the isomorphism whose Bourbaki labels come first in
-    that order, so its answer, read as positions, is the same for every
-    component of one shape.  A search that raises stores nothing.
-    """
-    position = {a: i for i, a in enumerate(labels)}
-    shape = (len(labels), tuple(sorted(
-        (position[a], position[b], mult, None if short is None else position[short])
-        for a in labels for b, (mult, short) in adj[a].items() if position[a] < position[b])))
-    hit = _SHAPES.get(shape)
-    if hit is None:
-        comp = _search(labels, adj)
-        _SHAPES[shape] = (comp.letter, tuple(position[a] for a in comp.labels))
-        return comp
-    letter, order = hit
-    return Component(letter, tuple(labels[i] for i in order))
-
-
-def _search(labels: list[str], adj: dict[str, dict]) -> Component:
-    """Name a connected component by the Bourbaki diagram it is isomorphic to.
-
-    Letters are tried in ``_RANK_BOUNDS`` order, so B2 = C2 reads as B2 and
-    D3 as A3.  An isomorphism keeps each bond's multiplicity and short end;
-    among several (the symmetries of A_n, D_n, D4 and E6) the one whose
-    Bourbaki labels come first in node order wins.
-    """
-    n = len(labels)
-    if sum(len(adj[a]) for a in labels) != 2 * (n - 1):
-        raise DiagramError(f"component {labels} contains a cycle")
-    invariant = _invariant(labels, adj)
-    position = {a: i for i, a in enumerate(labels)}
-    for letter, (lo, hi) in _RANK_BOUNDS.items():
-        if not lo <= n <= (hi or n):
-            continue
-        shape, steps, order = _template(letter, n)
-        if shape != invariant:
-            continue
-        images = [image for a in labels if len(adj[a]) == steps[0][2]
-                  for image in _embeddings((a,), steps, adj)]
-        if images:
-            best = min(images, key=lambda im: [position[im[j]] for j in order])
-            return Component(letter, tuple(best[j] for j in order))
-    raise DiagramError(f"component {labels} matches no Bourbaki diagram")
+    branch = next((a for a in block if len(adj[a]) == 3), None)
+    if branch is not None:
+        arms = [_arm(branch, b, adj) for b in adj[branch]]
+        tail, *tips = sorted(arms, key=lambda arm: (-len(arm), position[arm[-1]]))
+        if len(tips[0]) == 1:
+            return Component("D", (*reversed(tail), branch, tips[0][0], tips[1][0]))
+        short, mid, long = sorted(arms, key=lambda arm: (len(arm), position[arm[-1]]))
+        return Component("E", (mid[1], short[0], mid[0], branch, *long))
+    path = _arm(None, min((a for a in block if len(adj[a]) < 2), key=position.__getitem__), adj)
+    bonds = [adj[u][v] for u, v in zip(path, path[1:])]
+    k = next((i for i, (mult, _) in enumerate(bonds) if mult > 1), None)
+    if k is None:
+        return Component("A", tuple(path))
+    mult, short = bonds[k]
+    if len(path) == 4 and k == 1:       # F4, its short end at node 3
+        return Component("F", tuple(path if short == path[2] else reversed(path)))
+    if k < len(path) - 2 or short == path[0]:
+        path.reverse()                  # the bond last; on two nodes its short end last
+    if mult == 3:
+        return Component("G", (path[1], path[0]))
+    return Component("B" if short == path[-1] else "C", tuple(path))
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +238,9 @@ _RANK_BOUNDS = {"A": (1, None), "B": (2, None), "C": (2, None), "D": (3, None),
                 "E": (6, 8), "F": (4, 4), "G": (2, 2)}
 
 
-def _term_edges(letter: str, n: int, offset: int) -> tuple[list[str], list[Edge]]:
-    lab = [f"a{offset + i}" for i in range(1, n + 1)]
+def _term_edges(letter: str, lab: tuple[str, ...]) -> list[Edge]:
+    """The bonds of a type's Bourbaki diagram, ``lab[k]`` playing node k + 1."""
+    n = len(lab)
     edges: list[Edge] = []
 
     def bond(i: int, j: int, mult: int = 1, short: int | None = None) -> None:
@@ -346,7 +273,7 @@ def _term_edges(letter: str, n: int, offset: int) -> tuple[list[str], list[Edge]
         bond(3, 4)
     elif letter == "G":
         bond(1, 2, 3, 1)
-    return lab, edges
+    return edges
 
 
 def diagram_terms(text: str) -> list[tuple[str, int]]:
@@ -367,16 +294,18 @@ def diagram_terms(text: str) -> list[tuple[str, int]]:
 
 
 def parse_diagram(text: str) -> DynkinDiagram:
-    """Parse a diagram literal such as "E7", "B4" or "A1+A2"."""
+    """Parse a diagram literal such as "E7", "B4" or "A1+A2".
+
+    Each term is drawn as its literal's type and typed like an induced
+    sub-diagram, so D3 reads as A3 and C2 as B2.
+    """
     nodes: list[str] = []
-    edges: list[Edge] = []
-    offset = 0
+    components = []
     for letter, n in diagram_terms(text):
-        lab, e = _term_edges(letter, n, offset)
-        nodes += lab
-        edges += e
-        offset += n
-    return DynkinDiagram(tuple(nodes), frozenset(edges))
+        labels = tuple(f"a{len(nodes) + i}" for i in range(1, n + 1))
+        components.append(Component(letter, labels))
+        nodes += labels
+    return DynkinDiagram(tuple(nodes), tuple(components)).induced(set(nodes))
 
 
 def parse_marked(text: str) -> "MarkedDiagram":

@@ -3,7 +3,7 @@
 Diagram literals are read term by term with the regular expression
 ``^([ABCDEFG])([0-9]+)$`` instead of ``str`` methods.  Diagram components
 are classified by hand-written shape rules, one branch per letter, instead
-of matching the Bourbaki diagrams of the literal parser.
+of the library's typing of induced sub-diagrams by arm lengths and bonds.
 Root systems are regenerated here by reflection closure instead of root
 strings, and by the generic Fraction kernel (root strings on coefficient
 tuples with the arithmetic written out here, inner products from the rational
@@ -120,7 +120,6 @@ from delpair.rootsys import (
     DynkinDiagram,
     MarkedDiagram,
     RootSystem,
-    _term_edges,
     delete_chain,
 )
 
@@ -392,11 +391,11 @@ def exhaustive_maximality(pair) -> MaximalityVerdict:
 
 def shape_rule_components(nodes: tuple[str, ...], edges) -> tuple[Component, ...]:
     """Components of a diagram by the hand-written shape rules, one branch per
-    letter, instead of matching the Bourbaki diagrams the literal parser draws.
+    letter, apart from the library's typing of induced sub-diagrams.
 
-    Takes raw (nodes, edges) so that a diagram the library refuses can still
-    be classified here; raises DiagramError where no rule applies.
-    """
+    Takes raw (nodes, edges), so that a test can give it a parent's bonds,
+    not those a diagram reads off its own typing; raises DiagramError where
+    no rule applies."""
     adj: dict[str, dict] = {a: {} for a in nodes}
     for u, v, mult, arrow in edges:
         adj[u][v] = adj[v][u] = (mult, arrow)
@@ -422,7 +421,7 @@ def regex_parse_diagram(text: str) -> DynkinDiagram:
     """``parse_diagram`` with each stripped term matched by the regular
     expression; the same bonds per term and the same error messages."""
     nodes: list[str] = []
-    edges: list = []
+    components = []
     for term in text.strip().split("+"):
         m = _DIAGRAM_TERM_RE.match(term.strip())
         if not m:
@@ -431,10 +430,9 @@ def regex_parse_diagram(text: str) -> DynkinDiagram:
         lo, hi = _RANK_BOUNDS[letter]
         if n < lo or (hi is not None and n > hi):
             raise DiagramError(f"rank {n} out of range for type {letter}")
-        lab, e = _term_edges(letter, n, len(nodes))
-        nodes += lab
-        edges += e
-    return DynkinDiagram(tuple(nodes), frozenset(edges))
+        components.append(Component(letter, tuple(f"a{len(nodes) + i}" for i in range(1, n + 1))))
+        nodes += components[-1].labels
+    return DynkinDiagram(tuple(nodes), tuple(components)).induced(set(nodes))
 
 
 def _walk_path(start: str, labels: list[str], adj: dict[str, dict]) -> list[str]:

@@ -67,6 +67,7 @@ def test_parse_pair_id_takes_the_largest_rank_and_refuses_one_more():
      f"primes_plucker takes primes up to {MAX_PLUCKER_PRIME}, not {HUGE[-1]}"),
     (["segre", "fitting", "--q", str(HUGE[-1])],
      f"primes_segre takes primes up to {MAX_SEGRE_PRIME}, not {HUGE[-1]}"),
+    (["run-all", "--primes", ",".join(["3"] * 65000)], "primes_plucker repeats 3"),
 ])
 def test_over_the_bound_exits_2_with_one_line(argv, message, tmp_path, capsys):
     out = tmp_path / "b.json"

@@ -1,6 +1,6 @@
 import itertools
 import random
-import re
+import time
 
 import pytest
 from fractions import Fraction
@@ -70,10 +70,7 @@ def shuffled(literal: str, seed: int) -> DynkinDiagram:
     diagram = parse_diagram(literal)
     order = list(diagram.nodes)
     random.Random(seed).shuffle(order)
-    pos = {a: i for i, a in enumerate(order)}
-    edges = frozenset((u, v, m, arrow) if pos[u] < pos[v] else (v, u, m, arrow)
-                      for u, v, m, arrow in diagram.edges)
-    return DynkinDiagram(tuple(order), edges)
+    return DynkinDiagram(tuple(order), diagram.components).induced(set(order))
 
 
 @pytest.fixture(scope="module")
@@ -115,35 +112,6 @@ def test_disconnected_diagram_roots_are_componentwise():
     assert len(rs.positive_roots) == 1 + 3
     for r in rs.positive_roots:
         assert set(support(r)) <= {0} or set(support(r)) <= {1, 2}
-
-
-def test_unclassifiable_diagram_reports_component():
-    # a 4-cycle is no Dynkin diagram
-    edges = frozenset({("a1", "a2", 1, None), ("a2", "a3", 1, None),
-                       ("a3", "a4", 1, None), ("a1", "a4", 1, None)})
-    with pytest.raises(DiagramError, match="cycle"):
-        DynkinDiagram(("a1", "a2", "a3", "a4"), edges)
-
-
-@pytest.mark.parametrize("nodes, edges, message", [
-    (("a1", "a1"), (), "duplicate node labels"),
-    (("a1", "a2"), (("a1", "a3", 1, None),), r"bad edge endpoints \(a1, a3\)"),
-    (("a1", "a2"), (("a1", "a1", 1, None),), r"bad edge endpoints \(a1, a1\)"),
-    (("a1", "a2"), (("a2", "a1", 1, None),), r"edge \(a2, a1\) not in node order"),
-    (("a1", "a2"), (("a1", "a2", 1, None), ("a1", "a2", 2, "a2")),
-     "parallel edges between a1 and a2"),
-    (("a1", "a2"), (("a1", "a2", 4, "a2"),), "bond multiplicity 4 out of range"),
-    (("a1", "a2"), (("a1", "a2", 2, None),), "multiple bond needs an arrow endpoint"),
-    (("a1", "a2"), (("a1", "a2", 3, "a3"),), "multiple bond needs an arrow endpoint"),
-])
-def test_diagram_refuses_malformed_nodes_and_edges(nodes, edges, message):
-    with pytest.raises(DiagramError, match=f"^{message}$"):
-        DynkinDiagram(nodes, frozenset(edges))
-
-
-def test_simple_edge_cannot_carry_arrow():
-    with pytest.raises(DiagramError, match="^multiplicity-1 edges carry no arrow$"):
-        DynkinDiagram(("a1", "a2"), frozenset({("a1", "a2", 1, "a2")}))
 
 
 # -- pairings and reflections -------------------------------------------------
@@ -425,7 +393,7 @@ def test_one_mark_per_component():
 
 
 def test_an_empty_diagram_takes_no_marks():
-    empty = DynkinDiagram((), frozenset())
+    empty = DynkinDiagram((), ())
     assert MarkedDiagram(empty, frozenset()).is_empty
     with pytest.raises(MarkError, match=r"^unknown marked nodes \['a1'\]$"):
         MarkedDiagram(empty, frozenset({"a1"}))
@@ -503,37 +471,13 @@ ORACLE_TYPES = [f"{letter}{n}" for letter, lo in (("A", 1), ("B", 2), ("C", 2), 
                 for n in range(lo, 10)] + ["E6", "E7", "E8", "F4", "G2"]
 
 
-def classified(nodes, edges):
-    """Components by the library and by the shape rules, or "error" on either side."""
-    sides = []
-    for classify in (lambda: DynkinDiagram(nodes, edges).components,
-                     lambda: shape_rule_components(nodes, edges)):
-        try:
-            sides.append(classify())
-        except DiagramError:
-            sides.append("error")
-    return sides
-
-
-def random_diagram(rng: random.Random):
-    """At most 9 nodes in shuffled order: mostly a path-like tree, sometimes
-    with extra edges, random multiplicities and arrows on random ends."""
-    n = rng.randint(1, 9)
-    names = [f"a{i}" for i in range(1, n + 1)]
-    order = names[:]
-    rng.shuffle(order)
-    links = dict.fromkeys(  # insertion-ordered, so the draws follow no hash order
-        frozenset((names[i - 1] if rng.random() < 0.7 else rng.choice(names[:i]), names[i]))
-        for i in range(1, n))
-    for _ in range(rng.choice((0, 0, 0, 1, 2)) if n > 1 else 0):
-        links[frozenset(rng.sample(names, 2))] = None
-    pos = {a: i for i, a in enumerate(order)}
-    edges = set()
-    for link in links:
-        u, v = sorted(link, key=pos.__getitem__)
-        mult = rng.choices((1, 2, 3), (12, 3, 1))[0]
-        edges.add((u, v, mult, None if mult == 1 else rng.choice((u, v))))
-    return tuple(order), frozenset(edges)
+def assert_induced_matches_shape_rules(diagram: DynkinDiagram, keep: set[str]) -> None:
+    """The sub-diagram keeps exactly the parent's bonds among ``keep``, and
+    the shape rules, shown those bonds, type it the same way."""
+    sub = diagram.induced(keep)
+    edges = {e for e in diagram.edges if e[0] in keep and e[1] in keep}
+    assert set(sub.edges) == edges, sorted(keep)
+    assert sub.components == shape_rule_components(sub.nodes, edges), sorted(keep)
 
 
 def test_classification_matches_shape_rules_on_induced_sub_diagrams():
@@ -541,64 +485,25 @@ def test_classification_matches_shape_rules_on_induced_sub_diagrams():
         diagram = parse_diagram(literal)
         for size in range(1, diagram.rank + 1):
             for keep in itertools.combinations(diagram.nodes, size):
-                sub = diagram.induced(set(keep))
-                assert sub.components == shape_rule_components(sub.nodes, sub.edges), keep
+                assert_induced_matches_shape_rules(diagram, set(keep))
+
+
+@pytest.mark.parametrize("letter", "ABCD")
+def test_classification_matches_shape_rules_on_seeded_subsets_of_rank_40(letter):
+    # in shuffled node order, so that a path typed from the wrong end shows
+    diagram = shuffled(f"{letter}40", 40)
+    rng = random.Random(ord(letter))
+    for _ in range(200):
+        assert_induced_matches_shape_rules(diagram, set(rng.sample(diagram.nodes,
+                                                                   rng.randint(1, 40))))
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_classification_matches_shape_rules_on_shuffled_literals(seed):
     for k, literal in enumerate(CONNECTED_LITERALS + PRODUCT_LITERALS):
         diagram = shuffled(literal, 1000 * seed + k)
-        assert diagram.components == shape_rule_components(diagram.nodes, diagram.edges)
-
-
-def test_classification_matches_shape_rules_on_random_graphs():
-    rng = random.Random(20231)
-    letters, errors = set(), 0
-    for _ in range(5000):
-        nodes, edges = random_diagram(rng)
-        new, old = classified(nodes, edges)
-        assert new == old, (nodes, sorted(edges))
-        if new == "error":
-            errors += 1
-        else:
-            letters |= {comp.letter for comp in new}
-    assert letters == set("ABCDEFG")
-    assert 500 < errors < 4500
-
-
-def test_classification_memo_matches_the_search(monkeypatch):
-    # every component of the catalog(20) ambients and sub-diagrams and of their
-    # compact parts, and shuffled node orders of ten types; a second pass reads
-    # each shape from the memo and must equal the uncached template search
-    search = rootsys._search
-    searches = []
-    monkeypatch.setattr(rootsys, "_SHAPES", {})
-    monkeypatch.setattr(rootsys, "_search",
-                        lambda labels, adj: searches.append(labels) or search(labels, adj))
-    diagrams = [d for pair in pairs.catalog(20) for md in (pair.ambient, pair.sub)
-                for d in (md.diagram, md.diagram.induced(set(md.diagram.nodes) - md.marked))]
-    diagrams += [shuffled(literal, seed) for seed in range(5)
-                 for literal in ("E6", "E7", "E8", "D4", "D8", "B8", "C8", "F4", "G2", "A7")]
-    blocks = [(sorted(comp.labels, key=d.index.__getitem__), d.adjacency)
-              for d in diagrams for comp in d.components]
-    for labels, adj in blocks:
-        rootsys._classify(labels, adj)
-    assert len(searches) == len(rootsys._SHAPES) < len(blocks) // 10
-    missed = len(searches)
-    for labels, adj in blocks:
-        assert rootsys._classify(labels, adj) == search(labels, adj), labels
-    assert len(searches) == missed
-
-
-def test_classification_memo_stores_no_error(monkeypatch):
-    monkeypatch.setattr(rootsys, "_SHAPES", {})
-    star = (("a1", "a2", "a3", "a4", "a5"),
-            frozenset(("a1", b, 1, None) for b in ("a2", "a3", "a4", "a5")))
-    for _ in range(2):
-        with pytest.raises(DiagramError, match="matches no Bourbaki diagram"):
-            DynkinDiagram(*star)
-    assert rootsys._SHAPES == {}
+        edges = parse_diagram(literal).edges
+        assert diagram.components == shape_rule_components(diagram.nodes, edges), literal
 
 
 def test_letter_order_reads_d3_as_a3_and_c2_as_b2():
@@ -606,12 +511,15 @@ def test_letter_order_reads_d3_as_a3_and_c2_as_b2():
     assert parse_diagram("C2").components == (Component("B", ("a2", "a1")),)
 
 
-@pytest.mark.parametrize("letter", "ABD")
-def test_rank_1200_literal_classifies_without_recursion(letter):
-    # the template embedding walks one node per step, far past the default
-    # recursion limit; the least isomorphism is still the literal's numbering
-    assert parse_diagram(f"{letter}1200").components == (
-        Component(letter, tuple(f"a{i}" for i in range(1, 1201))),)
+@pytest.mark.parametrize("letter, rank", [(letter, 1200) for letter in "ABD"] + [
+    (letter, 20000) for letter in "ABD"], ids=["A", "B", "D", "A20000", "B20000", "D20000"])
+def test_rank_1200_literal_classifies_without_recursion(letter, rank):
+    # the typing walks one node per step, far past the default recursion
+    # limit, in linear time; the least labelling is the literal's numbering
+    t0 = time.perf_counter()
+    components = parse_diagram(f"{letter}{rank}").components
+    assert time.perf_counter() - t0 < 1
+    assert components == (Component(letter, tuple(f"a{i}" for i in range(1, rank + 1))),)
 
 
 # Terms the regular expression refuses or reads differently from a naive
@@ -642,20 +550,3 @@ def test_literal_parser_matches_the_regex_oracle():
     refused = [lit for lit in ODD_LITERALS if isinstance(_read_or_refuse(parse_diagram, lit), str)]
     # all but A01, E007+B02, E08 and the two sums with spaces or tabs around +
     assert len(refused) == len(ODD_LITERALS) - 5
-
-
-@pytest.mark.parametrize("nodes, edges", [
-    (("a1", "a2", "a3", "a4", "a5"),                       # degree-4 star
-     {("a1", "a2", 1, None), ("a1", "a3", 1, None), ("a1", "a4", 1, None),
-      ("a1", "a5", 1, None)}),
-    (("a1", "a2", "a3", "a4", "a5"),                       # middle double bond
-     {("a1", "a2", 1, None), ("a2", "a3", 2, "a3"), ("a3", "a4", 1, None),
-      ("a4", "a5", 1, None)}),
-    (("a1", "a2", "a3"), {("a1", "a2", 2, "a2"), ("a2", "a3", 2, "a3")}),
-    (("a1", "a2", "a3"), {("a1", "a2", 3, "a1"), ("a2", "a3", 1, None)}),
-])
-def test_non_dynkin_tree_names_its_component(nodes, edges):
-    with pytest.raises(DiagramError, match=re.escape(str(list(nodes)))):
-        DynkinDiagram(nodes, frozenset(edges))
-    with pytest.raises(DiagramError, match=re.escape(str(list(nodes)))):
-        DynkinDiagram(("b0",) + nodes, frozenset(edges))
