@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import operator
 import random
+import struct
 
 from .chevalley import build_table, jacobi_failures
 from .projgeo.linalg import alternating_rank, primitive_int_covector
@@ -25,19 +26,37 @@ from .report import DEFAULT_SEED, FAIL, PASS, CheckReport
 from .rootsys import RootSystem, build_root_system, parse_diagram
 
 
+# _TOP_BITS[k][b] is the top k bits of the byte b, for k = 1..8
+_TOP_BITS = [bytes(b >> (8 - k) for b in range(256)) for k in range(9)]
+
+
 def _draws(rng: random.Random, n: int, count: int) -> list[int]:
-    """``count`` values below n, each drawn as ``rng.choice`` on a length-n
-    sequence and ``rng.randrange(n)`` draw one: getrandbits(n.bit_length())
-    until the value is below n.  The values, and the generator's state after
-    them, are the ones those calls give."""
-    getrandbits = rng.getrandbits
+    """``count`` values below n (n at most 2**32), each drawn as
+    ``rng.choice`` on a length-n sequence and ``rng.randrange(n)`` draw one:
+    getrandbits(k), k = n.bit_length(), until the value is below n.  The
+    values, and the generator's state after them, are the ones those calls
+    give.
+
+    getrandbits(k) is the top k bits of one 32-bit word of the generator, and
+    getrandbits(32 m) is the next m words, the first in the lowest bits.  So
+    each round draws one word for every value still missing and keeps, in
+    order, the top k bits of each word that are below n: a rejected word is
+    redrawn by the next round, as the loop redraws it, and the last word
+    drawn is the last one kept.  For k <= 8 the top bits are read from each
+    word's top byte by one ``bytes.translate``, which drops the bytes whose
+    top bits are n or more; a wider k reads whole words.
+    """
     k = n.bit_length()
-    out = []
-    for _ in range(count):
-        r = getrandbits(k)
-        while r >= n:
-            r = getrandbits(k)
-        out.append(r)
+    getrandbits = rng.getrandbits
+    out: list[int] = []
+    while len(out) < count:
+        m = count - len(out)
+        words = getrandbits(32 * m).to_bytes(4 * m, "little")
+        if k <= 8:
+            out += words[3::4].translate(_TOP_BITS[k], bytes(range(n << (8 - k), 256)))
+        else:
+            shift = 32 - k
+            out += [w >> shift for w, in struct.iter_unpack("<I", words) if w >> shift < n]
     return out
 
 
@@ -127,8 +146,8 @@ def _qorbit_invariance() -> CheckReport:
     bad = 0
     tried = 0
     while tried < 20:
-        rows = [[rng.randrange(-3, 4) if c in cols else 0 for c in range(5)]
-                for cols in shape]
+        entries = iter(_draws(rng, 7, 17))     # randrange(-3, 4) is draw - 3
+        rows = [[next(entries) - 3 if c in cols else 0 for c in range(5)] for cols in shape]
         if not _invertible(rows):
             continue
         tried += 1

@@ -14,6 +14,13 @@ def alternating_rank(x, p: int | None = None) -> int:
     """min(rank, 3) of the alternating 5x5 integer matrix with the ten entries
     x above its diagonal, row by row, over the rationals or mod p when p is given.
 
+    A certificate comes first: the minor on rows 1-3 and columns 3-5,
+    x13 (x24 x35 - x25 x34) - x14 x23 x35 + x15 x23 x34, reduced mod p when p
+    is given.  When it is nonzero the rank is at least 3, and it is even, so
+    the answer is 3 with no elimination.  The minor is cubic, neither a
+    Plücker quadric nor a Pfaffian, so a rank read from it stays independent
+    of the quadrics.  When it vanishes the rank comes from elimination.
+
     The rows are built from x without a matrix object.  Elimination is
     fraction-free: a row below the pivot row becomes pivot * row - entry * top,
     and a row whose entry is 0 is left as it is.  Mod p the rows stay integers and a pivot
@@ -26,6 +33,9 @@ def alternating_rank(x, p: int | None = None) -> int:
     ``alternating_rank(x) <= 2`` asks whether the rank is at most 2.
     """
     x12, x13, x14, x15, x23, x24, x25, x34, x35, x45 = x
+    minor = x13 * (x24 * x35 - x25 * x34) - x14 * x23 * x35 + x15 * x23 * x34
+    if minor % p if p else minor:
+        return 3
     rows = [[0, x12, x13, x14, x15], [-x12, 0, x23, x24, x25], [-x13, -x23, 0, x34, x35],
             [-x14, -x24, -x34, 0, x45], [-x15, -x25, -x35, -x45, 0]]
     r = 0

@@ -207,12 +207,25 @@ def _validate_by_substitution(basis, lines, isolated_points) -> None:
 
 
 def _finite_locus(basis: list[list[int]], p: int) -> set[tuple]:
-    """The points [u:v:w] of P^2(F_p) where u b0 + v b1 + w b2 is on the variety."""
-    locus = set()
-    for coeffs in projective_points(p, 3):
-        if not any(q % p for q in plucker_quadrics(_combination(coeffs, basis))):
-            locus.add(coeffs)
-    return locus
+    """The points [u:v:w] of P^2(F_p) where u b0 + v b1 + w b2 is on the variety.
+
+    Each quadric restricted to the plane is the ternary form
+    Q(b0) u^2 + Q(b1) v^2 + Q(b2) w^2 + B(b0, b1) uv + B(b0, b2) uw + B(b1, b2) vw,
+    with the cross coefficient B(bi, bj) = Q(bi + bj) - Q(bi) - Q(bj) read
+    from the quadrics at the three rows and their three pairwise sums.  The
+    forms that vanish mod p are dropped, and each point is tested on the
+    six coefficients of the others.
+    """
+    b0, b1, b2 = basis
+    q0, q1, q2, q01, q02, q12 = map(plucker_quadrics, (
+        b0, b1, b2, [x + y for x, y in zip(b0, b1)], [x + y for x, y in zip(b0, b2)],
+        [x + y for x, y in zip(b1, b2)]))
+    forms = {coeffs for coeffs in (
+        (a % p, b % p, c % p, (ab - a - b) % p, (ac - a - c) % p, (bc - b - c) % p)
+        for a, b, c, ab, ac, bc in zip(q0, q1, q2, q01, q02, q12)) if any(coeffs)}
+    return {(u, v, w) for u, v, w in projective_points(p, 3)
+            if not any(((uu * u + uv * v + uw * w) * u + (vv * v + vw * w) * v + ww * w * w) % p
+                       for uu, vv, ww, uv, uw, vw in forms)}
 
 
 def _certify(basis, lines, plane_coords, full_plane: bool, p: int) -> None:
@@ -226,9 +239,9 @@ def _certify(basis, lines, plane_coords, full_plane: bool, p: int) -> None:
     computed = _finite_locus(
         [basis[0], basis[1], canonical_mod(primitive_int_covector(basis[2]), p)], p)
     isolated = {canonical_mod(pt, p) for pt in plane_coords}
-    described = {coeffs for coeffs in projective_points(p, 3)
-                 if full_plane or coeffs in isolated
-                 or any(_line_value(cov, coeffs) % p == 0 for cov in lines)}
+    described = {(u, v, w) for u, v, w in projective_points(p, 3)
+                 if full_plane or (u, v, w) in isolated
+                 or any((a * u + s * v + q * w) % p == 0 for a, s, q in lines)}
     if computed != described:
         raise CertificationError(
             f"rational locus and F_{p} enumeration disagree: "

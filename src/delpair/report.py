@@ -16,9 +16,9 @@ DEFAULT_SEED = 20230915
 
 # MAX_RANK is the rank of the largest pinned bundle.  The Plücker bound is the prime
 # whose survey output is pinned; time no longer sets it, since a fresh survey takes
-# 0.52-0.56 s at 23 and 1.3 s at 29 on a 2-core Xeon VM, and raising it would change
-# what the command line accepts.  The Segre bound is the same prime; the Segre check
-# takes 5.1-5.4 s and 111 MB at 23.
+# 0.48-0.75 s at 23 (quiet to busy) and 1.3 s at 29 on a 2-core Xeon VM, and raising
+# it would change what the command line accepts.  The Segre bound is the same prime;
+# the Segre check takes 4.1-4.9 s and 112 MB at 23.
 MAX_RANK = 20
 MAX_PLUCKER_PRIME = 23
 MAX_SEGRE_PRIME = 23

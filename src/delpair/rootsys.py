@@ -309,13 +309,24 @@ def parse_diagram(text: str) -> DynkinDiagram:
 
 
 def parse_marked(text: str) -> "MarkedDiagram":
-    """Parse a marked literal such as "E7:a7" or "A1+A2:a1,a3"."""
+    """Parse a marked literal such as "E7:a7" or "A1+A2:a1,a3".
+
+    Each comma-separated label names one node once: an empty label, as in
+    "E7:a7,", or a repeated one, as in "E7:a7,a7", is refused.
+    """
     if ":" not in text:
         raise DiagramError(f"marked literal {text!r} needs ':' and mark labels")
     diag_text, _, marks = text.partition(":")
     diagram = parse_diagram(diag_text)
-    labels = frozenset(m.strip() for m in marks.split(",") if m.strip())
-    return MarkedDiagram(diagram, labels)
+    labels = [m.strip() for m in marks.split(",")] if marks.strip() else []
+    if "" in labels:
+        raise MarkError(f"marked literal {text!r} has an empty mark label")
+    seen: set[str] = set()
+    for label in labels:
+        if label in seen:
+            raise MarkError(f"mark label {label!r} is repeated")
+        seen.add(label)
+    return MarkedDiagram(diagram, frozenset(seen))
 
 
 # ---------------------------------------------------------------------------

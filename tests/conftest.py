@@ -1,3 +1,4 @@
+import hashlib
 import sys
 from pathlib import Path
 
@@ -11,9 +12,9 @@ from delpair.checks import (
     degeneracy_checks,
     infinity_checks,
     normal_bundle_checks,
-    run_all,
 )
-from delpair.report import RunConfig
+from delpair.report import bundle_json
+import pins
 
 
 @pytest.fixture(scope="session")
@@ -56,16 +57,29 @@ def maximal_triple(catalog7):
     return [catalog7[pid] for pid in ("D5:a5/a3", "E6:a6/a5", "E7:a7/a6")]
 
 
+def _pinned_bundle(name: str):
+    """The bundle of pin ``name`` from the one build that ``test_pin_holds``
+    checks, and at the end of the session a check that no test changed it."""
+    code, _, sha, _, doc = pins.build(name)
+    assert code == 0
+    yield doc
+    assert hashlib.sha256(bundle_json(doc).encode("utf-8")).hexdigest() == sha, (
+        f"a test changed the shared {name} bundle")
+
+
 @pytest.fixture(scope="session")
 def default_bundle():
-    code, doc = run_all(RunConfig())
-    assert code == 0
-    return doc
+    """The default bundle, as ``delpair run-all --out bundle.json`` writes it."""
+    yield from _pinned_bundle("default")
 
 
 @pytest.fixture(scope="session")
 def rank_sweep_bundle():
     """The bundle at max_rank 12 with the smallest lab primes."""
-    code, doc = run_all(RunConfig(max_rank=12, primes_plucker=(3,), primes_segre=(2,)))
-    assert code == 0
-    return doc
+    yield from _pinned_bundle("rank_sweep")
+
+
+@pytest.fixture(scope="session")
+def rank20_bundle():
+    """The bundle at max_rank 20 with the smallest lab primes."""
+    yield from _pinned_bundle("max_rank_20")

@@ -34,14 +34,15 @@ dict-built elements keyed by roots and coroots instead of basis indices,
 and second fundamental form values come from two such brackets instead of
 the weight rule alone; counts come from closed formulas; the Grassmannian is
 enumerated through wedge products of echelon bases, the maximal minors of
-the collinearity scan are expanded as generic determinants and the rows
-through ell come from the generic polarization of the quadrics instead of
-``ell_rows``, and the boundary survey visits every point of G(2,5)(F_p) with
+the collinearity scan are expanded as generic determinants, the rows
+``ell_rows`` through ell are checked against the generic polarization of the
+quadrics, and the boundary survey visits every point of G(2,5)(F_p) with
 its full Plücker tuple instead of counting affine blocks, weighting one
 point per rank-1 fibre in the big cell's boundary blocks and reading a
-per-class table; its rank and pencil parameter come from the rows through
-ell, one 10-tuple at a time, instead of the survey's closed form on four
-coordinates.  Plane sections come from two oracles that share none of
+per-class table; one 10-tuple at a time, its rank comes from a closed form
+on those rows and its pencil parameter from ``ell_rows`` itself, instead of
+the survey's closed form on four coordinates, so the survey oracle shares
+``ell_rows`` with the survey and relies on the polarization check for it.  Plane sections come from two oracles that share none of
 the quadric or solver code of ``plane_section``, and the Plücker tests run
 both on planes through ell, the only planes ``plane_section`` takes: over a
 prime field, every point of the plane is tested and the locus is regrouped

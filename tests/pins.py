@@ -15,8 +15,12 @@ optional ``summary`` and one way to build its bytes:
   the literals P of ``seeded_section_bivectors(Random(seed), points)``; the
   sha is over [P, options, exit code, stdout, stderr] per run, and the
   summary counts the runs by exit code.
+
+Each pin is built once per process by ``build``, whose bundle the Tier-1
+fixtures share; a caller reads that bundle and never changes it.
 """
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -59,9 +63,18 @@ def _main(argv: "list[str]") -> "tuple[int, str, str]":
     return code, out.getvalue(), err.getvalue()
 
 
-def check(entry: dict) -> "str | None":
-    """None when the entry's pin holds, else what differs."""
-    stderr, summary = "", None
+@functools.lru_cache(maxsize=None)
+def table() -> dict:
+    return json.loads(TABLE.read_text("utf-8"))
+
+
+@functools.lru_cache(maxsize=None)
+def build(name: str) -> "tuple[int, str, str, dict | None, dict | None]":
+    """The exit code, stderr, sha256 and summary of pin ``name``, and its
+    bundle: the dict ``run_all`` returns, or for an ``argv`` pin with a
+    summary the JSON it wrote; None for the other pins."""
+    entry = table()[name]
+    stderr, summary, doc = "", None, None
     if "run_all" in entry:
         config = {k: tuple(v) if isinstance(v, list) else v for k, v in entry["run_all"].items()}
         code, doc = run_all(RunConfig(**config))
@@ -86,7 +99,15 @@ def check(entry: dict) -> "str | None":
             data = stdout.encode("utf-8") + (out.read_bytes() if out.exists() else b"")
         sha = hashlib.sha256(data).hexdigest()
         if code == 0 and "summary" in entry:
-            summary = json.loads(data)["summary"]
+            doc = json.loads(data)
+            summary = doc["summary"]
+    return code, stderr, sha, summary, doc
+
+
+def check(name: str) -> "str | None":
+    """None when pin ``name`` holds, else what differs."""
+    entry = table()[name]
+    code, stderr, sha, summary, _ = build(name)
     if code != 0 or stderr:
         return f"exit {code}: {stderr.strip()}"
     if sha != entry["sha256"]:
@@ -97,10 +118,9 @@ def check(entry: dict) -> "str | None":
 
 
 def main(names: "list[str]") -> int:
-    table = json.loads(TABLE.read_text("utf-8"))
     failed = []
-    for name in names or table:
-        problem = check(table[name]) if name in table else "no such pin"
+    for name in names or table():
+        problem = check(name) if name in table() else "no such pin"
         print(f"{name}: {problem or 'ok'}")
         if problem:
             failed.append(name)

@@ -51,14 +51,7 @@ import pins
 
 
 # The byte contract: every pinned sha256 and how tests/pins.py builds it.
-GOLDENS = json.loads(pins.TABLE.read_text("utf-8"))
-
-
-@pytest.fixture(scope="module")
-def rank20_bundle():
-    code, doc = run_all(RunConfig(max_rank=20, primes_plucker=(3,), primes_segre=(2,)))
-    assert code == 0
-    return doc
+GOLDENS = pins.table()
 
 
 def small_config(**kw):
@@ -201,6 +194,8 @@ def test_pair_id_with_empty_or_extra_part_exits_2(pair_id, tmp_path, capsys):
     ("E9:a1/a2", "rank 9 out of range for type E"),
     ("X7:a7/a6", "cannot parse diagram literal 'X7'"),
     ("E7:/a6", "marked node set must be nonempty"),
+    ("E7:a7,a7/a6", "mark label 'a7' is repeated"),
+    ("E7:a7,/a6", "marked literal 'E7:a7,' has an empty mark label"),
     ("E7:a9/a6", "unknown marked nodes ['a9']"),
     ("E7:a7/a7", "gamma0 coincides with the marked node"),
     ("C4:a4/a3", "a4 and a3 are not connected by a type-A chain: "
@@ -916,7 +911,7 @@ print(json.dumps([code, hashlib.sha256(bundle_json(doc).encode("utf-8")).hexdige
 
 @pytest.mark.parametrize("name", list(GOLDENS))
 def test_pin_holds(name):
-    assert pins.check(GOLDENS[name]) is None
+    assert pins.check(name) is None
 
 
 def test_every_readme_command_is_a_pin():

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from delpair import cli
 from delpair.cli import main, parse_pair_id
 from delpair.report import MAX_PLUCKER_PRIME, MAX_RANK, MAX_SEGRE_PRIME, RunConfig, is_prime
 from delpair.rootsys import DiagramError
@@ -78,3 +79,53 @@ def test_over_the_bound_exits_2_with_one_line(argv, message, tmp_path, capsys):
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
     assert captured.out == "" and not out.exists()
+
+
+# Linux lets one argument hold 128 KiB - 1 bytes (execve(2), MAX_ARG_STRLEN),
+# and int() refuses a decimal string of more than 4 300 digits.  Per option, a
+# token that the option takes and one that it refuses; each is repeated up to
+# that length, and a number one digit past int()'s limit is tried as well.
+ARG_LIMIT = 128 * 1024 - 1
+TOKENS = {
+    "--format": ("json", "yaml"),
+    "--out": ("o", "/"),
+    "--max-rank": ("7", "x"),
+    "--primes": ("3,", "x,"),
+    "--q": ("3", "x"),
+    "--pair": ("E7:a7/a6", "E7:a7,a7/a6"),
+    "--mode": ("sigma", "x"),
+    "--point": ("+ e2^e4 ", "e2^e2"),
+}
+COMMAND_OPTIONS = [(path, flag) for path, _, options in cli.COMMANDS
+                   for flag in (*cli._COMMON, *options)]
+
+
+def _long(token: str) -> str:
+    return (token * (ARG_LIMIT // len(token) + 1))[:ARG_LIMIT]
+
+
+def test_every_option_has_its_tokens():
+    assert TOKENS.keys() == cli._OPTIONS.keys()
+    assert len(COMMAND_OPTIONS) == 35
+
+
+@pytest.mark.parametrize("path, flag", COMMAND_OPTIONS)
+def test_a_value_of_argument_length_ends_within_a_second(path, flag, tmp_path, monkeypatch,
+                                                         capsys):
+    # the other required options take short valid values; --out is given only
+    # when it is the option under test, in an empty directory
+    monkeypatch.chdir(tmp_path)
+    options = next(options for p, _, options in cli.COMMANDS if p == path)
+    required = [arg for other in options if other != flag
+                and cli._OPTIONS[other][1].get("required")
+                for arg in (other, TOKENS[other][0].strip(" +"))]
+    valid, invalid = TOKENS[flag]
+    for value in (_long(valid), _long(invalid), "1" + "0" * 4300):
+        t0 = time.perf_counter()
+        code = main([*path.split(), *required, flag, value])
+        elapsed = time.perf_counter() - t0
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), (flag, value[:20])
+        assert elapsed < 1.0, (flag, value[:20], elapsed)
+        assert err.count("\n") <= 1, (flag, value[:20], err[:200])
+    assert list(tmp_path.iterdir()) == []

@@ -486,6 +486,29 @@ def test_plane_section_matches_the_fraction_reference():
     assert {(0, 0), (1, 0), (1, 1), (2, 0)} <= set(outcomes), outcomes
 
 
+def test_finite_locus_matches_the_quadrics_at_every_point_of_planes_off_ell():
+    # the ternary forms against the quadrics evaluated at each point u b0 +
+    # v b1 + w b2, on planes that need not contain ell: spans of three points
+    # of the Grassmannian and of three arbitrary bivectors, where no quadric
+    # vanishes on a basis row or a sum of two rows, so each of the six
+    # coefficients of every form is read
+    rng = random.Random(52)
+    sizes = Counter()
+    for k in range(400):
+        if k % 2:
+            basis = [[rng.randrange(-3, 4) for _ in range(10)] for _ in range(3)]
+        else:
+            basis = [list(wedge(*([rng.randrange(-2, 3) for _ in range(5)] for _ in range(2))))
+                     for _ in range(3)]
+        for p in (3, 5, 7):
+            expected = {c for c in projective_points(p, 3)
+                        if not any(q % p for q in coord_plucker_quadrics(
+                            [sum(a * x for a, x in zip(c, col)) for col in zip(*basis)]))}
+            assert plucker._finite_locus(basis, p) == expected, (basis, p)
+            sizes[min(len(expected), 4), k % 2] += 1
+    assert {(0, 1), (1, 1), (3, 0), (4, 0)} <= set(sizes), sizes
+
+
 def test_certify_enumerates_the_rref_mod_of_the_ell_plane_basis(monkeypatch):
     # the plane _certify enumerates is rref_mod of the primitive rows of
     # ell_plane, at good primes and at bad ones, where c's leading entry

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import time
 
 import pytest
@@ -390,6 +391,20 @@ def test_one_mark_per_component():
         parse_marked("A4:a1,a2")
     md = parse_marked("A1+A2:a1,a3")
     assert md.marked == frozenset({"a1", "a3"})
+
+
+@pytest.mark.parametrize("literal, message", [
+    ("E7:a7,a7", "mark label 'a7' is repeated"),
+    ("A1+A2:a1, a3,a1", "mark label 'a1' is repeated"),
+    ("E7:a7,", "marked literal 'E7:a7,' has an empty mark label"),
+    ("E7:,a7", "marked literal 'E7:,a7' has an empty mark label"),
+    ("A1+A2:a1,,a3", "marked literal 'A1+A2:a1,,a3' has an empty mark label"),
+])
+def test_each_mark_label_names_one_node_once(literal, message):
+    # each of these used to read as the set of its nonempty labels
+    with pytest.raises(MarkError, match=f"^{re.escape(message)}$"):
+        parse_marked(literal)
+    assert parse_marked(" E7 : a7 ").literal() == "E7:a7"
 
 
 def test_an_empty_diagram_takes_no_marks():
