@@ -76,20 +76,17 @@ def property_suite(systems: tuple[str, ...]) -> list[CheckReport]:
             witnesses=[{"jacobi_failures": bad, "reflection_failures": refl_bad,
                         "triples": 1000}]))
 
-    for field_name in ("QQ", "F5"):
+    for field_name, p in (("QQ", None), ("F5", 5)):
         rng = random.Random((DEFAULT_SEED, field_name).__repr__())
         # ten coordinates in -4..4 per bivector; zero is decomposable of rank 0
         drawn = [d - 4 for d in _draws(rng, 9, 5000)]
         bad = 0
-        for start in range(0, 5000, 10):
-            omega = tuple(drawn[start:start + 10])
-            if field_name == "QQ":
+        for omega in zip(*[iter(drawn)] * 10):      # consecutive tens
+            if p is None:
                 decomposable = grassmannian_membership(omega)
-                low_rank = alternating_rank(omega) <= 2
             else:                       # the same integer coordinates mod 5
-                decomposable = not any(q % 5 for q in plucker_quadrics(omega))
-                low_rank = alternating_rank(omega, 5) <= 2
-            if decomposable != low_rank:
+                decomposable = not any(q % p for q in plucker_quadrics(omega))
+            if decomposable != (alternating_rank(omega, p) <= 2):
                 bad += 1
         out.append(CheckReport(
             "projgeo.decomposability", field_name, PASS if bad == 0 else FAIL,
@@ -151,10 +148,10 @@ def _qorbit_invariance() -> CheckReport:
         if not _invertible(rows):
             continue
         tried += 1
+        columns = list(zip(*rows))
         for u, v, verdict in frames:
-            gu = [sum(x * row[c] for x, row in zip(u, rows)) for c in range(5)]
-            gv = [sum(x * row[c] for x, row in zip(v, rows)) for c in range(5)]
-            image = wedge(gu, gv)
+            image = wedge([sum(map(operator.mul, u, col)) for col in columns],
+                          [sum(map(operator.mul, v, col)) for col in columns])
             if not grassmannian_membership(image) or q_orbit_membership(image) != verdict:
                 bad += 1
     return CheckReport("projgeo.qorbit_invariance", "Q on G(2,5)",
