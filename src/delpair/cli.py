@@ -211,6 +211,16 @@ def main(argv: "list[str] | None" = None) -> int:
             gc.enable()
 
 
+def _error(exc: Exception) -> None:
+    """Print exc on one ``error:`` line.  A message of more than 240
+    characters keeps its first and last 120, joined by " … ", so a refused
+    value of any length is not echoed whole."""
+    text = str(exc)
+    if len(text) > 240:
+        text = f"{text[:120]} … {text[-120:]}"
+    print(f"error: {text}", file=sys.stderr)
+
+
 def _main(argv: "list[str]") -> int:
     try:
         args = _table_args(argv)
@@ -223,7 +233,7 @@ def _main(argv: "list[str]") -> int:
         config = RunConfig(**{k: v for k, v in given.items() if v is not None})
         inputs = _resolve_inputs(args, config)
     except ValueError as exc:     # input errors: every delpair error class subclasses it
-        print(f"error: {exc}", file=sys.stderr)
+        _error(exc)
         return 2
 
     runs = args["runs"]
@@ -234,7 +244,7 @@ def _main(argv: "list[str]") -> int:
             reports = [rep for rep in reports if rep.check_id.endswith(args["mode"])]
         code, doc = verdict(config, reports, (*given, *(f for _, reads in suites for f in reads)))
     except (ValueError, CertificationError, AssertionError) as exc:   # internal failures
-        print(f"error: {exc}", file=sys.stderr)
+        _error(exc)
         return 1
     text = bundle_json(doc) if config.fmt == "json" else bundle_markdown(doc)
     try:
@@ -244,7 +254,7 @@ def _main(argv: "list[str]") -> int:
         else:
             sys.stdout.write(text)
     except OSError as exc:                # e.g. --out in a missing directory
-        print(f"error: {exc}", file=sys.stderr)
+        _error(exc)
         return 2
     return code
 

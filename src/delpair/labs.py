@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import operator
 import random
-import struct
 
 from .chevalley import build_table, jacobi_failures
 from .projgeo.linalg import alternating_rank, primitive_int_covector
@@ -31,7 +30,7 @@ _TOP_BITS = [bytes(b >> (8 - k) for b in range(256)) for k in range(9)]
 
 
 def _draws(rng: random.Random, n: int, count: int) -> list[int]:
-    """``count`` values below n (n at most 2**32), each drawn as
+    """``count`` values below n (1 <= n <= 255), each drawn as
     ``rng.choice`` on a length-n sequence and ``rng.randrange(n)`` draw one:
     getrandbits(k), k = n.bit_length(), until the value is below n.  The
     values, and the generator's state after them, are the ones those calls
@@ -42,21 +41,19 @@ def _draws(rng: random.Random, n: int, count: int) -> list[int]:
     each round draws one word for every value still missing and keeps, in
     order, the top k bits of each word that are below n: a rejected word is
     redrawn by the next round, as the loop redraws it, and the last word
-    drawn is the last one kept.  For k <= 8 the top bits are read from each
-    word's top byte by one ``bytes.translate``, which drops the bytes whose
-    top bits are n or more; a wider k reads whole words.
+    drawn is the last one kept.  The top bits are read from each word's top
+    byte by one ``bytes.translate``, which drops the bytes whose top bits are
+    n or more, so k is at most 8.
     """
+    if not 0 < n < 256:
+        raise ValueError(f"draws need 1 <= n <= 255, not {n}")
     k = n.bit_length()
     getrandbits = rng.getrandbits
     out: list[int] = []
     while len(out) < count:
         m = count - len(out)
         words = getrandbits(32 * m).to_bytes(4 * m, "little")
-        if k <= 8:
-            out += words[3::4].translate(_TOP_BITS[k], bytes(range(n << (8 - k), 256)))
-        else:
-            shift = 32 - k
-            out += [w >> shift for w, in struct.iter_unpack("<I", words) if w >> shift < n]
+        out += words[3::4].translate(_TOP_BITS[k], bytes(range(n << (8 - k), 256)))
     return out
 
 

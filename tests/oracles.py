@@ -6,76 +6,73 @@ are classified by hand-written shape rules, one branch per letter, instead
 of the library's typing of induced sub-diagrams by arm lengths and bonds.
 Root systems are regenerated here by reflection closure instead of root
 strings, and by the generic Fraction kernel (root strings on coefficient
-tuples with the arithmetic written out here, inner products from the rational
-symmetrized form) instead of the integer form; the symmetrized form comes
-from a breadth-first walk of Cartan-entry ratios instead of the table of
-simple-root lengths, highest roots from a scan of each component's roots
-instead of the Bourbaki coefficient table,
-the root correspondence from additive extension instead of its sparse
-columns, the positive roots of one type from root strings walked on
-coefficient tuples instead of packed ints, the chain-sum root Gamma from
-root additions instead of the chain's indicator vector, the sub-VMRT tangent
-weights gamma + Gamma + kappa0 from compact sub roots embedded by node label
-instead of through the root correspondence, maximality from an exhaustive
-two-step deletion search over every node instead of the chain-interior
-closed form, and the Levi components of the normal weights from a
-breadth-first search on coefficient tuples, with steps from additive
-extension, instead of on packed ints; Chevalley
-structure constants come from one eager height-ordered sweep instead of
-on-demand recursion; kernels are recomputed by testing
-every (nu, nu') pair with raw root-sum arithmetic, and by the search from
-the live weights on coefficient tuples instead of packed ints; the Gram
-matrix of Phi comes from one ``inner`` per entry instead of B's rows and
-the sparse columns, and the noncompact roots and Psi_gamma from a filter
-per marked diagram instead of the memo per (rank, shape, marks); the
-positive roots of A-D come from the reflection closure and from root
-strings instead of the closed forms; the Lie bracket acts on
-dict-built elements keyed by roots and coroots instead of basis indices,
-and second fundamental form values come from two such brackets instead of
-the weight rule alone; counts come from closed formulas; the Grassmannian is
-enumerated through wedge products of echelon bases, the maximal minors of
-the collinearity scan are expanded as generic determinants, the rows
-``ell_rows`` through ell are checked against the generic polarization of the
-quadrics, and the boundary survey visits every point of G(2,5)(F_p) with
-its full Plücker tuple instead of counting affine blocks, weighting one
-point per rank-1 fibre in the big cell's boundary blocks and reading a
-per-class table; one 10-tuple at a time, its rank comes from a closed form
-on those rows and its pencil parameter from ``ell_rows`` itself, instead of
-the survey's closed form on four coordinates, so the survey oracle shares
-``ell_rows`` with the survey and relies on the polarization check for it.  Plane sections come from two oracles that share none of
-the quadric or solver code of ``plane_section``, and the Plücker tests run
-both on planes through ell, the only planes ``plane_section`` takes: over a
-prime field, every point of the plane is tested and the locus is regrouped
-into the lines it contains and the points left over; over the rationals, the
-plane is substituted into quadrics written out here and the locus is found
-with sympy's polynomial gcd, factorization, division and nullspace, with no
-use of the factor w that ell contributes to every restricted quadric.
+tuples with the arithmetic written out here, inner products from the
+rational symmetrized form) instead of the integer form; the symmetrized form
+comes from a breadth-first walk of Cartan-entry ratios instead of the table
+of simple-root lengths, highest roots from a scan of each component's roots
+instead of the Bourbaki coefficient table, the root correspondence from
+additive extension instead of its sparse columns, the positive roots of one
+type from root strings walked on coefficient tuples instead of packed ints,
+the chain-sum root Gamma from root additions instead of the chain's
+indicator vector, the sub-VMRT tangent weights gamma + Gamma + kappa0 from
+compact sub roots embedded by node label instead of through the root
+correspondence, maximality from an exhaustive two-step deletion search over
+every node instead of the chain-interior closed form, and the Levi
+components of the normal weights from a breadth-first search on coefficient
+tuples, with steps from additive extension, instead of on packed ints;
+Chevalley structure constants come from one eager height-ordered sweep
+instead of on-demand recursion; kernels are recomputed by testing every (nu,
+nu') pair with raw root-sum arithmetic, and by the search from the live
+weights on coefficient tuples instead of packed ints; the Gram matrix of Phi
+comes from one ``inner`` per entry instead of B's rows and the sparse
+columns, and the noncompact roots and Psi_gamma from a filter per marked
+diagram instead of the memo per (rank, shape, marks); the positive roots of
+A-D come from the reflection closure and from root strings instead of the
+closed forms; the Lie bracket acts on dict-built elements keyed by roots and
+coroots instead of basis indices, and second fundamental form values come
+from two such brackets instead of the weight rule alone; counts come from
+closed formulas.  The Plücker quadrics are written out once here, and the
+polarization B_S(x, y) = Q_S(x + y) - Q_S(x) - Q_S(y) and its rows through
+ell, which stand in for ``ell_rows``, come from them.  The Grassmannian is
+enumerated through wedge products of echelon bases built here, the maximal
+minors of the collinearity scan are expanded as generic determinants, and
+the boundary survey visits every point of that enumeration with its full
+Plücker tuple, its rank from a closed form checked against the polarization
+rows and its pencil parameter from those rows, instead of counting blocks of
+the survey's echelon cells and reading a per-class table.  Plane sections
+come from three oracles that share none of the quadric or solver code of
+``plane_section``: every point of the plane over a prime field is tested on
+the quadrics, for the regrouped locus and for certification; over the
+rationals, the forms L_S are read off the polarization and row reduced with
+Fractions; and the plane is substituted into the quadrics and the locus
+found with sympy's polynomial gcd, factorization, division and nullspace.
 Segre sections of the span of three points come from testing every point of
 the span on minors written out here, instead of the rank of the polar-form
 matrix; the Segre fitting report is rebuilt with the section of every
-configuration cut in two loops, instead of one representative per orbit,
-and with the orbits of both configuration sets found by breadth-first
-searches over whole (y, a, b) and (x, L, a, b) tuples instead of one factor
-of the product at a time.  The property suite's replaced paths stay here too: Chevalley
-constants and basis brackets by a recursion keyed by root tuples instead of
-basis indices, the Jacobi counter on every triple instead of the weight-live
-ones alone, simple reflections through a scaled simple root and checked
-with three reflections instead of one, the Plücker quadrics with each
-coordinate looked up by its pair (i, j) instead of written out, and the
-seeded samples drawn as the suite first drew them.  The rank of an alternating matrix comes from
-one general fraction-free elimination, over Q or mod p and with an early
-stop, instead of ``alternating_rank``'s elimination from a bivector's ten
-coordinates.  Two readers that only the tests use live here as well: the
-rational Cartan pairing 2 B(beta, gamma) / B(gamma, gamma), which the library
-reads only as a Cartan-row sum or an integer identity on its form B, and a
-structure constant N_{a,b} on two root tuples, read off the table's basis
-bracket.  The rational Plücker lab that integer closed forms replaced stays
-here as well: Fraction row reduction and kernels, row reduction mod p,
-which ``plane_section``'s certification replaced by a closed form on the
-basis of span(b, ell), primitive covectors of rational vectors, the reduced echelon bases of W_b and of span(b, ell), plane
-sections from the row-reduced forms L_S, the collinearity witness from the
-first kernel vector of the stacked columns, and bivector literals read with a
-regular expression instead of ``str`` methods.
+configuration cut in two loops, instead of one representative per orbit, and
+with the orbits of both configuration sets found by breadth-first searches
+over whole (y, a, b) and (x, L, a, b) tuples instead of one factor of the
+product at a time.  The property suite's replaced paths stay here too: the
+Jacobi counter on every triple instead of the weight-live ones alone, simple
+reflections through a scaled simple root and checked with three reflections
+instead of one, and the seeded samples drawn as the suite first drew them.
+The rank of an alternating matrix comes from one general fraction-free
+elimination, over Q or mod p and with an early stop, instead of
+``alternating_rank``'s elimination from a bivector's ten coordinates.  Two
+readers that only the tests use live here as well: the rational Cartan
+pairing 2 B(beta, gamma) / B(gamma, gamma), which the library reads only as
+a Cartan-row sum or an integer identity on its form B, and a structure
+constant N_{a,b} on two root tuples, read off the table's basis bracket.
+The rational Plücker lab that integer closed forms replaced stays here as
+well: Fraction row reduction and kernels, row reduction mod p, which
+``plane_section``'s certification replaced by a closed form on the basis of
+span(b, ell), primitive covectors of rational vectors, the reduced echelon
+bases of W_b and of span(b, ell), plane sections from the row-reduced forms
+L_S, the collinearity witness from the first kernel vector of the stacked
+columns, and bivector literals read with a regular expression instead of
+``str`` methods.  The oracles import none of ``plane_section``'s
+certification, its linear combinations, the survey's echelon cells or
+``ell_rows``: each is rebuilt here.
 """
 from __future__ import annotations
 
@@ -95,24 +92,16 @@ from delpair import hss
 from delpair.pairs import DeletionPair, MaximalityVerdict
 from delpair.projgeo.linalg import canonical_mod, projective_points
 from delpair.projgeo.plucker import (
-    PAIR_INDEX,
-    PAIRS,
-    QUAD_SETS,
     CollinearityWitness,
     SectionDescription,
     SurveyReport,
-    _certify,
-    _combination,
-    _echelon_cells,
     alternating_matrix,
     ell_generators,
-    ell_rows,
     grassmannian_membership,
-    plucker_quadrics,
     wedge,
 )
 from delpair.projgeo.segre import SegreLine, segre_point
-from delpair.report import CheckReport, require_odd_prime
+from delpair.report import CertificationError, CheckReport
 from delpair.rootsys import (
     _RANK_BOUNDS,
     ChainError,
@@ -809,12 +798,6 @@ class LieElement:
             d[k] = d.get(k, 0) + c
         return LieElement.from_dict(d)
 
-    def __sub__(self, other: "LieElement") -> "LieElement":
-        return self + other.scaled(-1)
-
-    def scaled(self, k: int) -> "LieElement":
-        return LieElement.from_dict({key: k * c for key, c in self.terms})
-
     def coefficient(self, key: BasisKey) -> int:
         return self.as_dict().get(key, 0)
 
@@ -979,23 +962,26 @@ def enumerate_grassmannian(p: int):
     5-space.
     """
     for i, j in itertools.combinations(range(5), 2):
-        free_positions = [c for c in range(i + 1, 5) if c != j]
-        free2 = list(range(j + 1, 5))
-        for fv in itertools.product(range(p), repeat=len(free_positions) + len(free2)):
-            u = [0] * 5
-            v = [0] * 5
-            u[i] = 1
-            v[j] = 1
-            for c, val in zip(free_positions, fv):
-                u[c] = val
-            for c, val in zip(free2, fv[len(free_positions):]):
-                v[c] = val
-            yield _wedge_mod(u, v, p), (tuple(u), tuple(v))
+        vs = list(_pivot_vectors(j, range(j + 1, 5), p))
+        for u in _pivot_vectors(i, [c for c in range(i + 1, 5) if c != j], p):
+            for v in vs:
+                yield _wedge_mod(u, v, p), (u, v)
+
+
+def _pivot_vectors(pivot: int, free, p: int):
+    """Every vector of F_p^5 with 1 at ``pivot``, any values at the places
+    ``free`` and 0 elsewhere."""
+    for values in itertools.product(range(p), repeat=len(free)):
+        w = {pivot: 1, **dict(zip(free, values))}
+        yield tuple(w.get(c, 0) for c in range(5))
+
+
+_PLACES = tuple(itertools.combinations(range(5), 2))     # 0-based (i, j), i < j
 
 
 def _wedge_mod(u, v, p: int) -> tuple:
     """The Plücker coordinates of u ^ v as plain ints mod p, in PAIRS order."""
-    return tuple((u[i - 1] * v[j - 1] - u[j - 1] * v[i - 1]) % p for i, j in PAIRS)
+    return tuple((u[i] * v[j] - u[j] * v[i]) % p for i, j in _PLACES)
 
 
 def _on_ell(x: tuple) -> bool:
@@ -1004,7 +990,7 @@ def _on_ell(x: tuple) -> bool:
 
 
 def _polarization_rank(x: tuple, p: int) -> int:
-    """Rank mod p of the rows ``ell_rows(x)``.
+    """Rank mod p of the rows ``ell_polarization(x)``.
 
     The survey reads it only on x45 = 0, where the last two rows carry
     the rank.
@@ -1018,11 +1004,12 @@ def _polarization_rank(x: tuple, p: int) -> int:
 def _pencil_parameter(x: tuple, p: int) -> "tuple | None":
     """[t:s] annihilating the signed minors of [u; v; e1; e2] and [u; v; e1; e3].
 
-    Every nonzero row (a, c) of ``ell_rows(x)`` asks a t + c s = 0.  Returns
-    None when two of those conditions are independent, and (1, 0) when there
-    is none at all.
+    Those minors are the halved rows of ``ell_polarization(x)``, which is
+    even on integer points; every nonzero row (a, c) asks a t + c s = 0.
+    Returns None when two of those conditions are independent, and (1, 0)
+    when there is none at all.
     """
-    rows = [(a, c) for a, c in ell_rows(x) if a or c]
+    rows = [(a // 2, c // 2) for a, c in ell_polarization(x) if a or c]
     if not rows:
         return (1, 0)
     a, c = rows[0]
@@ -1050,47 +1037,32 @@ def _common_vector(u, v, t: int, s: int, p: int) -> tuple:
 def pointwise_dee_survey(p: int) -> SurveyReport:
     """``dee_exhaustive_survey`` one point at a time, on full Plücker tuples.
 
-    Every point of every echelon cell is visited and counted on its own, and
-    each divisor point gets its 10-tuple of coordinates, its own rank and
-    pencil parameter, and its own common vector; nothing is counted by block
-    or read from a per-class table.
+    Every point of ``enumerate_grassmannian`` is counted on its own, and each
+    divisor point off ell gets its own rank, pencil parameter and common
+    vector.  On x45 = 0 the Plücker relation x23 x45 - x24 x35 + x25 x34 = 0
+    makes the class minor x25 x34 - x24 x35 vanish, so no divisor point has
+    rank 2 or lacks a witness, and the exact, no-witness and
+    witness-without-extra counts are 0 at every p.
     """
-    total = affine = dee = surveyed = 0
-    exact = extra = fullplane = nowitness = 0
-    witness_without_extra = 0
-    excl_meeting = excl_axis = 0
-    for us, vs in _echelon_cells(p):
-        for u in itertools.product(*us):
-            for v in itertools.product(*vs):
-                total += 1
-                if (u[3] * v[4] - u[4] * v[3]) % p:
-                    affine += 1
-                    continue
-                dee += 1
-                x = _wedge_mod(u, v, p)
-                if _on_ell(x):
-                    continue
-                surveyed += 1
-                r = _polarization_rank(x, p)
-                if r == 2:
-                    exact += 1
-                elif r == 1:
-                    extra += 1
-                else:
-                    extra += 1
-                    fullplane += 1
-                param = _pencil_parameter(x, p)
-                if param is None:
-                    nowitness += 1
-                else:
-                    _common_vector(u, v, *param, p)
-                    excl_meeting += 1
-                    if r == 2:
-                        witness_without_extra += 1
-                if not any(x[4:]):         # only x1j: the axis vector e1 lies in W_b
-                    excl_axis += 1
-    return SurveyReport(p, total, affine, dee, surveyed, exact, extra, fullplane,
-                        nowitness, witness_without_extra, excl_meeting, excl_axis)
+    total = affine = dee = surveyed = fullplane = excl_axis = 0
+    for x, (u, v) in enumerate_grassmannian(p):
+        total += 1
+        if x[9]:                            # x45 != 0: the affine cell
+            affine += 1
+            continue
+        dee += 1
+        if _on_ell(x):
+            continue
+        surveyed += 1
+        r, param = _polarization_rank(x, p), _pencil_parameter(x, p)
+        if r == 2 or param is None:
+            raise AssertionError(f"divisor point {x} of rank {r} with parameter {param}")
+        _common_vector(u, v, *param, p)
+        fullplane += r == 0
+        if not any(x[4:]):                  # only x1j: the axis vector e1 lies in W_b
+            excl_axis += 1
+    return SurveyReport(p, total, affine, dee, surveyed, 0, surveyed, fullplane,
+                        0, 0, surveyed, excl_axis)
 
 
 def maximal_minors(rows: list[list], p: int) -> list:
@@ -1118,27 +1090,59 @@ def det3(m: list[list], p: int) -> int:
     return (pos - neg) % p
 
 
+def plucker_quadric_values(x) -> tuple:
+    """The quadrics 2 (x_ab x_cd - x_ac x_bd + x_ad x_bc) over the 4-subsets
+    {a < b < c < d} of {1..5}, the subset without m for m = 1..5, on
+    coordinates x_ij (i < j) in lexicographic order.  The entries only need
+    to multiply: ints, Fractions or sympy terms.
+    """
+    return tuple(2 * (x[ab] * x[cd] - x[ac] * x[bd] + x[ad] * x[bc])
+                 for ab, cd, ac, bd, ad, bc in _QUADRIC_SLOTS)
+
+
+_PLACE = {ij: k for k, ij in enumerate(itertools.combinations(range(1, 6), 2))}
+# the places of x_ab, x_cd, x_ac, x_bd, x_ad and x_bc, for each 4-subset
+_QUADRIC_SLOTS = tuple(
+    (_PLACE[a, b], _PLACE[c, d], _PLACE[a, c], _PLACE[b, d], _PLACE[a, d], _PLACE[b, c])
+    for a, b, c, d in tuple(itertools.combinations(range(1, 6), 4))[::-1])
+
+
 def quadric_polarization(x: tuple, y: tuple) -> tuple:
-    """B_S(x, y) = Q_S(x + y) - Q_S(x) - Q_S(y), computed directly."""
+    """B_S(x, y) = Q_S(x + y) - Q_S(x) - Q_S(y)."""
+    return tuple(q - a - b for q, a, b in zip(
+        plucker_quadric_values([s + t for s, t in zip(x, y)]), plucker_quadric_values(x),
+        plucker_quadric_values(y)))
 
-    def term(u, v, i, j, k, l):
-        return u[PAIR_INDEX[(i, j)]] * v[PAIR_INDEX[(k, l)]]
 
-    return tuple(2 * sum(term(u, w, a, b, c, d) - term(u, w, a, c, b, d) + term(u, w, a, d, b, c)
-                         for u, w in ((x, y), (y, x)))
-                 for a, b, c, d in QUAD_SETS)
+def ell_polarization(x: tuple) -> list:
+    """The rows (B_S(x, e1^e2), B_S(x, e1^e3)): the u and v coefficients of
+    L_S = Q_S(u e1^e2 + v e1^e3 + w x) / w, whose w coefficient is Q_S(x).
+
+    B_S is bilinear, so rational coordinates are scaled to integers by their
+    least common denominator m, and the rows are divided by m.
+    """
+    m = math.lcm(*(c.denominator for c in x))
+    scaled = [int(c * m) for c in x]
+    e12, e13 = ell_generators()
+    rows = zip(quadric_polarization(scaled, e12), quadric_polarization(scaled, e13))
+    return [(Fraction(a, m), Fraction(c, m)) for a, c in rows] if m > 1 else list(rows)
 
 
 # -- plane sections ----------------------------------------------------------
 
-def plucker_quadric_values(x) -> list:
-    """The quadrics 2 (x_ab x_cd - x_ac x_bd + x_ad x_bc) over the 4-subsets
-    {a < b < c < d} of {1..5}, on coordinates x_ij (i < j) in lexicographic
-    order.  The entries only need to multiply: ints, Fractions or sympy terms.
-    """
-    x = dict(zip(itertools.combinations(range(1, 6), 2), x))
-    return [2 * (x[a, b] * x[c, d] - x[a, c] * x[b, d] + x[a, d] * x[b, c])
-            for a, b, c, d in itertools.combinations(range(1, 6), 4)]
+def plane_point(coeffs, basis) -> list:
+    """sum_k coeffs[k] basis[k], over the nonzero coeffs[k]."""
+    terms = [(a, row) for a, row in zip(coeffs, basis) if a]
+    return [sum(a * row[i] for a, row in terms) for i in range(len(basis[0]))]
+
+
+def enumerated_locus(basis, p: int) -> set:
+    """The points [u:v:w] of P^2(F_p), canonical mod p, where u b0 + v b1 +
+    w b2 is on the variety: every point of the plane tested on the quadrics."""
+    cols = list(zip(*basis))
+    return {(u, v, w) for u, v, w in projective_points(p, 3)
+            if not any(q % p for q in plucker_quadric_values(
+                [u * x + v * y + w * z for x, y, z in cols]))}
 
 
 def finite_plane_section(basis, p: int):
@@ -1152,11 +1156,7 @@ def finite_plane_section(basis, p: int):
     coordinates [u:v:w], mod p.
     """
     all_pts = list(projective_points(p, 3))
-
-    def point(c):
-        return [sum(a * x for a, x in zip(c, col)) for col in zip(*basis)]
-
-    locus = {c for c in all_pts if not any(q % p for q in plucker_quadric_values(point(c)))}
+    locus = enumerated_locus(basis, p)
 
     def on(point, cov):
         return sum(a * b for a, b in zip(cov, point)) % p == 0
@@ -1327,10 +1327,6 @@ def looped_fitting_report(q: int, gens2: list, gens3: list) -> CheckReport:
 SYMBOLS = sympy.symbols("u v w")
 
 
-class NonLinearFactorError(RuntimeError):
-    """A restricted form has an irreducible factor of degree 2 or more."""
-
-
 def _sympy_covector(values) -> tuple[int, ...]:
     return fraction_primitive_covector([Fraction(str(c)) for c in values])
 
@@ -1343,7 +1339,7 @@ def sympy_linear_factors(poly: sympy.Poly) -> list[tuple[int, int, int]]:
         if p.total_degree() == 1:
             out += [_sympy_covector(p.coeff_monomial(s) for s in SYMBOLS)] * mult
         elif p.total_degree() >= 2:
-            raise NonLinearFactorError(
+            raise ValueError(
                 f"irreducible factor of degree {p.total_degree()}: {p.as_expr()}")
     return out
 
@@ -1360,26 +1356,15 @@ def _factor_list(expr) -> tuple:
                  for fac, mult in sympy.factor_list(expr, *SYMBOLS)[1])
 
 
-def _sympy_linear_locus(covectors):
-    """("line", covector), ("point", coords) or ("empty", None), by rank."""
-    m = sympy.Matrix(covectors)
-    rank = m.rank()
-    if rank == 1:
-        return "line", _sympy_covector(next(r for r in m.tolist() if any(r)))
-    if rank == 2:
-        return "point", _sympy_covector(m.nullspace()[0])
-    return "empty", None
-
-
 def sympy_section_locus(basis, quadrics=plucker_quadric_values):
     """(lines, isolated points, full_plane) of a rational plane section.
 
     ``basis`` holds three rows b0, b1, b2 of Fractions spanning the plane.  The
     point u b0 + v b1 + w b2 of the plane is substituted into the
     quadrics (the Plücker quadrics by default) with sympy.  The gcd g of the
-    nonzero restricted forms gives the common lines; when g is linear the
-    residues of the forms by g cut out the rest, and when g is constant the
-    line components of every form are intersected.
+    nonzero restricted forms gives the common lines, and when g is linear the
+    common kernel of the residues of the forms by g is the point left over.
+    Every plane the tests give it has forms with a common factor.
     """
     u, v, w = SYMBOLS
     point = [u * sympy.Rational(a.numerator, a.denominator)
@@ -1388,7 +1373,6 @@ def sympy_section_locus(basis, quadrics=plucker_quadric_values):
              for a, b, c in zip(*basis)]
     polys = [sympy.Poly(q, *SYMBOLS, domain="QQ") for q in quadrics(point)]
     nonzero = [p for p in polys if not p.is_zero]
-    lines, points = [], []
     if not nonzero:
         return [], [], True
     g = nonzero[0]
@@ -1396,25 +1380,13 @@ def sympy_section_locus(basis, quadrics=plucker_quadric_values):
         g = sympy.gcd(g, p)
     g = sympy.Poly(g, *SYMBOLS)
     if g.total_degree() == 0:
-        all_factors = [sympy_linear_factors(p) for p in nonzero]
-        for choice in itertools.product(*all_factors):
-            kind, payload = _sympy_linear_locus(list(choice))
-            if kind == "line":
-                lines.append(payload)
-            elif kind == "point" and payload not in points:
-                points.append(payload)
-    else:
-        lines += sympy_linear_factors(g)
-        if g.total_degree() == 1:
-            residues = [sympy.Poly(sympy.div(p.as_expr(), g.as_expr(), *SYMBOLS)[0],
-                                   *SYMBOLS) for p in nonzero]
-            covs = [sympy_linear_factors(r)[0] for r in residues]
-            kind, payload = _sympy_linear_locus(covs)
-            if kind == "line":
-                lines.append(payload)
-            elif kind == "point":
-                points.append(payload)
-    lines = sorted(set(lines))
+        raise ValueError("the restricted forms share no factor")
+    lines, points = sorted(set(sympy_linear_factors(g))), []
+    if g.total_degree() == 1:
+        residues = [sympy.Poly(sympy.div(p.as_expr(), g.as_expr(), *SYMBOLS)[0],
+                               *SYMBOLS) for p in nonzero]
+        kernel = sympy.Matrix([sympy_linear_factors(r)[0] for r in residues]).nullspace()
+        points = [_sympy_covector(k) for k in kernel]
     points = [pt for pt in points
               if not any(sum(a * b for a, b in zip(c, pt)) == 0 for c in lines)]
     return lines, points, False
@@ -1498,15 +1470,15 @@ def fraction_ell_plane(b: tuple) -> list[list]:
     return [list(g) for g in ell_generators()] + [[Fraction(x) / lead for x in rest]]
 
 
-def fraction_plane_section(b: tuple, primes: tuple[int, ...] = (5, 7)) -> SectionDescription:
-    """``plane_section`` on the Fraction basis of ``fraction_ell_plane``: the
-    forms L_S of c are row reduced over the rationals, their kernel taken by
-    free columns, and each reported line tested at two kernel vectors and
-    their sum; the mod-p certification is ``_certify`` on primitive rows."""
+def fraction_plane_section(b: tuple) -> SectionDescription:
+    """``plane_section`` over the rationals, on the Fraction basis of
+    ``fraction_ell_plane``: the forms L_S of c, read off the polarization, are
+    row reduced, their kernel taken by free columns, and each reported line
+    tested at two kernel vectors and their sum."""
     basis = fraction_ell_plane(b)
     c = basis[2]
-    forms, _ = rref([(2 * a, 2 * s, q) for (a, s), q
-                     in zip(ell_rows(c), plucker_quadrics(c))])
+    forms, _ = rref([(a, s, q) for (a, s), q
+                     in zip(ell_polarization(c), plucker_quadric_values(c))])
     full_plane = not forms
     lines = set() if full_plane else {(0, 0, 1)}
     points = []
@@ -1515,33 +1487,47 @@ def fraction_plane_section(b: tuple, primes: tuple[int, ...] = (5, 7)) -> Sectio
     elif len(forms) == 2:
         points = [pt for pt in kernel_basis(forms, 3) if pt[2]]
     lines = tuple(sorted(lines))
-    isolated = tuple(fraction_primitive_covector(_combination(pt, basis)) for pt in points)
+    isolated = tuple(fraction_primitive_covector(plane_point(pt, basis)) for pt in points)
     plane_coords = tuple(fraction_primitive_covector(pt) for pt in points)
     for cov in lines:
         k0, k1 = kernel_basis([cov], 3)
         for coeffs in (k0, k1, [a + b for a, b in zip(k0, k1)]):
-            if not grassmannian_membership(_combination(coeffs, basis)):
+            if not grassmannian_membership(plane_point(coeffs, basis)):
                 raise AssertionError(f"reported line {cov} leaves the variety")
     for pt in isolated:
         if not grassmannian_membership(pt):
             raise AssertionError(f"reported point {pt} is off the variety")
         if len(rref([*basis, pt])[0]) != 3:
             raise AssertionError(f"reported point {pt} is off the plane")
-    for p in primes:
-        require_odd_prime(p)
-        _certify([fraction_primitive_covector(row) for row in basis], lines, plane_coords,
-                 full_plane, p)
-    return SectionDescription(lines, isolated, plane_coords,
-                              ("QQ",) + tuple(f"F{p}" for p in primes), full_plane)
+    return SectionDescription(lines, isolated, plane_coords, ("QQ",), full_plane)
+
+
+def enumerated_certification(section: SectionDescription, rows: list, p: int) -> None:
+    """``plane_section``'s certification of ``section`` at p, by enumeration:
+    the locus of the plane spanned by ``rref_mod(rows, p)``, ``rows`` being
+    the primitive rows of the basis of the section's plane coordinates,
+    against the points its lines and isolated points describe.  Raises
+    CertificationError, worded as ``plane_section`` words it, if they differ.
+    """
+    basis = rref_mod(rows, p)
+    computed = enumerated_locus(basis, p)
+    isolated = {canonical_mod(pt, p) for pt in section.isolated_plane_coords}
+    described = {c for c in projective_points(p, 3)
+                 if section.full_plane or c in isolated
+                 or any(sum(a * x for a, x in zip(cov, c)) % p == 0 for cov in section.lines)}
+    if computed != described:
+        raise CertificationError(
+            f"rational locus and F_{p} enumeration disagree: "
+            f"{sorted(computed - described)[:3]} vs {sorted(described - computed)[:3]}")
 
 
 def fraction_collinearity_scan(b: tuple) -> "CollinearityWitness | None":
     """``collinearity_scan`` on the Fraction basis u, v of W_b: [t:s] from
-    the rows ``ell_rows(u ^ v)``, and the common vector from the first kernel
-    vector of the stacked columns u, v, e1, t e2 + s e3; its entries are
-    Fractions and ints, not strings."""
+    the halved rows ``ell_polarization(u ^ v)``, and the common vector from
+    the first kernel vector of the stacked columns u, v, e1, t e2 + s e3; its
+    entries are Fractions and ints, not strings."""
     u, v = fraction_plane_spanned_by(b)
-    nz = [(a, c) for a, c in ell_rows(wedge(u, v)) if a or c]
+    nz = [(Fraction(a, 2), Fraction(c, 2)) for a, c in ell_polarization(wedge(u, v)) if a or c]
     if not nz:
         param, (t, s) = "all", (1, 0)
     else:
@@ -1583,7 +1569,7 @@ def regex_parse_bivector(text: str) -> tuple:
         if i > j:
             i, j = j, i
             coef = -coef
-        coords[PAIR_INDEX[(i, j)]] += coef
+        coords[_PLACE[i, j]] += coef
         seen = True
         pos = m.end()
     if not seen:
@@ -1595,136 +1581,6 @@ def regex_parse_bivector(text: str) -> tuple:
 
 # -- the property suite's replaced paths ---------------------------------------
 
-class RootKeyedChevalleyTable:
-    """Structure constants by the on-demand recursion keyed by root tuples.
-
-    The same extraspecial-pair recursion as ``ChevalleyTable``, but its memos
-    are keyed by root pairs, sums and differences are tuple arithmetic, root
-    membership is a set lookup, and the basis bracket reads each constant
-    through the checked ``constant``.  The positive pair memo is the only
-    one; mixed constants are recomputed on every request.
-    """
-
-    def __init__(self, rs: RootSystem):
-        self.rs = rs
-        self._sorted_positives = sorted(rs.positive_roots)
-        self._pos: dict[tuple[Vec, Vec], int] = {}
-        self._extra: dict[Vec, tuple[Vec, Vec]] = {}
-
-    def _p(self, a: Vec, b: Vec) -> int:
-        p = 0
-        while self.rs.is_root(minus(b, times(p + 1, a))):
-            p += 1
-        return p
-
-    def _extraspecial(self, rho: Vec) -> tuple[Vec, Vec]:
-        extra = self._extra.get(rho)
-        if extra is None:
-            pos = self.rs.positive_roots
-            alpha = next((a for a in self._sorted_positives if minus(rho, a) in pos), None)
-            if alpha is None:
-                raise AssertionError(f"no decomposition of {rho} into positives")
-            extra = self._extra[rho] = (alpha, minus(rho, alpha))
-        return extra
-
-    def _positive(self, xi: Vec, eta: Vec) -> int:
-        key = (xi, eta)
-        n = self._pos.get(key)
-        if n is None:
-            if eta < xi:
-                n = -self._positive(eta, xi)
-            else:
-                extra = self._extraspecial(plus(xi, eta))
-                if key == extra:
-                    n = self._p(xi, eta) + 1
-                else:
-                    n = self._special_from_jacobi(xi, eta, extra)
-            self._pos[key] = n
-        return n
-
-    def _special_from_jacobi(self, xi: Vec, eta: Vec, extra: tuple[Vec, Vec]) -> int:
-        alpha, _ = extra
-        rho = plus(xi, eta)
-        t = 0
-        if self.rs.is_root(minus(eta, alpha)):
-            t += self._mixed(eta, neg(alpha)) * self._signed_pair(minus(eta, alpha), xi)
-        if self.rs.is_root(minus(xi, alpha)):
-            t += -self._mixed(xi, neg(alpha)) * self._signed_pair(minus(xi, alpha), eta)
-        value, rem = divmod(-t, self._mixed(rho, neg(alpha)))
-        if rem or value == 0:
-            raise AssertionError(f"Jacobi reduction failed on ({xi}, {eta})")
-        return value
-
-    def _signed_pair(self, a: Vec, b: Vec) -> int:
-        apos, bpos = a in self.rs.positive_roots, b in self.rs.positive_roots
-        if apos and bpos:
-            return self._positive(a, b)
-        if not apos and not bpos:
-            return -self._positive(neg(a), neg(b))
-        if apos:
-            return self._mixed(a, b)
-        return -self._mixed(b, a)
-
-    def _mixed(self, mu: Vec, negnu: Vec) -> int:
-        nu = neg(negnu)
-        rho = minus(mu, nu)
-        def norm(r: Vec) -> int:
-            return self.rs.inner(r, r)
-        if rho in self.rs.positive_roots:
-            value, rem = divmod(-norm(rho) * self._positive(nu, rho), norm(mu))
-        else:
-            value, rem = divmod(norm(neg(rho)) * self._positive(neg(rho), mu), norm(nu))
-        if rem:
-            raise AssertionError(f"non-integral mixed constant for ({mu}, {negnu})")
-        return value
-
-    def constant(self, a: Vec, b: Vec) -> int:
-        is_root = self.rs.is_root
-        if not is_root(plus(a, b)):
-            raise ValueError(f"{a} + {b} is not a root")
-        if not (is_root(a) and is_root(b)):
-            raise ValueError(f"{a} or {b} is not a root")
-        return self._signed_pair(a, b)
-
-    def coroot_coefficients(self, alpha: Vec) -> tuple[int, ...]:
-        norm = self.rs.inner(alpha, alpha)
-        form = self.rs.form
-        out = []
-        for i, k in enumerate(alpha):
-            c, rem = divmod(k * form[i][i], norm)
-            if rem:
-                raise AssertionError(f"non-integral coroot for {alpha}")
-            out.append(c)
-        return tuple(out)
-
-    @functools.cached_property
-    def basis_roots(self) -> tuple[Vec, ...]:
-        return tuple(self._sorted_positives) + tuple(map(neg, self._sorted_positives))
-
-    @functools.cached_property
-    def _basis_index(self) -> dict[Vec, int]:
-        return {r: k for k, r in enumerate(self.basis_roots)}
-
-    def basis_bracket(self, i: int, j: int) -> tuple[tuple[int, int], ...]:
-        roots = self.basis_roots
-        m = len(roots)
-        if i >= m:
-            c = 0 if j >= m else self.rs.pairing_simple(roots[j], i - m)
-            return ((j, c),) if c else ()
-        a = roots[i]
-        if j >= m:
-            c = self.rs.pairing_simple(a, j - m)
-            return ((i, -c),) if c else ()
-        b = roots[j]
-        s = plus(a, b)
-        k = self._basis_index.get(s)
-        if k is not None:
-            return ((k, self.constant(a, b)),)
-        if not any(s):
-            return tuple((m + t, c) for t, c in enumerate(self.coroot_coefficients(a)) if c)
-        return ()
-
-
 def scaled_simple_reflect(rs: RootSystem, i: int, beta: Vec) -> Vec:
     """s_i(beta) = beta - <beta, alpha_i> alpha_i, through the scaled simple root."""
     return minus(beta, times(rs.pairing_simple(beta, i), unit(i, rs.diagram.rank)))
@@ -1734,14 +1590,6 @@ def three_reflection_fails(rs: RootSystem, r: Vec, i: int) -> bool:
     """The reflection check on (r, i) with three reflections, as first written."""
     return (scaled_simple_reflect(rs, i, scaled_simple_reflect(rs, i, r)) != r
             or not rs.is_root(scaled_simple_reflect(rs, i, r)))
-
-
-def coord_plucker_quadrics(omega) -> tuple:
-    """The five coordinates of omega ^ omega, each x_ij looked up by its pair."""
-    def x(i, j):
-        return omega[PAIR_INDEX[(i, j)]]
-    return tuple(2 * (x(a, b) * x(c, d) - x(a, c) * x(b, d) + x(a, d) * x(b, c))
-                 for a, b, c, d in QUAD_SETS)
 
 
 def unfiltered_jacobi_failures(table: ChevalleyTable, triples) -> int:

@@ -6,7 +6,6 @@ import json
 import os
 import re
 import shlex
-import shutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -425,9 +424,10 @@ def test_pair_commands_load_no_lab_code(import_modules, step):
 def test_point_commands_load_only_the_plucker_lab(import_modules):
     # the point commands run reports of projgeo.plucker, which computes on
     # ints and reads bivector literals by str methods: neither command loads
-    # the other labs, random, fractions (nor the decimal it imports) or re
-    refused = {"fractions", "decimal", "re", "random", "delpair.labs", "delpair.chevalley",
-               "delpair.projgeo.segre"}
+    # the other labs, random, fractions (nor the decimal it imports), re or
+    # typing
+    refused = {"fractions", "decimal", "re", "typing", "random", "delpair.labs",
+               "delpair.chevalley", "delpair.projgeo.segre"}
     for argv in (LAB_COMMAND, SECTION_COMMAND):
         loaded = import_modules[" ".join(argv)] - import_modules["bare"]
         assert "delpair.projgeo.plucker" in loaded, argv
@@ -828,6 +828,10 @@ def test_main_matches_the_argparse_only_path(monkeypatch, tmp_path, capsys):
         ["verify-pair", "--pair"], ["catalog", "--max-rank"]) for value in OTHER_VALUES]
     argvs = [*_table_argvs(str(out)), *forms, *DECLINED_ARGVS]
     table = [_run_main(argv, out, capsys) for argv in argvs]
+    # argparse reads the abbreviation --max as --max-rank
+    code, printed, _, _ = table[argvs.index(["run-all", "--max", "5"])]
+    doc = json.loads(printed)
+    assert code == 0 and doc["config"]["max_rank"] == 5 and doc["reports"]
     monkeypatch.setattr(cli, "_table_args", lambda argv: None)
     for argv, expected in zip(argvs, table):
         assert _run_main(argv, out, capsys) == expected, argv
@@ -924,23 +928,29 @@ def test_every_readme_command_is_a_pin():
     assert [" ".join(argv) for argv in commands if argv not in pinned] == []
 
 
-def test_pin_runner_names_each_pin_that_differs(tmp_path):
-    # a copy of the runner on a copy of the table with one sha altered and one
-    # entry whose command exits 2, under -S with only src on the path
+def test_pin_runner_names_each_pin_that_differs(monkeypatch, capsys):
+    # in process, on a table with one entry doctored for each way a pin can
+    # differ (sha, summary, exit code) and a name the table lacks
+    summary = {**GOLDENS["catalog_7"]["summary"], "pass": -1}
     table = {**GOLDENS, "vmrt_chain": {**GOLDENS["vmrt_chain"], "sha256": "0" * 64},
+             "catalog_7": {**GOLDENS["catalog_7"], "summary": summary},
              "refused": {"sha256": "0" * 64, "argv": ["verify-pair", "--pair", "E7:a7/a7"]}}
-    (tmp_path / "goldens.json").write_text(json.dumps(table), "utf-8")
-    shutil.copy(pins.__file__, tmp_path)
-    names = ["vmrt_chain", "catalog_7", "refused", "unpinned"]
-    done = subprocess.run([sys.executable, "-S", str(tmp_path / "pins.py"), *names],
+    monkeypatch.setattr(pins, "table", lambda: table)
+    names = ["vmrt_chain", "catalog_7", "refused", "verify_pair_e7", "unpinned"]
+    assert pins.main(names) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"vmrt_chain: sha256 {GOLDENS['vmrt_chain']['sha256']}, pinned {'0' * 64}",
+        "catalog_7: summary {'fail': 0, 'indeterminate': 0, 'pass': 34, 'skipped': 0}, "
+        f"pinned {summary}",
+        "refused: exit 2: error: gamma0 coincides with the marked node",
+        "verify_pair_e7: ok",
+        "unpinned: no such pin",
+        "4 pins differ: vmrt_chain catalog_7 refused unpinned"]
+    # the exit status, from the runner under -S with only src on the path
+    done = subprocess.run([sys.executable, "-S", pins.__file__, "unpinned"],
                           env=_src_env(), capture_output=True, text=True)
     assert (done.returncode, done.stderr) == (1, "")
-    assert done.stdout.splitlines() == [
-        f"vmrt_chain: sha256 {GOLDENS['vmrt_chain']['sha256']}, pinned {'0' * 64}",
-        "catalog_7: ok",
-        "refused: exit 2: error: gamma0 coincides with the marked node",
-        "unpinned: no such pin",
-        "3 pins differ: vmrt_chain refused unpinned"]
+    assert done.stdout.splitlines() == ["unpinned: no such pin", "1 pins differ: unpinned"]
 
 
 @pytest.mark.parametrize("max_rank", [7, 12, 20])

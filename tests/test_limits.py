@@ -128,4 +128,5 @@ def test_a_value_of_argument_length_ends_within_a_second(path, flag, tmp_path, m
         assert code in (0, 1, 2), (flag, value[:20])
         assert elapsed < 1.0, (flag, value[:20], elapsed)
         assert err.count("\n") <= 1, (flag, value[:20], err[:200])
+        assert len(err) <= len("error: \n") + 243, (flag, value[:20], len(err))
     assert list(tmp_path.iterdir()) == []

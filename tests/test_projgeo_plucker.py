@@ -41,10 +41,11 @@ from oracles import (
     _pencil_parameter,
     _polarization_rank,
     _wedge_mod,
-    coord_plucker_quadrics,
     decomposability_bivectors,
     early_stop_rank,
     enumerate_grassmannian,
+    enumerated_certification,
+    enumerated_locus,
     finite_plane_section,
     fraction_collinearity_scan,
     fraction_ell_plane,
@@ -54,6 +55,7 @@ from oracles import (
     gaussian_binomial_2_of_5,
     kernel_basis,
     maximal_minors,
+    plucker_quadric_values,
     pointwise_dee_survey,
     quadric_polarization,
     regex_parse_bivector,
@@ -109,7 +111,7 @@ def test_written_out_quadrics_match_coord_oracle(kind):
             coords = [rng.randrange(-9, 10) for _ in range(10)]
         if kind == "tuple":
             coords = tuple(coords)
-        assert plucker_quadrics(coords) == coord_plucker_quadrics(coords), coords
+        assert plucker_quadrics(coords) == plucker_quadric_values(coords), coords
 
 
 def test_hand_expansion_x_e45_y_e12_z_e13():
@@ -452,22 +454,22 @@ def _reported_at(ref, primes):
 
 
 def _certified(ref, rows, primes):
-    """``ref`` certified at ``primes`` on its primitive basis ``rows``, as
-    ``fraction_plane_section`` certifies it."""
+    """``ref`` certified at ``primes`` on its primitive basis ``rows``, by
+    enumerating the plane."""
     for p in primes:
-        _certify(rows, ref.lines, ref.isolated_plane_coords, ref.full_plane, p)
+        enumerated_certification(ref, rows, p)
     return _reported_at(ref, primes)
 
 
 def test_plane_section_matches_the_fraction_reference():
     # 4 000 seeded points, each at three prime sets: the same section or the
-    # same error type and message.  Certification is one _certify on the
-    # primitive basis rows, the lines and the points, so where those agree
-    # and plane_section certifies, the reference certifies too; it is
-    # certified at the primes only where plane_section fails.
+    # same error type and message.  Where plane_section fails, the reference
+    # is certified at the same primes by enumerating each plane on the
+    # oracle's quadrics, so a certification that refuses a right section
+    # fails here; the test below compares the certified locus itself.
     outcomes = Counter()
     for b in seeded_section_bivectors(random.Random(44), 4000):
-        ref = _outcome(fraction_plane_section, b, ())
+        ref = _outcome(fraction_plane_section, b)
         if not isinstance(ref, tuple):
             rows = [fraction_primitive_covector(row) for row in fraction_ell_plane(b)]
             assert [primitive_int_covector(row) for row in ell_plane(b)] == rows, b
@@ -501,9 +503,7 @@ def test_finite_locus_matches_the_quadrics_at_every_point_of_planes_off_ell():
             basis = [list(wedge(*([rng.randrange(-2, 3) for _ in range(5)] for _ in range(2))))
                      for _ in range(3)]
         for p in (3, 5, 7):
-            expected = {c for c in projective_points(p, 3)
-                        if not any(q % p for q in coord_plucker_quadrics(
-                            [sum(a * x for a, x in zip(c, col)) for col in zip(*basis)]))}
+            expected = enumerated_locus(basis, p)
             assert plucker._finite_locus(basis, p) == expected, (basis, p)
             sizes[min(len(expected), 4), k % 2] += 1
     assert {(0, 1), (1, 1), (3, 0), (4, 0)} <= set(sizes), sizes
