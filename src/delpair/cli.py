@@ -89,22 +89,19 @@ def _prime_list(text: str) -> tuple[int, ...]:
         raise ValueError(f"takes comma-separated integers, not {text!r}") from None
 
 
-def _one_prime(text: str) -> tuple[int]:
-    return (_int(text),)
-
-
-# Every option, with the RunConfig field it parses into (RunConfig checks the
-# value) or None when it sets none; a None default keeps RunConfig's default.
-# The message of a ValueError from a type is the option's usage error.
+# Every option, with the key of its value in the parsed arguments, which is
+# the RunConfig field it sets where it sets one (RunConfig checks the value);
+# a None default keeps RunConfig's default.  The message of a ValueError from
+# a type is the option's usage error.
 _OPTIONS = {
     "--format": ("fmt", {"choices": ("json", "markdown"), "default": "json"}),
-    "--out": (None, {}),
+    "--out": ("out", {}),
     "--max-rank": ("max_rank", {"type": _int}),
-    "--primes": ("primes_plucker", {"type": _prime_list, "metavar": "PRIMES"}),
-    "--q": ("primes_segre", {"type": _one_prime, "default": (3,), "metavar": "Q"}),
-    "--pair": (None, {"required": True}),
-    "--mode": (None, {"choices": ("sigma", "tau", "both"), "default": "both"}),
-    "--point": (None, {"required": True}),
+    "--primes": ("primes_plucker", {"type": _prime_list}),
+    "--q": ("primes_segre", {"type": lambda text: (_int(text),), "default": (3,)}),
+    "--pair": ("pair", {"required": True}),
+    "--mode": ("mode", {"choices": ("sigma", "tau", "both"), "default": "both"}),
+    "--point": ("point", {"required": True}),
 }
 
 # The options of every subcommand, listed first in its help.
@@ -130,54 +127,108 @@ COMMANDS = (
     ("segre fitting", ("segre.fitting",), ("--q",)),
 )
 
-_CONFIG_FIELDS = {field for field, _ in _OPTIONS.values()} - {None}
+_CONFIG_FIELDS = {key for key, _ in _OPTIONS.values()} & set(RunConfig._fields)
+_HELP = ("-h", "--help")
 
 
-def _dest(flag: str) -> str:
-    """The key of ``flag``'s value in the parsed arguments, as argparse names it."""
-    return _OPTIONS[flag][0] or flag[2:]
+def _usage(flag: str) -> str:
+    """``flag`` and its value as a usage line shows them."""
+    spec = _OPTIONS[flag][1]
+    shown = ("{" + ",".join(spec["choices"]) + "}" if "choices" in spec
+             else flag[2:].upper().replace("-", "_"))
+    return f"{flag} {shown}" if spec.get("required") else f"[{flag} {shown}]"
 
 
-def _table_args(argv: "list[str]") -> "dict | None":
-    """The mapping of ``argv`` that argparse's parser gives, or None.
+def _option(word: str, flags: tuple, prog: str) -> "tuple | None":
+    """How ``word`` reads where -h, --help and ``flags`` are the options:
+    None for a value, else (flag, the value after "=" or None), flag None
+    for an unknown option.  A word names the flag that it is, or that it
+    alone prefixes after "--", either followed by "=" and a value or not;
+    a prefix of several raises ValueError.  Any other word that starts with
+    "-" is an unknown option, unless it is a number or holds a space."""
+    if word[:1] != "-" or word == "-":
+        return None
+    head, eq, value = word.partition("=")
+    flags = (*_HELP, *flags)
+    named = [flag for flag in flags if flag == head] or [
+        flag for flag in flags if head[:2] == "--" < head and flag.startswith(head)]
+    if len(named) > 1:
+        raise ValueError(f"{prog}: ambiguous option: {word} could match {', '.join(named)}")
+    if named:
+        return named[0], value if eq else None
+    whole, dot, fraction = word[1:].partition(".")
+    if (whole + fraction).isdecimal() and (fraction or not dot) or " " in word:
+        return None                 # a number, or a literal such as "- e1^e2"
+    return None, None
 
-    Read here are the words of one COMMANDS row followed by distinct
-    ``--flag value`` pairs of that command's options, each value converted
-    by its type and in its choices, with every required option given.  A
-    value starts with no ``-``, or with ``- `` as a bivector literal may;
-    argparse reads both as values.  Any other argv (help, ``--flag=value``,
-    an abbreviation, a repeat, an unread option, a bad value, a missing or
-    unknown command) gives None.
+
+def _help(prog: str, value: "str | None", usage: str) -> None:
+    if value is not None:
+        raise ValueError(f"{prog}: argument -h/--help: ignored explicit argument {value!r}")
+    print(f"usage: {prog} [-h] {usage}")
+    raise SystemExit(0)
+
+
+def _parse_args(argv: "list[str]") -> dict:
+    """argv's arguments: those of its COMMANDS row, keyed by destination and
+    defaulted, with "command", "runs" and for a group "<group>_command".
+
+    The words of one row come first.  Each option of that row is then read
+    from ``--flag value`` or ``--flag=value``, and a repeat keeps its last
+    value.  A usage error raises ValueError with the message of the
+    standard library's parser (tests/oracles.py builds it from COMMANDS);
+    help prints the usage and exits 0.
     """
-    for path, runs, options in COMMANDS:
-        words = path.split()
-        if argv[:len(words)] == words:
-            break
-    else:
-        return None
-    flags = (*_COMMON, *options)
-    args = {_dest(flag): _OPTIONS[flag][1].get("default") for flag in flags}
-    args.update(command=words[0], runs=runs)
-    if len(words) == 2:                 # "pluecker" and "segre"
-        args[f"{words[0]}_command"] = words[1]
-    rest = argv[len(words):]
-    given = rest[::2]
-    if len(rest) % 2 or len(set(given)) < len(given) or not set(given) <= set(flags):
-        return None
-    for flag, value in zip(given, rest[1::2]):
-        if value.startswith("-") and not value.startswith("- "):
-            return None
+    path, words, extras = "", list(argv), []
+    while path not in {row[0] for row in COMMANDS}:     # "" or a group word
+        prog, dest = f"delpair {path}".rstrip(), f"{path}_command" if path else "command"
+        names = list(dict.fromkeys(row[0].split()[len(path.split())] for row in COMMANDS
+                                   if row[0].startswith(path)))
+        while words and (option := _option(words[0], (), prog)):    # before the command word
+            if option[0]:
+                _help(prog, option[1], "{" + ",".join(names) + "} ...")
+            extras.append(words.pop(0))
+        if not words:
+            raise ValueError(f"{prog}: the following arguments are required: {dest}")
+        if words[0] not in names:
+            raise ValueError(f"{prog}: argument {dest}: invalid choice: {words[0]!r} "
+                             f"(choose from {', '.join(map(repr, names))})")
+        path = f"{path} {words.pop(0)}".lstrip()
+    runs, options = next(row[1:] for row in COMMANDS if row[0] == path)
+    flags, prog = (*_COMMON, *options), f"delpair {path}"
+    args = {_OPTIONS[flag][0]: _OPTIONS[flag][1].get("default") for flag in flags}
+    # every word is read first, so that an ambiguous prefix refuses before any value
+    read = zip(words, [_option(word, flags, prog) for word in words])
+    for word, option in read:
+        flag, value = option or (None, None)
+        if flag is None:
+            extras.append(word)
+            continue
+        if flag in _HELP:
+            _help(prog, value, " ".join(map(_usage, flags)))
+        if value is None:           # the next word, which must be a value
+            value, option = next(read, ("", ()))
+            if option is not None:
+                raise ValueError(f"{prog}: argument {flag}: expected one argument")
         spec = _OPTIONS[flag][1]
-        if "type" in spec:
-            try:
-                value = spec["type"](value)
-            except ValueError:
-                return None
-        if "choices" in spec and value not in spec["choices"]:
-            return None
-        args[_dest(flag)] = value
-    if any(_OPTIONS[flag][1].get("required") and flag not in given for flag in flags):
-        return None
+        try:
+            value = spec.get("type", str)(value)
+        except ValueError as exc:
+            raise ValueError(f"{prog}: argument {flag}: {exc}") from None
+        if value not in spec.get("choices", (value,)):
+            raise ValueError(f"{prog}: argument {flag}: invalid choice: {value!r} "
+                             f"(choose from {', '.join(map(repr, spec['choices']))})")
+        args[_OPTIONS[flag][0]] = value
+    missing = [flag for flag in flags
+               if _OPTIONS[flag][1].get("required") and args[_OPTIONS[flag][0]] is None]
+    if missing:
+        raise ValueError(f"{prog}: the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise ValueError(f"delpair: unrecognized arguments: {' '.join(extras)}")
+    group, _, name = path.rpartition(" ")
+    args.update(command=group or name, runs=runs)
+    if group:
+        args[f"{group}_command"] = name
     return args
 
 
@@ -223,11 +274,7 @@ def _error(exc: Exception) -> None:
 
 def _main(argv: "list[str]") -> int:
     try:
-        args = _table_args(argv)
-        if args is None:
-            # here, not at the top: loading argparse costs more than most checks take
-            from .usage import parse_args
-            args = parse_args(argv)
+        args = _parse_args(argv)
         # fmt and the RunConfig fields that this command's options set
         given = {k: v for k, v in args.items() if k in _CONFIG_FIELDS}
         config = RunConfig(**{k: v for k, v in given.items() if v is not None})

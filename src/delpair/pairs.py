@@ -66,7 +66,7 @@ class DeletionPair(Frozen, fields=("ambient", "gamma0")):
 
     @cached_property
     def pair_id(self) -> str:
-        return f"{self.ambient.diagram.literal()}:{self.gamma}/{self.gamma0}"
+        return f"{self.ambient.literal()}/{self.gamma0}"
 
     @property
     def name(self) -> str:

@@ -205,6 +205,16 @@ def _write_json(value, newline: str, out: list[str], quoted: dict) -> None:
         raise TypeError(f"cannot write {kind.__name__} into a bundle")
 
 
+# A "|" would end a markdown table cell and a line break its row: "|" becomes
+# "/", and each line break that str.splitlines knows, "\r\n" as one, a space.
+_CELL = str.maketrans({"|": "/", **dict.fromkeys("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029", " ")})
+
+
+def _cell(text: str) -> str:
+    """``text`` as one markdown table cell."""
+    return text.replace("\r\n", " ").translate(_CELL)
+
+
 def bundle_markdown(b: dict) -> str:
     """Markdown rendering derived from the JSON model (never independently)."""
     lines = ["# Verification bundle", ""]
@@ -214,8 +224,8 @@ def bundle_markdown(b: dict) -> str:
     lines.append("| check | subject | status | notes |")
     lines.append("|---|---|---|---|")
     for r in b["reports"]:
-        notes = r["notes"].replace("|", "/").replace("\n", " ")
-        lines.append(f"| {r['check_id']} | {r['subject']} | {r['status']} | {notes} |")
+        cells = (_cell(r[key]) for key in ("check_id", "subject", "status", "notes"))
+        lines.append(f"| {' | '.join(cells)} |")
     s = b["summary"]
     lines.append("")
     lines.append("summary: " + ", ".join(f"{k}={s[k]}" for k in sorted(s)))

@@ -70,12 +70,15 @@ span(b, ell), primitive covectors of rational vectors, the reduced echelon
 bases of W_b and of span(b, ell), plane sections from the row-reduced forms
 L_S, the collinearity witness from the first kernel vector of the stacked
 columns, and bivector literals read with a regular expression instead of
-``str`` methods.  The oracles import none of ``plane_section``'s
+``str`` methods.  The command line is parsed by the standard library's
+argparse, one subparser per ``COMMANDS`` row, instead of ``delpair.cli``'s
+own parser of that table.  The oracles import none of ``plane_section``'s
 certification, its linear combinations, the survey's echelon cells or
 ``ell_rows``: each is rebuilt here.
 """
 from __future__ import annotations
 
+import argparse
 import functools
 import itertools
 import math
@@ -1636,3 +1639,51 @@ def decomposability_bivectors(seed: int, field_name: str) -> list:
     """The property suite's 500 bivectors for one field name."""
     rng = random.Random((seed, field_name).__repr__())
     return [tuple(rng.randrange(-4, 5) for _ in range(10)) for _ in range(500)]
+
+
+# The command line as argparse reads it, one subparser per row of
+# delpair.cli.COMMANDS: the parser that delpair.cli's own parser replaced.
+
+class _Parser(argparse.ArgumentParser):
+    """Raises on a usage error instead of printing usage and exiting 2."""
+
+    def error(self, message: str):
+        raise ValueError(f"{self.prog}: {message}")
+
+
+def _usage_type(convert):
+    """``convert``, its ValueError raised as the ArgumentTypeError whose
+    message argparse prints as it is."""
+    def converted(text: str):
+        try:
+            return convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return converted
+
+
+@functools.cache
+def _command_parser() -> _Parser:
+    from delpair.cli import _COMMON, _OPTIONS, COMMANDS
+
+    parser = _Parser(prog="delpair")
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    for path, runs, options in COMMANDS:
+        group, _, name = path.rpartition(" ")
+        if group not in groups:           # "pluecker" and "segre"
+            groups[group] = groups[""].add_parser(group).add_subparsers(
+                dest=f"{group}_command", required=True)
+        sp = groups[group].add_parser(name)
+        for flag in (*_COMMON, *options):
+            field, spec = _OPTIONS[flag]
+            if "type" in spec:
+                spec = {**spec, "type": _usage_type(spec["type"])}
+            sp.add_argument(flag, dest=field, **spec)
+        sp.set_defaults(runs=runs)
+    return parser
+
+
+def argparse_args(argv: list[str]) -> dict:
+    """The arguments argparse reads from ``argv``, keyed as delpair.cli keys
+    them; a usage error raises ValueError, and help prints and exits 0."""
+    return vars(_command_parser().parse_args(argv))

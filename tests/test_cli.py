@@ -1,4 +1,3 @@
-import argparse
 import gc
 import hashlib
 import itertools
@@ -8,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import delpair
-from delpair import checks, cli, hss, labs, pairs, report, sff, usage
+from delpair import checks, cli, hss, labs, pairs, report, sff
 from delpair.chevalley import ChevalleyTable, build_table
 from delpair.cli import main, parse_pair_id, run_all
 from delpair.pairs import CorrespondenceError
@@ -42,6 +42,7 @@ from delpair.rootsys import (
 from oracles import (
     FAMILY_CLOSED_FORMS,
     PAIR_ROWS,
+    argparse_args,
     decomposability_bivectors,
     family_reading,
     generator_jacobi_triples,
@@ -364,32 +365,37 @@ LAB_COMMAND = ["pluecker", "collinear", "--point", "e1^e4"]
 SECTION_COMMAND = ["pluecker", "section", "--point", "e2^e4"]
 
 
-HELP_COMMAND = ["run-all", "--help"]
+# Argvs that the parser answers before any check, or reads in another
+# spelling: help at each of its three levels, a usage error, an abbreviation
+# and "=" forms.
+USAGE_COMMANDS = (["--help"], ["pluecker", "--help"], ["run-all", "--help"], ["frob"],
+                  ["run-all", "--max", "5", "--primes", "3"],
+                  ["run-all", "--max-rank=5", "--primes=3"])
 
 
 @pytest.fixture(scope="module")
 def import_modules():
     """Every module in sys.modules, in one fresh interpreter: before any import
-    ("bare"), after `import delpair.checks`, after `import delpair.cli`, after
-    main on each of PAIR_COMMANDS, LAB_COMMAND and SECTION_COMMAND, and after HELP_COMMAND,
-    keyed by that module or command.  The interpreter runs under -S, so
-    "bare" holds no module that `site` and its .pth files would load."""
-    commands = [*PAIR_COMMANDS, LAB_COMMAND, SECTION_COMMAND]
+    ("bare"), after `import delpair.checks`, after `import delpair.cli`, and
+    after main on each of PAIR_COMMANDS, LAB_COMMAND, SECTION_COMMAND and
+    USAGE_COMMANDS, keyed by that module or command.  The interpreter runs
+    under -S, so "bare" holds no module that `site` and its .pth files would load."""
+    commands = [*PAIR_COMMANDS, LAB_COMMAND, SECTION_COMMAND, *USAGE_COMMANDS]
     probe = ("import sys; print(*sys.modules)\n"
              "import os, delpair.checks; print(*sys.modules)\n"
              "import delpair.cli; print(*sys.modules)\n"
+             "stdout, devnull = sys.stdout, open(os.devnull, 'w')\n"
              f"for argv in {commands!r}:\n"
-             "    delpair.cli.main([*argv, '--out', os.devnull]); print(*sys.modules)\n"
-             "stdout, sys.stdout = sys.stdout, open(os.devnull, 'w')\n"
-             "try:\n"
-             f"    delpair.cli.main({HELP_COMMAND!r})\n"
-             "except SystemExit:\n"
+             "    sys.stdout = devnull\n"
+             "    try:\n"
+             "        delpair.cli.main([*argv, '--out', os.devnull])\n"
+             "    except SystemExit:\n"
+             "        pass\n"
              "    sys.stdout = stdout\n"
-             "print(*sys.modules)\n")
+             "    print(*sys.modules)\n")
     done = subprocess.run([sys.executable, "-S", "-c", probe], env=_src_env(),
                           capture_output=True, text=True, check=True)
-    keys = ["bare", "delpair.checks", "delpair.cli", *(" ".join(argv) for argv in commands),
-            " ".join(HELP_COMMAND)]
+    keys = ["bare", "delpair.checks", "delpair.cli", *(" ".join(argv) for argv in commands)]
     lines = done.stdout.splitlines()
     assert len(lines) == len(keys)
     return {key: set(line.split()) for key, line in zip(keys, lines)}
@@ -460,9 +466,10 @@ def _argparse_and_json(modules: set) -> set:
 
 
 @pytest.mark.parametrize("step", ["delpair.cli", *(" ".join(argv) for argv in PAIR_COMMANDS),
-                                  " ".join(LAB_COMMAND), " ".join(SECTION_COMMAND)])
+                                  " ".join(LAB_COMMAND), " ".join(SECTION_COMMAND),
+                                  *(" ".join(argv) for argv in USAGE_COMMANDS)])
 def test_commands_load_neither_argparse_nor_json(import_modules, step):
-    # the table parser reads these argvs and report writes JSON itself;
+    # delpair.cli parses every argv and report writes JSON itself;
     # loading argparse and json cost about half of `import delpair.cli`
     assert _argparse_and_json(import_modules[step] - import_modules["bare"]) == set()
 
@@ -475,9 +482,10 @@ def test_pair_commands_load_neither_typing_nor_re(import_modules, step):
     assert {name for name in loaded if name.split(".")[0] in ("typing", "re")} == set()
 
 
-def test_help_loads_argparse(import_modules):
-    # the table parser declines --help, and argparse writes the help
-    assert "argparse" in import_modules[" ".join(HELP_COMMAND)] - import_modules["bare"]
+def test_no_argv_loads_argparse(import_modules):
+    # delpair.cli writes its own help and usage errors
+    assert len(import_modules) == 3 + len(PAIR_COMMANDS) + 2 + len(USAGE_COMMANDS)
+    assert [step for step, modules in import_modules.items() if "argparse" in modules] == []
 
 
 def test_cli_import_leaves_sympy_out(cli_import_modules):
@@ -542,9 +550,9 @@ def _broken_verdict(*args):
     (["vmrt-chain"], False, 0),
     (["vmrt-chain"], True, 1),                  # an internal failure
     (["run-all", "--max-rank", "3"], False, 2),
-    (["frob"], False, 2),                       # refused by argparse
-    (["run-all", "--help"], False, None),       # argparse exits 0
-], ids=["exit-0", "exit-1", "exit-2", "argparse-exit-2", "help"])
+    (["frob"], False, 2),                       # a usage error
+    (["run-all", "--help"], False, None),       # help exits 0
+], ids=["exit-0", "exit-1", "exit-2", "usage-exit-2", "help"])
 def test_main_gives_back_the_callers_collector_setting(argv, broken, code, enabled,
                                                        monkeypatch, tmp_path, capsys):
     if broken:
@@ -631,8 +639,6 @@ def test_every_input_error_is_a_value_error():
     # stopped subclassing it would escape as a traceback
     for cls in (DiagramError, MarkError, ChainError, CorrespondenceError):
         assert issubclass(cls, ValueError)
-    with pytest.raises(ValueError, match="^delpair: bad usage$"):
-        usage._Parser(prog="delpair").error("bad usage")
 
 
 def test_run_config_has_no_seed_setting():
@@ -719,15 +725,20 @@ def test_a_trailing_blank_ends_a_bivector_literal(capsys):
     assert printed[1] == printed[0].replace('"subject": "e1^e4"', '"subject": "e1^e4 "')
 
 
-def _choose_from(*names: str) -> str:
-    """The "(choose from ...)" text this Python's argparse prints for ``names``;
-    whether it quotes them depends on the release."""
-    probe = argparse.ArgumentParser(exit_on_error=False)
-    probe.add_argument("name", choices=names)
-    with pytest.raises(argparse.ArgumentError) as exc:
-        probe.parse_args(["frob"])
-    text = str(exc.value)
-    return text[text.index("(choose from"):]
+@pytest.mark.parametrize("end", ["\n", "\r", "\r\n", "\u2028"], ids=repr)
+def test_a_literal_ending_in_a_line_break_keeps_one_table_line(end, capsys):
+    # parse_bivector stops at any blank tail, and the subject echoes the literal
+    assert main(["pluecker", "collinear", "--point", f"e1^e4{end}", "--format", "markdown"]) == 0
+    rows = [line for line in capsys.readouterr().out.splitlines() if line.startswith("| plucker")]
+    assert rows == ["| plucker.collinear | e1^e4  | pass |  |"]
+
+
+def test_a_markdown_cell_holds_no_line_break_or_bar():
+    # str.splitlines is the oracle of a line break; "\r\n" is one
+    for c in map(chr, range(0x3000)):
+        broken = len(f"a{c}b".splitlines()) == 2
+        assert report._cell(f"a{c}b") == ("a/b" if c == "|" else "a b" if broken else f"a{c}b")
+    assert report._cell("|\r\n\n\r") == "/   "
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -735,13 +746,19 @@ def _choose_from(*names: str) -> str:
     (["run-all", "--format", "yaml"], "argument --format: invalid choice: 'yaml'"),
     (["verify-pair"], "the following arguments are required: --pair"),
     (["frob"], "argument command: invalid choice: 'frob'"),
-    # a first word that names no command: the parser is built in full
-    (["frob"], "argument command: invalid choice: 'frob' " + _choose_from(
-        "catalog", "verify-pair", "degeneracy", "infinity-locus", "normal-bundle",
-        "vmrt-chain", "run-all", "pluecker", "segre")),
+    # a first word that names no command: every command is named
+    (["frob"], "argument command: invalid choice: 'frob' (choose from 'catalog', "
+     "'verify-pair', 'degeneracy', 'infinity-locus', 'normal-bundle', 'vmrt-chain', "
+     "'run-all', 'pluecker', 'segre')"),
     (["pluecker", "frob"], "argument pluecker_command: invalid choice: 'frob' "
-     + _choose_from("survey", "section", "collinear")),
+     "(choose from 'survey', 'section', 'collinear')"),
     ([], "the following arguments are required: command"),
+    (["segre"], "the following arguments are required: segre_command"),
+    (["pluecker", "section", "--p", "3", "--point", "e2^e4"],
+     "ambiguous option: --p could match --point, --primes"),
+    (["pluecker", "section", "--point", "-e2^e4"], "argument --point: expected one argument"),
+    (["run-all", "--primes", "3", "--seed", "3", "4"], "unrecognized arguments: --seed 3 4"),
+    (["run-all", "--help=all"], "argument -h/--help: ignored explicit argument 'all'"),
 ])
 def test_usage_errors_exit_2_with_one_line(argv, message, capsys):
     assert main(argv) == 2
@@ -758,83 +775,76 @@ def test_help_still_exits_0(capsys):
     assert "usage: delpair run-all" in capsys.readouterr().out
 
 
-# A value of each option that the table parser reads and that keeps each run
-# small, and values to put in its place: a number argparse reads as a value
-# and not as an option, a bivector literal that starts with "-", and values
-# that the option's type or choices refuse.
-TABLE_VALUES = {"--format": "markdown", "--out": None, "--max-rank": "5", "--primes": "3",
-                "--q": "2", "--pair": "E6:a6/a5", "--mode": "tau", "--point": "- e2^e4"}
-OTHER_VALUES = ("-3", "- e1^e2 + e3^e4", "x", "5,", "")
+# Two values that each option reads, and values to put in the place of the
+# first: numbers, which are values though they start with "-", bivector
+# literals that start with "-" and with "- ", "--", and values that the
+# option's type or choices refuse.
+PARSER_VALUES = {"--format": ("markdown", "json"), "--out": ("x.json", "y.json"),
+                 "--max-rank": ("5", "6"), "--primes": ("3", "5,7"), "--q": ("2", "5"),
+                 "--pair": ("E6:a6/a5", "E7:a7/a6"), "--mode": ("tau", "sigma"),
+                 "--point": ("- e2^e4", "e1^e4")}
+OTHER_VALUES = ("-3", "-1.5", "-e2^e4", "- e1^e2 + e3^e4", "--", "x", "5,", "")
+# Argvs beside those of single rows: no command or an unknown one, help and
+# its prefix at the top, options before the command word, and an ambiguous
+# prefix, alone and before an "=".
+OTHER_ARGVS = ([], ["frob"], ["-3"], ["-h"], ["--he"], ["--frob", "run-all"],
+               ["pluecker", "--point", "x", "section"], ["segre", "-h", "fitting"],
+               ["pluecker", "section", "--p", "3", "--point", "e2^e4"],
+               ["pluecker", "section", "--point", "e2^e4", "--p=3"])
 
 
-def _table_argvs(out: str):
-    """Every COMMANDS row with each subset of its options and --format/--out."""
+def _command_argvs():
+    """The argvs of each COMMANDS row: every subset of its options spelled
+    "--flag value", "--flag=value" and by the flags' 4- and 6-character
+    prefixes; each option given each of OTHER_VALUES in either spelling,
+    and given again with its second value; an extra word, an unread
+    option and help after them; and each first word alone, with help and
+    with an unknown word."""
     for path, _, options in cli.COMMANDS:
+        words = path.split()
         flags = (*cli._COMMON, *options)
+        yield from (words[:1], words[:1] + ["--help"], words[:1] + ["--he"], words[:1] + ["x"])
         for k in range(len(flags) + 1):
             for subset in itertools.combinations(flags, k):
-                yield path.split() + [word for flag in subset
-                                      for word in (flag, TABLE_VALUES[flag] or out)]
+                given = [(flag, PARSER_VALUES[flag][0]) for flag in subset]
+                spaced = words + [word for pair in given for word in pair]
+                yield from (spaced, words + [f"{flag}={value}" for flag, value in given])
+                for n in (4, 6):
+                    yield words + [word for flag, value in given for word in (flag[:n], value)]
+                for i, (flag, _) in enumerate(given):
+                    at = len(words) + 2 * i + 1
+                    for value in OTHER_VALUES:
+                        yield spaced[:at] + [value] + spaced[at + 1:]
+                        if value != "--":       # argparse reads "--flag=--" as []
+                            yield words + [f"{f}={value if j == i else v}"
+                                           for j, (f, v) in enumerate(given)]
+                    yield spaced + [flag, PARSER_VALUES[flag][1]]
+                for tail in (["extra"], ["--seed", "3"], ["--help"], ["--he"]):
+                    yield spaced + tail
 
 
-# Argvs the table parser declines: "=", an abbreviation, a repeat, an unread
-# option, a missing required option or value, a missing or unknown command.
-DECLINED_ARGVS = (["run-all", "--max-rank=5"], ["run-all", "--max", "5"],
-                  ["run-all", "--primes", "3", "--primes", "5"], ["vmrt-chain", "--max-rank", "5"],
-                  ["verify-pair"], ["verify-pair", "--pair"],
-                  ["pluecker", "section", "--point", "-e2^e4"], ["pluecker"], ["frob"], [])
-
-
-def _oracle_args(argv):
-    """argparse's mapping of argv, or None for a usage error."""
+def _parsed(parse, argv):
+    """What ``parse`` makes of argv: its mapping, "help", or its usage error
+    up to any "(choose from", whose quoting varies with the Python release."""
     try:
-        return usage.parse_args(argv)
-    except ValueError:
-        return None
+        return parse(argv)
+    except SystemExit as exc:
+        assert exc.code == 0
+        return "help"
+    except ValueError as exc:
+        return str(exc).split(" (choose from")[0]
 
 
 def test_table_parser_matches_argparse():
-    argvs = list(_table_argvs("x.json"))
-    # argparse refuses the argvs without a required option; the table reads every other
-    for argv in argvs:
-        assert cli._table_args(argv) == _oracle_args(argv), argv
-    assert sum(cli._table_args(argv) is not None for argv in argvs) == 76
-    # each option in turn given each other value: argparse may read what the table declines
-    for argv in argvs:
-        for i in range(len(argv) - 1, 0, -2):
-            if not argv[i - 1].startswith("--"):
-                break
-            for value in OTHER_VALUES:
-                changed = argv[:i] + [value] + argv[i + 1:]
-                args = cli._table_args(changed)
-                if args is not None:
-                    assert args == _oracle_args(changed), changed
-    for argv in DECLINED_ARGVS:
-        assert cli._table_args(argv) is None, argv
-
-
-def _run_main(argv, out, capsys):
-    code = main(argv)
-    captured = capsys.readouterr()
-    written = out.read_text() if out.exists() else None
-    out.unlink(missing_ok=True)
-    return code, captured.out, captured.err, written
-
-
-def test_main_matches_the_argparse_only_path(monkeypatch, tmp_path, capsys):
-    out = tmp_path / "t.out"
-    forms = [argv + [value] for argv in (
-        ["pluecker", "section", "--point"], ["pluecker", "collinear", "--point"],
-        ["verify-pair", "--pair"], ["catalog", "--max-rank"]) for value in OTHER_VALUES]
-    argvs = [*_table_argvs(str(out)), *forms, *DECLINED_ARGVS]
-    table = [_run_main(argv, out, capsys) for argv in argvs]
-    # argparse reads the abbreviation --max as --max-rank
-    code, printed, _, _ = table[argvs.index(["run-all", "--max", "5"])]
-    doc = json.loads(printed)
-    assert code == 0 and doc["config"]["max_rank"] == 5 and doc["reports"]
-    monkeypatch.setattr(cli, "_table_args", lambda argv: None)
-    for argv, expected in zip(argvs, table):
-        assert _run_main(argv, out, capsys) == expected, argv
+    # delpair.cli's parser of the COMMANDS table and argparse's parser of it
+    # read the same mapping, print help, or refuse with the same message
+    argvs = list(dict.fromkeys(map(tuple, [*_command_argvs(), *OTHER_ARGVS])))
+    outcomes = Counter()
+    for argv in map(list, argvs):
+        parsed = _parsed(cli._parse_args, argv)
+        assert parsed == _parsed(argparse_args, argv), argv
+        outcomes["help" if parsed == "help" else type(parsed).__name__] += 1
+    assert outcomes == {"dict": 1389, "help": 223, "str": 2162}
 
 
 # Witnesses of `pluecker section` and `pluecker collinear` at the default
@@ -1109,11 +1119,21 @@ def test_help_lists_only_the_options_read(capsys):
 @pytest.mark.parametrize("argv, reads, echoed", COMMAND_READS,
                          ids=[" ".join(_words(argv)) for argv, _, _ in COMMAND_READS])
 def test_config_echoes_exactly_the_fields_read(argv, reads, echoed, tmp_path):
-    given = [word for option in sorted(reads - {"--pair", "--point"})
-             for word in (option, OPTION_VALUES[option])]
+    options = sorted(reads - {"--pair", "--point"})
+    given = [word for option in options for word in (option, OPTION_VALUES[option])]
     out = tmp_path / "c.out"
     assert main(argv + given + ["--out", str(out)]) == 0
-    config = json.loads(out.read_text())["config"]
+    bundle = out.read_text()
+    doc = json.loads(bundle)
+    assert doc["reports"]
+    # each option spelled by its first five characters (run-all --max 5) or
+    # with "=" prints the same bundle
+    for spelled in ([word for option in options for word in (option[:5], OPTION_VALUES[option])],
+                    [f"{option}={OPTION_VALUES[option]}" for option in options]):
+        if spelled:
+            assert main(argv + spelled + ["--out", str(out)]) == 0
+            assert out.read_text() == bundle, spelled
+    config = doc["config"]
     assert config.keys() == {"format"} | echoed
     expected = {"max_rank": 5, "primes_plucker": [5], "primes_segre": [2], "seed": DEFAULT_SEED}
     if argv == ["run-all"]:
