@@ -107,24 +107,16 @@ def _join_points(y: tuple, b: tuple, plane_pts: list[tuple], q: int) -> list[tup
 
 # -- the action of the product of the two linear groups -----------------------
 
-def _gl_generators(n: int, q: int):
-    """Generators g of GL_n(F_q), each with its inverse, as (g, g^-1).
-
-    I + E_ij (i != j) has inverse I - E_ij; for q > 2, diag(2, 1, ..., 1)
-    has inverse diag((q + 1) / 2, 1, ..., 1).
-    """
-
-    def unit_plus(i: int, j: int, c: int) -> tuple:
-        """The identity matrix with c added at (i, j)."""
-        return tuple(tuple(int(a == b) + (c if (a, b) == (i, j) else 0) for b in range(n))
-                     for a in range(n))
-
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                yield unit_plus(i, j, 1), unit_plus(i, j, -1)
-    if q > 2:
-        yield unit_plus(0, 0, 1), unit_plus(0, 0, (q - 1) // 2)
+# Two generators of SL_n per factor, each paired with its integer inverse.
+# I + E12 and I + E21 generate SL_2(Z).  The cyclic permutation matrix C
+# conjugates I + E12 to I + E23 and I + E31, and the commutators of those three
+# give I + E13, I + E21 and I + E32, so I + E12 and C generate SL_3(Z).  Both
+# groups map onto SL_n(F_q) for every prime q, and a set that is one orbit of
+# this subgroup is one orbit of PGL_2 x PGL_3.
+_SL2 = ((((1, 1), (0, 1)), ((1, -1), (0, 1))),
+        (((1, 0), (1, 1)), ((1, 0), (-1, 1))))
+_SL3 = ((((1, 1, 0), (0, 1, 0), (0, 0, 1)), ((1, -1, 0), (0, 1, 0), (0, 0, 1))),
+        (((0, 0, 1), (1, 0, 0), (0, 1, 0)), ((0, 1, 0), (0, 0, 1), (1, 0, 0))))
 
 
 def _kronecker(g: tuple, h: tuple) -> tuple:
@@ -164,7 +156,12 @@ def segre_fitting_report(q: int) -> CheckReport:
     (c) the configurations of (b) form a single orbit under the product of
         the projective linear groups of the two factors.
 
-    Each generator g of GL_2 and h of GL_3 acts on the ambient 5-space as the
+    The orbits are searched under ``_SL2`` and ``_SL3``, two generators of
+    SL_2(Z) and two of SL_3(Z), which map onto SL_n(F_q) for every prime q.
+    A set that is one orbit of this subgroup of PGL_2 x PGL_3 is one orbit of
+    the product, so each row keeps its meaning; no generator depends on q.
+
+    Each generator g of SL_2 and h of SL_3 acts on the ambient 5-space as the
     linear map g (x) 1 or 1 (x) h.  Check (i): on every Segre point it sends
     the image of (a, b) to that of (g a, b), or (a, h b), and h carries the
     points of every plane line L onto the line L h^-1.  A linear map carries
@@ -203,16 +200,15 @@ def segre_fitting_report(q: int) -> CheckReport:
                          "expected": expected_count})
 
     # (i) each generator acts on the ambient space as on the two factors
-    gens2, gens3 = list(_gl_generators(2, q)), list(_gl_generators(3, q))
-    on_p1 = [_permutation(g, p1, q) for g, _ in gens2]
-    on_p2 = [_permutation(h, p2, q) for h, _ in gens3]
+    on_p1 = [_permutation(g, p1, q) for g, _ in _SL2]
+    on_p2 = [_permutation(h, p2, q) for h, _ in _SL3]
     # covectors move by the inverse on the right: L h^-1 is (h^-1)^T L
-    on_lines = [_permutation(tuple(zip(*h_inv)), p2, q) for _, h_inv in gens3]
-    for k, ((g, _), t) in enumerate(zip(gens2, on_p1)):
+    on_lines = [_permutation(tuple(zip(*h_inv)), p2, q) for _, h_inv in _SL3]
+    for k, ((g, _), t) in enumerate(zip(_SL2, on_p1)):
         on_p5 = _permutation(_kronecker(g, _ID3), segre_pts, q)
         if any(on_p5[z] != img[t[a], b] for (a, b), z in img.items()):
             failures.append({"check": "generator", "factor": 1, "index": k})
-    for k, ((h, _), t, t_lines) in enumerate(zip(gens3, on_p2, on_lines)):
+    for k, ((h, _), t, t_lines) in enumerate(zip(_SL3, on_p2, on_lines)):
         on_p5 = _permutation(_kronecker(_ID2, h), segre_pts, q)
         if (any(on_p5[z] != img[a, t[b]] for (a, b), z in img.items())
                 or any({t[m] for m in pts} != set(on_line[t_lines[L]])

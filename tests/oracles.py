@@ -1214,6 +1214,16 @@ def _breadth_first(seed: tuple, step) -> set:
     return orbit
 
 
+def generated_matrices(gens: list, q: int) -> set:
+    """Every matrix mod q that a product of the matrices gens reaches from the
+    identity: the group they generate, found without their inverses."""
+    n = len(gens[0])
+    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    return _breadth_first(identity, lambda m: [
+        tuple(tuple(sum(g[i][k] * m[k][j] for k in range(n)) % q for j in range(n))
+              for i in range(n)) for g in gens])
+
+
 def configuration_orbits(q: int, gens2: list, gens3: list) -> tuple[tuple, tuple]:
     """((valid, orbit) of (a), (valid, orbit) of (b)) for the Segre fitting check.
 

@@ -89,6 +89,53 @@ def test_catalog_specs_name_the_catalog_pairs():
         catalog_specs(3)
 
 
+def irreducible_literals(max_rank: int) -> list[str]:
+    """Every one-term diagram literal of rank at most max_rank, as the parser
+    reads them: C2 and D3 too, which it types as B2 and A3."""
+    return ([f"{letter}{n}" for letter, low in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+             for n in range(low, max_rank + 1)]
+            + [literal for literal in ("E6", "E7", "E8", "F4", "G2") if int(literal[1]) <= max_rank])
+
+
+def derived_catalog(max_rank: int) -> tuple[list, set]:
+    """(accepted, kept): each single-mark pair DeletionPair accepts on the
+    irreducible diagrams of rank at most max_rank, with the literal it was
+    found on, and the pairs left after two steps.  A pair whose sub is a
+    projective space, its marked component of type A_k marked at an end, is
+    dropped.  Of the two pairs in an orbit of the diagram involution,
+    a_(n-1) <-> a_n on D_n (n >= 4) and a1 <-> a6, a3 <-> a5 on E6, the one
+    whose (gamma, gamma0) numbers are larger is kept.  D4's triality is not
+    quotiented, so both D4:a1/a2 and D4:a4/a2 are kept."""
+    accepted, kept = [], set()
+    for literal in irreducible_literals(max_rank):
+        n = int(literal[1:])
+        swap = ({n - 1: n, n: n - 1} if literal[0] == "D" and n >= 4
+                else {1: 6, 6: 1, 3: 5, 5: 3} if literal == "E6" else {})
+        for pair in single_mark_pairs([literal]):
+            accepted.append((literal, pair))
+            comp, = (c for c in pair.sub.diagram.components if pair.gamma0 in c.labels)
+            if comp.letter == "A" and len(pair.sub.diagram.neighbors(pair.gamma0)) <= 1:
+                continue
+            numbers = (int(pair.gamma[1:]), int(pair.gamma0[1:]))
+            if numbers >= tuple(swap.get(k, k) for k in numbers):
+                kept.add(pair)
+    return accepted, kept
+
+
+@pytest.mark.parametrize("max_rank, accepted, kept", [(12, 838, 114), (16, 1838, 214),
+                                                      (20, 3414, 346)])
+def test_catalog_is_derived_from_its_definition(max_rank, accepted, kept):
+    # the families of catalog_specs, against every pair DeletionPair accepts:
+    # C_n yields no pair, and every pair on A_n, F4 and G2 has a projective sub
+    found, derived = derived_catalog(max_rank)
+    assert len(found) == accepted
+    assert [literal for literal, _ in found if literal[0] == "C"] == []
+    assert {literal[0] for literal, pair in found if pair in derived} == {"B", "D", "E"}
+    listed = catalog(max_rank)
+    assert len(listed) == kept and set(listed) == derived
+    assert {"D4:a1/a2", "D4:a4/a2"} <= {pair.pair_id for pair in listed}
+
+
 def test_gamma_is_chain_sum(catalog7):
     pair = catalog7["B4:a1/a3"]
     assert pair.big_gamma == (0, 1, 1, 0)

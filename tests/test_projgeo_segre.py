@@ -6,15 +6,18 @@ import pytest
 from delpair.projgeo import segre
 from delpair.projgeo.linalg import canonical_mod, primitive_int_covector, projective_points
 from delpair.projgeo.segre import (
+    _SL2,
+    _SL3,
     SegreLine,
-    _gl_generators,
     _on_segre,
     segre_fitting_report,
     segre_point,
 )
 from oracles import (
+    det3,
     enumerated_span_section,
     fraction_primitive_covector,
+    generated_matrices,
     looped_fitting_report,
     rref,
     sympy_section_locus,
@@ -79,39 +82,52 @@ def test_fitting_report_counts_match_closed_forms(q):
     assert len(report.witnesses) == 1
 
 
-def _cut_generators(n: int, q: int, cut):
-    """The generators of GL_n(F_q): all, the first ``cut``, or all with each
-    inverse replaced by the generator itself, which moves plane lines wrongly."""
-    gens = list(_gl_generators(n, q))
+# I + E13, which commutes with I + E12: with it in place of C the second factor
+# moves only through a group of order q^2
+_COMMUTING_SL3 = (_SL3[0], (((1, 0, 1), (0, 1, 0), (0, 0, 1)), ((1, 0, -1), (0, 1, 0), (0, 0, 1))))
+
+
+def _cut_generators(cut) -> dict:
+    """The generators of each factor, by the size of its matrices: all; with
+    the factor of size ``cut``, or each factor when ``cut`` is 1, cut to its
+    first generator; all with each inverse replaced by the generator itself,
+    which moves plane lines wrongly; or those of the plane with C replaced by
+    I + E13."""
+    gens = {2: list(_SL2), 3: list(_SL3)}
     if cut == "self-inverse":
-        return [(g, g) for g, _ in gens]
-    return gens[:cut]
+        return {n: [(g, g) for g, _ in gens[n]] for n in gens}
+    if cut == "commuting":
+        return {2: gens[2], 3: list(_COMMUTING_SL3)}
+    return {n: gens[n][:1] if cut in (1, n) else gens[n] for n in gens}
 
 
-def _not_involutions(n: int, q: int) -> list[int]:
-    """Indices of the generators g of GL_n(F_q) with g^2 != 1 mod q."""
+def _not_involutions(gens: list, q: int) -> list[int]:
+    """Indices of the generators g with g^2 != 1 mod q."""
+    n = len(gens[0][0])
     identity = [[int(i == j) for j in range(n)] for i in range(n)]
-    return [k for k, (g, _) in enumerate(_gl_generators(n, q))
+    return [k for k, (g, _) in enumerate(gens)
             if [[sum(g[i][t] * g[t][j] for t in range(n)) % q for j in range(n)]
                 for i in range(n)] != identity]
 
 
-@pytest.mark.parametrize("cut", [None, 1, 2, 3, "self-inverse"])
+@pytest.mark.parametrize("cut", [None, 1, 2, 3, "self-inverse", "commuting"])
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_orbit_step_matches_four_tuple_oracle(q, cut, monkeypatch):
     # the whole report against the looped oracle, which cuts the section of
     # every configuration of (a) and (b) and searches both orbits over whole
     # (y, a, b) and (x, L, a, b) tuples: with every generator, with each
-    # group cut to its first 1, 2 or 3 generators (several orbits), and with
-    # wrong inverses, whose orbit leaves the valid set for q > 2
-    gens = {n: _cut_generators(n, q, cut) for n in (2, 3)}
-    monkeypatch.setattr(segre, "_gl_generators", lambda n, p: iter(gens[n]))
+    # factor or one of them cut to its first generator (several orbits), with
+    # wrong inverses, whose orbit leaves the valid set, and with the plane's
+    # generators replaced by two that commute (a proper subgroup)
+    gens = _cut_generators(cut)
+    monkeypatch.setattr(segre, "_SL2", tuple(gens[2]))
+    monkeypatch.setattr(segre, "_SL3", tuple(gens[3]))
     report = segre_fitting_report(q).to_dict()
     oracle = looped_fitting_report(q, gens[2], gens[3]).to_dict()
     # a wrong inverse carries plane lines wrongly, which step (i) reports;
     # the oracle acts on the factors directly and has no such rows
     moved_wrongly = [{"check": "generator", "factor": 2, "index": k}
-                     for k in (_not_involutions(3, q) if cut == "self-inverse" else [])]
+                     for k in (_not_involutions(gens[3], q) if cut == "self-inverse" else [])]
     assert [row for row in report["witnesses"] if row.get("check") == "generator"] == moved_wrongly
     report["witnesses"] = [row for row in report["witnesses"] if row not in moved_wrongly]
     assert report == oracle
@@ -119,9 +135,10 @@ def test_orbit_step_matches_four_tuple_oracle(q, cut, monkeypatch):
     plane = q * q + q + 1
     assert data["segre_points"] == (q + 1) * plane
     assert (data["a_configs"] == plane * (q + 1) * (q * q + q)) == ("a-orbit" not in checks)
-    # at q = 2 each generator is its own inverse, so only the cuts fail there
-    assert data["single_orbit"] == (cut is None or (cut == "self-inverse" and q == 2))
-    assert ("a-orbit" in checks) == (cut in (1, 2, 3))
+    # C is not an involution, so a wrong inverse fails at q = 2 too
+    assert data["single_orbit"] == (cut is None)
+    assert ("a-orbit" in checks) == (cut in (1, 2, 3, "commuting"))
+    assert ("c-orbit" in checks) == (cut is not None)
     assert (report["status"] == "pass") == data["single_orbit"]
 
 
@@ -190,8 +207,8 @@ def test_generator_off_the_product_fails(monkeypatch):
     report = segre_fitting_report(3)
     assert report.status == "fail"
     assert report.witnesses[1:] == (
-        [{"check": "generator", "factor": 1, "index": k} for k in range(3)]
-        + [{"check": "generator", "factor": 2, "index": k} for k in range(7)])
+        [{"check": "generator", "factor": 1, "index": k} for k in range(2)]
+        + [{"check": "generator", "factor": 2, "index": k} for k in range(2)])
 
 
 def test_a_section_that_is_exactly_line_plus_point_fails(monkeypatch):
@@ -370,11 +387,18 @@ def test_one_zero_line_plus_point_has_witness_curve():
     assert len(lines) >= 2 and not full_plane      # never just line plus point
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23])
 @pytest.mark.parametrize("n", [2, 3])
 def test_generator_inverses_are_inverse_mod_p(n, p):
-    gens = list(_gl_generators(n, p))
-    assert len(gens) == n * (n - 1) + (p > 2)
+    gens = {2: _SL2, 3: _SL3}[n]
+    # closed under products mod p, the generators reach |SL_n(F_p)| matrices,
+    # each of determinant 1: the whole of SL_n(F_p)
+    order = {(2, 2): 6, (2, 3): 24, (2, 5): 120, (2, 7): 336, (3, 2): 168, (3, 3): 5616}
+    if (n, p) in order:
+        group = generated_matrices([g for g, _ in gens], p)
+        assert len(group) == order[n, p]
+        assert {det3(m, p) if n == 3 else (m[0][0] * m[1][1] - m[0][1] * m[1][0]) % p
+                for m in group} == {1}
     identity = [[int(i == j) for j in range(n)] for i in range(n)]
     for g, g_inv in gens:
         for left, right in ((g, g_inv), (g_inv, g)):
@@ -382,4 +406,4 @@ def test_generator_inverses_are_inverse_mod_p(n, p):
                        for i in range(n)]
             assert product == identity, (g, g_inv)
         assert g != tuple(map(tuple, identity))
-    assert len({g for g, _ in gens}) == len(gens)
+    assert len({g for g, _ in gens}) == len(gens) == 2
